@@ -64,8 +64,8 @@ class CatCodeSpec:
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
             raise ValueError(f"cascade depth m={self.m!r} must be an integer >= 1")
-        if isinstance(self.alpha, complex) or not self.alpha > 0.0:
-            raise ValueError(f"amplitude alpha={self.alpha!r} must be real and positive")
+        if isinstance(self.alpha, complex) or not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"amplitude alpha={self.alpha!r} must be real, positive and finite")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"transmission eta={self.eta!r} outside (0, 1]")
 

@@ -117,11 +117,3 @@ def sweep_reflection(deltas, params: CavityParams = DEFAULT_PARAMS):
         )
     return rows
 
-
-if __name__ == "__main__":
-    # Quick look at how the dressed amplitude tracks the ideal phase once
-    # the atom is decoupled.  The full curve loses modulus near resonance.
-    decoupled = CavityParams(g=1e-3, kappa=1.0, gamma=1.2, kappa_r=0.9)
-    print(f"{'delta':>8} {'phase_ideal':>12} {'phase_full':>12} {'mod_full':>9}")
-    for d, p_i, p_f, m in sweep_reflection(np.linspace(0.0, 3.0, 13), decoupled):
-        print(f"{d:8.3f} {p_i:12.6f} {p_f:12.6f} {m:9.6f}")

@@ -50,6 +50,13 @@ _KEY_MODES = ("lower_bound", "exact_average")
 _DEFAULT_COMBO_LIMIT = 20000
 
 
+def _require_finite(params, *names: str) -> None:
+    for name in names:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name}={value!r} must be finite")
+
+
 @dataclass(frozen=True)
 class SegmentParams:
     """One elementary link: distance, code choice, local transmission.
@@ -69,6 +76,7 @@ class SegmentParams:
     eta_local_exponent: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self, "l0", "alpha", "eta_local", "l_att", "eta_local_exponent")
         if self.l0 <= 0:
             raise ValueError("need l0 > 0")
         if self.l_att <= 0:
@@ -98,6 +106,7 @@ class ChainParams:
     t0: float = 1e-6
 
     def __post_init__(self):
+        _require_finite(self, "l_tot", "t0")
         if self.l_tot <= 0:
             raise ValueError("need l_tot > 0")
         if not isinstance(self.n_e, int) or self.n_e < 1:

@@ -21,7 +21,6 @@ tolerance breach, 3 numerical guard tripped (truncation/overflow).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import json
 import math
@@ -37,15 +36,11 @@ from .chain import (
     ATTENUATION_LENGTH_KM,
     ChainParams,
     SegmentParams,
+    check_chain_geometry,
     evaluate_chain,
 )
-from .fockspace import TruncationError, apply_mode_operator, coherent_state
-from .protocol_oracle import (
-    bell_order_equivalence,
-    prepare_code_state,
-    simulate_unit,
-    syndrome_cascade,
-)
+from .fockspace import TruncationError
+from .protocol_oracle import bell_order_equivalence, simulate_unit, syndrome_deviation
 from .usd import usd_sweep
 
 __all__ = ["main", "load_config", "DEFAULT_CONFIG"]
@@ -217,16 +212,26 @@ def _emit(text: str, out: str | None, argv) -> None:
         fh.write("\n")
 
 
-def _resolve_n_e(l0: float, l_tot: float) -> int:
-    n_e = round(l_tot / l0)
-    if n_e < 1 or abs(n_e * l0 - l_tot) > 1e-9 * max(l_tot, 1.0):
-        raise UsageError(
-            f"elementary distance l0={l0} does not divide l_tot={l_tot}"
-        )
-    return n_e
+def _point_params(point, chain_cfg: dict):
+    """Segment and chain parameters of one grid point, validated."""
+    m, alpha, l0, eta_local = point
+    segment = SegmentParams(
+        l0=l0,
+        m=m,
+        alpha=alpha,
+        eta_local=eta_local,
+        l_att=chain_cfg["l_att"],
+    )
+    ratio = chain_cfg["l_tot"] / l0
+    # a non-finite l_tot is named by ChainParams, not by round()
+    n_e = max(1, round(ratio)) if math.isfinite(ratio) else 1
+    chain = ChainParams(l_tot=chain_cfg["l_tot"], n_e=n_e, t0=chain_cfg["t0"])
+    check_chain_geometry(segment, chain)
+    return segment, chain
 
 
-def _grid_points(cfg: dict):
+def _grid_points(cfg: dict) -> list:
+    """Validated (segment, chain) pairs, lexicographic in m, alpha, l0, eta_local."""
     code = cfg["code"]
     chain = cfg["chain"]
     grids = {
@@ -238,33 +243,17 @@ def _grid_points(cfg: dict):
     for name, grid in grids.items():
         if not grid:
             raise UsageError(f"empty grid: {name}")
-    points = [
+    points = sorted(
         (int(m), float(alpha), float(l0), float(eta_local))
         for m in code["m"]
         for alpha in code["alpha"]
         for l0 in chain["l0"]
         for eta_local in code["eta_local"]
-    ]
-    for _, _, l0, _ in points:
-        _resolve_n_e(l0, chain["l_tot"])
-    return sorted(points)
+    )
+    return [_point_params(p, chain) for p in points]
 
 
-def _sweep_row(point, cfg: dict) -> dict:
-    m, alpha, l0, eta_local = point
-    chain_cfg = cfg["chain"]
-    segment = SegmentParams(
-        l0=l0,
-        m=m,
-        alpha=alpha,
-        eta_local=eta_local,
-        l_att=chain_cfg["l_att"],
-    )
-    chain = ChainParams(
-        l_tot=chain_cfg["l_tot"],
-        n_e=_resolve_n_e(l0, chain_cfg["l_tot"]),
-        t0=chain_cfg["t0"],
-    )
+def _sweep_row(segment: SegmentParams, chain: ChainParams, cfg: dict) -> dict:
     report = evaluate_chain(
         segment,
         chain,
@@ -273,10 +262,10 @@ def _sweep_row(point, cfg: dict) -> dict:
         key_mode=cfg["key"]["mode"],
     )
     return {
-        "m": m,
-        "alpha": alpha,
-        "l0": l0,
-        "eta_local": eta_local,
+        "m": segment.m,
+        "alpha": segment.alpha,
+        "l0": segment.l0,
+        "eta_local": segment.eta_local,
         "f0": report.f0,
         "p0": report.p0,
         "f_tot": report.f_tot,
@@ -288,13 +277,8 @@ def _sweep_row(point, cfg: dict) -> dict:
     }
 
 
-def cmd_sweep(cfg: dict, out: str | None, threads: int, argv) -> int:
-    points = _grid_points(cfg)
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            rows = list(ex.map(lambda p: _sweep_row(p, cfg), points))
-    else:
-        rows = [_sweep_row(p, cfg) for p in points]
+def cmd_sweep(cfg: dict, out: str | None, argv) -> int:
+    rows = [_sweep_row(seg, chain, cfg) for seg, chain in _grid_points(cfg)]
     text = _render(rows, _SWEEP_COLUMNS, cfg["output"]["format"])
     _emit(text, out, argv)
     return 0
@@ -312,9 +296,9 @@ def cmd_keyrate(cfg: dict, out: str | None, argv) -> int:
                 f"keyrate needs exactly one value for {name} "
                 f"(got {len(grid)}; narrow the grid with the flag)"
             )
-    points = _grid_points(cfg)
+    ((segment, chain),) = _grid_points(cfg)
     text = _render(
-        [_sweep_row(points[0], cfg)], _SWEEP_COLUMNS, cfg["output"]["format"]
+        [_sweep_row(segment, chain, cfg)], _SWEEP_COLUMNS, cfg["output"]["format"]
     )
     _emit(text, out, argv)
     return 0
@@ -367,35 +351,6 @@ def cmd_usd(cfg: dict, out: str | None, argv) -> int:
     return 0
 
 
-def _lowering_power(n_max: int, q: int) -> np.ndarray:
-    op = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
-    return np.linalg.matrix_power(op, q)
-
-
-def _syndrome_deviation(m: int, alpha: float, eta: float) -> float:
-    """Worst-case tagging error over every injectable loss count.
-
-    Injects exactly q photon losses into the pure damped branch and
-    requires the cascade to tag remainder q mod 2^m with certainty.
-    """
-    big_m = 2**m
-    worst = 0.0
-    pure = prepare_code_state(m, coherent_state(math.sqrt(eta) * alpha))
-    for q in range(2 * big_m):
-        state = pure
-        if q:
-            state = apply_mode_operator(state, _lowering_power(state.n_max, q))
-            state = state.__class__(
-                state.spins, state.n_max, state.matrix / state.trace()
-            )
-        outcomes = dict(
-            (r, p) for r, p, _ in syndrome_cascade(state, m)
-        )
-        expected = q % big_m
-        worst = max(worst, abs(1.0 - outcomes.get(expected, 0.0)))
-    return worst
-
-
 def _parse_tol_overrides(items) -> dict:
     tols = dict(_TOLERANCES)
     for item in items or ():
@@ -441,7 +396,7 @@ def cmd_validate(cfg: dict, tol_items, out: str | None, argv) -> int:
                     ),
                 )
                 deviations["syndrome"] = max(
-                    deviations["syndrome"], _syndrome_deviation(m, alpha, eta)
+                    deviations["syndrome"], syndrome_deviation(m, alpha, eta)
                 )
                 if m == 1:
                     deviations["bell_order"] = max(
@@ -502,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid sweep of repeater-line metrics")
     _add_common(p)
-    p.add_argument("--threads", type=int, default=1, help="parallel grid workers")
 
     p = sub.add_parser("keyrate", help="one fully resolved configuration point")
     _add_common(p)
@@ -536,7 +490,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         cfg = _apply_overrides(cfg, args)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.out, max(1, args.threads), argv)
+            return cmd_sweep(cfg, args.out, argv)
         if args.command == "keyrate":
             return cmd_keyrate(cfg, args.out, argv)
         if args.command == "cavity":

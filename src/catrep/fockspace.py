@@ -2,9 +2,9 @@
 
 States live on photon numbers 0..n_max as dense complex arrays.  This module
 is the substrate of the brute-force protocol simulation: coherent states,
-phase-space rotations exp(iφn̂), photon-loss Kraus operators, the amplitude
-damping channel, hybrid spin-mode composites and projective spin
-measurements.
+phase-space rotations exp(iφn̂), photon-loss Kraus operators and the
+shift kernel that applies them, the amplitude damping channel, hybrid
+spin-mode composites and projective spin measurements.
 
 Conventions
 -----------
@@ -21,8 +21,8 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -35,16 +35,14 @@ __all__ = [
     "HybridDensity",
     "coherent_state",
     "rotation_apply",
-    "rotation_matrix",
     "annihilate",
     "kraus_op",
-    "kraus_family",
+    "lose",
     "amplitude_damping",
     "hybrid_from_vector",
     "add_spin",
     "hcrot",
     "measure_spin",
-    "mode_channel",
     "apply_mode_operator",
     "trace_distance",
     "pure_state_fidelity",
@@ -181,9 +179,6 @@ class FockDensity:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def number_diagonal(self) -> np.ndarray:
-        return np.real(np.diag(self.matrix)).copy()
-
 
 @dataclass(frozen=True)
 class HybridDensity:
@@ -281,10 +276,6 @@ def rotation_apply(phi: float, v: FockVector) -> FockVector:
     return FockVector(v.amps * np.exp(1j * phi * n), v.n_max)
 
 
-def rotation_matrix(phi: float, n_max: int) -> np.ndarray:
-    return np.diag(np.exp(1j * phi * np.arange(n_max + 1)))
-
-
 def annihilate(v: FockVector, q: int = 1) -> FockVector:
     """Apply â q times: amps[n] ← √(n+1)·amps[n+1].  Result is unnormalized."""
     if q < 0:
@@ -297,25 +288,18 @@ def annihilate(v: FockVector, q: int = 1) -> FockVector:
     return FockVector(amps, v.n_max)
 
 
-def kraus_op(k: int, eta: float, n_max: int) -> np.ndarray:
-    """Matrix of the loss Kraus operator Â_k = √((1−η)^k/k!)·(√η)^n̂·âᵏ.
+def _loss_amplitudes(k: int, eta: float, dim: int) -> np.ndarray:
+    """c_k(n) = ⟨n|Â_k|n+k⟩ = √((1−η)^k η^n (n+k)! / (k! n!)) for n < dim − k.
 
-    Entries ⟨n|Â_k|n+k⟩ = √((1−η)^k η^n (n+k)! / (k! n!)), built in log
-    domain so binomial factors stay finite at large cutoffs.
+    Built in log domain so binomial factors stay finite at large cutoffs.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("transmission eta must lie in (0, 1]; the eta=0 channel is degenerate")
     if k < 0:
         raise ValueError("loss count k must be non-negative")
-    dim = n_max + 1
-    out = np.zeros((dim, dim), dtype=complex)
-    if k >= dim:
-        return out
+    n = np.arange(max(dim - k, 0))
     if eta == 1.0:
-        if k == 0:
-            np.fill_diagonal(out, 1.0)
-        return out
-    n = np.arange(dim - k)
+        return np.full(n.shape, 1.0 if k == 0 else 0.0)
     log_val = 0.5 * (
         k * math.log1p(-eta)
         + n * math.log(eta)
@@ -323,42 +307,60 @@ def kraus_op(k: int, eta: float, n_max: int) -> np.ndarray:
         - gammaln(k + 1.0)
         - gammaln(n + 1.0)
     )
-    out[n, n + k] = np.exp(log_val)
+    return np.exp(log_val)
+
+
+def kraus_op(k: int, eta: float, n_max: int) -> np.ndarray:
+    """Dense matrix of the loss Kraus operator Â_k = √((1−η)^k/k!)·(√η)^n̂·âᵏ.
+
+    The reference for `lose`, which applies the same operator without
+    building it.
+    """
+    c = _loss_amplitudes(k, eta, n_max + 1)
+    out = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    n = np.arange(c.shape[0])
+    out[n, n + k] = c
     return out
 
 
-def kraus_family(eta: float, n_max: int, tail_tol: float = 1e-12) -> list:
-    """All loss operators needed for completeness 1 − tail_tol on dim n_max+1."""
-    ops = []
-    # Completeness holds exactly once k runs over the full dimension; the
-    # caller-facing truncation happens in amplitude_damping instead.
-    for k in range(n_max + 1):
-        ops.append(kraus_op(k, eta, n_max))
-        if eta == 1.0:
-            break
-    return ops
+def lose(x: np.ndarray, k: int, eta: float, axis: int = -1) -> np.ndarray:
+    """Apply the loss Kraus operator Â_k along one mode axis of x.
 
-
-def amplitude_damping(rho: FockDensity, eta: float, tail_tol: float = 1e-12) -> FockDensity:
-    """Photon-loss channel ρ → Σ_k Â_k ρ Â_k†.
-
-    The Kraus sum stops once the accumulated trace mass reaches
-    trace(ρ)·(1 − tail_tol); trace is preserved within 1e-9 for states
-    that respect the truncation policy.
+    Â_k is a k-step shift times a real diagonal, so out[n] = c_k(n)·x[n+k]
+    along ``axis``: the action of `kraus_op` in O(size) without the matrix.
+    A density takes it on its row axis and then on its column axis; c_k is
+    real, so Â_k† needs no conjugate.
     """
+    x = np.moveaxis(np.asarray(x), axis, -1)
+    c = _loss_amplitudes(k, eta, x.shape[-1])
+    out = np.zeros(x.shape, dtype=complex)
+    out[..., : c.shape[0]] = c * x[..., k:]
+    return np.moveaxis(out, -1, axis)
+
+
+def amplitude_damping(
+    rho: FockDensity | HybridDensity, eta: float, tail_tol: float = 1e-12
+) -> FockDensity | HybridDensity:
+    """Photon-loss channel ρ → Σ_k Â_k ρ Â_k† on the mode factor.
+
+    ρ is a FockDensity or a HybridDensity, whose spins are spectators; the
+    result has the same type.  The Kraus sum stops once the accumulated
+    trace mass reaches trace(ρ)·(1 − tail_tol); trace is preserved within
+    1e-9 for states that respect the truncation policy.
+    """
+    d = rho.n_max + 1
+    ns = rho.matrix.shape[0] // d
+    t = rho.matrix.reshape(ns, d, ns, d)
     target = rho.trace() * (1.0 - tail_tol)
-    acc = np.zeros_like(rho.matrix)
+    acc = np.zeros_like(t)
     mass = 0.0
-    for k in range(rho.dim):
-        a = kraus_op(k, eta, rho.n_max)
-        term = a @ rho.matrix @ a.conj().T
-        acc = acc + term
-        mass += float(np.trace(term).real)
-        if mass >= target:
+    for k in range(d):
+        term = lose(lose(t, k, eta, 1), k, eta, 3)
+        acc += term
+        mass += float(np.einsum("apap->", term).real)
+        if mass >= target or eta == 1.0:
             break
-        if eta == 1.0:
-            break
-    return FockDensity(acc, rho.n_max, validate=False)
+    return replace(rho, matrix=acc.reshape(rho.matrix.shape), validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +502,6 @@ def apply_mode_operator(s: HybridDensity, op: np.ndarray) -> HybridDensity:
     t = s.matrix.reshape(ns, d, ns, d)
     res = np.einsum("pm,ambn,qn->apbq", op, t, op.conj())
     return HybridDensity(s.spins, s.n_max, res.reshape(s.dim, s.dim), validate=False)
-
-
-def mode_channel(s: HybridDensity, ops: Iterable[np.ndarray]) -> HybridDensity:
-    """Apply a Kraus family to the mode factor only; spins are untouched."""
-    ns = 2 ** s.spins
-    d = s.mode_dim
-    t = s.matrix.reshape(ns, d, ns, d)
-    acc = np.zeros_like(t)
-    for op in ops:
-        acc += np.einsum("pm,ambn,qn->apbq", op, t, op.conj())
-    return HybridDensity(s.spins, s.n_max, acc.reshape(s.dim, s.dim), validate=False)
 
 
 # ---------------------------------------------------------------------------

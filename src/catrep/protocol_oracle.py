@@ -12,6 +12,10 @@ The same machinery, specialized to pure states, powers
 `bell_order_equivalence`, which checks that measuring the middle
 station's spin pair before the modes are transmitted is observationally
 identical to measuring it after both arms are fully processed.
+
+Each operation has one implementation shared by the density and the pure
+engines: loss is `fockspace.lose`, every cascade (preparation and
+syndrome) is `_cascade`, and the codeword pair is `_code_pair`.
 """
 
 from __future__ import annotations
@@ -23,17 +27,18 @@ import numpy as np
 
 from .catcode import CatCodeSpec, error_space_state
 from .fockspace import (
+    _ZERO_BRANCH,
     DEFAULT_POLICY,
     FockVector,
     HybridDensity,
     TruncationPolicy,
     add_spin,
-    apply_mode_operator,
+    amplitude_damping,
+    annihilate,
     coherent_state,
     hcrot,
     hybrid_from_vector,
-    kraus_op,
-    measure_spin,
+    lose,
     trace_distance,
 )
 
@@ -48,6 +53,7 @@ __all__ = [
     "create_entanglement",
     "simulate_unit",
     "bell_order_equivalence",
+    "syndrome_deviation",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -70,18 +76,6 @@ def bell_vectors(theta: float = 0.0) -> dict:
     }
 
 
-def _canonical_pair(m: int, primitive: FockVector):
-    """Codeword pair by direct class projection of the primitive."""
-    n = np.arange(primitive.dim)
-    big_m = 2 ** m
-    v = primitive.amps * ((n % big_m) == 0)
-    nrm = np.linalg.norm(v)
-    if nrm < 1e-12:
-        raise ValueError("degenerate primitive: no support on the code class")
-    v = v / nrm
-    return v, np.exp(1j * math.pi * n / big_m) * v
-
-
 def _fixed_cutoff_policy(n_max: int, base: TruncationPolicy | None = None) -> TruncationPolicy:
     base = base or DEFAULT_POLICY
     return TruncationPolicy(
@@ -92,98 +86,8 @@ def _fixed_cutoff_policy(n_max: int, base: TruncationPolicy | None = None) -> Tr
 
 
 # ---------------------------------------------------------------------------
-# preparation
+# cascade kernel
 
-
-def prepare_code_state(m: int, primitive: FockVector, policy=None) -> HybridDensity:
-    """Spin-codeword state from the measured preparation cascade.
-
-    Runs the hcrot ladder with angles π, π/2, …, π/2^{m−1}, keeping the
-    all-"+" measurement branch (every other branch is a relabeled copy,
-    see `prepare_branches`), then attaches the data spin through the
-    final unmeasured hcrot at π/2^m.  Output: (|↑⟩|0_code⟩ + |↓⟩|1_code⟩)/√2.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    v = primitive.amps.astype(complex)
-    n = np.arange(v.shape[0])
-    for j in range(m):
-        # "+" outcome of measuring the step-j ancilla in |±⟩ after
-        # hcrot(π/2^j) applies (1 + R)/2
-        v = (v + np.exp(1j * math.pi / 2 ** j * n) * v) / 2.0
-    nrm = np.linalg.norm(v)
-    if nrm < 1e-12:
-        raise ValueError("degenerate primitive: cascade branch has zero norm")
-    v = v / nrm
-    flip = np.exp(1j * math.pi / 2 ** m * n)
-    psi = np.concatenate([v, flip * v]) / _SQRT2
-    return hybrid_from_vector(1, primitive.n_max, psi)
-
-
-def prepare_branches(m: int, primitive: FockVector, policy=None) -> list:
-    """All 2^m preparation branches with class-adapted measurement bases.
-
-    Each entry is (outcomes, support_class, probability, state).  The
-    measurement basis at step j is (|↑⟩ ± z|↓⟩)/√2 with z chosen from the
-    branch's accumulated class so that every branch lands on a clean
-    photon-number class; the all-"+" branch is the canonical one, the
-    others carry shifted-class codeword pairs related to it by known
-    rotations (the relabeling an experiment applies by feed-forward).
-    """
-    n = np.arange(primitive.dim)
-    branches = [((), 0, primitive.amps.astype(complex))]
-    for j in range(m):
-        phase = np.exp(1j * math.pi / 2 ** j * n)
-        nxt = []
-        for outs, c, v in branches:
-            z = np.exp(2j * math.pi * c / 2 ** (j + 1))
-            rv = phase * v
-            for lbl, w, c2 in (
-                ("+", (v + np.conj(z) * rv) / 2.0, c),
-                ("-", (v - np.conj(z) * rv) / 2.0, c + 2 ** j),
-            ):
-                if float(np.vdot(w, w).real) > 1e-14:
-                    nxt.append((outs + (lbl,), c2, w))
-        branches = nxt
-    big_m = 2 ** m
-    flip = np.exp(1j * math.pi / big_m * n)
-    out = []
-    for outs, c, v in branches:
-        prob = float(np.vdot(v, v).real)
-        v = v / math.sqrt(prob)
-        psi = np.concatenate([v, flip * v]) / _SQRT2
-        out.append((outs, c, prob, hybrid_from_vector(1, primitive.n_max, psi)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# transmission
-
-
-def transmit(s: HybridDensity, eta: float, tail_tol: float = 1e-12) -> HybridDensity:
-    """Amplitude damping on the mode factor; spins are spectators."""
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("transmission eta must lie in (0, 1]")
-    if eta == 1.0:
-        return s
-    ns = 2 ** s.spins
-    d = s.mode_dim
-    t = s.matrix.reshape(ns, d, ns, d)
-    acc = np.zeros_like(t)
-    mass = 0.0
-    target = s.trace() * (1.0 - tail_tol)
-    for k in range(d):
-        a = kraus_op(k, eta, s.n_max)
-        term = np.einsum("pm,ambn,qn->apbq", a, t, a.conj())
-        acc += term
-        mass += float(np.einsum("apap->", term).real)
-        if mass >= target:
-            break
-    return HybridDensity(s.spins, s.n_max, acc.reshape(s.dim, s.dim), validate=False)
-
-
-# ---------------------------------------------------------------------------
-# syndrome cascade
 
 _VARIANTS = ("direct", "pi_minus_phi")
 
@@ -209,22 +113,144 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"unknown cascade variant {variant!r}; expected one of {_VARIANTS}")
 
 
-def _cascade_density(s: HybridDensity, m: int, variant: str) -> list:
-    branches = [((), 0, 1.0, s)]
+def _cascade(
+    x: np.ndarray, m: int, variant: str, axis: int, col_axis=None, floor: float = _PRUNE
+) -> list:
+    """Branch x over an m-step hcrot-and-measure cascade on one mode axis.
+
+    Step j adjoins an ancilla in |+⟩, applies hcrot at `_step_angle` and
+    measures the ancilla in (|↑⟩ ± z|↓⟩)/√2, z adapted to the branch's
+    class c; on the mode that is the projector (1 ± z̄·e^{iφn̂})/2, and a
+    "−" outcome adds 2^{j−1} to c.  A density passes its column axis as
+    col_axis, which takes the conjugate projector.  Returns unnormalized
+    [(c, branch)] in tree order ("+" first).  A pure branch is dropped when
+    its squared norm is at most floor, a density branch when its trace is
+    at most floor times its parent's.
+    """
+
+    def along(vec, ax):
+        shape = [1] * x.ndim
+        shape[ax] = -1
+        return vec.reshape(shape)
+
+    def weight(v):
+        if col_axis is None:
+            return float(np.vdot(v, v).real)
+        side = math.isqrt(v.size)
+        return float(np.trace(v.reshape(side, side)).real)
+
+    n = np.arange(x.shape[axis])
+    branches = [(0, x)]
     for step in range(1, m + 1):
-        ang = _step_angle(step, variant)
+        rot = np.exp(1j * _step_angle(step, variant) * n)
         nxt = []
-        for outs, c, prob, st in branches:
-            z = _step_basis_phase(step, c, variant)
-            anc = st.spins
-            grown = hcrot(ang, add_spin(st, (1.0, 1.0)), spin_index=anc)
-            plus = np.array([1.0, z]) / _SQRT2
-            minus = np.array([1.0, -z]) / _SQRT2
-            for lbl, p, post in measure_spin(grown, anc, basis=(plus, minus), labels=("+", "-")):
-                c2 = c if lbl == "+" else c + 2 ** (step - 1)
-                nxt.append((outs + (lbl,), c2, prob * p, post))
+        for c, v in branches:
+            limit = floor if col_axis is None else floor * weight(v)
+            zbar = np.conj(_step_basis_phase(step, c, variant))
+            for sign, c2 in ((1.0, c), (-1.0, c + 2 ** (step - 1))):
+                proj = (1.0 + sign * zbar * rot) / 2.0
+                w = along(proj, axis) * v
+                if col_axis is not None:
+                    w = w * along(proj.conj(), col_axis)
+                if weight(w) > limit:
+                    nxt.append((c2, w))
         branches = nxt
     return branches
+
+
+def _outcomes(c: int, m: int) -> tuple:
+    """The ± outcome of each cascade step, read from the bits of class c."""
+    return tuple("-" if c >> j & 1 else "+" for j in range(m))
+
+
+# ---------------------------------------------------------------------------
+# preparation
+
+
+def _code_pairs(m: int, primitive: FockVector) -> list:
+    """[(c, probability, v, e^{iπn̂/M}v)] over the preparation branches.
+
+    The preparation cascade uses the direct angles π, π/2, …, π/2^{m−1};
+    each branch's mode v is normalized and paired with its rotation.
+    """
+    flip = np.exp(1j * math.pi / 2 ** m * np.arange(primitive.dim))
+    out = []
+    for c, v in _cascade(primitive.amps.astype(complex), m, "direct", 0, floor=_ZERO_BRANCH):
+        prob = float(np.vdot(v, v).real)
+        v = v / math.sqrt(prob)
+        out.append((c, prob, v, flip * v))
+    return out
+
+
+def _code_pair(m: int, primitive: FockVector):
+    """Codeword pair (v, e^{iπn̂/M}v) from the all-"+" preparation branch."""
+    branches = _code_pairs(m, primitive)
+    if not branches or branches[0][0] != 0:
+        raise ValueError("degenerate primitive: cascade branch has zero norm")
+    return branches[0][2], branches[0][3]
+
+
+def _spin_code_state(cw0: np.ndarray, cw1: np.ndarray, n_max: int) -> HybridDensity:
+    return hybrid_from_vector(1, n_max, np.concatenate([cw0, cw1]) / _SQRT2)
+
+
+def prepare_code_state(m: int, primitive: FockVector) -> HybridDensity:
+    """Spin-codeword state from the measured preparation cascade.
+
+    Runs the hcrot ladder with angles π, π/2, …, π/2^{m−1}, keeping the
+    all-"+" measurement branch (every other branch is a relabeled copy,
+    see `prepare_branches`), then attaches the data spin through the
+    final unmeasured hcrot at π/2^m.  Output: (|↑⟩|0_code⟩ + |↓⟩|1_code⟩)/√2.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return _spin_code_state(*_code_pair(m, primitive), primitive.n_max)
+
+
+def prepare_branches(m: int, primitive: FockVector) -> list:
+    """All 2^m preparation branches with class-adapted measurement bases.
+
+    Each entry is (outcomes, support_class, probability, state).  The
+    measurement basis at step j is (|↑⟩ ± z|↓⟩)/√2 with z chosen from the
+    branch's accumulated class so that every branch lands on a clean
+    photon-number class; the all-"+" branch is the canonical one, the
+    others carry shifted-class codeword pairs related to it by known
+    rotations (the relabeling an experiment applies by feed-forward).
+    """
+    return [
+        (_outcomes(c, m), c, prob, _spin_code_state(cw0, cw1, primitive.n_max))
+        for c, prob, cw0, cw1 in _code_pairs(m, primitive)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# transmission
+
+
+def transmit(s: HybridDensity, eta: float, tail_tol: float = 1e-12) -> HybridDensity:
+    """Amplitude damping on the mode factor; spins are spectators."""
+    if not 0.0 < eta <= 1.0:
+        raise ValueError("transmission eta must lie in (0, 1]")
+    if eta == 1.0:
+        return s
+    return amplitude_damping(s, eta, tail_tol)
+
+
+# ---------------------------------------------------------------------------
+# syndrome cascade
+
+
+def _syndrome_branches(s: HybridDensity, m: int, variant: str) -> list:
+    """[(class, probability, normalized post state)] in tree order."""
+    _check_variant(variant)
+    ns, d = 2 ** s.spins, s.mode_dim
+    t = s.matrix.reshape(ns, d, ns, d)
+    out = []
+    for c, x in _cascade(t, m, variant, 1, col_axis=3, floor=_ZERO_BRANCH):
+        prob = float(np.einsum("apap->", x).real)
+        post = HybridDensity(s.spins, s.n_max, (x / prob).reshape(s.dim, s.dim), validate=False)
+        out.append((c, prob, post))
+    return out
 
 
 def syndrome_cascade(s: HybridDensity, m: int, variant: str = "direct") -> list:
@@ -236,22 +262,36 @@ def syndrome_cascade(s: HybridDensity, m: int, variant: str = "direct") -> list:
     (remainder, probability, post_state) sorted by remainder; branches of
     negligible probability are dropped.
     """
-    _check_variant(variant)
-    out = []
-    for _outs, c, prob, st in _cascade_density(s, m, variant):
-        out.append(((-c) % (2 ** m), prob, st))
+    out = [((-c) % (2 ** m), prob, st) for c, prob, st in _syndrome_branches(s, m, variant)]
     out.sort(key=lambda t: t[0])
     return out
 
 
 def branch_tree_text(s: HybridDensity, m: int, variant: str = "direct") -> str:
     """Human-readable dump of the cascade branch tree for debugging."""
-    _check_variant(variant)
     lines = [f"syndrome cascade: m={m}, variant={variant}"]
-    for outs, c, prob, _st in _cascade_density(s, m, variant):
-        path = " ".join(f"step{i + 1}:{o}" for i, o in enumerate(outs))
+    for c, prob, _st in _syndrome_branches(s, m, variant):
+        path = " ".join(f"step{i + 1}:{o}" for i, o in enumerate(_outcomes(c, m)))
         lines.append(f"  {path}  class={c % (2 ** m)}  remainder={(-c) % (2 ** m)}  p={prob:.6e}")
     return "\n".join(lines)
+
+
+def syndrome_deviation(m: int, alpha: float, eta: float) -> float:
+    """Worst-case tagging error over every injectable loss count.
+
+    Injects exactly q photon losses (âᵠ on both codewords of the damped
+    pure pair) for each q < 2^{m+1} and requires the cascade to tag
+    remainder q mod 2^m with certainty.
+    """
+    prim = coherent_state(math.sqrt(eta) * alpha)
+    pair = [FockVector(cw, prim.n_max) for cw in _code_pair(m, prim)]
+    worst = 0.0
+    for q in range(2 ** (m + 1)):
+        psi = np.concatenate([annihilate(cw, q).amps for cw in pair])
+        state = hybrid_from_vector(1, prim.n_max, psi / np.linalg.norm(psi))
+        outcomes = {r: p for r, p, _ in syndrome_cascade(state, m)}
+        worst = max(worst, abs(1.0 - outcomes.get(q % 2 ** m, 0.0)))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +314,18 @@ def create_entanglement(s: HybridDensity, m: int, known_q: int):
     return ent, {"theta": theta, "bell": bell_vectors(theta)}
 
 
-def _usd_directions(psi0: np.ndarray, psi1: np.ndarray):
-    """Kraus directions for the minimum-error-free discrimination of two rays.
+def _usd_bras(spec: CatCodeSpec, r: int, policy: TruncationPolicy):
+    """Discrimination bras (b0, b1) for the class-r codeword pair.
 
-    Returns (perp_to_psi1, perp_to_psi0, |overlap|): each success Kraus is
-    the rank-one projector onto a perpendicular direction scaled by
-    1/√(1+|s|), which makes the cross-identification amplitude exactly
-    zero and the per-ray success probability 1 − |s|.
+    Outcome u's Kraus operator is the rank-one |u⟩⟨u|/√(1+|s|), u the unit
+    vector perpendicular to the other codeword and s the pair's overlap;
+    this makes the cross-identification amplitude exactly zero and the
+    per-ray success 1 − |s|.  With b_u = u/√(1+|s|) the outcome amplitude
+    of a pure mode x is b_u†x and the outcome block of a density is
+    b_u†ρb_u.
     """
+    psi0 = error_space_state(spec, 0, r, policy)[0].amps
+    psi1 = error_space_state(spec, 1, r, policy)[0].amps
     s_ov = complex(np.vdot(psi0, psi1))
     s_abs = abs(s_ov)
     if s_abs >= 1.0 - 1e-14:
@@ -289,17 +333,8 @@ def _usd_directions(psi0: np.ndarray, psi1: np.ndarray):
             f"codeword pair indistinguishable (|overlap| = {s_abs:.16f}); "
             "discrimination POVM degenerate"
         )
-    scale = 1.0 / math.sqrt(1.0 - s_abs * s_abs)
-    perp1 = (psi0 - np.conj(s_ov) * psi1) * scale
-    perp0 = (psi1 - s_ov * psi0) * scale
-    return perp1, perp0, s_abs
-
-
-def _usd_kraus(psi0: np.ndarray, psi1: np.ndarray):
-    perp1, perp0, s_abs = _usd_directions(psi0, psi1)
-    k0 = np.outer(perp1, perp1.conj()) / math.sqrt(1.0 + s_abs)
-    k1 = np.outer(perp0, perp0.conj()) / math.sqrt(1.0 + s_abs)
-    return k0, k1, s_abs
+    scale = 1.0 / math.sqrt((1.0 - s_abs * s_abs) * (1.0 + s_abs))
+    return (psi0 - np.conj(s_ov) * psi1) * scale, (psi1 - s_ov * psi0) * scale
 
 
 @dataclass(frozen=True)
@@ -336,8 +371,7 @@ def simulate_unit(spec: CatCodeSpec, policy=None, variant: str = "direct") -> Un
     policy = policy or DEFAULT_POLICY
     prim = coherent_state(spec.alpha, policy)
     forced = _fixed_cutoff_policy(prim.n_max, policy)
-    prep = prepare_code_state(spec.m, prim)
-    trans = transmit(prep, spec.eta)
+    trans = transmit(prepare_code_state(spec.m, prim), spec.eta)
     branches = syndrome_cascade(trans, spec.m, variant)
     big_m = spec.order
     weights = np.zeros(2 * big_m)
@@ -347,14 +381,11 @@ def simulate_unit(spec: CatCodeSpec, policy=None, variant: str = "direct") -> Un
     states: list = [None] * big_m
     thetas = np.array([r * math.pi / big_m for r in range(big_m)])
     for r, prob, st in branches:
-        psi0, _ = error_space_state(spec, 0, r, forced)
-        psi1, _ = error_space_state(spec, 1, r, forced)
-        k0, k1, _s = _usd_kraus(psi0.amps, psi1.amps)
         ent, info = create_entanglement(st, spec.m, known_q=r)
-        out0 = apply_mode_operator(ent, k0)
-        out1 = apply_mode_operator(ent, k1)
-        p0, p1 = out0.trace(), out1.trace()
-        rho0 = out0.spin_density() / p0
+        t = ent.matrix.reshape(2 ** ent.spins, ent.mode_dim, 2 ** ent.spins, ent.mode_dim)
+        block0, block1 = (b.conj() @ (t @ b) for b in _usd_bras(spec, r, forced))
+        p0, p1 = float(np.trace(block0).real), float(np.trace(block1).real)
+        rho0 = block0 / p0
         bells = info["bell"]
         f_plus = float(np.real(np.vdot(bells["phi_plus"], rho0 @ bells["phi_plus"])))
         f_minus = float(np.real(np.vdot(bells["phi_minus"], rho0 @ bells["phi_minus"])))
@@ -383,36 +414,19 @@ def simulate_unit(spec: CatCodeSpec, policy=None, variant: str = "direct") -> Un
 # measurement-ordering equivalence (pure-state engines)
 
 
-def _pure_cascade(x: np.ndarray, axis: int, n: np.ndarray, m: int, variant: str) -> list:
-    """Branch a pure array over the syndrome cascade applied to one mode axis."""
-    branches = [(0, x)]
-    for step in range(1, m + 1):
-        ang = _step_angle(step, variant)
-        shape = [1] * x.ndim
-        shape[axis] = n.shape[0]
-        ph = np.exp(1j * ang * n).reshape(shape)
-        nxt = []
-        for c, v in branches:
-            z = _step_basis_phase(step, c, variant)
-            rv = ph * v
-            vp = (v + np.conj(z) * rv) / 2.0
-            vm = (v - np.conj(z) * rv) / 2.0
-            if float(np.vdot(vp, vp).real) > _PRUNE:
-                nxt.append((c, vp))
-            if float(np.vdot(vm, vm).real) > _PRUNE:
-                nxt.append((c + 2 ** (step - 1), vm))
-        branches = nxt
-    return branches
+def _record_setup(spec: CatCodeSpec, policy):
+    """What both record builders share.
 
-
-def _usd_pairs(spec: CatCodeSpec, n_max: int, policy) -> list:
-    forced = _fixed_cutoff_policy(n_max, policy)
-    pairs = []
-    for r in range(spec.order):
-        psi0, _ = error_space_state(spec, 0, r, forced)
-        psi1, _ = error_space_state(spec, 1, r, forced)
-        pairs.append(_usd_directions(psi0.amps, psi1.amps))
-    return pairs
+    Returns the flip phases e^{iπn̂/M}, the arm's pure spin-codeword
+    amplitudes (|↑⟩v + |↓⟩e^{iπn̂/M}v)/√2 as a (spin, mode) array, and the
+    discrimination bras of every remainder.
+    """
+    prim = coherent_state(spec.alpha, policy)
+    cw0, cw1 = _code_pair(spec.m, prim)
+    forced = _fixed_cutoff_policy(prim.n_max, policy)
+    bras = [_usd_bras(spec, r, forced) for r in range(spec.order)]
+    flip = np.exp(1j * math.pi / spec.order * np.arange(prim.dim))
+    return flip, np.stack([cw0, cw1]) / _SQRT2, bras
 
 
 def _arm_records(spec: CatCodeSpec, policy, variant: str) -> dict:
@@ -422,29 +436,17 @@ def _arm_records(spec: CatCodeSpec, policy, variant: str) -> dict:
     (endpoint spin, ES spin)]}; entries are unnormalized pure branches
     whose squared norms are probabilities.
     """
-    prim = coherent_state(spec.alpha, policy)
-    d = prim.dim
-    n = np.arange(d)
-    big_m = spec.order
-    cw0, cw1 = _canonical_pair(spec.m, prim)
-    v0 = np.stack([cw0, cw1]) / _SQRT2
-    flip = np.exp(1j * math.pi * n / big_m)
-    pairs = _usd_pairs(spec, prim.n_max, policy)
+    flip, v0, bras = _record_setup(spec, policy)
     records: dict = {}
-    for k in range(d):
-        a = kraus_op(k, spec.eta, prim.n_max)
-        w = np.einsum("mn,sn->sm", a, v0)
+    for k in range(v0.shape[1]):
+        w = lose(v0, k, spec.eta, 1)
         if float(np.vdot(w, w).real) < _PRUNE:
             continue
-        for c, x in _pure_cascade(w, 1, n, spec.m, variant):
-            r = (-c) % big_m
-            chi = np.stack([x, flip[None, :] * x]) / _SQRT2
-            perp1, perp0, s_abs = pairs[r]
-            scale = 1.0 / math.sqrt(1.0 + s_abs)
-            y0 = np.einsum("n,bsn->bs", perp1.conj(), chi) * scale
-            y1 = np.einsum("n,bsn->bs", perp0.conj(), chi) * scale
-            records.setdefault((r, 0), []).append(y0)
-            records.setdefault((r, 1), []).append(y1)
+        for c, x in _cascade(w, spec.m, variant, 1):
+            r = (-c) % spec.order
+            chi = np.stack([x, flip * x]) / _SQRT2
+            for u, bra in enumerate(bras[r]):
+                records.setdefault((r, u), []).append(chi @ bra.conj())
     return records
 
 
@@ -464,15 +466,8 @@ def _combine_arms(rec_left: dict, rec_right: dict, bells: dict) -> dict:
 
 def _joint_records(spec: CatCodeSpec, policy, bells: dict, variant: str) -> dict:
     """Bell-first ordering: project the ES pair, then process both modes."""
-    prim = coherent_state(spec.alpha, policy)
-    d = prim.dim
-    n = np.arange(d)
-    big_m = spec.order
-    cw0, cw1 = _canonical_pair(spec.m, prim)
-    v0 = np.stack([cw0, cw1]) / _SQRT2
-    flip = np.exp(1j * math.pi * n / big_m)
-    pairs = _usd_pairs(spec, prim.n_max, policy)
-    kr = [kraus_op(k, spec.eta, prim.n_max) for k in range(d)]
+    flip, v0, bras = _record_setup(spec, policy)
+    d = v0.shape[1]
     joint = np.einsum("sm,tn->stmn", v0, v0)
     out: dict = {}
 
@@ -485,29 +480,25 @@ def _joint_records(spec: CatCodeSpec, policy, bells: dict, variant: str) -> dict
     for lbl, bvec in bells.items():
         modes = np.einsum("st,stmn->mn", bvec.conj(), joint)
         for k1 in range(d):
-            t1 = np.einsum("pm,mn->pn", kr[k1], modes)
+            t1 = lose(modes, k1, spec.eta, 0)
             if float(np.vdot(t1, t1).real) < _PRUNE:
                 continue
             for k2 in range(d):
-                t = np.einsum("qn,pn->pq", kr[k2], t1)
+                t = lose(t1, k2, spec.eta, 1)
                 if float(np.vdot(t, t).real) < _PRUNE:
                     continue
                 ua = np.stack([t, flip[:, None] * t]) / _SQRT2  # (a, nL, nR)
-                for c1, x1 in _pure_cascade(ua, 1, n, spec.m, variant):
-                    r1 = (-c1) % big_m
-                    perp1, perp0, s_abs = pairs[r1]
-                    scale = 1.0 / math.sqrt(1.0 + s_abs)
-                    for u1, perp in ((0, perp1), (1, perp0)):
-                        y = np.einsum("p,apq->aq", perp.conj(), x1) * scale
+                for c1, x1 in _cascade(ua, spec.m, variant, 1):
+                    r1 = (-c1) % spec.order
+                    for u1, bra1 in enumerate(bras[r1]):
+                        y = bra1.conj() @ x1  # (a, nR)
                         if float(np.vdot(y, y).real) < _PRUNE:
                             continue
                         vb = np.stack([y, flip[None, :] * y], axis=1) / _SQRT2  # (a, b, nR)
-                        for c2, x2 in _pure_cascade(vb, 2, n, spec.m, variant):
-                            r2 = (-c2) % big_m
-                            q1, q0, s2 = pairs[r2]
-                            sc2 = 1.0 / math.sqrt(1.0 + s2)
-                            for u2, perp_b in ((0, q1), (1, q0)):
-                                chi = np.einsum("q,abq->ab", perp_b.conj(), x2) * sc2
+                        for c2, x2 in _cascade(vb, spec.m, variant, 2):
+                            r2 = (-c2) % spec.order
+                            for u2, bra2 in enumerate(bras[r2]):
+                                chi = x2 @ bra2.conj()
                                 if float(np.vdot(chi, chi).real) < _PRUNE:
                                     continue
                                 bump((lbl, r1, u1, r2, u2), chi)

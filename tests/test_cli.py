@@ -76,17 +76,44 @@ def test_sweep_deterministic_and_sidecar(tmp_path, capsys):
     assert meta["generated_at"] not in a.read_text()
 
 
-def test_sweep_threads_keep_order(tmp_path, capsys):
-    args = ("sweep", "--m", "1,2", "--alpha", "2,1", "--l0", "1000,100")
-    one, four = tmp_path / "one.csv", tmp_path / "four.csv"
-    assert run_cli(capsys, *args, "--threads", "1", "--out", str(one))[0] == 0
-    assert run_cli(capsys, *args, "--threads", "4", "--out", str(four))[0] == 0
-    assert one.read_bytes() == four.read_bytes()
-    rows = read_rows(one.read_text())
+def test_sweep_rows_in_grid_order(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--m", "1,2", "--alpha", "2,1", "--l0", "1000,100"
+    )
+    assert code == 0
+    rows = read_rows(out)
+    assert len(rows) == 8
     keys = [
         (int(r["m"]), float(r["alpha"]), float(r["l0"])) for r in rows
     ]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize(
+    "flag,value,field",
+    [
+        ("--t0", "nan", "t0"),
+        ("--t0", "inf", "t0"),
+        ("--l-att", "inf", "l_att"),
+        ("--l-att", "nan", "l_att"),
+        ("--l-tot", "nan", "l_tot"),
+        ("--l-tot", "inf", "l_tot"),
+        ("--alpha", "inf", "alpha"),
+        ("--alpha", "nan", "alpha"),
+        ("--l0", "nan", "l0"),
+        ("--l0", "inf", "l0"),
+        ("--eta-local", "nan", "eta_local"),
+    ],
+)
+def test_keyrate_rejects_non_finite_input(capsys, flag, value, field):
+    argv = {"--m": "2", "--alpha": "2", "--l0": "0.1"}
+    argv[flag] = value
+    code, out, err = run_cli(
+        capsys, "keyrate", *[x for pair in argv.items() for x in pair]
+    )
+    assert code == 1
+    assert field in err
+    assert out == ""
 
 
 def test_sweep_rejects_nondividing_l0(capsys):

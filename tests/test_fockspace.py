@@ -19,15 +19,14 @@ from catrep.fockspace import (
     coherent_state,
     hcrot,
     hybrid_from_vector,
-    kraus_family,
     kraus_op,
+    lose,
     measure_spin,
-    mode_channel,
     pure_state_fidelity,
     rotation_apply,
-    rotation_matrix,
     trace_distance,
 )
+from catrep.protocol_oracle import transmit
 
 
 def test_coherent_state_norm_and_poisson_diagonal():
@@ -104,13 +103,32 @@ def test_annihilate_coherent_eigenrelation():
 def test_kraus_completeness():
     n_max = 40
     for eta in (0.3, 0.9, 1.0):
-        ops = kraus_family(eta, n_max)
+        ops = [kraus_op(k, eta, n_max) for k in range(n_max + 1)]
         acc = sum(op.conj().T @ op for op in ops)
         assert np.max(np.abs(acc - np.eye(n_max + 1))) < 1e-10
 
 
 def test_kraus_out_of_range_is_zero():
     assert np.all(kraus_op(12, 0.5, 5) == 0.0)
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.9, 1.0])
+def test_lose_matches_dense_kraus_op(eta):
+    rng = np.random.default_rng(7)
+    n_max = 12
+    d = n_max + 1
+    pure = rng.normal(size=(3, d, 2)) + 1j * rng.normal(size=(3, d, 2))
+    pure /= np.linalg.norm(pure)
+    vecs = rng.normal(size=(2 * d, 3)) + 1j * rng.normal(size=(2 * d, 3))
+    rho = vecs @ vecs.conj().T
+    rho = (rho / np.trace(rho)).reshape(2, d, 2, d)  # one spin, then the mode
+    for k in range(d + 3):
+        a = kraus_op(k, eta, n_max)
+        want = np.einsum("mn,snt->smt", a, pure)
+        assert np.max(np.abs(lose(pure, k, eta, 1) - want)) < 1e-14
+        want = np.einsum("pm,ambn,qn->apbq", a, rho, a.conj())
+        got = lose(lose(rho, k, eta, 1), k, eta, 3)
+        assert np.max(np.abs(got - want)) < 1e-14
 
 
 def test_amplitude_damping_on_coherent_state():
@@ -230,12 +248,12 @@ def test_measure_spin_rejects_bad_basis():
         measure_spin(s, 0, basis=(np.array([1.0, 0.0]), np.array([0.9, 0.1])))
 
 
-def test_mode_channel_matches_density_channel():
+def test_transmit_matches_density_channel():
     alpha, eta = 1.0, 0.6
     mode = coherent_state(alpha)
     psi = np.kron(np.array([1.0, 1.0]) / math.sqrt(2), mode.amps)
     s = hybrid_from_vector(1, mode.n_max, psi)
-    out = mode_channel(s, kraus_family(eta, mode.n_max))
+    out = transmit(s, eta)
     assert abs(out.trace() - 1.0) < 1e-10
     rho = out.mode_density()
     direct = amplitude_damping(mode.density(), eta)
@@ -246,7 +264,7 @@ def test_apply_mode_operator_rotation():
     mode = coherent_state(0.9)
     psi = np.kron(np.array([1.0, 0.0]), mode.amps)
     s = hybrid_from_vector(1, mode.n_max, psi)
-    out = apply_mode_operator(s, rotation_matrix(0.5, mode.n_max))
+    out = apply_mode_operator(s, np.diag(np.exp(0.5j * np.arange(mode.dim))))
     rot = rotation_apply(0.5, mode)
     assert abs(pure_state_fidelity(out.mode_density().matrix, rot.amps) - 1.0) < 1e-12
 

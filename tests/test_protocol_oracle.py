@@ -7,6 +7,7 @@ from catrep.catcode import CatCodeSpec, codeword, damped_codeword, loss_weights
 from catrep.fockspace import (
     FockVector,
     TruncationPolicy,
+    add_spin,
     annihilate,
     coherent_state,
     hcrot,
@@ -17,6 +18,9 @@ from catrep.fockspace import (
     rotation_apply,
 )
 from catrep.protocol_oracle import (
+    _cascade,
+    _step_angle,
+    _step_basis_phase,
     bell_order_equivalence,
     bell_vectors,
     branch_tree_text,
@@ -25,6 +29,7 @@ from catrep.protocol_oracle import (
     prepare_code_state,
     simulate_unit,
     syndrome_cascade,
+    syndrome_deviation,
     transmit,
 )
 
@@ -141,6 +146,53 @@ def test_syndrome_exactness_pure_errors(variant):
             r, prob, _post = branches[0]
             assert r == q % big_m
             assert abs(prob - 1.0) < 1e-12
+
+
+def operational_cascade(s, m, variant):
+    """The cascade as an experiment runs it: add_spin, hcrot, measure_spin.
+
+    Returns {class: unnormalized post density}.
+    """
+    branches = [(0, 1.0, s)]
+    for step in range(1, m + 1):
+        nxt = []
+        for c, prob, st in branches:
+            z = _step_basis_phase(step, c, variant)
+            anc = st.spins
+            grown = hcrot(_step_angle(step, variant), add_spin(st, (1.0, 1.0)), spin_index=anc)
+            basis = (np.array([1.0, z]) / SQRT2, np.array([1.0, -z]) / SQRT2)
+            for lbl, p, post in measure_spin(grown, anc, basis=basis, labels=("+", "-")):
+                nxt.append((c if lbl == "+" else c + 2 ** (step - 1), prob * p, post))
+        branches = nxt
+    return {c: prob * st.matrix for c, prob, st in branches}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("variant", ["direct", "pi_minus_phi"])
+def test_cascade_kernel_matches_operational_route(m, variant):
+    # density form: a transmitted spin-codeword state, every class present
+    trans = transmit(prepare_code_state(m, coherent_state(2.0)), 0.7)
+    want = operational_cascade(trans, m, variant)
+    ns, d = 2, trans.mode_dim
+    got = _cascade(trans.matrix.reshape(ns, d, ns, d), m, variant, 1, col_axis=3, floor=1e-14)
+    assert sorted(c for c, _x in got) == sorted(want)
+    for c, x in got:
+        assert np.max(np.abs(x.reshape(ns * d, ns * d) - want[c])) < 1e-12
+    # pure form: a spin-mode entangled amplitude array, mode on axis 1
+    alpha = 1.5
+    prim = coherent_state(alpha)
+    psi = np.stack([prim.amps, rotation_apply(0.3, prim).amps]) / SQRT2
+    want = operational_cascade(hybrid_from_vector(1, prim.n_max, psi.reshape(-1)), m, variant)
+    got = _cascade(psi, m, variant, 1)
+    assert sorted(c for c, _x in got) == sorted(want)
+    for c, x in got:
+        flat = x.reshape(-1)
+        assert np.max(np.abs(np.outer(flat, flat.conj()) - want[c])) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_syndrome_deviation_exact(m):
+    assert syndrome_deviation(m, 1.5, 0.9) < 1e-12
 
 
 def test_syndrome_probabilities_partition_mixture():

@@ -45,6 +45,10 @@ _DEGENERACY_TOL = 1e-12
 # Series terms 16 decades under the peak are dropped; matches the
 # plain-domain next-term-below-1e-16*sum stopping rule.
 _LOG_DROP = math.log(1e-16)
+# Largest stop index a class series may reach (alpha about 2000).  The
+# window holds stop/modulus terms in Python lists; past this bound it
+# would exhaust memory rather than fail cleanly.
+_MAX_SERIES_STOP = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -191,8 +195,9 @@ def _mod_class_series(x: float, modulus: int, residue: int) -> tuple[int, float]
     keeps its relative accuracy where each sum alone is astronomically
     small.  Terms 16 decades under the peak are dropped; a trailing guard
     requires the last term to sit 40 nats under the peak so silent
-    truncation cannot happen.  Only ``math`` and ``math.fsum`` are used,
-    so the result depends on libm alone.
+    truncation cannot happen, and a window whose stop index passes
+    `_MAX_SERIES_STOP` raises before anything is allocated.  Only ``math``
+    and ``math.fsum`` are used, so the result depends on libm alone.
     """
     if not 0 <= residue < modulus:
         raise ValueError("residue outside [0, modulus)")
@@ -200,6 +205,11 @@ def _mod_class_series(x: float, modulus: int, residue: int) -> tuple[int, float]
         raise ValueError(f"class series needs x > 0, got {x!r}")
     log_x = math.log(x)
     n_stop = int(x + 12.0 * math.sqrt(x + 1.0) + 12.0 * modulus + 30.0)
+    if n_stop > _MAX_SERIES_STOP:
+        raise ArithmeticError(
+            f"class series window (x={x:.4g}, stop index {n_stop}) exceeds "
+            f"the bound {_MAX_SERIES_STOP}; amplitude too large"
+        )
     ts = range(residue, n_stop + 1, modulus)
     log_fact = [math.lgamma(t + 1.0) for t in ts]
     log_terms = [t * log_x - g for t, g in zip(ts, log_fact)]

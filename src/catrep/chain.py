@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catcode import CatCodeSpec, LossWeights, loss_weights, segment_fidelity
+from .catcode import CatCodeSpec, LossWeights, loss_weights
 from .usd import optimal_usd_probability
 
 __all__ = [
@@ -247,15 +247,17 @@ def chain_distribution(
     ratio = np.divide(
         diff, group, out=np.zeros_like(diff), where=group > 0
     )
-    rows = []
-    for t in _compositions(n_e, big_m):
-        coeff = math.factorial(n_e)
-        for ti in t:
-            coeff //= math.factorial(ti)
-        prob = float(coeff) * float(np.prod(group**np.array(t)))
-        fid = 0.5 + 0.5 * float(np.prod(ratio ** np.array(t)))
-        rows.append((t, prob, fid))
-    return rows
+    combos = list(_compositions(n_e, big_m))
+    t = np.array(combos)
+    # log of n_e!/prod t_i! * prod g_i^t_i, so neither the multinomial
+    # nor the powers leave float range; a row that needs an empty group
+    # (g_i = 0, t_i > 0) is exactly zero.
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_e + 1)])
+    log_group = np.log(group, out=np.zeros_like(group), where=group > 0)
+    log_prob = log_fact[n_e] - log_fact[t].sum(axis=1) + t @ log_group
+    prob = np.where((t[:, group == 0] > 0).any(axis=1), 0.0, np.exp(log_prob))
+    fid = 0.5 + 0.5 * np.prod(ratio**t, axis=1)
+    return list(zip(combos, prob.tolist(), fid.tolist()))
 
 
 def binary_entropy(p: float) -> float:
@@ -345,13 +347,14 @@ def evaluate_chain(
     """Full pipeline for one configuration: segment -> chain -> key rate."""
     check_chain_geometry(segment, chain)
     spec = segment.code_spec
-    f0 = segment_fidelity(spec)
+    weights = loss_weights(spec)
+    f0 = weights.correctable_mass()
     p0 = optimal_usd_probability(spec, q=usd_q, mode=usd_mode)
     f_tot = chain_fidelity(f0, chain.n_e)
     p_tot = chain_success(p0, chain.n_e)
     kwargs = {}
     if key_mode == "exact_average":
-        kwargs = {"weights": loss_weights(spec), "n_e": chain.n_e}
+        kwargs = {"weights": weights, "n_e": chain.n_e}
     rate_s, rate_use = secret_key_rate(
         f_tot, p_tot, chain.t0, mode=key_mode, **kwargs
     )

@@ -30,7 +30,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .catcode import CatCodeSpec, loss_weights, segment_fidelity
+from .catcode import CatCodeSpec, loss_weights
 from .cavity import CavityParams, sweep_reflection
 from .chain import (
     ATTENUATION_LENGTH_KM,
@@ -385,15 +385,14 @@ def cmd_validate(cfg: dict, tol_items, out: str | None, argv) -> int:
             for eta in etas:
                 spec = CatCodeSpec(m=m, alpha=alpha, eta=eta)
                 report = simulate_unit(spec)
+                weights = loss_weights(spec)
                 deviations["f0"] = max(
                     deviations["f0"],
-                    abs(report.f0_oracle - segment_fidelity(spec)),
+                    abs(report.f0_oracle - weights.correctable_mass()),
                 )
                 deviations["loss_weights"] = max(
                     deviations["loss_weights"],
-                    float(
-                        np.max(np.abs(report.weights - loss_weights(spec).p))
-                    ),
+                    float(np.max(np.abs(report.weights - weights.p))),
                 )
                 deviations["syndrome"] = max(
                     deviations["syndrome"], syndrome_deviation(m, alpha, eta)

@@ -15,7 +15,9 @@ identical to measuring it after both arms are fully processed.
 
 Each operation has one implementation shared by the density and the pure
 engines: loss is `fockspace.lose`, every cascade (preparation and
-syndrome) is `_cascade`, and the codeword pair is `_code_pair`.
+syndrome) is `_cascade`, and the codeword pair is `_code_pair`.  Both
+measurement orderings process an arm with one kernel, `_arm`, which
+keeps every lost-photon count on an environment axis.
 """
 
 from __future__ import annotations
@@ -415,7 +417,7 @@ def simulate_unit(spec: CatCodeSpec, policy=None, variant: str = "direct") -> Un
 
 
 def _record_setup(spec: CatCodeSpec, policy):
-    """What both record builders share.
+    """What both measurement orderings share.
 
     Returns the flip phases e^{iπn̂/M}, the arm's pure spin-codeword
     amplitudes (|↑⟩v + |↓⟩e^{iπn̂/M}v)/√2 as a (spin, mode) array, and the
@@ -429,80 +431,39 @@ def _record_setup(spec: CatCodeSpec, policy):
     return flip, np.stack([cw0, cw1]) / _SQRT2, bras
 
 
-def _arm_records(spec: CatCodeSpec, policy, variant: str) -> dict:
-    """Process one arm fully, ES spin left unmeasured.
+def _arm(x: np.ndarray, axis: int, spec: CatCodeSpec, variant: str, flip, bras) -> dict:
+    """Process the arm whose mode is axis `axis` of x, down to its records.
 
-    Returns {(remainder, usd_outcome): [2×2 amplitude arrays over
-    (endpoint spin, ES spin)]}; entries are unnormalized pure branches
-    whose squared norms are probabilities.
+    Every loss count k is applied at once, stacked on a new leading
+    environment axis; counts of squared norm at most `_PRUNE` are dropped.
+    The syndrome cascade then runs on the mode, the endpoint spin attaches
+    as (x, e^{iπn̂/M}x)/√2, and the mode is contracted with the
+    discrimination bras of each remainder: since x·b̄ and (e^{iπn̂/M}x)·b̄
+    are x contracted with b̄ and e^{iπn̂/M}b̄, the endpoint spin takes the
+    mode's place.  Returns {(remainder, usd_outcome): array}.  Lost-photon
+    counts are orthogonal environment states, so a record's density is
+    X X† summed over its environment axes (`_density`).
     """
-    flip, v0, bras = _record_setup(spec, policy)
-    records: dict = {}
-    for k in range(v0.shape[1]):
-        w = lose(v0, k, spec.eta, 1)
-        if float(np.vdot(w, w).real) < _PRUNE:
-            continue
-        for c, x in _cascade(w, spec.m, variant, 1):
-            r = (-c) % spec.order
-            chi = np.stack([x, flip * x]) / _SQRT2
-            for u, bra in enumerate(bras[r]):
-                records.setdefault((r, u), []).append(chi @ bra.conj())
+    lost = (lose(x, k, spec.eta, axis) for k in range(x.shape[axis]))
+    kept = [w for w in lost if float(np.vdot(w, w).real) > _PRUNE]
+    if not kept:
+        return {}
+    axis += 1
+    records = {}
+    for c, y in _cascade(np.stack(kept), spec.m, variant, axis):
+        r = (-c) % spec.order
+        for u, bra in enumerate(bras[r]):
+            spin = np.stack([bra.conj(), flip * bra.conj()], axis=1) / _SQRT2
+            rec = np.moveaxis(np.tensordot(y, spin, axes=(axis, 0)), -1, axis)
+            if float(np.vdot(rec, rec).real) > _PRUNE:
+                records[(r, u)] = rec
     return records
 
 
-def _combine_arms(rec_left: dict, rec_right: dict, bells: dict) -> dict:
-    out: dict = {}
-    for (r1, u1), ys1 in rec_left.items():
-        for (r2, u2), ys2 in rec_right.items():
-            for lbl, bvec in bells.items():
-                rho = np.zeros((4, 4), dtype=complex)
-                for y1 in ys1:
-                    for y2 in ys2:
-                        chi = np.einsum("st,as,bt->ab", bvec.conj(), y1, y2).reshape(-1)
-                        rho += np.outer(chi, chi.conj())
-                out[(lbl, r1, u1, r2, u2)] = rho
-    return out
-
-
-def _joint_records(spec: CatCodeSpec, policy, bells: dict, variant: str) -> dict:
-    """Bell-first ordering: project the ES pair, then process both modes."""
-    flip, v0, bras = _record_setup(spec, policy)
-    d = v0.shape[1]
-    joint = np.einsum("sm,tn->stmn", v0, v0)
-    out: dict = {}
-
-    def bump(key, chi):
-        if key not in out:
-            out[key] = np.zeros((4, 4), dtype=complex)
-        flat = chi.reshape(-1)
-        out[key] += np.outer(flat, flat.conj())
-
-    for lbl, bvec in bells.items():
-        modes = np.einsum("st,stmn->mn", bvec.conj(), joint)
-        for k1 in range(d):
-            t1 = lose(modes, k1, spec.eta, 0)
-            if float(np.vdot(t1, t1).real) < _PRUNE:
-                continue
-            for k2 in range(d):
-                t = lose(t1, k2, spec.eta, 1)
-                if float(np.vdot(t, t).real) < _PRUNE:
-                    continue
-                ua = np.stack([t, flip[:, None] * t]) / _SQRT2  # (a, nL, nR)
-                for c1, x1 in _cascade(ua, spec.m, variant, 1):
-                    r1 = (-c1) % spec.order
-                    for u1, bra1 in enumerate(bras[r1]):
-                        y = bra1.conj() @ x1  # (a, nR)
-                        if float(np.vdot(y, y).real) < _PRUNE:
-                            continue
-                        vb = np.stack([y, flip[None, :] * y], axis=1) / _SQRT2  # (a, b, nR)
-                        for c2, x2 in _cascade(vb, spec.m, variant, 2):
-                            r2 = (-c2) % spec.order
-                            for u2, bra2 in enumerate(bras[r2]):
-                                chi = x2 @ bra2.conj()
-                                if float(np.vdot(chi, chi).real) < _PRUNE:
-                                    continue
-                                bump((lbl, r1, u1, r2, u2), chi)
-    return out
+def _density(chi: np.ndarray) -> np.ndarray:
+    """4×4 endpoint-pair density of a record, traced over its environment."""
+    flat = chi.reshape(-1, 4)
+    return flat.T @ flat.conj()
 
 
 def bell_order_equivalence(
@@ -526,9 +487,22 @@ def bell_order_equivalence(
     policy = policy or DEFAULT_POLICY
     spec = CatCodeSpec(m, alpha, eta)
     bells = {lbl: vec.reshape(2, 2) for lbl, vec in bell_vectors(0.0).items()}
-    arm = _arm_records(spec, policy, variant)
-    rec_after = _combine_arms(arm, arm, bells)
-    rec_before = _joint_records(spec, policy, bells, variant)
+    flip, v0, bras = _record_setup(spec, policy)
+    # Bell-last: process each arm on its own, then project the ES pair.
+    arm = _arm(v0, 1, spec, variant, flip, bras)  # (k, ES spin, endpoint)
+    rec_after = {
+        (lbl, *key1, *key2): _density(np.einsum("st,isa,jtb->ijab", bvec.conj(), y1, y2))
+        for lbl, bvec in bells.items()
+        for key1, y1 in arm.items()
+        for key2, y2 in arm.items()
+    }
+    # Bell-first: project the ES pair, then process the left and right modes.
+    rec_before = {}
+    for lbl, bvec in bells.items():
+        modes = np.einsum("st,sm,tn->mn", bvec.conj(), v0, v0)
+        for key1, left in _arm(modes, 0, spec, variant, flip, bras).items():
+            for key2, chi in _arm(left, 2, spec, variant, flip, bras).items():
+                rec_before[(lbl, *key1, *key2)] = _density(chi)
     worst = 0.0
     records = {}
     for key in set(rec_after) | set(rec_before):

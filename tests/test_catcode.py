@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from catrep.catcode import (
     CatCodeSpec,
     LossWeights,
+    _mod_class_series,
     codeword,
     damped_codeword,
     error_space_state,
@@ -292,3 +293,12 @@ def test_loss_weights_type_validation():
         LossWeights(np.array([0.7, 0.1, 0.1, 0.2]), 1)
     with pytest.raises(ValueError):
         LossWeights(np.array([1.1, -0.1, 0.0, 0.0]), 1)
+
+
+def test_class_series_window_bound():
+    # alpha = 1000 (x up to 1e6) stays inside the window bound; alpha = 1e5
+    # (x = 1e10, about 10^10 terms) is refused before any allocation.
+    t_peak, log_rest = _mod_class_series(1e6, 2, 0)
+    assert abs(t_peak - 1e6) <= 2 and math.isfinite(log_rest)
+    with pytest.raises(ArithmeticError, match="class series window"):
+        _mod_class_series(1e10, 2, 0)

@@ -179,6 +179,42 @@ def test_distribution_average_matches_closed_form(m, alpha, eta, n_e):
     )
 
 
+def test_distribution_long_chain_stays_finite():
+    # n_e = 10,000 links of 0.1 km: the multinomial coefficients alone
+    # overflow a float, so rows are built in log domain.
+    spec = CatCodeSpec(m=1, alpha=2.0, eta=math.exp(-0.1 / 22.0))
+    w = loss_weights(spec)
+    rows = chain_distribution(w, 10_000)
+    assert len(rows) == 10_001
+    assert math.fsum(p for _, p, _ in rows) == pytest.approx(1.0, abs=1e-9)
+    avg = math.fsum(p * f for _, p, f in rows)
+    assert avg == pytest.approx(
+        chain_fidelity(w.correctable_mass(), 10_000), abs=1e-9
+    )
+
+
+def test_distribution_rows_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    w = loss_weights(CatCodeSpec(m=1, alpha=2.0, eta=0.9))
+    n_e = 1000
+    with mpmath.workdps(50):
+        g0 = mpmath.mpf(w.p[0]) + mpmath.mpf(w.p[2])
+        g1 = mpmath.mpf(w.p[1]) + mpmath.mpf(w.p[3])
+        worst = 0.0
+        for (t0, t1), p, _ in chain_distribution(w, n_e):
+            want = mpmath.binomial(n_e, t0) * g0**t0 * g1**t1
+            if want > mpmath.mpf("1e-300"):
+                worst = max(worst, float(abs(p - want) / want))
+    assert worst < 1e-10
+
+
+def test_distribution_empty_group_rows_are_zero():
+    w = loss_weights(CatCodeSpec(m=1, alpha=1.0, eta=1.0))
+    rows = {t: p for t, p, _ in chain_distribution(w, 5)}
+    assert rows[(5, 0)] == 1.0
+    assert all(p == 0.0 for t, p in rows.items() if t != (5, 0))
+
+
 def test_distribution_combinatorial_guard():
     spec = CatCodeSpec(m=2, alpha=1.5, eta=0.9)
     w = loss_weights(spec)

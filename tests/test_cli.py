@@ -116,6 +116,16 @@ def test_keyrate_rejects_non_finite_input(capsys, flag, value, field):
     assert out == ""
 
 
+def test_keyrate_series_window_guard(capsys):
+    # alpha = 1e5 would need a class series of about 10^10 terms.
+    code, out, err = run_cli(
+        capsys, "keyrate", "--m", "1", "--alpha", "1e5", "--l0", "1000"
+    )
+    assert code == 3
+    assert "class series window" in err
+    assert out == ""
+
+
 def test_sweep_rejects_nondividing_l0(capsys):
     code, _, err = run_cli(capsys, "sweep", "--m", "1", "--alpha", "1", "--l0", "3")
     assert code == 1
@@ -246,3 +256,20 @@ def test_module_entry_point_help():
     )
     assert proc.returncode == 0
     assert "sweep" in proc.stdout and "validate" in proc.stdout
+
+
+def test_pyproject_takes_version_from_package():
+    tomllib = pytest.importorskip("tomllib")
+    import catrep
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        meta = tomllib.load(fh)
+    project = meta["project"]
+    assert project["name"] == "catrep"
+    assert "version" not in project
+    assert project["dynamic"] == ["version"]
+    assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "catrep.__version__"
+    }
+    assert isinstance(catrep.__version__, str) and catrep.__version__

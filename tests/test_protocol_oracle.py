@@ -304,3 +304,27 @@ def test_bell_order_lossless_s33_structure():
     target = np.array([1.0, 0.0, 0.0, 1.0]) / SQRT2
     fid = np.real(np.vdot(target, (ra / pa) @ target))
     assert abs(fid - 1.0) < 1e-10
+
+
+def test_bell_order_equivalence_m2():
+    assert bell_order_equivalence(2, 1.0, 0.9) < 1e-12
+
+
+@pytest.mark.parametrize("m,alpha,eta", [(1, 1.0, 0.9), (2, 1.0, 0.9), (1, 2.0, 0.99)])
+def test_bell_order_records_match_density_engine(m, alpha, eta):
+    # Both orderings share one arm kernel, so a fault in it cancels out of
+    # bell_order_equivalence; tie the records to simulate_unit instead.
+    # Summed over Bell labels and USD outcomes, the records of remainders
+    # (r1, r2) carry each arm's syndrome probability times its success.
+    report = simulate_unit(CatCodeSpec(m, alpha, eta))
+    _d, records = bell_order_equivalence(m, alpha, eta, return_records=True)
+    arm = report.syndrome_probs * report.usd_success
+    big_m = 2**m
+    pa = np.zeros((big_m, big_m))
+    pb = np.zeros((big_m, big_m))
+    for (_lbl, r1, _u1, r2, _u2), (p_before, p_after, _ra, _rb) in records.items():
+        pa[r1, r2] += p_before
+        pb[r1, r2] += p_after
+    want = np.outer(arm, arm)
+    assert np.max(np.abs(pa - want)) < 1e-10
+    assert np.max(np.abs(pb - want)) < 1e-10

@@ -13,7 +13,6 @@ from .catcode import (
     damped_codeword,
     error_space_state,
     loss_weights,
-    orthogonal_codewords,
     segment_fidelity,
 )
 from .cavity import (
@@ -113,7 +112,6 @@ __all__ = [
     "loss_weights",
     "measure_spin",
     "optimal_usd_probability",
-    "orthogonal_codewords",
     "plob_bound",
     "prepare_code_state",
     "reflection_phase",

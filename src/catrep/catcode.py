@@ -38,16 +38,16 @@ __all__ = [
     "error_space_state",
     "loss_weights",
     "segment_fidelity",
-    "orthogonal_codewords",
 ]
 
 _DEGENERACY_TOL = 1e-12
 # Series terms 16 decades under the peak are dropped; matches the
 # plain-domain next-term-below-1e-16*sum stopping rule.
 _LOG_DROP = math.log(1e-16)
-# Largest stop index a class series may reach (alpha about 2000).  The
-# window holds stop/modulus terms in Python lists; past this bound it
-# would exhaust memory rather than fail cleanly.
+# Largest stop index a class series may reach (alpha about 2000).  Each
+# residue of the window holds stop/modulus terms in Python lists, one
+# residue at a time; past this bound it would exhaust memory rather than
+# fail cleanly.
 _MAX_SERIES_STOP = 4_000_000
 
 
@@ -187,20 +187,20 @@ def error_space_state(
     return dropped.normalized(), float(norm_sq)
 
 
-def _mod_class_series(x: float, modulus: int, residue: int) -> tuple[int, float]:
-    """Peak index t* and log Σ_{t ≡ residue (mod modulus)} (x^t/t!) / (x^t*/t*!).
+def _class_series(x: float, modulus: int) -> list[tuple[int, float]]:
+    """Per residue r < modulus: peak index t* and log of the class sum
+    Σ_{t ≡ r (mod modulus)} x^t/t! relative to its peak term x^t*/t*!.
 
-    x > 0.  Each term is taken relative to the largest one, as
-    (t − t*) log x − log(t!/t*!), so the difference of two class sums
-    keeps its relative accuracy where each sum alone is astronomically
-    small.  Terms 16 decades under the peak are dropped; a trailing guard
-    requires the last term to sit 40 nats under the peak so silent
-    truncation cannot happen, and a window whose stop index passes
-    `_MAX_SERIES_STOP` raises before anything is allocated.  Only ``math``
-    and ``math.fsum`` are used, so the result depends on libm alone.
+    x > 0.  One window serves every residue.  Each term is taken relative
+    to its residue's largest one, as (t − t*) log x − log(t!/t*!), so the
+    difference of two class sums keeps its relative accuracy where each
+    sum alone is astronomically small.  Terms 16 decades under the peak
+    are dropped; a trailing guard requires each residue's last term to sit
+    40 nats under its peak so silent truncation cannot happen, and a
+    window whose stop index passes `_MAX_SERIES_STOP` raises before
+    anything is allocated.  Only ``math`` and ``math.fsum`` are used, so
+    the result depends on libm alone.
     """
-    if not 0 <= residue < modulus:
-        raise ValueError("residue outside [0, modulus)")
     if not x > 0.0:
         raise ValueError(f"class series needs x > 0, got {x!r}")
     log_x = math.log(x)
@@ -210,26 +210,31 @@ def _mod_class_series(x: float, modulus: int, residue: int) -> tuple[int, float]
             f"class series window (x={x:.4g}, stop index {n_stop}) exceeds "
             f"the bound {_MAX_SERIES_STOP}; amplitude too large"
         )
-    ts = range(residue, n_stop + 1, modulus)
-    log_fact = [math.lgamma(t + 1.0) for t in ts]
-    log_terms = [t * log_x - g for t, g in zip(ts, log_fact)]
-    i = max(range(len(ts)), key=log_terms.__getitem__)
-    if log_terms[-1] > log_terms[i] - 40.0:
-        raise ArithmeticError(
-            f"class series (x={x:.4g}, mod {modulus}, residue {residue}) "
-            "not converged at the default stop; widen the window"
-        )
-    t_peak, g_peak = ts[i], log_fact[i]
-    rel = [(t - t_peak) * log_x - (g - g_peak) for t, g in zip(ts, log_fact)]
-    return t_peak, math.log(math.fsum(math.exp(v) for v in rel if v > _LOG_DROP))
+    table = []
+    for residue in range(modulus):
+        ts = range(residue, n_stop + 1, modulus)
+        log_fact = [math.lgamma(t + 1.0) for t in ts]
+        log_terms = [t * log_x - g for t, g in zip(ts, log_fact)]
+        i = max(range(len(ts)), key=log_terms.__getitem__)
+        if log_terms[-1] > log_terms[i] - 40.0:
+            raise ArithmeticError(
+                f"class series (x={x:.4g}, mod {modulus}, residue {residue}) "
+                "not converged at the default stop; widen the window"
+            )
+        t_peak, g_peak = ts[i], log_fact[i]
+        rel = ((t - t_peak) * log_x - (g - g_peak) for t, g in zip(ts, log_fact))
+        table.append((t_peak, math.log(math.fsum(math.exp(v) for v in rel if v > _LOG_DROP))))
+        del log_fact, log_terms  # one residue's lists alive at a time
+    return table
 
 
-def _log_mod_class_exp(x: float, modulus: int, residue: int) -> float:
-    """log Σ_{t ≡ residue (mod modulus)} x^t / t!  for x ≥ 0."""
-    if x == 0.0 and 0 <= residue < modulus:
-        return 0.0 if residue == 0 else -math.inf
-    t_peak, log_rest = _mod_class_series(x, modulus, residue)
-    return t_peak * math.log(x) - math.lgamma(t_peak + 1.0) + log_rest
+def _log_class_sums(x: float, modulus: int) -> list[float]:
+    """log Σ_{t ≡ r (mod modulus)} x^t/t! for every residue r, x ≥ 0."""
+    if x == 0.0:  # α² times a transmission underflowed: only t = 0 is left
+        return [0.0] + [-math.inf] * (modulus - 1)
+    table = _class_series(x, modulus)
+    log_x = math.log(x)
+    return [t * log_x - math.lgamma(t + 1.0) + rest for t, rest in table]
 
 
 def loss_weights(spec: CatCodeSpec) -> LossWeights:
@@ -249,11 +254,9 @@ def loss_weights(spec: CatCodeSpec) -> LossWeights:
         return LossWeights(p, spec.m)
     x = spec.alpha ** 2 * (1.0 - spec.eta)
     y = spec.alpha ** 2 * spec.eta
-    log_w = [
-        _log_mod_class_exp(x, n_cls, q)
-        + _log_mod_class_exp(y, big_m, (-q) % big_m)
-        for q in range(n_cls)
-    ]
+    lost = _log_class_sums(x, n_cls)
+    kept = _log_class_sums(y, big_m)
+    log_w = [lost[q] + kept[(-q) % big_m] for q in range(n_cls)]
     peak = max(log_w)
     w = [math.exp(v - peak) for v in log_w]
     total = math.fsum(w)
@@ -264,19 +267,3 @@ def segment_fidelity(spec: CatCodeSpec) -> float:
     """Probability that a transmitted codeword lands in a correctable class."""
     return loss_weights(spec).correctable_mass()
 
-
-def orthogonal_codewords(spec: CatCodeSpec, policy: TruncationPolicy | None = None):
-    """Exactly orthogonal dual pair (|0⟩±|1⟩)/norm at the requested amplitude.
-
-    The two normalization constants differ at finite α, which is what
-    makes this variant unattractive as a code; they converge as the
-    codeword overlap decays with growing α.
-    """
-    zero = codeword(spec, 0, policy=policy)
-    one = codeword(spec, 1, policy=policy)
-    plus = zero.amps + one.amps
-    minus = zero.amps - one.amps
-    np_, nm = np.linalg.norm(plus), np.linalg.norm(minus)
-    if np_ < 1e-12 or nm < 1e-12:
-        raise ValueError("degenerate primitive: an orthogonalized combination has zero norm")
-    return FockVector(plus / np_, zero.n_max), FockVector(minus / nm, zero.n_max)

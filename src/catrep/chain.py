@@ -311,14 +311,25 @@ def secret_key_rate(
         rows = chain_distribution(weights, n_e, limit)
         frac = sum(prob * _key_fraction(fid) for _, prob, fid in rows)
     per_use = p_tot * frac
-    return per_use / t0, per_use
+    per_second = per_use / t0
+    if not math.isfinite(per_second):
+        raise OverflowError(f"key rate per second overflows at t0={t0!r}")
+    return per_second, per_use
 
 
 def plob_bound(l_tot: float, l_att: float = ATTENUATION_LENGTH_KM) -> float:
     """Repeaterless secret-key capacity of the lossy line, bits per use."""
     if l_tot <= 0 or l_att <= 0:
         raise ValueError("distances must be positive")
-    eta_tot = math.exp(-l_tot / l_att)
+    loss = l_tot / l_att
+    if loss == 0.0:
+        raise ValueError(
+            f"l_tot/l_att = {l_tot!r}/{l_att!r} underflows to 0; transmission rounds to 1"
+        )
+    eta_tot = math.exp(-loss)
+    if eta_tot > 0.5:
+        # 1 - eta_tot cancels here; -expm1(-L) keeps it exact as eta_tot -> 1.
+        return -math.log(-math.expm1(-loss)) / math.log(2.0)
     # log1p keeps the tiny-transmission regime exact (series eta/ln 2).
     return -math.log1p(-eta_tot) / math.log(2.0)
 

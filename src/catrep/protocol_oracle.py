@@ -51,7 +51,6 @@ __all__ = [
     "prepare_branches",
     "transmit",
     "syndrome_cascade",
-    "branch_tree_text",
     "create_entanglement",
     "simulate_unit",
     "bell_order_equivalence",
@@ -267,15 +266,6 @@ def syndrome_cascade(s: HybridDensity, m: int, variant: str = "direct") -> list:
     out = [((-c) % (2 ** m), prob, st) for c, prob, st in _syndrome_branches(s, m, variant)]
     out.sort(key=lambda t: t[0])
     return out
-
-
-def branch_tree_text(s: HybridDensity, m: int, variant: str = "direct") -> str:
-    """Human-readable dump of the cascade branch tree for debugging."""
-    lines = [f"syndrome cascade: m={m}, variant={variant}"]
-    for c, prob, _st in _syndrome_branches(s, m, variant):
-        path = " ".join(f"step{i + 1}:{o}" for i, o in enumerate(_outcomes(c, m)))
-        lines.append(f"  {path}  class={c % (2 ** m)}  remainder={(-c) % (2 ** m)}  p={prob:.6e}")
-    return "\n".join(lines)
 
 
 def syndrome_deviation(m: int, alpha: float, eta: float) -> float:

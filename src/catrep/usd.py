@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .catcode import CatCodeSpec, _mod_class_series, loss_weights
+from .catcode import CatCodeSpec, _class_series, loss_weights
 
 __all__ = [
     "CoherentSuperposition",
@@ -205,25 +205,30 @@ def cat_superposition(
     return CoherentSuperposition(tuple(terms), 1).normalized()
 
 
-def _class_success(spec: CatCodeSpec, q: int) -> float:
+def _class_successes(spec: CatCodeSpec) -> list[float]:
     # Both lossy codewords of class q live on the photon numbers t = n - q
     # with n ≡ 0 (mod M) and differ only by the sign (-1)^(n/M).  With
     # y = eta*alpha^2, A and B sum y^t/t! over t ≡ -q and t ≡ M - q
     # (mod 2M), so |overlap| = |A - B|/(A + B) and the optimum
     # 1 - |overlap| = 2 min(A, B)/(A + B): no cancellation at any y.
     # d = log A - log B is assembled from the peak terms' offsets so it
-    # stays accurate when both sums are tiny.
+    # stays accurate when both sums are tiny.  One table mod 2M serves
+    # every class q < M.
     big_m = spec.order
     y = spec.eta * spec.alpha**2
-    t_a, rest_a = _mod_class_series(y, 2 * big_m, (-q) % (2 * big_m))
-    t_b, rest_b = _mod_class_series(y, 2 * big_m, (big_m - q) % (2 * big_m))
-    d = (
-        (t_a - t_b) * math.log(y)
-        - (math.lgamma(t_a + 1.0) - math.lgamma(t_b + 1.0))
-        + (rest_a - rest_b)
-    )
-    r = math.exp(-abs(d))
-    return 2.0 * r / (1.0 + r)
+    table = _class_series(y, 2 * big_m)
+    out = []
+    for q in range(big_m):
+        t_a, rest_a = table[(-q) % (2 * big_m)]
+        t_b, rest_b = table[(big_m - q) % (2 * big_m)]
+        d = (
+            (t_a - t_b) * math.log(y)
+            - (math.lgamma(t_a + 1.0) - math.lgamma(t_b + 1.0))
+            + (rest_a - rest_b)
+        )
+        r = math.exp(-abs(d))
+        out.append(2.0 * r / (1.0 + r))
+    return out
 
 
 def optimal_usd_probability(
@@ -245,11 +250,11 @@ def optimal_usd_probability(
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     big_m = 2**spec.m
+    if mode == "per_q" and not 0 <= q < big_m:
+        raise ValueError(f"q must satisfy 0 <= q < {big_m}")
+    per_class = _class_successes(spec)
     if mode == "per_q":
-        if not 0 <= q < big_m:
-            raise ValueError(f"q must satisfy 0 <= q < {big_m}")
-        return _class_success(spec, q)
-    per_class = [_class_success(spec, r) for r in range(big_m)]
+        return per_class[q]
     if mode == "worst_case":
         return min(per_class)
     w = loss_weights(spec).p

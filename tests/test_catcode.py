@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from catrep.catcode import (
     CatCodeSpec,
     LossWeights,
-    _mod_class_series,
+    _class_series,
     codeword,
     damped_codeword,
     error_space_state,
     loss_weights,
-    orthogonal_codewords,
     segment_fidelity,
 )
 from catrep.fockspace import (
@@ -259,22 +258,6 @@ def test_loss_weights_always_a_distribution(m, alpha, eta):
     assert 0.0 <= f0 <= 1.0
 
 
-def test_orthogonal_codewords():
-    spec = CatCodeSpec(1, 0.8)
-    a, b = orthogonal_codewords(spec)
-    assert abs(a.overlap(b)) < 1e-10
-    z, o = codeword(spec, 0), codeword(spec, 1)
-    n_plus = float(np.linalg.norm(z.amps + o.amps) ** 2)
-    n_minus = float(np.linalg.norm(z.amps - o.amps) ** 2)
-    # unbalanced at small amplitude, converging to 2 as the codeword
-    # overlap dies off
-    assert abs(n_plus - n_minus) > 0.05
-    spec_big = CatCodeSpec(1, 3.0)
-    zb, ob = codeword(spec_big, 0), codeword(spec_big, 1)
-    assert abs(float(np.linalg.norm(zb.amps + ob.amps) ** 2) - 2.0) < 1e-3
-    assert abs(float(np.linalg.norm(zb.amps - ob.amps) ** 2) - 2.0) < 1e-3
-
-
 def test_degenerate_primitive_rejection():
     spec = CatCodeSpec(1, 1.0)
     vac = coherent_state(0.0)
@@ -298,7 +281,7 @@ def test_loss_weights_type_validation():
 def test_class_series_window_bound():
     # alpha = 1000 (x up to 1e6) stays inside the window bound; alpha = 1e5
     # (x = 1e10, about 10^10 terms) is refused before any allocation.
-    t_peak, log_rest = _mod_class_series(1e6, 2, 0)
+    t_peak, log_rest = _class_series(1e6, 2)[0]
     assert abs(t_peak - 1e6) <= 2 and math.isfinite(log_rest)
     with pytest.raises(ArithmeticError, match="class series window"):
-        _mod_class_series(1e10, 2, 0)
+        _class_series(1e10, 2)

@@ -264,6 +264,21 @@ def test_plob_bound_anchors():
         plob_bound(-1.0)
 
 
+@pytest.mark.parametrize("loss", [1e-300, 1e-16, 1e-8, 45.0])
+def test_plob_bound_matches_mpmath(loss):
+    # -log2(1 - e^{-L}): e^{-L} rounds to 1 below L of about 1e-16, where
+    # log1p(-eta_tot) would hit log(0); 45 stays on the log1p route.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        want = -mpmath.log(-mpmath.expm1(-mpmath.mpf(loss))) / mpmath.log(2)
+    assert plob_bound(loss, 1.0) == pytest.approx(float(want), rel=1e-14)
+
+
+def test_plob_bound_rejects_underflowing_ratio():
+    with pytest.raises(ValueError, match="l_tot/l_att"):
+        plob_bound(1e-300, 1e300)
+
+
 def test_segment_params_transmission():
     seg = SegmentParams(l0=10.0, m=1, alpha=2.0, eta_local=0.99)
     want = 0.99 * math.exp(-10.0 / 22.0)

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, determinism, exit codes, golden data."""
 
+import contextlib
 import csv
 import io
 import json
@@ -11,6 +12,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from catrep.cli import DEFAULT_CONFIG, load_config, main
 from catrep.usd import linear_optics_closed_form
@@ -124,6 +127,78 @@ def test_keyrate_series_window_guard(capsys):
     assert code == 3
     assert "class series window" in err
     assert out == ""
+
+
+def test_keyrate_infinite_rate_is_a_numerical_guard(capsys):
+    # per-use rate about 1 over t0 = 1e-320 s overflows the per-second rate
+    code, out, err = run_cli(
+        capsys, "keyrate", "--m", "2", "--alpha", "5", "--l0", "0.1", "--t0", "1e-320"
+    )
+    assert code == 3
+    assert "numerical guard" in err and "t0" in err
+    assert out == ""
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-310, 1e300, 1.7e308]
+
+
+def _draw_flag(draw, low, high, bound=None):
+    """A plausible value in [low, high] half the time, otherwise a special
+    value or any finite float of magnitude at most ``bound``."""
+    kind = draw(st.integers(0, 3))
+    if kind < 2:
+        return draw(st.floats(min_value=low, max_value=high))
+    if kind == 2:
+        limit = bound or math.inf
+        return draw(st.sampled_from(_SPECIAL).filter(lambda v: not abs(v) > limit))
+    return draw(
+        st.floats(
+            min_value=-bound if bound else None,
+            max_value=bound,
+            allow_nan=False,
+            allow_infinity=False,
+        )
+    )
+
+
+@st.composite
+def _keyrate_argv(draw):
+    argv = ["keyrate", "--m", str(draw(st.integers(1, 3)))]
+    # alpha = 1000 takes about 1.5 s; keep the amplitude in the sweep's range
+    alpha = _draw_flag(draw, 0.1, 50.0, bound=50.0)
+    argv.append(f"--alpha={alpha!r}")
+    if draw(st.booleans()):
+        l0 = _draw_flag(draw, 1e-3, 1e3)
+        n_e = draw(st.integers(1, 10**6))
+        argv += [f"--l0={l0!r}", f"--l-tot={l0 * n_e!r}"]
+    else:
+        argv += ["--l0", "1000"]
+    plausible = (("--t0", 1e-12, 1.0), ("--l-att", 1.0, 100.0), ("--eta-local", 0.9, 1.0))
+    for flag, low, high in plausible:
+        if draw(st.booleans()):
+            argv.append(f"{flag}={_draw_flag(draw, low, high)!r}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_keyrate_argv())
+@example(["keyrate", "--m", "1", "--alpha", "2", "--l0", "1000", "--l-att", "1e300"])
+@example(["keyrate", "--m", "1", "--alpha", "2", "--l0", "1e-300", "--l-tot", "1e-300"])
+@example(["keyrate", "--m", "2", "--alpha", "5", "--l0", "0.1", "--t0", "1e-320"])
+def test_keyrate_float_input_is_finite_or_named(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        (row,) = read_rows(out)
+        for name, cell in row.items():
+            if name != "beats_plob":
+                assert math.isfinite(float(cell)), (name, cell)
+        return
+    assert code in (1, 3), err
+    reason = err.strip().splitlines()[-1].partition(": ")[2].strip()
+    assert reason and reason not in ("math domain error", "math range error"), err
 
 
 def test_sweep_rejects_nondividing_l0(capsys):

@@ -23,7 +23,6 @@ from catrep.protocol_oracle import (
     _step_basis_phase,
     bell_order_equivalence,
     bell_vectors,
-    branch_tree_text,
     create_entanglement,
     prepare_branches,
     prepare_code_state,
@@ -32,6 +31,7 @@ from catrep.protocol_oracle import (
     syndrome_deviation,
     transmit,
 )
+from catrep.usd import optimal_usd_probability
 
 SQRT2 = math.sqrt(2.0)
 
@@ -217,14 +217,6 @@ def test_pi_minus_phi_variant_observationally_identical():
         assert np.max(np.abs(s1.matrix - s2.matrix)) < 1e-10
 
 
-def test_branch_tree_text_mentions_every_step():
-    prim = coherent_state(0.9)
-    trans = transmit(prepare_code_state(2, prim), 0.9)
-    text = branch_tree_text(trans, 2)
-    assert "step1" in text and "step2" in text
-    assert "remainder" in text
-
-
 def test_create_entanglement_lossless_structure():
     m, alpha = 1, 1.1
     prim = coherent_state(alpha)
@@ -268,6 +260,26 @@ def test_simulate_unit_matches_analytics_m1():
     from catrep.catcode import segment_fidelity
 
     assert abs(report.f0_oracle - segment_fidelity(spec)) < 1e-6
+
+
+# Transmissions of the sweep's 100 km and 10 km segments, and a near-lossless one.
+_SWEEP_ETAS = (math.exp(-100.0 / 22.0), math.exp(-10.0 / 22.0), 0.999)
+# Dim m = 3 points where the Fock route cannot form the discrimination problem.
+_FOCK_DEGENERATE = {(0.5, _SWEEP_ETAS[0]), (0.5, _SWEEP_ETAS[1]), (2.5, _SWEEP_ETAS[0])}
+
+
+@pytest.mark.parametrize("eta", _SWEEP_ETAS, ids=("eta100km", "eta10km", "eta0.999"))
+@pytest.mark.parametrize("alpha", [0.5, 2.5, 5.0])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_oracle_agrees_over_the_sweep_range(m, alpha, eta):
+    spec = CatCodeSpec(m, alpha, eta)
+    if m == 3 and (alpha, eta) in _FOCK_DEGENERATE:
+        with pytest.raises(ValueError, match="degenerate primitive|indistinguishable"):
+            simulate_unit(spec)
+        return
+    report = simulate_unit(spec)
+    assert np.max(np.abs(report.weights - loss_weights(spec).p)) < 1e-8
+    assert abs(report.p_success_weighted - optimal_usd_probability(spec)) < 1e-10
 
 
 def test_simulate_unit_weights_match_analytics_m2():

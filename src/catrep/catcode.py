@@ -228,6 +228,16 @@ def _class_series(x: float, modulus: int) -> list[tuple[int, float]]:
     return table
 
 
+def _alpha_squared(spec: CatCodeSpec) -> float:
+    """α², with an error naming α and η where the square overflows."""
+    try:
+        return spec.alpha ** 2
+    except OverflowError:
+        raise ArithmeticError(
+            f"alpha={spec.alpha!r} (eta={spec.eta!r}): alpha squared overflows a float"
+        ) from None
+
+
 def _log_class_sums(x: float, modulus: int) -> list[float]:
     """log Σ_{t ≡ r (mod modulus)} x^t/t! for every residue r, x ≥ 0."""
     if x == 0.0:  # α² times a transmission underflowed: only t = 0 is left
@@ -252,8 +262,9 @@ def loss_weights(spec: CatCodeSpec) -> LossWeights:
         p = np.zeros(n_cls)
         p[0] = 1.0
         return LossWeights(p, spec.m)
-    x = spec.alpha ** 2 * (1.0 - spec.eta)
-    y = spec.alpha ** 2 * spec.eta
+    alpha_sq = _alpha_squared(spec)
+    x = alpha_sq * (1.0 - spec.eta)
+    y = alpha_sq * spec.eta
     lost = _log_class_sums(x, n_cls)
     kept = _log_class_sums(y, big_m)
     log_w = [lost[q] + kept[(-q) % big_m] for q in range(n_cls)]

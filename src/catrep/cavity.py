@@ -67,12 +67,7 @@ def ideal_reflection(delta: float, kappa: float) -> complex:
 
 def reflection_phase(delta: float, kappa: float) -> float:
     """Rotation angle arg(ideal_reflection); π at resonance, → 0 as Δ → +∞."""
-    return math.atan2(*_phase_parts(delta, kappa))
-
-
-def _phase_parts(delta: float, kappa: float) -> tuple:
-    r = ideal_reflection(delta, kappa)
-    return r.imag, r.real
+    return cmath.phase(ideal_reflection(delta, kappa))
 
 
 def full_reflection(delta: float, params: CavityParams = DEFAULT_PARAMS) -> complex:

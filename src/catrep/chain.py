@@ -62,10 +62,8 @@ class SegmentParams:
     """One elementary link: distance, code choice, local transmission.
 
     The segment channel seen by the code combines fiber loss over ``l0``
-    with the station-local transmission:
-    ``eta_segment = eta_local**eta_local_exponent * exp(-l0/l_att)``.
-    The exponent knob exists for sensitivity studies on how often local
-    loss is applied per unit; the physical default is one application.
+    with the station-local transmission, applied once per unit:
+    ``eta_segment = eta_local * exp(-l0/l_att)``.
     """
 
     l0: float
@@ -73,24 +71,19 @@ class SegmentParams:
     alpha: float
     eta_local: float = 1.0
     l_att: float = ATTENUATION_LENGTH_KM
-    eta_local_exponent: float = 1.0
 
     def __post_init__(self):
-        _require_finite(self, "l0", "alpha", "eta_local", "l_att", "eta_local_exponent")
+        _require_finite(self, "l0", "alpha", "eta_local", "l_att")
         if self.l0 <= 0:
             raise ValueError("need l0 > 0")
         if self.l_att <= 0:
             raise ValueError("need l_att > 0")
         if not 0 < self.eta_local <= 1:
             raise ValueError("need 0 < eta_local <= 1")
-        if self.eta_local_exponent < 0:
-            raise ValueError("need eta_local_exponent >= 0")
 
     @property
     def eta_segment(self) -> float:
-        return self.eta_local**self.eta_local_exponent * math.exp(
-            -self.l0 / self.l_att
-        )
+        return self.eta_local * math.exp(-self.l0 / self.l_att)
 
     @property
     def code_spec(self) -> CatCodeSpec:
@@ -114,17 +107,11 @@ class ChainParams:
         if self.t0 <= 0:
             raise ValueError("need t0 > 0")
 
-    @property
-    def elementary_distance(self) -> float:
-        return self.l_tot / self.n_e
 
-
-def check_chain_geometry(
-    segment: SegmentParams, chain: ChainParams, rel_tol: float = 1e-9
-) -> None:
-    """Require n_e segments of length l0 to tile the total distance."""
+def check_chain_geometry(segment: SegmentParams, chain: ChainParams) -> None:
+    """Require n_e segments of length l0 to tile the total distance (to 1e-9)."""
     span = segment.l0 * chain.n_e
-    if abs(span - chain.l_tot) > rel_tol * max(abs(chain.l_tot), 1.0):
+    if abs(span - chain.l_tot) > 1e-9 * max(abs(chain.l_tot), 1.0):
         raise ValueError(
             f"elementary distance {segment.l0} km times {chain.n_e} links "
             f"spans {span} km, not the total {chain.l_tot} km"

@@ -21,6 +21,7 @@ tolerance breach, 3 numerical guard tripped (truncation/overflow).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -35,6 +36,7 @@ from .cavity import CavityParams, sweep_reflection
 from .chain import (
     ATTENUATION_LENGTH_KM,
     ChainParams,
+    ChainReport,
     SegmentParams,
     check_chain_geometry,
     evaluate_chain,
@@ -97,20 +99,23 @@ _TOLERANCES = {
     "bell_order": 1e-8,
 }
 
-_SWEEP_COLUMNS = (
-    "m",
-    "alpha",
-    "l0",
-    "eta_local",
-    "f0",
-    "p0",
-    "f_tot",
-    "p_tot",
-    "rate_per_second",
-    "rate_per_use",
-    "plob",
-    "beats_plob",
-)
+# a sweep row is its grid point's SegmentParams fields, then its ChainReport
+_POINT_KEYS = ("m", "alpha", "l0", "eta_local")
+_SWEEP_COLUMNS = _POINT_KEYS + tuple(f.name for f in dataclasses.fields(ChainReport))
+
+# argparse dest -> (flag, config section, key, cast of each comma-separated
+# value); flags whose cast is None arrive parsed by argparse
+_OVERRIDES = {
+    "alpha": ("--alpha", "code", "alpha", float),
+    "m": ("--m", "code", "m", int),
+    "l0": ("--l0", "chain", "l0", float),
+    "eta_local": ("--eta-local", "code", "eta_local", float),
+    "usd_alphas": ("--alpha", "usd", "alphas", float),
+    "l_tot": ("--l-tot", "chain", "l_tot", None),
+    "l_att": ("--l-att", "chain", "l_att", None),
+    "t0": ("--t0", "chain", "t0", None),
+    "format": ("--format", "output", "format", None),
+}
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -155,24 +160,10 @@ def _parse_list(text: str, cast, flag: str):
 
 def _apply_overrides(cfg: dict, args) -> dict:
     cfg = json.loads(json.dumps(cfg))  # deep copy, keeps plain types
-    if getattr(args, "alpha", None) is not None:
-        cfg["code"]["alpha"] = _parse_list(args.alpha, float, "--alpha")
-    if getattr(args, "m", None) is not None:
-        cfg["code"]["m"] = _parse_list(args.m, int, "--m")
-    if getattr(args, "l0", None) is not None:
-        cfg["chain"]["l0"] = _parse_list(args.l0, float, "--l0")
-    if getattr(args, "eta_local", None) is not None:
-        cfg["code"]["eta_local"] = _parse_list(
-            args.eta_local, float, "--eta-local"
-        )
-    if getattr(args, "l_tot", None) is not None:
-        cfg["chain"]["l_tot"] = args.l_tot
-    if getattr(args, "l_att", None) is not None:
-        cfg["chain"]["l_att"] = args.l_att
-    if getattr(args, "t0", None) is not None:
-        cfg["chain"]["t0"] = args.t0
-    if getattr(args, "format", None) is not None:
-        cfg["output"]["format"] = args.format
+    for dest, (flag, section, key, cast) in _OVERRIDES.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            cfg[section][key] = value if cast is None else _parse_list(value, cast, flag)
     return cfg
 
 
@@ -261,30 +252,16 @@ def _sweep_row(segment: SegmentParams, chain: ChainParams, cfg: dict) -> dict:
         usd_q=cfg["usd"]["q"],
         key_mode=cfg["key"]["mode"],
     )
-    return {
-        "m": segment.m,
-        "alpha": segment.alpha,
-        "l0": segment.l0,
-        "eta_local": segment.eta_local,
-        "f0": report.f0,
-        "p0": report.p0,
-        "f_tot": report.f_tot,
-        "p_tot": report.p_tot,
-        "rate_per_second": report.rate_per_second,
-        "rate_per_use": report.rate_per_use,
-        "plob": report.plob,
-        "beats_plob": report.beats_plob,
-    }
+    point = {key: getattr(segment, key) for key in _POINT_KEYS}
+    return {**point, **dataclasses.asdict(report)}
 
 
-def cmd_sweep(cfg: dict, out: str | None, argv) -> int:
+def cmd_sweep(cfg: dict, args) -> tuple:
     rows = [_sweep_row(seg, chain, cfg) for seg, chain in _grid_points(cfg)]
-    text = _render(rows, _SWEEP_COLUMNS, cfg["output"]["format"])
-    _emit(text, out, argv)
-    return 0
+    return rows, _SWEEP_COLUMNS
 
 
-def cmd_keyrate(cfg: dict, out: str | None, argv) -> int:
+def cmd_keyrate(cfg: dict, args) -> tuple:
     for name, grid in (
         ("--m", cfg["code"]["m"]),
         ("--alpha", cfg["code"]["alpha"]),
@@ -296,15 +273,10 @@ def cmd_keyrate(cfg: dict, out: str | None, argv) -> int:
                 f"keyrate needs exactly one value for {name} "
                 f"(got {len(grid)}; narrow the grid with the flag)"
             )
-    ((segment, chain),) = _grid_points(cfg)
-    text = _render(
-        [_sweep_row(segment, chain, cfg)], _SWEEP_COLUMNS, cfg["output"]["format"]
-    )
-    _emit(text, out, argv)
-    return 0
+    return cmd_sweep(cfg, args)
 
 
-def cmd_cavity(cfg: dict, out: str | None, argv) -> int:
+def cmd_cavity(cfg: dict, args) -> tuple:
     cav = cfg["cavity"]
     params = CavityParams(
         g=cav["g"], kappa=cav["kappa"], gamma=cav["gamma"], kappa_r=cav["kappa_r"]
@@ -321,16 +293,10 @@ def cmd_cavity(cfg: dict, out: str | None, argv) -> int:
         }
         for d, pi_, pf, mf in sweep_reflection(deltas, params)
     ]
-    text = _render(
-        rows,
-        ("delta", "phase_ideal", "phase_full", "modulus_full"),
-        cfg["output"]["format"],
-    )
-    _emit(text, out, argv)
-    return 0
+    return rows, ("delta", "phase_ideal", "phase_full", "modulus_full")
 
 
-def cmd_usd(cfg: dict, out: str | None, argv) -> int:
+def cmd_usd(cfg: dict, args) -> tuple:
     usd_cfg = cfg["usd"]
     if not usd_cfg["alphas"]:
         raise UsageError("empty grid: usd.alphas")
@@ -342,13 +308,7 @@ def cmd_usd(cfg: dict, out: str | None, argv) -> int:
             probe_style=usd_cfg["probe_style"],
         )
     ]
-    text = _render(
-        rows,
-        ("alpha", "p_optimal", "p_linear_optics"),
-        cfg["output"]["format"],
-    )
-    _emit(text, out, argv)
-    return 0
+    return rows, ("alpha", "p_optimal", "p_linear_optics")
 
 
 def _parse_tol_overrides(items) -> dict:
@@ -368,7 +328,7 @@ def _parse_tol_overrides(items) -> dict:
     return tols
 
 
-def cmd_validate(cfg: dict, tol_items, out: str | None, argv) -> int:
+def cmd_validate(cfg: dict, args) -> tuple:
     grid_cfg = cfg["validate"]
     ms = [int(m) for m in grid_cfg["m"]]
     alphas = [float(a) for a in grid_cfg["alpha"]]
@@ -377,7 +337,7 @@ def cmd_validate(cfg: dict, tol_items, out: str | None, argv) -> int:
         raise UsageError("empty validation grid")
     if any(m > 3 for m in ms):
         raise UsageError("validation grid is bounded at m <= 3")
-    tols = _parse_tol_overrides(tol_items)
+    tols = _parse_tol_overrides(args.tol)
 
     deviations = {name: 0.0 for name in _TOLERANCES}
     for m in ms:
@@ -403,23 +363,16 @@ def cmd_validate(cfg: dict, tol_items, out: str | None, argv) -> int:
                         bell_order_equivalence(m, alpha, eta),
                     )
 
-    lines = ["check,max_deviation,tolerance,status"]
-    failures = []
-    for name in sorted(_TOLERANCES):
-        ok = deviations[name] <= tols[name]
-        if not ok:
-            failures.append(name)
-        lines.append(
-            f"{name},{deviations[name]:.17g},{tols[name]:.17g},"
-            f"{'pass' if ok else 'FAIL'}"
-        )
-    _emit("\n".join(lines) + "\n", out, argv)
-    if failures:
-        print(
-            "validation failed: " + ", ".join(failures), file=sys.stderr
-        )
-        return 2
-    return 0
+    rows = [
+        {
+            "check": name,
+            "max_deviation": deviations[name],
+            "tolerance": tols[name],
+            "status": "pass" if deviations[name] <= tols[name] else "FAIL",
+        }
+        for name in sorted(_TOLERANCES)
+    ]
+    return rows, ("check", "max_deviation", "tolerance", "status")
 
 
 def _add_common(parser: argparse.ArgumentParser, overrides: bool = True):
@@ -456,19 +409,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid sweep of repeater-line metrics")
     _add_common(p)
+    p.set_defaults(run=cmd_sweep)
 
     p = sub.add_parser("keyrate", help="one fully resolved configuration point")
     _add_common(p)
+    p.set_defaults(run=cmd_keyrate)
 
     p = sub.add_parser("cavity", help="reflection phase/modulus over detuning")
     _add_common(p, overrides=False)
+    p.set_defaults(run=cmd_cavity)
 
     p = sub.add_parser("usd", help="optimal vs beam-splitter discrimination")
     _add_common(p, overrides=False)
-    p.add_argument("--alpha", help="comma-separated amplitudes for the sweep")
+    p.add_argument(
+        "--alpha", dest="usd_alphas", metavar="ALPHA", help="comma-separated amplitudes for the sweep"
+    )
+    p.set_defaults(run=cmd_usd)
 
     p = sub.add_parser("validate", help="oracle-vs-analytic cross checks")
     _add_common(p, overrides=False)
+    p.set_defaults(run=cmd_validate)
     p.add_argument(
         "--tol",
         action="append",
@@ -486,27 +446,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.out, argv)
-        if args.command == "keyrate":
-            return cmd_keyrate(cfg, args.out, argv)
-        if args.command == "cavity":
-            return cmd_cavity(cfg, args.out, argv)
-        if args.command == "usd":
-            if args.alpha is not None:
-                cfg["usd"]["alphas"] = _parse_list(args.alpha, float, "--alpha")
-            return cmd_usd(cfg, args.out, argv)
-        if args.command == "validate":
-            return cmd_validate(cfg, args.tol, args.out, argv)
-        raise UsageError(f"unknown command {args.command!r}")
+        cfg = _apply_overrides(load_config(args.config), args)
+        rows, columns = args.run(cfg, args)
+        _emit(_render(rows, columns, cfg["output"]["format"]), args.out, argv)
     except (TruncationError, ArithmeticError, OverflowError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    failures = [row["check"] for row in rows if row.get("status") == "FAIL"]
+    if failures:
+        print("validation failed: " + ", ".join(failures), file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -55,10 +55,13 @@ _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-9
 _EIG_FLOOR = -1e-9
 _ZERO_BRANCH = 1e-14
+# Largest trace mass a coherent state may leave beyond its cutoff, and the
+# mass the loss channel's Kraus sum may leave unsummed.
+_TAIL_TOL = 1e-12
 
 
 class TruncationError(Exception):
-    """A state cannot be represented below the configured tail tolerance."""
+    """A state cannot be represented below the tail tolerance."""
 
 
 def _default_n_max(alpha: complex) -> int:
@@ -75,7 +78,6 @@ class TruncationPolicy:
     ranges used elsewhere in the package.
     """
 
-    tail_tol: float = 1e-12
     n_max_rule: Callable[[complex], int] = _default_n_max
     hard_limit: int = 2048
 
@@ -244,8 +246,8 @@ def coherent_state(alpha: complex, policy: TruncationPolicy | None = None) -> Fo
     """Coherent state |α⟩ with amps[n] = exp(−|α|²/2) αⁿ/√(n!).
 
     Magnitudes are accumulated in log domain.  Raises TruncationError if the
-    stored tail mass exceeds the policy tolerance, which for the default
-    cutoff rule does not happen below the hard limit.
+    tail mass beyond the cutoff exceeds 1e-12, which for the default cutoff
+    rule does not happen below the hard limit.
     """
     policy = policy or DEFAULT_POLICY
     n_max = policy.n_max_for(alpha)
@@ -259,10 +261,10 @@ def coherent_state(alpha: complex, policy: TruncationPolicy | None = None) -> Fo
     amps = np.exp(log_mag + 1j * n * np.angle(alpha))
     v = FockVector(amps, n_max)
     tail = abs(1.0 - v.norm() ** 2)
-    if tail > policy.tail_tol:
+    if tail > _TAIL_TOL:
         raise TruncationError(
             f"coherent state |alpha|={a:.4g}: tail mass {tail:.3e} exceeds "
-            f"tolerance {policy.tail_tol:.1e} at n_max={n_max}"
+            f"tolerance {_TAIL_TOL:.1e} at n_max={n_max}"
         )
     return v
 
@@ -339,19 +341,19 @@ def lose(x: np.ndarray, k: int, eta: float, axis: int = -1) -> np.ndarray:
 
 
 def amplitude_damping(
-    rho: FockDensity | HybridDensity, eta: float, tail_tol: float = 1e-12
+    rho: FockDensity | HybridDensity, eta: float
 ) -> FockDensity | HybridDensity:
     """Photon-loss channel ρ → Σ_k Â_k ρ Â_k† on the mode factor.
 
     ρ is a FockDensity or a HybridDensity, whose spins are spectators; the
     result has the same type.  The Kraus sum stops once the accumulated
-    trace mass reaches trace(ρ)·(1 − tail_tol); trace is preserved within
+    trace mass reaches trace(ρ)·(1 − 1e-12); trace is preserved within
     1e-9 for states that respect the truncation policy.
     """
     d = rho.n_max + 1
     ns = rho.matrix.shape[0] // d
     t = rho.matrix.reshape(ns, d, ns, d)
-    target = rho.trace() * (1.0 - tail_tol)
+    target = rho.trace() * (1.0 - _TAIL_TOL)
     acc = np.zeros_like(t)
     mass = 0.0
     for k in range(d):
@@ -431,9 +433,6 @@ def _resolve_basis(basis, labels):
         elif b == "x":
             states = ((SPIN_UP + SPIN_DOWN) * inv_sqrt2, (SPIN_UP - SPIN_DOWN) * inv_sqrt2)
             default = ("+", "-")
-        elif b == "y":
-            states = ((SPIN_UP + 1j * SPIN_DOWN) * inv_sqrt2, (SPIN_UP - 1j * SPIN_DOWN) * inv_sqrt2)
-            default = ("+i", "-i")
         else:
             raise ValueError(f"unknown basis {basis!r}")
     else:
@@ -459,7 +458,7 @@ def measure_spin(
 ) -> list:
     """Projective measurement of one spin.
 
-    basis is "z", "x", "y" or an explicit pair of orthonormal 2-vectors.
+    basis is "z", "x" or an explicit pair of orthonormal 2-vectors.
     Returns [(label, probability, post_state)] over the branches with
     nonzero probability; post states are renormalized and, unless
     keep_spin is set, the measured spin factor is removed.

@@ -48,7 +48,6 @@ __all__ = [
     "UnitReport",
     "bell_vectors",
     "prepare_code_state",
-    "prepare_branches",
     "transmit",
     "syndrome_cascade",
     "create_entanglement",
@@ -77,12 +76,10 @@ def bell_vectors(theta: float = 0.0) -> dict:
     }
 
 
-def _fixed_cutoff_policy(n_max: int, base: TruncationPolicy | None = None) -> TruncationPolicy:
-    base = base or DEFAULT_POLICY
+def _fixed_cutoff_policy(n_max: int) -> TruncationPolicy:
     return TruncationPolicy(
-        tail_tol=base.tail_tol,
         n_max_rule=lambda _a: n_max,
-        hard_limit=max(base.hard_limit, n_max + 1),
+        hard_limit=max(DEFAULT_POLICY.hard_limit, n_max + 1),
     )
 
 
@@ -107,11 +104,6 @@ def _step_basis_phase(step: int, c: int, variant: str) -> complex:
     # the complementary angle flips the class parity phase, so the basis
     # absorbs (−1)^c and the conjugate step phase
     return complex((-1.0) ** c * np.exp(-1j * beta))
-
-
-def _check_variant(variant: str) -> None:
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown cascade variant {variant!r}; expected one of {_VARIANTS}")
 
 
 def _cascade(
@@ -159,99 +151,53 @@ def _cascade(
     return branches
 
 
-def _outcomes(c: int, m: int) -> tuple:
-    """The ± outcome of each cascade step, read from the bits of class c."""
-    return tuple("-" if c >> j & 1 else "+" for j in range(m))
-
-
 # ---------------------------------------------------------------------------
 # preparation
 
 
-def _code_pairs(m: int, primitive: FockVector) -> list:
-    """[(c, probability, v, e^{iπn̂/M}v)] over the preparation branches.
+def _code_pair(m: int, primitive: FockVector):
+    """Codeword pair (v, e^{iπn̂/M}v) from the all-"+" preparation branch.
 
     The preparation cascade uses the direct angles π, π/2, …, π/2^{m−1};
-    each branch's mode v is normalized and paired with its rotation.
+    the branch's mode v is normalized and paired with its rotation.
     """
-    flip = np.exp(1j * math.pi / 2 ** m * np.arange(primitive.dim))
-    out = []
-    for c, v in _cascade(primitive.amps.astype(complex), m, "direct", 0, floor=_ZERO_BRANCH):
-        prob = float(np.vdot(v, v).real)
-        v = v / math.sqrt(prob)
-        out.append((c, prob, v, flip * v))
-    return out
-
-
-def _code_pair(m: int, primitive: FockVector):
-    """Codeword pair (v, e^{iπn̂/M}v) from the all-"+" preparation branch."""
-    branches = _code_pairs(m, primitive)
+    branches = _cascade(primitive.amps.astype(complex), m, "direct", 0, floor=_ZERO_BRANCH)
     if not branches or branches[0][0] != 0:
         raise ValueError("degenerate primitive: cascade branch has zero norm")
-    return branches[0][2], branches[0][3]
-
-
-def _spin_code_state(cw0: np.ndarray, cw1: np.ndarray, n_max: int) -> HybridDensity:
-    return hybrid_from_vector(1, n_max, np.concatenate([cw0, cw1]) / _SQRT2)
+    v = branches[0][1]
+    v = v / math.sqrt(float(np.vdot(v, v).real))
+    return v, np.exp(1j * math.pi / 2 ** m * np.arange(primitive.dim)) * v
 
 
 def prepare_code_state(m: int, primitive: FockVector) -> HybridDensity:
     """Spin-codeword state from the measured preparation cascade.
 
     Runs the hcrot ladder with angles π, π/2, …, π/2^{m−1}, keeping the
-    all-"+" measurement branch (every other branch is a relabeled copy,
-    see `prepare_branches`), then attaches the data spin through the
-    final unmeasured hcrot at π/2^m.  Output: (|↑⟩|0_code⟩ + |↓⟩|1_code⟩)/√2.
+    all-"+" measurement branch (every other branch is a relabeled copy on
+    a shifted photon-number class), then attaches the data spin through
+    the final unmeasured hcrot at π/2^m.  Output: (|↑⟩|0_code⟩ + |↓⟩|1_code⟩)/√2.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _spin_code_state(*_code_pair(m, primitive), primitive.n_max)
-
-
-def prepare_branches(m: int, primitive: FockVector) -> list:
-    """All 2^m preparation branches with class-adapted measurement bases.
-
-    Each entry is (outcomes, support_class, probability, state).  The
-    measurement basis at step j is (|↑⟩ ± z|↓⟩)/√2 with z chosen from the
-    branch's accumulated class so that every branch lands on a clean
-    photon-number class; the all-"+" branch is the canonical one, the
-    others carry shifted-class codeword pairs related to it by known
-    rotations (the relabeling an experiment applies by feed-forward).
-    """
-    return [
-        (_outcomes(c, m), c, prob, _spin_code_state(cw0, cw1, primitive.n_max))
-        for c, prob, cw0, cw1 in _code_pairs(m, primitive)
-    ]
+    cw0, cw1 = _code_pair(m, primitive)
+    return hybrid_from_vector(1, primitive.n_max, np.concatenate([cw0, cw1]) / _SQRT2)
 
 
 # ---------------------------------------------------------------------------
 # transmission
 
 
-def transmit(s: HybridDensity, eta: float, tail_tol: float = 1e-12) -> HybridDensity:
+def transmit(s: HybridDensity, eta: float) -> HybridDensity:
     """Amplitude damping on the mode factor; spins are spectators."""
     if not 0.0 < eta <= 1.0:
         raise ValueError("transmission eta must lie in (0, 1]")
     if eta == 1.0:
         return s
-    return amplitude_damping(s, eta, tail_tol)
+    return amplitude_damping(s, eta)
 
 
 # ---------------------------------------------------------------------------
 # syndrome cascade
-
-
-def _syndrome_branches(s: HybridDensity, m: int, variant: str) -> list:
-    """[(class, probability, normalized post state)] in tree order."""
-    _check_variant(variant)
-    ns, d = 2 ** s.spins, s.mode_dim
-    t = s.matrix.reshape(ns, d, ns, d)
-    out = []
-    for c, x in _cascade(t, m, variant, 1, col_axis=3, floor=_ZERO_BRANCH):
-        prob = float(np.einsum("apap->", x).real)
-        post = HybridDensity(s.spins, s.n_max, (x / prob).reshape(s.dim, s.dim), validate=False)
-        out.append((c, prob, post))
-    return out
 
 
 def syndrome_cascade(s: HybridDensity, m: int, variant: str = "direct") -> list:
@@ -263,8 +209,16 @@ def syndrome_cascade(s: HybridDensity, m: int, variant: str = "direct") -> list:
     (remainder, probability, post_state) sorted by remainder; branches of
     negligible probability are dropped.
     """
-    out = [((-c) % (2 ** m), prob, st) for c, prob, st in _syndrome_branches(s, m, variant)]
-    out.sort(key=lambda t: t[0])
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown cascade variant {variant!r}; expected one of {_VARIANTS}")
+    ns, d = 2 ** s.spins, s.mode_dim
+    t = s.matrix.reshape(ns, d, ns, d)
+    out = []
+    for c, x in _cascade(t, m, variant, 1, col_axis=3, floor=_ZERO_BRANCH):
+        prob = float(np.einsum("apap->", x).real)
+        post = HybridDensity(s.spins, s.n_max, (x / prob).reshape(s.dim, s.dim), validate=False)
+        out.append(((-c) % (2 ** m), prob, post))
+    out.sort(key=lambda row: row[0])
     return out
 
 
@@ -354,17 +308,16 @@ class UnitReport:
     thetas: np.ndarray
 
 
-def simulate_unit(spec: CatCodeSpec, policy=None, variant: str = "direct") -> UnitReport:
+def simulate_unit(spec: CatCodeSpec) -> UnitReport:
     """Full pipeline: prepare → transmit → syndrome → entangle → discriminate.
 
     All states stay at the cutoff chosen for the undamped primitive so
     cross-module vectors compose exactly.
     """
-    policy = policy or DEFAULT_POLICY
-    prim = coherent_state(spec.alpha, policy)
-    forced = _fixed_cutoff_policy(prim.n_max, policy)
+    prim = coherent_state(spec.alpha)
+    forced = _fixed_cutoff_policy(prim.n_max)
     trans = transmit(prepare_code_state(spec.m, prim), spec.eta)
-    branches = syndrome_cascade(trans, spec.m, variant)
+    branches = syndrome_cascade(trans, spec.m)
     big_m = spec.order
     weights = np.zeros(2 * big_m)
     syn = np.zeros(big_m)
@@ -406,22 +359,22 @@ def simulate_unit(spec: CatCodeSpec, policy=None, variant: str = "direct") -> Un
 # measurement-ordering equivalence (pure-state engines)
 
 
-def _record_setup(spec: CatCodeSpec, policy):
+def _record_setup(spec: CatCodeSpec):
     """What both measurement orderings share.
 
     Returns the flip phases e^{iπn̂/M}, the arm's pure spin-codeword
     amplitudes (|↑⟩v + |↓⟩e^{iπn̂/M}v)/√2 as a (spin, mode) array, and the
     discrimination bras of every remainder.
     """
-    prim = coherent_state(spec.alpha, policy)
+    prim = coherent_state(spec.alpha)
     cw0, cw1 = _code_pair(spec.m, prim)
-    forced = _fixed_cutoff_policy(prim.n_max, policy)
+    forced = _fixed_cutoff_policy(prim.n_max)
     bras = [_usd_bras(spec, r, forced) for r in range(spec.order)]
     flip = np.exp(1j * math.pi / spec.order * np.arange(prim.dim))
     return flip, np.stack([cw0, cw1]) / _SQRT2, bras
 
 
-def _arm(x: np.ndarray, axis: int, spec: CatCodeSpec, variant: str, flip, bras) -> dict:
+def _arm(x: np.ndarray, axis: int, spec: CatCodeSpec, flip, bras) -> dict:
     """Process the arm whose mode is axis `axis` of x, down to its records.
 
     Every loss count k is applied at once, stacked on a new leading
@@ -440,7 +393,7 @@ def _arm(x: np.ndarray, axis: int, spec: CatCodeSpec, variant: str, flip, bras) 
         return {}
     axis += 1
     records = {}
-    for c, y in _cascade(np.stack(kept), spec.m, variant, axis):
+    for c, y in _cascade(np.stack(kept), spec.m, "direct", axis):
         r = (-c) % spec.order
         for u, bra in enumerate(bras[r]):
             spin = np.stack([bra.conj(), flip * bra.conj()], axis=1) / _SQRT2
@@ -456,14 +409,7 @@ def _density(chi: np.ndarray) -> np.ndarray:
     return flat.T @ flat.conj()
 
 
-def bell_order_equivalence(
-    m: int,
-    alpha: float,
-    eta: float,
-    policy=None,
-    variant: str = "direct",
-    return_records: bool = False,
-):
+def bell_order_equivalence(m: int, alpha: float, eta: float, return_records: bool = False):
     """Max observable discrepancy between Bell-before and Bell-after orderings.
 
     Both engines enumerate every branch of a two-arm unit (middle station
@@ -473,13 +419,11 @@ def bell_order_equivalence(
     distance between conditional endpoint spin states or the probability
     mismatch, whichever is larger.
     """
-    _check_variant(variant)
-    policy = policy or DEFAULT_POLICY
     spec = CatCodeSpec(m, alpha, eta)
     bells = {lbl: vec.reshape(2, 2) for lbl, vec in bell_vectors(0.0).items()}
-    flip, v0, bras = _record_setup(spec, policy)
+    flip, v0, bras = _record_setup(spec)
     # Bell-last: process each arm on its own, then project the ES pair.
-    arm = _arm(v0, 1, spec, variant, flip, bras)  # (k, ES spin, endpoint)
+    arm = _arm(v0, 1, spec, flip, bras)  # (k, ES spin, endpoint)
     rec_after = {
         (lbl, *key1, *key2): _density(np.einsum("st,isa,jtb->ijab", bvec.conj(), y1, y2))
         for lbl, bvec in bells.items()
@@ -490,8 +434,8 @@ def bell_order_equivalence(
     rec_before = {}
     for lbl, bvec in bells.items():
         modes = np.einsum("st,sm,tn->mn", bvec.conj(), v0, v0)
-        for key1, left in _arm(modes, 0, spec, variant, flip, bras).items():
-            for key2, chi in _arm(left, 2, spec, variant, flip, bras).items():
+        for key1, left in _arm(modes, 0, spec, flip, bras).items():
+            for key2, chi in _arm(left, 2, spec, flip, bras).items():
                 rec_before[(lbl, *key1, *key2)] = _density(chi)
     worst = 0.0
     records = {}

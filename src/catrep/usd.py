@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .catcode import CatCodeSpec, _class_series, loss_weights
+from .catcode import CatCodeSpec, _alpha_squared, _class_series, loss_weights
 
 __all__ = [
     "CoherentSuperposition",
@@ -213,9 +213,12 @@ def _class_successes(spec: CatCodeSpec) -> list[float]:
     # 1 - |overlap| = 2 min(A, B)/(A + B): no cancellation at any y.
     # d = log A - log B is assembled from the peak terms' offsets so it
     # stays accurate when both sums are tiny.  One table mod 2M serves
-    # every class q < M.
+    # every class q < M.  Where y underflows to 0 every success is 0: the
+    # true value, at most 2y^M/M!, is below the smallest float.
     big_m = spec.order
-    y = spec.eta * spec.alpha**2
+    y = spec.eta * _alpha_squared(spec)
+    if y == 0.0:
+        return [0.0] * big_m
     table = _class_series(y, 2 * big_m)
     out = []
     for q in range(big_m):
@@ -337,18 +340,16 @@ def linear_optics_closed_form(alpha: float, eta: float = 1.0) -> float:
     return 1.0 - 1.0 / math.cosh(0.5 * x) + (1.0 - math.cos(0.5 * x)) / math.cosh(x)
 
 
-def usd_sweep(
-    alphas, eta: float = 1.0, q: int = 0, probe_style: str = "cat"
-):
-    """Optimal versus circuit success over a range of amplitudes.
+def usd_sweep(alphas, q: int = 0, probe_style: str = "cat"):
+    """Optimal versus circuit success over a range of lossless amplitudes.
 
     Returns rows ``(alpha, p_optimal, p_linear_optics)`` where the optimal
     column is the per-class value at the given ``q`` for the order-2 code.
     """
     rows = []
     for a in alphas:
-        spec = CatCodeSpec(m=1, alpha=float(a), eta=eta)
+        spec = CatCodeSpec(m=1, alpha=float(a))
         p_opt = optimal_usd_probability(spec, q=q, mode="per_q")
-        p_lin = linear_optics_usd_probability(float(a), eta, q, probe_style)
+        p_lin = linear_optics_usd_probability(float(a), q=q, probe_style=probe_style)
         rows.append((float(a), p_opt, p_lin))
     return rows

@@ -285,10 +285,6 @@ def test_segment_params_transmission():
     assert seg.eta_segment == pytest.approx(want)
     assert seg.code_spec.eta == pytest.approx(want)
     assert seg.code_spec.m == 1 and seg.code_spec.alpha == 2.0
-    twice = SegmentParams(
-        l0=10.0, m=1, alpha=2.0, eta_local=0.99, eta_local_exponent=2.0
-    )
-    assert twice.eta_segment == pytest.approx(0.99**2 * math.exp(-10.0 / 22.0))
     with pytest.raises(ValueError):
         SegmentParams(l0=0.0, m=1, alpha=2.0)
     with pytest.raises(ValueError):

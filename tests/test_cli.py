@@ -139,6 +139,26 @@ def test_keyrate_infinite_rate_is_a_numerical_guard(capsys):
     assert out == ""
 
 
+def test_keyrate_overflowing_alpha_is_named(capsys):
+    # alpha^2 overflows a float before any series runs
+    code, out, err = run_cli(capsys, "keyrate", "--m", "2", "--alpha", "1e200", "--l0", "0.1")
+    assert code == 3
+    assert "numerical guard" in err and "alpha=1e+200" in err and "eta=" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("alpha", ["5e-324", "1e-170"])
+def test_keyrate_underflowing_alpha_gives_the_limit(capsys, alpha):
+    # eta*alpha^2 underflows to 0: no discrimination success, no key
+    code, out, _ = run_cli(capsys, "keyrate", "--m", "2", "--alpha", alpha, "--l0", "0.1")
+    assert code == 0
+    (row,) = read_rows(out)
+    assert float(row["p0"]) == 0.0
+    for name, cell in row.items():
+        if name != "beats_plob":
+            assert math.isfinite(float(cell)), (name, cell)
+
+
 _SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-310, 1e300, 1.7e308]
 
 
@@ -164,8 +184,12 @@ def _draw_flag(draw, low, high, bound=None):
 @st.composite
 def _keyrate_argv(draw):
     argv = ["keyrate", "--m", str(draw(st.integers(1, 3)))]
-    # alpha = 1000 takes about 1.5 s; keep the amplitude in the sweep's range
-    alpha = _draw_flag(draw, 0.1, 50.0, bound=50.0)
+    # alpha = 1000 takes about 1.5 s; keep the amplitude in the sweep's range,
+    # or so small that eta*alpha^2 nears or passes float underflow
+    if draw(st.integers(0, 7)) == 0:
+        alpha = draw(st.floats(min_value=5e-324, max_value=1e-150))
+    else:
+        alpha = _draw_flag(draw, 0.1, 50.0, bound=50.0)
     argv.append(f"--alpha={alpha!r}")
     if draw(st.booleans()):
         l0 = _draw_flag(draw, 1e-3, 1e3)
@@ -185,6 +209,9 @@ def _keyrate_argv(draw):
 @example(["keyrate", "--m", "1", "--alpha", "2", "--l0", "1000", "--l-att", "1e300"])
 @example(["keyrate", "--m", "1", "--alpha", "2", "--l0", "1e-300", "--l-tot", "1e-300"])
 @example(["keyrate", "--m", "2", "--alpha", "5", "--l0", "0.1", "--t0", "1e-320"])
+@example(["keyrate", "--m", "2", "--alpha", "1e200", "--l0", "0.1"])
+@example(["keyrate", "--m", "2", "--alpha", "5e-324", "--l0", "0.1"])
+@example(["keyrate", "--m", "2", "--alpha", "1e-170", "--l0", "0.1"])
 def test_keyrate_float_input_is_finite_or_named(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -213,18 +240,39 @@ def test_sweep_empty_grid(capsys):
     assert "empty grid" in err
 
 
-def test_jsonl_format(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "sweep", "--m", "1", "--alpha", "1", "--l0", "1000",
-        "--format", "jsonl",
-    )
+_FORMAT_ARGS = {
+    "sweep": ("--m", "1", "--alpha", "1", "--l0", "1000"),
+    "validate": (),
+    "cavity": (),
+    "usd": ("--alpha", "0.5,1.0"),
+}
+
+
+@pytest.mark.parametrize("command", list(_FORMAT_ARGS))
+def test_jsonl_format(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("validate:\n  m: [1]\n  alpha: [1.0]\n  eta: [0.9]\n")
+    argv = (command, "--config", str(cfg), *_FORMAT_ARGS[command])
+    code, text, _ = run_cli(capsys, *argv)
     assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 1
-    row = json.loads(lines[0])
-    assert row["m"] == 1 and row["alpha"] == 1.0
-    assert isinstance(row["beats_plob"], bool)
+    code, out, _ = run_cli(capsys, *argv, "--format", "jsonl")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    want = read_rows(text)
+    assert len(rows) == len(want) > 0
+    # same columns in the same order, same values as the CSV cells
+    for row, cells in zip(rows, want):
+        assert list(row) == list(cells)
+        for name, value in row.items():
+            if isinstance(value, bool):
+                assert cells[name] == str(value).lower()
+            elif isinstance(value, str):
+                assert cells[name] == value
+            else:
+                assert float(cells[name]) == value
+    if command == "sweep":
+        assert rows[0]["m"] == 1 and rows[0]["alpha"] == 1.0
+        assert isinstance(rows[0]["beats_plob"], bool)
 
 
 def test_validate_small_grid(tmp_path, capsys):

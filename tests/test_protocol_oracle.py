@@ -24,7 +24,6 @@ from catrep.protocol_oracle import (
     bell_order_equivalence,
     bell_vectors,
     create_entanglement,
-    prepare_branches,
     prepare_code_state,
     simulate_unit,
     syndrome_cascade,
@@ -80,20 +79,21 @@ def test_prepare_first_step_minus_branch_structure():
 
 
 def test_prepare_branches_partition():
+    # the preparation cascade's branches, as prepare_code_state runs it
     prim = coherent_state(1.2)
-    branches = prepare_branches(2, prim)
+    branches = _cascade(prim.amps.astype(complex), 2, "direct", 0, floor=1e-14)
     assert len(branches) == 4
-    assert abs(sum(p for _o, _c, p, _s in branches) - 1.0) < 1e-10
-    classes = sorted(c for _o, c, _p, _s in branches)
+    probs = [float(np.vdot(v, v).real) for _c, v in branches]
+    assert abs(sum(probs) - 1.0) < 1e-10
+    classes = sorted(c for c, _v in branches)
     assert classes == [0, 1, 2, 3]
+    # tree order puts the all-"+" branch first, and it is class 0
+    assert branches[0][0] == 0
     n = np.arange(prim.dim)
-    for outs, c, _p, st in branches:
-        rho = st.mode_density().matrix
+    for (c, v), p in zip(branches, probs):
         # support of each branch is a clean photon-number class
-        onclass = np.real(np.diag(rho))[n % 4 == c].sum()
+        onclass = (np.abs(v) ** 2)[n % 4 == c].sum() / p
         assert abs(onclass - 1.0) < 1e-10
-        if c == 0:
-            assert outs == ("+", "+")
 
 
 def test_transmit_identity_and_rank():

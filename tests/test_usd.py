@@ -151,6 +151,26 @@ def test_optimal_validation():
         optimal_usd_probability(spec, q=2, mode="per_q")
 
 
+@pytest.mark.parametrize("alpha", [5e-324, 1e-170])
+def test_optimal_underflowing_signal_gives_zero(alpha):
+    # eta*alpha^2 underflows to 0; the true success, at most 2y^M/M!, is
+    # below the smallest float, which is also what alpha = 1e-160 gives
+    spec = CatCodeSpec(m=2, alpha=alpha, eta=0.9)
+    assert spec.eta * spec.alpha**2 == 0.0
+    for q in range(4):
+        assert optimal_usd_probability(spec, q=q, mode="per_q") == 0.0
+    assert optimal_usd_probability(spec, mode="weighted_average") == 0.0
+    assert optimal_usd_probability(spec, mode="worst_case") == 0.0
+    assert optimal_usd_probability(CatCodeSpec(m=2, alpha=1e-160, eta=0.9)) == 0.0
+
+
+def test_overflowing_amplitude_is_named():
+    spec = CatCodeSpec(m=2, alpha=1e200, eta=0.9)
+    for call in (optimal_usd_probability, loss_weights):
+        with pytest.raises(ArithmeticError, match=r"alpha=1e\+200 \(eta=0\.9\)"):
+            call(spec)
+
+
 @pytest.mark.parametrize("eta", [1.0, 0.9])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
 def test_circuit_matches_closed_form(alpha, eta):

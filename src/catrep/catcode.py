@@ -44,10 +44,10 @@ _DEGENERACY_TOL = 1e-12
 # Series terms 16 decades under the peak are dropped; matches the
 # plain-domain next-term-below-1e-16*sum stopping rule.
 _LOG_DROP = math.log(1e-16)
-# Largest stop index a class series may reach (alpha about 2000).  Each
-# residue of the window holds stop/modulus terms in Python lists, one
-# residue at a time; past this bound it would exhaust memory rather than
-# fail cleanly.
+# Largest stop index a class series may reach (alpha about 2000).  The
+# walk evaluates about 17·sqrt(x)/modulus terms per residue, so the bound
+# is a scope limit rather than a memory one: a wider window is refused,
+# naming the amplitude, before any term is evaluated.
 _MAX_SERIES_STOP = 4_000_000
 
 
@@ -191,15 +191,20 @@ def _class_series(x: float, modulus: int) -> list[tuple[int, float]]:
     """Per residue r < modulus: peak index t* and log of the class sum
     Σ_{t ≡ r (mod modulus)} x^t/t! relative to its peak term x^t*/t*!.
 
-    x > 0.  One window serves every residue.  Each term is taken relative
-    to its residue's largest one, as (t − t*) log x − log(t!/t*!), so the
-    difference of two class sums keeps its relative accuracy where each
-    sum alone is astronomically small.  Terms 16 decades under the peak
-    are dropped; a trailing guard requires each residue's last term to sit
-    40 nats under its peak so silent truncation cannot happen, and a
-    window whose stop index passes `_MAX_SERIES_STOP` raises before
-    anything is allocated.  Only ``math`` and ``math.fsum`` are used, so
-    the result depends on libm alone.
+    x > 0.  One window, t up to x + 12√(x+1) + 12·modulus + 30, serves
+    every residue.  Each term is taken relative to its residue's largest
+    one, as (t − t*) log x − log(t!/t*!), so the difference of two class
+    sums keeps its relative accuracy where each sum alone is
+    astronomically small.  The log terms are concave in t, so the peak is
+    found by climbing from the residue member nearest x (ties keep the
+    lower t) and the sum walks out from it both ways, stopping at the
+    first term 16 decades under the peak: only those terms are evaluated,
+    plus one per residue for the trailing guard, which requires the
+    window's last term to sit 40 nats under the peak so silent truncation
+    cannot happen.  A window whose stop index passes `_MAX_SERIES_STOP`
+    raises before any term is evaluated.  Only ``math`` and
+    ``math.fsum`` are used, so the result depends on libm alone, and
+    fsum's correct rounding makes it independent of summation order.
     """
     if not x > 0.0:
         raise ValueError(f"class series needs x > 0, got {x!r}")
@@ -212,19 +217,45 @@ def _class_series(x: float, modulus: int) -> list[tuple[int, float]]:
         )
     table = []
     for residue in range(modulus):
-        ts = range(residue, n_stop + 1, modulus)
-        log_fact = [math.lgamma(t + 1.0) for t in ts]
-        log_terms = [t * log_x - g for t, g in zip(ts, log_fact)]
-        i = max(range(len(ts)), key=log_terms.__getitem__)
-        if log_terms[-1] > log_terms[i] - 40.0:
+        last = n_stop - (n_stop - residue) % modulus
+        t_peak = residue + modulus * max(round((x - residue) / modulus), 0)
+        g_peak = math.lgamma(t_peak + 1.0)
+        f_peak = t_peak * log_x - g_peak
+        known = {t_peak: g_peak}  # lgamma(t + 1) of every term evaluated so far
+        # Climb to the first maximum: up while the next term is larger,
+        # else down while the previous one is no smaller.
+        for step in (modulus, -modulus):
+            start = t_peak
+            while residue <= t_peak + step <= last:
+                t = t_peak + step
+                g = known[t] = math.lgamma(t + 1.0)
+                f = t * log_x - g
+                if not (f > f_peak or (step < 0 and f == f_peak)):
+                    break
+                t_peak, g_peak, f_peak = t, g, f
+            if t_peak != start:
+                break
+        g_last = known.get(last)
+        if g_last is None:
+            g_last = known[last] = math.lgamma(last + 1.0)
+        if last * log_x - g_last > f_peak - 40.0:
             raise ArithmeticError(
                 f"class series (x={x:.4g}, mod {modulus}, residue {residue}) "
                 "not converged at the default stop; widen the window"
             )
-        t_peak, g_peak = ts[i], log_fact[i]
-        rel = ((t - t_peak) * log_x - (g - g_peak) for t, g in zip(ts, log_fact))
-        table.append((t_peak, math.log(math.fsum(math.exp(v) for v in rel if v > _LOG_DROP))))
-        del log_fact, log_terms  # one residue's lists alive at a time
+        terms = [1.0]
+        up = range(t_peak + modulus, last + 1, modulus)
+        down = range(t_peak - modulus, residue - 1, -modulus)
+        for side in (up, down):
+            for t in side:
+                g = known.get(t)
+                if g is None:
+                    g = math.lgamma(t + 1.0)
+                v = (t - t_peak) * log_x - (g - g_peak)
+                if v <= _LOG_DROP:
+                    break
+                terms.append(math.exp(v))
+        table.append((t_peak, math.log(math.fsum(terms))))
     return table
 
 

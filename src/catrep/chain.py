@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catcode import CatCodeSpec, LossWeights, loss_weights
-from .usd import optimal_usd_probability
+from .usd import _usd_probability
 
 __all__ = [
     "ATTENUATION_LENGTH_KM",
@@ -347,7 +347,7 @@ def evaluate_chain(
     spec = segment.code_spec
     weights = loss_weights(spec)
     f0 = weights.correctable_mass()
-    p0 = optimal_usd_probability(spec, q=usd_q, mode=usd_mode)
+    p0 = _usd_probability(spec, usd_q, usd_mode, weights)
     f_tot = chain_fidelity(f0, chain.n_e)
     p_tot = chain_success(p0, chain.n_e)
     kwargs = {}

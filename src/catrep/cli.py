@@ -253,7 +253,7 @@ def _sweep_row(segment: SegmentParams, chain: ChainParams, cfg: dict) -> dict:
         key_mode=cfg["key"]["mode"],
     )
     point = {key: getattr(segment, key) for key in _POINT_KEYS}
-    return {**point, **dataclasses.asdict(report)}
+    return {**point, **vars(report)}
 
 
 def cmd_sweep(cfg: dict, args) -> tuple:

@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .catcode import CatCodeSpec, _alpha_squared, _class_series, loss_weights
+from .catcode import CatCodeSpec, LossWeights, _alpha_squared, _class_series, loss_weights
 
 __all__ = [
     "CoherentSuperposition",
@@ -250,6 +250,14 @@ def optimal_usd_probability(
     Class q and class q + 2^m share one discrimination problem (the states
     differ by signs only), so everything runs over q < 2^m.
     """
+    return _usd_probability(spec, q, mode, None)
+
+
+def _usd_probability(
+    spec: CatCodeSpec, q: int, mode: str, weights: LossWeights | None
+) -> float:
+    # optimal_usd_probability; a caller that already holds the loss weights
+    # of spec passes them in, so the weighted average does not rebuild them.
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     big_m = 2**spec.m
@@ -260,7 +268,7 @@ def optimal_usd_probability(
         return per_class[q]
     if mode == "worst_case":
         return min(per_class)
-    w = loss_weights(spec).p
+    w = (weights if weights is not None else loss_weights(spec)).p
     total = math.fsum(
         (w[r] + w[r + big_m]) * per_class[r] for r in range(big_m)
     )

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catrep import catcode
 from catrep.catcode import (
+    _LOG_DROP,
     CatCodeSpec,
     LossWeights,
     _class_series,
@@ -48,6 +50,26 @@ def closed_form_weights_m1(alpha, eta):
     t = [math.cosh(y), math.sinh(y)]
     z = math.cosh(x + y)
     return np.array([s[q] * t[q % 2] / z for q in range(4)])
+
+
+def whole_window_class_series(x, modulus):
+    """Reference class series: evaluate every term of the window, per residue.
+
+    ``_class_series`` evaluates only the terms near each peak and must
+    return exactly this (same peaks, same set of summed terms)."""
+    log_x = math.log(x)
+    n_stop = int(x + 12.0 * math.sqrt(x + 1.0) + 12.0 * modulus + 30.0)
+    table = []
+    for residue in range(modulus):
+        ts = range(residue, n_stop + 1, modulus)
+        log_fact = [math.lgamma(t + 1.0) for t in ts]
+        log_terms = [t * log_x - g for t, g in zip(ts, log_fact)]
+        i = max(range(len(ts)), key=log_terms.__getitem__)
+        assert log_terms[-1] <= log_terms[i] - 40.0
+        t_peak, g_peak = ts[i], log_fact[i]
+        rel = ((t - t_peak) * log_x - (g - g_peak) for t, g in zip(ts, log_fact))
+        table.append((t_peak, math.log(math.fsum(math.exp(v) for v in rel if v > _LOG_DROP))))
+    return table
 
 
 def test_spec_validation():
@@ -285,3 +307,32 @@ def test_class_series_window_bound():
     assert abs(t_peak - 1e6) <= 2 and math.isfinite(log_rest)
     with pytest.raises(ArithmeticError, match="class series window"):
         _class_series(1e10, 2)
+
+
+@pytest.mark.parametrize("modulus", [1, 2, 4, 8, 16, 32])
+def test_class_series_matches_whole_window(modulus):
+    # Log-spaced x, integer and half-integer x (where neighbouring terms
+    # tie at the peak), and x below the modulus (peak at the residue).
+    xs = [10.0 ** (k / 4) for k in range(-40, 21)]
+    xs += [float(n) for n in range(1, 41)] + [n + 0.5 for n in range(41)]
+    xs += [100.0, 100.5, 1000.0, 1000.5, 12345.0, 12345.5]
+    xs += [modulus * f for f in (0.01, 0.3, 0.5, 0.99)]
+    for x in xs:
+        assert _class_series(x, modulus) == whole_window_class_series(x, modulus), x
+
+
+def test_class_series_evaluates_only_the_terms_near_the_peak(monkeypatch):
+    # The whole window at x = 1e6 is about 1,012,000 terms; the walk needs
+    # the ~8.6 sqrt(x) members each side of the peak that stay within 16
+    # decades of it, about 17,000 for two residues.
+    calls = 0
+    lgamma = math.lgamma
+
+    def counting(v):
+        nonlocal calls
+        calls += 1
+        return lgamma(v)
+
+    monkeypatch.setattr(catcode.math, "lgamma", counting)
+    _class_series(1e6, 2)
+    assert 0 < calls < 50_000

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from catrep import catcode, chain as chain_mod, usd
 from catrep.catcode import CatCodeSpec, loss_weights, segment_fidelity
 from catrep.chain import (
     ATTENUATION_LENGTH_KM,
@@ -322,3 +323,27 @@ def test_total_fidelity_improves_with_shorter_links():
         seg = SegmentParams(l0=l0, m=1, alpha=2.0)
         f_tots.append(chain_fidelity(segment_fidelity(seg.code_spec), n_e))
     assert all(b >= a - 1e-12 for a, b in zip(f_tots, f_tots[1:]))
+
+
+def test_evaluate_chain_builds_each_table_once(monkeypatch):
+    # One point in weighted-average mode needs one set of loss weights and
+    # three class-series tables: x mod 2M and y mod M for the weights, and
+    # y mod 2M for the discrimination success.
+    counts = {"loss_weights": 0, "_class_series": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    weights_fn = counting("loss_weights", catcode.loss_weights)
+    for mod in (catcode, chain_mod, usd):
+        monkeypatch.setattr(mod, "loss_weights", weights_fn)
+    series_fn = counting("_class_series", catcode._class_series)
+    for mod in (catcode, usd):
+        monkeypatch.setattr(mod, "_class_series", series_fn)
+    seg = SegmentParams(l0=1.0, m=3, alpha=3.0)
+    evaluate_chain(seg, ChainParams(l_tot=10.0, n_e=10), usd_mode="weighted_average")
+    assert counts == {"loss_weights": 1, "_class_series": 3}

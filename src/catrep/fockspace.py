@@ -2,9 +2,9 @@
 
 States live on photon numbers 0..n_max as dense complex arrays.  This module
 is the substrate of the brute-force protocol simulation: coherent states,
-phase-space rotations exp(iφn̂), photon-loss Kraus operators and the
-shift kernel that applies them, the amplitude damping channel, hybrid
-spin-mode composites and projective spin measurements.
+phase-space rotations exp(iφn̂), the photon-loss Kraus operators (`lose`
+yields all of them from one coefficient table), the amplitude damping
+channel, hybrid spin-mode composites and projective spin measurements.
 
 Conventions
 -----------
@@ -125,8 +125,7 @@ class FockVector:
     def overlap(self, other: "FockVector") -> complex:
         """⟨self|other⟩.  Shorter vectors are zero-padded."""
         n = min(self.dim, other.dim)
-        head = complex(np.vdot(self.amps[:n], other.amps[:n]))
-        return head
+        return complex(np.vdot(self.amps[:n], other.amps[:n]))
 
     def normalized(self) -> "FockVector":
         n = self.norm()
@@ -290,26 +289,22 @@ def annihilate(v: FockVector, q: int = 1) -> FockVector:
     return FockVector(amps, v.n_max)
 
 
-def _loss_amplitudes(k: int, eta: float, dim: int) -> np.ndarray:
-    """c_k(n) = ⟨n|Â_k|n+k⟩ = √((1−η)^k η^n (n+k)! / (k! n!)) for n < dim − k.
+def _loss_table(eta: float, dim: int) -> np.ndarray:
+    """c[k, n] = ⟨n|Â_k|n+k⟩ = √((1−η)^k η^n (n+k)! / (k! n!)), zero for n + k ≥ dim.
 
-    Built in log domain so binomial factors stay finite at large cutoffs.
+    Built in log domain from one log-factorial vector, so binomial factors
+    stay finite at large cutoffs.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("transmission eta must lie in (0, 1]; the eta=0 channel is degenerate")
-    if k < 0:
-        raise ValueError("loss count k must be non-negative")
-    n = np.arange(max(dim - k, 0))
+    k, n = np.ogrid[:dim, :dim]
     if eta == 1.0:
-        return np.full(n.shape, 1.0 if k == 0 else 0.0)
-    log_val = 0.5 * (
-        k * math.log1p(-eta)
-        + n * math.log(eta)
-        + gammaln(n + k + 1.0)
-        - gammaln(k + 1.0)
-        - gammaln(n + 1.0)
+        return (k == 0) * np.ones(dim)  # only Â_0 = 𝟙 survives
+    log_fact = gammaln(np.arange(2 * dim - 1) + 1.0)
+    log_c = 0.5 * (
+        k * math.log1p(-eta) + n * math.log(eta) + log_fact[n + k] - log_fact[k] - log_fact[n]
     )
-    return np.exp(log_val)
+    return np.where(n + k < dim, np.exp(log_c), 0.0)
 
 
 def kraus_op(k: int, eta: float, n_max: int) -> np.ndarray:
@@ -318,26 +313,37 @@ def kraus_op(k: int, eta: float, n_max: int) -> np.ndarray:
     The reference for `lose`, which applies the same operator without
     building it.
     """
-    c = _loss_amplitudes(k, eta, n_max + 1)
-    out = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    n = np.arange(c.shape[0])
-    out[n, n + k] = c
-    return out
+    if k < 0:
+        raise ValueError("loss count k must be non-negative")
+    c = _loss_table(eta, n_max + 1)
+    if k > n_max:
+        return np.zeros_like(c, dtype=complex)
+    return np.diag(c[k, : n_max + 1 - k], k).astype(complex)
 
 
-def lose(x: np.ndarray, k: int, eta: float, axis: int = -1) -> np.ndarray:
-    """Apply the loss Kraus operator Â_k along one mode axis of x.
+def lose(x: np.ndarray, eta: float, axes: Sequence[int]):
+    """Yield Â_k x for k = 0, 1, …, d − 1, applying Â_k along every axis in axes.
 
-    Â_k is a k-step shift times a real diagonal, so out[n] = c_k(n)·x[n+k]
-    along ``axis``: the action of `kraus_op` in O(size) without the matrix.
-    A density takes it on its row axis and then on its column axis; c_k is
-    real, so Â_k† needs no conjugate.
+    Â_k is a k-step shift times a real diagonal, so along each axis
+    out[n] = c[k, n]·x[n+k]: the action of `kraus_op` in O(size) without the
+    matrix, with every coefficient taken from one `_loss_table` per call.
+    A pure array passes its mode axis, a density its row and column axes;
+    c is real, so Â_k† needs no conjugate.  Terms are made one at a time,
+    so a caller may stop early and holds only the terms it keeps.
     """
-    x = np.moveaxis(np.asarray(x), axis, -1)
-    c = _loss_amplitudes(k, eta, x.shape[-1])
-    out = np.zeros(x.shape, dtype=complex)
-    out[..., : c.shape[0]] = c * x[..., k:]
-    return np.moveaxis(out, -1, axis)
+    x = np.asarray(x)
+    axes = [ax % x.ndim for ax in axes]
+    d = x.shape[axes[0]]
+    c = _loss_table(eta, d)
+    for k in range(d):
+        term = x
+        for ax in axes:
+            head = (slice(None),) * ax
+            coef = c[k, : d - k].reshape((-1,) + (1,) * (x.ndim - 1 - ax))
+            out = np.zeros(x.shape, dtype=complex)
+            out[head + (slice(d - k),)] = coef * term[head + (slice(k, None),)]
+            term = out
+        yield term
 
 
 def amplitude_damping(
@@ -356,8 +362,7 @@ def amplitude_damping(
     target = rho.trace() * (1.0 - _TAIL_TOL)
     acc = np.zeros_like(t)
     mass = 0.0
-    for k in range(d):
-        term = lose(lose(t, k, eta, 1), k, eta, 3)
+    for term in lose(t, eta, (1, 3)):
         acc += term
         mass += float(np.einsum("apap->", term).real)
         if mass >= target or eta == 1.0:

@@ -14,10 +14,11 @@ station's spin pair before the modes are transmitted is observationally
 identical to measuring it after both arms are fully processed.
 
 Each operation has one implementation shared by the density and the pure
-engines: loss is `fockspace.lose`, every cascade (preparation and
-syndrome) is `_cascade`, and the codeword pair is `_code_pair`.  Both
-measurement orderings process an arm with one kernel, `_arm`, which
-keeps every lost-photon count on an environment axis.
+engines: loss is the `fockspace.lose` generator, every cascade
+(preparation, syndrome, the pure syndrome check) is `_cascade`, and every
+codeword pair, the damped one behind the discrimination bras included, is
+`_code_pair`.  Both Bell orderings process an arm with one kernel, `_arm`,
+which keeps every lost-photon count on an environment axis.
 """
 
 from __future__ import annotations
@@ -27,13 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catcode import CatCodeSpec, error_space_state
+from .catcode import CatCodeSpec
 from .fockspace import (
     _ZERO_BRANCH,
-    DEFAULT_POLICY,
     FockVector,
     HybridDensity,
-    TruncationPolicy,
     add_spin,
     amplitude_damping,
     annihilate,
@@ -74,13 +73,6 @@ def bell_vectors(theta: float = 0.0) -> dict:
         "psi_plus": np.array([0.0, 1.0, ph, 0.0]) * rt,
         "psi_minus": np.array([0.0, 1.0, -ph, 0.0]) * rt,
     }
-
-
-def _fixed_cutoff_policy(n_max: int) -> TruncationPolicy:
-    return TruncationPolicy(
-        n_max_rule=lambda _a: n_max,
-        hard_limit=max(DEFAULT_POLICY.hard_limit, n_max + 1),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +175,24 @@ def prepare_code_state(m: int, primitive: FockVector) -> HybridDensity:
     return hybrid_from_vector(1, primitive.n_max, np.concatenate([cw0, cw1]) / _SQRT2)
 
 
+def _damped_pair(spec: CatCodeSpec, n_max: int = 0) -> list:
+    """Codeword pair of the damped primitive |√η α⟩, zero-padded up to n_max.
+
+    Padding is sound: beyond the primitive's own cutoff the truncation
+    policy already bounds its tail mass below 1e-12.
+    """
+    prim = coherent_state(spec.damped_alpha)
+    prim = prim.padded(max(n_max, prim.n_max))
+    return [FockVector(cw, prim.n_max) for cw in _code_pair(spec.m, prim)]
+
+
 # ---------------------------------------------------------------------------
 # transmission
 
 
 def transmit(s: HybridDensity, eta: float) -> HybridDensity:
     """Amplitude damping on the mode factor; spins are spectators."""
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("transmission eta must lie in (0, 1]")
-    if eta == 1.0:
-        return s
-    return amplitude_damping(s, eta)
+    return s if eta == 1.0 else amplitude_damping(s, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -218,24 +217,23 @@ def syndrome_cascade(s: HybridDensity, m: int, variant: str = "direct") -> list:
         prob = float(np.einsum("apap->", x).real)
         post = HybridDensity(s.spins, s.n_max, (x / prob).reshape(s.dim, s.dim), validate=False)
         out.append(((-c) % (2 ** m), prob, post))
-    out.sort(key=lambda row: row[0])
-    return out
+    return sorted(out, key=lambda row: row[0])
 
 
 def syndrome_deviation(m: int, alpha: float, eta: float) -> float:
     """Worst-case tagging error over every injectable loss count.
 
     Injects exactly q photon losses (âᵠ on both codewords of the damped
-    pure pair) for each q < 2^{m+1} and requires the cascade to tag
-    remainder q mod 2^m with certainty.
+    pure pair) for each q < 2^{m+1}, runs the cascade on the pure (spin,
+    mode) array and requires it to tag remainder q mod 2^m with certainty.
     """
-    prim = coherent_state(math.sqrt(eta) * alpha)
-    pair = [FockVector(cw, prim.n_max) for cw in _code_pair(m, prim)]
+    pair = _damped_pair(CatCodeSpec(m, alpha, eta))
     worst = 0.0
     for q in range(2 ** (m + 1)):
-        psi = np.concatenate([annihilate(cw, q).amps for cw in pair])
-        state = hybrid_from_vector(1, prim.n_max, psi / np.linalg.norm(psi))
-        outcomes = {r: p for r, p, _ in syndrome_cascade(state, m)}
+        psi = np.stack([annihilate(cw, q).amps for cw in pair])
+        psi /= np.linalg.norm(psi)
+        branches = _cascade(psi, m, "direct", 1, floor=_ZERO_BRANCH)
+        outcomes = {(-c) % 2 ** m: float(np.vdot(y, y).real) for c, y in branches}
         worst = max(worst, abs(1.0 - outcomes.get(q % 2 ** m, 0.0)))
     return worst
 
@@ -260,8 +258,8 @@ def create_entanglement(s: HybridDensity, m: int, known_q: int):
     return ent, {"theta": theta, "bell": bell_vectors(theta)}
 
 
-def _usd_bras(spec: CatCodeSpec, r: int, policy: TruncationPolicy):
-    """Discrimination bras (b0, b1) for the class-r codeword pair.
+def _usd_bras(pair: list, r: int):
+    """Discrimination bras (b0, b1) for the class-r codeword pair âʳ·`pair`.
 
     Outcome u's Kraus operator is the rank-one |u⟩⟨u|/√(1+|s|), u the unit
     vector perpendicular to the other codeword and s the pair's overlap;
@@ -270,8 +268,10 @@ def _usd_bras(spec: CatCodeSpec, r: int, policy: TruncationPolicy):
     of a pure mode x is b_u†x and the outcome block of a density is
     b_u†ρb_u.
     """
-    psi0 = error_space_state(spec, 0, r, policy)[0].amps
-    psi1 = error_space_state(spec, 1, r, policy)[0].amps
+    dropped = [annihilate(cw, r) for cw in pair]
+    if min(v.norm() for v in dropped) < 1e-125:
+        raise ValueError(f"class-{r} codeword has zero norm under the current truncation")
+    psi0, psi1 = (v.normalized().amps for v in dropped)
     s_ov = complex(np.vdot(psi0, psi1))
     s_abs = abs(s_ov)
     if s_abs >= 1.0 - 1e-14:
@@ -315,7 +315,7 @@ def simulate_unit(spec: CatCodeSpec) -> UnitReport:
     cross-module vectors compose exactly.
     """
     prim = coherent_state(spec.alpha)
-    forced = _fixed_cutoff_policy(prim.n_max)
+    pair = _damped_pair(spec, prim.n_max)
     trans = transmit(prepare_code_state(spec.m, prim), spec.eta)
     branches = syndrome_cascade(trans, spec.m)
     big_m = spec.order
@@ -328,7 +328,7 @@ def simulate_unit(spec: CatCodeSpec) -> UnitReport:
     for r, prob, st in branches:
         ent, info = create_entanglement(st, spec.m, known_q=r)
         t = ent.matrix.reshape(2 ** ent.spins, ent.mode_dim, 2 ** ent.spins, ent.mode_dim)
-        block0, block1 = (b.conj() @ (t @ b) for b in _usd_bras(spec, r, forced))
+        block0, block1 = (b.conj() @ (t @ b) for b in _usd_bras(pair, r))
         p0, p1 = float(np.trace(block0).real), float(np.trace(block1).real)
         rho0 = block0 / p0
         bells = info["bell"]
@@ -368,8 +368,8 @@ def _record_setup(spec: CatCodeSpec):
     """
     prim = coherent_state(spec.alpha)
     cw0, cw1 = _code_pair(spec.m, prim)
-    forced = _fixed_cutoff_policy(prim.n_max)
-    bras = [_usd_bras(spec, r, forced) for r in range(spec.order)]
+    pair = _damped_pair(spec, prim.n_max)
+    bras = [_usd_bras(pair, r) for r in range(spec.order)]
     flip = np.exp(1j * math.pi / spec.order * np.arange(prim.dim))
     return flip, np.stack([cw0, cw1]) / _SQRT2, bras
 
@@ -387,8 +387,7 @@ def _arm(x: np.ndarray, axis: int, spec: CatCodeSpec, flip, bras) -> dict:
     counts are orthogonal environment states, so a record's density is
     X X† summed over its environment axes (`_density`).
     """
-    lost = (lose(x, k, spec.eta, axis) for k in range(x.shape[axis]))
-    kept = [w for w in lost if float(np.vdot(w, w).real) > _PRUNE]
+    kept = [w for w in lose(x, spec.eta, (axis,)) if float(np.vdot(w, w).real) > _PRUNE]
     if not kept:
         return {}
     axis += 1
@@ -446,12 +445,7 @@ def bell_order_equivalence(m: int, alpha: float, eta: float, return_records: boo
         pb = float(np.trace(rb).real) if rb is not None else 0.0
         if max(pa, pb) < 1e-12:
             continue
-        if min(pa, pb) < 1e-12:
-            dist = 1.0
-        else:
-            dist = trace_distance(ra / pa, rb / pb)
+        dist = 1.0 if min(pa, pb) < 1e-12 else trace_distance(ra / pa, rb / pb)
         worst = max(worst, dist, abs(pa - pb))
         records[key] = (pa, pb, ra, rb)
-    if return_records:
-        return worst, records
-    return worst
+    return (worst, records) if return_records else worst

@@ -292,6 +292,14 @@ def test_validate_small_grid(tmp_path, capsys):
     assert "f0" in err
 
 
+def test_validate_is_byte_deterministic(capsys):
+    # the default grid, run twice in one process
+    first = run_cli(capsys, "validate")
+    second = run_cli(capsys, "validate")
+    assert first[0] == second[0] == 0
+    assert first[1].encode() == second[1].encode()
+
+
 def test_validate_empty_grid(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("validate:\n  m: []\n  alpha: [1.0]\n  eta: [0.9]\n")

@@ -122,13 +122,16 @@ def test_lose_matches_dense_kraus_op(eta):
     vecs = rng.normal(size=(2 * d, 3)) + 1j * rng.normal(size=(2 * d, 3))
     rho = vecs @ vecs.conj().T
     rho = (rho / np.trace(rho)).reshape(2, d, 2, d)  # one spin, then the mode
-    for k in range(d + 3):
+    # a pure array along its mode axis, a density along its row and column axes
+    pure_terms = list(lose(pure, eta, (1,)))
+    rho_terms = list(lose(rho, eta, (1, 3)))
+    assert len(pure_terms) == len(rho_terms) == d
+    for k, (got_pure, got_rho) in enumerate(zip(pure_terms, rho_terms)):
         a = kraus_op(k, eta, n_max)
         want = np.einsum("mn,snt->smt", a, pure)
-        assert np.max(np.abs(lose(pure, k, eta, 1) - want)) < 1e-14
+        assert np.max(np.abs(got_pure - want)) < 1e-14
         want = np.einsum("pm,ambn,qn->apbq", a, rho, a.conj())
-        got = lose(lose(rho, k, eta, 1), k, eta, 3)
-        assert np.max(np.abs(got - want)) < 1e-14
+        assert np.max(np.abs(got_rho - want)) < 1e-14
 
 
 def test_amplitude_damping_on_coherent_state():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from catrep.catcode import CatCodeSpec, codeword, damped_codeword, loss_weights
+from catrep import fockspace
+from catrep.catcode import CatCodeSpec, codeword, damped_codeword, error_space_state, loss_weights
 from catrep.fockspace import (
     FockVector,
     TruncationPolicy,
@@ -19,6 +20,7 @@ from catrep.fockspace import (
 )
 from catrep.protocol_oracle import (
     _cascade,
+    _record_setup,
     _step_angle,
     _step_basis_phase,
     bell_order_equivalence,
@@ -340,3 +342,56 @@ def test_bell_order_records_match_density_engine(m, alpha, eta):
     want = np.outer(arm, arm)
     assert np.max(np.abs(pa - want)) < 1e-10
     assert np.max(np.abs(pb - want)) < 1e-10
+
+
+def codeword_route_bras(spec, r, n_max):
+    """Discrimination bras of class r from `catcode.error_space_state`, with
+    the damped codewords built directly at the undamped primitive's cutoff."""
+    psi0 = error_space_state(spec, 0, r, forced_policy(n_max))[0].amps
+    psi1 = error_space_state(spec, 1, r, forced_policy(n_max))[0].amps
+    s_ov = np.vdot(psi0, psi1)
+    s_abs = abs(s_ov)
+    scale = 1.0 / math.sqrt((1.0 - s_abs * s_abs) * (1.0 + s_abs))
+    return (psi0 - np.conj(s_ov) * psi1) * scale, (psi1 - s_ov * psi0) * scale
+
+
+@pytest.mark.parametrize("eta", [0.9, 0.99, 1.0])
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_bras_match_codeword_route(m, alpha, eta):
+    # The oracle builds the damped pair once from the padded damped primitive;
+    # its bras must be those of the per-codeword construction.
+    spec = CatCodeSpec(m, alpha, eta)
+    n_max = coherent_state(alpha).n_max
+    _flip, _v0, bras = _record_setup(spec)
+    assert len(bras) == spec.order
+    for r, pair in enumerate(bras):
+        for got, want in zip(pair, codeword_route_bras(spec, r, n_max)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-10
+
+
+def test_oracle_work_counts(monkeypatch):
+    # One loss table per `lose` call, and a pure syndrome check that never
+    # forms a density.
+    gammaln_calls = []
+    gammaln = fockspace.gammaln
+
+    def counting_gammaln(*args):
+        gammaln_calls.append(1)
+        return gammaln(*args)
+
+    monkeypatch.setattr(fockspace, "gammaln", counting_gammaln)
+    bell_order_equivalence(1, 1.0, 0.9)
+    assert 0 < len(gammaln_calls) < 200
+
+    densities = []
+    post_init = fockspace.HybridDensity.__post_init__
+
+    def counting_post_init(self):
+        densities.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(fockspace.HybridDensity, "__post_init__", counting_post_init)
+    assert syndrome_deviation(2, 1.5, 0.9) < 1e-12
+    assert densities == []

@@ -101,13 +101,14 @@ class LossWeights:
         p = np.asarray(self.p, dtype=float)
         if p.shape != (2 ** (self.m + 1),):
             raise ValueError(f"expected {2 ** (self.m + 1)} class weights, got shape {p.shape}")
-        if np.any(p < -1e-15):
+        low = p.min()
+        if low < -1e-15:
             raise ValueError("negative class weight")
         total = math.fsum(p)
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"class weights sum to {total}, not 1")
-        p = np.clip(p, 0.0, None)
-        p = p / math.fsum(p)
+        p = np.maximum(p, 0.0)
+        p = p / (total if low >= 0.0 else math.fsum(p))
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 

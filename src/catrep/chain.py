@@ -199,27 +199,20 @@ def chain_success(p0: float, n_e: int) -> float:
     return math.exp(n_e * math.log(p0)) if p0 < 1.0 else 1.0
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _compositions(total: int, parts: int) -> np.ndarray:
+    # Every row of ``parts`` counts summing to ``total``, in lexicographic
+    # order: a row whose last count is k branches into heads 0..k and k - head.
+    t = np.array([[total]])
+    for _ in range(parts - 1):
+        branches = t[:, -1] + 1
+        firsts = np.repeat(np.cumsum(branches) - branches, branches)
+        head = np.arange(firsts.size) - firsts
+        t = np.repeat(t, branches, axis=0)
+        t = np.column_stack([t[:, :-1], head, t[:, -1] - head])
+    return t
 
 
-def chain_distribution(
-    weights: LossWeights, n_e: int, limit: int = _DEFAULT_COMBO_LIMIT
-):
-    """Exhaustive syndrome-combination distribution along the chain.
-
-    Each segment independently lands in one of 2^m syndrome remainders;
-    remainder i occurs with probability P_i = p_i + p_{i+2^m} and leaves
-    the sign ratio (p_i - p_{i+2^m})/P_i on the Bell coherence.  A row
-    per combination {t_i} gives (t, multinomial probability, exact
-    fidelity 1/2 + 1/2 prod ratio_i^t_i).  Rows sum to one; their
-    probability-weighted fidelity reproduces the closed form.
-    """
+def _distribution(weights: LossWeights, n_e: int, limit: int):
     if not isinstance(n_e, int) or n_e < 1:
         raise ValueError("need integer n_e >= 1")
     big_m = 2**weights.m
@@ -234,8 +227,7 @@ def chain_distribution(
     ratio = np.divide(
         diff, group, out=np.zeros_like(diff), where=group > 0
     )
-    combos = list(_compositions(n_e, big_m))
-    t = np.array(combos)
+    t = _compositions(n_e, big_m)
     # log of n_e!/prod t_i! * prod g_i^t_i, so neither the multinomial
     # nor the powers leave float range; a row that needs an empty group
     # (g_i = 0, t_i > 0) is exactly zero.
@@ -243,8 +235,27 @@ def chain_distribution(
     log_group = np.log(group, out=np.zeros_like(group), where=group > 0)
     log_prob = log_fact[n_e] - log_fact[t].sum(axis=1) + t @ log_group
     prob = np.where((t[:, group == 0] > 0).any(axis=1), 0.0, np.exp(log_prob))
-    fid = 0.5 + 0.5 * np.prod(ratio**t, axis=1)
-    return list(zip(combos, prob.tolist(), fid.tolist()))
+    powers = ratio ** np.arange(n_e + 1)[:, None]
+    fid = 0.5 + 0.5 * np.prod(powers[t, np.arange(big_m)], axis=1)
+    return t, prob, fid
+
+
+def chain_distribution(
+    weights: LossWeights, n_e: int, limit: int = _DEFAULT_COMBO_LIMIT
+):
+    """Exhaustive syndrome-combination distribution along the chain.
+
+    Each segment independently lands in one of 2^m syndrome remainders;
+    remainder i occurs with probability P_i = p_i + p_{i+2^m} and leaves
+    the sign ratio (p_i - p_{i+2^m})/P_i on the Bell coherence.  A row
+    per combination {t_i} gives (t, multinomial probability, exact
+    fidelity 1/2 + 1/2 prod ratio_i^t_i), in lexicographic order of t.
+    Rows sum to one; their probability-weighted fidelity reproduces the
+    closed form.  They are built as numpy arrays, after the check that
+    there are at most ``limit`` combinations (``ValueError`` otherwise).
+    """
+    t, prob, fid = _distribution(weights, n_e, limit)
+    return list(zip(map(tuple, t.tolist()), prob.tolist(), fid.tolist()))
 
 
 def binary_entropy(p: float) -> float:
@@ -265,6 +276,14 @@ def _key_fraction(fidelity: float) -> float:
     return max(0.0, 1.0 - binary_entropy(e))
 
 
+def _key_fractions(fidelity: np.ndarray) -> np.ndarray:
+    # ``_key_fraction`` over an array, with numpy's log2 in place of libm's.
+    e = 1.0 - fidelity
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.maximum(0.0, 1.0 - (-e * np.log2(e) - (1 - e) * np.log2(1 - e)))
+    return np.where(e >= 0.5, 0.0, np.where(e == 0.0, 1.0, frac))
+
+
 def secret_key_rate(
     f_tot: float,
     p_tot: float,
@@ -277,10 +296,10 @@ def secret_key_rate(
 ):
     """Asymptotic BB84 key rate, per second and per channel use.
 
-    ``lower_bound`` applies the key-fraction formula to the average
-    fidelity.  ``exact_average`` averages the clamped key fraction over
-    the exact syndrome-combination distribution (requires ``weights``
-    and ``n_e``); concavity of the entropy makes it at least as large.
+    ``lower_bound`` applies the clamped key-fraction formula to the average
+    fidelity.  ``exact_average`` averages it over the arrays behind the
+    rows of ``chain_distribution`` (needs ``weights`` and ``n_e``, same
+    ``limit``); concavity of the entropy makes it at least as large.
     """
     if mode not in _KEY_MODES:
         raise ValueError(f"mode must be one of {_KEY_MODES}")
@@ -295,8 +314,8 @@ def secret_key_rate(
     else:
         if weights is None or n_e is None:
             raise ValueError("exact_average needs weights and n_e")
-        rows = chain_distribution(weights, n_e, limit)
-        frac = sum(prob * _key_fraction(fid) for _, prob, fid in rows)
+        _, prob, fid = _distribution(weights, n_e, limit)
+        frac = float(prob @ _key_fractions(fid))
     per_use = p_tot * frac
     per_second = per_use / t0
     if not math.isfinite(per_second):

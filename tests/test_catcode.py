@@ -298,6 +298,25 @@ def test_loss_weights_type_validation():
         LossWeights(np.array([0.7, 0.1, 0.1, 0.2]), 1)
     with pytest.raises(ValueError):
         LossWeights(np.array([1.1, -0.1, 0.0, 0.0]), 1)
+    with pytest.raises(ValueError, match="negative"):
+        LossWeights(np.array([0.5, 0.5, 2e-15, -2e-15]), 1)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        [0.6, 0.3, 0.07, 0.03],
+        [0.5, 0.5, 4e-16, -4e-16],
+        [1.0, -0.0, 0.0, -0.0],
+        [0.25, 0.25, 0.25, 0.25 + 1e-11],
+    ],
+)
+def test_loss_weights_clip_then_renormalize(p):
+    # Bits of the plain rule: clip at 0, divide by the fsum of the clipped
+    # weights (the sign of a -0.0 weight included).
+    clipped = np.clip(np.array(p), 0.0, None)
+    want = clipped / math.fsum(clipped)
+    assert LossWeights(np.array(p), 1).p.tobytes() == want.tobytes()
 
 
 def test_class_series_window_bound():

@@ -51,6 +51,35 @@ def dense_swap(rho_a, rho_b, outcome):
     return outer / prob, prob
 
 
+def recursive_compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in recursive_compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def tuple_distribution(weights, n_e):
+    """Reference rows: recursive enumeration and the row formulas, per tuple.
+
+    ``chain_distribution`` builds the same rows as arrays and must return
+    exactly this list, order included."""
+    big_m = 2**weights.m
+    p = weights.p
+    group = np.array([p[i] + p[i + big_m] for i in range(big_m)])
+    diff = np.array([p[i] - p[i + big_m] for i in range(big_m)])
+    ratio = np.divide(diff, group, out=np.zeros_like(diff), where=group > 0)
+    combos = list(recursive_compositions(n_e, big_m))
+    t = np.array(combos)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_e + 1)])
+    log_group = np.log(group, out=np.zeros_like(group), where=group > 0)
+    log_prob = log_fact[n_e] - log_fact[t].sum(axis=1) + t @ log_group
+    prob = np.where((t[:, group == 0] > 0).any(axis=1), 0.0, np.exp(log_prob))
+    fid = 0.5 + 0.5 * np.prod(ratio**t, axis=1)
+    return list(zip(combos, prob.tolist(), fid.tolist()))
+
+
 def test_swap_fixed_points():
     pure = PauliFrameState("phi", 1.0)
     assert swap_pair(pure, pure).plus_weight == pytest.approx(1.0)
@@ -216,6 +245,17 @@ def test_distribution_empty_group_rows_are_zero():
     assert all(p == 0.0 for t, p in rows.items() if t != (5, 0))
 
 
+@pytest.mark.parametrize(
+    "m,n_e", [(m, n_e) for m in (1, 2, 3) for n_e in (1, 2, 5, 10)] + [(1, 10_000)]
+)
+@pytest.mark.parametrize("alpha,eta", [(2.0, 0.9), (0.75, 0.99), (1.0, 1.0)])
+def test_distribution_matches_tuple_reference(m, n_e, alpha, eta):
+    # eta = 1 leaves every loss class but q = 0 empty, so rows that need
+    # an empty group are exact zeros.
+    w = loss_weights(CatCodeSpec(m=m, alpha=alpha, eta=eta))
+    assert chain_distribution(w, n_e) == tuple_distribution(w, n_e)
+
+
 def test_distribution_combinatorial_guard():
     spec = CatCodeSpec(m=2, alpha=1.5, eta=0.9)
     w = loss_weights(spec)
@@ -242,6 +282,47 @@ def test_secret_key_rate_endpoints():
         secret_key_rate(0.9, 0.5, mode="typo")
     with pytest.raises(ValueError):
         secret_key_rate(0.9, 0.5, mode="exact_average")
+
+
+@pytest.mark.parametrize(
+    "m,alpha,eta,n_e,kinds",
+    [
+        (1, 1.0, 1.0, 5, {"e=0"}),
+        (3, 3.0, 1.0, 10, {"e=0"}),
+        (1, 5.0, 0.9, 10, {"e<1/2", "e>=1/2"}),
+        (3, 4.0, 0.7, 10, {"e<1/2", "e>=1/2"}),
+        (2, 1.5, 0.99, 10, {"e<1/2"}),
+        (1, 2.0, math.exp(-0.1 / 22.0), 10_000, {"e<1/2"}),
+    ],
+)
+def test_exact_average_key_fraction_matches_scalar_rows(m, alpha, eta, n_e, kinds):
+    # The vector key fraction (numpy log2) against the scalar one (libm
+    # log2) summed exactly over the reference rows, with p_tot = 1.
+    w = loss_weights(CatCodeSpec(m=m, alpha=alpha, eta=eta))
+    rows = tuple_distribution(w, n_e)
+    errors = [1.0 - f for _, p, f in rows if p > 0]
+    assert {"e=0" if e == 0 else "e>=1/2" if e >= 0.5 else "e<1/2" for e in errors} == kinds
+    want = math.fsum(p * chain_mod._key_fraction(f) for _, p, f in rows)
+    _, got = secret_key_rate(0.9, 1.0, mode="exact_average", weights=w, n_e=n_e)
+    assert abs(got - want) <= 1e-15
+
+
+def test_exact_average_sums_over_arrays(monkeypatch):
+    # The rate reads the row arrays: no tuple list and no call per row.
+    counts = {"chain_distribution": 0, "_key_fraction": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(chain_mod, name, counting(name, getattr(chain_mod, name)))
+    w = loss_weights(CatCodeSpec(m=3, alpha=2.0, eta=0.9))
+    secret_key_rate(0.9, 1.0, mode="exact_average", weights=w, n_e=10)
+    assert counts == {"chain_distribution": 0, "_key_fraction": 0}
 
 
 @pytest.mark.parametrize("n_e", [2, 4])

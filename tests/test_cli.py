@@ -48,6 +48,23 @@ def test_keyrate_requires_single_values(capsys):
     assert "exactly one value" in err
 
 
+def test_keyrate_exact_average_is_byte_deterministic(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("key:\n  mode: exact_average\n")
+    argv = ("keyrate", "--config", str(cfg), "--m", "3", "--alpha", "2", "--l0", "100")
+    first = run_cli(capsys, *argv)
+    second = run_cli(capsys, *argv)
+    assert first[0] == 0
+    assert first[1].encode() == second[1].encode()
+    # (m, l0) = (2, 1): 1000 links and 4 remainders are over the limit
+    code, out, err = run_cli(
+        capsys, "keyrate", "--config", str(cfg), "--m", "2", "--alpha", "2", "--l0", "1"
+    )
+    assert (code, out) == (1, "")
+    want = f"{math.comb(1003, 3)} syndrome combinations exceed the limit 20000"
+    assert err == f"error: {want}\n"
+
+
 def test_sweep_golden_snapshot(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, _, _ = run_cli(capsys, "sweep", "--out", str(out))

@@ -105,7 +105,7 @@ class LossWeights:
         if low < -1e-15:
             raise ValueError("negative class weight")
         total = math.fsum(p)
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:  # NaN fails this too
             raise ValueError(f"class weights sum to {total}, not 1")
         p = np.maximum(p, 0.0)
         p = p / (total if low >= 0.0 else math.fsum(p))
@@ -188,9 +188,10 @@ def error_space_state(
     return dropped.normalized(), float(norm_sq)
 
 
-def _class_series(x: float, modulus: int) -> list[tuple[int, float]]:
-    """Per residue r < modulus: peak index t* and log of the class sum
-    Σ_{t ≡ r (mod modulus)} x^t/t! relative to its peak term x^t*/t*!.
+def _class_series(x: float, modulus: int) -> list[tuple[int, float, float]]:
+    """Per residue r < modulus: peak index t*, the peak log term
+    t*·log x − log t*!, and log of the class sum Σ_{t ≡ r (mod modulus)}
+    x^t/t! relative to its peak term x^t*/t*!.
 
     x > 0.  One window, t up to x + 12√(x+1) + 12·modulus + 30, serves
     every residue.  Each term is taken relative to its residue's largest
@@ -256,7 +257,7 @@ def _class_series(x: float, modulus: int) -> list[tuple[int, float]]:
                 if v <= _LOG_DROP:
                     break
                 terms.append(math.exp(v))
-        table.append((t_peak, math.log(math.fsum(terms))))
+        table.append((t_peak, f_peak, math.log(math.fsum(terms))))
     return table
 
 
@@ -274,9 +275,7 @@ def _log_class_sums(x: float, modulus: int) -> list[float]:
     """log Σ_{t ≡ r (mod modulus)} x^t/t! for every residue r, x ≥ 0."""
     if x == 0.0:  # α² times a transmission underflowed: only t = 0 is left
         return [0.0] + [-math.inf] * (modulus - 1)
-    table = _class_series(x, modulus)
-    log_x = math.log(x)
-    return [t * log_x - math.lgamma(t + 1.0) + rest for t, rest in table]
+    return [f_peak + rest for _t, f_peak, rest in _class_series(x, modulus)]
 
 
 def loss_weights(spec: CatCodeSpec) -> LossWeights:

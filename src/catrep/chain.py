@@ -230,11 +230,12 @@ def _distribution(weights: LossWeights, n_e: int, limit: int):
     t = _compositions(n_e, big_m)
     # log of n_e!/prod t_i! * prod g_i^t_i, so neither the multinomial
     # nor the powers leave float range; a row that needs an empty group
-    # (g_i = 0, t_i > 0) is exactly zero.
+    # (g_i = 0, t_i > 0) is exactly zero, exp(-inf), so its log-multinomial,
+    # which can overflow exp on a long chain, is never exponentiated.
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_e + 1)])
     log_group = np.log(group, out=np.zeros_like(group), where=group > 0)
     log_prob = log_fact[n_e] - log_fact[t].sum(axis=1) + t @ log_group
-    prob = np.where((t[:, group == 0] > 0).any(axis=1), 0.0, np.exp(log_prob))
+    prob = np.exp(np.where((t[:, group == 0] > 0).any(axis=1), -np.inf, log_prob))
     powers = ratio ** np.arange(n_e + 1)[:, None]
     fid = 0.5 + 0.5 * np.prod(powers[t, np.arange(big_m)], axis=1)
     return t, prob, fid

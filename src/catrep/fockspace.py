@@ -3,8 +3,9 @@
 States live on photon numbers 0..n_max as dense complex arrays.  This module
 is the substrate of the brute-force protocol simulation: coherent states,
 phase-space rotations exp(iφn̂), the photon-loss Kraus operators (`lose`
-yields all of them from one coefficient table), the amplitude damping
-channel, hybrid spin-mode composites and projective spin measurements.
+yields them one at a time, each from its row of the loss coefficients),
+the amplitude damping channel, hybrid spin-mode composites and projective
+spin measurements.
 
 Conventions
 -----------
@@ -20,6 +21,7 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -289,22 +291,29 @@ def annihilate(v: FockVector, q: int = 1) -> FockVector:
     return FockVector(amps, v.n_max)
 
 
-def _loss_table(eta: float, dim: int) -> np.ndarray:
-    """c[k, n] = ⟨n|Â_k|n+k⟩ = √((1−η)^k η^n (n+k)! / (k! n!)), zero for n + k ≥ dim.
+def _loss_rows(eta: float, dim: int):
+    """Yield row k of c[k, n] = ⟨n|Â_k|n+k⟩ = √((1−η)^k η^n (n+k)! / (k! n!)), n < dim − k.
 
-    Built in log domain from one log-factorial vector, so binomial factors
-    stay finite at large cutoffs.
+    Rows come for k = 0, 1, …, dim − 1, each built when it is reached, in
+    log domain from one log-factorial vector, so binomial factors stay
+    finite at large cutoffs and a caller that stops early never builds the
+    rows it skips.  The one source of loss coefficients: `kraus_op`,
+    `lose` and the oracle's per-record arm operators all read it.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("transmission eta must lie in (0, 1]; the eta=0 channel is degenerate")
-    k, n = np.ogrid[:dim, :dim]
-    if eta == 1.0:
-        return (k == 0) * np.ones(dim)  # only Â_0 = 𝟙 survives
-    log_fact = gammaln(np.arange(2 * dim - 1) + 1.0)
-    log_c = 0.5 * (
-        k * math.log1p(-eta) + n * math.log(eta) + log_fact[n + k] - log_fact[k] - log_fact[n]
-    )
-    return np.where(n + k < dim, np.exp(log_c), 0.0)
+    if eta == 1.0:  # only Â_0 = 𝟙 survives
+        yield np.ones(dim)
+        for k in range(1, dim):
+            yield np.zeros(dim - k)
+        return
+    n = np.arange(dim)
+    log_fact = gammaln(n + 1.0)
+    log_loss, log_eta = math.log1p(-eta), math.log(eta)
+    for k in range(dim):
+        m = dim - k
+        log_c = k * log_loss + n[:m] * log_eta + log_fact[k:] - log_fact[k] - log_fact[:m]
+        yield np.exp(0.5 * log_c)
 
 
 def kraus_op(k: int, eta: float, n_max: int) -> np.ndarray:
@@ -315,10 +324,10 @@ def kraus_op(k: int, eta: float, n_max: int) -> np.ndarray:
     """
     if k < 0:
         raise ValueError("loss count k must be non-negative")
-    c = _loss_table(eta, n_max + 1)
-    if k > n_max:
-        return np.zeros_like(c, dtype=complex)
-    return np.diag(c[k, : n_max + 1 - k], k).astype(complex)
+    row = next(itertools.islice(_loss_rows(eta, n_max + 1), k, None), None)
+    if row is None:
+        return np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    return np.diag(row, k).astype(complex)
 
 
 def lose(x: np.ndarray, eta: float, axes: Sequence[int]):
@@ -326,20 +335,20 @@ def lose(x: np.ndarray, eta: float, axes: Sequence[int]):
 
     Â_k is a k-step shift times a real diagonal, so along each axis
     out[n] = c[k, n]·x[n+k]: the action of `kraus_op` in O(size) without the
-    matrix, with every coefficient taken from one `_loss_table` per call.
-    A pure array passes its mode axis, a density its row and column axes;
-    c is real, so Â_k† needs no conjugate.  Terms are made one at a time,
-    so a caller may stop early and holds only the terms it keeps.
+    matrix, with row k of the coefficients taken from `_loss_rows` when
+    term k is made.  A pure array passes its mode axis, a density its row
+    and column axes; c is real, so Â_k† needs no conjugate.  Terms are made
+    one at a time, so a caller may stop early and holds only the terms it
+    keeps.
     """
     x = np.asarray(x)
     axes = [ax % x.ndim for ax in axes]
     d = x.shape[axes[0]]
-    c = _loss_table(eta, d)
-    for k in range(d):
+    for k, row in enumerate(_loss_rows(eta, d)):
         term = x
         for ax in axes:
             head = (slice(None),) * ax
-            coef = c[k, : d - k].reshape((-1,) + (1,) * (x.ndim - 1 - ax))
+            coef = row.reshape((-1,) + (1,) * (x.ndim - 1 - ax))
             out = np.zeros(x.shape, dtype=complex)
             out[head + (slice(d - k),)] = coef * term[head + (slice(k, None),)]
             term = out

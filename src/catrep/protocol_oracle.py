@@ -14,11 +14,16 @@ station's spin pair before the modes are transmitted is observationally
 identical to measuring it after both arms are fully processed.
 
 Each operation has one implementation shared by the density and the pure
-engines: loss is the `fockspace.lose` generator, every cascade
-(preparation, syndrome, the pure syndrome check) is `_cascade`, and every
-codeword pair, the damped one behind the discrimination bras included, is
-`_code_pair`.  Both Bell orderings process an arm with one kernel, `_arm`,
-which keeps every lost-photon count on an environment axis.
+engines: the loss coefficients are `fockspace._loss_rows` (applied term
+by term by `fockspace.lose` in the density engine), every cascade
+(preparation, syndrome, the pure syndrome check, the projector of each
+syndrome branch) is `_cascade`, and every codeword pair, the damped one
+behind the discrimination bras included, is `_code_pair`.  Both Bell
+orderings process an arm with one kernel, `_arm`: the arm's loss,
+syndrome branch, endpoint-spin attachment and discrimination compose to
+one linear map per classical record, built once per call by `_arm_maps`,
+so each record is a single contraction of the arm's mode, with every
+lost-photon count kept on an environment axis.
 """
 
 from __future__ import annotations
@@ -33,13 +38,13 @@ from .fockspace import (
     _ZERO_BRANCH,
     FockVector,
     HybridDensity,
+    _loss_rows,
     add_spin,
     amplitude_damping,
     annihilate,
     coherent_state,
     hcrot,
     hybrid_from_vector,
-    lose,
     trace_distance,
 )
 
@@ -374,37 +379,75 @@ def _record_setup(spec: CatCodeSpec):
     return flip, np.stack([cw0, cw1]) / _SQRT2, bras
 
 
-def _arm(x: np.ndarray, axis: int, spec: CatCodeSpec, flip, bras) -> dict:
-    """Process the arm whose mode is axis `axis` of x, down to its records.
+def _arm_maps(spec: CatCodeSpec, flip, bras):
+    """Each record's linear map on an arm's mode, and the prune masses.
 
-    Every loss count k is applied at once, stacked on a new leading
-    environment axis; counts of squared norm at most `_PRUNE` are dropped.
-    The syndrome cascade then runs on the mode, the endpoint spin attaches
-    as (x, e^{iπn̂/M}x)/√2, and the mode is contracted with the
-    discrimination bras of each remainder: since x·b̄ and (e^{iπn̂/M}x)·b̄
-    are x contracted with b̄ and e^{iπn̂/M}b̄, the endpoint spin takes the
-    mode's place.  Returns {(remainder, usd_outcome): array}.  Lost-photon
-    counts are orthogonal environment states, so a record's density is
-    X X† summed over its environment axes (`_density`).
+    Record (r, u) of an arm is its mode contracted with
+    W[m, k, s] = Σ_n [n + k = m]·c[k, n]·P[n]·S[n, s]: loss count k with
+    c its `_loss_rows` coefficients, the syndrome branch of remainder r
+    with P its cascade projector diagonal (`_cascade` of a ones vector),
+    and the endpoint spin attached in the mode's place through
+    S = (b̄, e^{iπn̂/M}b̄)/√2, b the discrimination bra of USD outcome u.
+    Since x·b̄ and (e^{iπn̂/M}x)·b̄ are x contracted with b̄ and e^{iπn̂/M}b̄,
+    S is the spin attachment and the contraction at once.
+
+    Returns (count, branch, ops), indexed [m, k] by the source photon
+    number m = n + k and the loss count: count = c², branch the stacked
+    |c·P|² of every syndrome branch in cascade tree order, and ops the
+    list of (r, [W of u = 0, 1]) in the same order.
     """
-    kept = [w for w in lose(x, spec.eta, (axis,)) if float(np.vdot(w, w).real) > _PRUNE]
-    if not kept:
+    d = flip.size
+    src = np.arange(d)
+    n = (src[:, None] - src[None, :]) % d  # n = m − k; wraps only where c is 0
+    coef = np.zeros((d, d))
+    for k, row in enumerate(_loss_rows(spec.eta, d)):
+        coef[k:, k] = row
+    branch, ops = [], []
+    for cls, proj in _cascade(np.ones(d, dtype=complex), spec.m, "direct", 0, floor=0.0):
+        amp = coef * proj[n]
+        r = (-cls) % spec.order
+        spins = (np.stack([b.conj(), flip * b.conj()], axis=1) / _SQRT2 for b in bras[r])
+        ops.append((r, [amp[:, :, None] * spin[n] for spin in spins]))
+        branch.append(np.abs(amp) ** 2)
+    return coef**2, np.stack(branch), ops
+
+
+def _arm(x: np.ndarray, maps) -> dict:
+    """Process the arm whose mode is axis 0 of x, down to its records.
+
+    The three prune rules read the photon-number marginal p of x: a loss
+    count k is kept when its mass Σ_n c[k, n]²·p[n+k] exceeds `_PRUNE`, a
+    syndrome branch when its mass over the kept counts does, and a record
+    when its squared norm does.  Each kept record is one contraction of x
+    with its map from `_arm_maps`.  Returns {(remainder, usd_outcome):
+    array} whose axes are x's remaining axes, then the loss count, then
+    the endpoint spin.  Lost-photon counts are orthogonal environment
+    states, so a record's density is X X† summed over its environment
+    axes (`_density`).
+    """
+    count, branch, ops = maps
+    d = x.shape[0]
+    flat = x.reshape(d, -1)
+    p = np.einsum("ma,ma->m", flat, flat.conj()).real
+    kept = np.flatnonzero(p @ count > _PRUNE)
+    if not kept.size:
         return {}
-    axis += 1
+    mass = (p @ branch)[:, kept].sum(axis=1)
     records = {}
-    for c, y in _cascade(np.stack(kept), spec.m, "direct", axis):
-        r = (-c) % spec.order
-        for u, bra in enumerate(bras[r]):
-            spin = np.stack([bra.conj(), flip * bra.conj()], axis=1) / _SQRT2
-            rec = np.moveaxis(np.tensordot(y, spin, axes=(axis, 0)), -1, axis)
+    for (r, maps_u), branch_mass in zip(ops, mass):
+        if branch_mass <= _PRUNE:
+            continue
+        for u, w in enumerate(maps_u):
+            rec = (flat.T @ w[:, kept].reshape(d, -1)).reshape(x.shape[1:] + (kept.size, 2))
             if float(np.vdot(rec, rec).real) > _PRUNE:
                 records[(r, u)] = rec
     return records
 
 
 def _density(chi: np.ndarray) -> np.ndarray:
-    """4×4 endpoint-pair density of a record, traced over its environment."""
-    flat = chi.reshape(-1, 4)
+    """4×4 endpoint-pair density of a (k1, spin1, k2, spin2) record, traced
+    over its loss counts."""
+    flat = chi.transpose(0, 2, 1, 3).reshape(-1, 4)
     return flat.T @ flat.conj()
 
 
@@ -421,10 +464,16 @@ def bell_order_equivalence(m: int, alpha: float, eta: float, return_records: boo
     spec = CatCodeSpec(m, alpha, eta)
     bells = {lbl: vec.reshape(2, 2) for lbl, vec in bell_vectors(0.0).items()}
     flip, v0, bras = _record_setup(spec)
+    maps = _arm_maps(spec, flip, bras)
     # Bell-last: process each arm on its own, then project the ES pair.
-    arm = _arm(v0, 1, spec, flip, bras)  # (k, ES spin, endpoint)
+    arm = _arm(v0.T, maps)  # (ES spin, k, endpoint)
+    # Each pair of arm records meets the Bell bra in two matrix products.
     rec_after = {
-        (lbl, *key1, *key2): _density(np.einsum("st,isa,jtb->ijab", bvec.conj(), y1, y2))
+        (lbl, *key1, *key2): _density(
+            (y1.reshape(2, -1).T @ bvec.conj() @ y2.reshape(2, -1)).reshape(
+                y1.shape[1:] + y2.shape[1:]
+            )
+        )
         for lbl, bvec in bells.items()
         for key1, y1 in arm.items()
         for key2, y2 in arm.items()
@@ -432,9 +481,9 @@ def bell_order_equivalence(m: int, alpha: float, eta: float, return_records: boo
     # Bell-first: project the ES pair, then process the left and right modes.
     rec_before = {}
     for lbl, bvec in bells.items():
-        modes = np.einsum("st,sm,tn->mn", bvec.conj(), v0, v0)
-        for key1, left in _arm(modes, 0, spec, flip, bras).items():
-            for key2, chi in _arm(left, 2, spec, flip, bras).items():
+        modes = v0.T @ bvec.conj() @ v0
+        for key1, left in _arm(modes, maps).items():
+            for key2, chi in _arm(left, maps).items():
                 rec_before[(lbl, *key1, *key2)] = _density(chi)
     worst = 0.0
     records = {}

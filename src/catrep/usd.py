@@ -222,8 +222,8 @@ def _class_successes(spec: CatCodeSpec) -> list[float]:
     table = _class_series(y, 2 * big_m)
     out = []
     for q in range(big_m):
-        t_a, rest_a = table[(-q) % (2 * big_m)]
-        t_b, rest_b = table[(big_m - q) % (2 * big_m)]
+        t_a, _f_a, rest_a = table[(-q) % (2 * big_m)]
+        t_b, _f_b, rest_b = table[(big_m - q) % (2 * big_m)]
         d = (
             (t_a - t_b) * math.log(y)
             - (math.lgamma(t_a + 1.0) - math.lgamma(t_b + 1.0))

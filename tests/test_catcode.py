@@ -56,7 +56,8 @@ def whole_window_class_series(x, modulus):
     """Reference class series: evaluate every term of the window, per residue.
 
     ``_class_series`` evaluates only the terms near each peak and must
-    return exactly this (same peaks, same set of summed terms)."""
+    return exactly this (same peaks and peak log terms, same set of summed
+    terms)."""
     log_x = math.log(x)
     n_stop = int(x + 12.0 * math.sqrt(x + 1.0) + 12.0 * modulus + 30.0)
     table = []
@@ -68,7 +69,8 @@ def whole_window_class_series(x, modulus):
         assert log_terms[-1] <= log_terms[i] - 40.0
         t_peak, g_peak = ts[i], log_fact[i]
         rel = ((t - t_peak) * log_x - (g - g_peak) for t, g in zip(ts, log_fact))
-        table.append((t_peak, math.log(math.fsum(math.exp(v) for v in rel if v > _LOG_DROP))))
+        log_rest = math.log(math.fsum(math.exp(v) for v in rel if v > _LOG_DROP))
+        table.append((t_peak, log_terms[i], log_rest))
     return table
 
 
@@ -305,6 +307,22 @@ def test_loss_weights_type_validation():
 @pytest.mark.parametrize(
     "p",
     [
+        [math.nan, 0.5, 0.25, 0.25],
+        [0.5, 0.5, 0.0, math.nan],
+        [math.inf, 0.5, 0.25, 0.25],
+        [1.0, 0.0, 0.0, math.inf],
+    ],
+)
+def test_loss_weights_reject_nonfinite(p):
+    # NaN compares false with everything, so a check that only asks
+    # "is the sum off by more than the tolerance?" lets it through.
+    with pytest.raises(ValueError, match="sum to"):
+        LossWeights(np.array(p), 1)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
         [0.6, 0.3, 0.07, 0.03],
         [0.5, 0.5, 4e-16, -4e-16],
         [1.0, -0.0, 0.0, -0.0],
@@ -322,7 +340,7 @@ def test_loss_weights_clip_then_renormalize(p):
 def test_class_series_window_bound():
     # alpha = 1000 (x up to 1e6) stays inside the window bound; alpha = 1e5
     # (x = 1e10, about 10^10 terms) is refused before any allocation.
-    t_peak, log_rest = _class_series(1e6, 2)[0]
+    t_peak, _f_peak, log_rest = _class_series(1e6, 2)[0]
     assert abs(t_peak - 1e6) <= 2 and math.isfinite(log_rest)
     with pytest.raises(ArithmeticError, match="class series window"):
         _class_series(1e10, 2)

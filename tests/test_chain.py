@@ -75,7 +75,7 @@ def tuple_distribution(weights, n_e):
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_e + 1)])
     log_group = np.log(group, out=np.zeros_like(group), where=group > 0)
     log_prob = log_fact[n_e] - log_fact[t].sum(axis=1) + t @ log_group
-    prob = np.where((t[:, group == 0] > 0).any(axis=1), 0.0, np.exp(log_prob))
+    prob = np.exp(np.where((t[:, group == 0] > 0).any(axis=1), -np.inf, log_prob))
     fid = 0.5 + 0.5 * np.prod(ratio**t, axis=1)
     return list(zip(combos, prob.tolist(), fid.tolist()))
 

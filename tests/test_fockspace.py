@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catrep import fockspace
 from catrep.fockspace import (
     DEFAULT_POLICY,
     FockDensity,
@@ -132,6 +134,34 @@ def test_lose_matches_dense_kraus_op(eta):
         assert np.max(np.abs(got_pure - want)) < 1e-14
         want = np.einsum("pm,ambn,qn->apbq", a, rho, a.conj())
         assert np.max(np.abs(got_rho - want)) < 1e-14
+
+
+def test_loss_rows_are_built_when_reached(monkeypatch):
+    # Row k of the loss coefficients costs O(dim), not the dim x dim table,
+    # and the Kraus sum, which stops once it holds the trace mass, never
+    # builds the rows of the counts it does not reach.
+    dim = 2048
+    tracemalloc.start()
+    try:
+        first = next(fockspace._loss_rows(0.9, dim))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.shape == (dim,)
+    assert peak < 16 * 8 * dim  # a handful of length-dim vectors
+
+    built = []
+    rows = fockspace._loss_rows
+
+    def counting_rows(eta, dim):
+        for row in rows(eta, dim):
+            built.append(1)
+            yield row
+
+    monkeypatch.setattr(fockspace, "_loss_rows", counting_rows)
+    rho = coherent_state(3.0).density()
+    assert abs(amplitude_damping(rho, 0.9).trace() - 1.0) < 1e-9
+    assert 0 < len(built) < rho.dim // 2
 
 
 def test_amplitude_damping_on_coherent_state():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from catrep import fockspace
+from catrep import fockspace, protocol_oracle
 from catrep.catcode import CatCodeSpec, codeword, damped_codeword, error_space_state, loss_weights
 from catrep.fockspace import (
     FockVector,
@@ -14,11 +14,13 @@ from catrep.fockspace import (
     hcrot,
     hybrid_from_vector,
     kraus_op,
+    lose,
     measure_spin,
     pure_state_fidelity,
     rotation_apply,
 )
 from catrep.protocol_oracle import (
+    _PRUNE,
     _cascade,
     _record_setup,
     _step_angle,
@@ -344,6 +346,71 @@ def test_bell_order_records_match_density_engine(m, alpha, eta):
     assert np.max(np.abs(pb - want)) < 1e-10
 
 
+def state_first_arm(x, axis, spec, flip, bras):
+    """Reference arm: every loss term from `fockspace.lose`, stacked on a
+    leading environment axis, then the syndrome cascade on the stacked
+    state, then the endpoint spin and the bras of each remainder.
+
+    Returns {(remainder, usd_outcome): array} with the loss count first and
+    the endpoint spin in the mode's place."""
+    kept = [w for w in lose(x, spec.eta, (axis,)) if float(np.vdot(w, w).real) > _PRUNE]
+    if not kept:
+        return {}
+    axis += 1
+    records = {}
+    for c, y in _cascade(np.stack(kept), spec.m, "direct", axis, floor=_PRUNE):
+        r = (-c) % spec.order
+        for u, bra in enumerate(bras[r]):
+            spin = np.stack([bra.conj(), flip * bra.conj()], axis=1) / SQRT2
+            rec = np.moveaxis(np.tensordot(y, spin, axes=(axis, 0)), -1, axis)
+            if float(np.vdot(rec, rec).real) > _PRUNE:
+                records[(r, u)] = rec
+    return records
+
+
+def state_first_records(m, alpha, eta):
+    """Bell-first and Bell-last record densities from `state_first_arm`."""
+
+    def density(chi):
+        flat = chi.reshape(-1, 4)
+        return flat.T @ flat.conj()
+
+    spec = CatCodeSpec(m, alpha, eta)
+    bells = {lbl: vec.reshape(2, 2) for lbl, vec in bell_vectors(0.0).items()}
+    flip, v0, bras = _record_setup(spec)
+    arm = state_first_arm(v0, 1, spec, flip, bras)
+    after = {
+        (lbl, *key1, *key2): density(np.einsum("st,isa,jtb->ijab", bvec.conj(), y1, y2))
+        for lbl, bvec in bells.items()
+        for key1, y1 in arm.items()
+        for key2, y2 in arm.items()
+    }
+    before = {}
+    for lbl, bvec in bells.items():
+        modes = np.einsum("st,sm,tn->mn", bvec.conj(), v0, v0)
+        for key1, left in state_first_arm(modes, 0, spec, flip, bras).items():
+            for key2, chi in state_first_arm(left, 2, spec, flip, bras).items():
+                before[(lbl, *key1, *key2)] = density(chi)
+    return before, after
+
+
+@pytest.mark.parametrize("eta", [0.9, 0.99, 1.0])
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_arm_operators_match_state_first_arm(m, alpha, eta):
+    # One linear map per record must give the records of processing the
+    # state term by term: the same keys and densities, in both orderings.
+    before, after = state_first_records(m, alpha, eta)
+    _d, records = bell_order_equivalence(m, alpha, eta, return_records=True)
+    prob = {key: np.trace(rho).real for key, rho in (*before.items(), *after.items())}
+    assert set(records) == {key for key, p in prob.items() if p >= 1e-12}
+    for key, (_pa, _pb, ra, rb) in records.items():
+        for got, want in ((ra, before.get(key)), (rb, after.get(key))):
+            assert (got is None) == (want is None), key
+            if want is not None:
+                assert np.max(np.abs(got - want)) < 1e-14, key
+
+
 def codeword_route_bras(spec, r, n_max):
     """Discrimination bras of class r from `catcode.error_space_state`, with
     the damped codewords built directly at the undamped primitive's cutoff."""
@@ -372,8 +439,9 @@ def test_bras_match_codeword_route(m, alpha, eta):
 
 
 def test_oracle_work_counts(monkeypatch):
-    # One loss table per `lose` call, and a pure syndrome check that never
-    # forms a density.
+    # One set of per-record arm operators per call, built from one loss
+    # table and never from term-by-term loss, and a pure syndrome check
+    # that never forms a density.
     gammaln_calls = []
     gammaln = fockspace.gammaln
 
@@ -381,9 +449,24 @@ def test_oracle_work_counts(monkeypatch):
         gammaln_calls.append(1)
         return gammaln(*args)
 
+    builds = []
+    arm_maps = protocol_oracle._arm_maps
+
+    def counting_arm_maps(*args):
+        builds.append(1)
+        return arm_maps(*args)
+
+    def no_lose(*_args):
+        raise AssertionError("the measurement-order check applied loss term by term")
+
     monkeypatch.setattr(fockspace, "gammaln", counting_gammaln)
+    monkeypatch.setattr(protocol_oracle, "_arm_maps", counting_arm_maps)
+    # under either name the oracle could reach it
+    monkeypatch.setattr(fockspace, "lose", no_lose)
+    monkeypatch.setattr(protocol_oracle, "lose", no_lose, raising=False)
     bell_order_equivalence(1, 1.0, 0.9)
     assert 0 < len(gammaln_calls) < 200
+    assert builds == [1]
 
     densities = []
     post_init = fockspace.HybridDensity.__post_init__

@@ -2,10 +2,9 @@
 
 States live on photon numbers 0..n_max as dense complex arrays.  This module
 is the substrate of the brute-force protocol simulation: coherent states,
-phase-space rotations exp(iφn̂), the photon-loss Kraus operators (`lose`
-yields them one at a time, each from its row of the loss coefficients),
-the amplitude damping channel, hybrid spin-mode composites and projective
-spin measurements.
+phase-space rotations exp(iφn̂), the photon-loss coefficients (`_loss_rows`,
+read by the oracle's per-record arm operators and by the dense reference
+`kraus_op`), and hybrid spin-mode densities.
 
 Conventions
 -----------
@@ -13,8 +12,6 @@ Conventions
 * In a HybridDensity the spin factors come first, left to right in
   declaration order, and the mode factor is always last.  Flattened
   indices are row-major over that axis order.
-* Measurements return every branch with its exact probability; nothing
-  is sampled, so downstream results carry no Monte-Carlo noise.
 * All factorials run through log-gamma, so amplitudes stay finite for
   cutoffs up to several hundred photons.
 """
@@ -23,8 +20,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
@@ -39,26 +36,17 @@ __all__ = [
     "rotation_apply",
     "annihilate",
     "kraus_op",
-    "lose",
-    "amplitude_damping",
     "hybrid_from_vector",
-    "add_spin",
-    "hcrot",
-    "measure_spin",
     "apply_mode_operator",
     "trace_distance",
     "pure_state_fidelity",
 ]
 
-SPIN_UP = np.array([1.0, 0.0], dtype=complex)
-SPIN_DOWN = np.array([0.0, 1.0], dtype=complex)
-
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-9
 _EIG_FLOOR = -1e-9
 _ZERO_BRANCH = 1e-14
-# Largest trace mass a coherent state may leave beyond its cutoff, and the
-# mass the loss channel's Kraus sum may leave unsummed.
+# Largest trace mass a coherent state may leave beyond its cutoff.
 _TAIL_TOL = 1e-12
 
 
@@ -215,13 +203,6 @@ class HybridDensity:
     def dim(self) -> int:
         return (2 ** self.spins) * self.mode_dim
 
-    @property
-    def axes_shape(self) -> tuple:
-        return (2,) * self.spins + (self.mode_dim,)
-
-    def tensor(self) -> np.ndarray:
-        return self.matrix.reshape(self.axes_shape + self.axes_shape)
-
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
@@ -297,8 +278,8 @@ def _loss_rows(eta: float, dim: int):
     Rows come for k = 0, 1, …, dim − 1, each built when it is reached, in
     log domain from one log-factorial vector, so binomial factors stay
     finite at large cutoffs and a caller that stops early never builds the
-    rows it skips.  The one source of loss coefficients: `kraus_op`,
-    `lose` and the oracle's per-record arm operators all read it.
+    rows it skips.  The one source of loss coefficients: `kraus_op` and the
+    oracle's per-record arm operators (`protocol_oracle._arm_maps`) read it.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("transmission eta must lie in (0, 1]; the eta=0 channel is degenerate")
@@ -319,8 +300,8 @@ def _loss_rows(eta: float, dim: int):
 def kraus_op(k: int, eta: float, n_max: int) -> np.ndarray:
     """Dense matrix of the loss Kraus operator Â_k = √((1−η)^k/k!)·(√η)^n̂·âᵏ.
 
-    The reference for `lose`, which applies the same operator without
-    building it.
+    The reference for the oracle's arm operators, which apply the same
+    coefficients without building the matrix.
     """
     if k < 0:
         raise ValueError("loss count k must be non-negative")
@@ -328,55 +309,6 @@ def kraus_op(k: int, eta: float, n_max: int) -> np.ndarray:
     if row is None:
         return np.zeros((n_max + 1, n_max + 1), dtype=complex)
     return np.diag(row, k).astype(complex)
-
-
-def lose(x: np.ndarray, eta: float, axes: Sequence[int]):
-    """Yield Â_k x for k = 0, 1, …, d − 1, applying Â_k along every axis in axes.
-
-    Â_k is a k-step shift times a real diagonal, so along each axis
-    out[n] = c[k, n]·x[n+k]: the action of `kraus_op` in O(size) without the
-    matrix, with row k of the coefficients taken from `_loss_rows` when
-    term k is made.  A pure array passes its mode axis, a density its row
-    and column axes; c is real, so Â_k† needs no conjugate.  Terms are made
-    one at a time, so a caller may stop early and holds only the terms it
-    keeps.
-    """
-    x = np.asarray(x)
-    axes = [ax % x.ndim for ax in axes]
-    d = x.shape[axes[0]]
-    for k, row in enumerate(_loss_rows(eta, d)):
-        term = x
-        for ax in axes:
-            head = (slice(None),) * ax
-            coef = row.reshape((-1,) + (1,) * (x.ndim - 1 - ax))
-            out = np.zeros(x.shape, dtype=complex)
-            out[head + (slice(d - k),)] = coef * term[head + (slice(k, None),)]
-            term = out
-        yield term
-
-
-def amplitude_damping(
-    rho: FockDensity | HybridDensity, eta: float
-) -> FockDensity | HybridDensity:
-    """Photon-loss channel ρ → Σ_k Â_k ρ Â_k† on the mode factor.
-
-    ρ is a FockDensity or a HybridDensity, whose spins are spectators; the
-    result has the same type.  The Kraus sum stops once the accumulated
-    trace mass reaches trace(ρ)·(1 − 1e-12); trace is preserved within
-    1e-9 for states that respect the truncation policy.
-    """
-    d = rho.n_max + 1
-    ns = rho.matrix.shape[0] // d
-    t = rho.matrix.reshape(ns, d, ns, d)
-    target = rho.trace() * (1.0 - _TAIL_TOL)
-    acc = np.zeros_like(t)
-    mass = 0.0
-    for term in lose(t, eta, (1, 3)):
-        acc += term
-        mass += float(np.einsum("apap->", term).real)
-        if mass >= target or eta == 1.0:
-            break
-    return replace(rho, matrix=acc.reshape(rho.matrix.shape), validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -392,122 +324,6 @@ def hybrid_from_vector(spins: int, n_max: int, psi: np.ndarray) -> HybridDensity
     return HybridDensity(spins, n_max, np.outer(psi, psi.conj()))
 
 
-def add_spin(s: HybridDensity, amplitudes: Sequence[complex] = (1.0, 1.0), front: bool = False) -> HybridDensity:
-    """Adjoin a fresh spin in the pure state (a|↑⟩ + b|↓⟩)/norm.
-
-    The new spin becomes index 0 when front=True, otherwise the last spin
-    index before the mode.
-    """
-    vec = np.asarray(amplitudes, dtype=complex)
-    if vec.shape != (2,):
-        raise ValueError("a spin state needs exactly two amplitudes")
-    nrm = np.linalg.norm(vec)
-    if nrm < 1e-15:
-        raise ValueError("zero spin state")
-    vec = vec / nrm
-    chi = np.outer(vec, vec.conj())
-    old = s.matrix.reshape(2 ** s.spins, s.mode_dim, 2 ** s.spins, s.mode_dim)
-    if front:
-        new = np.einsum("ab,imjn->aimbjn", chi, old)
-    else:
-        new = np.einsum("ab,imjn->iamjbn", chi, old)
-    dim = (2 ** (s.spins + 1)) * s.mode_dim
-    return HybridDensity(s.spins + 1, s.n_max, new.reshape(dim, dim), validate=False)
-
-
-def _hcrot_diagonal(s: HybridDensity, phi: float, spin_index: int) -> np.ndarray:
-    d = s.mode_dim
-    phase = np.exp(1j * phi * np.arange(d))
-    u = np.ones(s.axes_shape, dtype=complex)
-    sel: list = [slice(None)] * (s.spins + 1)
-    sel[spin_index] = 1
-    u[tuple(sel)] = u[tuple(sel)] * phase
-    return u.reshape(-1)
-
-
-def hcrot(phi: float, s: HybridDensity, spin_index: int = 0) -> HybridDensity:
-    """Hybrid controlled rotation |↑⟩⟨↑|⊗𝟙 + |↓⟩⟨↓|⊗exp(iφn̂).
-
-    Unitary and diagonal in the joint basis, so trace and purity are
-    preserved exactly.
-    """
-    if not 0 <= spin_index < s.spins:
-        raise ValueError(f"spin_index {spin_index} out of range for {s.spins} spins")
-    u = _hcrot_diagonal(s, phi, spin_index)
-    mat = (u[:, None] * s.matrix) * u.conj()[None, :]
-    return HybridDensity(s.spins, s.n_max, mat, validate=False)
-
-
-def _resolve_basis(basis, labels):
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    if isinstance(basis, str):
-        b = basis.lower()
-        if b == "z":
-            states, default = (SPIN_UP, SPIN_DOWN), ("up", "down")
-        elif b == "x":
-            states = ((SPIN_UP + SPIN_DOWN) * inv_sqrt2, (SPIN_UP - SPIN_DOWN) * inv_sqrt2)
-            default = ("+", "-")
-        else:
-            raise ValueError(f"unknown basis {basis!r}")
-    else:
-        first, second = basis
-        states = (np.asarray(first, dtype=complex), np.asarray(second, dtype=complex))
-        default = ("0", "1")
-        for st in states:
-            if abs(np.linalg.norm(st) - 1.0) > 1e-10:
-                raise ValueError("explicit basis states must be normalized")
-        if abs(np.vdot(states[0], states[1])) > 1e-10:
-            raise ValueError("explicit basis states must be orthogonal")
-    if labels is None:
-        labels = default
-    return states, tuple(labels)
-
-
-def measure_spin(
-    s: HybridDensity,
-    spin_index: int,
-    basis="z",
-    keep_spin: bool = False,
-    labels: tuple | None = None,
-) -> list:
-    """Projective measurement of one spin.
-
-    basis is "z", "x" or an explicit pair of orthonormal 2-vectors.
-    Returns [(label, probability, post_state)] over the branches with
-    nonzero probability; post states are renormalized and, unless
-    keep_spin is set, the measured spin factor is removed.
-    """
-    if not 0 <= spin_index < s.spins:
-        raise ValueError(f"spin_index {spin_index} out of range for {s.spins} spins")
-    states, labels = _resolve_basis(basis, labels)
-    t = s.tensor()
-    row_axis = spin_index
-    col_axis = (s.spins + 1) + spin_index
-    moved = np.moveaxis(t, (row_axis, col_axis), (0, 1))
-    total = s.trace()
-    out = []
-    for label, bvec in zip(labels, states):
-        small = np.einsum("a,b,ab...->...", bvec.conj(), bvec, moved)
-        half = small.ndim // 2
-        mat = small.reshape(int(np.prod(small.shape[:half])), -1)
-        prob = float(np.trace(mat).real)
-        if prob <= _ZERO_BRANCH * max(total, 1.0):
-            continue
-        mat = mat / prob
-        if keep_spin:
-            proj = np.outer(bvec, bvec.conj())
-            shape = small.shape[:half]
-            tens = mat.reshape(shape + shape)
-            rebuilt = np.einsum("ab,...->ab...", proj, tens)
-            # ab axes belong at (spin_index, spins+1+spin_index) of the full tensor
-            rebuilt = np.moveaxis(rebuilt, (0, 1), (row_axis, col_axis))
-            post = HybridDensity(s.spins, s.n_max, rebuilt.reshape(s.dim, s.dim), validate=False)
-        else:
-            post = HybridDensity(s.spins - 1, s.n_max, mat, validate=False)
-        out.append((label, prob, post))
-    return out
-
-
 def apply_mode_operator(s: HybridDensity, op: np.ndarray) -> HybridDensity:
     """Conjugate the mode factor by an (unnormalized) operator: ρ → (1⊗op) ρ (1⊗op)†."""
     ns = 2 ** s.spins
@@ -521,10 +337,10 @@ def apply_mode_operator(s: HybridDensity, op: np.ndarray) -> HybridDensity:
 # metrics
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2)·‖a − b‖₁ for Hermitian matrices."""
+def trace_distance(a: np.ndarray, b: np.ndarray):
+    """(1/2)·‖a − b‖₁ for Hermitian matrices, or for each pair of a stack of them."""
     w = np.linalg.eigvalsh(np.asarray(a) - np.asarray(b))
-    return 0.5 * float(np.abs(w).sum())
+    return 0.5 * np.abs(w).sum(axis=-1)
 
 
 def pure_state_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:

@@ -2,28 +2,24 @@
 
 Everything the analytic layer claims about a segment is recomputed here
 the slow way: prepare the spin-codeword state by the actual measurement
-cascade, push it through the loss channel Kraus by Kraus, run the
-syndrome cascade branch by branch, entangle the receiving spin, and
-discriminate the codeword pair with the ideal unambiguous POVM.  No
-closed form from `catcode` enters any state produced here; agreement
-between the two routes is the package's core validation.
+cascade, lose photons count by count, run the syndrome cascade branch by
+branch, attach the receiving spin, and discriminate the codeword pair
+with the ideal unambiguous POVM.  No closed form from `catcode` enters
+any state produced here; agreement between the two routes is the
+package's core validation.
 
-The same machinery, specialized to pure states, powers
-`bell_order_equivalence`, which checks that measuring the middle
-station's spin pair before the modes are transmitted is observationally
-identical to measuring it after both arms are fully processed.
-
-Each operation has one implementation shared by the density and the pure
-engines: the loss coefficients are `fockspace._loss_rows` (applied term
-by term by `fockspace.lose` in the density engine), every cascade
-(preparation, syndrome, the pure syndrome check, the projector of each
-syndrome branch) is `_cascade`, and every codeword pair, the damped one
-behind the discrimination bras included, is `_code_pair`.  Both Bell
-orderings process an arm with one kernel, `_arm`: the arm's loss,
-syndrome branch, endpoint-spin attachment and discrimination compose to
-one linear map per classical record, built once per call by `_arm_maps`,
-so each record is a single contraction of the arm's mode, with every
-lost-photon count kept on an environment axis.
+There is one engine.  An arm's loss count, syndrome branch,
+endpoint-spin attachment and discrimination compose to one linear map
+per classical record (remainder, USD outcome), built once per call by
+`_arm_maps` from the loss coefficients `fockspace._loss_rows` and the
+cascade kernel `_cascade`; `_arm` contracts an arm's mode with each map,
+keeping every lost-photon count on an environment axis.  `simulate_unit`
+reads one arm's records, and `bell_order_equivalence` joins two arms'
+records in both orderings of the middle station's Bell measurement.
+Every cascade (preparation, syndrome, the pure syndrome check, the
+projector of each syndrome branch) is `_cascade`, and every codeword
+pair, the damped one behind the discrimination bras included, is
+`_code_pair`.  `syndrome_cascade` runs the same cascade on a density.
 """
 
 from __future__ import annotations
@@ -35,15 +31,11 @@ import numpy as np
 
 from .catcode import CatCodeSpec
 from .fockspace import (
-    _ZERO_BRANCH,
     FockVector,
     HybridDensity,
     _loss_rows,
-    add_spin,
-    amplitude_damping,
     annihilate,
     coherent_state,
-    hcrot,
     hybrid_from_vector,
     trace_distance,
 )
@@ -52,9 +44,7 @@ __all__ = [
     "UnitReport",
     "bell_vectors",
     "prepare_code_state",
-    "transmit",
     "syndrome_cascade",
-    "create_entanglement",
     "simulate_unit",
     "bell_order_equivalence",
     "syndrome_deviation",
@@ -62,6 +52,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _PRUNE = 1e-20
+_ZERO_BRANCH = 1e-14
 
 
 def bell_vectors(theta: float = 0.0) -> dict:
@@ -192,15 +183,6 @@ def _damped_pair(spec: CatCodeSpec, n_max: int = 0) -> list:
 
 
 # ---------------------------------------------------------------------------
-# transmission
-
-
-def transmit(s: HybridDensity, eta: float) -> HybridDensity:
-    """Amplitude damping on the mode factor; spins are spectators."""
-    return s if eta == 1.0 else amplitude_damping(s, eta)
-
-
-# ---------------------------------------------------------------------------
 # syndrome cascade
 
 
@@ -244,23 +226,7 @@ def syndrome_deviation(m: int, alpha: float, eta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# entanglement creation and discrimination
-
-
-def create_entanglement(s: HybridDensity, m: int, known_q: int):
-    """Reflect the mode off the receiving station's fresh spin.
-
-    The new spin is prepended (index 0, ordering receiver-then-sender)
-    in |+⟩ and controls an hcrot at π/2^m.  Returns the grown state and
-    the generalized Bell frame for the declared loss class: the info dict
-    carries θ = qπ/2^m and the four Bell vectors at that angle.
-    """
-    if not 0 <= known_q < 2 ** m:
-        raise ValueError(f"known_q={known_q} outside [0, {2 ** m})")
-    grown = add_spin(s, (1.0, 1.0), front=True)
-    ent = hcrot(math.pi / 2 ** m, grown, spin_index=0)
-    theta = known_q * math.pi / 2 ** m
-    return ent, {"theta": theta, "bell": bell_vectors(theta)}
+# discrimination
 
 
 def _usd_bras(pair: list, r: int):
@@ -288,84 +254,12 @@ def _usd_bras(pair: list, r: int):
     return (psi0 - np.conj(s_ov) * psi1) * scale, (psi1 - s_ov * psi0) * scale
 
 
-@dataclass(frozen=True)
-class UnitReport:
-    """Everything the oracle measures about one elementary unit.
-
-    weights reconstructs the 2M loss-class distribution operationally:
-    index r < M carries the syndrome-r probability times the conditional
-    plus-Bell weight, index r+M the minus-Bell remainder.  spin_states
-    holds the conditional receiver-sender spin density after a
-    successful "codeword 0" identification, one per remainder (None for
-    remainders of negligible probability).
-    """
-
-    m: int
-    alpha: float
-    eta: float
-    f0_oracle: float
-    weights: np.ndarray
-    syndrome_probs: np.ndarray
-    plus_weight: np.ndarray
-    usd_success: np.ndarray
-    p_success_weighted: float
-    spin_states: tuple
-    thetas: np.ndarray
-
-
-def simulate_unit(spec: CatCodeSpec) -> UnitReport:
-    """Full pipeline: prepare → transmit → syndrome → entangle → discriminate.
-
-    All states stay at the cutoff chosen for the undamped primitive so
-    cross-module vectors compose exactly.
-    """
-    prim = coherent_state(spec.alpha)
-    pair = _damped_pair(spec, prim.n_max)
-    trans = transmit(prepare_code_state(spec.m, prim), spec.eta)
-    branches = syndrome_cascade(trans, spec.m)
-    big_m = spec.order
-    weights = np.zeros(2 * big_m)
-    syn = np.zeros(big_m)
-    plus = np.zeros(big_m)
-    succ = np.zeros(big_m)
-    states: list = [None] * big_m
-    thetas = np.array([r * math.pi / big_m for r in range(big_m)])
-    for r, prob, st in branches:
-        ent, info = create_entanglement(st, spec.m, known_q=r)
-        t = ent.matrix.reshape(2 ** ent.spins, ent.mode_dim, 2 ** ent.spins, ent.mode_dim)
-        block0, block1 = (b.conj() @ (t @ b) for b in _usd_bras(pair, r))
-        p0, p1 = float(np.trace(block0).real), float(np.trace(block1).real)
-        rho0 = block0 / p0
-        bells = info["bell"]
-        f_plus = float(np.real(np.vdot(bells["phi_plus"], rho0 @ bells["phi_plus"])))
-        f_minus = float(np.real(np.vdot(bells["phi_minus"], rho0 @ bells["phi_minus"])))
-        syn[r] = prob
-        plus[r] = f_plus
-        succ[r] = p0 + p1
-        weights[r] = prob * f_plus
-        weights[r + big_m] = prob * f_minus
-        states[r] = rho0
-    return UnitReport(
-        m=spec.m,
-        alpha=spec.alpha,
-        eta=spec.eta,
-        f0_oracle=float(weights[:big_m].sum()),
-        weights=weights,
-        syndrome_probs=syn,
-        plus_weight=plus,
-        usd_success=succ,
-        p_success_weighted=float(np.dot(syn, succ)),
-        spin_states=tuple(states),
-        thetas=thetas,
-    )
-
-
 # ---------------------------------------------------------------------------
-# measurement-ordering equivalence (pure-state engines)
+# the record engine
 
 
 def _record_setup(spec: CatCodeSpec):
-    """What both measurement orderings share.
+    """What every arm of a unit shares.
 
     Returns the flip phases e^{iπn̂/M}, the arm's pure spin-codeword
     amplitudes (|↑⟩v + |↓⟩e^{iπn̂/M}v)/√2 as a (spin, mode) array, and the
@@ -392,9 +286,9 @@ def _arm_maps(spec: CatCodeSpec, flip, bras):
     S is the spin attachment and the contraction at once.
 
     Returns (count, branch, ops), indexed [m, k] by the source photon
-    number m = n + k and the loss count: count = c², branch the stacked
-    |c·P|² of every syndrome branch in cascade tree order, and ops the
-    list of (r, [W of u = 0, 1]) in the same order.
+    number m = n + k and the loss count: count = c², branch[r] the |c·P|²
+    of the syndrome branch of remainder r, and ops[r] its maps
+    [W of u = 0, W of u = 1].
     """
     d = flip.size
     src = np.arange(d)
@@ -402,26 +296,30 @@ def _arm_maps(spec: CatCodeSpec, flip, bras):
     coef = np.zeros((d, d))
     for k, row in enumerate(_loss_rows(spec.eta, d)):
         coef[k:, k] = row
-    branch, ops = [], []
+    branch = np.zeros((spec.order, d, d))
+    ops: list = [None] * spec.order
     for cls, proj in _cascade(np.ones(d, dtype=complex), spec.m, "direct", 0, floor=0.0):
-        amp = coef * proj[n]
         r = (-cls) % spec.order
+        amp = coef * proj[n]
         spins = (np.stack([b.conj(), flip * b.conj()], axis=1) / _SQRT2 for b in bras[r])
-        ops.append((r, [amp[:, :, None] * spin[n] for spin in spins]))
-        branch.append(np.abs(amp) ** 2)
-    return coef**2, np.stack(branch), ops
+        ops[r] = [amp[:, :, None] * spin[n] for spin in spins]
+        branch[r] = np.abs(amp) ** 2
+    return coef**2, branch, ops
 
 
-def _arm(x: np.ndarray, maps) -> dict:
+def _arm(x: np.ndarray, maps) -> tuple:
     """Process the arm whose mode is axis 0 of x, down to its records.
 
-    The three prune rules read the photon-number marginal p of x: a loss
-    count k is kept when its mass Σ_n c[k, n]²·p[n+k] exceeds `_PRUNE`, a
-    syndrome branch when its mass over the kept counts does, and a record
-    when its squared norm does.  Each kept record is one contraction of x
-    with its map from `_arm_maps`.  Returns {(remainder, usd_outcome):
-    array} whose axes are x's remaining axes, then the loss count, then
-    the endpoint spin.  Lost-photon counts are orthogonal environment
+    Two prune rules read the photon-number marginal p of x: a loss count
+    k is kept when its mass Σ_n c[k, n]²·p[n+k] exceeds `_PRUNE`, and a
+    syndrome branch when its mass over the kept counts does.  A kept
+    branch keeps the records of both USD outcomes, however small; each is
+    one contraction of x with its map from `_arm_maps`.
+
+    Returns (records, mass).  records is {(remainder, usd_outcome): array}
+    whose axes are x's remaining axes, then the loss count, then the
+    endpoint spin; mass[r] is the branch mass of remainder r, its
+    syndrome probability.  Lost-photon counts are orthogonal environment
     states, so a record's density is X X† summed over its environment
     axes (`_density`).
     """
@@ -430,25 +328,106 @@ def _arm(x: np.ndarray, maps) -> dict:
     flat = x.reshape(d, -1)
     p = np.einsum("ma,ma->m", flat, flat.conj()).real
     kept = np.flatnonzero(p @ count > _PRUNE)
-    if not kept.size:
-        return {}
     mass = (p @ branch)[:, kept].sum(axis=1)
     records = {}
-    for (r, maps_u), branch_mass in zip(ops, mass):
-        if branch_mass <= _PRUNE:
+    for r, maps_u in enumerate(ops):
+        if mass[r] <= _PRUNE:
             continue
         for u, w in enumerate(maps_u):
-            rec = (flat.T @ w[:, kept].reshape(d, -1)).reshape(x.shape[1:] + (kept.size, 2))
-            if float(np.vdot(rec, rec).real) > _PRUNE:
-                records[(r, u)] = rec
-    return records
+            rec = flat.T @ w[:, kept].reshape(d, -1)
+            records[(r, u)] = rec.reshape(x.shape[1:] + (kept.size, 2))
+    return records, mass
 
 
-def _density(chi: np.ndarray) -> np.ndarray:
-    """4×4 endpoint-pair density of a (k1, spin1, k2, spin2) record, traced
-    over its loss counts."""
-    flat = chi.transpose(0, 2, 1, 3).reshape(-1, 4)
+def _density(chi: np.ndarray, axes: tuple) -> np.ndarray:
+    """4×4 spin-pair density of a record whose axes, put in `axes` order,
+    are its environment axes and then the two spins; traced over the
+    environment."""
+    flat = chi.transpose(axes).reshape(-1, 4)
     return flat.T @ flat.conj()
+
+
+# ---------------------------------------------------------------------------
+# one elementary unit
+
+
+@dataclass(frozen=True)
+class UnitReport:
+    """Everything the oracle measures about one elementary unit.
+
+    weights reconstructs the 2M loss-class distribution operationally:
+    index r < M carries the syndrome-r probability times the conditional
+    plus-Bell weight, index r+M the minus-Bell remainder.  spin_states
+    holds the conditional receiver-sender spin density after a
+    successful "codeword 0" identification, one per remainder; it is None
+    for a remainder whose syndrome probability is at most 1e-20 (`_PRUNE`),
+    which keeps no record, and that remainder's weights, plus weight and
+    success are 0.
+    """
+
+    m: int
+    alpha: float
+    eta: float
+    f0_oracle: float
+    weights: np.ndarray
+    syndrome_probs: np.ndarray
+    plus_weight: np.ndarray
+    usd_success: np.ndarray
+    p_success_weighted: float
+    spin_states: tuple
+    thetas: np.ndarray
+
+
+def simulate_unit(spec: CatCodeSpec) -> UnitReport:
+    """One arm of the unit, read off its records.
+
+    The sender's spin-codeword arm goes through `_arm`: loss, the syndrome
+    cascade, the receiver spin attached through its hcrot at π/M, and
+    discrimination.  The syndrome probability of remainder r is its
+    branch mass.  Record (r, u), put in (loss count, receiver, sender)
+    order and traced over the count, is the unnormalized spin block of
+    USD outcome u in branch r; the u = 0 block is read in the Bell frame
+    at θ = rπ/M.  All states stay at the cutoff of the undamped primitive.
+    """
+    flip, v0, bras = _record_setup(spec)
+    records, syn = _arm(v0.T, _arm_maps(spec, flip, bras))
+    big_m = spec.order
+    weights = np.zeros(2 * big_m)
+    plus = np.zeros(big_m)
+    succ = np.zeros(big_m)
+    states: list = [None] * big_m
+    thetas = np.array([r * math.pi / big_m for r in range(big_m)])
+    for r in range(big_m):
+        if (r, 0) not in records:
+            continue
+        block0, block1 = (_density(records[(r, u)], (1, 2, 0)) for u in (0, 1))
+        p0, p1 = float(np.trace(block0).real), float(np.trace(block1).real)
+        rho0 = block0 / p0
+        bells = bell_vectors(thetas[r])
+        f_plus = float(np.real(np.vdot(bells["phi_plus"], rho0 @ bells["phi_plus"])))
+        f_minus = float(np.real(np.vdot(bells["phi_minus"], rho0 @ bells["phi_minus"])))
+        plus[r] = f_plus
+        succ[r] = (p0 + p1) / syn[r]
+        weights[r] = syn[r] * f_plus
+        weights[r + big_m] = syn[r] * f_minus
+        states[r] = rho0
+    return UnitReport(
+        m=spec.m,
+        alpha=spec.alpha,
+        eta=spec.eta,
+        f0_oracle=float(weights[:big_m].sum()),
+        weights=weights,
+        syndrome_probs=syn,
+        plus_weight=plus,
+        usd_success=succ,
+        p_success_weighted=float(np.dot(syn, succ)),
+        spin_states=tuple(states),
+        thetas=thetas,
+    )
+
+
+# ---------------------------------------------------------------------------
+# measurement-ordering equivalence
 
 
 def bell_order_equivalence(m: int, alpha: float, eta: float, return_records: bool = False):
@@ -465,14 +444,16 @@ def bell_order_equivalence(m: int, alpha: float, eta: float, return_records: boo
     bells = {lbl: vec.reshape(2, 2) for lbl, vec in bell_vectors(0.0).items()}
     flip, v0, bras = _record_setup(spec)
     maps = _arm_maps(spec, flip, bras)
+    pair_axes = (0, 2, 1, 3)  # (k1, spin1, k2, spin2) -> (k1, k2, spin1, spin2)
     # Bell-last: process each arm on its own, then project the ES pair.
-    arm = _arm(v0.T, maps)  # (ES spin, k, endpoint)
+    arm, _mass = _arm(v0.T, maps)  # (ES spin, k, endpoint)
     # Each pair of arm records meets the Bell bra in two matrix products.
     rec_after = {
         (lbl, *key1, *key2): _density(
             (y1.reshape(2, -1).T @ bvec.conj() @ y2.reshape(2, -1)).reshape(
                 y1.shape[1:] + y2.shape[1:]
-            )
+            ),
+            pair_axes,
         )
         for lbl, bvec in bells.items()
         for key1, y1 in arm.items()
@@ -481,20 +462,24 @@ def bell_order_equivalence(m: int, alpha: float, eta: float, return_records: boo
     # Bell-first: project the ES pair, then process the left and right modes.
     rec_before = {}
     for lbl, bvec in bells.items():
-        modes = v0.T @ bvec.conj() @ v0
-        for key1, left in _arm(modes, maps).items():
-            for key2, chi in _arm(left, maps).items():
-                rec_before[(lbl, *key1, *key2)] = _density(chi)
-    worst = 0.0
+        lefts, _mass = _arm(v0.T @ bvec.conj() @ v0, maps)
+        for key1, left in lefts.items():
+            for key2, chi in _arm(left, maps)[0].items():
+                rec_before[(lbl, *key1, *key2)] = _density(chi, pair_axes)
     records = {}
     for key in set(rec_after) | set(rec_before):
-        ra = rec_before.get(key)
-        rb = rec_after.get(key)
+        ra, rb = rec_before.get(key), rec_after.get(key)
         pa = float(np.trace(ra).real) if ra is not None else 0.0
         pb = float(np.trace(rb).real) if rb is not None else 0.0
-        if max(pa, pb) < 1e-12:
-            continue
-        dist = 1.0 if min(pa, pb) < 1e-12 else trace_distance(ra / pa, rb / pb)
-        worst = max(worst, dist, abs(pa - pb))
-        records[key] = (pa, pb, ra, rb)
+        if max(pa, pb) >= 1e-12:
+            records[key] = (pa, pb, ra, rb)
+    # a record only one ordering produces is as far apart as two states get
+    worst = max(
+        (1.0 if min(pa, pb) < 1e-12 else abs(pa - pb) for pa, pb, _ra, _rb in records.values()),
+        default=0.0,
+    )
+    both = [(ra / pa, rb / pb) for pa, pb, ra, rb in records.values() if min(pa, pb) >= 1e-12]
+    if both:
+        before, after = (np.stack(side) for side in zip(*both))
+        worst = max(worst, float(trace_distance(before, after).max()))
     return (worst, records) if return_records else worst

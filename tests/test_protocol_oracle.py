@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -7,32 +9,29 @@ from catrep import fockspace, protocol_oracle
 from catrep.catcode import CatCodeSpec, codeword, damped_codeword, error_space_state, loss_weights
 from catrep.fockspace import (
     FockVector,
+    HybridDensity,
     TruncationPolicy,
-    add_spin,
     annihilate,
     coherent_state,
-    hcrot,
     hybrid_from_vector,
     kraus_op,
-    lose,
-    measure_spin,
     pure_state_fidelity,
     rotation_apply,
 )
 from catrep.protocol_oracle import (
     _PRUNE,
     _cascade,
+    _damped_pair,
     _record_setup,
     _step_angle,
     _step_basis_phase,
+    _usd_bras,
     bell_order_equivalence,
     bell_vectors,
-    create_entanglement,
     prepare_code_state,
     simulate_unit,
     syndrome_cascade,
     syndrome_deviation,
-    transmit,
 )
 from catrep.usd import optimal_usd_probability
 
@@ -62,6 +61,59 @@ def injected_error_state(m, alpha, eta, q, n_max):
     return hybrid_from_vector(1, n_max, joint)
 
 
+# ---------------------------------------------------------------------------
+# the density route: the independent reference for the record engine
+
+
+@functools.lru_cache(maxsize=4)
+def kraus_ops(eta, n_max):
+    """Every loss Kraus operator Â_0, …, Â_{n_max} of `kraus_op`."""
+    return tuple(kraus_op(k, eta, n_max) for k in range(n_max + 1))
+
+
+def transmit(s, eta):
+    """Loss on the mode factor of a hybrid density: Σ_k Â_k ρ Â_k† over
+    every k of `kraus_op`, with no early stop."""
+    eye = np.eye(2**s.spins)
+    rho = sum(a @ s.matrix @ a.conj().T for a in (np.kron(eye, op) for op in kraus_ops(eta, s.n_max)))
+    return HybridDensity(s.spins, s.n_max, rho, validate=False)
+
+
+def cascade_step(s, phi, basis):
+    """One cascade step as an experiment runs it on a hybrid density: adjoin
+    an ancilla spin in |+⟩ after the others, apply the hybrid controlled
+    rotation |↑⟩⟨↑|⊗𝟙 + |↓⟩⟨↓|⊗e^{iφn̂} with it as control, and project it
+    on each vector of the explicit basis.  Returns the unnormalized post
+    densities, ancilla removed, in basis order."""
+    ns, d = 2**s.spins, s.mode_dim
+    t = np.einsum("ab,imjn->iamjbn", np.full((2, 2), 0.5), s.matrix.reshape(ns, d, ns, d))
+    rot = np.stack([np.ones(d), np.exp(1j * phi * np.arange(d))])  # (ancilla, mode) diagonal
+    t = rot[None, :, :, None, None, None] * t * rot.conj()[None, None, None, None, :, :]
+    posts = (np.einsum("a,b,iamjbn->imjn", b.conj(), b, t).reshape(s.dim, s.dim) for b in basis)
+    return [HybridDensity(s.spins, s.n_max, x, validate=False) for x in posts]
+
+
+def density_unit(spec):
+    """The unit the density way: the prepared spin-codeword density through
+    `transmit` and `syndrome_cascade`, the receiver spin attached in the
+    mode's place (x → (x, e^{iπn̂/M}x)/√2, its hcrot at π/M on |+⟩), then
+    the discrimination bras of each remainder.
+
+    Returns {remainder: (probability, [unnormalized 4×4 (receiver, sender)
+    block of USD outcome u = 0, u = 1])}."""
+    prim = coherent_state(spec.alpha)
+    d = prim.dim
+    attach = np.stack([np.ones(d), np.exp(1j * math.pi / spec.order * np.arange(d))]) / SQRT2
+    pair = _damped_pair(spec, prim.n_max)
+    trans = transmit(prepare_code_state(spec.m, prim), spec.eta)
+    out = {}
+    for r, prob, post in syndrome_cascade(trans, spec.m):
+        t = prob * post.matrix.reshape(2, d, 2, d)
+        ent = np.einsum("am,smtn,bn->asmbtn", attach, t, attach.conj()).reshape(4, d, 4, d)
+        out[r] = (prob, [b.conj() @ (ent @ b) for b in _usd_bras(pair, r)])
+    return out
+
+
 def test_prepare_matches_direct_construction():
     for m in (1, 2, 3):
         prim = coherent_state(1.0)
@@ -74,12 +126,11 @@ def test_prepare_first_step_minus_branch_structure():
     # the rejected branch of the first cascade step carries the
     # complementary superposition of the primitive and its pi rotation
     prim = coherent_state(1.1)
-    psi = np.kron(np.array([1.0, 1.0]) / SQRT2, prim.amps)
-    s = hcrot(math.pi, hybrid_from_vector(1, prim.n_max, psi))
-    branches = {lbl: post for lbl, _p, post in measure_spin(s, 0, basis="x")}
+    x_basis = (np.array([1.0, 1.0]) / SQRT2, np.array([1.0, -1.0]) / SQRT2)
+    _plus, minus = cascade_step(hybrid_from_vector(0, prim.n_max, prim.amps), math.pi, x_basis)
     minus_mode = prim.amps - rotation_apply(math.pi, prim).amps
     minus_mode = minus_mode / np.linalg.norm(minus_mode)
-    assert abs(pure_state_fidelity(branches["-"].matrix, minus_mode) - 1.0) < 1e-12
+    assert abs(pure_state_fidelity(minus.matrix, minus_mode) / minus.trace() - 1.0) < 1e-12
 
 
 def test_prepare_branches_partition():
@@ -103,7 +154,7 @@ def test_prepare_branches_partition():
 def test_transmit_identity_and_rank():
     prim = coherent_state(1.0)
     prep = prepare_code_state(2, prim)
-    assert transmit(prep, 1.0) is prep
+    assert np.max(np.abs(transmit(prep, 1.0).matrix - prep.matrix)) == 0.0
     out = transmit(prep, 0.8)
     assert abs(out.trace() - 1.0) < 1e-9
     evals = np.linalg.eigvalsh(out.matrix)
@@ -153,22 +204,23 @@ def test_syndrome_exactness_pure_errors(variant):
 
 
 def operational_cascade(s, m, variant):
-    """The cascade as an experiment runs it: add_spin, hcrot, measure_spin.
+    """The cascade as an experiment runs it, one `cascade_step` per step.
 
-    Returns {class: unnormalized post density}.
+    Returns {class: unnormalized post density}, without the branches whose
+    trace is at most 1e-14 of their parent's.
     """
-    branches = [(0, 1.0, s)]
+    branches = [(0, s)]
     for step in range(1, m + 1):
         nxt = []
-        for c, prob, st in branches:
+        for c, st in branches:
             z = _step_basis_phase(step, c, variant)
-            anc = st.spins
-            grown = hcrot(_step_angle(step, variant), add_spin(st, (1.0, 1.0)), spin_index=anc)
             basis = (np.array([1.0, z]) / SQRT2, np.array([1.0, -z]) / SQRT2)
-            for lbl, p, post in measure_spin(grown, anc, basis=basis, labels=("+", "-")):
-                nxt.append((c if lbl == "+" else c + 2 ** (step - 1), prob * p, post))
+            posts = cascade_step(st, _step_angle(step, variant), basis)
+            for c2, post in zip((c, c + 2 ** (step - 1)), posts):
+                if post.trace() > 1e-14 * st.trace():
+                    nxt.append((c2, post))
         branches = nxt
-    return {c: prob * st.matrix for c, prob, st in branches}
+    return {c: st.matrix for c, st in branches}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -219,24 +271,6 @@ def test_pi_minus_phi_variant_observationally_identical():
         assert r1 == r2
         assert abs(p1 - p2) < 1e-12
         assert np.max(np.abs(s1.matrix - s2.matrix)) < 1e-10
-
-
-def test_create_entanglement_lossless_structure():
-    m, alpha = 1, 1.1
-    prim = coherent_state(alpha)
-    prep = prepare_code_state(m, prim)
-    branches = syndrome_cascade(prep, m)
-    assert len(branches) == 1 and branches[0][0] == 0
-    ent, info = create_entanglement(branches[0][2], m, known_q=0)
-    spec = CatCodeSpec(m, alpha)
-    cw0, cw1 = codeword(spec, 0), codeword(spec, 1)
-    bells = info["bell"]
-    target = (
-        np.kron(bells["phi_plus"], cw0.amps) + np.kron(bells["psi_plus"], cw1.amps)
-    ) / SQRT2
-    assert pure_state_fidelity(ent.matrix, target) > 1.0 - 1e-12
-    with pytest.raises(ValueError):
-        create_entanglement(branches[0][2], m, known_q=2)
 
 
 def test_simulate_unit_lossless():
@@ -329,13 +363,14 @@ def test_bell_order_equivalence_m2():
 @pytest.mark.parametrize("m,alpha,eta", [(1, 1.0, 0.9), (2, 1.0, 0.9), (1, 2.0, 0.99)])
 def test_bell_order_records_match_density_engine(m, alpha, eta):
     # Both orderings share one arm kernel, so a fault in it cancels out of
-    # bell_order_equivalence; tie the records to simulate_unit instead.
+    # bell_order_equivalence; tie the records to the density route instead.
     # Summed over Bell labels and USD outcomes, the records of remainders
     # (r1, r2) carry each arm's syndrome probability times its success.
-    report = simulate_unit(CatCodeSpec(m, alpha, eta))
     _d, records = bell_order_equivalence(m, alpha, eta, return_records=True)
-    arm = report.syndrome_probs * report.usd_success
     big_m = 2**m
+    arm = np.zeros(big_m)
+    for r, (_prob, blocks) in density_unit(CatCodeSpec(m, alpha, eta)).items():
+        arm[r] = sum(np.trace(b).real for b in blocks)
     pa = np.zeros((big_m, big_m))
     pb = np.zeros((big_m, big_m))
     for (_lbl, r1, _u1, r2, _u2), (p_before, p_after, _ra, _rb) in records.items():
@@ -347,13 +382,15 @@ def test_bell_order_records_match_density_engine(m, alpha, eta):
 
 
 def state_first_arm(x, axis, spec, flip, bras):
-    """Reference arm: every loss term from `fockspace.lose`, stacked on a
+    """Reference arm: every loss term Â_k x from `kraus_op`, stacked on a
     leading environment axis, then the syndrome cascade on the stacked
     state, then the endpoint spin and the bras of each remainder.
 
     Returns {(remainder, usd_outcome): array} with the loss count first and
     the endpoint spin in the mode's place."""
-    kept = [w for w in lose(x, spec.eta, (axis,)) if float(np.vdot(w, w).real) > _PRUNE]
+    ops = kraus_ops(spec.eta, x.shape[axis] - 1)
+    terms = (np.moveaxis(np.tensordot(a, x, axes=(1, axis)), 0, axis) for a in ops)
+    kept = [w for w in terms if float(np.vdot(w, w).real) > _PRUNE]
     if not kept:
         return {}
     axis += 1
@@ -440,8 +477,8 @@ def test_bras_match_codeword_route(m, alpha, eta):
 
 def test_oracle_work_counts(monkeypatch):
     # One set of per-record arm operators per call, built from one loss
-    # table and never from term-by-term loss, and a pure syndrome check
-    # that never forms a density.
+    # table and never from the dense Kraus operators, no density formed by
+    # simulate_unit, and a pure syndrome check that never forms one either.
     gammaln_calls = []
     gammaln = fockspace.gammaln
 
@@ -456,17 +493,8 @@ def test_oracle_work_counts(monkeypatch):
         builds.append(1)
         return arm_maps(*args)
 
-    def no_lose(*_args):
-        raise AssertionError("the measurement-order check applied loss term by term")
-
-    monkeypatch.setattr(fockspace, "gammaln", counting_gammaln)
-    monkeypatch.setattr(protocol_oracle, "_arm_maps", counting_arm_maps)
-    # under either name the oracle could reach it
-    monkeypatch.setattr(fockspace, "lose", no_lose)
-    monkeypatch.setattr(protocol_oracle, "lose", no_lose, raising=False)
-    bell_order_equivalence(1, 1.0, 0.9)
-    assert 0 < len(gammaln_calls) < 200
-    assert builds == [1]
+    def no_kraus_op(*_args):
+        raise AssertionError("the oracle built a dense Kraus operator")
 
     densities = []
     post_init = fockspace.HybridDensity.__post_init__
@@ -475,6 +503,56 @@ def test_oracle_work_counts(monkeypatch):
         densities.append(1)
         post_init(self)
 
+    monkeypatch.setattr(fockspace, "gammaln", counting_gammaln)
+    monkeypatch.setattr(protocol_oracle, "_arm_maps", counting_arm_maps)
+    # under either name the oracle could reach it
+    monkeypatch.setattr(fockspace, "kraus_op", no_kraus_op)
+    monkeypatch.setattr(protocol_oracle, "kraus_op", no_kraus_op, raising=False)
     monkeypatch.setattr(fockspace.HybridDensity, "__post_init__", counting_post_init)
+    bell_order_equivalence(1, 1.0, 0.9)
+    assert 0 < len(gammaln_calls) < 200
+    assert builds == [1]
+
+    builds.clear()
+    simulate_unit(CatCodeSpec(2, 1.5, 0.9))
+    assert builds == [1]
     assert syndrome_deviation(2, 1.5, 0.9) < 1e-12
     assert densities == []
+
+
+# The grid of the acceptance suite's engine-agreement test.
+_ACCEPTANCE_GRID = list(itertools.product((1, 2, 3), (0.5, 1.0, 2.0), (0.9, 0.99, 0.999)))
+_SWEEP_GRID = [
+    (m, alpha, eta)
+    for m, alpha, eta in itertools.product((1, 2, 3), (0.5, 2.5, 5.0), _SWEEP_ETAS)
+    if not (m == 3 and (alpha, eta) in _FOCK_DEGENERATE)
+]
+
+
+@pytest.mark.parametrize("m,alpha,eta", _ACCEPTANCE_GRID + _SWEEP_GRID)
+def test_simulate_unit_matches_density_reference(m, alpha, eta):
+    # The records of one arm against the density route, remainder by
+    # remainder.  The report holds the u = 0 block normalized, so it is
+    # compared weighted by its syndrome probability.  A remainder the
+    # density cascade drops (relative mass under 1e-14) counts as zero.
+    report = simulate_unit(CatCodeSpec(m, alpha, eta))
+    want = density_unit(CatCodeSpec(m, alpha, eta))
+    for r in range(2**m):
+        prob, blocks = want.get(r, (0.0, [np.zeros((4, 4))] * 2))
+        success = sum(np.trace(b).real for b in blocks)
+        block0 = blocks[0] / np.trace(blocks[0]).real if prob else blocks[0]
+        state = report.spin_states[r] if report.spin_states[r] is not None else np.zeros((4, 4))
+        assert abs(report.syndrome_probs[r] - prob) < 1e-12
+        assert abs(report.syndrome_probs[r] * report.usd_success[r] - success) < 1e-12
+        assert np.max(np.abs(report.syndrome_probs[r] * state - prob * block0)) < 1e-12
+
+
+@pytest.mark.parametrize("m,alpha,eta", [(3, 0.5, 0.9), (3, 5.0, _SWEEP_ETAS[0])])
+def test_syndrome_probabilities_are_relatively_accurate(m, alpha, eta):
+    # Every remainder's probability, however rare, is the mass of its two
+    # loss classes, p_r + p_{r+M}, to 1e-13 relative.
+    spec = CatCodeSpec(m, alpha, eta)
+    p = loss_weights(spec).p
+    want = p[: spec.order] + p[spec.order :]
+    report = simulate_unit(spec)
+    assert np.all(np.abs(report.syndrome_probs - want) <= 1e-13 * want)

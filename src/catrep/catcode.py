@@ -21,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockspace import (
-    DEFAULT_POLICY,
-    FockVector,
-    TruncationPolicy,
-    annihilate,
-    coherent_state,
-    rotation_apply,
-)
+from .fockspace import FockVector, annihilate, coherent_state, rotation_apply
 
 __all__ = [
     "CatCodeSpec",
@@ -116,12 +109,7 @@ class LossWeights:
         return math.fsum(self.p[: 2 ** self.m])
 
 
-def codeword(
-    spec: CatCodeSpec,
-    logical: int,
-    primitive: FockVector | None = None,
-    policy: TruncationPolicy | None = None,
-) -> FockVector:
+def codeword(spec: CatCodeSpec, logical: int, primitive: FockVector | None = None) -> FockVector:
     """Normalized order-M superposition of rotated primitives.
 
     Logical 0 uses rotation angles 2kπ/M, logical 1 uses (2k+1)π/M.  The
@@ -133,7 +121,7 @@ def codeword(
     if logical not in (0, 1):
         raise ValueError(f"logical label must be 0 or 1, got {logical!r}")
     if primitive is None:
-        primitive = coherent_state(spec.alpha, policy or DEFAULT_POLICY)
+        primitive = coherent_state(spec.alpha)
     big_m = spec.order
     sums = []
     for lbl in (0, 1):
@@ -157,18 +145,12 @@ def codeword(
     return FockVector(amps, primitive.n_max)
 
 
-def damped_codeword(
-    spec: CatCodeSpec, logical: int, policy: TruncationPolicy | None = None
-) -> FockVector:
+def damped_codeword(spec: CatCodeSpec, logical: int) -> FockVector:
     """Codeword built from the transmitted primitive |√η α⟩."""
-    policy = policy or DEFAULT_POLICY
-    primitive = coherent_state(spec.damped_alpha, policy)
-    return codeword(spec, logical, primitive, policy)
+    return codeword(spec, logical, coherent_state(spec.damped_alpha))
 
 
-def error_space_state(
-    spec: CatCodeSpec, logical: int, q: int, policy: TruncationPolicy | None = None
-):
+def error_space_state(spec: CatCodeSpec, logical: int, q: int):
     """Normalized â^q · damped codeword and its pre-normalization squared norm.
 
     q indexes the loss class, 0 ≤ q < M.  Classes q + M carry the same
@@ -177,7 +159,7 @@ def error_space_state(
     """
     if not 0 <= q < spec.order:
         raise ValueError(f"loss class q={q} outside [0, {spec.order})")
-    base = damped_codeword(spec, logical, policy)
+    base = damped_codeword(spec, logical)
     dropped = annihilate(base, q)
     norm_sq = dropped.norm() ** 2
     if norm_sq < 1e-250:

@@ -28,7 +28,6 @@ import math
 import sys
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .catcode import CatCodeSpec, loss_weights
@@ -137,6 +136,8 @@ def load_config(path: str | None) -> dict:
     """Defaults overlaid with the YAML file at ``path`` (if any)."""
     if path is None:
         return _merge(DEFAULT_CONFIG, {})
+    import yaml  # only a config file needs it; keeps it off the import path
+
     try:
         with open(path) as fh:
             loaded = yaml.safe_load(fh)

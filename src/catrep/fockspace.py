@@ -1,10 +1,10 @@
 """Truncated Fock-space linear algebra for one bosonic mode.
 
 States live on photon numbers 0..n_max as dense complex arrays.  This module
-is the substrate of the brute-force protocol simulation: coherent states,
-phase-space rotations exp(iφn̂), the photon-loss coefficients (`_loss_rows`,
-read by the oracle's per-record arm operators and by the dense reference
-`kraus_op`), and hybrid spin-mode densities.
+is the substrate of the brute-force protocol simulation: coherent states and
+their cutoff rule, phase-space rotations exp(iφn̂), the photon-loss
+coefficients (`_loss_rows`, read by the oracle's per-record arm operators
+and by the dense reference `kraus_op`), and hybrid spin-mode densities.
 
 Conventions
 -----------
@@ -12,8 +12,8 @@ Conventions
 * In a HybridDensity the spin factors come first, left to right in
   declaration order, and the mode factor is always last.  Flattened
   indices are row-major over that axis order.
-* All factorials run through log-gamma, so amplitudes stay finite for
-  cutoffs up to several hundred photons.
+* All factorials run through libm's log-gamma (`math.lgamma`), so
+  amplitudes stay finite for cutoffs up to the hard limit.
 """
 
 from __future__ import annotations
@@ -21,16 +21,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "TruncationError",
-    "TruncationPolicy",
     "FockVector",
-    "FockDensity",
     "HybridDensity",
     "coherent_state",
     "rotation_apply",
@@ -39,49 +35,44 @@ __all__ = [
     "hybrid_from_vector",
     "apply_mode_operator",
     "trace_distance",
-    "pure_state_fidelity",
 ]
 
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-9
 _EIG_FLOOR = -1e-9
-_ZERO_BRANCH = 1e-14
 # Largest trace mass a coherent state may leave beyond its cutoff.
 _TAIL_TOL = 1e-12
+# Largest cutoff a state may ask for.
+_HARD_LIMIT = 2048
 
 
 class TruncationError(Exception):
     """A state cannot be represented below the tail tolerance."""
 
 
-def _default_n_max(alpha: complex) -> int:
-    a = abs(alpha)
-    return math.ceil(a * a + 8.0 * a + 20.0)
+def _cutoff(alpha: complex) -> int:
+    """Cutoff n_max(α) = ⌈|α|² + 8|α| + 20⌉ of the coherent state |α⟩.
 
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Cutoff rule for named physical states.
-
-    The default rule n_max(α) = ⌈|α|² + 8|α| + 20⌉ keeps the neglected
-    Poisson tail of every coherent component below ~1e-12 across the sweep
-    ranges used elsewhere in the package.
+    Keeps the neglected Poisson tail below ~1e-12 across the sweep ranges
+    used elsewhere in the package.  A non-finite amplitude raises
+    ValueError, a cutoff over the hard limit TruncationError.
     """
+    a = abs(alpha)
+    if not math.isfinite(a):
+        raise ValueError(f"amplitude alpha={alpha!r} is not finite")
+    rule = a * a + 8.0 * a + 20.0  # inf past |α| ≈ 1.3e154
+    n_max = math.ceil(rule) if rule < math.inf else rule
+    if n_max > _HARD_LIMIT:
+        raise TruncationError(
+            f"cutoff n_max={n_max} for |alpha|={a:.4g} exceeds the "
+            f"hard limit {_HARD_LIMIT}; refusing to allocate"
+        )
+    return n_max
 
-    n_max_rule: Callable[[complex], int] = _default_n_max
-    hard_limit: int = 2048
 
-    def n_max_for(self, alpha: complex) -> int:
-        n_max = int(self.n_max_rule(alpha))
-        if n_max > self.hard_limit:
-            raise TruncationError(
-                f"cutoff n_max={n_max} for |alpha|={abs(alpha):.4g} exceeds the "
-                f"hard limit {self.hard_limit}; refusing to allocate"
-            )
-        return n_max
-
-
-DEFAULT_POLICY = TruncationPolicy()
+def _log_factorials(dim: int) -> np.ndarray:
+    """log n! for n = 0..dim − 1, from libm's lgamma."""
+    return np.fromiter(map(math.lgamma, range(1, dim + 1)), float, dim)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -112,11 +103,6 @@ class FockVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def overlap(self, other: "FockVector") -> complex:
-        """⟨self|other⟩.  Shorter vectors are zero-padded."""
-        n = min(self.dim, other.dim)
-        return complex(np.vdot(self.amps[:n], other.amps[:n]))
-
     def normalized(self) -> "FockVector":
         n = self.norm()
         if n < 1e-150:
@@ -129,46 +115,6 @@ class FockVector:
         amps = np.zeros(n_max + 1, dtype=complex)
         amps[: self.dim] = self.amps
         return FockVector(amps, n_max)
-
-    def density(self) -> "FockDensity":
-        return FockDensity(np.outer(self.amps, self.amps.conj()), self.n_max)
-
-
-def _check_density(matrix: np.ndarray, what: str) -> None:
-    herm = np.max(np.abs(matrix - matrix.conj().T))
-    if herm > _HERMITICITY_TOL:
-        raise ValueError(f"{what}: matrix deviates from Hermitian by {herm:.3e}")
-    tr = np.trace(matrix)
-    if abs(tr.imag) > _TRACE_TOL or not -_TRACE_TOL <= tr.real <= 1.0 + _TRACE_TOL:
-        raise ValueError(f"{what}: trace {tr} outside [0, 1]")
-    w = np.linalg.eigvalsh(matrix)
-    if w[0] < _EIG_FLOOR:
-        raise ValueError(f"{what}: negative eigenvalue {w[0]:.3e}")
-
-
-@dataclass(frozen=True)
-class FockDensity:
-    """Mixed single-mode state as a dense (n_max+1)² matrix."""
-
-    matrix: np.ndarray
-    n_max: int
-    validate: bool = True
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=complex)
-        dim = self.n_max + 1
-        if matrix.shape != (dim, dim):
-            raise ValueError(f"matrix shape {matrix.shape} does not match n_max={self.n_max}")
-        if self.validate:
-            _check_density(matrix, "FockDensity")
-        object.__setattr__(self, "matrix", _freeze(matrix))
-
-    @property
-    def dim(self) -> int:
-        return self.n_max + 1
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
 
 
 @dataclass(frozen=True)
@@ -192,7 +138,15 @@ class HybridDensity:
                 f"matrix shape {matrix.shape} does not match spins={self.spins}, n_max={self.n_max}"
             )
         if self.validate:
-            _check_density(matrix, "HybridDensity")
+            herm = np.max(np.abs(matrix - matrix.conj().T))
+            if herm > _HERMITICITY_TOL:
+                raise ValueError(f"HybridDensity: matrix deviates from Hermitian by {herm:.3e}")
+            tr = np.trace(matrix)
+            if abs(tr.imag) > _TRACE_TOL or not -_TRACE_TOL <= tr.real <= 1.0 + _TRACE_TOL:
+                raise ValueError(f"HybridDensity: trace {tr} outside [0, 1]")
+            w = np.linalg.eigvalsh(matrix)
+            if w[0] < _EIG_FLOOR:
+                raise ValueError(f"HybridDensity: negative eigenvalue {w[0]:.3e}")
         object.__setattr__(self, "matrix", _freeze(matrix))
 
     @property
@@ -206,40 +160,26 @@ class HybridDensity:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def purity(self) -> float:
-        return float(np.real(np.einsum("ij,ji->", self.matrix, self.matrix)))
-
-    def mode_density(self) -> FockDensity:
-        t = self.matrix.reshape(2 ** self.spins, self.mode_dim, 2 ** self.spins, self.mode_dim)
-        rho = np.einsum("anam->nm", t)
-        return FockDensity(rho, self.n_max, validate=False)
-
-    def spin_density(self) -> np.ndarray:
-        """Partial trace over the mode; a 2**spins square matrix."""
-        t = self.matrix.reshape(2 ** self.spins, self.mode_dim, 2 ** self.spins, self.mode_dim)
-        return np.einsum("anbn->ab", t)
-
 
 # ---------------------------------------------------------------------------
 # states and single-mode operators
 
 
-def coherent_state(alpha: complex, policy: TruncationPolicy | None = None) -> FockVector:
+def coherent_state(alpha: complex) -> FockVector:
     """Coherent state |α⟩ with amps[n] = exp(−|α|²/2) αⁿ/√(n!).
 
     Magnitudes are accumulated in log domain.  Raises TruncationError if the
-    tail mass beyond the cutoff exceeds 1e-12, which for the default cutoff
-    rule does not happen below the hard limit.
+    tail mass beyond the cutoff `_cutoff(alpha)` exceeds 1e-12, which does
+    not happen below the hard limit.
     """
-    policy = policy or DEFAULT_POLICY
-    n_max = policy.n_max_for(alpha)
+    n_max = _cutoff(alpha)
     a = abs(alpha)
     if a == 0.0:
         amps = np.zeros(n_max + 1, dtype=complex)
         amps[0] = 1.0
         return FockVector(amps, n_max)
     n = np.arange(n_max + 1)
-    log_mag = -0.5 * a * a + n * math.log(a) - 0.5 * gammaln(n + 1.0)
+    log_mag = -0.5 * a * a + n * math.log(a) - 0.5 * _log_factorials(n_max + 1)
     amps = np.exp(log_mag + 1j * n * np.angle(alpha))
     v = FockVector(amps, n_max)
     tail = abs(1.0 - v.norm() ** 2)
@@ -289,7 +229,7 @@ def _loss_rows(eta: float, dim: int):
             yield np.zeros(dim - k)
         return
     n = np.arange(dim)
-    log_fact = gammaln(n + 1.0)
+    log_fact = _log_factorials(dim)
     log_loss, log_eta = math.log1p(-eta), math.log(eta)
     for k in range(dim):
         m = dim - k
@@ -342,8 +282,3 @@ def trace_distance(a: np.ndarray, b: np.ndarray):
     w = np.linalg.eigvalsh(np.asarray(a) - np.asarray(b))
     return 0.5 * np.abs(w).sum(axis=-1)
 
-
-def pure_state_fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
-    """⟨ψ|ρ|ψ⟩ for a normalized pure target."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    return float(np.real(np.vdot(psi, np.asarray(rho) @ psi)))

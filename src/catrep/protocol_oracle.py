@@ -174,8 +174,8 @@ def prepare_code_state(m: int, primitive: FockVector) -> HybridDensity:
 def _damped_pair(spec: CatCodeSpec, n_max: int = 0) -> list:
     """Codeword pair of the damped primitive |√η α⟩, zero-padded up to n_max.
 
-    Padding is sound: beyond the primitive's own cutoff the truncation
-    policy already bounds its tail mass below 1e-12.
+    Padding is sound: beyond the primitive's own cutoff its tail mass is
+    already below 1e-12 (`coherent_state`).
     """
     prim = coherent_state(spec.damped_alpha)
     prim = prim.padded(max(n_max, prim.n_max))

@@ -183,7 +183,7 @@ def test_damped_overlap_matches_gaussian_sum():
         n0 = sum(gauss(a, b) for a in zeros for b in zeros).real
         n1 = sum(gauss(a, b) for a in ones for b in ones).real
         expected = raw / math.sqrt(n0 * n1)
-        got = damped_codeword(spec, 0).overlap(damped_codeword(spec, 1))
+        got = np.vdot(damped_codeword(spec, 0).amps, damped_codeword(spec, 1).amps)
         assert abs(got - expected) < 1e-12
 
 

@@ -406,6 +406,20 @@ def test_module_entry_point_help():
     assert "sweep" in proc.stdout and "validate" in proc.stdout
 
 
+def test_import_path_leaves_out_scipy_and_yaml():
+    # A run without --config never loads YAML, and no module loads scipy.
+    code = (
+        "import sys, catrep.cli as c; c.load_config(None); c.build_parser(); "
+        "print(sorted(m for m in ('scipy', 'yaml') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_pyproject_takes_version_from_package():
     tomllib = pytest.importorskip("tomllib")
     import catrep

@@ -10,12 +10,10 @@ from catrep.catcode import CatCodeSpec, codeword, damped_codeword, error_space_s
 from catrep.fockspace import (
     FockVector,
     HybridDensity,
-    TruncationPolicy,
     annihilate,
     coherent_state,
     hybrid_from_vector,
     kraus_op,
-    pure_state_fidelity,
     rotation_apply,
 )
 from catrep.protocol_oracle import (
@@ -38,16 +36,12 @@ from catrep.usd import optimal_usd_probability
 SQRT2 = math.sqrt(2.0)
 
 
-def forced_policy(n_max):
-    return TruncationPolicy(n_max_rule=lambda _a: n_max, hard_limit=max(2048, n_max + 1))
-
-
 def eq9_vector(m, alpha, eta=1.0, n_max=None):
+    """The damped spin-codeword vector, zero-padded up to n_max as `_damped_pair` pads it."""
     spec = CatCodeSpec(m, alpha, eta)
-    policy = forced_policy(n_max) if n_max is not None else None
-    cw0 = damped_codeword(spec, 0, policy)
-    cw1 = damped_codeword(spec, 1, policy)
-    return np.concatenate([cw0.amps, cw1.amps]) / SQRT2, cw0.n_max
+    cw0, cw1 = (damped_codeword(spec, lbl) for lbl in (0, 1))
+    n_max = cw0.n_max if n_max is None else n_max
+    return np.concatenate([cw0.padded(n_max).amps, cw1.padded(n_max).amps]) / SQRT2, n_max
 
 
 def injected_error_state(m, alpha, eta, q, n_max):
@@ -119,7 +113,7 @@ def test_prepare_matches_direct_construction():
         prim = coherent_state(1.0)
         prep = prepare_code_state(m, prim)
         target, _ = eq9_vector(m, 1.0, 1.0, prim.n_max)
-        assert pure_state_fidelity(prep.matrix, target) > 1.0 - 1e-10
+        assert np.vdot(target, prep.matrix @ target).real > 1.0 - 1e-10
 
 
 def test_prepare_first_step_minus_branch_structure():
@@ -130,7 +124,8 @@ def test_prepare_first_step_minus_branch_structure():
     _plus, minus = cascade_step(hybrid_from_vector(0, prim.n_max, prim.amps), math.pi, x_basis)
     minus_mode = prim.amps - rotation_apply(math.pi, prim).amps
     minus_mode = minus_mode / np.linalg.norm(minus_mode)
-    assert abs(pure_state_fidelity(minus.matrix, minus_mode) / minus.trace() - 1.0) < 1e-12
+    fid = np.vdot(minus_mode, minus.matrix @ minus_mode).real
+    assert abs(fid / minus.trace() - 1.0) < 1e-12
 
 
 def test_prepare_branches_partition():
@@ -168,8 +163,7 @@ def test_transmit_kraus_component_structure():
     m, alpha, eta = 1, 1.3, 0.7
     spec = CatCodeSpec(m, alpha, eta)
     cw0, cw1 = codeword(spec, 0), codeword(spec, 1)
-    pol = forced_policy(cw0.n_max)
-    dc0, dc1 = damped_codeword(spec, 0, pol), damped_codeword(spec, 1, pol)
+    dc0, dc1 = (damped_codeword(spec, lbl).padded(cw0.n_max) for lbl in (0, 1))
     big_m = spec.order
     for k in (0, 1, 2, 3):
         a = kraus_op(k, eta, cw0.n_max)
@@ -449,10 +443,10 @@ def test_arm_operators_match_state_first_arm(m, alpha, eta):
 
 
 def codeword_route_bras(spec, r, n_max):
-    """Discrimination bras of class r from `catcode.error_space_state`, with
-    the damped codewords built directly at the undamped primitive's cutoff."""
-    psi0 = error_space_state(spec, 0, r, forced_policy(n_max))[0].amps
-    psi1 = error_space_state(spec, 1, r, forced_policy(n_max))[0].amps
+    """Discrimination bras of class r from `catcode.error_space_state`, each
+    state zero-padded up to the undamped primitive's cutoff."""
+    psi0 = error_space_state(spec, 0, r)[0].padded(n_max).amps
+    psi1 = error_space_state(spec, 1, r)[0].padded(n_max).amps
     s_ov = np.vdot(psi0, psi1)
     s_abs = abs(s_ov)
     scale = 1.0 / math.sqrt((1.0 - s_abs * s_abs) * (1.0 + s_abs))
@@ -479,12 +473,12 @@ def test_oracle_work_counts(monkeypatch):
     # One set of per-record arm operators per call, built from one loss
     # table and never from the dense Kraus operators, no density formed by
     # simulate_unit, and a pure syndrome check that never forms one either.
-    gammaln_calls = []
-    gammaln = fockspace.gammaln
+    log_factorial_calls = []
+    log_factorials = fockspace._log_factorials
 
-    def counting_gammaln(*args):
-        gammaln_calls.append(1)
-        return gammaln(*args)
+    def counting_log_factorials(*args):
+        log_factorial_calls.append(1)
+        return log_factorials(*args)
 
     builds = []
     arm_maps = protocol_oracle._arm_maps
@@ -503,14 +497,14 @@ def test_oracle_work_counts(monkeypatch):
         densities.append(1)
         post_init(self)
 
-    monkeypatch.setattr(fockspace, "gammaln", counting_gammaln)
+    monkeypatch.setattr(fockspace, "_log_factorials", counting_log_factorials)
     monkeypatch.setattr(protocol_oracle, "_arm_maps", counting_arm_maps)
     # under either name the oracle could reach it
     monkeypatch.setattr(fockspace, "kraus_op", no_kraus_op)
     monkeypatch.setattr(protocol_oracle, "kraus_op", no_kraus_op, raising=False)
     monkeypatch.setattr(fockspace.HybridDensity, "__post_init__", counting_post_init)
     bell_order_equivalence(1, 1.0, 0.9)
-    assert 0 < len(gammaln_calls) < 200
+    assert 0 < len(log_factorial_calls) < 200
     assert builds == [1]
 
     builds.clear()

@@ -110,7 +110,7 @@ def test_class_overlap_gaussian_matches_fock(m, alpha, eta, q):
     spec = CatCodeSpec(m=m, alpha=alpha, eta=eta)
     f0, _ = error_space_state(spec, 0, q)
     f1, _ = error_space_state(spec, 1, q)
-    assert abs(gauss - f0.overlap(f1)) < 1e-10
+    assert abs(gauss - np.vdot(f0.amps, f1.amps)) < 1e-10
 
 
 def test_m1_overlaps_closed_form():
@@ -128,7 +128,7 @@ def test_optimal_per_q_matches_fock_route():
     p = optimal_usd_probability(spec, q=0, mode="per_q")
     f0, _ = error_space_state(spec, 0, 0)
     f1, _ = error_space_state(spec, 1, 0)
-    assert abs(p - (1 - abs(f0.overlap(f1)))) < 1e-10
+    assert abs(p - (1 - abs(np.vdot(f0.amps, f1.amps)))) < 1e-10
 
 
 def test_optimal_mode_arithmetic():

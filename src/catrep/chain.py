@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catcode import CatCodeSpec, LossWeights, loss_weights
+from .fockspace import _log_factorials
 from .usd import _usd_probability
 
 __all__ = [
@@ -232,7 +233,7 @@ def _distribution(weights: LossWeights, n_e: int, limit: int):
     # nor the powers leave float range; a row that needs an empty group
     # (g_i = 0, t_i > 0) is exactly zero, exp(-inf), so its log-multinomial,
     # which can overflow exp on a long chain, is never exponentiated.
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(n_e + 1)])
+    log_fact = _log_factorials(n_e + 1)
     log_group = np.log(group, out=np.zeros_like(group), where=group > 0)
     log_prob = log_fact[n_e] - log_fact[t].sum(axis=1) + t @ log_group
     prob = np.exp(np.where((t[:, group == 0] > 0).any(axis=1), -np.inf, log_prob))

@@ -17,9 +17,10 @@ experimentally plain success rate.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .catcode import CatCodeSpec, LossWeights, _alpha_squared, _class_series, loss_weights
 
@@ -40,6 +41,8 @@ __all__ = [
 _MODES = ("per_q", "weighted_average", "worst_case")
 _PROBE_STYLES = ("cat", "coherent")
 _NORM_FLOOR = 1e-150
+_EPS = float(np.finfo(float).eps)
+_MAX_ROUNDING = 1e-6  # largest relative rounding bound of a returned click probability
 
 
 @dataclass(frozen=True)
@@ -59,18 +62,13 @@ class CoherentSuperposition:
             raise ValueError("need at least one mode")
         if not self.terms:
             raise ValueError("empty superposition")
-        fixed = []
-        for coeff, amps in self.terms:
-            amps = tuple(complex(a) for a in amps)
+        fixed = tuple((complex(c), tuple(map(complex, amps))) for c, amps in self.terms)
+        for coeff, amps in fixed:
             if len(amps) != self.n_modes:
-                raise ValueError(
-                    f"term has {len(amps)} amplitudes, expected {self.n_modes}"
-                )
-            coeff = complex(coeff)
-            if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
+                raise ValueError(f"term has {len(amps)} amplitudes, expected {self.n_modes}")
+            if not cmath.isfinite(coeff):
                 raise ValueError("non-finite coefficient")
-            fixed.append((coeff, amps))
-        object.__setattr__(self, "terms", tuple(fixed))
+        object.__setattr__(self, "terms", fixed)
 
     def norm(self) -> float:
         return math.sqrt(max(overlap(self, self).real, 0.0))
@@ -79,28 +77,44 @@ class CoherentSuperposition:
         n = self.norm()
         if n < _NORM_FLOOR:
             raise ValueError("cannot normalize a (numerically) zero state")
-        return CoherentSuperposition(
-            tuple((c / n, a) for c, a in self.terms), self.n_modes
-        )
+        return _derived(tuple((c / n, a) for c, a in self.terms), self.n_modes)
 
 
-def _pair_overlap(bra: tuple, ket: tuple) -> complex:
-    # <b|k> = exp(-|b|^2/2 - |k|^2/2 + conj(b) k), one factor per mode.
-    z = 0.0 + 0.0j
-    for b, k in zip(bra, ket):
-        z += -0.5 * abs(b) ** 2 - 0.5 * abs(k) ** 2 + b.conjugate() * k
-    return cmath.exp(z)
+def _derived(terms: tuple, n_modes: int) -> CoherentSuperposition:
+    # A state the operations here build from valid ones skips validation.
+    s = object.__new__(CoherentSuperposition)
+    object.__setattr__(s, "terms", terms)
+    object.__setattr__(s, "n_modes", n_modes)
+    return s
+
+
+def _pair_terms(a: CoherentSuperposition, b: CoherentSuperposition, must_click=()):
+    # Pair terms conj(c_t) c'_t' prod_modes f(x, y), with z = conj(x) y and
+    # f = <x|y> = exp(z - (|x|^2 + |y|^2)/2) on a free mode, or
+    # f = <x|(1 - |0><0|)|y> = <x|y> (-expm1(-z)) on a clicking mode, so no
+    # exponent is positive.  Capping Re(-z) at 700/k on k clicking modes
+    # keeps their product finite; it moves only pairs where a clicking
+    # factor is below 2e^(-700/k).
+    ta = np.array([(c, *x) for c, x in a.terms])
+    tb = ta if b is a else np.array([(c, *x) for c, x in b.terms])
+    xa, xb = ta[:, 1:], tb[:, 1:]
+    gram = xa.conj() @ xb.T
+    sq_a = gram.diagonal().real if b is a else (abs(xa) ** 2).sum(axis=1)
+    sq_b = sq_a if b is a else (abs(xb) ** 2).sum(axis=1)
+    exponent = gram - 0.5 * (sq_a[:, None] + sq_b)
+    terms = ta[:, 0].conj()[:, None] * tb[:, 0]
+    if must_click:
+        w = -(xa[:, must_click].conj()[:, None, :] * xb[:, must_click])
+        np.minimum(w.real, 700.0 / len(must_click), out=w.real)
+        terms = terms * (-np.expm1(w)).prod(axis=-1)
+    return terms * np.exp(exponent)
 
 
 def overlap(a: CoherentSuperposition, b: CoherentSuperposition) -> complex:
     """Exact inner product <a|b>."""
     if a.n_modes != b.n_modes:
         raise ValueError(f"mode count mismatch: {a.n_modes} vs {b.n_modes}")
-    total = 0.0 + 0.0j
-    for ca, amps_a in a.terms:
-        for cb, amps_b in b.terms:
-            total += ca.conjugate() * cb * _pair_overlap(amps_a, amps_b)
-    return total
+    return complex(_pair_terms(a, b).sum())
 
 
 def tensor(*states: CoherentSuperposition) -> CoherentSuperposition:
@@ -114,7 +128,7 @@ def tensor(*states: CoherentSuperposition) -> CoherentSuperposition:
         terms = [
             (c0 * c1, a0 + a1) for c0, a0 in terms for c1, a1 in s.terms
         ]
-    return CoherentSuperposition(tuple(terms), n_modes)
+    return _derived(tuple(terms), n_modes)
 
 
 def beam_splitter(s: CoherentSuperposition, ports) -> CoherentSuperposition:
@@ -134,33 +148,18 @@ def beam_splitter(s: CoherentSuperposition, ports) -> CoherentSuperposition:
     out = []
     for c, amps in s.terms:
         a = list(amps)
-        x, y = a[i], a[j]
-        a[i] = (x + y) * r
-        a[j] = (x - y) * r
+        a[i], a[j] = (a[i] + a[j]) * r, (a[i] - a[j]) * r
         out.append((c, tuple(a)))
-    return CoherentSuperposition(tuple(out), s.n_modes)
-
-
-def _vacuum_projected(s: CoherentSuperposition, modes) -> CoherentSuperposition:
-    # Apply |0><0| on each listed mode: coherent amplitude a contributes
-    # <0|a> = exp(-|a|^2/2) and the mode is left in vacuum.
-    out = []
-    for c, amps in s.terms:
-        a = list(amps)
-        for m in modes:
-            c = c * math.exp(-0.5 * abs(a[m]) ** 2)
-            a[m] = 0.0 + 0.0j
-        out.append((c, tuple(a)))
-    return CoherentSuperposition(tuple(out), s.n_modes)
+    return _derived(tuple(out), s.n_modes)
 
 
 def click_probability(s: CoherentSuperposition, must_click) -> float:
     """Probability that every listed mode yields at least one photon.
 
-    Inclusion-exclusion over vacuum projections:
-    P(all click) = sum_{T subset} (-1)^|T| || Pvac(T) |s> ||^2.
-    Modes not listed are unconstrained (traced over).  ``s`` must be
-    normalized for the result to be a probability.
+    One Gaussian sum over term pairs, each listed mode's factor taken with
+    expm1, so dim signals do not cancel.  Modes not listed are traced over;
+    ``s`` must be normalized.  Raises ``ArithmeticError`` when the sum's
+    rounding bound exceeds 1e-6 of it.
     """
     ports = tuple(must_click)
     if len(set(ports)) != len(ports):
@@ -168,15 +167,14 @@ def click_probability(s: CoherentSuperposition, must_click) -> float:
     for p in ports:
         if not 0 <= p < s.n_modes:
             raise ValueError(f"port {p} out of range for {s.n_modes} modes")
-    total = 0.0
-    for size in range(len(ports) + 1):
-        for subset in itertools.combinations(ports, size):
-            proj = _vacuum_projected(s, subset)
-            total += (-1) ** size * overlap(proj, proj).real
-    # Tiny negatives from cancellation are legitimate zeros.
-    if total < -1e-10:
-        raise ArithmeticError(f"click probability {total} below zero")
-    return min(max(total, 0.0), 1.0)
+    terms = _pair_terms(s, s, ports)
+    total, bound = float(terms.sum().real), _EPS * float(np.abs(terms).sum())
+    if not bound <= _MAX_ROUNDING * total:
+        raise ArithmeticError(
+            f"click probability {total:.6g} not resolved: rounding bound "
+            f"{bound:.3g} exceeds {_MAX_ROUNDING:g} of it"
+        )
+    return min(total, 1.0)
 
 
 def cat_superposition(
@@ -198,11 +196,8 @@ def cat_superposition(
         raise ValueError("losses must be nonnegative")
     big_m = 2**m
     nu = cmath.exp(1j * math.pi / big_m) if logical else 1.0
-    terms = []
-    for k in range(big_m):
-        amp = amplitude * cmath.exp(2j * math.pi * k / big_m) * nu
-        terms.append((amp**losses, (amp,)))
-    return CoherentSuperposition(tuple(terms), 1).normalized()
+    amps = [amplitude * cmath.exp(2j * math.pi * k / big_m) * nu for k in range(big_m)]
+    return CoherentSuperposition(tuple((a**losses, (a,)) for a in amps), 1).normalized()
 
 
 def _class_successes(spec: CatCodeSpec) -> list[float]:
@@ -279,11 +274,8 @@ def _usd_probability(
 
 
 def _probe(amplitude: complex, sign: int, style: str) -> CoherentSuperposition:
-    if style == "coherent":
-        return CoherentSuperposition(((1.0, (amplitude,)),), 1).normalized()
-    return CoherentSuperposition(
-        ((1.0, (amplitude,)), (sign, (-amplitude,))), 1
-    ).normalized()
+    terms = ((1.0, (amplitude,)),) + (((sign, (-amplitude,)),) if style == "cat" else ())
+    return CoherentSuperposition(terms, 1).normalized()
 
 
 def linear_optics_output_states(
@@ -312,11 +304,9 @@ def linear_optics_output_states(
     probe_imag = _probe(1j * half, sign, probe_style)
     outs = []
     for logical in (0, 1):
-        signal = cat_superposition(1, beta, logical, q)
-        state = tensor(signal, vacuum, probe_real, probe_imag)
-        state = beam_splitter(state, (0, 1))
-        state = beam_splitter(state, (0, 2))
-        state = beam_splitter(state, (1, 3))
+        state = tensor(cat_superposition(1, beta, logical, q), vacuum, probe_real, probe_imag)
+        for ports in ((0, 1), (0, 2), (1, 3)):
+            state = beam_splitter(state, ports)
         outs.append(state)
     return tuple(outs)
 
@@ -332,8 +322,11 @@ def linear_optics_usd_probability(
     vice versa), so a conclusive pattern never points at the wrong input.
     """
     out0, out1 = linear_optics_output_states(alpha, eta, q, probe_style)
-    p_cd_given_0 = click_probability(out0, (1, 3))
-    p_ab_given_1 = click_probability(out1, (0, 2))
+    try:
+        p_cd_given_0 = click_probability(out0, (1, 3))
+        p_ab_given_1 = click_probability(out1, (0, 2))
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"circuit at alpha={alpha}, eta={eta}, q={q}: {exc}") from exc
     return 0.5 * (p_cd_given_0 + p_ab_given_1)
 
 
@@ -342,10 +335,13 @@ def linear_optics_closed_form(alpha: float, eta: float = 1.0) -> float:
 
     With x the mean photon number surviving the channel, the no-click
     probabilities of the conclusive ports combine to
-    ``1 - 1/cosh(x/2) + (1 - cos(x/2))/cosh(x)``.
+    ``1 - 1/cosh(x/2) + (1 - cos(x/2))/cosh(x)``, evaluated as
+    ``2 sinh(x/4)^2/cosh(x/2) + 2 sin(x/4)^2/cosh(x)`` in powers of e^-x,
+    so it neither cancels for small x nor overflows for large x.
     """
     x = eta * alpha**2
-    return 1.0 - 1.0 / math.cosh(0.5 * x) + (1.0 - math.cos(0.5 * x)) / math.cosh(x)
+    e = math.exp(-x)
+    return math.expm1(-0.5 * x) ** 2 / (1.0 + e) + 4.0 * math.sin(0.25 * x) ** 2 * e / (1.0 + e * e)
 
 
 def usd_sweep(alphas, q: int = 0, probe_style: str = "cat"):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from catrep import catcode, chain as chain_mod, usd
+from catrep import catcode, chain as chain_mod, fockspace, usd
 from catrep.catcode import CatCodeSpec, loss_weights, segment_fidelity
 from catrep.chain import (
     ATTENUATION_LENGTH_KM,
@@ -236,6 +236,14 @@ def test_distribution_rows_match_mpmath():
             if want > mpmath.mpf("1e-300"):
                 worst = max(worst, float(abs(p - want) / want))
     assert worst < 1e-10
+
+
+def test_distribution_log_factorials_match_lgamma_list():
+    # _distribution takes log k! from fockspace's vector; it is bit-identical
+    # to the list of math.lgamma calls it replaced, so the rows are unchanged.
+    n_e = 10_000
+    want = np.array([math.lgamma(k + 1.0) for k in range(n_e + 1)])
+    assert np.array_equal(fockspace._log_factorials(n_e + 1), want)
 
 
 def test_distribution_empty_group_rows_are_zero():

@@ -164,6 +164,17 @@ def test_keyrate_overflowing_alpha_is_named(capsys):
     assert out == ""
 
 
+def test_usd_unresolved_circuit_is_refused(tmp_path, capsys):
+    # at alpha = 0.01 the q = 1 click sum cannot be told from its rounding
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("usd:\n  q: 1\n")
+    code, out, err = run_cli(capsys, "usd", "--config", str(cfg), "--alpha", "0.01")
+    assert code == 3
+    assert err.startswith("numerical guard: ")
+    assert "alpha=0.01" in err and "q=1" in err and "rounding bound" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("alpha", ["5e-324", "1e-170"])
 def test_keyrate_underflowing_alpha_gives_the_limit(capsys, alpha):
     # eta*alpha^2 underflows to 0: no discrimination success, no key

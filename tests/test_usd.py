@@ -1,10 +1,12 @@
 """Gaussian-route discrimination versus Fock-route and closed forms."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from catrep import usd
 from catrep.catcode import CatCodeSpec, error_space_state, loss_weights
 from catrep.usd import (
     CoherentSuperposition,
@@ -219,3 +221,116 @@ def test_usd_sweep_rows():
         assert abs(p_lin - linear_optics_closed_form(a)) < 1e-9
     # Both approach certainty for a bright signal.
     assert rows[-1][1] > 0.95 and rows[-1][2] > 0.95
+
+
+def mp_circuit(alpha, eta=1.0, q=0, style="cat"):
+    """The circuit's success at 60 digits, built from its definition.
+
+    The signal, vacuum and probes are tensored and sent through the three
+    beam splitters in mpmath; each click probability is inclusion-exclusion
+    over vacuum projections, sum over T of (-1)^|T| ||Pvac(T) s||^2, whose
+    cancellation 60 digits absorb.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        beta = mp.sqrt(mp.mpf(eta)) * mp.mpf(alpha)
+        half = beta / mp.sqrt(2)
+        sign = -1 if q else 1
+
+        def inner(s, t):
+            return mp.fsum(
+                mp.conj(c) * d * mp.exp(mp.fsum(
+                    mp.conj(x) * y - (abs(x) ** 2 + abs(y) ** 2) / 2 for x, y in zip(a, b)
+                ))
+                for c, a in s for d, b in t
+            )
+
+        def normalized(s):
+            n = mp.sqrt(mp.re(inner(s, s)))
+            return [(c / n, a) for c, a in s]
+
+        def probe(amp):
+            return normalized([(1, (amp,))] + ([(sign, (-amp,))] if style == "cat" else []))
+
+        def beam_splitter(s, i, j):
+            out = []
+            for c, a in s:
+                a = list(a)
+                a[i], a[j] = (a[i] + a[j]) / mp.sqrt(2), (a[i] - a[j]) / mp.sqrt(2)
+                out.append((c, tuple(a)))
+            return out
+
+        def click(s, ports):
+            total = mp.mpf(0)
+            for size in range(len(ports) + 1):
+                for subset in itertools.combinations(ports, size):
+                    proj = [
+                        (c * mp.exp(-mp.fsum(abs(a[m]) ** 2 for m in subset) / 2),
+                         tuple(0 if m in subset else x for m, x in enumerate(a)))
+                        for c, a in s
+                    ]
+                    total += (-1) ** size * mp.re(inner(proj, proj))
+            return total
+
+        probes = [(c1 * c2, a1 + a2) for c1, a1 in probe(half) for c2, a2 in probe(1j * half)]
+        success = 0
+        for logical, ports in ((0, (1, 3)), (1, (0, 2))):
+            amps = [beta, -beta] if logical == 0 else [1j * beta, -1j * beta]
+            signal = normalized([(x**q, (x,)) for x in amps])
+            s = [(c * d, a + (0,) + b) for c, a in signal for d, b in probes]
+            for i, j in ((0, 1), (0, 2), (1, 3)):
+                s = beam_splitter(s, i, j)
+            success += click(s, ports) / 2
+        return success
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 3.0])
+def test_circuit_q0_matches_mpmath_reference(alpha):
+    want = mp_circuit(alpha)
+    assert float(abs(linear_optics_usd_probability(alpha) / want - 1)) < 1e-12
+    assert float(abs(linear_optics_closed_form(alpha) / want - 1)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "alpha,eta,style",
+    [(0.1, 1.0, "cat"), (0.25, 1.0, "cat"), (0.5, 0.9, "cat"), (1.0, 1.0, "cat"),
+     (2.0, 0.95, "cat"), (3.0, 1.0, "cat"), (0.3, 1.0, "coherent"), (1.5, 0.9, "coherent")],
+)
+def test_circuit_q1_matches_mpmath_reference(alpha, eta, style):
+    want = mp_circuit(alpha, eta, q=1, style=style)
+    got = linear_optics_usd_probability(alpha, eta, q=1, probe_style=style)
+    assert float(abs(got / want - 1)) < 1e-9
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.01, 0.03])
+def test_circuit_refuses_unresolved_q1(alpha):
+    # The click sum's rounding bound is above 1e-6 of the q = 1 success here
+    # (8.44e-8 at alpha = 0.03 by mp_circuit), so the value is refused.
+    with pytest.raises(ArithmeticError, match=rf"alpha={alpha}, eta=1.0, q=1: .*rounding bound"):
+        linear_optics_usd_probability(alpha, q=1)
+
+
+@pytest.mark.parametrize("alpha", [30.0, 100.0, 1e3])
+def test_circuit_and_closed_form_saturate_for_bright_signals(alpha):
+    # cosh(x) overflows above x ~ 710, and the clicking factors -expm1(-z)
+    # of the circuit's pairs would overflow without the cap on Re(-z).
+    assert linear_optics_closed_form(alpha) == 1.0
+    for q in (0, 1):
+        assert abs(linear_optics_usd_probability(alpha, q=q) - 1.0) < 1e-12
+
+
+def test_circuit_work_counts(monkeypatch):
+    # One pair-kernel pass per click probability, none per subset of ports.
+    clicks = []
+    pair_terms = usd._pair_terms
+
+    def counting_pair_terms(a, b, must_click=()):
+        if must_click:
+            clicks.append(tuple(must_click))
+        return pair_terms(a, b, must_click)
+
+    monkeypatch.setattr(usd, "_pair_terms", counting_pair_terms)
+    for q in (0, 1):
+        clicks.clear()
+        linear_optics_usd_probability(1.2, 0.95, q)
+        assert clicks == [(1, 3), (0, 2)]

@@ -42,7 +42,7 @@ _MODES = ("per_q", "weighted_average", "worst_case")
 _PROBE_STYLES = ("cat", "coherent")
 _NORM_FLOOR = 1e-150
 _EPS = float(np.finfo(float).eps)
-_MAX_ROUNDING = 1e-6  # largest relative rounding bound of a returned click probability
+_MAX_ROUNDING = 1e-6  # largest relative rounding estimate of a returned click probability
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,18 @@ class CoherentSuperposition:
             raise ValueError("need at least one mode")
         if not self.terms:
             raise ValueError("empty superposition")
-        fixed = tuple((complex(c), tuple(map(complex, amps))) for c, amps in self.terms)
-        for coeff, amps in fixed:
+        fixed = []
+        for coeff, amps in self.terms:
+            amps = tuple(complex(a) for a in amps)
             if len(amps) != self.n_modes:
-                raise ValueError(f"term has {len(amps)} amplitudes, expected {self.n_modes}")
-            if not cmath.isfinite(coeff):
+                raise ValueError(
+                    f"term has {len(amps)} amplitudes, expected {self.n_modes}"
+                )
+            coeff = complex(coeff)
+            if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
                 raise ValueError("non-finite coefficient")
-        object.__setattr__(self, "terms", fixed)
+            fixed.append((coeff, amps))
+        object.__setattr__(self, "terms", tuple(fixed))
 
     def norm(self) -> float:
         return math.sqrt(max(overlap(self, self).real, 0.0))
@@ -77,34 +82,27 @@ class CoherentSuperposition:
         n = self.norm()
         if n < _NORM_FLOOR:
             raise ValueError("cannot normalize a (numerically) zero state")
-        return _derived(tuple((c / n, a) for c, a in self.terms), self.n_modes)
-
-
-def _derived(terms: tuple, n_modes: int) -> CoherentSuperposition:
-    # A state the operations here build from valid ones skips validation.
-    s = object.__new__(CoherentSuperposition)
-    object.__setattr__(s, "terms", terms)
-    object.__setattr__(s, "n_modes", n_modes)
-    return s
+        return CoherentSuperposition(
+            tuple((c / n, a) for c, a in self.terms), self.n_modes
+        )
 
 
 def _pair_terms(a: CoherentSuperposition, b: CoherentSuperposition, must_click=()):
     # Pair terms conj(c_t) c'_t' prod_modes f(x, y), with z = conj(x) y and
     # f = <x|y> = exp(z - (|x|^2 + |y|^2)/2) on a free mode, or
     # f = <x|(1 - |0><0|)|y> = <x|y> (-expm1(-z)) on a clicking mode, so no
-    # exponent is positive.  Capping Re(-z) at 700/k on k clicking modes
-    # keeps their product finite; it moves only pairs where a clicking
-    # factor is below 2e^(-700/k).
-    ta = np.array([(c, *x) for c, x in a.terms])
-    tb = ta if b is a else np.array([(c, *x) for c, x in b.terms])
-    xa, xb = ta[:, 1:], tb[:, 1:]
-    gram = xa.conj() @ xb.T
-    sq_a = gram.diagonal().real if b is a else (abs(xa) ** 2).sum(axis=1)
-    sq_b = sq_a if b is a else (abs(xb) ** 2).sum(axis=1)
-    exponent = gram - 0.5 * (sq_a[:, None] + sq_b)
-    terms = ta[:, 0].conj()[:, None] * tb[:, 0]
+    # exponent is positive.  The exponent is taken as i Im z - |x - y|^2/2,
+    # which does not cancel for bright amplitudes.  Capping Re(-z) at 700/k
+    # on k clicking modes keeps their product finite; it moves only pairs
+    # where a clicking factor is below 2e^(-700/k).
+    ta = np.array([(c, *x) for c, x in a.terms])[:, None, :]
+    tb = np.array([(c, *x) for c, x in b.terms])[None, :, :]
+    xa, xb = ta[..., 1:], tb[..., 1:]
+    z = xa.conj() * xb
+    exponent = (1j * z.imag - 0.5 * abs(xa - xb) ** 2).sum(axis=-1)
+    terms = ta[..., 0].conj() * tb[..., 0]
     if must_click:
-        w = -(xa[:, must_click].conj()[:, None, :] * xb[:, must_click])
+        w = -z[..., must_click]
         np.minimum(w.real, 700.0 / len(must_click), out=w.real)
         terms = terms * (-np.expm1(w)).prod(axis=-1)
     return terms * np.exp(exponent)
@@ -128,7 +126,7 @@ def tensor(*states: CoherentSuperposition) -> CoherentSuperposition:
         terms = [
             (c0 * c1, a0 + a1) for c0, a0 in terms for c1, a1 in s.terms
         ]
-    return _derived(tuple(terms), n_modes)
+    return CoherentSuperposition(tuple(terms), n_modes)
 
 
 def beam_splitter(s: CoherentSuperposition, ports) -> CoherentSuperposition:
@@ -148,9 +146,11 @@ def beam_splitter(s: CoherentSuperposition, ports) -> CoherentSuperposition:
     out = []
     for c, amps in s.terms:
         a = list(amps)
-        a[i], a[j] = (a[i] + a[j]) * r, (a[i] - a[j]) * r
+        x, y = a[i], a[j]
+        a[i] = (x + y) * r
+        a[j] = (x - y) * r
         out.append((c, tuple(a)))
-    return _derived(tuple(out), s.n_modes)
+    return CoherentSuperposition(tuple(out), s.n_modes)
 
 
 def click_probability(s: CoherentSuperposition, must_click) -> float:
@@ -159,7 +159,7 @@ def click_probability(s: CoherentSuperposition, must_click) -> float:
     One Gaussian sum over term pairs, each listed mode's factor taken with
     expm1, so dim signals do not cancel.  Modes not listed are traced over;
     ``s`` must be normalized.  Raises ``ArithmeticError`` when the sum's
-    rounding bound exceeds 1e-6 of it.
+    rounding estimate (not a bound) eps * sum |pair term| exceeds 1e-6 of it.
     """
     ports = tuple(must_click)
     if len(set(ports)) != len(ports):
@@ -168,11 +168,11 @@ def click_probability(s: CoherentSuperposition, must_click) -> float:
         if not 0 <= p < s.n_modes:
             raise ValueError(f"port {p} out of range for {s.n_modes} modes")
     terms = _pair_terms(s, s, ports)
-    total, bound = float(terms.sum().real), _EPS * float(np.abs(terms).sum())
-    if not bound <= _MAX_ROUNDING * total:
+    total, estimate = float(terms.sum().real), _EPS * float(np.abs(terms).sum())
+    if not estimate <= _MAX_ROUNDING * total:
         raise ArithmeticError(
-            f"click probability {total:.6g} not resolved: rounding bound "
-            f"{bound:.3g} exceeds {_MAX_ROUNDING:g} of it"
+            f"click probability {total:.6g} not resolved: rounding estimate "
+            f"{estimate:.3g} exceeds {_MAX_ROUNDING:g} of it"
         )
     return min(total, 1.0)
 
@@ -196,8 +196,11 @@ def cat_superposition(
         raise ValueError("losses must be nonnegative")
     big_m = 2**m
     nu = cmath.exp(1j * math.pi / big_m) if logical else 1.0
-    amps = [amplitude * cmath.exp(2j * math.pi * k / big_m) * nu for k in range(big_m)]
-    return CoherentSuperposition(tuple((a**losses, (a,)) for a in amps), 1).normalized()
+    terms = []
+    for k in range(big_m):
+        amp = amplitude * cmath.exp(2j * math.pi * k / big_m) * nu
+        terms.append((amp**losses, (amp,)))
+    return CoherentSuperposition(tuple(terms), 1).normalized()
 
 
 def _class_successes(spec: CatCodeSpec) -> list[float]:
@@ -274,8 +277,11 @@ def _usd_probability(
 
 
 def _probe(amplitude: complex, sign: int, style: str) -> CoherentSuperposition:
-    terms = ((1.0, (amplitude,)),) + (((sign, (-amplitude,)),) if style == "cat" else ())
-    return CoherentSuperposition(terms, 1).normalized()
+    if style == "coherent":
+        return CoherentSuperposition(((1.0, (amplitude,)),), 1).normalized()
+    return CoherentSuperposition(
+        ((1.0, (amplitude,)), (sign, (-amplitude,))), 1
+    ).normalized()
 
 
 def linear_optics_output_states(
@@ -304,9 +310,11 @@ def linear_optics_output_states(
     probe_imag = _probe(1j * half, sign, probe_style)
     outs = []
     for logical in (0, 1):
-        state = tensor(cat_superposition(1, beta, logical, q), vacuum, probe_real, probe_imag)
-        for ports in ((0, 1), (0, 2), (1, 3)):
-            state = beam_splitter(state, ports)
+        signal = cat_superposition(1, beta, logical, q)
+        state = tensor(signal, vacuum, probe_real, probe_imag)
+        state = beam_splitter(state, (0, 1))
+        state = beam_splitter(state, (0, 2))
+        state = beam_splitter(state, (1, 3))
         outs.append(state)
     return tuple(outs)
 

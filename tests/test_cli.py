@@ -171,7 +171,7 @@ def test_usd_unresolved_circuit_is_refused(tmp_path, capsys):
     code, out, err = run_cli(capsys, "usd", "--config", str(cfg), "--alpha", "0.01")
     assert code == 3
     assert err.startswith("numerical guard: ")
-    assert "alpha=0.01" in err and "q=1" in err and "rounding bound" in err
+    assert "alpha=0.01" in err and "q=1" in err and "rounding estimate" in err
     assert out == ""
 
 

@@ -302,11 +302,19 @@ def test_circuit_q1_matches_mpmath_reference(alpha, eta, style):
     assert float(abs(got / want - 1)) < 1e-9
 
 
+@pytest.mark.parametrize("alpha,eta", [(0.04, 1.0), (0.05, 1.0), (0.04, 0.9), (0.05, 0.9)])
+def test_circuit_q1_just_above_refusal_is_resolved(alpha, eta):
+    # The guard's estimate is 1.4e-7 to 7.1e-7 of the value here, just under
+    # its 1e-6 limit; what it lets through must hold to that limit.
+    want = mp_circuit(alpha, eta, q=1)
+    assert float(abs(linear_optics_usd_probability(alpha, eta, q=1) / want - 1)) < 1e-6
+
+
 @pytest.mark.parametrize("alpha", [1e-3, 0.01, 0.03])
 def test_circuit_refuses_unresolved_q1(alpha):
-    # The click sum's rounding bound is above 1e-6 of the q = 1 success here
-    # (8.44e-8 at alpha = 0.03 by mp_circuit), so the value is refused.
-    with pytest.raises(ArithmeticError, match=rf"alpha={alpha}, eta=1.0, q=1: .*rounding bound"):
+    # The click sum's rounding estimate is above 1e-6 of the q = 1 success
+    # here (8.44e-8 at alpha = 0.03 by mp_circuit), so the value is refused.
+    with pytest.raises(ArithmeticError, match=rf"alpha={alpha}, eta=1.0, q=1: .*rounding estimate"):
         linear_optics_usd_probability(alpha, q=1)
 
 

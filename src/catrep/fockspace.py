@@ -18,7 +18,6 @@ Conventions
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -212,29 +211,26 @@ def annihilate(v: FockVector, q: int = 1) -> FockVector:
     return FockVector(amps, v.n_max)
 
 
-def _loss_rows(eta: float, dim: int):
-    """Yield row k of c[k, n] = ⟨n|Â_k|n+k⟩ = √((1−η)^k η^n (n+k)! / (k! n!)), n < dim − k.
+def _loss_rows(eta: float, dim: int, counts) -> np.ndarray:
+    """Rows c[k, n] = ⟨n|Â_k|n+k⟩ = √((1−η)^k η^n (n+k)! / (k! n!)) for each k of counts.
 
-    Rows come for k = 0, 1, …, dim − 1, each built when it is reached, in
-    log domain from one log-factorial vector, so binomial factors stay
-    finite at large cutoffs and a caller that stops early never builds the
-    rows it skips.  The one source of loss coefficients: `kraus_op` and the
-    oracle's per-record arm operators (`protocol_oracle._arm_maps`) read it.
+    Row k holds n = 0, …, dim − k − 1 and is zero past them; every row is
+    built in log domain from one log-factorial vector, so binomial factors
+    stay finite at large cutoffs and a row costs O(dim) whichever k it is.
+    The one source of loss coefficients: `kraus_op` and the oracle's
+    per-record arm operators (`protocol_oracle._arm_maps`) read it.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("transmission eta must lie in (0, 1]; the eta=0 channel is degenerate")
-    if eta == 1.0:  # only Â_0 = 𝟙 survives
-        yield np.ones(dim)
-        for k in range(1, dim):
-            yield np.zeros(dim - k)
-        return
+    k = np.asarray(counts, dtype=int).reshape(-1, 1)
     n = np.arange(dim)
+    if eta == 1.0:  # only Â_0 = 𝟙 survives
+        return np.broadcast_to(k == 0, (k.size, dim)).astype(float)
+    inside = n < dim - k
     log_fact = _log_factorials(dim)
     log_loss, log_eta = math.log1p(-eta), math.log(eta)
-    for k in range(dim):
-        m = dim - k
-        log_c = k * log_loss + n[:m] * log_eta + log_fact[k:] - log_fact[k] - log_fact[:m]
-        yield np.exp(0.5 * log_c)
+    log_c = k * log_loss + n * log_eta + log_fact[np.where(inside, k + n, 0)] - log_fact[k] - log_fact[n]
+    return np.where(inside, np.exp(0.5 * log_c), 0.0)
 
 
 def kraus_op(k: int, eta: float, n_max: int) -> np.ndarray:
@@ -245,10 +241,10 @@ def kraus_op(k: int, eta: float, n_max: int) -> np.ndarray:
     """
     if k < 0:
         raise ValueError("loss count k must be non-negative")
-    row = next(itertools.islice(_loss_rows(eta, n_max + 1), k, None), None)
-    if row is None:
+    rows = _loss_rows(eta, n_max + 1, [k] if k <= n_max else [])
+    if not rows.size:
         return np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    return np.diag(row, k).astype(complex)
+    return np.diag(rows[0, : n_max + 1 - k], k).astype(complex)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ package's core validation.
 There is one engine.  An arm's loss count, syndrome branch,
 endpoint-spin attachment and discrimination compose to one linear map
 per classical record (remainder, USD outcome), built once per call by
-`_arm_maps` from the loss coefficients `fockspace._loss_rows` and the
-cascade kernel `_cascade`; `_arm` contracts an arm's mode with each map,
-keeping every lost-photon count on an environment axis.  `simulate_unit`
-reads one arm's records, and `bell_order_equivalence` joins two arms'
-records in both orderings of the middle station's Bell measurement.
+`_arm_maps` for the loss counts that can carry mass, from the loss
+coefficients `fockspace._loss_rows` and the cascade kernel `_cascade`;
+`_arm` contracts an arm's mode with each map, keeping every lost-photon
+count on an environment axis.  `simulate_unit` reads one arm's records,
+and `bell_order_equivalence` joins two arms' records in both orderings
+of the middle station's Bell measurement.
 Every cascade (preparation, syndrome, the pure syndrome check, the
 projector of each syndrome branch) is `_cascade`, and every codeword
 pair, the damped one behind the discrimination bras included, is
@@ -53,6 +54,8 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _PRUNE = 1e-20
 _ZERO_BRANCH = 1e-14
+# Largest block of loss rows, in elements, that `_arm_maps` reads at once.
+_ROW_BLOCK = 1 << 14
 
 
 def bell_vectors(theta: float = 0.0) -> dict:
@@ -273,8 +276,8 @@ def _record_setup(spec: CatCodeSpec):
     return flip, np.stack([cw0, cw1]) / _SQRT2, bras
 
 
-def _arm_maps(spec: CatCodeSpec, flip, bras):
-    """Each record's linear map on an arm's mode, and the prune masses.
+def _arm_maps(spec: CatCodeSpec, v0, flip, bras):
+    """Each record's linear map on an arm's mode, over the counts that carry mass.
 
     Record (r, u) of an arm is its mode contracted with
     W[m, k, s] = Σ_n [n + k = m]·c[k, n]·P[n]·S[n, s]: loss count k with
@@ -285,18 +288,31 @@ def _arm_maps(spec: CatCodeSpec, flip, bras):
     Since x·b̄ and (e^{iπn̂/M}x)·b̄ are x contracted with b̄ and e^{iπn̂/M}b̄,
     S is the spin attachment and the contraction at once.
 
-    Returns (count, branch, ops), indexed [m, k] by the source photon
-    number m = n + k and the loss count: count = c², branch[r] the |c·P|²
-    of the syndrome branch of remainder r, and ops[r] its maps
+    W is built only for the window of counts k whose mass
+    Σ_n c[k, n]²·p[n+k] under the codeword's photon-number marginal
+    p = Σ_spin |v0|² exceeds _PRUNE/2, found from blocks of about
+    `_ROW_BLOCK` loss-row elements.  A projection or an arm's instrument
+    only removes mass, so every mode `_arm` is given (the codeword, a
+    Bell-projected pair, the other mode of a record) has a marginal at
+    most p: each count `_arm` keeps (mass over `_PRUNE`) is in the window,
+    the halved threshold covering rounding.
+
+    Returns (count, branch, ops), indexed [m, j] by the source photon
+    number m = n + k and the j-th window count k: count = c², branch[r]
+    the |c·P|² of the syndrome branch of remainder r, and ops[r] its maps
     [W of u = 0, W of u = 1].
     """
     d = flip.size
-    src = np.arange(d)
-    n = (src[:, None] - src[None, :]) % d  # n = m − k; wraps only where c is 0
-    coef = np.zeros((d, d))
-    for k, row in enumerate(_loss_rows(spec.eta, d)):
-        coef[k:, k] = row
-    branch = np.zeros((spec.order, d, d))
+    p = np.concatenate([np.einsum("sm,sm->m", v0, v0.conj()).real, np.zeros(d)])
+    window = []
+    for ks in np.array_split(np.arange(d), -(-d * d // _ROW_BLOCK)):  # blocks of loss rows
+        rows = _loss_rows(spec.eta, d, ks)
+        keep = (rows * rows * p[ks[:, None] + np.arange(d)]).sum(axis=1) > _PRUNE / 2
+        window.append((ks[keep], rows[keep]))
+    ks, rows = (np.concatenate(part) for part in zip(*window))
+    n = (np.arange(d)[:, None] - ks) % d  # n = m − k; wraps only onto a row's zeros
+    coef = rows[np.arange(ks.size), n]
+    branch = np.zeros((spec.order, d, ks.size))
     ops: list = [None] * spec.order
     for cls, proj in _cascade(np.ones(d, dtype=complex), spec.m, "direct", 0, floor=0.0):
         r = (-cls) % spec.order
@@ -311,10 +327,12 @@ def _arm(x: np.ndarray, maps) -> tuple:
     """Process the arm whose mode is axis 0 of x, down to its records.
 
     Two prune rules read the photon-number marginal p of x: a loss count
-    k is kept when its mass Σ_n c[k, n]²·p[n+k] exceeds `_PRUNE`, and a
-    syndrome branch when its mass over the kept counts does.  A kept
-    branch keeps the records of both USD outcomes, however small; each is
-    one contraction of x with its map from `_arm_maps`.
+    k of the maps' window is kept when its mass Σ_n c[k, n]²·p[n+k]
+    exceeds `_PRUNE`, and a syndrome branch when its mass over the kept
+    counts does.  The window holds every count this rule can keep
+    (`_arm_maps`), so the records are those of maps over every count.  A
+    kept branch keeps the records of both USD outcomes, however small;
+    each is one contraction of x with its map.
 
     Returns (records, mass).  records is {(remainder, usd_outcome): array}
     whose axes are x's remaining axes, then the loss count, then the
@@ -328,6 +346,8 @@ def _arm(x: np.ndarray, maps) -> tuple:
     flat = x.reshape(d, -1)
     p = np.einsum("ma,ma->m", flat, flat.conj()).real
     kept = np.flatnonzero(p @ count > _PRUNE)
+    if kept.size == count.shape[1]:
+        kept = slice(None)  # the whole window: the maps are used uncopied
     mass = (p @ branch)[:, kept].sum(axis=1)
     records = {}
     for r, maps_u in enumerate(ops):
@@ -335,7 +355,7 @@ def _arm(x: np.ndarray, maps) -> tuple:
             continue
         for u, w in enumerate(maps_u):
             rec = flat.T @ w[:, kept].reshape(d, -1)
-            records[(r, u)] = rec.reshape(x.shape[1:] + (kept.size, 2))
+            records[(r, u)] = rec.reshape(x.shape[1:] + (-1, 2))
     return records, mass
 
 
@@ -390,7 +410,7 @@ def simulate_unit(spec: CatCodeSpec) -> UnitReport:
     at θ = rπ/M.  All states stay at the cutoff of the undamped primitive.
     """
     flip, v0, bras = _record_setup(spec)
-    records, syn = _arm(v0.T, _arm_maps(spec, flip, bras))
+    records, syn = _arm(v0.T, _arm_maps(spec, v0, flip, bras))
     big_m = spec.order
     weights = np.zeros(2 * big_m)
     plus = np.zeros(big_m)
@@ -436,50 +456,51 @@ def bell_order_equivalence(m: int, alpha: float, eta: float, return_records: boo
     Both engines enumerate every branch of a two-arm unit (middle station
     with two spins, endpoints Alice and Bob) and group outcomes by the
     full classical record (Bell result, per-arm remainder, per-arm USD
-    outcome).  Returned is the maximum over records of the trace
+    outcome).  Bell-last projects pairs of one arm's records, each
+    reduced to its Gram block, so no tensor over both arms' loss counts
+    is formed.  Returned is the maximum over records of the trace
     distance between conditional endpoint spin states or the probability
     mismatch, whichever is larger.
     """
     spec = CatCodeSpec(m, alpha, eta)
-    bells = {lbl: vec.reshape(2, 2) for lbl, vec in bell_vectors(0.0).items()}
+    bells = bell_vectors(0.0)
+    bra = np.stack(list(bells.values())).reshape(-1, 2, 2).conj()
     flip, v0, bras = _record_setup(spec)
-    maps = _arm_maps(spec, flip, bras)
-    pair_axes = (0, 2, 1, 3)  # (k1, spin1, k2, spin2) -> (k1, k2, spin1, spin2)
-    # Bell-last: process each arm on its own, then project the ES pair.
+    maps = _arm_maps(spec, v0, flip, bras)
+    # Bell-last: process one arm, then project the ES pair of two records.
+    # With G[(s, a), (s', a')] a record's Gram block over its loss count,
+    # records (i, j) under label l have density
+    # Σ B̄[l, s, t]·B[l, s', t']·G_i[(s, a), (s', a')]·G_j[(t, b), (t', b')].
     arm, _mass = _arm(v0.T, maps)  # (ES spin, k, endpoint)
-    # Each pair of arm records meets the Bell bra in two matrix products.
+    gram = np.stack([_density(y, (1, 0, 2)) for y in arm.values()]).reshape(-1, 2, 2, 2, 2)
+    after = np.einsum("lst,lpq,isapc,jtbqd->lijabcd", bra, bra.conj(), gram, gram, optimize=True)
     rec_after = {
-        (lbl, *key1, *key2): _density(
-            (y1.reshape(2, -1).T @ bvec.conj() @ y2.reshape(2, -1)).reshape(
-                y1.shape[1:] + y2.shape[1:]
-            ),
-            pair_axes,
-        )
-        for lbl, bvec in bells.items()
-        for key1, y1 in arm.items()
-        for key2, y2 in arm.items()
+        (lbl, *key1, *key2): after[li, i, j].reshape(4, 4)
+        for li, lbl in enumerate(bells)
+        for i, key1 in enumerate(arm)
+        for j, key2 in enumerate(arm)
     }
-    # Bell-first: project the ES pair, then process the left and right modes.
+    # Bell-first: project the ES pair, then process the left mode, then
+    # the right mode of each left record.
     rec_before = {}
-    for lbl, bvec in bells.items():
-        lefts, _mass = _arm(v0.T @ bvec.conj() @ v0, maps)
+    for lbl, b in zip(bells, bra):
+        lefts, _mass = _arm(v0.T @ b @ v0, maps)  # (right mode, k1, spin1)
         for key1, left in lefts.items():
-            for key2, chi in _arm(left, maps)[0].items():
-                rec_before[(lbl, *key1, *key2)] = _density(chi, pair_axes)
-    records = {}
-    for key in set(rec_after) | set(rec_before):
-        ra, rb = rec_before.get(key), rec_after.get(key)
-        pa = float(np.trace(ra).real) if ra is not None else 0.0
-        pb = float(np.trace(rb).real) if rb is not None else 0.0
-        if max(pa, pb) >= 1e-12:
-            records[key] = (pa, pb, ra, rb)
+            for key2, chi in _arm(left, maps)[0].items():  # (k1, spin1, k2, spin2)
+                rec_before[(lbl, *key1, *key2)] = _density(chi, (0, 2, 1, 3))
+    keys = list(rec_before.keys() | rec_after.keys())
+    pairs = [(rec_before.get(key), rec_after.get(key)) for key in keys]
+    rho = np.array([[np.zeros((4, 4)) if r is None else r for r in pair] for pair in pairs])
+    prob = np.trace(rho, axis1=2, axis2=3).real
+    seen, both = prob.max(axis=1) >= 1e-12, prob.min(axis=1) >= 1e-12
+    records = {
+        key: (pa, pb, *pair)
+        for key, (pa, pb), pair, keep in zip(keys, prob.tolist(), pairs, seen)
+        if keep
+    }
     # a record only one ordering produces is as far apart as two states get
-    worst = max(
-        (1.0 if min(pa, pb) < 1e-12 else abs(pa - pb) for pa, pb, _ra, _rb in records.values()),
-        default=0.0,
-    )
-    both = [(ra / pa, rb / pb) for pa, pb, ra, rb in records.values() if min(pa, pb) >= 1e-12]
-    if both:
-        before, after = (np.stack(side) for side in zip(*both))
-        worst = max(worst, float(trace_distance(before, after).max()))
+    worst = float(np.where(both, np.abs(prob[:, 0] - prob[:, 1]), 1.0)[seen].max(initial=0.0))
+    if both.any():
+        rho = rho[both] / prob[both][:, :, None, None]
+        worst = max(worst, float(trace_distance(rho[:, 0], rho[:, 1]).max()))
     return (worst, records) if return_records else worst

@@ -135,16 +135,47 @@ def test_kraus_out_of_range_is_zero():
 
 
 def test_loss_rows_are_built_when_reached():
-    # Row k of the loss coefficients costs O(dim), not the dim x dim table.
+    # Row k of the loss coefficients costs O(dim), not the dim x dim table,
+    # whichever k it is.
     dim = 2048
-    tracemalloc.start()
-    try:
-        first = next(fockspace._loss_rows(0.9, dim))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert first.shape == (dim,)
-    assert peak < 16 * 8 * dim  # a handful of length-dim vectors
+    for k in (0, dim // 2):
+        tracemalloc.start()
+        try:
+            rows = fockspace._loss_rows(0.9, dim, [k])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (1, dim)
+        assert peak < 16 * 8 * dim  # a handful of length-dim vectors
+
+
+def streamed_loss_rows(eta, dim):
+    """The loss rows one after another, row k = 0, 1, … each from its own
+    log-domain formula: how they were built before rows were served by count."""
+    if eta == 1.0:
+        yield np.ones(dim)
+        for k in range(1, dim):
+            yield np.zeros(dim - k)
+        return
+    n = np.arange(dim)
+    log_fact = fockspace._log_factorials(dim)
+    log_loss, log_eta = math.log1p(-eta), math.log(eta)
+    for k in range(dim):
+        m = dim - k
+        log_c = k * log_loss + n[:m] * log_eta + log_fact[k:] - log_fact[k] - log_fact[:m]
+        yield np.exp(0.5 * log_c)
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.9, 1.0])
+@pytest.mark.parametrize("dim", [30, 86, 201])
+def test_kraus_op_rows_are_the_streamed_rows(dim, eta):
+    # Serving row k by count gives the row the stream reaches at k, bit for
+    # bit, in kraus_op and in a block of rows alike.
+    block = fockspace._loss_rows(eta, dim, range(dim))
+    for k, want in enumerate(streamed_loss_rows(eta, dim)):
+        assert np.array_equal(np.diag(kraus_op(k, eta, dim - 1), k), want)
+        assert np.array_equal(block[k, : dim - k], want)
+        assert np.all(block[k, dim - k :] == 0.0)
 
 
 def test_amplitude_damping_on_coherent_state():

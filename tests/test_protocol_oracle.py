@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from catrep.fockspace import (
 )
 from catrep.protocol_oracle import (
     _PRUNE,
+    _arm,
+    _arm_maps,
     _cascade,
     _damped_pair,
     _record_setup,
@@ -497,8 +500,16 @@ def test_oracle_work_counts(monkeypatch):
         densities.append(1)
         post_init(self)
 
+    arms = []
+    arm = protocol_oracle._arm
+
+    def counting_arm(*args):
+        arms.append(1)
+        return arm(*args)
+
     monkeypatch.setattr(fockspace, "_log_factorials", counting_log_factorials)
     monkeypatch.setattr(protocol_oracle, "_arm_maps", counting_arm_maps)
+    monkeypatch.setattr(protocol_oracle, "_arm", counting_arm)
     # under either name the oracle could reach it
     monkeypatch.setattr(fockspace, "kraus_op", no_kraus_op)
     monkeypatch.setattr(protocol_oracle, "kraus_op", no_kraus_op, raising=False)
@@ -506,6 +517,9 @@ def test_oracle_work_counts(monkeypatch):
     bell_order_equivalence(1, 1.0, 0.9)
     assert 0 < len(log_factorial_calls) < 200
     assert builds == [1]
+    # one Bell-last arm; per Bell label one left arm and one right arm for
+    # each of its four left records
+    assert len(arms) == 21
 
     builds.clear()
     simulate_unit(CatCodeSpec(2, 1.5, 0.9))
@@ -550,3 +564,70 @@ def test_syndrome_probabilities_are_relatively_accurate(m, alpha, eta):
     want = p[: spec.order] + p[spec.order :]
     report = simulate_unit(spec)
     assert np.all(np.abs(report.syndrome_probs - want) <= 1e-13 * want)
+
+
+def dense_arm_maps(spec, flip, bras):
+    """`_arm_maps` over every loss count: a dense (d, d, 2) map per record,
+    as the oracle built it before it kept only the counts that carry mass."""
+    d = flip.size
+    src = np.arange(d)
+    n = (src[:, None] - src[None, :]) % d  # n = m − k; wraps only where c is 0
+    coef = np.zeros((d, d))
+    for k, row in enumerate(fockspace._loss_rows(spec.eta, d, range(d))):
+        coef[k:, k] = row[: d - k]
+    branch = np.zeros((spec.order, d, d))
+    ops = [None] * spec.order
+    for cls, proj in _cascade(np.ones(d, dtype=complex), spec.m, "direct", 0, floor=0.0):
+        r = (-cls) % spec.order
+        amp = coef * proj[n]
+        spins = (np.stack([b.conj(), flip * b.conj()], axis=1) / SQRT2 for b in bras[r])
+        ops[r] = [amp[:, :, None] * spin[n] for spin in spins]
+        branch[r] = np.abs(amp) ** 2
+    return coef**2, branch, ops
+
+
+@pytest.mark.parametrize(
+    "m,alpha,eta", _ACCEPTANCE_GRID + list(itertools.product((1, 2, 3), (0.5, 1.0, 2.0), (1.0,)))
+)
+def test_windowed_arm_maps_match_dense_maps(m, alpha, eta):
+    # Every mode _arm sees (the codeword, a Bell-projected pair of modes,
+    # the right mode of a left record) gives the records of the maps over
+    # every loss count, bit for bit; the branch masses sum the same terms.
+    spec = CatCodeSpec(m, alpha, eta)
+    flip, v0, bras = _record_setup(spec)
+    windowed = _arm_maps(spec, v0, flip, bras)
+    dense = dense_arm_maps(spec, flip, bras)
+    assert windowed[0].shape[1] < flip.size
+    inputs = [v0.T]
+    lefts = []
+    for vec in bell_vectors(0.0).values():
+        inputs.append(v0.T @ vec.reshape(2, 2).conj() @ v0)
+        lefts.extend(_arm(inputs[-1], windowed)[0].values())
+    for x in inputs + lefts:
+        (got, got_mass), (want, want_mass) = _arm(x, windowed), _arm(x, dense)
+        assert got.keys() == want.keys()
+        for key, rec in got.items():
+            assert np.array_equal(rec, want[key]), key
+        np.testing.assert_allclose(got_mass, want_mass, rtol=1e-14, atol=0.0)
+
+
+def traced_peak(call):
+    """Peak traced allocation of call(), after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_arm_maps_memory_is_bounded_by_the_window():
+    # The maps cover the loss counts that carry mass, not every count:
+    # maps over every count make this unit peak at 8.6 MB.
+    assert traced_peak(lambda: simulate_unit(CatCodeSpec(1, 10.0, 0.9))) <= 4e6
+
+
+def test_bell_order_memory_stays_per_record():
+    # No tensor joining both arms' loss counts across records or labels.
+    assert traced_peak(lambda: bell_order_equivalence(1, 2.0, 0.9)) <= 0.6e6

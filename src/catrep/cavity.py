@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,6 +47,9 @@ class CavityParams:
     kappa_r: float = 0.9
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name}={getattr(self, f.name)!r} must be finite")
         if self.kappa <= 0.0 or self.gamma <= 0.0 or self.kappa_r <= 0.0:
             raise ValueError("decay rates must be positive")
         if self.kappa_r > self.kappa:

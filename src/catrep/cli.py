@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import itertools
 import json
 import math
 import sys
@@ -98,23 +99,25 @@ _TOLERANCES = {
     "bell_order": 1e-8,
 }
 
-# a sweep row is its grid point's SegmentParams fields, then its ChainReport
+# argparse dest -> (flag, config section, key, cast, help); a flag over a
+# config list casts each comma-separated value with _cast, argparse the rest
+_FLAGS = {
+    "format": ("--format", "output", "format", str, "output format (default csv)"),
+    "alpha": ("--alpha", "code", "alpha", float, "comma-separated amplitudes"),
+    "m": ("--m", "code", "m", int, "comma-separated code orders"),
+    "l0": ("--l0", "chain", "l0", float, "comma-separated elementary distances, km"),
+    "eta_local": ("--eta-local", "code", "eta_local", float, "comma-separated local transmissions"),
+    "l_tot": ("--l-tot", "chain", "l_tot", float, "total distance, km"),
+    "l_att": ("--l-att", "chain", "l_att", float, "attenuation length, km"),
+    "t0": ("--t0", "chain", "t0", float, "repetition time, s"),
+    "usd_alphas": ("--alpha", "usd", "alphas", float, "comma-separated amplitudes for the sweep"),
+}
+_GRID_FLAGS = ("alpha", "m", "l0", "eta_local", "l_tot", "l_att", "t0")
+
+# a sweep row is its grid point's SegmentParams fields, then its ChainReport;
+# each point field is also the dest of the flag that sets its grid
 _POINT_KEYS = ("m", "alpha", "l0", "eta_local")
 _SWEEP_COLUMNS = _POINT_KEYS + tuple(f.name for f in dataclasses.fields(ChainReport))
-
-# argparse dest -> (flag, config section, key, cast of each comma-separated
-# value); flags whose cast is None arrive parsed by argparse
-_OVERRIDES = {
-    "alpha": ("--alpha", "code", "alpha", float),
-    "m": ("--m", "code", "m", int),
-    "l0": ("--l0", "chain", "l0", float),
-    "eta_local": ("--eta-local", "code", "eta_local", float),
-    "usd_alphas": ("--alpha", "usd", "alphas", float),
-    "l_tot": ("--l-tot", "chain", "l_tot", None),
-    "l_att": ("--l-att", "chain", "l_att", None),
-    "t0": ("--t0", "chain", "t0", None),
-    "format": ("--format", "output", "format", None),
-}
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -152,19 +155,40 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, loaded)
 
 
-def _parse_list(text: str, cast, flag: str):
+def _cast(value, cast, where: str):
+    """One value through ``cast``, or a refusal naming ``where``.
+
+    Text, as a flag gives it, is parsed.  A config number must come through
+    unchanged, so YAML ``m: [1.5]`` fails like ``--m 1.5``; a boolean is no
+    number.  NaN passes, for the parameter checks to name it.
+    """
     try:
-        return [cast(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad value for {flag}: {text!r}") from exc
+        out = cast(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    changed = not isinstance(value, str) and out != value and out == out
+    if out is None or changed or isinstance(value, bool):
+        raise UsageError(f"bad value for {where}: {value!r}")
+    return out
+
+
+def _grid(cfg: dict, section: str, key: str, cast) -> list:
+    """The config list ``section.key``, each value through _cast."""
+    values, where = cfg[section][key], f"{section}.{key}"
+    if not isinstance(values, list):
+        raise UsageError(f"{where} must be a list, got {values!r}")
+    return [_cast(value, cast, where) for value in values]
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
     cfg = json.loads(json.dumps(cfg))  # deep copy, keeps plain types
-    for dest, (flag, section, key, cast) in _OVERRIDES.items():
+    for dest, (flag, section, key, cast, _) in _FLAGS.items():
         value = getattr(args, dest, None)
-        if value is not None:
-            cfg[section][key] = value if cast is None else _parse_list(value, cast, flag)
+        if value is None:
+            continue
+        if isinstance(DEFAULT_CONFIG[section][key], list):
+            value = [_cast(part, cast, flag) for part in value.split(",") if part.strip()]
+        cfg[section][key] = value
     return cfg
 
 
@@ -206,15 +230,8 @@ def _emit(text: str, out: str | None, argv) -> None:
 
 def _point_params(point, chain_cfg: dict):
     """Segment and chain parameters of one grid point, validated."""
-    m, alpha, l0, eta_local = point
-    segment = SegmentParams(
-        l0=l0,
-        m=m,
-        alpha=alpha,
-        eta_local=eta_local,
-        l_att=chain_cfg["l_att"],
-    )
-    ratio = chain_cfg["l_tot"] / l0
+    segment = SegmentParams(**dict(zip(_POINT_KEYS, point)), l_att=chain_cfg["l_att"])
+    ratio = chain_cfg["l_tot"] / segment.l0
     # a non-finite l_tot is named by ChainParams, not by round()
     n_e = max(1, round(ratio)) if math.isfinite(ratio) else 1
     chain = ChainParams(l_tot=chain_cfg["l_tot"], n_e=n_e, t0=chain_cfg["t0"])
@@ -222,27 +239,24 @@ def _point_params(point, chain_cfg: dict):
     return segment, chain
 
 
-def _grid_points(cfg: dict) -> list:
-    """Validated (segment, chain) pairs, lexicographic in m, alpha, l0, eta_local."""
-    code = cfg["code"]
-    chain = cfg["chain"]
-    grids = {
-        "code.m": code["m"],
-        "code.alpha": code["alpha"],
-        "chain.l0": chain["l0"],
-        "code.eta_local": code["eta_local"],
-    }
-    for name, grid in grids.items():
+def _grid_points(cfg: dict, one_value: bool = False) -> list:
+    """Validated (segment, chain) pairs, lexicographic in m, alpha, l0, eta_local.
+
+    With ``one_value``, as keyrate needs, each axis holds exactly one value.
+    """
+    grids = []
+    for dest in _POINT_KEYS:
+        flag, section, key, cast, _ = _FLAGS[dest]
+        grid = _grid(cfg, section, key, cast)
+        if one_value and len(grid) != 1:
+            raise UsageError(
+                f"keyrate needs exactly one value for {flag} "
+                f"(got {len(grid)}; narrow the grid with the flag)"
+            )
         if not grid:
-            raise UsageError(f"empty grid: {name}")
-    points = sorted(
-        (int(m), float(alpha), float(l0), float(eta_local))
-        for m in code["m"]
-        for alpha in code["alpha"]
-        for l0 in chain["l0"]
-        for eta_local in code["eta_local"]
-    )
-    return [_point_params(p, chain) for p in points]
+            raise UsageError(f"empty grid: {section}.{key}")
+        grids.append(grid)
+    return [_point_params(p, cfg["chain"]) for p in sorted(itertools.product(*grids))]
 
 
 def _sweep_row(segment: SegmentParams, chain: ChainParams, cfg: dict) -> dict:
@@ -257,59 +271,38 @@ def _sweep_row(segment: SegmentParams, chain: ChainParams, cfg: dict) -> dict:
     return {**point, **vars(report)}
 
 
-def cmd_sweep(cfg: dict, args) -> tuple:
-    rows = [_sweep_row(seg, chain, cfg) for seg, chain in _grid_points(cfg)]
-    return rows, _SWEEP_COLUMNS
+def cmd_sweep(cfg: dict, args, one_value: bool = False) -> tuple:
+    points = _grid_points(cfg, one_value)
+    return [_sweep_row(seg, chain, cfg) for seg, chain in points], _SWEEP_COLUMNS
 
 
 def cmd_keyrate(cfg: dict, args) -> tuple:
-    for name, grid in (
-        ("--m", cfg["code"]["m"]),
-        ("--alpha", cfg["code"]["alpha"]),
-        ("--l0", cfg["chain"]["l0"]),
-        ("--eta-local", cfg["code"]["eta_local"]),
-    ):
-        if len(grid) != 1:
-            raise UsageError(
-                f"keyrate needs exactly one value for {name} "
-                f"(got {len(grid)}; narrow the grid with the flag)"
-            )
-    return cmd_sweep(cfg, args)
+    return cmd_sweep(cfg, args, one_value=True)
 
 
 def cmd_cavity(cfg: dict, args) -> tuple:
     cav = cfg["cavity"]
-    params = CavityParams(
-        g=cav["g"], kappa=cav["kappa"], gamma=cav["gamma"], kappa_r=cav["kappa_r"]
-    )
-    if cav["points"] < 1:
+    params = CavityParams(**{f.name: cav[f.name] for f in dataclasses.fields(CavityParams)})
+    span = {key: _cast(cav[key], float, f"cavity.{key}") for key in ("delta_min", "delta_max")}
+    for key, value in span.items():
+        if not math.isfinite(value):
+            raise UsageError(f"cavity.{key} must be finite, got {value!r}")
+    points = _cast(cav["points"], int, "cavity.points")
+    if points < 1:
         raise UsageError("cavity.points must be positive")
-    deltas = np.linspace(cav["delta_min"], cav["delta_max"], cav["points"])
-    rows = [
-        {
-            "delta": float(d),
-            "phase_ideal": float(pi_),
-            "phase_full": float(pf),
-            "modulus_full": float(mf),
-        }
-        for d, pi_, pf, mf in sweep_reflection(deltas, params)
-    ]
-    return rows, ("delta", "phase_ideal", "phase_full", "modulus_full")
+    deltas = np.linspace(*span.values(), points)
+    columns = ("delta", "phase_ideal", "phase_full", "modulus_full")
+    return [dict(zip(columns, row)) for row in sweep_reflection(deltas, params)], columns
 
 
 def cmd_usd(cfg: dict, args) -> tuple:
     usd_cfg = cfg["usd"]
-    if not usd_cfg["alphas"]:
+    alphas = _grid(cfg, "usd", "alphas", float)
+    if not alphas:
         raise UsageError("empty grid: usd.alphas")
-    rows = [
-        {"alpha": a, "p_optimal": p_opt, "p_linear_optics": p_lin}
-        for a, p_opt, p_lin in usd_sweep(
-            [float(a) for a in usd_cfg["alphas"]],
-            q=usd_cfg["q"],
-            probe_style=usd_cfg["probe_style"],
-        )
-    ]
-    return rows, ("alpha", "p_optimal", "p_linear_optics")
+    rows = usd_sweep(alphas, q=usd_cfg["q"], probe_style=usd_cfg["probe_style"])
+    columns = ("alpha", "p_optimal", "p_linear_optics")
+    return [dict(zip(columns, row)) for row in rows], columns
 
 
 def _parse_tol_overrides(items) -> dict:
@@ -326,72 +319,56 @@ def _parse_tol_overrides(items) -> dict:
             tols[name] = float(raw)
         except ValueError as exc:
             raise UsageError(f"bad tolerance value {raw!r}") from exc
+        if not tols[name] >= 0.0:  # also NaN, which no deviation would pass
+            raise UsageError(f"tolerance for {name} must be >= 0, got {raw!r}")
     return tols
 
 
 def cmd_validate(cfg: dict, args) -> tuple:
-    grid_cfg = cfg["validate"]
-    ms = [int(m) for m in grid_cfg["m"]]
-    alphas = [float(a) for a in grid_cfg["alpha"]]
-    etas = [float(e) for e in grid_cfg["eta"]]
-    if not (ms and alphas and etas):
+    axes = [
+        _grid(cfg, "validate", key, cast)
+        for key, cast in (("m", int), ("alpha", float), ("eta", float))
+    ]
+    if not all(axes):
         raise UsageError("empty validation grid")
-    if any(m > 3 for m in ms):
+    if any(m > 3 for m in axes[0]):
         raise UsageError("validation grid is bounded at m <= 3")
     tols = _parse_tol_overrides(args.tol)
 
-    deviations = {name: 0.0 for name in _TOLERANCES}
-    for m in ms:
-        for alpha in alphas:
-            for eta in etas:
-                spec = CatCodeSpec(m=m, alpha=alpha, eta=eta)
-                report = simulate_unit(spec)
-                weights = loss_weights(spec)
-                deviations["f0"] = max(
-                    deviations["f0"],
-                    abs(report.f0_oracle - weights.correctable_mass()),
-                )
-                deviations["loss_weights"] = max(
-                    deviations["loss_weights"],
-                    float(np.max(np.abs(report.weights - weights.p))),
-                )
-                deviations["syndrome"] = max(
-                    deviations["syndrome"], syndrome_deviation(m, alpha, eta)
-                )
-                if m == 1:
-                    deviations["bell_order"] = max(
-                        deviations["bell_order"],
-                        bell_order_equivalence(m, alpha, eta),
-                    )
-
-    rows = [
-        {
-            "check": name,
-            "max_deviation": deviations[name],
-            "tolerance": tols[name],
-            "status": "pass" if deviations[name] <= tols[name] else "FAIL",
+    deviations = dict.fromkeys(_TOLERANCES, 0.0)
+    for m, alpha, eta in itertools.product(*axes):
+        spec = CatCodeSpec(m=m, alpha=alpha, eta=eta)
+        report = simulate_unit(spec)
+        weights = loss_weights(spec)
+        point = {
+            "f0": abs(report.f0_oracle - weights.correctable_mass()),
+            "loss_weights": float(np.max(np.abs(report.weights - weights.p))),
+            "syndrome": syndrome_deviation(m, alpha, eta),
         }
-        for name in sorted(_TOLERANCES)
+        if m == 1:
+            point["bell_order"] = bell_order_equivalence(m, alpha, eta)
+        for name, value in point.items():
+            deviations[name] = max(deviations[name], value)
+
+    columns = ("check", "max_deviation", "tolerance", "status")
+    rows = [
+        (name, dev, tols[name], "pass" if dev <= tols[name] else "FAIL")
+        for name, dev in sorted(deviations.items())
     ]
-    return rows, ("check", "max_deviation", "tolerance", "status")
+    return [dict(zip(columns, row)) for row in rows], columns
 
 
-def _add_common(parser: argparse.ArgumentParser, overrides: bool = True):
+def _add_flags(parser: argparse.ArgumentParser, dests) -> None:
     parser.add_argument("--config", help="YAML config overlaying the defaults")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument(
-        "--format", choices=("csv", "jsonl"), help="output format (default csv)"
-    )
-    if overrides:
-        parser.add_argument("--alpha", help="comma-separated amplitudes")
-        parser.add_argument("--m", help="comma-separated code orders")
-        parser.add_argument("--l0", help="comma-separated elementary distances, km")
-        parser.add_argument(
-            "--eta-local", dest="eta_local", help="comma-separated local transmissions"
-        )
-        parser.add_argument("--l-tot", dest="l_tot", type=float, help="total distance, km")
-        parser.add_argument("--l-att", dest="l_att", type=float, help="attenuation length, km")
-        parser.add_argument("--t0", type=float, help="repetition time, s")
+    for dest in ("format", *dests):
+        flag, section, key, cast, help_ = _FLAGS[dest]
+        if isinstance(DEFAULT_CONFIG[section][key], list):  # cast in _apply_overrides
+            metavar = flag[2:].replace("-", "_").upper()
+            parser.add_argument(flag, dest=dest, metavar=metavar, help=help_)
+        else:
+            choices = ("csv", "jsonl") if dest == "format" else None
+            parser.add_argument(flag, dest=dest, type=cast, choices=choices, help=help_)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -401,36 +378,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# subcommand -> (help, handler, flags besides --config, --out and --format)
+_COMMANDS = {
+    "sweep": ("grid sweep of repeater-line metrics", cmd_sweep, _GRID_FLAGS),
+    "keyrate": ("one fully resolved configuration point", cmd_keyrate, _GRID_FLAGS),
+    "cavity": ("reflection phase/modulus over detuning", cmd_cavity, ()),
+    "usd": ("optimal vs beam-splitter discrimination", cmd_usd, ("usd_alphas",)),
+    "validate": ("oracle-vs-analytic cross checks", cmd_validate, ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="catrep",
         description="Cat-code repeater analytics: sweeps, validation, figure data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sweep", help="grid sweep of repeater-line metrics")
-    _add_common(p)
-    p.set_defaults(run=cmd_sweep)
-
-    p = sub.add_parser("keyrate", help="one fully resolved configuration point")
-    _add_common(p)
-    p.set_defaults(run=cmd_keyrate)
-
-    p = sub.add_parser("cavity", help="reflection phase/modulus over detuning")
-    _add_common(p, overrides=False)
-    p.set_defaults(run=cmd_cavity)
-
-    p = sub.add_parser("usd", help="optimal vs beam-splitter discrimination")
-    _add_common(p, overrides=False)
-    p.add_argument(
-        "--alpha", dest="usd_alphas", metavar="ALPHA", help="comma-separated amplitudes for the sweep"
-    )
-    p.set_defaults(run=cmd_usd)
-
-    p = sub.add_parser("validate", help="oracle-vs-analytic cross checks")
-    _add_common(p, overrides=False)
-    p.set_defaults(run=cmd_validate)
-    p.add_argument(
+    for name, (help_, run, dests) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(run=run)
+        _add_flags(p, dests)
+    sub.choices["validate"].add_argument(
         "--tol",
         action="append",
         metavar="CHECK=VALUE",

@@ -229,7 +229,8 @@ def _loss_rows(eta: float, dim: int, counts) -> np.ndarray:
     inside = n < dim - k
     log_fact = _log_factorials(dim)
     log_loss, log_eta = math.log1p(-eta), math.log(eta)
-    log_c = k * log_loss + n * log_eta + log_fact[np.where(inside, k + n, 0)] - log_fact[k] - log_fact[n]
+    log_fact_kn = log_fact[np.where(inside, k + n, 0)]
+    log_c = k * log_loss + n * log_eta + log_fact_kn - log_fact[k] - log_fact[n]
     return np.where(inside, np.exp(0.5 * log_c), 0.0)
 
 

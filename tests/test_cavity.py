@@ -40,6 +40,8 @@ def test_params_validation():
         CavityParams(kappa_r=1.5, kappa=1.0)
     with pytest.raises(ValueError):
         CavityParams(g=-0.1)
+    with pytest.raises(ValueError, match="gamma=nan"):
+        CavityParams(gamma=math.nan)
 
 
 def test_full_reflection_strong_coupling_is_near_unity():

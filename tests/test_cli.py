@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -301,6 +302,72 @@ def test_jsonl_format(tmp_path, capsys, command):
     if command == "sweep":
         assert rows[0]["m"] == 1 and rows[0]["alpha"] == 1.0
         assert isinstance(rows[0]["beats_plob"], bool)
+
+
+@pytest.mark.parametrize(
+    "config,argv,key",
+    [
+        ("code: {m: [1.5]}", ("sweep",), "code.m"),
+        ("code: {m: [true]}", ("sweep",), "code.m"),
+        ("code: {alpha: [false]}", ("sweep",), "code.alpha"),
+        ("code: {m: [.inf]}", ("keyrate", "--alpha", "2", "--l0", "1000"), "code.m"),
+        ("chain: {l0: 0.1}", ("sweep",), "chain.l0"),
+        ("validate: {m: [1.7]}", ("validate",), "validate.m"),
+        ("usd: {alphas: 0.5}", ("usd",), "usd.alphas"),
+        ("{}", ("sweep", "--m", "1.5"), "--m"),
+    ],
+)
+def test_grid_values_go_through_one_cast(tmp_path, capsys, config, argv, key):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(config + "\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize(
+    "config,key",
+    [
+        ("{g: .nan}", "g="),
+        ("{delta_min: .nan}", "cavity.delta_min"),
+        ("{points: 2.5}", "cavity.points"),
+    ],
+)
+def test_cavity_rejects_bad_inputs(tmp_path, capsys, config, key):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"cavity: {config}\n")
+    code, out, err = run_cli(capsys, "cavity", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("tol", ["f0=nan", "f0=-1"])
+def test_validate_bad_tolerance_is_a_usage_error(capsys, tol):
+    code, out, err = run_cli(capsys, "validate", "--tol", tol)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: tolerance for f0")
+
+
+_COMMON_FLAGS = {"--help", "--config", "--out", "--format"}
+_GRID_FLAGS = {"--alpha", "--m", "--l0", "--eta-local", "--l-tot", "--l-att", "--t0"}
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("sweep", _GRID_FLAGS),
+        ("keyrate", _GRID_FLAGS),
+        ("cavity", set()),
+        ("usd", {"--alpha"}),
+        ("validate", {"--tol"}),
+    ],
+)
+def test_subcommand_flags(capsys, command, flags):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    assert set(re.findall(r"--[a-z0-9-]+", out)) == _COMMON_FLAGS | flags
+    if command == "usd":
+        assert "--alpha ALPHA" in out
 
 
 def test_validate_small_grid(tmp_path, capsys):

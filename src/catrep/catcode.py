@@ -17,6 +17,7 @@ of which the first M are correctable.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,12 @@ _LOG_DROP = math.log(1e-16)
 # is a scope limit rather than a memory one: a wider window is refused,
 # naming the amplitude, before any term is evaluated.
 _MAX_SERIES_STOP = 4_000_000
+# log t! for t < len(_LOG_FACT), as lgamma(t + 1.0) gives it.  Built on
+# first use and grown on demand up to the cap (about 0.5 MB of floats);
+# a term past the cap calls lgamma itself.
+_LOG_FACT_CAP = 16_384
+_LOG_FACT: list[float] = []
+_LOG_FACT_GROWING = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -97,16 +104,16 @@ class LossWeights:
         low = p.min()
         if low < -1e-15:
             raise ValueError("negative class weight")
-        total = math.fsum(p)
+        total = math.fsum(p.tolist())
         if not abs(total - 1.0) <= 1e-10:  # NaN fails this too
             raise ValueError(f"class weights sum to {total}, not 1")
         p = np.maximum(p, 0.0)
-        p = p / (total if low >= 0.0 else math.fsum(p))
+        p = p / (total if low >= 0.0 else math.fsum(p.tolist()))
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 
     def correctable_mass(self) -> float:
-        return math.fsum(self.p[: 2 ** self.m])
+        return math.fsum(self.p[: 2 ** self.m].tolist())
 
 
 def codeword(spec: CatCodeSpec, logical: int, primitive: FockVector | None = None) -> FockVector:
@@ -170,6 +177,27 @@ def error_space_state(spec: CatCodeSpec, logical: int, q: int):
     return dropped.normalized(), float(norm_sq)
 
 
+def _log_factorials(n: int) -> list[float]:
+    """The shared table of log t! = lgamma(t + 1.0), grown to cover t ≤ n
+    as far as its cap allows; a caller indexes it below its length only."""
+    top = min(n, _LOG_FACT_CAP - 1)
+    if len(_LOG_FACT) <= top:
+        with _LOG_FACT_GROWING:
+            _LOG_FACT.extend(map(math.lgamma, range(len(_LOG_FACT) + 1, top + 2)))
+    return _LOG_FACT
+
+
+def _log_factorial(t: int) -> float:
+    """log t!, from the shared table where it reaches, else from lgamma."""
+    return _LOG_FACT[t] if t < len(_LOG_FACT) else math.lgamma(t + 1.0)
+
+
+class _PastCap:
+    """log t! for any t ≥ 0, indexed like the table: a window past the cap."""
+
+    __getitem__ = staticmethod(_log_factorial)
+
+
 def _class_series(x: float, modulus: int) -> list[tuple[int, float, float]]:
     """Per residue r < modulus: peak index t*, the peak log term
     t*·log x − log t*!, and log of the class sum Σ_{t ≡ r (mod modulus)}
@@ -186,9 +214,11 @@ def _class_series(x: float, modulus: int) -> list[tuple[int, float, float]]:
     plus one per residue for the trailing guard, which requires the
     window's last term to sit 40 nats under the peak so silent truncation
     cannot happen.  A window whose stop index passes `_MAX_SERIES_STOP`
-    raises before any term is evaluated.  Only ``math`` and
-    ``math.fsum`` are used, so the result depends on libm alone, and
-    fsum's correct rounding makes it independent of summation order.
+    raises before any term is evaluated.  log t! is read from one shared
+    table of libm ``lgamma`` values (``lgamma`` itself past the table's
+    cap), and the rest is ``math`` and ``math.fsum``, so the result
+    depends on libm alone, and fsum's correct rounding makes it
+    independent of summation order.
     """
     if not x > 0.0:
         raise ValueError(f"class series needs x > 0, got {x!r}")
@@ -199,46 +229,56 @@ def _class_series(x: float, modulus: int) -> list[tuple[int, float, float]]:
             f"class series window (x={x:.4g}, stop index {n_stop}) exceeds "
             f"the bound {_MAX_SERIES_STOP}; amplitude too large"
         )
+    log_fact = _log_factorials(n_stop)
+    if n_stop >= len(log_fact):
+        log_fact = _PastCap()
+    exp, drop = math.exp, _LOG_DROP
     table = []
     for residue in range(modulus):
         last = n_stop - (n_stop - residue) % modulus
         t_peak = residue + modulus * max(round((x - residue) / modulus), 0)
-        g_peak = math.lgamma(t_peak + 1.0)
+        g_peak = log_fact[t_peak]
         f_peak = t_peak * log_x - g_peak
-        known = {t_peak: g_peak}  # lgamma(t + 1) of every term evaluated so far
         # Climb to the first maximum: up while the next term is larger,
         # else down while the previous one is no smaller.
-        for step in (modulus, -modulus):
-            start = t_peak
-            while residue <= t_peak + step <= last:
-                t = t_peak + step
-                g = known[t] = math.lgamma(t + 1.0)
+        start = t_peak
+        t = t_peak + modulus
+        while t <= last:
+            g = log_fact[t]
+            f = t * log_x - g
+            if not f > f_peak:
+                break
+            t_peak, g_peak, f_peak = t, g, f
+            t += modulus
+        if t_peak == start:
+            t = t_peak - modulus
+            while t >= residue:
+                g = log_fact[t]
                 f = t * log_x - g
-                if not (f > f_peak or (step < 0 and f == f_peak)):
+                if not f >= f_peak:
                     break
                 t_peak, g_peak, f_peak = t, g, f
-            if t_peak != start:
-                break
-        g_last = known.get(last)
-        if g_last is None:
-            g_last = known[last] = math.lgamma(last + 1.0)
-        if last * log_x - g_last > f_peak - 40.0:
+                t -= modulus
+        if last * log_x - log_fact[last] > f_peak - 40.0:
             raise ArithmeticError(
                 f"class series (x={x:.4g}, mod {modulus}, residue {residue}) "
                 "not converged at the default stop; widen the window"
             )
         terms = [1.0]
-        up = range(t_peak + modulus, last + 1, modulus)
-        down = range(t_peak - modulus, residue - 1, -modulus)
-        for side in (up, down):
-            for t in side:
-                g = known.get(t)
-                if g is None:
-                    g = math.lgamma(t + 1.0)
-                v = (t - t_peak) * log_x - (g - g_peak)
-                if v <= _LOG_DROP:
-                    break
-                terms.append(math.exp(v))
+        t = t_peak + modulus
+        while t <= last:
+            v = (t - t_peak) * log_x - (log_fact[t] - g_peak)
+            if v <= drop:
+                break
+            terms.append(exp(v))
+            t += modulus
+        t = t_peak - modulus
+        while t >= residue:
+            v = (t - t_peak) * log_x - (log_fact[t] - g_peak)
+            if v <= drop:
+                break
+            terms.append(exp(v))
+            t -= modulus
         table.append((t_peak, f_peak, math.log(math.fsum(terms))))
     return table
 

@@ -130,8 +130,10 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
             if not isinstance(value, dict):
                 raise UsageError(f"config section {where} must be a mapping")
             out[key] = _merge(base[key], value, where)
-        else:
+        elif isinstance(base[key], list):  # each value is cast where its grid is read
             out[key] = value
+        else:
+            out[key] = _cast(value, type(base[key]), where)
     return out
 
 
@@ -283,14 +285,12 @@ def cmd_keyrate(cfg: dict, args) -> tuple:
 def cmd_cavity(cfg: dict, args) -> tuple:
     cav = cfg["cavity"]
     params = CavityParams(**{f.name: cav[f.name] for f in dataclasses.fields(CavityParams)})
-    span = {key: _cast(cav[key], float, f"cavity.{key}") for key in ("delta_min", "delta_max")}
-    for key, value in span.items():
-        if not math.isfinite(value):
-            raise UsageError(f"cavity.{key} must be finite, got {value!r}")
-    points = _cast(cav["points"], int, "cavity.points")
-    if points < 1:
+    for key in ("delta_min", "delta_max"):
+        if not math.isfinite(cav[key]):
+            raise UsageError(f"cavity.{key} must be finite, got {cav[key]!r}")
+    if cav["points"] < 1:
         raise UsageError("cavity.points must be positive")
-    deltas = np.linspace(*span.values(), points)
+    deltas = np.linspace(cav["delta_min"], cav["delta_max"], cav["points"])
     columns = ("delta", "phase_ideal", "phase_full", "modulus_full")
     return [dict(zip(columns, row)) for row in sweep_reflection(deltas, params)], columns
 

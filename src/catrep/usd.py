@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catcode import CatCodeSpec, LossWeights, _alpha_squared, _class_series, loss_weights
+from .catcode import CatCodeSpec, LossWeights, loss_weights
+from .catcode import _alpha_squared, _class_series, _log_factorial
 
 __all__ = [
     "CoherentSuperposition",
@@ -218,13 +219,14 @@ def _class_successes(spec: CatCodeSpec) -> list[float]:
     if y == 0.0:
         return [0.0] * big_m
     table = _class_series(y, 2 * big_m)
+    log_y = math.log(y)
     out = []
     for q in range(big_m):
         t_a, _f_a, rest_a = table[(-q) % (2 * big_m)]
         t_b, _f_b, rest_b = table[(big_m - q) % (2 * big_m)]
         d = (
-            (t_a - t_b) * math.log(y)
-            - (math.lgamma(t_a + 1.0) - math.lgamma(t_b + 1.0))
+            (t_a - t_b) * log_y
+            - (_log_factorial(t_a) - _log_factorial(t_b))
             + (rest_a - rest_b)
         )
         r = math.exp(-abs(d))
@@ -266,7 +268,7 @@ def _usd_probability(
         return per_class[q]
     if mode == "worst_case":
         return min(per_class)
-    w = (weights if weights is not None else loss_weights(spec)).p
+    w = (weights if weights is not None else loss_weights(spec)).p.tolist()
     total = math.fsum(
         (w[r] + w[r + big_m]) * per_class[r] for r in range(big_m)
     )

@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -356,6 +361,60 @@ def test_class_series_matches_whole_window(modulus):
     xs += [modulus * f for f in (0.01, 0.3, 0.5, 0.99)]
     for x in xs:
         assert _class_series(x, modulus) == whole_window_class_series(x, modulus), x
+
+
+def test_log_factorial_table_is_lgamma_and_capped():
+    _class_series(1e6, 2)
+    table = catcode._LOG_FACT
+    assert 0 < len(table) <= catcode._LOG_FACT_CAP
+    for t, g in enumerate(table):
+        assert g == math.lgamma(t + 1.0), t
+
+
+def test_log_factorial_table_grows_consistently_under_threads():
+    # Threads grow the shared table at once; a doubled extension would
+    # shift every later entry off its lgamma value.
+    def grow(first):
+        for n in range(first, 2000, 2):
+            catcode._log_factorials(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(10):
+            catcode._LOG_FACT.clear()
+            threads = [threading.Thread(target=grow, args=(k,)) for k in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            table = catcode._LOG_FACT
+            assert table == [math.lgamma(t + 1.0) for t in range(2000)]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_importing_the_cli_leaves_the_log_factorial_table_empty():
+    code = "import catrep.cli, catrep.catcode as c; print(len(c._LOG_FACT))"
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("modulus", range(2, 17))
+def test_class_series_matches_whole_window_across_the_table_cap(modulus):
+    # Windows that end below the table's cap, walks that straddle it (peak
+    # at the cap), and walks that lie wholly past it, where log t! comes
+    # from lgamma itself.
+    cap = catcode._LOG_FACT_CAP
+    for x in (14_000.0, 14_000.5, float(cap), cap - 0.5, cap + 300.5, 20_000.0):
+        assert _class_series(x, modulus) == whole_window_class_series(x, modulus), x
+    assert len(catcode._LOG_FACT) == cap
 
 
 def test_class_series_evaluates_only_the_terms_near_the_peak(monkeypatch):

@@ -436,3 +436,22 @@ def test_evaluate_chain_builds_each_table_once(monkeypatch):
     seg = SegmentParams(l0=1.0, m=3, alpha=3.0)
     evaluate_chain(seg, ChainParams(l_tot=10.0, n_e=10), usd_mode="weighted_average")
     assert counts == {"loss_weights": 1, "_class_series": 3}
+
+
+def test_evaluate_chain_makes_no_lgamma_calls_once_the_table_is_warm(monkeypatch):
+    # log t! comes from one table, so a repeated point never calls lgamma;
+    # a return to per-term lgamma would show here without any timing.
+    seg = SegmentParams(l0=1.0, m=3, alpha=3.0)
+    params = ChainParams(l_tot=1000.0, n_e=1000)
+    evaluate_chain(seg, params)
+    calls = 0
+    lgamma = math.lgamma
+
+    def counting(v):
+        nonlocal calls
+        calls += 1
+        return lgamma(v)
+
+    monkeypatch.setattr(math, "lgamma", counting)
+    evaluate_chain(seg, params)
+    assert calls == 0

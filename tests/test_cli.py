@@ -326,6 +326,25 @@ def test_grid_values_go_through_one_cast(tmp_path, capsys, config, argv, key):
 
 
 @pytest.mark.parametrize(
+    "config,command,key",
+    [
+        ("chain: {l_tot: abc}", "sweep", "chain.l_tot"),
+        ("chain: {t0: [1]}", "sweep", "chain.t0"),
+        ("cavity: {g: abc}", "cavity", "cavity.g"),
+        ("usd: {q: 1.5}", "usd", "usd.q"),
+    ],
+)
+def test_scalar_config_values_go_through_one_cast(tmp_path, capsys, config, command, key):
+    # Each scalar is cast by the type of its default, so a wrong type is a
+    # named usage error, not a traceback.
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(config + "\n")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize(
     "config,key",
     [
         ("{g: .nan}", "g="),

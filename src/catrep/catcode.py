@@ -101,14 +101,20 @@ class LossWeights:
         p = np.asarray(self.p, dtype=float)
         if p.shape != (2 ** (self.m + 1),):
             raise ValueError(f"expected {2 ** (self.m + 1)} class weights, got shape {p.shape}")
-        low = p.min()
-        if low < -1e-15:
+        # the checks read a Python list: on 4 to 16 weights min and fsum cost
+        # less there than p.min(); the division stays one numpy call
+        vals = p.tolist()
+        low = min(vals)
+        if low < -1e-15 and not any(map(math.isnan, vals)):  # NaN fails the sum check
             raise ValueError("negative class weight")
-        total = math.fsum(p.tolist())
+        total = math.fsum(vals)
         if not abs(total - 1.0) <= 1e-10:  # NaN fails this too
             raise ValueError(f"class weights sum to {total}, not 1")
-        p = np.maximum(p, 0.0)
-        p = p / (total if low >= 0.0 else math.fsum(p.tolist()))
+        if low <= 0.0:  # clip at 0, which also turns -0.0 into 0.0
+            p = np.maximum(p, 0.0)
+            if low < 0.0:
+                total = math.fsum(p.tolist())
+        p = p / total
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 

@@ -42,7 +42,7 @@ from .chain import (
     evaluate_chain,
 )
 from .fockspace import TruncationError
-from .protocol_oracle import bell_order_equivalence, simulate_unit, syndrome_deviation
+from .protocol_oracle import bell_order_equivalence, simulate_unit, syndrome_deviation, unit_setup
 from .usd import usd_sweep
 
 __all__ = ["main", "load_config", "DEFAULT_CONFIG"]
@@ -338,7 +338,8 @@ def cmd_validate(cfg: dict, args) -> tuple:
     deviations = dict.fromkeys(_TOLERANCES, 0.0)
     for m, alpha, eta in itertools.product(*axes):
         spec = CatCodeSpec(m=m, alpha=alpha, eta=eta)
-        report = simulate_unit(spec)
+        setup = unit_setup(spec)  # one oracle setup for both unit checks
+        report = simulate_unit(spec, setup=setup)
         weights = loss_weights(spec)
         point = {
             "f0": abs(report.f0_oracle - weights.correctable_mass()),
@@ -346,7 +347,7 @@ def cmd_validate(cfg: dict, args) -> tuple:
             "syndrome": syndrome_deviation(m, alpha, eta),
         }
         if m == 1:
-            point["bell_order"] = bell_order_equivalence(m, alpha, eta)
+            point["bell_order"] = bell_order_equivalence(m, alpha, eta, setup=setup)
         for name, value in point.items():
             deviations[name] = max(deviations[name], value)
 

@@ -10,17 +10,20 @@ package's core validation.
 
 There is one engine.  An arm's loss count, syndrome branch,
 endpoint-spin attachment and discrimination compose to one linear map
-per classical record (remainder, USD outcome), built once per call by
-`_arm_maps` for the loss counts that can carry mass, from the loss
-coefficients `fockspace._loss_rows` and the cascade kernel `_cascade`;
-`_arm` contracts an arm's mode with each map, keeping every lost-photon
-count on an environment axis.  `simulate_unit` reads one arm's records,
-and `bell_order_equivalence` joins two arms' records in both orderings
-of the middle station's Bell measurement.
-Every cascade (preparation, syndrome, the pure syndrome check, the
-projector of each syndrome branch) is `_cascade`, and every codeword
-pair, the damped one behind the discrimination bras included, is
-`_code_pair`.  `syndrome_cascade` runs the same cascade on a density.
+per classical record (remainder, USD outcome), built by `_arm_maps` for
+the loss counts that can carry mass, from the loss coefficients
+`fockspace._loss_rows` and the cascade kernel `_cascade`, and stacked in
+one array; `_arm` applies every record's map to an arm's mode in one
+stacked matrix product, keeping every lost-photon count on an
+environment axis.  `unit_setup` builds the maps once per point:
+`simulate_unit` reads one arm's records, and `bell_order_equivalence`
+joins two arms' records in both orderings of the middle station's Bell
+measurement, each from a setup it is given or builds itself.
+Every cascade (preparation, syndrome, the pure syndrome check over all
+injected loss counts at once, the projector of each syndrome branch) is
+`_cascade`, and every codeword pair, the damped one behind the
+discrimination bras included, is `_code_pair`.  `syndrome_cascade` runs
+the same cascade on a density.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ __all__ = [
     "simulate_unit",
     "bell_order_equivalence",
     "syndrome_deviation",
+    "unit_setup",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -214,17 +218,25 @@ def syndrome_deviation(m: int, alpha: float, eta: float) -> float:
     """Worst-case tagging error over every injectable loss count.
 
     Injects exactly q photon losses (âᵠ on both codewords of the damped
-    pure pair) for each q < 2^{m+1}, runs the cascade on the pure (spin,
-    mode) array and requires it to tag remainder q mod 2^m with certainty.
+    pure pair) for each q < 2^{m+1}, runs one cascade on the pure (spin,
+    mode) arrays stacked on a batch axis and requires it to tag remainder
+    q mod 2^m with certainty.  The cascade acts on each injection alone,
+    so q's branch holds the bits of a cascade run on q only; a branch that
+    run would drop (squared norm at most 1e-14) counts as 0.
     """
     pair = _damped_pair(CatCodeSpec(m, alpha, eta))
+    injected = []
+    for _q in range(2 ** (m + 1)):
+        psi = np.stack([cw.amps for cw in pair])
+        psi /= np.linalg.norm(psi)
+        injected.append(psi)
+        pair = [annihilate(cw) for cw in pair]  # one more loss for the next q
+    tags = {(-c) % 2**m: y for c, y in _cascade(np.stack(injected), m, "direct", 2, floor=0.0)}
     worst = 0.0
     for q in range(2 ** (m + 1)):
-        psi = np.stack([annihilate(cw, q).amps for cw in pair])
-        psi /= np.linalg.norm(psi)
-        branches = _cascade(psi, m, "direct", 1, floor=_ZERO_BRANCH)
-        outcomes = {(-c) % 2 ** m: float(np.vdot(y, y).real) for c, y in branches}
-        worst = max(worst, abs(1.0 - outcomes.get(q % 2 ** m, 0.0)))
+        y = tags.get(q % 2**m)
+        weight = 0.0 if y is None else float(np.vdot(y[q], y[q]).real)
+        worst = max(worst, abs(1.0 - (weight if weight > _ZERO_BRANCH else 0.0)))
     return worst
 
 
@@ -276,8 +288,28 @@ def _record_setup(spec: CatCodeSpec):
     return flip, np.stack([cw0, cw1]) / _SQRT2, bras
 
 
+def unit_setup(spec: CatCodeSpec) -> tuple:
+    """What `simulate_unit` and `bell_order_equivalence` share at one point.
+
+    Returns (spec, v0, maps): the arm's spin-codeword amplitudes of
+    `_record_setup` and the record maps `_arm_maps` builds from them.
+    Either function builds it when given none; a caller running both at
+    one point builds it once and passes it to each as setup=.
+    """
+    flip, v0, bras = _record_setup(spec)
+    return spec, v0, _arm_maps(spec, v0, flip, bras)
+
+
+def _given_setup(spec: CatCodeSpec, setup) -> tuple:
+    """(v0, maps) of setup, built from spec when setup is None."""
+    built_for, v0, maps = unit_setup(spec) if setup is None else setup
+    if built_for != spec:
+        raise ValueError(f"setup built for {built_for}, not {spec}")
+    return v0, maps
+
+
 def _arm_maps(spec: CatCodeSpec, v0, flip, bras):
-    """Each record's linear map on an arm's mode, over the counts that carry mass.
+    """Every record's linear map on an arm's mode, over the counts that carry mass.
 
     Record (r, u) of an arm is its mode contracted with
     W[m, k, s] = Σ_n [n + k = m]·c[k, n]·P[n]·S[n, s]: loss count k with
@@ -299,8 +331,10 @@ def _arm_maps(spec: CatCodeSpec, v0, flip, bras):
 
     Returns (count, branch, ops), indexed [m, j] by the source photon
     number m = n + k and the j-th window count k: count = c², branch[r]
-    the |c·P|² of the syndrome branch of remainder r, and ops[r] its maps
-    [W of u = 0, W of u = 1].
+    the |c·P|² of the syndrome branch of remainder r, and ops the maps of
+    every record in one array, ops[r, u, m, j, s], filled one record at a
+    time with one map's product (a single broadcast over every remainder
+    can round differently).
     """
     d = flip.size
     p = np.concatenate([np.einsum("sm,sm->m", v0, v0.conj()).real, np.zeros(d)])
@@ -313,12 +347,13 @@ def _arm_maps(spec: CatCodeSpec, v0, flip, bras):
     n = (np.arange(d)[:, None] - ks) % d  # n = m − k; wraps only onto a row's zeros
     coef = rows[np.arange(ks.size), n]
     branch = np.zeros((spec.order, d, ks.size))
-    ops: list = [None] * spec.order
+    ops = np.zeros((spec.order, 2, d, ks.size, 2), dtype=complex)
     for cls, proj in _cascade(np.ones(d, dtype=complex), spec.m, "direct", 0, floor=0.0):
         r = (-cls) % spec.order
         amp = coef * proj[n]
-        spins = (np.stack([b.conj(), flip * b.conj()], axis=1) / _SQRT2 for b in bras[r])
-        ops[r] = [amp[:, :, None] * spin[n] for spin in spins]
+        for u, b in enumerate(bras[r]):
+            spin = np.stack([b.conj(), flip * b.conj()], axis=1) / _SQRT2
+            np.multiply(amp[:, :, None], spin[n], out=ops[r, u])
         branch[r] = np.abs(amp) ** 2
     return coef**2, branch, ops
 
@@ -331,8 +366,13 @@ def _arm(x: np.ndarray, maps) -> tuple:
     exceeds `_PRUNE`, and a syndrome branch when its mass over the kept
     counts does.  The window holds every count this rule can keep
     (`_arm_maps`), so the records are those of maps over every count.  A
-    kept branch keeps the records of both USD outcomes, however small;
-    each is one contraction of x with its map.
+    kept branch keeps the records of both USD outcomes, however small.
+    All records come from one stacked matrix product of x with every
+    record's map over the kept counts, read as a view of the maps when
+    those counts are a contiguous range of the window (a copy otherwise).
+    Each record stays its own matrix in that product, so it rounds as a
+    product with its map alone: BLAS rounds an entry by where it falls
+    in the kernel's blocks, which a product over every map would move.
 
     Returns (records, mass).  records is {(remainder, usd_outcome): array}
     whose axes are x's remaining axes, then the loss count, then the
@@ -346,25 +386,34 @@ def _arm(x: np.ndarray, maps) -> tuple:
     flat = x.reshape(d, -1)
     p = np.einsum("ma,ma->m", flat, flat.conj()).real
     kept = np.flatnonzero(p @ count > _PRUNE)
-    if kept.size == count.shape[1]:
-        kept = slice(None)  # the whole window: the maps are used uncopied
-    mass = (p @ branch)[:, kept].sum(axis=1)
-    records = {}
-    for r, maps_u in enumerate(ops):
-        if mass[r] <= _PRUNE:
-            continue
-        for u, w in enumerate(maps_u):
-            rec = flat.T @ w[:, kept].reshape(d, -1)
-            records[(r, u)] = rec.reshape(x.shape[1:] + (-1, 2))
+    # the whole window's branch masses are summed in place, a part of it
+    # as a fancy-indexed copy, which numpy sums in another order
+    whole = slice(None) if kept.size == count.shape[1] else kept
+    mass = (p @ branch)[:, whole].sum(axis=1)
+    live = np.flatnonzero(mass > _PRUNE).tolist()
+    if not live:
+        return {}, mass
+    shape = x.shape[1:] + (kept.size, 2)
+    if kept[-1] - kept[0] == kept.size - 1:  # a contiguous range: one product over views
+        w = ops[:, :, :, kept[0] : kept[-1] + 1].reshape(-1, d, kept.size * 2)
+        rec = (flat.T @ w).reshape((-1, 2) + shape)
+        return {(r, u): rec[r, u] for r in live for u in (0, 1)}, mass
+    # with gaps, each live record's maps are copied and applied on their own
+    # rather than copying every record's at once
+    records = {
+        (r, u): (flat.T @ ops[r, u][:, kept].reshape(d, -1)).reshape(shape)
+        for r in live
+        for u in (0, 1)
+    }
     return records, mass
 
 
 def _density(chi: np.ndarray, axes: tuple) -> np.ndarray:
-    """4×4 spin-pair density of a record whose axes, put in `axes` order,
-    are its environment axes and then the two spins; traced over the
-    environment."""
-    flat = chi.transpose(axes).reshape(-1, 4)
-    return flat.T @ flat.conj()
+    """4×4 spin-pair densities of records stacked on chi's axis 0, each
+    traced over its environment: `axes` puts a record's own axes in the
+    order environment axes, then the two spins."""
+    flat = chi.transpose(0, *(a + 1 for a in axes)).reshape(chi.shape[0], -1, 4)
+    return flat.transpose(0, 2, 1) @ flat.conj()
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +447,7 @@ class UnitReport:
     thetas: np.ndarray
 
 
-def simulate_unit(spec: CatCodeSpec) -> UnitReport:
+def simulate_unit(spec: CatCodeSpec, *, setup=None) -> UnitReport:
     """One arm of the unit, read off its records.
 
     The sender's spin-codeword arm goes through `_arm`: loss, the syndrome
@@ -408,9 +457,11 @@ def simulate_unit(spec: CatCodeSpec) -> UnitReport:
     order and traced over the count, is the unnormalized spin block of
     USD outcome u in branch r; the u = 0 block is read in the Bell frame
     at θ = rπ/M.  All states stay at the cutoff of the undamped primitive.
+    setup is the point's `unit_setup`, built here when not given.
     """
-    flip, v0, bras = _record_setup(spec)
-    records, syn = _arm(v0.T, _arm_maps(spec, v0, flip, bras))
+    v0, maps = _given_setup(spec, setup)
+    records, syn = _arm(v0.T, maps)
+    blocks = dict(zip(records, _density(np.stack(list(records.values())), (1, 2, 0))))
     big_m = spec.order
     weights = np.zeros(2 * big_m)
     plus = np.zeros(big_m)
@@ -420,7 +471,7 @@ def simulate_unit(spec: CatCodeSpec) -> UnitReport:
     for r in range(big_m):
         if (r, 0) not in records:
             continue
-        block0, block1 = (_density(records[(r, u)], (1, 2, 0)) for u in (0, 1))
+        block0, block1 = blocks[(r, 0)], blocks[(r, 1)]
         p0, p1 = float(np.trace(block0).real), float(np.trace(block1).real)
         rho0 = block0 / p0
         bells = bell_vectors(thetas[r])
@@ -450,7 +501,9 @@ def simulate_unit(spec: CatCodeSpec) -> UnitReport:
 # measurement-ordering equivalence
 
 
-def bell_order_equivalence(m: int, alpha: float, eta: float, return_records: bool = False):
+def bell_order_equivalence(
+    m: int, alpha: float, eta: float, return_records: bool = False, *, setup=None
+):
     """Max observable discrepancy between Bell-before and Bell-after orderings.
 
     Both engines enumerate every branch of a two-arm unit (middle station
@@ -458,49 +511,61 @@ def bell_order_equivalence(m: int, alpha: float, eta: float, return_records: boo
     full classical record (Bell result, per-arm remainder, per-arm USD
     outcome).  Bell-last projects pairs of one arm's records, each
     reduced to its Gram block, so no tensor over both arms' loss counts
-    is formed.  Returned is the maximum over records of the trace
-    distance between conditional endpoint spin states or the probability
-    mismatch, whichever is larger.
+    is formed.  The two orderings' record densities are compared as
+    arrays indexed (Bell label, r1, u1, r2, u2).  Returned is the maximum
+    over records of the trace distance between conditional endpoint spin
+    states or the probability mismatch, whichever is larger; with
+    return_records also {(label, r1, u1, r2, u2): (p_before, p_after,
+    rho_before, rho_after)} over the records either ordering gives
+    probability 1e-12 or more, a density None where its ordering made no
+    such record.  setup is the point's `unit_setup`, built here when not
+    given.
     """
     spec = CatCodeSpec(m, alpha, eta)
+    v0, maps = _given_setup(spec, setup)
     bells = bell_vectors(0.0)
     bra = np.stack(list(bells.values())).reshape(-1, 2, 2).conj()
-    flip, v0, bras = _record_setup(spec)
-    maps = _arm_maps(spec, v0, flip, bras)
+    # rho[l, r1, u1, r2, u2, o] is record's density in ordering o (0: Bell
+    # first, 1: Bell last), zero where made says that ordering has none.
+    shape = (len(bells), spec.order, 2, spec.order, 2, 2)
+    rho = np.zeros(shape + (4, 4), dtype=complex)
+    made = np.zeros(shape, dtype=bool)
     # Bell-last: process one arm, then project the ES pair of two records.
     # With G[(s, a), (s', a')] a record's Gram block over its loss count,
     # records (i, j) under label l have density
     # Σ B̄[l, s, t]·B[l, s', t']·G_i[(s, a), (s', a')]·G_j[(t, b), (t', b')].
     arm, _mass = _arm(v0.T, maps)  # (ES spin, k, endpoint)
-    gram = np.stack([_density(y, (1, 0, 2)) for y in arm.values()]).reshape(-1, 2, 2, 2, 2)
+    gram = _density(np.stack(list(arm.values())), (1, 0, 2)).reshape(-1, 2, 2, 2, 2)
     after = np.einsum("lst,lpq,isapc,jtbqd->lijabcd", bra, bra.conj(), gram, gram, optimize=True)
-    rec_after = {
-        (lbl, *key1, *key2): after[li, i, j].reshape(4, 4)
-        for li, lbl in enumerate(bells)
-        for i, key1 in enumerate(arm)
-        for j, key2 in enumerate(arm)
-    }
+    keys = [(li, *key1, *key2, 1) for li in range(len(bra)) for key1 in arm for key2 in arm]
+    blocks = [after.reshape(-1, 4, 4)]
     # Bell-first: project the ES pair, then process the left mode, then
     # the right mode of each left record.
-    rec_before = {}
-    for lbl, b in zip(bells, bra):
+    for li, b in enumerate(bra):
         lefts, _mass = _arm(v0.T @ b @ v0, maps)  # (right mode, k1, spin1)
         for key1, left in lefts.items():
-            for key2, chi in _arm(left, maps)[0].items():  # (k1, spin1, k2, spin2)
-                rec_before[(lbl, *key1, *key2)] = _density(chi, (0, 2, 1, 3))
-    keys = list(rec_before.keys() | rec_after.keys())
-    pairs = [(rec_before.get(key), rec_after.get(key)) for key in keys]
-    rho = np.array([[np.zeros((4, 4)) if r is None else r for r in pair] for pair in pairs])
-    prob = np.trace(rho, axis1=2, axis2=3).real
-    seen, both = prob.max(axis=1) >= 1e-12, prob.min(axis=1) >= 1e-12
-    records = {
-        key: (pa, pb, *pair)
-        for key, (pa, pb), pair, keep in zip(keys, prob.tolist(), pairs, seen)
-        if keep
-    }
+            rights, _mass = _arm(left, maps)  # (k1, spin1, k2, spin2)
+            if rights:
+                keys.extend((li, *key1, *key2, 0) for key2 in rights)
+                blocks.append(_density(np.stack(list(rights.values())), (0, 2, 1, 3)))
+    at = tuple(np.array(keys).T)
+    rho[at] = np.concatenate(blocks)
+    made[at] = True
+    prob = np.trace(rho, axis1=-2, axis2=-1).real
+    seen, both = prob.max(axis=-1) >= 1e-12, prob.min(axis=-1) >= 1e-12
     # a record only one ordering produces is as far apart as two states get
-    worst = float(np.where(both, np.abs(prob[:, 0] - prob[:, 1]), 1.0)[seen].max(initial=0.0))
+    worst = float(np.where(both, np.abs(prob[..., 0] - prob[..., 1]), 1.0)[seen].max(initial=0.0))
     if both.any():
-        rho = rho[both] / prob[both][:, :, None, None]
-        worst = max(worst, float(trace_distance(rho[:, 0], rho[:, 1]).max()))
-    return (worst, records) if return_records else worst
+        pair = rho[both] / prob[both][:, :, None, None]
+        worst = max(worst, float(trace_distance(pair[:, 0], pair[:, 1]).max()))
+    if not return_records:
+        return worst
+    labels = list(bells)
+    records = {
+        (labels[key[0]], *key[1:]): (
+            *prob[key].tolist(),
+            *(rho[key][o] if made[key][o] else None for o in (0, 1)),
+        )
+        for key in map(tuple, np.argwhere(seen).tolist())
+    }
+    return worst, records

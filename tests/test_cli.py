@@ -73,6 +73,13 @@ def test_sweep_golden_snapshot(tmp_path, capsys):
     assert out.read_bytes() == (DATA_DIR / "sweep_golden.csv").read_bytes()
 
 
+def test_validate_golden_snapshot(tmp_path, capsys):
+    out = tmp_path / "validate.csv"
+    code, _, _ = run_cli(capsys, "validate", "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == (DATA_DIR / "validate_golden.csv").read_bytes()
+
+
 def test_golden_columns_in_range():
     with open(DATA_DIR / "sweep_golden.csv") as fh:
         rows = list(csv.DictReader(fh))

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -6,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from catrep import fockspace, protocol_oracle
+from catrep import cli, fockspace, protocol_oracle
 from catrep.catcode import CatCodeSpec, codeword, damped_codeword, error_space_state, loss_weights
 from catrep.fockspace import (
     FockVector,
@@ -33,6 +34,7 @@ from catrep.protocol_oracle import (
     simulate_unit,
     syndrome_cascade,
     syndrome_deviation,
+    unit_setup,
 )
 from catrep.usd import optimal_usd_probability
 
@@ -528,6 +530,53 @@ def test_oracle_work_counts(monkeypatch):
     assert densities == []
 
 
+def test_a_given_setup_serves_its_own_spec_only():
+    spec = CatCodeSpec(1, 1.5, 0.9)
+    setup = unit_setup(spec)
+    shared, own = simulate_unit(spec, setup=setup), simulate_unit(spec)
+    assert shared.weights.tobytes() == own.weights.tobytes()
+    assert bell_order_equivalence(1, 1.5, 0.9, setup=setup) == bell_order_equivalence(1, 1.5, 0.9)
+    with pytest.raises(ValueError, match="setup built for"):
+        simulate_unit(CatCodeSpec(1, 1.5, 0.99), setup=setup)
+    with pytest.raises(ValueError, match="setup built for"):
+        bell_order_equivalence(1, 2.0, 0.9, setup=setup)
+
+
+def test_validate_builds_one_setup_per_point(monkeypatch, capsys):
+    # The default validate grid has 8 points.  Each builds one record setup
+    # and one set of arm maps, which simulate_unit and (at m = 1)
+    # bell_order_equivalence share, and each syndrome check runs two
+    # cascades: the damped pair's preparation and one syndrome cascade over
+    # every injected loss count at once.
+    calls = collections.Counter()
+
+    def counting(name):
+        original = getattr(protocol_oracle, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_record_setup", "_arm_maps", "_cascade"):
+        monkeypatch.setattr(protocol_oracle, name, counting(name))
+    cascades = []
+    deviation = cli.syndrome_deviation
+
+    def counting_deviation(*args):
+        before = calls["_cascade"]
+        result = deviation(*args)
+        cascades.append(calls["_cascade"] - before)
+        return result
+
+    monkeypatch.setattr(cli, "syndrome_deviation", counting_deviation)
+    assert cli.main(["validate"]) == 0
+    capsys.readouterr()
+    assert calls["_record_setup"] == calls["_arm_maps"] == 8
+    assert cascades == [2] * 8
+
+
 # The grid of the acceptance suite's engine-agreement test.
 _ACCEPTANCE_GRID = list(itertools.product((1, 2, 3), (0.5, 1.0, 2.0), (0.9, 0.99, 0.999)))
 _SWEEP_GRID = [
@@ -567,8 +616,9 @@ def test_syndrome_probabilities_are_relatively_accurate(m, alpha, eta):
 
 
 def dense_arm_maps(spec, flip, bras):
-    """`_arm_maps` over every loss count: a dense (d, d, 2) map per record,
-    as the oracle built it before it kept only the counts that carry mass."""
+    """`_arm_maps` over every loss count: a (d, d, 2) map per record, stacked
+    as ops[r, u] like the windowed maps, as the oracle built them before it
+    kept only the counts that carry mass."""
     d = flip.size
     src = np.arange(d)
     n = (src[:, None] - src[None, :]) % d  # n = m − k; wraps only where c is 0
@@ -576,12 +626,12 @@ def dense_arm_maps(spec, flip, bras):
     for k, row in enumerate(fockspace._loss_rows(spec.eta, d, range(d))):
         coef[k:, k] = row[: d - k]
     branch = np.zeros((spec.order, d, d))
-    ops = [None] * spec.order
+    ops = np.zeros((spec.order, 2, d, d, 2), dtype=complex)
     for cls, proj in _cascade(np.ones(d, dtype=complex), spec.m, "direct", 0, floor=0.0):
         r = (-cls) % spec.order
         amp = coef * proj[n]
-        spins = (np.stack([b.conj(), flip * b.conj()], axis=1) / SQRT2 for b in bras[r])
-        ops[r] = [amp[:, :, None] * spin[n] for spin in spins]
+        for u, b in enumerate(bras[r]):
+            ops[r, u] = amp[:, :, None] * (np.stack([b.conj(), flip * b.conj()], axis=1) / SQRT2)[n]
         branch[r] = np.abs(amp) ** 2
     return coef**2, branch, ops
 

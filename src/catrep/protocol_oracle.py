@@ -408,11 +408,11 @@ def _arm(x: np.ndarray, maps) -> tuple:
     return records, mass
 
 
-def _density(chi: np.ndarray, axes: tuple) -> np.ndarray:
-    """4×4 spin-pair densities of records stacked on chi's axis 0, each
-    traced over its environment: `axes` puts a record's own axes in the
-    order environment axes, then the two spins."""
-    flat = chi.transpose(0, *(a + 1 for a in axes)).reshape(chi.shape[0], -1, 4)
+def _density(chis, axes: tuple) -> np.ndarray:
+    """4×4 spin-pair densities of a sequence of records of one shape, each
+    traced over its environment: `axes` puts a record's axes in the order
+    environment axes, then the two spins."""
+    flat = np.stack([chi.transpose(axes) for chi in chis]).reshape(len(chis), -1, 4)
     return flat.transpose(0, 2, 1) @ flat.conj()
 
 
@@ -461,7 +461,7 @@ def simulate_unit(spec: CatCodeSpec, *, setup=None) -> UnitReport:
     """
     v0, maps = _given_setup(spec, setup)
     records, syn = _arm(v0.T, maps)
-    blocks = dict(zip(records, _density(np.stack(list(records.values())), (1, 2, 0))))
+    blocks = dict(zip(records, _density(list(records.values()), (1, 2, 0))))
     big_m = spec.order
     weights = np.zeros(2 * big_m)
     plus = np.zeros(big_m)
@@ -535,7 +535,7 @@ def bell_order_equivalence(
     # records (i, j) under label l have density
     # Σ B̄[l, s, t]·B[l, s', t']·G_i[(s, a), (s', a')]·G_j[(t, b), (t', b')].
     arm, _mass = _arm(v0.T, maps)  # (ES spin, k, endpoint)
-    gram = _density(np.stack(list(arm.values())), (1, 0, 2)).reshape(-1, 2, 2, 2, 2)
+    gram = _density(list(arm.values()), (1, 0, 2)).reshape(-1, 2, 2, 2, 2)
     after = np.einsum("lst,lpq,isapc,jtbqd->lijabcd", bra, bra.conj(), gram, gram, optimize=True)
     keys = [(li, *key1, *key2, 1) for li in range(len(bra)) for key1 in arm for key2 in arm]
     blocks = [after.reshape(-1, 4, 4)]
@@ -547,7 +547,7 @@ def bell_order_equivalence(
             rights, _mass = _arm(left, maps)  # (k1, spin1, k2, spin2)
             if rights:
                 keys.extend((li, *key1, *key2, 0) for key2 in rights)
-                blocks.append(_density(np.stack(list(rights.values())), (0, 2, 1, 3)))
+                blocks.append(_density(list(rights.values()), (0, 2, 1, 3)))
     at = tuple(np.array(keys).T)
     rho[at] = np.concatenate(blocks)
     made[at] = True

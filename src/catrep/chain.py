@@ -16,13 +16,14 @@ transmission of about 1.8e-20 over a 1000 km line.  Override per
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .catcode import CatCodeSpec, LossWeights, loss_weights
-from .fockspace import _log_factorials
+from .fockspace import _freeze, _log_factorials
 from .usd import _usd_probability
 
 __all__ = [
@@ -49,6 +50,10 @@ _BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 _KINDS = ("phi", "psi")
 _KEY_MODES = ("lower_bound", "exact_average")
 _DEFAULT_COMBO_LIMIT = 20000
+# Geometry tables kept (see _geometry_table): at most 16, none larger
+# than the m = 3 one the default limit admits (n_e = 10).
+_KEPT_TABLES = 16
+_KEPT_CELLS = math.comb(10 + 7, 7) * 8
 
 
 def _require_finite(params, *names: str) -> None:
@@ -213,6 +218,30 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return t
 
 
+def _geometry_table(n_e: int, parts: int):
+    """What a distribution needs that the weights leave alone, read-only.
+
+    The rows t of every composition of n_e into ``parts`` counts, as
+    floats for the product with log g; per count, its flat index
+    t_i * parts + i into a (n_e + 1, parts) table, one row of the
+    transposed array per column i; per row, the log multinomial
+    log n_e!/prod t_i!.
+
+    ``_kept_table`` keeps the 16 most recently used tables of at most
+    _KEPT_CELLS counts (19,448 rows of 8, every table the default limit
+    admits).  One takes at most 3.1 MB (77,792 rows of 2), so the kept
+    tables together take at most 50 MB; a larger one is built per call.
+    """
+    t = _compositions(n_e, parts)
+    index = (t * parts + np.arange(parts)).T
+    log_fact = _log_factorials(n_e + 1)
+    log_multinomial = log_fact[n_e] - log_fact[t].sum(axis=1)
+    return _freeze(t.astype(float)), _freeze(index), _freeze(log_multinomial)
+
+
+_kept_table = functools.lru_cache(maxsize=_KEPT_TABLES)(_geometry_table)
+
+
 def _distribution(weights: LossWeights, n_e: int, limit: int):
     if not isinstance(n_e, int) or n_e < 1:
         raise ValueError("need integer n_e >= 1")
@@ -228,17 +257,28 @@ def _distribution(weights: LossWeights, n_e: int, limit: int):
     ratio = np.divide(
         diff, group, out=np.zeros_like(diff), where=group > 0
     )
-    t = _compositions(n_e, big_m)
+    table = _kept_table if n_combos * big_m <= _KEPT_CELLS else _geometry_table
+    t, index, log_multinomial = table(n_e, big_m)
     # log of n_e!/prod t_i! * prod g_i^t_i, so neither the multinomial
     # nor the powers leave float range; a row that needs an empty group
     # (g_i = 0, t_i > 0) is exactly zero, exp(-inf), so its log-multinomial,
     # which can overflow exp on a long chain, is never exponentiated.
-    log_fact = _log_factorials(n_e + 1)
     log_group = np.log(group, out=np.zeros_like(group), where=group > 0)
-    log_prob = log_fact[n_e] - log_fact[t].sum(axis=1) + t @ log_group
-    prob = np.exp(np.where((t[:, group == 0] > 0).any(axis=1), -np.inf, log_prob))
+    log_prob = log_multinomial + t @ log_group
+    empty = group == 0
+    if empty.any():
+        log_prob[(t[:, empty] > 0).any(axis=1)] = -np.inf
+    prob = np.exp(log_prob, out=log_prob)
+    # 1/2 + 1/2 prod ratio_i^t_i, in place: the product runs group by group
+    # in the order np.prod takes along a row, each factor read from the
+    # table of powers 0..n_e
     powers = ratio ** np.arange(n_e + 1)[:, None]
-    fid = 0.5 + 0.5 * np.prod(powers[t, np.arange(big_m)], axis=1)
+    fid = np.take(powers, index[0])
+    factor = np.empty_like(fid)
+    for column in index[1:]:
+        fid *= np.take(powers, column, out=factor)
+    fid *= 0.5
+    fid += 0.5
     return t, prob, fid
 
 
@@ -257,7 +297,8 @@ def chain_distribution(
     there are at most ``limit`` combinations (``ValueError`` otherwise).
     """
     t, prob, fid = _distribution(weights, n_e, limit)
-    return list(zip(map(tuple, t.tolist()), prob.tolist(), fid.tolist()))
+    t = t.astype(int).tolist()
+    return list(zip(map(tuple, t), prob.tolist(), fid.tolist()))
 
 
 def binary_entropy(p: float) -> float:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import itertools
 import json
 import math
@@ -408,11 +409,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process: parsing leaves it as it was, so every main
+    # call reuses the first one's.
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .catcode import CatCodeSpec, LossWeights, loss_weights
 from .catcode import _alpha_squared, _class_series, _log_factorial
+from .fockspace import _freeze
 
 __all__ = [
     "CoherentSuperposition",
@@ -46,35 +47,42 @@ _EPS = float(np.finfo(float).eps)
 _MAX_ROUNDING = 1e-6  # largest relative rounding estimate of a returned click probability
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CoherentSuperposition:
     """Finite sum  sum_t  c_t |amp_t[0]> x ... x |amp_t[n-1]>.
 
-    ``terms`` is a tuple of ``(coeff, amps)`` pairs where ``amps`` holds one
-    complex amplitude per mode.  The representation is not unique and terms
-    are never merged; states stay exact under the operations below.
+    Held as read-only complex arrays, ``coeffs`` (T,) and ``amps``
+    (T, n_modes).  The constructor takes and checks ``(coeff, amps)``
+    pairs; the operations below build on the arrays of checked states
+    without a second check.  Terms are never merged; states stay exact.
     """
 
-    terms: tuple
-    n_modes: int
+    coeffs: np.ndarray
+    amps: np.ndarray
 
-    def __post_init__(self):
-        if self.n_modes < 1:
+    def __init__(self, terms, n_modes: int):
+        if n_modes < 1:
             raise ValueError("need at least one mode")
-        if not self.terms:
+        if not terms:
             raise ValueError("empty superposition")
-        fixed = []
-        for coeff, amps in self.terms:
-            amps = tuple(complex(a) for a in amps)
-            if len(amps) != self.n_modes:
-                raise ValueError(
-                    f"term has {len(amps)} amplitudes, expected {self.n_modes}"
-                )
-            coeff = complex(coeff)
-            if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
-                raise ValueError("non-finite coefficient")
-            fixed.append((coeff, amps))
-        object.__setattr__(self, "terms", tuple(fixed))
+        coeffs = [complex(c) for c, _ in terms]
+        amps = [[complex(a) for a in term_amps] for _, term_amps in terms]
+        for c, row in zip(coeffs, amps):
+            if len(row) != n_modes:
+                raise ValueError(f"term has {len(row)} amplitudes, expected {n_modes}")
+            if not all(map(cmath.isfinite, (c, *row))):
+                raise ValueError(f"non-finite term: coefficient {c}, amplitudes {row}")
+        object.__setattr__(self, "coeffs", _freeze(np.array(coeffs)))
+        object.__setattr__(self, "amps", _freeze(np.array(amps)))
+
+    @property
+    def n_modes(self) -> int:
+        return self.amps.shape[1]
+
+    @property
+    def terms(self) -> tuple:
+        """The ``(coeff, amps)`` pairs, as the constructor takes them."""
+        return tuple(zip(self.coeffs.tolist(), map(tuple, self.amps.tolist())))
 
     def norm(self) -> float:
         return math.sqrt(max(overlap(self, self).real, 0.0))
@@ -83,9 +91,16 @@ class CoherentSuperposition:
         n = self.norm()
         if n < _NORM_FLOOR:
             raise ValueError("cannot normalize a (numerically) zero state")
-        return CoherentSuperposition(
-            tuple((c / n, a) for c, a in self.terms), self.n_modes
-        )
+        # real and imaginary parts each divided by n, as c / n does
+        return _state((self.coeffs.view(float) / n).view(complex), self.amps)
+
+
+def _state(coeffs: np.ndarray, amps: np.ndarray) -> CoherentSuperposition:
+    # A superposition made from the arrays of checked states: no new check.
+    s = object.__new__(CoherentSuperposition)
+    object.__setattr__(s, "coeffs", _freeze(coeffs))
+    object.__setattr__(s, "amps", _freeze(amps))
+    return s
 
 
 def _pair_terms(a: CoherentSuperposition, b: CoherentSuperposition, must_click=()):
@@ -96,12 +111,10 @@ def _pair_terms(a: CoherentSuperposition, b: CoherentSuperposition, must_click=(
     # which does not cancel for bright amplitudes.  Capping Re(-z) at 700/k
     # on k clicking modes keeps their product finite; it moves only pairs
     # where a clicking factor is below 2e^(-700/k).
-    ta = np.array([(c, *x) for c, x in a.terms])[:, None, :]
-    tb = np.array([(c, *x) for c, x in b.terms])[None, :, :]
-    xa, xb = ta[..., 1:], tb[..., 1:]
+    xa, xb = a.amps[:, None, :], b.amps[None, :, :]
     z = xa.conj() * xb
     exponent = (1j * z.imag - 0.5 * abs(xa - xb) ** 2).sum(axis=-1)
-    terms = ta[..., 0].conj() * tb[..., 0]
+    terms = a.coeffs[:, None].conj() * b.coeffs[None, :]
     if must_click:
         w = -z[..., must_click]
         np.minimum(w.real, 700.0 / len(must_click), out=w.real)
@@ -117,17 +130,17 @@ def overlap(a: CoherentSuperposition, b: CoherentSuperposition) -> complex:
 
 
 def tensor(*states: CoherentSuperposition) -> CoherentSuperposition:
-    """Tensor product, modes concatenated in argument order."""
+    """Tensor product, modes concatenated in argument order.
+
+    One term per choice of a term from each state, the last state's
+    fastest, its coefficient the product of theirs in argument order.
+    """
     if not states:
         raise ValueError("nothing to tensor")
-    terms = [(1.0 + 0.0j, ())]
-    n_modes = 0
-    for s in states:
-        n_modes += s.n_modes
-        terms = [
-            (c0 * c1, a0 + a1) for c0, a0 in terms for c1, a1 in s.terms
-        ]
-    return CoherentSuperposition(tuple(terms), n_modes)
+    picks = np.indices([len(s.coeffs) for s in states]).reshape(len(states), -1)
+    coeffs = np.prod([s.coeffs[k] for s, k in zip(states, picks)], axis=0)
+    amps = np.concatenate([s.amps[k] for s, k in zip(states, picks)], axis=1)
+    return _state(coeffs, amps)
 
 
 def beam_splitter(s: CoherentSuperposition, ports) -> CoherentSuperposition:
@@ -144,14 +157,11 @@ def beam_splitter(s: CoherentSuperposition, ports) -> CoherentSuperposition:
         if not 0 <= p < s.n_modes:
             raise ValueError(f"port {p} out of range for {s.n_modes} modes")
     r = 1.0 / math.sqrt(2.0)
-    out = []
-    for c, amps in s.terms:
-        a = list(amps)
-        x, y = a[i], a[j]
-        a[i] = (x + y) * r
-        a[j] = (x - y) * r
-        out.append((c, tuple(a)))
-    return CoherentSuperposition(tuple(out), s.n_modes)
+    x, y = s.amps[:, i], s.amps[:, j]
+    amps = s.amps.copy()
+    amps[:, i] = (x + y) * r
+    amps[:, j] = (x - y) * r
+    return _state(s.coeffs, amps)
 
 
 def click_probability(s: CoherentSuperposition, must_click) -> float:
@@ -197,11 +207,8 @@ def cat_superposition(
         raise ValueError("losses must be nonnegative")
     big_m = 2**m
     nu = cmath.exp(1j * math.pi / big_m) if logical else 1.0
-    terms = []
-    for k in range(big_m):
-        amp = amplitude * cmath.exp(2j * math.pi * k / big_m) * nu
-        terms.append((amp**losses, (amp,)))
-    return CoherentSuperposition(tuple(terms), 1).normalized()
+    amps = [amplitude * cmath.exp(2j * math.pi * k / big_m) * nu for k in range(big_m)]
+    return CoherentSuperposition([(a**losses, (a,)) for a in amps], 1).normalized()
 
 
 def _class_successes(spec: CatCodeSpec) -> list[float]:
@@ -279,11 +286,8 @@ def _usd_probability(
 
 
 def _probe(amplitude: complex, sign: int, style: str) -> CoherentSuperposition:
-    if style == "coherent":
-        return CoherentSuperposition(((1.0, (amplitude,)),), 1).normalized()
-    return CoherentSuperposition(
-        ((1.0, (amplitude,)), (sign, (-amplitude,))), 1
-    ).normalized()
+    terms = ((1.0, (amplitude,)), (sign, (-amplitude,)))
+    return CoherentSuperposition(terms[: 1 if style == "coherent" else 2], 1).normalized()
 
 
 def linear_optics_output_states(
@@ -305,18 +309,15 @@ def linear_optics_output_states(
     if not 0 < eta <= 1:
         raise ValueError("need 0 < eta <= 1")
     beta = math.sqrt(eta) * alpha
-    sign = -1 if q else 1
     half = beta / math.sqrt(2.0)
     vacuum = CoherentSuperposition(((1.0, (0.0,)),), 1)
-    probe_real = _probe(half, sign, probe_style)
-    probe_imag = _probe(1j * half, sign, probe_style)
+    probes = [_probe(h, (-1) ** q, probe_style) for h in (half, 1j * half)]  # real, imaginary
     outs = []
     for logical in (0, 1):
         signal = cat_superposition(1, beta, logical, q)
-        state = tensor(signal, vacuum, probe_real, probe_imag)
-        state = beam_splitter(state, (0, 1))
-        state = beam_splitter(state, (0, 2))
-        state = beam_splitter(state, (1, 3))
+        state = tensor(signal, vacuum, *probes)
+        for ports in ((0, 1), (0, 2), (1, 3)):
+            state = beam_splitter(state, ports)
         outs.append(state)
     return tuple(outs)
 
@@ -361,9 +362,7 @@ def usd_sweep(alphas, q: int = 0, probe_style: str = "cat"):
     column is the per-class value at the given ``q`` for the order-2 code.
     """
     rows = []
-    for a in alphas:
-        spec = CatCodeSpec(m=1, alpha=float(a))
-        p_opt = optimal_usd_probability(spec, q=q, mode="per_q")
-        p_lin = linear_optics_usd_probability(float(a), q=q, probe_style=probe_style)
-        rows.append((float(a), p_opt, p_lin))
+    for a in map(float, alphas):
+        p_opt = optimal_usd_probability(CatCodeSpec(m=1, alpha=a), q=q, mode="per_q")
+        rows.append((a, p_opt, linear_optics_usd_probability(a, q=q, probe_style=probe_style)))
     return rows

@@ -253,22 +253,103 @@ def test_distribution_empty_group_rows_are_zero():
     assert all(p == 0.0 for t, p in rows.items() if t != (5, 0))
 
 
+# Geometries in turn, every one twice, so repeats read a kept table
+# between calls at other geometries.
+_INTERLEAVED = [
+    pytest.param([3, 1, 2, 1, 3, 2], [10, 10_000, 10, 10, 1, 1], id="interleaved"),
+    pytest.param([1, 3, 1, 3], [5, 5, 6, 6], id="interleaved-close"),
+]
+
+
 @pytest.mark.parametrize(
-    "m,n_e", [(m, n_e) for m in (1, 2, 3) for n_e in (1, 2, 5, 10)] + [(1, 10_000)]
+    "m,n_e",
+    [(m, n_e) for m in (1, 2, 3) for n_e in (1, 2, 5, 10)] + [(1, 10_000)] + _INTERLEAVED,
 )
 @pytest.mark.parametrize("alpha,eta", [(2.0, 0.9), (0.75, 0.99), (1.0, 1.0)])
 def test_distribution_matches_tuple_reference(m, n_e, alpha, eta):
     # eta = 1 leaves every loss class but q = 0 empty, so rows that need
-    # an empty group are exact zeros.
-    w = loss_weights(CatCodeSpec(m=m, alpha=alpha, eta=eta))
-    assert chain_distribution(w, n_e) == tuple_distribution(w, n_e)
+    # an empty group are exact zeros.  The exact_average rate is the sum
+    # over the reference rows, bit for bit.
+    geometries = list(zip(m, n_e)) * 2 if isinstance(m, list) else [(m, n_e)]
+    for m, n_e in geometries:
+        w = loss_weights(CatCodeSpec(m=m, alpha=alpha, eta=eta))
+        want = tuple_distribution(w, n_e)
+        assert chain_distribution(w, n_e) == want
+        _, prob, fid = map(np.array, zip(*want))
+        _, rate = secret_key_rate(0.9, 1.0, mode="exact_average", weights=w, n_e=n_e)
+        assert rate == float(prob @ chain_mod._key_fractions(fid))
 
 
 def test_distribution_combinatorial_guard():
     spec = CatCodeSpec(m=2, alpha=1.5, eta=0.9)
     w = loss_weights(spec)
+    kept = chain_mod._kept_table.cache_info().currsize
     with pytest.raises(ValueError):
         chain_distribution(w, 8, limit=10)
+    # the guard raises before a table is built or kept
+    assert chain_mod._kept_table.cache_info().currsize == kept
+
+
+def test_kept_tables_are_read_only():
+    w = loss_weights(CatCodeSpec(m=3, alpha=2.0, eta=0.9))
+    secret_key_rate(0.9, 1.0, mode="exact_average", weights=w, n_e=10)
+    t, prob, fid = chain_mod._distribution(w, 10, 20000)
+    table = chain_mod._kept_table(10, 8)
+    assert t is table[0]
+    for a in table:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    # what the weights decide is the caller's own
+    assert prob.flags.writeable and fid.flags.writeable
+
+
+def test_kept_tables_are_bounded():
+    chain_mod._kept_table.cache_clear()
+    w = loss_weights(CatCodeSpec(m=1, alpha=2.0, eta=0.9))
+    for n_e in range(1, 21):
+        chain_distribution(w, n_e)
+    info = chain_mod._kept_table.cache_info()
+    assert info.maxsize == 16 and info.currsize == 16
+    # the m = 3 table at the default limit is the largest one kept
+    big = loss_weights(CatCodeSpec(m=3, alpha=2.0, eta=0.9))
+    chain_distribution(big, 10)
+    hits = chain_mod._kept_table.cache_info().hits
+    chain_distribution(big, 10)
+    assert chain_mod._kept_table.cache_info().hits == hits + 1
+
+
+def test_oversized_table_is_not_kept():
+    # 100,001 rows of 2 counts: more than the 19,448 rows of 8 kept at most
+    chain_mod._kept_table.cache_clear()
+    w = loss_weights(CatCodeSpec(m=1, alpha=2.0, eta=math.exp(-0.01 / 22.0)))
+    _, rate = secret_key_rate(0.9, 1.0, mode="exact_average", weights=w, n_e=100_000, limit=10**6)
+    assert 0.0 <= rate <= 1.0
+    assert chain_mod._kept_table.cache_info().currsize == 0
+
+
+def test_exact_average_repeat_geometry_builds_nothing(monkeypatch):
+    # The table of a geometry is built on its first call and read after,
+    # whatever the weights: no enumeration and no log-factorial vector.
+    chain_mod._kept_table.cache_clear()
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(chain_mod, "_compositions", counting("c", chain_mod._compositions))
+    log_factorials = counting("f", fockspace._log_factorials)
+    # under either name chain could reach it
+    monkeypatch.setattr(fockspace, "_log_factorials", log_factorials)
+    monkeypatch.setattr(chain_mod, "_log_factorials", log_factorials)
+    for alpha in (2.0, 3.0):
+        w = loss_weights(CatCodeSpec(m=3, alpha=alpha, eta=0.9))
+        secret_key_rate(0.9, 1.0, mode="exact_average", weights=w, n_e=10)
+    assert calls == ["c", "f"]
 
 
 def test_binary_entropy():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from catrep import cli
 from catrep.cli import DEFAULT_CONFIG, load_config, main
 from catrep.usd import linear_optics_closed_form
 
@@ -78,6 +79,17 @@ def test_validate_golden_snapshot(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "validate", "--out", str(out))
     assert code == 0
     assert out.read_bytes() == (DATA_DIR / "validate_golden.csv").read_bytes()
+
+
+def test_usd_golden_snapshot(tmp_path, capsys):
+    # the default usd output at q = 0, followed by the same at q = 1
+    cfg = tmp_path / "q1.yaml"
+    cfg.write_text("usd:\n  q: 1\n")
+    outs = [tmp_path / "q0.csv", tmp_path / "q1.csv"]
+    assert run_cli(capsys, "usd", "--out", str(outs[0]))[0] == 0
+    assert run_cli(capsys, "usd", "--config", str(cfg), "--out", str(outs[1]))[0] == 0
+    got = b"".join(out.read_bytes() for out in outs)
+    assert got == (DATA_DIR / "usd_golden.csv").read_bytes()
 
 
 def test_golden_columns_in_range():
@@ -483,6 +495,32 @@ def test_config_overlay_and_unknown_key(tmp_path, capsys):
 def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 1
     assert run_cli(capsys, "sweep", "--no-such-flag")[0] == 1
+
+
+def test_one_parser_serves_every_main_call(monkeypatch, capsys):
+    # A usage error and a --tol override leave the shared parser as it was:
+    # the next validate matches a fresh process byte for byte.
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    fresh = subprocess.run(
+        [sys.executable, "-m", "catrep", "validate"], capture_output=True, env=env
+    )
+    assert fresh.returncode == 0
+    assert run_cli(capsys, "sweep", "--no-such-flag")[0] == 1
+    code, out, _ = run_cli(capsys, "validate")
+    assert (code, out.encode()) == (0, fresh.stdout)
+    assert run_cli(capsys, "validate", "--tol", "f0=1e-30")[0] == 2
+    code, out, _ = run_cli(capsys, "validate")
+    assert (code, out.encode()) == (0, fresh.stdout)
+    assert builds == [1]
 
 
 @pytest.mark.skipif(

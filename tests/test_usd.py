@@ -342,3 +342,45 @@ def test_circuit_work_counts(monkeypatch):
         clicks.clear()
         linear_optics_usd_probability(1.2, 0.95, q)
         assert clicks == [(1, 3), (0, 2)]
+
+
+def test_circuit_checks_each_caller_built_state_once(monkeypatch):
+    # The constructor checks the terms a caller gives it: per circuit call
+    # the vacuum, two probes and two signals.  Normalized, tensored and
+    # split states are built from checked arrays and not checked again.
+    checks = []
+    init = CoherentSuperposition.__init__
+
+    def counting_init(self, terms, n_modes):
+        checks.append(len(terms))
+        init(self, terms, n_modes)
+
+    monkeypatch.setattr(CoherentSuperposition, "__init__", counting_init)
+    for style, probe_terms in (("cat", 2), ("coherent", 1)):
+        checks.clear()
+        out0, _ = linear_optics_output_states(1.2, 0.95, 1, style)
+        assert sorted(checks) == sorted([1, probe_terms, probe_terms, 2, 2])
+        assert len(out0.coeffs) == 2 * probe_terms**2
+        checks.clear()
+        linear_optics_usd_probability(1.2, 0.95, 1, style)
+        assert len(checks) == 5
+
+
+def test_superposition_arrays_are_read_only():
+    s = tensor(coherent(0.5), cat_superposition(1, 1.0, 0))
+    out = beam_splitter(s, (0, 1))
+    assert out.coeffs.shape == (2,) and out.amps.shape == (2, 2)
+    for state in (s, out, out.normalized()):
+        for a in (state.coeffs, state.amps):
+            assert not a.flags.writeable
+    # the constructor names a non-finite coefficient or amplitude, so a
+    # state built from checked ones stays finite
+    with pytest.raises(ValueError, match="non-finite term"):
+        CoherentSuperposition(((math.inf, (0.5,)),), 1)
+    with pytest.raises(ValueError, match="non-finite term"):
+        CoherentSuperposition(((1.0, (0.5,)), (1.0, (math.nan,))), 1)
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite term"):
+            linear_optics_usd_probability(alpha, q=0)
+    with pytest.raises(ValueError, match="expected 2"):
+        CoherentSuperposition(((1.0, (0.5, 0.1)), (1.0, (0.5,))), 2)

@@ -65,19 +65,16 @@ class CoherentSuperposition:
             raise ValueError("need at least one mode")
         if not terms:
             raise ValueError("empty superposition")
-        coeffs = [complex(c) for c, _ in terms]
-        amps = [[complex(a) for a in term_amps] for _, term_amps in terms]
-        for c, row in zip(coeffs, amps):
+        for _, row in terms:
             if len(row) != n_modes:
                 raise ValueError(f"term has {len(row)} amplitudes, expected {n_modes}")
-            if not all(map(cmath.isfinite, (c, *row))):
-                raise ValueError(f"non-finite term: coefficient {c}, amplitudes {row}")
-        object.__setattr__(self, "coeffs", _freeze(np.array(coeffs)))
-        object.__setattr__(self, "amps", _freeze(np.array(amps)))
+        coeffs, amps = _term_arrays(terms)
+        object.__setattr__(self, "coeffs", _freeze(coeffs))
+        object.__setattr__(self, "amps", _freeze(amps))
 
     @property
     def n_modes(self) -> int:
-        return self.amps.shape[1]
+        return self.amps.shape[-1]
 
     @property
     def terms(self) -> tuple:
@@ -85,14 +82,27 @@ class CoherentSuperposition:
         return tuple(zip(self.coeffs.tolist(), map(tuple, self.amps.tolist())))
 
     def norm(self) -> float:
-        return math.sqrt(max(overlap(self, self).real, 0.0))
+        return float(_norms(self))
 
     def normalized(self) -> "CoherentSuperposition":
-        n = self.norm()
-        if n < _NORM_FLOOR:
-            raise ValueError("cannot normalize a (numerically) zero state")
-        # real and imaginary parts each divided by n, as c / n does
-        return _state((self.coeffs.view(float) / n).view(complex), self.amps)
+        return _normalized(self)
+
+
+# The private helpers below also take a stack of states: arrays with
+# leading axes, coeffs (..., T) and amps (..., T, n_modes), each state of
+# the stack computed with the arithmetic of a single one.
+
+
+def _term_arrays(terms) -> tuple:
+    # (coeffs, amps) of (coeff, amps) pairs of one length, checked once; a
+    # non-finite coefficient or amplitude names the first term that has one.
+    coeffs = np.array([complex(c) for c, _ in terms])
+    amps = np.array([[complex(a) for a in row] for _, row in terms])
+    finite = np.isfinite(coeffs) & np.isfinite(amps).all(axis=-1)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"non-finite term: coefficient {coeffs[k]}, amplitudes {amps[k].tolist()}")
+    return coeffs, amps
 
 
 def _state(coeffs: np.ndarray, amps: np.ndarray) -> CoherentSuperposition:
@@ -111,10 +121,10 @@ def _pair_terms(a: CoherentSuperposition, b: CoherentSuperposition, must_click=(
     # which does not cancel for bright amplitudes.  Capping Re(-z) at 700/k
     # on k clicking modes keeps their product finite; it moves only pairs
     # where a clicking factor is below 2e^(-700/k).
-    xa, xb = a.amps[:, None, :], b.amps[None, :, :]
+    xa, xb = a.amps[..., :, None, :], b.amps[..., None, :, :]
     z = xa.conj() * xb
     exponent = (1j * z.imag - 0.5 * abs(xa - xb) ** 2).sum(axis=-1)
-    terms = a.coeffs[:, None].conj() * b.coeffs[None, :]
+    terms = a.coeffs[..., :, None].conj() * b.coeffs[..., None, :]
     if must_click:
         w = -z[..., must_click]
         np.minimum(w.real, 700.0 / len(must_click), out=w.real)
@@ -122,11 +132,28 @@ def _pair_terms(a: CoherentSuperposition, b: CoherentSuperposition, must_click=(
     return terms * np.exp(exponent)
 
 
+def _pair_sums(terms: np.ndarray) -> np.ndarray:
+    # Each (T, T') block summed as one flat run, as ``.sum()`` sums one block.
+    return terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+def _norms(s: CoherentSuperposition) -> np.ndarray:
+    return np.sqrt(np.maximum(_pair_sums(_pair_terms(s, s)).real, 0.0))
+
+
+def _normalized(s: CoherentSuperposition) -> CoherentSuperposition:
+    n = _norms(s)
+    if (n < _NORM_FLOOR).any():
+        raise ValueError("cannot normalize a (numerically) zero state")
+    # real and imaginary parts each divided by n, as c / n does
+    return _state((s.coeffs.view(float) / n[..., None]).view(complex), s.amps)
+
+
 def overlap(a: CoherentSuperposition, b: CoherentSuperposition) -> complex:
     """Exact inner product <a|b>."""
     if a.n_modes != b.n_modes:
         raise ValueError(f"mode count mismatch: {a.n_modes} vs {b.n_modes}")
-    return complex(_pair_terms(a, b).sum())
+    return complex(_pair_sums(_pair_terms(a, b)))
 
 
 def tensor(*states: CoherentSuperposition) -> CoherentSuperposition:
@@ -137,10 +164,29 @@ def tensor(*states: CoherentSuperposition) -> CoherentSuperposition:
     """
     if not states:
         raise ValueError("nothing to tensor")
-    picks = np.indices([len(s.coeffs) for s in states]).reshape(len(states), -1)
-    coeffs = np.prod([s.coeffs[k] for s, k in zip(states, picks)], axis=0)
-    amps = np.concatenate([s.amps[k] for s, k in zip(states, picks)], axis=1)
-    return _state(coeffs, amps)
+    return _state(*_tensor([(s.coeffs, s.amps) for s in states]))
+
+
+def _tensor(factors):
+    # (coeffs, amps) of the product of (coeffs, amps) factors, each
+    # factor's terms laid along an axis of its own; leading stack axes
+    # broadcast across the factors.  The coefficients are multiplied in
+    # one np.prod over a stacked axis: a running product of binary
+    # multiplies rounds some one-term products differently.
+    n = len(factors)
+    sizes = tuple(c.shape[-1] for c, _ in factors)
+    shape = np.broadcast_shapes(*(c.shape[:-1] for c, _ in factors)) + sizes
+    coeffs = np.empty((n,) + shape, complex)
+    amps = np.empty(shape + (sum(a.shape[-1] for _, a in factors),), complex)
+    col = 0
+    for k, (c, a) in enumerate(factors):
+        axes = (1,) * k + sizes[k : k + 1] + (1,) * (n - k - 1)
+        coeffs[k] = c.reshape(c.shape[:-1] + axes)
+        modes = a.shape[-1]
+        amps[..., col : col + modes] = a.reshape(a.shape[:-2] + axes + (modes,))
+        col += modes
+    lead = shape[:-n]
+    return coeffs.prod(axis=0).reshape(lead + (-1,)), amps.reshape(lead + (-1, col))
 
 
 def beam_splitter(s: CoherentSuperposition, ports) -> CoherentSuperposition:
@@ -156,12 +202,17 @@ def beam_splitter(s: CoherentSuperposition, ports) -> CoherentSuperposition:
     for p in (i, j):
         if not 0 <= p < s.n_modes:
             raise ValueError(f"port {p} out of range for {s.n_modes} modes")
+    return _state(s.coeffs, _split(s.amps, (i, j)))
+
+
+def _split(amps: np.ndarray, *port_pairs) -> np.ndarray:
+    # The splitters on the given port pairs, in order, on one copy.
     r = 1.0 / math.sqrt(2.0)
-    x, y = s.amps[:, i], s.amps[:, j]
-    amps = s.amps.copy()
-    amps[:, i] = (x + y) * r
-    amps[:, j] = (x - y) * r
-    return _state(s.coeffs, amps)
+    out = amps.copy()
+    for i, j in port_pairs:
+        x, y = out[..., i], out[..., j]
+        out[..., i], out[..., j] = (x + y) * r, (x - y) * r
+    return out
 
 
 def click_probability(s: CoherentSuperposition, must_click) -> float:
@@ -205,10 +256,14 @@ def cat_superposition(
         raise ValueError("logical must be 0 or 1")
     if losses < 0:
         raise ValueError("losses must be nonnegative")
+    return CoherentSuperposition(_cat_terms(m, amplitude, logical, losses), 1).normalized()
+
+
+def _cat_terms(m: int, amplitude: complex, logical: int, losses: int) -> list:
     big_m = 2**m
     nu = cmath.exp(1j * math.pi / big_m) if logical else 1.0
     amps = [amplitude * cmath.exp(2j * math.pi * k / big_m) * nu for k in range(big_m)]
-    return CoherentSuperposition([(a**losses, (a,)) for a in amps], 1).normalized()
+    return [(a**losses, (a,)) for a in amps]
 
 
 def _class_successes(spec: CatCodeSpec) -> list[float]:
@@ -285,9 +340,7 @@ def _usd_probability(
     return min(max(total, 0.0), 1.0)
 
 
-def _probe(amplitude: complex, sign: int, style: str) -> CoherentSuperposition:
-    terms = ((1.0, (amplitude,)), (sign, (-amplitude,)))
-    return CoherentSuperposition(terms[: 1 if style == "coherent" else 2], 1).normalized()
+_VACUUM = (_freeze(np.array([1 + 0j])), _freeze(np.array([[0j]])))  # one-mode vacuum
 
 
 def linear_optics_output_states(
@@ -298,7 +351,8 @@ def linear_optics_output_states(
     Four modes.  The signal (mode 0) is split against vacuum (mode 1); one
     half meets a real-axis probe (mode 2), the other an imaginary-axis
     probe (mode 3).  Ports after the circuit: A = 0, B = 2, C = 1, D = 3.
-    Returns ``(out_for_logical0, out_for_logical1)``.
+    Returns ``(out_for_logical0, out_for_logical1)``, read-only views of
+    one stack in which both inputs' states are built at once.
     """
     if probe_style not in _PROBE_STYLES:
         raise ValueError(f"probe_style must be one of {_PROBE_STYLES}")
@@ -310,16 +364,19 @@ def linear_optics_output_states(
         raise ValueError("need 0 < eta <= 1")
     beta = math.sqrt(eta) * alpha
     half = beta / math.sqrt(2.0)
-    vacuum = CoherentSuperposition(((1.0, (0.0,)),), 1)
-    probes = [_probe(h, (-1) ** q, probe_style) for h in (half, 1j * half)]  # real, imaginary
-    outs = []
-    for logical in (0, 1):
-        signal = cat_superposition(1, beta, logical, q)
-        state = tensor(signal, vacuum, *probes)
-        for ports in ((0, 1), (0, 2), (1, 3)):
-            state = beam_splitter(state, ports)
-        outs.append(state)
-    return tuple(outs)
+    # The probes (real, imaginary) and both signals are normalized in one
+    # stacked pass.  A coherent probe is a cat probe whose second term has
+    # coefficient 0: that term adds exactly 0 to its norm and is dropped.
+    sign, n_probe = ((-1) ** q, 2) if probe_style == "cat" else (0.0, 1)
+    terms = [((1.0, (h,)), (sign, (-h,))) for h in (half, 1j * half)]
+    terms += [_cat_terms(1, beta, logical, q) for logical in (0, 1)]
+    coeffs, amps = _term_arrays([term for t in terms for term in t])
+    stack = _normalized(_state(coeffs.reshape(4, 2), amps.reshape(4, 2, 1)))
+    probes = [(stack.coeffs[k, :n_probe], stack.amps[k, :n_probe]) for k in (0, 1)]
+    signals = (stack.coeffs[2:], stack.amps[2:])
+    coeffs, amps = _tensor([signals, _VACUUM, *probes])
+    amps = _split(amps, (0, 1), (0, 2), (1, 3))
+    return tuple(_state(coeffs[k], amps[k]) for k in (0, 1))
 
 
 def linear_optics_usd_probability(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -21,6 +22,9 @@ from catrep.usd import (
     tensor,
     usd_sweep,
 )
+
+
+CIRCUIT_GOLDEN = pathlib.Path(__file__).parent / "data" / "circuit_golden.csv"
 
 
 def coherent(a, n_modes=1, mode=0):
@@ -344,26 +348,74 @@ def test_circuit_work_counts(monkeypatch):
         assert clicks == [(1, 3), (0, 2)]
 
 
-def test_circuit_checks_each_caller_built_state_once(monkeypatch):
-    # The constructor checks the terms a caller gives it: per circuit call
-    # the vacuum, two probes and two signals.  Normalized, tensored and
-    # split states are built from checked arrays and not checked again.
-    checks = []
-    init = CoherentSuperposition.__init__
+def test_circuit_checks_its_inputs_once_and_returns_read_only_states(monkeypatch):
+    # The circuit builds both inputs' states as one stack from the terms it
+    # writes itself: one vectorized finiteness check, no per-term check in
+    # the constructor, and a non-finite alpha is named before any kernel
+    # pass.
+    inits, checks, passes = [], [], []
+    init, term_arrays, pair_terms = CoherentSuperposition.__init__, usd._term_arrays, usd._pair_terms
 
     def counting_init(self, terms, n_modes):
-        checks.append(len(terms))
+        inits.append(len(terms))
         init(self, terms, n_modes)
 
+    def counting_check(terms):
+        checks.append(len(terms))
+        return term_arrays(terms)
+
+    def counting_pair_terms(a, b, must_click=()):
+        passes.append(must_click)
+        return pair_terms(a, b, must_click)
+
     monkeypatch.setattr(CoherentSuperposition, "__init__", counting_init)
+    monkeypatch.setattr(usd, "_term_arrays", counting_check)
+    monkeypatch.setattr(usd, "_pair_terms", counting_pair_terms)
     for style, probe_terms in (("cat", 2), ("coherent", 1)):
         checks.clear()
-        out0, _ = linear_optics_output_states(1.2, 0.95, 1, style)
-        assert sorted(checks) == sorted([1, probe_terms, probe_terms, 2, 2])
-        assert len(out0.coeffs) == 2 * probe_terms**2
+        out0, out1 = linear_optics_output_states(1.2, 0.95, 1, style)
+        assert (inits, checks) == ([], [8])
+        for out in (out0, out1):
+            assert out.coeffs.shape == (2 * probe_terms**2,)
+            assert out.amps.shape == (2 * probe_terms**2, 4)
+            for a in (out.coeffs, out.amps):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
         checks.clear()
         linear_optics_usd_probability(1.2, 0.95, 1, style)
-        assert len(checks) == 5
+        assert (inits, checks) == ([], [8])
+    for alpha in (math.nan, math.inf):
+        passes.clear()
+        with pytest.raises(ValueError, match="non-finite term"):
+            linear_optics_usd_probability(alpha, q=1)
+        assert passes == []
+
+
+@pytest.mark.parametrize("style", ["cat", "coherent"])
+@pytest.mark.parametrize("q", [0, 1])
+def test_circuit_stack_matches_per_state_composition(q, style):
+    # The stacked build gives, byte for byte, what the public per-state
+    # operations give: the signal tensored with vacuum and both probes,
+    # then the three splitters one at a time.
+    vacuum = CoherentSuperposition(((1.0, (0.0,)),), 1)
+    for alpha, eta in ((0.05, 1.0), (0.7, 0.999), (1.9, 0.9), (4.5, 0.5)):
+        beta = math.sqrt(eta) * alpha
+        half = beta / math.sqrt(2.0)
+        probes = [
+            CoherentSuperposition(
+                ((1.0, (h,)), ((-1) ** q, (-h,)))[: 2 if style == "cat" else 1], 1
+            ).normalized()
+            for h in (half, 1j * half)
+        ]
+        outs = linear_optics_output_states(alpha, eta, q, style)
+        for logical, out in enumerate(outs):
+            ref = tensor(cat_superposition(1, beta, logical, q), vacuum, *probes)
+            for ports in ((0, 1), (0, 2), (1, 3)):
+                ref = beam_splitter(ref, ports)
+            assert out.coeffs.shape == ref.coeffs.shape and out.amps.shape == ref.amps.shape
+            assert out.coeffs.tobytes() == ref.coeffs.tobytes()
+            assert out.amps.tobytes() == ref.amps.tobytes()
 
 
 def test_superposition_arrays_are_read_only():
@@ -384,3 +436,42 @@ def test_superposition_arrays_are_read_only():
             linear_optics_usd_probability(alpha, q=0)
     with pytest.raises(ValueError, match="expected 2"):
         CoherentSuperposition(((1.0, (0.5, 0.1)), (1.0, (0.5,))), 2)
+
+
+def circuit_golden_text():
+    """The circuit golden: click probabilities, then output-state bytes.
+
+    One row per (alpha, eta, q, probe style) with the ``repr`` of
+    ``linear_optics_usd_probability`` or, for a refusal, its error text;
+    then, at a few points, the hex bytes of both output states' arrays.
+    ``python tests/test_usd.py`` rewrites ``tests/data/circuit_golden.csv``.
+    """
+    lines = ["alpha,eta,q,probe_style,quantity,value"]
+    points = itertools.product(
+        [0.25 * k for k in range(1, 21)], [1.0, 0.999, 0.99, 0.9, 0.5], (0, 1), ("cat", "coherent")
+    )
+    for alpha, eta, q, style in points:
+        try:
+            value = repr(linear_optics_usd_probability(alpha, eta, q, style))
+        except (ArithmeticError, ValueError) as exc:
+            value = f"{type(exc).__name__}: {exc}"
+        lines.append(f"{alpha!r},{eta!r},{q},{style},p,{value}")
+    for alpha, eta, q, style in (
+        (0.25, 1.0, 0, "cat"), (1.5, 0.99, 1, "cat"), (2.0, 0.9, 1, "coherent"), (5.0, 0.5, 0, "coherent")
+    ):
+        outs = linear_optics_output_states(alpha, eta, q, style)
+        for k, out in enumerate(outs):
+            for name in ("coeffs", "amps"):
+                value = getattr(out, name).tobytes().hex()
+                lines.append(f"{alpha!r},{eta!r},{q},{style},out{k}.{name},{value}")
+    return "\n".join(lines) + "\n"
+
+
+def test_circuit_golden():
+    # click probabilities and output states over the point-queries etas
+    # and both probe styles, byte for byte
+    assert circuit_golden_text() == CIRCUIT_GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    CIRCUIT_GOLDEN.write_text(circuit_golden_text())

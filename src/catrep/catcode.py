@@ -22,19 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockspace import FockVector, annihilate, coherent_state, rotation_apply
-
 __all__ = [
     "CatCodeSpec",
     "LossWeights",
-    "codeword",
-    "damped_codeword",
-    "error_space_state",
     "loss_weights",
     "segment_fidelity",
 ]
 
-_DEGENERACY_TOL = 1e-12
 # Series terms 16 decades under the peak are dropped; matches the
 # plain-domain next-term-below-1e-16*sum stopping rule.
 _LOG_DROP = math.log(1e-16)
@@ -120,67 +114,6 @@ class LossWeights:
 
     def correctable_mass(self) -> float:
         return math.fsum(self.p[: 2 ** self.m].tolist())
-
-
-def codeword(spec: CatCodeSpec, logical: int, primitive: FockVector | None = None) -> FockVector:
-    """Normalized order-M superposition of rotated primitives.
-
-    Logical 0 uses rotation angles 2kπ/M, logical 1 uses (2k+1)π/M.  The
-    default primitive is the coherent state at the requested amplitude.  A
-    primitive invariant under the rotation set (vacuum, or any state
-    whose support collapses the two logical superpositions onto one ray)
-    is rejected.
-    """
-    if logical not in (0, 1):
-        raise ValueError(f"logical label must be 0 or 1, got {logical!r}")
-    if primitive is None:
-        primitive = coherent_state(spec.alpha)
-    big_m = spec.order
-    sums = []
-    for lbl in (0, 1):
-        acc = np.zeros(primitive.dim, dtype=complex)
-        for k in range(big_m):
-            acc += rotation_apply((2 * k + lbl) * math.pi / big_m, primitive).amps
-        sums.append(acc)
-    n0, n1 = np.linalg.norm(sums[0]), np.linalg.norm(sums[1])
-    if n0 < 1e-12 or n1 < 1e-12:
-        raise ValueError(
-            "degenerate primitive: a logical superposition has zero norm "
-            f"(norms {n0:.3e}, {n1:.3e})"
-        )
-    cross = abs(np.vdot(sums[0] / n0, sums[1] / n1))
-    if cross > 1.0 - _DEGENERACY_TOL:
-        raise ValueError(
-            "degenerate primitive: the two logical superpositions coincide "
-            f"(|overlap| = {cross:.15f})"
-        )
-    amps = sums[logical] / (n0 if logical == 0 else n1)
-    return FockVector(amps, primitive.n_max)
-
-
-def damped_codeword(spec: CatCodeSpec, logical: int) -> FockVector:
-    """Codeword built from the transmitted primitive |√η α⟩."""
-    return codeword(spec, logical, coherent_state(spec.damped_alpha))
-
-
-def error_space_state(spec: CatCodeSpec, logical: int, q: int):
-    """Normalized â^q · damped codeword and its pre-normalization squared norm.
-
-    q indexes the loss class, 0 ≤ q < M.  Classes q + M carry the same
-    vectors with the logical-one sign flipped, so they are not built
-    separately.
-    """
-    if not 0 <= q < spec.order:
-        raise ValueError(f"loss class q={q} outside [0, {spec.order})")
-    base = damped_codeword(spec, logical)
-    dropped = annihilate(base, q)
-    norm_sq = dropped.norm() ** 2
-    if norm_sq < 1e-250:
-        raise ValueError(
-            f"error-space state (m={spec.m}, logical={logical}, q={q}) has zero norm "
-            "under the current truncation; amplitude too small for this loss class"
-        )
-    return dropped.normalized(), float(norm_sq)
 
 
 def _log_factorials(n: int) -> list[float]:

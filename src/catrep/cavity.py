@@ -1,10 +1,11 @@
 """Cavity reflection physics behind the hybrid controlled rotation.
 
 Two reflection models are provided.  The ideal one is a pure phase
-(iΔ − κ/2)/(iΔ + κ/2) on the unit circle; it is the only model the
-fidelity pipeline ever uses, through `detuning_for_angle`.  The full
-model adds the atomic line and a finite outcoupling ratio and is kept
-for qualitative phase/modulus sweeps only.
+(iΔ − κ/2)/(iΔ + κ/2) on the unit circle, and `detuning_for_angle` maps
+a rotation angle to the detuning that gives it; the fidelity pipeline
+calls neither, as it assumes ideal rotations.  The full model adds the
+atomic line and a finite outcoupling ratio and is kept for qualitative
+phase/modulus sweeps only.
 
 Convention note: the full amplitude is implemented exactly as written in
 its source, with the detuning entering as 2πΔ (ordinary frequency)

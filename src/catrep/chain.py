@@ -50,8 +50,9 @@ _BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 _KINDS = ("phi", "psi")
 _KEY_MODES = ("lower_bound", "exact_average")
 _DEFAULT_COMBO_LIMIT = 20000
-# Geometry tables kept (see _geometry_table): at most 16, none larger
-# than the m = 3 one the default limit admits (n_e = 10).
+# Geometry tables kept (see _geometry_table): at most 16, each of at most
+# _KEPT_CELLS counts, the size of the m = 3 table at n_e = 10.  From m = 4
+# on the default limit also admits larger tables; those are not kept.
 _KEPT_TABLES = 16
 _KEPT_CELLS = math.comb(10 + 7, 7) * 8
 
@@ -228,9 +229,11 @@ def _geometry_table(n_e: int, parts: int):
     log n_e!/prod t_i!.
 
     ``_kept_table`` keeps the 16 most recently used tables of at most
-    _KEPT_CELLS counts (19,448 rows of 8, every table the default limit
-    admits).  One takes at most 3.1 MB (77,792 rows of 2), so the kept
-    tables together take at most 50 MB; a larger one is built per call.
+    _KEPT_CELLS counts (19,448 rows of 8, the m = 3 table at n_e = 10).
+    One takes at most 3.1 MB (77,792 rows of 2), so the kept tables
+    together take at most 50 MB.  A larger one is built per call: from
+    m = 4 on the default limit admits some (m = 4, n_e = 5 has 248,064
+    counts), and a raised ``limit`` admits more.
     """
     t = _compositions(n_e, parts)
     index = (t * parts + np.arange(parts)).T
@@ -358,7 +361,9 @@ def secret_key_rate(
         if weights is None or n_e is None:
             raise ValueError("exact_average needs weights and n_e")
         _, prob, fid = _distribution(weights, n_e, limit)
-        frac = float(prob @ _key_fractions(fid))
+        # a convex combination of fractions in [0, 1]; rows whose rounded
+        # probabilities sum past 1 can lift it an ulp over
+        frac = min(float(prob @ _key_fractions(fid)), 1.0)
     per_use = p_tot * frac
     per_second = per_use / t0
     if not math.isfinite(per_second):

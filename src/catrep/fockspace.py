@@ -2,9 +2,9 @@
 
 States live on photon numbers 0..n_max as dense complex arrays.  This module
 is the substrate of the brute-force protocol simulation: coherent states and
-their cutoff rule, phase-space rotations exp(iφn̂), the photon-loss
-coefficients (`_loss_rows`, read by the oracle's per-record arm operators
-and by the dense reference `kraus_op`), and hybrid spin-mode densities.
+their cutoff rule, photon subtraction, the photon-loss coefficients
+(`_loss_rows`, read by the oracle's per-record arm operators), and hybrid
+spin-mode densities.
 
 Conventions
 -----------
@@ -28,9 +28,7 @@ __all__ = [
     "FockVector",
     "HybridDensity",
     "coherent_state",
-    "rotation_apply",
     "annihilate",
-    "kraus_op",
     "hybrid_from_vector",
     "apply_mode_operator",
     "trace_distance",
@@ -190,15 +188,6 @@ def coherent_state(alpha: complex) -> FockVector:
     return v
 
 
-def rotation_apply(phi: float, v: FockVector) -> FockVector:
-    """Phase-space rotation exp(iφn̂): amps[n] → exp(iφn)·amps[n].
-
-    Exact isometry; the norm is preserved to machine epsilon.
-    """
-    n = np.arange(v.dim)
-    return FockVector(v.amps * np.exp(1j * phi * n), v.n_max)
-
-
 def annihilate(v: FockVector, q: int = 1) -> FockVector:
     """Apply â q times: amps[n] ← √(n+1)·amps[n+1].  Result is unnormalized."""
     if q < 0:
@@ -217,8 +206,9 @@ def _loss_rows(eta: float, dim: int, counts) -> np.ndarray:
     Row k holds n = 0, …, dim − k − 1 and is zero past them; every row is
     built in log domain from one log-factorial vector, so binomial factors
     stay finite at large cutoffs and a row costs O(dim) whichever k it is.
-    The one source of loss coefficients: `kraus_op` and the oracle's
-    per-record arm operators (`protocol_oracle._arm_maps`) read it.
+    The one source of loss coefficients: the oracle's per-record arm
+    operators (`protocol_oracle._arm_maps`) read it, and no module of the
+    package builds a dense Kraus matrix from it.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("transmission eta must lie in (0, 1]; the eta=0 channel is degenerate")
@@ -232,20 +222,6 @@ def _loss_rows(eta: float, dim: int, counts) -> np.ndarray:
     log_fact_kn = log_fact[np.where(inside, k + n, 0)]
     log_c = k * log_loss + n * log_eta + log_fact_kn - log_fact[k] - log_fact[n]
     return np.where(inside, np.exp(0.5 * log_c), 0.0)
-
-
-def kraus_op(k: int, eta: float, n_max: int) -> np.ndarray:
-    """Dense matrix of the loss Kraus operator Â_k = √((1−η)^k/k!)·(√η)^n̂·âᵏ.
-
-    The reference for the oracle's arm operators, which apply the same
-    coefficients without building the matrix.
-    """
-    if k < 0:
-        raise ValueError("loss count k must be non-negative")
-    rows = _loss_rows(eta, n_max + 1, [k] if k <= n_max else [])
-    if not rows.size:
-        return np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    return np.diag(rows[0, : n_max + 1 - k], k).astype(complex)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,11 @@ _PROBE_STYLES = ("cat", "coherent")
 _NORM_FLOOR = 1e-150
 _EPS = float(np.finfo(float).eps)
 _MAX_ROUNDING = 1e-6  # largest relative rounding estimate of a returned click probability
+# Largest circuit amplitude √η·α.  Terms equal in exact arithmetic differ by
+# rounding, so a pair of them carries a spurious phase Im(x̄y) of about
+# eps·|x|², which the click guard's estimate does not count; past this
+# amplitude that phase alone passes _MAX_ROUNDING (α ≈ 6.7e4 at η = 1).
+_MAX_CIRCUIT_AMPLITUDE = math.sqrt(_MAX_ROUNDING / _EPS)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -352,7 +357,9 @@ def linear_optics_output_states(
     half meets a real-axis probe (mode 2), the other an imaginary-axis
     probe (mode 3).  Ports after the circuit: A = 0, B = 2, C = 1, D = 3.
     Returns ``(out_for_logical0, out_for_logical1)``, read-only views of
-    one stack in which both inputs' states are built at once.
+    one stack in which both inputs' states are built at once.  Raises
+    ``ArithmeticError`` naming the amplitude where √η·α is too bright for
+    float terms to resolve the states' phases.
     """
     if probe_style not in _PROBE_STYLES:
         raise ValueError(f"probe_style must be one of {_PROBE_STYLES}")
@@ -371,6 +378,14 @@ def linear_optics_output_states(
     terms = [((1.0, (h,)), (sign, (-h,))) for h in (half, 1j * half)]
     terms += [_cat_terms(1, beta, logical, q) for logical in (0, 1)]
     coeffs, amps = _term_arrays([term for t in terms for term in t])
+    # after the finiteness check, which names a non-finite α, and before
+    # any term is squared
+    if beta > _MAX_CIRCUIT_AMPLITUDE:
+        raise ArithmeticError(
+            f"circuit at alpha={alpha}, eta={eta}, q={q}: amplitude sqrt(eta)*alpha = "
+            f"{beta:.4g} exceeds {_MAX_CIRCUIT_AMPLITUDE:.4g}, past which the rounding "
+            f"phase eps*beta^2 of its terms exceeds {_MAX_ROUNDING:g}"
+        )
     stack = _normalized(_state(coeffs.reshape(4, 2), amps.reshape(4, 2, 1)))
     probes = [(stack.coeffs[k, :n_probe], stack.amps[k, :n_probe]) for k in (0, 1)]
     signals = (stack.coeffs[2:], stack.amps[2:])

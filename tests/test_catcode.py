@@ -16,18 +16,11 @@ from catrep.catcode import (
     CatCodeSpec,
     LossWeights,
     _class_series,
-    codeword,
-    damped_codeword,
-    error_space_state,
     loss_weights,
     segment_fidelity,
 )
-from catrep.fockspace import (
-    FockVector,
-    coherent_state,
-    kraus_op,
-    rotation_apply,
-)
+from catrep.fockspace import FockVector, coherent_state
+from fock_reference import codeword, damped_codeword, error_space_state, kraus_op, rotation_apply
 
 
 def kraus_class_oracle(spec, logical=0):

@@ -326,6 +326,14 @@ def test_oversized_table_is_not_kept():
     _, rate = secret_key_rate(0.9, 1.0, mode="exact_average", weights=w, n_e=100_000, limit=10**6)
     assert 0.0 <= rate <= 1.0
     assert chain_mod._kept_table.cache_info().currsize == 0
+    # 15,504 rows of 16 counts, under the default limit: not kept either
+    w = loss_weights(CatCodeSpec(m=4, alpha=2.0, eta=0.9))
+    _, rate = secret_key_rate(0.9, 1.0, mode="exact_average", weights=w, n_e=5)
+    rows = chain_distribution(w, 5)
+    assert len(rows) == 15_504 and len(rows[0][0]) == 16
+    assert 0.0 <= rate <= 1.0
+    assert abs(rate - math.fsum(p * chain_mod._key_fraction(f) for _, p, f in rows)) <= 1e-15
+    assert chain_mod._kept_table.cache_info().currsize == 0
 
 
 def test_exact_average_repeat_geometry_builds_nothing(monkeypatch):

@@ -1,8 +1,11 @@
 """The package's public surface: each module's ``__all__``, re-exported."""
 
+import ast
 import importlib
+import pathlib
 
 import catrep
+from catrep import catcode
 
 MODULES = ("catcode", "cavity", "chain", "fockspace", "protocol_oracle", "usd")
 
@@ -17,3 +20,22 @@ def test_module_exports_are_disjoint_and_reexported():
             owner[export] = name
             assert getattr(catrep, export) is getattr(module, export), export
     assert isinstance(catrep.__version__, str) and catrep.__version__
+
+
+def test_analytic_base_imports_no_fock_substrate():
+    # catcode is the base of the analytic engine: it reaches neither the
+    # Fock substrate nor the oracle, and the dense references the tests
+    # compare against (tests/fock_reference.py) are not in the package.
+    source = pathlib.Path(catcode.__file__).read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert "math" in imported
+    for name in imported:
+        assert not {"fockspace", "protocol_oracle"} & set(name.split(".")), name
+    for name in ("codeword", "damped_codeword", "error_space_state", "rotation_apply", "kraus_op"):
+        assert not hasattr(catrep, name), name

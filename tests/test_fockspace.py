@@ -14,17 +14,15 @@ from catrep.fockspace import (
     apply_mode_operator,
     coherent_state,
     hybrid_from_vector,
-    kraus_op,
-    rotation_apply,
     trace_distance,
 )
 from catrep.protocol_oracle import _cascade
+from fock_reference import kraus_op, kraus_ops, rotation_apply
 
 
 def damp(rho, eta):
     """The amplitude-damping channel Σ_k Â_k ρ Â_k† over every k of `kraus_op`."""
-    dim = rho.shape[0]
-    return sum(a @ rho @ a.conj().T for a in (kraus_op(k, eta, dim - 1) for k in range(dim)))
+    return sum(a @ rho @ a.conj().T for a in kraus_ops(eta, rho.shape[0] - 1))
 
 
 def density(v):

@@ -1,22 +1,22 @@
 import collections
-import functools
+import importlib
 import itertools
 import math
+import pkgutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import catrep
 from catrep import cli, fockspace, protocol_oracle
-from catrep.catcode import CatCodeSpec, codeword, damped_codeword, error_space_state, loss_weights
+from catrep.catcode import CatCodeSpec, loss_weights
 from catrep.fockspace import (
     FockVector,
     HybridDensity,
     annihilate,
     coherent_state,
     hybrid_from_vector,
-    kraus_op,
-    rotation_apply,
 )
 from catrep.protocol_oracle import (
     _PRUNE,
@@ -37,6 +37,14 @@ from catrep.protocol_oracle import (
     unit_setup,
 )
 from catrep.usd import optimal_usd_probability
+from fock_reference import (
+    codeword,
+    damped_codeword,
+    error_space_state,
+    kraus_op,
+    kraus_ops,
+    rotation_apply,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -62,12 +70,6 @@ def injected_error_state(m, alpha, eta, q, n_max):
 
 # ---------------------------------------------------------------------------
 # the density route: the independent reference for the record engine
-
-
-@functools.lru_cache(maxsize=4)
-def kraus_ops(eta, n_max):
-    """Every loss Kraus operator Â_0, …, Â_{n_max} of `kraus_op`."""
-    return tuple(kraus_op(k, eta, n_max) for k in range(n_max + 1))
 
 
 def transmit(s, eta):
@@ -478,6 +480,13 @@ def test_oracle_work_counts(monkeypatch):
     # One set of per-record arm operators per call, built from one loss
     # table and never from the dense Kraus operators, no density formed by
     # simulate_unit, and a pure syndrome check that never forms one either.
+    # The dense operators live in the tests' reference module only: no
+    # catrep module has one to build.
+    modules = [catrep] + [
+        importlib.import_module(f"catrep.{info.name}") for info in pkgutil.iter_modules(catrep.__path__)
+    ]
+    assert len(modules) > 7
+    assert [mod.__name__ for mod in modules if hasattr(mod, "kraus_op")] == []
     log_factorial_calls = []
     log_factorials = fockspace._log_factorials
 
@@ -491,9 +500,6 @@ def test_oracle_work_counts(monkeypatch):
     def counting_arm_maps(*args):
         builds.append(1)
         return arm_maps(*args)
-
-    def no_kraus_op(*_args):
-        raise AssertionError("the oracle built a dense Kraus operator")
 
     densities = []
     post_init = fockspace.HybridDensity.__post_init__
@@ -512,9 +518,6 @@ def test_oracle_work_counts(monkeypatch):
     monkeypatch.setattr(fockspace, "_log_factorials", counting_log_factorials)
     monkeypatch.setattr(protocol_oracle, "_arm_maps", counting_arm_maps)
     monkeypatch.setattr(protocol_oracle, "_arm", counting_arm)
-    # under either name the oracle could reach it
-    monkeypatch.setattr(fockspace, "kraus_op", no_kraus_op)
-    monkeypatch.setattr(protocol_oracle, "kraus_op", no_kraus_op, raising=False)
     monkeypatch.setattr(fockspace.HybridDensity, "__post_init__", counting_post_init)
     bell_order_equivalence(1, 1.0, 0.9)
     assert 0 < len(log_factorial_calls) < 200

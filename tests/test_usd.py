@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from catrep import usd
-from catrep.catcode import CatCodeSpec, error_space_state, loss_weights
+from catrep.catcode import CatCodeSpec, loss_weights
 from catrep.usd import (
     CoherentSuperposition,
     beam_splitter,
@@ -22,6 +22,7 @@ from catrep.usd import (
     tensor,
     usd_sweep,
 )
+from fock_reference import error_space_state
 
 
 CIRCUIT_GOLDEN = pathlib.Path(__file__).parent / "data" / "circuit_golden.csv"
@@ -329,6 +330,27 @@ def test_circuit_and_closed_form_saturate_for_bright_signals(alpha):
     assert linear_optics_closed_form(alpha) == 1.0
     for q in (0, 1):
         assert abs(linear_optics_usd_probability(alpha, q=q) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.9])
+@pytest.mark.parametrize("q", [0, 1])
+def test_bright_circuit_is_resolved_or_refused(q, eta):
+    # Terms equal in exact arithmetic carry a rounding phase of about
+    # eps*|beta|^2, which grows past the click guard's estimate: over alpha
+    # log-uniform in [1, 1e300], every quarter decade, each call returns
+    # the value (the closed form at q = 0) or raises an ArithmeticError
+    # naming alpha, never a ValueError or a RuntimeWarning (an error under
+    # this suite's filter).
+    for alpha in 10.0 ** np.linspace(0.0, 300.0, 1201):
+        for style in ("cat", "coherent"):
+            try:
+                got = linear_optics_usd_probability(alpha, eta, q, style)
+            except ArithmeticError as exc:
+                assert f"alpha={alpha}, eta={eta}, q={q}:" in str(exc)
+                continue
+            assert 0.0 <= got <= 1.0
+            if q == 0 and style == "cat":
+                assert abs(got - linear_optics_closed_form(alpha, eta)) < 1e-9, alpha
 
 
 def test_circuit_work_counts(monkeypatch):

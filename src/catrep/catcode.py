@@ -35,7 +35,7 @@ _LOG_DROP = math.log(1e-16)
 # Largest stop index a class series may reach (alpha about 2000).  The
 # walk evaluates about 17·sqrt(x)/modulus terms per residue, so the bound
 # is a scope limit rather than a memory one: a wider window is refused,
-# naming the amplitude, before any term is evaluated.
+# naming the amplitude or the modulus, before any term is evaluated.
 _MAX_SERIES_STOP = 4_000_000
 # log t! for t < len(_LOG_FACT), as lgamma(t + 1.0) gives it.  Built on
 # first use and grown on demand up to the cap (about 0.5 MB of floats);
@@ -116,14 +116,10 @@ class LossWeights:
         return math.fsum(self.p[: 2 ** self.m].tolist())
 
 
-def _log_factorials(n: int) -> list[float]:
-    """The shared table of log t! = lgamma(t + 1.0), grown to cover t ≤ n
-    as far as its cap allows; a caller indexes it below its length only."""
-    top = min(n, _LOG_FACT_CAP - 1)
-    if len(_LOG_FACT) <= top:
-        with _LOG_FACT_GROWING:
-            _LOG_FACT.extend(map(math.lgamma, range(len(_LOG_FACT) + 1, top + 2)))
-    return _LOG_FACT
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
 
 
 def _log_factorial(t: int) -> float:
@@ -135,6 +131,16 @@ class _PastCap:
     """log t! for any t ≥ 0, indexed like the table: a window past the cap."""
 
     __getitem__ = staticmethod(_log_factorial)
+
+
+def _log_factorials(n: int):
+    """log t! = lgamma(t + 1.0), indexable at every t ≤ n: the shared table,
+    grown to cover t ≤ n, or past its cap a view that falls back on lgamma."""
+    top = min(n, _LOG_FACT_CAP - 1)
+    if len(_LOG_FACT) <= top:
+        with _LOG_FACT_GROWING:
+            _LOG_FACT.extend(map(math.lgamma, range(len(_LOG_FACT) + 1, top + 2)))
+    return _LOG_FACT if n < len(_LOG_FACT) else _PastCap()
 
 
 def _class_series(x: float, modulus: int) -> list[tuple[int, float, float]]:
@@ -164,13 +170,12 @@ def _class_series(x: float, modulus: int) -> list[tuple[int, float, float]]:
     log_x = math.log(x)
     n_stop = int(x + 12.0 * math.sqrt(x + 1.0) + 12.0 * modulus + 30.0)
     if n_stop > _MAX_SERIES_STOP:
+        cause = "amplitude" if n_stop - 12 * modulus > _MAX_SERIES_STOP else "code order"
         raise ArithmeticError(
-            f"class series window (x={x:.4g}, stop index {n_stop}) exceeds "
-            f"the bound {_MAX_SERIES_STOP}; amplitude too large"
+            f"class series window (x={x:.4g}, modulus {modulus}, stop index {n_stop}) "
+            f"exceeds the bound {_MAX_SERIES_STOP}; {cause} too large"
         )
     log_fact = _log_factorials(n_stop)
-    if n_stop >= len(log_fact):
-        log_fact = _PastCap()
     exp, drop = math.exp, _LOG_DROP
     table = []
     for residue in range(modulus):

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catcode import CatCodeSpec, LossWeights, loss_weights
-from .fockspace import _freeze, _log_factorials
+from .catcode import CatCodeSpec, LossWeights, _freeze, _log_factorials, loss_weights
 from .usd import _usd_probability
 
 __all__ = [
@@ -50,11 +49,12 @@ _BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 _KINDS = ("phi", "psi")
 _KEY_MODES = ("lower_bound", "exact_average")
 _DEFAULT_COMBO_LIMIT = 20000
-# Geometry tables kept (see _geometry_table): at most 16, each of at most
-# _KEPT_CELLS counts, the size of the m = 3 table at n_e = 10.  From m = 4
-# on the default limit also admits larger tables; those are not kept.
+# Geometry tables (see _geometry_table): none over _MAX_TABLE_CELLS counts is built
+# (the limit alone admits 2^28 at m = 14); 16 of at most _KEPT_CELLS, the m = 3
+# table at n_e = 10, are kept.  From m = 4 on the default limit admits unkept ones.
 _KEPT_TABLES = 16
 _KEPT_CELLS = math.comb(10 + 7, 7) * 8
+_MAX_TABLE_CELLS = 2**21
 
 
 def _require_finite(params, *names: str) -> None:
@@ -226,18 +226,18 @@ def _geometry_table(n_e: int, parts: int):
     floats for the product with log g; per count, its flat index
     t_i * parts + i into a (n_e + 1, parts) table, one row of the
     transposed array per column i; per row, the log multinomial
-    log n_e!/prod t_i!.
+    log n_e!/prod t_i!, from ``catcode``'s log t! table.
 
     ``_kept_table`` keeps the 16 most recently used tables of at most
     _KEPT_CELLS counts (19,448 rows of 8, the m = 3 table at n_e = 10).
     One takes at most 3.1 MB (77,792 rows of 2), so the kept tables
     together take at most 50 MB.  A larger one is built per call: from
     m = 4 on the default limit admits some (m = 4, n_e = 5 has 248,064
-    counts), and a raised ``limit`` admits more.
+    counts), and a raised ``limit`` more, up to _MAX_TABLE_CELLS counts.
     """
     t = _compositions(n_e, parts)
     index = (t * parts + np.arange(parts)).T
-    log_fact = _log_factorials(n_e + 1)
+    log_fact = np.fromiter(map(_log_factorials(n_e).__getitem__, range(n_e + 1)), float)
     log_multinomial = log_fact[n_e] - log_fact[t].sum(axis=1)
     return _freeze(t.astype(float)), _freeze(index), _freeze(log_multinomial)
 
@@ -251,9 +251,9 @@ def _distribution(weights: LossWeights, n_e: int, limit: int):
     big_m = 2**weights.m
     n_combos = math.comb(n_e + big_m - 1, big_m - 1)
     if n_combos > limit:
-        raise ValueError(
-            f"{n_combos} syndrome combinations exceed the limit {limit}"
-        )
+        raise ValueError(f"{n_combos} syndrome combinations exceed the limit {limit}")
+    if n_combos * big_m > _MAX_TABLE_CELLS:
+        raise ValueError(f"{n_combos * big_m} table counts exceed the bound {_MAX_TABLE_CELLS}")
     p = weights.p
     group = np.array([p[i] + p[i + big_m] for i in range(big_m)])
     diff = np.array([p[i] - p[i + big_m] for i in range(big_m)])
@@ -296,8 +296,8 @@ def chain_distribution(
     per combination {t_i} gives (t, multinomial probability, exact
     fidelity 1/2 + 1/2 prod ratio_i^t_i), in lexicographic order of t.
     Rows sum to one; their probability-weighted fidelity reproduces the
-    closed form.  They are built as numpy arrays, after the check that
-    there are at most ``limit`` combinations (``ValueError`` otherwise).
+    closed form.  They are built as numpy arrays, once at most ``limit``
+    combinations and ``_MAX_TABLE_CELLS`` counts are checked (else ``ValueError``).
     """
     t, prob, fid = _distribution(weights, n_e, limit)
     t = t.astype(int).tolist()

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catcode import _freeze
+
 __all__ = [
     "TruncationError",
     "FockVector",
@@ -70,12 +72,6 @@ def _cutoff(alpha: complex) -> int:
 def _log_factorials(dim: int) -> np.ndarray:
     """log n! for n = 0..dim − 1, from libm's lgamma."""
     return np.fromiter(map(math.lgamma, range(1, dim + 1)), float, dim)
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)

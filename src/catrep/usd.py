@@ -3,8 +3,8 @@
 The states here live in an exact Gaussian representation: every state is
 a finite superposition of multimode coherent states, overlaps are
 closed-form Gaussian products, and no Fock truncation is involved.  The
-truncated-Fock route is exercised elsewhere (catcode / protocol_oracle);
-tests pin the two against each other.
+truncated-Fock route belongs to the oracle; tests pin the two against
+each other.
 
 Two discrimination figures of merit sit here.  The information-theoretic
 optimum ``1 - |<a|b>|`` per loss class comes from the class series of
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catcode import CatCodeSpec, LossWeights, loss_weights
-from .catcode import _alpha_squared, _class_series, _log_factorial
-from .fockspace import _freeze
+from .catcode import _alpha_squared, _class_series, _freeze, _log_factorial
 
 __all__ = [
     "CoherentSuperposition",

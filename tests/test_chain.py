@@ -1,11 +1,12 @@
 """Swap algebra against a dense Bell-measurement oracle; chain totals."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from catrep import catcode, chain as chain_mod, fockspace, usd
+from catrep import catcode, chain as chain_mod, usd
 from catrep.catcode import CatCodeSpec, loss_weights, segment_fidelity
 from catrep.chain import (
     ATTENUATION_LENGTH_KM,
@@ -239,11 +240,16 @@ def test_distribution_rows_match_mpmath():
 
 
 def test_distribution_log_factorials_match_lgamma_list():
-    # _distribution takes log k! from fockspace's vector; it is bit-identical
-    # to the list of math.lgamma calls it replaced, so the rows are unchanged.
-    n_e = 10_000
-    want = np.array([math.lgamma(k + 1.0) for k in range(n_e + 1)])
-    assert np.array_equal(fockspace._log_factorials(n_e + 1), want)
+    # _geometry_table takes log k! from catcode's table, and past its cap
+    # from lgamma itself; both are bit-identical to the list of math.lgamma
+    # calls they replaced, so the rows are unchanged.
+    for n_e in (10_000, 16_384, 100_000):
+        want = np.array([math.lgamma(k + 1.0) for k in range(n_e + 1)])
+        log_fact = catcode._log_factorials(n_e)
+        assert np.array_equal([log_fact[k] for k in range(n_e + 1)], want), n_e
+        t, _, log_multinomial = chain_mod._geometry_table(n_e, 2)
+        k = t[:, 0].astype(int)
+        assert np.array_equal(log_multinomial, want[n_e] - (want[k] + want[n_e - k])), n_e
 
 
 def test_distribution_empty_group_rows_are_zero():
@@ -288,6 +294,15 @@ def test_distribution_combinatorial_guard():
         chain_distribution(w, 8, limit=10)
     # the guard raises before a table is built or kept
     assert chain_mod._kept_table.cache_info().currsize == kept
+    # n_e = 1 at m = 12: 4,096 rows, under the limit, of 4,096 counts each,
+    # 2^24 counts in all, which the table bound refuses as quickly
+    w = loss_weights(CatCodeSpec(m=12, alpha=2.0, eta=0.9))
+    info = chain_mod._kept_table.cache_info()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^16777216 table counts exceed the bound 2097152$"):
+        secret_key_rate(0.9, 1.0, mode="exact_average", weights=w, n_e=1)
+    assert time.perf_counter() - start < 1.0
+    assert chain_mod._kept_table.cache_info() == info
 
 
 def test_kept_tables_are_read_only():
@@ -334,6 +349,12 @@ def test_oversized_table_is_not_kept():
     assert 0.0 <= rate <= 1.0
     assert abs(rate - math.fsum(p * chain_mod._key_fraction(f) for _, p, f in rows)) <= 1e-15
     assert chain_mod._kept_table.cache_info().currsize == 0
+    # 8,256 rows of 128 counts, the largest table the default limit admits
+    # under the table bound: built, not kept
+    w = loss_weights(CatCodeSpec(m=7, alpha=2.0, eta=0.9))
+    _, rate = secret_key_rate(0.9, 1.0, mode="exact_average", weights=w, n_e=2)
+    assert 0.0 <= rate <= 1.0
+    assert chain_mod._kept_table.cache_info().currsize == 0
 
 
 def test_exact_average_repeat_geometry_builds_nothing(monkeypatch):
@@ -350,10 +371,7 @@ def test_exact_average_repeat_geometry_builds_nothing(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(chain_mod, "_compositions", counting("c", chain_mod._compositions))
-    log_factorials = counting("f", fockspace._log_factorials)
-    # under either name chain could reach it
-    monkeypatch.setattr(fockspace, "_log_factorials", log_factorials)
-    monkeypatch.setattr(chain_mod, "_log_factorials", log_factorials)
+    monkeypatch.setattr(chain_mod, "_log_factorials", counting("f", catcode._log_factorials))
     for alpha in (2.0, 3.0):
         w = loss_weights(CatCodeSpec(m=3, alpha=alpha, eta=0.9))
         secret_key_rate(0.9, 1.0, mode="exact_average", weights=w, n_e=10)

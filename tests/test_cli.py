@@ -65,6 +65,11 @@ def test_keyrate_exact_average_is_byte_deterministic(tmp_path, capsys):
     assert (code, out) == (1, "")
     want = f"{math.comb(1003, 3)} syndrome combinations exceed the limit 20000"
     assert err == f"error: {want}\n"
+    # (m, l0) = (12, 1000): one link, 4,096 rows of 4,096 counts, over the table bound
+    code, out, err = run_cli(
+        capsys, "keyrate", "--config", str(cfg), "--m", "12", "--alpha", "2", "--l0", "1000"
+    )
+    assert (code, out, err) == (1, "", "error: 16777216 table counts exceed the bound 2097152\n")
 
 
 def test_sweep_golden_snapshot(tmp_path, capsys):
@@ -162,8 +167,13 @@ def test_keyrate_series_window_guard(capsys):
         capsys, "keyrate", "--m", "1", "--alpha", "1e5", "--l0", "1000"
     )
     assert code == 3
-    assert "class series window" in err
+    assert "class series window" in err and "amplitude too large" in err
     assert out == ""
+    # m = 18 at x = 4: the window's 12·modulus term alone passes the bound
+    code, out, err = run_cli(capsys, "keyrate", "--m", "18", "--alpha", "2", "--l0", "1000")
+    assert (code, out) == (3, "")
+    assert "class series window" in err and "modulus 524288" in err
+    assert "code order too large" in err and "amplitude" not in err
 
 
 def test_keyrate_infinite_rate_is_a_numerical_guard(capsys):

@@ -23,19 +23,21 @@ def test_module_exports_are_disjoint_and_reexported():
 
 
 def test_analytic_base_imports_no_fock_substrate():
-    # catcode is the base of the analytic engine: it reaches neither the
-    # Fock substrate nor the oracle, and the dense references the tests
-    # compare against (tests/fock_reference.py) are not in the package.
-    source = pathlib.Path(catcode.__file__).read_text()
-    imported = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-    assert "math" in imported
-    for name in imported:
-        assert not {"fockspace", "protocol_oracle"} & set(name.split(".")), name
+    # No module of the analytic engine reaches the Fock substrate or the
+    # oracle, so the two engines share no numerics, and the dense
+    # references the tests compare against (tests/fock_reference.py) are
+    # not in the package.
+    for module in ("catcode", "usd", "chain", "cavity"):
+        source = pathlib.Path(catcode.__file__).with_name(f"{module}.py").read_text()
+        imported = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert "math" in imported, module
+        for name in imported:
+            assert not {"fockspace", "protocol_oracle"} & set(name.split(".")), (module, name)
     for name in ("codeword", "damped_codeword", "error_space_state", "rotation_apply", "kraus_op"):
         assert not hasattr(catrep, name), name

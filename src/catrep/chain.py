@@ -48,13 +48,12 @@ ATTENUATION_LENGTH_KM = 22.0
 _BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 _KINDS = ("phi", "psi")
 _KEY_MODES = ("lower_bound", "exact_average")
-_DEFAULT_COMBO_LIMIT = 20000
-# Geometry tables (see _geometry_table): none over _MAX_TABLE_CELLS counts is built
-# (the limit alone admits 2^28 at m = 14); 16 of at most _KEPT_CELLS, the m = 3
-# table at n_e = 10, are kept.  From m = 4 on the default limit admits unkept ones.
-_KEPT_TABLES = 16
-_KEPT_CELLS = math.comb(10 + 7, 7) * 8
+# Geometry tables (see _geometry_table): none over _COMBO_LIMIT rows or
+# _MAX_TABLE_CELLS counts is built (the row limit alone admits 2^28 counts at
+# m = 14), and the _KEPT_TABLES most recently used are kept.
+_COMBO_LIMIT = 20000
 _MAX_TABLE_CELLS = 2**21
+_KEPT_TABLES = 16
 
 
 def _require_finite(params, *names: str) -> None:
@@ -208,14 +207,21 @@ def chain_success(p0: float, n_e: int) -> float:
 
 def _compositions(total: int, parts: int) -> np.ndarray:
     # Every row of ``parts`` counts summing to ``total``, in lexicographic
-    # order: a row whose last count is k branches into heads 0..k and k - head.
-    t = np.array([[total]])
-    for _ in range(parts - 1):
-        branches = t[:, -1] + 1
+    # order, written once per column: ways[k][r] counts the compositions of r
+    # into k + 1 parts, so a head that leaves r for k + 1 later columns spans
+    # ways[k][r] rows.
+    ways = [np.ones(total + 1, dtype=np.int64)]
+    for _ in range(parts - 2):
+        ways.append(np.cumsum(ways[-1]))
+    t = np.empty((math.comb(total + parts - 1, parts - 1), parts), dtype=np.int64)
+    rest = np.array([total])
+    for j in range(parts - 1):
+        branches = rest + 1
         firsts = np.repeat(np.cumsum(branches) - branches, branches)
         head = np.arange(firsts.size) - firsts
-        t = np.repeat(t, branches, axis=0)
-        t = np.column_stack([t[:, :-1], head, t[:, -1] - head])
+        rest = np.repeat(rest, branches) - head
+        t[:, j] = np.repeat(head, ways[parts - 2 - j][rest]) if j < parts - 2 else head
+    t[:, -1] = rest
     return t
 
 
@@ -228,12 +234,10 @@ def _geometry_table(n_e: int, parts: int):
     transposed array per column i; per row, the log multinomial
     log n_e!/prod t_i!, from ``catcode``'s log t! table.
 
-    ``_kept_table`` keeps the 16 most recently used tables of at most
-    _KEPT_CELLS counts (19,448 rows of 8, the m = 3 table at n_e = 10).
-    One takes at most 3.1 MB (77,792 rows of 2), so the kept tables
-    together take at most 50 MB.  A larger one is built per call: from
-    m = 4 on the default limit admits some (m = 4, n_e = 5 has 248,064
-    counts), and a raised ``limit`` more, up to _MAX_TABLE_CELLS counts.
+    ``_kept_table`` keeps the 16 most recently used tables.  Of the 20,071
+    geometries the two bounds admit, the largest table is m = 7 at
+    n_e = 2 (8,256 rows of 128) at 16.2 MiB, and the 16 largest together
+    take 58.0 MiB.
     """
     t = _compositions(n_e, parts)
     index = (t * parts + np.arange(parts)).T
@@ -245,23 +249,19 @@ def _geometry_table(n_e: int, parts: int):
 _kept_table = functools.lru_cache(maxsize=_KEPT_TABLES)(_geometry_table)
 
 
-def _distribution(weights: LossWeights, n_e: int, limit: int):
+def _distribution(weights: LossWeights, n_e: int):
     if not isinstance(n_e, int) or n_e < 1:
         raise ValueError("need integer n_e >= 1")
     big_m = 2**weights.m
     n_combos = math.comb(n_e + big_m - 1, big_m - 1)
-    if n_combos > limit:
-        raise ValueError(f"{n_combos} syndrome combinations exceed the limit {limit}")
+    if n_combos > _COMBO_LIMIT:
+        raise ValueError(f"{n_combos} syndrome combinations exceed the limit {_COMBO_LIMIT}")
     if n_combos * big_m > _MAX_TABLE_CELLS:
         raise ValueError(f"{n_combos * big_m} table counts exceed the bound {_MAX_TABLE_CELLS}")
-    p = weights.p
-    group = np.array([p[i] + p[i + big_m] for i in range(big_m)])
-    diff = np.array([p[i] - p[i + big_m] for i in range(big_m)])
-    ratio = np.divide(
-        diff, group, out=np.zeros_like(diff), where=group > 0
-    )
-    table = _kept_table if n_combos * big_m <= _KEPT_CELLS else _geometry_table
-    t, index, log_multinomial = table(n_e, big_m)
+    lower, upper = weights.p.reshape(2, big_m)
+    group, diff = lower + upper, lower - upper
+    ratio = np.divide(diff, group, out=np.zeros_like(diff), where=group > 0)
+    t, index, log_multinomial = _kept_table(n_e, big_m)
     # log of n_e!/prod t_i! * prod g_i^t_i, so neither the multinomial
     # nor the powers leave float range; a row that needs an empty group
     # (g_i = 0, t_i > 0) is exactly zero, exp(-inf), so its log-multinomial,
@@ -285,9 +285,7 @@ def _distribution(weights: LossWeights, n_e: int, limit: int):
     return t, prob, fid
 
 
-def chain_distribution(
-    weights: LossWeights, n_e: int, limit: int = _DEFAULT_COMBO_LIMIT
-):
+def chain_distribution(weights: LossWeights, n_e: int):
     """Exhaustive syndrome-combination distribution along the chain.
 
     Each segment independently lands in one of 2^m syndrome remainders;
@@ -296,10 +294,10 @@ def chain_distribution(
     per combination {t_i} gives (t, multinomial probability, exact
     fidelity 1/2 + 1/2 prod ratio_i^t_i), in lexicographic order of t.
     Rows sum to one; their probability-weighted fidelity reproduces the
-    closed form.  They are built as numpy arrays, once at most ``limit``
-    combinations and ``_MAX_TABLE_CELLS`` counts are checked (else ``ValueError``).
+    closed form.  They are built as numpy arrays, once at most 20,000
+    combinations and 2^21 counts are checked (else ``ValueError``).
     """
-    t, prob, fid = _distribution(weights, n_e, limit)
+    t, prob, fid = _distribution(weights, n_e)
     t = t.astype(int).tolist()
     return list(zip(map(tuple, t), prob.tolist(), fid.tolist()))
 
@@ -338,14 +336,13 @@ def secret_key_rate(
     *,
     weights: LossWeights | None = None,
     n_e: int | None = None,
-    limit: int = _DEFAULT_COMBO_LIMIT,
 ):
     """Asymptotic BB84 key rate, per second and per channel use.
 
     ``lower_bound`` applies the clamped key-fraction formula to the average
     fidelity.  ``exact_average`` averages it over the arrays behind the
     rows of ``chain_distribution`` (needs ``weights`` and ``n_e``, same
-    ``limit``); concavity of the entropy makes it at least as large.
+    bounds); concavity of the entropy makes it at least as large.
     """
     if mode not in _KEY_MODES:
         raise ValueError(f"mode must be one of {_KEY_MODES}")
@@ -360,7 +357,7 @@ def secret_key_rate(
     else:
         if weights is None or n_e is None:
             raise ValueError("exact_average needs weights and n_e")
-        _, prob, fid = _distribution(weights, n_e, limit)
+        _, prob, fid = _distribution(weights, n_e)
         # a convex combination of fractions in [0, 1]; rows whose rounded
         # probabilities sum past 1 can lift it an ulp over
         frac = min(float(prob @ _key_fractions(fid)), 1.0)
@@ -417,11 +414,8 @@ def evaluate_chain(
     p0 = _usd_probability(spec, usd_q, usd_mode, weights)
     f_tot = chain_fidelity(f0, chain.n_e)
     p_tot = chain_success(p0, chain.n_e)
-    kwargs = {}
-    if key_mode == "exact_average":
-        kwargs = {"weights": weights, "n_e": chain.n_e}
     rate_s, rate_use = secret_key_rate(
-        f_tot, p_tot, chain.t0, mode=key_mode, **kwargs
+        f_tot, p_tot, chain.t0, mode=key_mode, weights=weights, n_e=chain.n_e
     )
     bound = plob_bound(chain.l_tot, segment.l_att)
     return ChainReport(

@@ -93,6 +93,8 @@ DEFAULT_CONFIG = {
     },
 }
 
+_FORMATS = ("csv", "jsonl")
+
 _TOLERANCES = {
     "f0": 1e-6,
     "loss_weights": 1e-8,
@@ -192,6 +194,8 @@ def _apply_overrides(cfg: dict, args) -> dict:
         if isinstance(DEFAULT_CONFIG[section][key], list):
             value = [_cast(part, cast, flag) for part in value.split(",") if part.strip()]
         cfg[section][key] = value
+    if cfg["output"]["format"] not in _FORMATS:
+        raise UsageError(f"unknown output format: {cfg['output']['format']!r}")
     return cfg
 
 
@@ -208,11 +212,7 @@ def _render(rows, columns, fmt: str) -> str:
         lines = [",".join(columns)]
         lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
         return "\n".join(lines) + "\n"
-    if fmt == "jsonl":
-        return "".join(
-            json.dumps({c: row[c] for c in columns}) + "\n" for row in rows
-        )
-    raise UsageError(f"unknown output format: {fmt!r}")
+    return "".join(json.dumps({c: row[c] for c in columns}) + "\n" for row in rows)
 
 
 def _emit(text: str, out: str | None, argv) -> None:
@@ -369,7 +369,7 @@ def _add_flags(parser: argparse.ArgumentParser, dests) -> None:
             metavar = flag[2:].replace("-", "_").upper()
             parser.add_argument(flag, dest=dest, metavar=metavar, help=help_)
         else:
-            choices = ("csv", "jsonl") if dest == "format" else None
+            choices = _FORMATS if dest == "format" else None
             parser.add_argument(flag, dest=dest, type=cast, choices=choices, help=help_)
 
 

@@ -287,11 +287,12 @@ def test_distribution_matches_tuple_reference(m, n_e, alpha, eta):
 
 
 def test_distribution_combinatorial_guard():
-    spec = CatCodeSpec(m=2, alpha=1.5, eta=0.9)
-    w = loss_weights(spec)
+    # (m, n_e) = (2, 47) has 19,600 rows, under the limit; (2, 48) has 20,825
+    w = loss_weights(CatCodeSpec(m=2, alpha=1.5, eta=0.9))
+    assert len(chain_distribution(w, 47)) == 19_600
     kept = chain_mod._kept_table.cache_info().currsize
-    with pytest.raises(ValueError):
-        chain_distribution(w, 8, limit=10)
+    with pytest.raises(ValueError, match=r"^20825 syndrome combinations exceed the limit 20000$"):
+        chain_distribution(w, 48)
     # the guard raises before a table is built or kept
     assert chain_mod._kept_table.cache_info().currsize == kept
     # n_e = 1 at m = 12: 4,096 rows, under the limit, of 4,096 counts each,
@@ -305,10 +306,16 @@ def test_distribution_combinatorial_guard():
     assert chain_mod._kept_table.cache_info() == info
 
 
+@pytest.mark.parametrize("m,n_e", [(7, 2), (1, 19_999)])
+def test_compositions_match_recursive_enumeration(m, n_e):
+    t = chain_mod._compositions(n_e, 2**m)
+    assert t.tolist() == [list(row) for row in recursive_compositions(n_e, 2**m)]
+
+
 def test_kept_tables_are_read_only():
     w = loss_weights(CatCodeSpec(m=3, alpha=2.0, eta=0.9))
     secret_key_rate(0.9, 1.0, mode="exact_average", weights=w, n_e=10)
-    t, prob, fid = chain_mod._distribution(w, 10, 20000)
+    t, prob, fid = chain_mod._distribution(w, 10)
     table = chain_mod._kept_table(10, 8)
     assert t is table[0]
     for a in table:
@@ -326,7 +333,6 @@ def test_kept_tables_are_bounded():
         chain_distribution(w, n_e)
     info = chain_mod._kept_table.cache_info()
     assert info.maxsize == 16 and info.currsize == 16
-    # the m = 3 table at the default limit is the largest one kept
     big = loss_weights(CatCodeSpec(m=3, alpha=2.0, eta=0.9))
     chain_distribution(big, 10)
     hits = chain_mod._kept_table.cache_info().hits
@@ -334,27 +340,59 @@ def test_kept_tables_are_bounded():
     assert chain_mod._kept_table.cache_info().hits == hits + 1
 
 
-def test_oversized_table_is_not_kept():
-    # 100,001 rows of 2 counts: more than the 19,448 rows of 8 kept at most
+def _table_bytes(m, n_e):
+    # t as floats and the flat indices, 8 bytes per count each, and one log
+    # multinomial per row
+    return math.comb(n_e + 2**m - 1, 2**m - 1) * (16 * 2**m + 8)
+
+
+def test_admitted_tables_fit_in_memory():
+    # Every geometry the row limit and the count bound admit, by arithmetic;
+    # the kept tables are the 16 most recently used of them.
+    for m, n_e in ((1, 3), (2, 5), (3, 2)):
+        table = chain_mod._geometry_table(n_e, 2**m)
+        assert sum(a.nbytes for a in table) == _table_bytes(m, n_e)
+    sizes = []
+    for m in range(1, 15):  # from m = 15 on, one link alone has too many rows
+        n_e = 1
+        while (rows := math.comb(n_e + 2**m - 1, 2**m - 1)) <= chain_mod._COMBO_LIMIT:
+            if rows * 2**m <= chain_mod._MAX_TABLE_CELLS:
+                sizes.append(_table_bytes(m, n_e))
+            n_e += 1
+    sizes.sort(reverse=True)
+    assert len(sizes) == 20_071
+    assert sizes[0] == _table_bytes(7, 2) < 17 * 2**20
+    assert sum(sizes[: chain_mod._KEPT_TABLES]) < 60 * 2**20
+
+
+def _counting(calls, name, fn):
+    def wrapped(*args):
+        calls.append(name)
+        return fn(*args)
+
+    return wrapped
+
+
+def test_largest_tables_are_kept(monkeypatch):
+    # m = 4 at n_e = 5 (15,504 rows of 16) and m = 7 at n_e = 2 (8,256 rows
+    # of 128, the largest table the bounds admit) are kept like any other:
+    # a second rate at the geometry, with other weights, builds nothing.
     chain_mod._kept_table.cache_clear()
-    w = loss_weights(CatCodeSpec(m=1, alpha=2.0, eta=math.exp(-0.01 / 22.0)))
-    _, rate = secret_key_rate(0.9, 1.0, mode="exact_average", weights=w, n_e=100_000, limit=10**6)
-    assert 0.0 <= rate <= 1.0
-    assert chain_mod._kept_table.cache_info().currsize == 0
-    # 15,504 rows of 16 counts, under the default limit: not kept either
+    calls = []
+    monkeypatch.setattr(chain_mod, "_compositions", _counting(calls, "c", chain_mod._compositions))
+    for m, n_e in ((4, 5), (7, 2)):
+        for alpha in (2.0, 3.0):
+            w = loss_weights(CatCodeSpec(m=m, alpha=alpha, eta=0.9))
+            _, rate = secret_key_rate(0.9, 1.0, mode="exact_average", weights=w, n_e=n_e)
+            assert 0.0 <= rate <= 1.0
+    assert calls == ["c", "c"]
+    assert chain_mod._kept_table.cache_info().currsize == 2
     w = loss_weights(CatCodeSpec(m=4, alpha=2.0, eta=0.9))
     _, rate = secret_key_rate(0.9, 1.0, mode="exact_average", weights=w, n_e=5)
     rows = chain_distribution(w, 5)
     assert len(rows) == 15_504 and len(rows[0][0]) == 16
-    assert 0.0 <= rate <= 1.0
     assert abs(rate - math.fsum(p * chain_mod._key_fraction(f) for _, p, f in rows)) <= 1e-15
-    assert chain_mod._kept_table.cache_info().currsize == 0
-    # 8,256 rows of 128 counts, the largest table the default limit admits
-    # under the table bound: built, not kept
-    w = loss_weights(CatCodeSpec(m=7, alpha=2.0, eta=0.9))
-    _, rate = secret_key_rate(0.9, 1.0, mode="exact_average", weights=w, n_e=2)
-    assert 0.0 <= rate <= 1.0
-    assert chain_mod._kept_table.cache_info().currsize == 0
+    assert calls == ["c", "c"]
 
 
 def test_exact_average_repeat_geometry_builds_nothing(monkeypatch):
@@ -362,16 +400,8 @@ def test_exact_average_repeat_geometry_builds_nothing(monkeypatch):
     # whatever the weights: no enumeration and no log-factorial vector.
     chain_mod._kept_table.cache_clear()
     calls = []
-
-    def counting(name, fn):
-        def wrapped(*args):
-            calls.append(name)
-            return fn(*args)
-
-        return wrapped
-
-    monkeypatch.setattr(chain_mod, "_compositions", counting("c", chain_mod._compositions))
-    monkeypatch.setattr(chain_mod, "_log_factorials", counting("f", catcode._log_factorials))
+    monkeypatch.setattr(chain_mod, "_compositions", _counting(calls, "c", chain_mod._compositions))
+    monkeypatch.setattr(chain_mod, "_log_factorials", _counting(calls, "f", catcode._log_factorials))
     for alpha in (2.0, 3.0):
         w = loss_weights(CatCodeSpec(m=3, alpha=alpha, eta=0.9))
         secret_key_rate(0.9, 1.0, mode="exact_average", weights=w, n_e=10)

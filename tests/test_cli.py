@@ -396,6 +396,43 @@ def test_validate_bad_tolerance_is_a_usage_error(capsys, tol):
     assert err.startswith("error: tolerance for f0")
 
 
+@pytest.mark.parametrize(
+    "config,argv,message",
+    [
+        (None, ("sweep",), "cannot read config: "),
+        ("chain: [unclosed", ("sweep",), "cannot parse config: "),
+        ("- 1", ("sweep",), "config root must be a mapping"),
+        ("chain: 5", ("sweep",), "config section chain must be a mapping"),
+        ("{}", ("validate", "--tol", "f0"), "--tol expects CHECK=VALUE, got 'f0'"),
+        ("{}", ("validate", "--tol", "f0=abc"), "bad tolerance value 'abc'"),
+        ("cavity: {points: 0}", ("cavity",), "cavity.points must be positive"),
+        ("usd: {alphas: []}", ("usd",), "empty grid: usd.alphas"),
+        ("validate: {m: [4]}", ("validate",), "validation grid is bounded at m <= 3"),
+    ],
+)
+def test_config_and_flag_refusals_are_named(tmp_path, capsys, config, argv, message):
+    # an absent file is the unreadable config; a message ending in ": "
+    # goes on with the reader's own text
+    cfg = tmp_path / "cfg.yaml"
+    if config is not None:
+        cfg.write_text(config + "\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
+    assert message.endswith(": ") or err == f"error: {message}\n"
+
+
+def test_unknown_output_format_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    def unit_setup(spec):
+        raise AssertionError("validate ran")
+
+    monkeypatch.setattr(cli, "unit_setup", unit_setup)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("output: {format: xml}\n")
+    code, out, err = run_cli(capsys, "validate", "--config", str(cfg))
+    assert (code, out, err) == (1, "", "error: unknown output format: 'xml'\n")
+
+
 _COMMON_FLAGS = {"--help", "--config", "--out", "--format"}
 _GRID_FLAGS = {"--alpha", "--m", "--l0", "--eta-local", "--l-tot", "--l-att", "--t0"}
 

@@ -205,45 +205,53 @@ def chain_success(p0: float, n_e: int) -> float:
     return math.exp(n_e * math.log(p0)) if p0 < 1.0 else 1.0
 
 
-def _compositions(total: int, parts: int) -> np.ndarray:
+def _compositions(total: int, parts: int):
     # Every row of ``parts`` counts summing to ``total``, in lexicographic
-    # order, written once per column: ways[k][r] counts the compositions of r
-    # into k + 1 parts, so a head that leaves r for k + 1 later columns spans
-    # ways[k][r] rows.
+    # order, written once per column, and the rows' prefix tree: per column j
+    # the last count of each distinct prefix t_0..t_j (one per row in the
+    # last column) and, in columns 1 to parts - 2, its parent's index in
+    # column j - 1.  ways[k][r] counts the compositions of r into k + 1 parts,
+    # so a head that leaves r for k + 1 later columns spans ways[k][r] rows.
     ways = [np.ones(total + 1, dtype=np.int64)]
     for _ in range(parts - 2):
         ways.append(np.cumsum(ways[-1]))
     t = np.empty((math.comb(total + parts - 1, parts - 1), parts), dtype=np.int64)
+    heads, parents = [], []
     rest = np.array([total])
     for j in range(parts - 1):
         branches = rest + 1
-        firsts = np.repeat(np.cumsum(branches) - branches, branches)
-        head = np.arange(firsts.size) - firsts
-        rest = np.repeat(rest, branches) - head
+        parent = np.repeat(np.arange(rest.size), branches)
+        head = np.arange(parent.size) - (np.cumsum(branches) - branches)[parent]
+        rest = rest[parent] - head
         t[:, j] = np.repeat(head, ways[parts - 2 - j][rest]) if j < parts - 2 else head
+        heads.append(head)
+        parents.append(parent)
     t[:, -1] = rest
-    return t
+    return t, heads + [rest], parents[1:]
 
 
 def _geometry_table(n_e: int, parts: int):
     """What a distribution needs that the weights leave alone, read-only.
 
     The rows t of every composition of n_e into ``parts`` counts, as
-    floats for the product with log g; per count, its flat index
-    t_i * parts + i into a (n_e + 1, parts) table, one row of the
-    transposed array per column i; per row, the log multinomial
-    log n_e!/prod t_i!, from ``catcode``'s log t! table.
+    floats for the product with log g; the rows' prefix tree, per column i
+    the flat index t_i * parts + i of each prefix's last count into a
+    (n_e + 1, parts) table of ratio powers, and each inner prefix's parent,
+    so that a shared prefix's product is formed once, with the same ufuncs
+    in the same order as np.prod along each row; per row, the log
+    multinomial log n_e!/prod t_i!, from ``catcode``'s log t! table.
 
     ``_kept_table`` keeps the 16 most recently used tables.  Of the 20,071
-    geometries the two bounds admit, the largest table is m = 7 at
-    n_e = 2 (8,256 rows of 128) at 16.2 MiB, and the 16 largest together
-    take 58.0 MiB.
+    geometries the two bounds admit, the largest table is m = 10 at
+    n_e = 1 (1,024 rows of 1,024) at 16.0 MiB, and the 16 largest together
+    take 52.0 MiB.
     """
-    t = _compositions(n_e, parts)
-    index = (t * parts + np.arange(parts)).T
+    t, heads, parents = _compositions(n_e, parts)
+    index = tuple(_freeze(head * parts + i) for i, head in enumerate(heads))
+    tree = index, tuple(map(_freeze, parents))
     log_fact = np.fromiter(map(_log_factorials(n_e).__getitem__, range(n_e + 1)), float)
     log_multinomial = log_fact[n_e] - log_fact[t].sum(axis=1)
-    return _freeze(t.astype(float)), _freeze(index), _freeze(log_multinomial)
+    return _freeze(t.astype(float)), tree, _freeze(log_multinomial)
 
 
 _kept_table = functools.lru_cache(maxsize=_KEPT_TABLES)(_geometry_table)
@@ -261,7 +269,7 @@ def _distribution(weights: LossWeights, n_e: int):
     lower, upper = weights.p.reshape(2, big_m)
     group, diff = lower + upper, lower - upper
     ratio = np.divide(diff, group, out=np.zeros_like(diff), where=group > 0)
-    t, index, log_multinomial = _kept_table(n_e, big_m)
+    t, (index, parent), log_multinomial = _kept_table(n_e, big_m)
     # log of n_e!/prod t_i! * prod g_i^t_i, so neither the multinomial
     # nor the powers leave float range; a row that needs an empty group
     # (g_i = 0, t_i > 0) is exactly zero, exp(-inf), so its log-multinomial,
@@ -272,14 +280,14 @@ def _distribution(weights: LossWeights, n_e: int):
     if empty.any():
         log_prob[(t[:, empty] > 0).any(axis=1)] = -np.inf
     prob = np.exp(log_prob, out=log_prob)
-    # 1/2 + 1/2 prod ratio_i^t_i, in place: the product runs group by group
-    # in the order np.prod takes along a row, each factor read from the
-    # table of powers 0..n_e
-    powers = ratio ** np.arange(n_e + 1)[:, None]
-    fid = np.take(powers, index[0])
-    factor = np.empty_like(fid)
-    for column in index[1:]:
-        fid *= np.take(powers, column, out=factor)
+    # 1/2 + 1/2 prod ratio_i^t_i, in place: each prefix's product is its
+    # parent's times its own power from the table of powers 0..n_e
+    powers = (ratio ** np.arange(n_e + 1)[:, None]).ravel()
+    fid = powers[index[0]]
+    for column, up in zip(index[1:], parent):
+        fid = fid[up]
+        fid *= powers[column]
+    fid *= powers[index[-1]]
     fid *= 0.5
     fid += 0.5
     return t, prob, fid
@@ -321,11 +329,21 @@ def _key_fraction(fidelity: float) -> float:
 
 
 def _key_fractions(fidelity: np.ndarray) -> np.ndarray:
-    # ``_key_fraction`` over an array, with numpy's log2 in place of libm's.
+    # ``_key_fraction`` over an array, with numpy's log2 in place of libm's:
+    # -e log2 e - (1 - e) log2(1 - e), 1 minus that and the clamp, with the
+    # same ufuncs in the same order as the one expression, in place.
     e = 1.0 - fidelity
+    tail = 1.0 - e
     with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.maximum(0.0, 1.0 - (-e * np.log2(e) - (1 - e) * np.log2(1 - e)))
-    return np.where(e >= 0.5, 0.0, np.where(e == 0.0, 1.0, frac))
+        frac = np.log2(e)
+        frac *= -e
+        tail *= np.log2(tail)
+        np.subtract(frac, tail, out=frac)
+        np.subtract(1.0, frac, out=frac)
+        np.maximum(0.0, frac, out=frac)
+    frac[e == 0.0] = 1.0
+    frac[e >= 0.5] = 0.0
+    return frac
 
 
 def secret_key_rate(

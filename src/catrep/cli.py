@@ -11,8 +11,8 @@ keyrate   one fully resolved configuration point
 Configuration comes from built-in defaults, optionally overlaid by a
 YAML file (--config) and then by per-parameter flags.  Data outputs are
 deterministic: identical configuration yields byte-identical files, and
-run metadata (timestamp, argv, version) goes to a separate
-``<out>.meta.json`` sidecar, never into the data file.
+run metadata (timestamp, argv, version, Python and numpy versions) goes
+to a separate ``<out>.meta.json`` sidecar, never into the data file.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 validation
 tolerance breach, 3 numerical guard tripped (truncation/overflow).
@@ -27,6 +27,7 @@ import functools
 import itertools
 import json
 import math
+import platform
 import sys
 
 import numpy as np
@@ -225,6 +226,8 @@ def _emit(text: str, out: str | None, argv) -> None:
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "argv": list(argv),
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
     }
     with open(f"{out}.meta.json", "w") as fh:
         json.dump(meta, fh, indent=2)

@@ -267,15 +267,23 @@ _INTERLEAVED = [
 ]
 
 
+# Every geometry at each (alpha, eta); (7, 2), whose tuple reference alone
+# takes about 0.9 s, at the first only.
+_WEIGHTS = [(2.0, 0.9), (0.75, 0.99), (1.0, 1.0)]
+_GEOMETRIES = [(m, n_e) for m in (1, 2, 3) for n_e in (1, 2, 5, 10)] + [(1, 10_000), (4, 5)]
+
+
 @pytest.mark.parametrize(
-    "m,n_e",
-    [(m, n_e) for m in (1, 2, 3) for n_e in (1, 2, 5, 10)] + [(1, 10_000)] + _INTERLEAVED,
+    "alpha,eta,m,n_e",
+    [(*w, *g) for w in _WEIGHTS for g in _GEOMETRIES]
+    + [pytest.param(*w, *p.values, id=f"{w[0]}-{w[1]}-{p.id}") for w in _WEIGHTS for p in _INTERLEAVED]
+    + [(*_WEIGHTS[0], 7, 2)],
 )
-@pytest.mark.parametrize("alpha,eta", [(2.0, 0.9), (0.75, 0.99), (1.0, 1.0)])
-def test_distribution_matches_tuple_reference(m, n_e, alpha, eta):
+def test_distribution_matches_tuple_reference(alpha, eta, m, n_e):
     # eta = 1 leaves every loss class but q = 0 empty, so rows that need
     # an empty group are exact zeros.  The exact_average rate is the sum
-    # over the reference rows, bit for bit.
+    # over the reference rows, bit for bit, clamped to 1 as secret_key_rate
+    # clamps it (at (4, 5), alpha = 2, eta = 0.9 the sum is 1 + 2^-52).
     geometries = list(zip(m, n_e)) * 2 if isinstance(m, list) else [(m, n_e)]
     for m, n_e in geometries:
         w = loss_weights(CatCodeSpec(m=m, alpha=alpha, eta=eta))
@@ -283,7 +291,24 @@ def test_distribution_matches_tuple_reference(m, n_e, alpha, eta):
         assert chain_distribution(w, n_e) == want
         _, prob, fid = map(np.array, zip(*want))
         _, rate = secret_key_rate(0.9, 1.0, mode="exact_average", weights=w, n_e=n_e)
-        assert rate == float(prob @ chain_mod._key_fractions(fid))
+        assert rate == min(float(prob @ chain_mod._key_fractions(fid)), 1.0)
+
+
+def test_key_fractions_match_one_expression():
+    # The in-place key fractions against the expression they replaced, by
+    # ==, at the edges of each mask as well as inside
+    def one_expression(fidelity):
+        e = 1.0 - fidelity
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = np.maximum(0.0, 1.0 - (-e * np.log2(e) - (1 - e) * np.log2(1 - e)))
+        return np.where(e >= 0.5, 0.0, np.where(e == 0.0, 1.0, frac))
+
+    edges = [0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1.0 - 2.0**-53, 1.0]
+    fidelity = np.concatenate([np.random.default_rng(23).random(100_000), edges])
+    got = chain_mod._key_fractions(fidelity)
+    assert np.array_equal(got, one_expression(fidelity))
+    # one ulp inside e < 1/2 the entropy rounds to 1, so the clamp gives 0
+    assert got[-6:].tolist() == [0.0, 0.0, 0.0, 0.0, got[-2], 1.0] and 0.0 < got[-2] < 1.0
 
 
 def test_distribution_combinatorial_guard():
@@ -308,7 +333,7 @@ def test_distribution_combinatorial_guard():
 
 @pytest.mark.parametrize("m,n_e", [(7, 2), (1, 19_999)])
 def test_compositions_match_recursive_enumeration(m, n_e):
-    t = chain_mod._compositions(n_e, 2**m)
+    t, _, _ = chain_mod._compositions(n_e, 2**m)
     assert t.tolist() == [list(row) for row in recursive_compositions(n_e, 2**m)]
 
 
@@ -318,7 +343,7 @@ def test_kept_tables_are_read_only():
     t, prob, fid = chain_mod._distribution(w, 10)
     table = chain_mod._kept_table(10, 8)
     assert t is table[0]
-    for a in table:
+    for a in _table_arrays(table):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
@@ -340,18 +365,35 @@ def test_kept_tables_are_bounded():
     assert chain_mod._kept_table.cache_info().hits == hits + 1
 
 
+def _table_arrays(table):
+    t, (index, parent), log_multinomial = table
+    return [t, *index, *parent, log_multinomial]
+
+
+def _tree_nodes(m, n_e):
+    # per column j below the last, the distinct prefixes t_0..t_j of counts
+    # summing to at most n_e; then one leaf per row
+    parts = 2**m
+    return [math.comb(n_e + j, j) for j in range(1, parts)] + [math.comb(n_e + parts - 1, parts - 1)]
+
+
 def _table_bytes(m, n_e):
-    # t as floats and the flat indices, 8 bytes per count each, and one log
-    # multinomial per row
-    return math.comb(n_e + 2**m - 1, 2**m - 1) * (16 * 2**m + 8)
+    # 8 bytes each: t as floats and one log multinomial per row, one power
+    # index per tree node, and one parent per node of the inner columns
+    nodes = _tree_nodes(m, n_e)
+    return 8 * (nodes[-1] * (2**m + 1) + sum(nodes) + sum(nodes[1:-1]))
 
 
 def test_admitted_tables_fit_in_memory():
     # Every geometry the row limit and the count bound admit, by arithmetic;
     # the kept tables are the 16 most recently used of them.
-    for m, n_e in ((1, 3), (2, 5), (3, 2)):
+    for m, n_e in ((1, 3), (2, 5), (3, 2), (3, 10)):
         table = chain_mod._geometry_table(n_e, 2**m)
-        assert sum(a.nbytes for a in table) == _table_bytes(m, n_e)
+        assert sum(a.nbytes for a in _table_arrays(table)) == _table_bytes(m, n_e)
+        assert [a.size for a in table[1][0]] == _tree_nodes(m, n_e)
+    # the product at (3, 10) visits each of its tree's nodes once, against
+    # 8 factors for each of its 19,448 rows
+    assert sum(_tree_nodes(3, 10)) == 51_271
     sizes = []
     for m in range(1, 15):  # from m = 15 on, one link alone has too many rows
         n_e = 1
@@ -361,7 +403,7 @@ def test_admitted_tables_fit_in_memory():
             n_e += 1
     sizes.sort(reverse=True)
     assert len(sizes) == 20_071
-    assert sizes[0] == _table_bytes(7, 2) < 17 * 2**20
+    assert sizes[0] == _table_bytes(10, 1) < 17 * 2**20
     assert sum(sizes[: chain_mod._KEPT_TABLES]) < 60 * 2**20
 
 
@@ -375,8 +417,8 @@ def _counting(calls, name, fn):
 
 def test_largest_tables_are_kept(monkeypatch):
     # m = 4 at n_e = 5 (15,504 rows of 16) and m = 7 at n_e = 2 (8,256 rows
-    # of 128, the largest table the bounds admit) are kept like any other:
-    # a second rate at the geometry, with other weights, builds nothing.
+    # of 128) are kept like any other: a second rate at the geometry, with
+    # other weights, builds nothing.
     chain_mod._kept_table.cache_clear()
     calls = []
     monkeypatch.setattr(chain_mod, "_compositions", _counting(calls, "c", chain_mod._compositions))

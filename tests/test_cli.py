@@ -7,11 +7,13 @@ import json
 import math
 import os
 import pathlib
+import platform
 import re
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -116,7 +118,9 @@ def test_sweep_deterministic_and_sidecar(tmp_path, capsys):
     assert run_cli(capsys, *args, "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
     meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
-    assert set(meta) == {"generated_at", "argv", "version"}
+    assert set(meta) == {"generated_at", "argv", "version", "python", "numpy"}
+    assert meta["python"] == platform.python_version()
+    assert meta["numpy"] == np.__version__
     # No timestamp leaks into the data file.
     assert meta["generated_at"] not in a.read_text()
 

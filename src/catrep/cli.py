@@ -11,8 +11,8 @@ keyrate   one fully resolved configuration point
 Configuration comes from built-in defaults, optionally overlaid by a
 YAML file (--config) and then by per-parameter flags.  Data outputs are
 deterministic: identical configuration yields byte-identical files, and
-run metadata (timestamp, argv, version, Python and numpy versions) goes
-to a separate ``<out>.meta.json`` sidecar, never into the data file.
+run metadata (timestamp, argv, version, Python, numpy and mpmath versions)
+goes to a separate ``<out>.meta.json`` sidecar, never into the data file.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 validation
 tolerance breach, 3 numerical guard tripped (truncation/overflow).
@@ -21,6 +21,7 @@ tolerance breach, 3 numerical guard tripped (truncation/overflow).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
 import functools
@@ -220,8 +221,6 @@ def _emit(text: str, out: str | None, argv) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    with open(out, "w", newline="\n") as fh:
-        fh.write(text)
     meta = {
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "argv": list(argv),
@@ -229,9 +228,16 @@ def _emit(text: str, out: str | None, argv) -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
-    with open(f"{out}.meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    from importlib import metadata  # only --out needs it, and its import takes ~15 ms
+
+    with contextlib.suppress(metadata.PackageNotFoundError):
+        meta["mpmath"] = metadata.version("mpmath")
+    try:
+        for path, body in ((out, text), (f"{out}.meta.json", json.dumps(meta, indent=2) + "\n")):
+            with open(path, "w", newline="\n") as fh:
+                fh.write(body)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _point_params(point, chain_cfg: dict):

@@ -184,16 +184,26 @@ def coherent_state(alpha: complex) -> FockVector:
     return v
 
 
+def _ladder(x: np.ndarray, count: int) -> np.ndarray:
+    """Rungs âʳx for r = 0, …, count − 1 along x's last axis, stacked on a new first axis.
+
+    Each rung is one â step on the one before, x[..., n] ← √(n+1)·x[..., n+1]
+    with the last entry 0, so rung r holds the bits of r steps on x alone.
+    """
+    rungs = np.empty((count,) + np.shape(x), dtype=complex)
+    rungs[0] = x
+    root = np.sqrt(np.arange(1, rungs.shape[-1]))
+    for r in range(1, count):
+        rungs[r, ..., :-1] = root * rungs[r - 1, ..., 1:]
+        rungs[r, ..., -1] = 0.0
+    return rungs
+
+
 def annihilate(v: FockVector, q: int = 1) -> FockVector:
     """Apply â q times: amps[n] ← √(n+1)·amps[n+1].  Result is unnormalized."""
     if q < 0:
         raise ValueError("q must be non-negative")
-    amps = v.amps.copy()
-    root = np.sqrt(np.arange(1, v.dim))
-    for _ in range(q):
-        amps[:-1] = root * amps[1:]
-        amps[-1] = 0.0
-    return FockVector(amps, v.n_max)
+    return FockVector(_ladder(v.amps, q + 1)[-1], v.n_max)
 
 
 def _loss_rows(eta: float, dim: int, counts) -> np.ndarray:

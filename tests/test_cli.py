@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import importlib.metadata
 import io
 import json
 import math
@@ -111,18 +112,33 @@ def test_golden_columns_in_range():
         assert row["beats_plob"] in ("true", "false")
 
 
-def test_sweep_deterministic_and_sidecar(tmp_path, capsys):
+def test_sweep_deterministic_and_sidecar(tmp_path, monkeypatch, capsys):
     args = ("sweep", "--m", "1", "--alpha", "1,2", "--l0", "100,1000")
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli(capsys, *args, "--out", str(a))[0] == 0
     assert run_cli(capsys, *args, "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
     meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
-    assert set(meta) == {"generated_at", "argv", "version", "python", "numpy"}
+    try:
+        mpmath = {"mpmath": importlib.metadata.version("mpmath")}
+    except importlib.metadata.PackageNotFoundError:
+        mpmath = {}
+    assert set(meta) == {"generated_at", "argv", "version", "python", "numpy", *mpmath}
     assert meta["python"] == platform.python_version()
     assert meta["numpy"] == np.__version__
+    assert meta.get("mpmath") == mpmath.get("mpmath")
     # No timestamp leaks into the data file.
     assert meta["generated_at"] not in a.read_text()
+
+    # Without an installed mpmath the key is left out; the data file is unchanged.
+    def not_installed(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(importlib.metadata, "version", not_installed)
+    c = tmp_path / "c.csv"
+    assert run_cli(capsys, *args, "--out", str(c))[0] == 0
+    assert "mpmath" not in json.loads((tmp_path / "c.csv.meta.json").read_text())
+    assert c.read_bytes() == a.read_bytes()
 
 
 def test_sweep_rows_in_grid_order(capsys):
@@ -546,6 +562,20 @@ def test_config_overlay_and_unknown_key(tmp_path, capsys):
 def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 1
     assert run_cli(capsys, "sweep", "--no-such-flag")[0] == 1
+
+
+def test_unwritable_out_is_named(tmp_path, capsys):
+    # A missing directory for the data file, and a directory where the
+    # sidecar should go, each end in exit 1 naming the path.
+    args = ("keyrate", "--m", "1", "--alpha", "2", "--l0", "10", "--out")
+    missing = tmp_path / "no_such_dir" / "x.csv"
+    code, out, err = run_cli(capsys, *args, str(missing))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {missing}: No such file or directory\n"
+    (tmp_path / "y.csv.meta.json").mkdir()
+    code, _, err = run_cli(capsys, *args, str(tmp_path / "y.csv"))
+    assert code == 1
+    assert f"cannot write {tmp_path / 'y.csv.meta.json'}" in err
 
 
 def test_one_parser_serves_every_main_call(monkeypatch, capsys):

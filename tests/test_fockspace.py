@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from catrep import fockspace
 from catrep.fockspace import (
+    FockVector,
     HybridDensity,
     TruncationError,
     annihilate,
@@ -118,6 +119,35 @@ def test_annihilate_coherent_eigenrelation():
     v = coherent_state(alpha)
     av = annihilate(v)
     assert np.max(np.abs(av.amps[:-1] - alpha * v.amps[:-1])) < 1e-12
+
+
+def stepped(amps, r):
+    """r steps of â along the last axis, one loop pass each, as `annihilate`
+    took them before the ladder."""
+    amps = np.array(amps, dtype=complex)
+    root = np.sqrt(np.arange(1, amps.shape[-1]))
+    for _ in range(r):
+        amps[..., :-1] = root * amps[..., 1:]
+        amps[..., -1] = 0.0
+    return amps
+
+
+def test_ladder_rungs_are_annihilate():
+    # Rung r of one ladder holds the bits of annihilate(v, r), zero tail
+    # included, up to r = 16 (2^(m+1) at m = 3), on a coherent state and
+    # on a stacked (2, d) pair alike.
+    v = coherent_state(2.0)
+    pair = np.stack([v.amps, rotation_apply(math.pi / 8, v).amps])
+    one, two = fockspace._ladder(v.amps, 17), fockspace._ladder(pair, 17)
+    assert one.shape == (17, v.dim) and two.shape == (17, 2, v.dim)
+    for r in range(17):
+        assert one[r].tobytes() == annihilate(v, r).amps.tobytes()
+        assert one[r].tobytes() == stepped(v.amps, r).tobytes()
+        assert two[r].tobytes() == stepped(pair, r).tobytes()
+        for row, vec in zip(two[r], pair):
+            assert row.tobytes() == annihilate(FockVector(vec, v.n_max), r).amps.tobytes()
+        assert np.all(one[r, v.dim - r :] == 0.0) and np.all(two[r, :, v.dim - r :] == 0.0)
+    assert np.all(one[16, : v.dim - 16] != 0.0)
 
 
 def test_kraus_completeness():

@@ -17,12 +17,14 @@ from catrep.fockspace import (
     annihilate,
     coherent_state,
     hybrid_from_vector,
+    trace_distance,
 )
 from catrep.protocol_oracle import (
     _PRUNE,
     _arm,
     _arm_maps,
     _cascade,
+    _code_pair,
     _damped_pair,
     _record_setup,
     _step_angle,
@@ -94,6 +96,13 @@ def cascade_step(s, phi, basis):
     return [HybridDensity(s.spins, s.n_max, x, validate=False) for x in posts]
 
 
+def class_pair(pair, r):
+    """The class-r codeword pair of a (codeword, mode) array, each codeword
+    through the public `annihilate` on its own."""
+    n_max = pair.shape[1] - 1
+    return np.stack([annihilate(FockVector(cw, n_max), r).amps for cw in pair])
+
+
 def density_unit(spec):
     """The unit the density way: the prepared spin-codeword density through
     `transmit` and `syndrome_cascade`, the receiver spin attached in the
@@ -111,7 +120,7 @@ def density_unit(spec):
     for r, prob, post in syndrome_cascade(trans, spec.m):
         t = prob * post.matrix.reshape(2, d, 2, d)
         ent = np.einsum("am,smtn,bn->asmbtn", attach, t, attach.conj()).reshape(4, d, 4, d)
-        out[r] = (prob, [b.conj() @ (ent @ b) for b in _usd_bras(pair, r)])
+        out[r] = (prob, [b.conj() @ (ent @ b) for b in _usd_bras(class_pair(pair, r), r)])
     return out
 
 
@@ -151,6 +160,38 @@ def test_prepare_branches_partition():
         # support of each branch is a clean photon-number class
         onclass = (np.abs(v) ** 2)[n % 4 == c].sum() / p
         assert abs(onclass - 1.0) < 1e-10
+
+
+class CountingFloor(float):
+    """A floor that counts the checks made against it: the cascade checks
+    each projector product once, as `weight > floor`."""
+
+    checks = 0
+
+    def __lt__(self, other):
+        CountingFloor.checks += 1
+        return float(self) < other
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_preparation_follows_its_kept_branch(m, alpha, monkeypatch):
+    # The codeword pair holds the bits of the all-"+" branch of the full
+    # cascade, and takes one projector product per step to get them.
+    prim = coherent_state(alpha)
+    c, v = _cascade(prim.amps.astype(complex), m, "direct", 0, floor=1e-14)[0]
+    assert c == 0
+    v = v / math.sqrt(float(np.vdot(v, v).real))
+    cw0, cw1 = _code_pair(m, prim)
+    assert cw0.tobytes() == v.tobytes()
+    assert cw1.tobytes() == (np.exp(1j * math.pi / 2**m * np.arange(prim.dim)) * v).tobytes()
+    monkeypatch.setattr(protocol_oracle, "_ZERO_BRANCH", CountingFloor(1e-14))
+    CountingFloor.checks = 0
+    assert _code_pair(m, prim)[0].tobytes() == cw0.tobytes()
+    assert CountingFloor.checks == m
+    # Fock |1⟩ has a zero "+" branch at the first step: (1 + e^{iπn})/2 is 0 at odd n
+    with pytest.raises(ValueError, match="degenerate primitive"):
+        prepare_code_state(m, FockVector(np.array([0.0, 1.0, 0.0, 0.0]), 3))
 
 
 def test_transmit_identity_and_rank():
@@ -361,6 +402,55 @@ def test_bell_order_equivalence_m2():
     assert bell_order_equivalence(2, 1.0, 0.9) < 1e-12
 
 
+def record_discrepancy(p_before, p_after, rho_before, rho_after):
+    """One record's discrepancy: 1.0 for a record only one ordering gives
+    probability 1e-12 or more, else the larger of the probability mismatch
+    and the trace distance of the conditional states."""
+    if min(p_before, p_after) < 1e-12:
+        return 1.0
+    distance = float(trace_distance(rho_before / p_before, rho_after / p_after))
+    return max(abs(p_before - p_after), distance)
+
+
+@pytest.mark.parametrize(
+    "m,alpha,eta",
+    [
+        (1, 2.0, 0.9),
+        (1, 1.0, 1.0),  # every difference is zero
+        (2, 1.5, 0.99),
+        (2, 2.0, 1.0),
+        (3, 2.0, 0.9),
+        (3, 3.0, math.exp(-1.0 / 22.0)),  # the 9.84e-11 outlier, a conditioned record
+    ],
+)
+def test_bell_order_maximum_is_taken_over_every_record(m, alpha, eta):
+    # The eigen-solves run only where the Frobenius bracket says the
+    # maximum can lie; it is still the maximum over every record, bit for bit.
+    worst, records = bell_order_equivalence(m, alpha, eta, return_records=True)
+    assert worst == max(map(record_discrepancy, *zip(*records.values())))
+    assert bell_order_equivalence(m, alpha, eta) == worst
+
+
+def test_bell_order_solves_only_where_the_maximum_can_lie(monkeypatch):
+    # Every two-sided record's trace distance T lies in [‖Δ‖_F/2, ‖Δ‖_F], so
+    # only the records whose ‖Δ‖_F reaches half the largest are solved.
+    solved = []
+
+    def counting_trace_distance(a, b):
+        solved.append(len(a))
+        return trace_distance(a, b)
+
+    monkeypatch.setattr(protocol_oracle, "trace_distance", counting_trace_distance)
+    _d, records = bell_order_equivalence(1, 2.0, 0.9, return_records=True)
+    two_sided = [rec for rec in records.values() if min(rec[:2]) >= 1e-12]
+    diff = np.array([ra / pa - rb / pb for pa, pb, ra, rb in two_sided])
+    fro = np.linalg.norm(diff, axis=(1, 2))
+    distance = trace_distance(diff, np.zeros(4))
+    assert np.all(fro / 2 <= distance * (1 + 1e-12)) and np.all(distance <= fro * (1 + 1e-12))
+    assert solved == [np.count_nonzero(fro >= 0.5 * (1.0 - 1e-6) * fro.max())]
+    assert 0 < solved[0] < len(diff)
+
+
 @pytest.mark.parametrize("m,alpha,eta", [(1, 1.0, 0.9), (2, 1.0, 0.9), (1, 2.0, 0.99)])
 def test_bell_order_records_match_density_engine(m, alpha, eta):
     # Both orderings share one arm kernel, so a fault in it cancels out of
@@ -476,6 +566,29 @@ def test_bras_match_codeword_route(m, alpha, eta):
             assert np.max(np.abs(got - want)) < 1e-10
 
 
+def per_class_bras(spec, r):
+    """Discrimination bras of class r as the oracle took them one class at
+    a time: each damped codeword through the public `annihilate`, then
+    normalized as a `FockVector`."""
+    prim = coherent_state(spec.alpha)
+    pair = _damped_pair(spec, prim.n_max)
+    dropped = [annihilate(FockVector(cw, prim.n_max), r) for cw in pair]
+    psi0, psi1 = (v.normalized().amps for v in dropped)
+    s_ov = complex(np.vdot(psi0, psi1))
+    s_abs = abs(s_ov)
+    scale = 1.0 / math.sqrt((1.0 - s_abs * s_abs) * (1.0 + s_abs))
+    return (psi0 - np.conj(s_ov) * psi1) * scale, (psi1 - s_ov * psi0) * scale
+
+
+@pytest.mark.parametrize("m,alpha,eta", [(3, 2.0, 0.9), (3, 5.0, 0.99), (2, 1.5, 0.9)])
+def test_ladder_bras_have_the_per_class_bits(m, alpha, eta):
+    spec = CatCodeSpec(m, alpha, eta)
+    _flip, _v0, bras = _record_setup(spec)
+    for r, pair in enumerate(bras):
+        for got, want in zip(pair, per_class_bras(spec, r)):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_oracle_work_counts(monkeypatch):
     # One set of per-record arm operators per call, built from one loss
     # table and never from the dense Kraus operators, no density formed by
@@ -515,21 +628,31 @@ def test_oracle_work_counts(monkeypatch):
         arms.append(1)
         return arm(*args)
 
+    ladders = []
+    ladder = protocol_oracle._ladder
+
+    def counting_ladder(*args):
+        ladders.append(1)
+        return ladder(*args)
+
+    monkeypatch.setattr(protocol_oracle, "_ladder", counting_ladder)
     monkeypatch.setattr(fockspace, "_log_factorials", counting_log_factorials)
     monkeypatch.setattr(protocol_oracle, "_arm_maps", counting_arm_maps)
     monkeypatch.setattr(protocol_oracle, "_arm", counting_arm)
     monkeypatch.setattr(fockspace.HybridDensity, "__post_init__", counting_post_init)
     bell_order_equivalence(1, 1.0, 0.9)
     assert 0 < len(log_factorial_calls) < 200
-    assert builds == [1]
+    assert builds == ladders == [1]  # every class's bras from one ladder
     # one Bell-last arm; per Bell label one left arm and one right arm for
     # each of its four left records
     assert len(arms) == 21
 
     builds.clear()
+    ladders.clear()
     simulate_unit(CatCodeSpec(2, 1.5, 0.9))
-    assert builds == [1]
+    assert builds == ladders == [1]
     assert syndrome_deviation(2, 1.5, 0.9) < 1e-12
+    assert ladders == [1, 1]  # every injected loss count from one ladder
     assert densities == []
 
 

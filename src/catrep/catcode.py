@@ -122,15 +122,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _log_factorial(t: int) -> float:
-    """log t!, from the shared table where it reaches, else from lgamma."""
-    return _LOG_FACT[t] if t < len(_LOG_FACT) else math.lgamma(t + 1.0)
-
-
 class _PastCap:
     """log t! for any t ≥ 0, indexed like the table: a window past the cap."""
 
-    __getitem__ = staticmethod(_log_factorial)
+    @staticmethod
+    def __getitem__(t: int) -> float:
+        return _LOG_FACT[t] if t < len(_LOG_FACT) else math.lgamma(t + 1.0)
 
 
 def _log_factorials(n: int):
@@ -144,9 +141,9 @@ def _log_factorials(n: int):
 
 
 def _class_series(x: float, modulus: int) -> list[tuple[int, float, float]]:
-    """Per residue r < modulus: peak index t*, the peak log term
-    t*·log x − log t*!, and log of the class sum Σ_{t ≡ r (mod modulus)}
-    x^t/t! relative to its peak term x^t*/t*!.
+    """Per residue r < modulus: peak index t*, log t*!, and log of the
+    class sum Σ_{t ≡ r (mod modulus)} x^t/t! relative to its peak term
+    x^t*/t*!, whose log is t*·log x − log t*!.
 
     x > 0.  One window, t up to x + 12√(x+1) + 12·modulus + 30, serves
     every residue.  Each term is taken relative to its residue's largest
@@ -223,7 +220,7 @@ def _class_series(x: float, modulus: int) -> list[tuple[int, float, float]]:
                 break
             terms.append(exp(v))
             t -= modulus
-        table.append((t_peak, f_peak, math.log(math.fsum(terms))))
+        table.append((t_peak, g_peak, math.log(math.fsum(terms))))
     return table
 
 
@@ -241,7 +238,8 @@ def _log_class_sums(x: float, modulus: int) -> list[float]:
     """log Σ_{t ≡ r (mod modulus)} x^t/t! for every residue r, x ≥ 0."""
     if x == 0.0:  # α² times a transmission underflowed: only t = 0 is left
         return [0.0] + [-math.inf] * (modulus - 1)
-    return [f_peak + rest for _t, f_peak, rest in _class_series(x, modulus)]
+    log_x = math.log(x)
+    return [t * log_x - g + rest for t, g, rest in _class_series(x, modulus)]
 
 
 def loss_weights(spec: CatCodeSpec) -> LossWeights:

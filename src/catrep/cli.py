@@ -15,7 +15,8 @@ run metadata (timestamp, argv, version, Python, numpy and mpmath versions)
 goes to a separate ``<out>.meta.json`` sidecar, never into the data file.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 validation
-tolerance breach, 3 numerical guard tripped (truncation/overflow).
+tolerance breach, 3 numerical guard tripped (truncation, overflow, a
+discrimination problem the oracle cannot resolve in floating point).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .chain import (
     check_chain_geometry,
     evaluate_chain,
 )
-from .fockspace import TruncationError
 from .protocol_oracle import bell_order_equivalence, simulate_unit, syndrome_deviation, unit_setup
 from .usd import usd_sweep
 
@@ -435,7 +435,7 @@ def main(argv=None) -> int:
         cfg = _apply_overrides(load_config(args.config), args)
         rows, columns = args.run(cfg, args)
         _emit(_render(rows, columns, cfg["output"]["format"]), args.out, argv)
-    except (TruncationError, ArithmeticError, OverflowError) as exc:
+    except ArithmeticError as exc:  # TruncationError and OverflowError among them
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 3
     except (UsageError, ValueError) as exc:

@@ -45,7 +45,7 @@ _TAIL_TOL = 1e-12
 _HARD_LIMIT = 2048
 
 
-class TruncationError(Exception):
+class TruncationError(ArithmeticError):
     """A state cannot be represented below the tail tolerance."""
 
 

@@ -89,36 +89,24 @@ def bell_vectors(theta: float = 0.0) -> dict:
 _VARIANTS = ("direct", "pi_minus_phi")
 
 
-def _step_angle(step: int, variant: str) -> float:
-    phi = math.pi / 2 ** (step - 1)
-    if variant == "direct" or step == 1:
-        return phi
-    return math.pi - phi
-
-
-def _step_basis_phase(step: int, c: int, variant: str) -> complex:
-    beta = 2.0 * math.pi * c / 2 ** step
-    if variant == "direct" or step == 1:
-        return complex(np.exp(1j * beta))
-    # the complementary angle flips the class parity phase, so the basis
-    # absorbs (−1)^c and the conjugate step phase
-    return complex((-1.0) ** c * np.exp(-1j * beta))
-
-
 def _cascade(
     x: np.ndarray, m: int, variant: str, axis: int, col_axis=None, floor=_PRUNE, plus_only=False
 ) -> list:
     """Branch x over an m-step hcrot-and-measure cascade on one mode axis.
 
-    Step j adjoins an ancilla in |+⟩, applies hcrot at `_step_angle` and
-    measures the ancilla in (|↑⟩ ± z|↓⟩)/√2, z adapted to the branch's
-    class c; on the mode that is the projector (1 ± z̄·e^{iφn̂})/2, and a
-    "−" outcome adds 2^{j−1} to c.  A density passes its column axis as
-    col_axis, which takes the conjugate projector.  Returns unnormalized
-    [(c, branch)] in tree order ("+" first), or with plus_only the all-"+"
-    branch alone.  A pure branch is dropped when its squared norm is at
-    most floor, a density branch when its trace is at most floor times its
-    parent's.
+    Step j adjoins an ancilla in |+⟩, applies hcrot at φ = π/2^{j−1} (π − φ
+    for "pi_minus_phi" past step 1) and measures the ancilla in
+    (|↑⟩ ± z|↓⟩)/√2, z adapted to the branch's class c; on the mode that
+    is the projector (1 ± z̄·e^{iφn̂})/2, and a "−" outcome adds 2^{j−1} to
+    c.  z̄·e^{iφn} is the 2^j-th root of unity ω^k with k = n − c, or
+    k = 2^{j−1}(n + c) − n + c for "pi_minus_phi", read from one table
+    whose second half is the negated first.  On n ≡ c (mod 2^{j−1}) it is
+    exactly ±1, so the projector there is exactly 0 or 1.  A density
+    passes its column axis as col_axis, which takes the conjugate
+    projector.  Returns unnormalized [(c, branch)] in tree order ("+"
+    first), or with plus_only the all-"+" branch alone.  A pure branch is
+    dropped when its squared norm is at most floor, a density branch when
+    its trace is at most floor times its parent's.
     """
 
     def along(vec, ax):
@@ -135,14 +123,17 @@ def _cascade(
     n = np.arange(x.shape[axis])
     branches = [(0, x)]
     for step in range(1, m + 1):
-        rot = np.exp(1j * _step_angle(step, variant) * n)
+        half = 2 ** (step - 1)
+        roots = np.exp(1j * math.pi / half * np.arange(half))
+        roots = np.concatenate([roots, -roots])
         nxt = []
         for c, v in branches:
             limit = floor if col_axis is None else floor * weight(v)
-            zbar = np.conj(_step_basis_phase(step, c, variant))
-            outcomes = ((1.0, c), (-1.0, c + 2 ** (step - 1)))
+            k = n - c if variant == "direct" or step == 1 else half * (n + c) - n + c
+            phase = roots[k % (2 * half)]
+            outcomes = ((1.0, c), (-1.0, c + half))
             for sign, c2 in outcomes[:1] if plus_only else outcomes:
-                proj = (1.0 + sign * zbar * rot) / 2.0
+                proj = (1.0 + sign * phase) / 2.0
                 w = along(proj, axis) * v
                 if col_axis is not None:
                     w = w * along(proj.conj(), col_axis)
@@ -262,12 +253,12 @@ def _usd_bras(dropped: np.ndarray, r: int):
     """
     norms = [float(np.linalg.norm(v)) for v in dropped]
     if min(norms) < 1e-125:
-        raise ValueError(f"class-{r} codeword has zero norm under the current truncation")
+        raise ArithmeticError(f"class-{r} codeword has zero norm under the current truncation")
     psi0, psi1 = (v / norm for v, norm in zip(dropped, norms))
     s_ov = complex(np.vdot(psi0, psi1))
     s_abs = abs(s_ov)
     if s_abs >= 1.0 - 1e-14:
-        raise ValueError(
+        raise ArithmeticError(
             f"codeword pair indistinguishable (|overlap| = {s_abs:.16f}); "
             "discrimination POVM degenerate"
         )

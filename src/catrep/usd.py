@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catcode import CatCodeSpec, LossWeights, loss_weights
-from .catcode import _alpha_squared, _class_series, _freeze, _log_factorial
+from .catcode import _alpha_squared, _class_series, _freeze
 
 __all__ = [
     "CoherentSuperposition",
@@ -288,13 +288,9 @@ def _class_successes(spec: CatCodeSpec) -> list[float]:
     log_y = math.log(y)
     out = []
     for q in range(big_m):
-        t_a, _f_a, rest_a = table[(-q) % (2 * big_m)]
-        t_b, _f_b, rest_b = table[(big_m - q) % (2 * big_m)]
-        d = (
-            (t_a - t_b) * log_y
-            - (_log_factorial(t_a) - _log_factorial(t_b))
-            + (rest_a - rest_b)
-        )
+        t_a, g_a, rest_a = table[(-q) % (2 * big_m)]
+        t_b, g_b, rest_b = table[(big_m - q) % (2 * big_m)]
+        d = (t_a - t_b) * log_y - (g_a - g_b) + (rest_a - rest_b)
         r = math.exp(-abs(d))
         out.append(2.0 * r / (1.0 + r))
     return out

@@ -54,8 +54,8 @@ def whole_window_class_series(x, modulus):
     """Reference class series: evaluate every term of the window, per residue.
 
     ``_class_series`` evaluates only the terms near each peak and must
-    return exactly this (same peaks and peak log terms, same set of summed
-    terms)."""
+    return exactly this (same peaks and log factorials at them, same set
+    of summed terms)."""
     log_x = math.log(x)
     n_stop = int(x + 12.0 * math.sqrt(x + 1.0) + 12.0 * modulus + 30.0)
     table = []
@@ -68,7 +68,7 @@ def whole_window_class_series(x, modulus):
         t_peak, g_peak = ts[i], log_fact[i]
         rel = ((t - t_peak) * log_x - (g - g_peak) for t, g in zip(ts, log_fact))
         log_rest = math.log(math.fsum(math.exp(v) for v in rel if v > _LOG_DROP))
-        table.append((t_peak, log_terms[i], log_rest))
+        table.append((t_peak, g_peak, log_rest))
     return table
 
 
@@ -338,7 +338,7 @@ def test_loss_weights_clip_then_renormalize(p):
 def test_class_series_window_bound():
     # alpha = 1000 (x up to 1e6) stays inside the window bound; alpha = 1e5
     # (x = 1e10, about 10^10 terms) is refused before any allocation.
-    t_peak, _f_peak, log_rest = _class_series(1e6, 2)[0]
+    t_peak, _g_peak, log_rest = _class_series(1e6, 2)[0]
     assert abs(t_peak - 1e6) <= 2 and math.isfinite(log_rest)
     with pytest.raises(ArithmeticError, match="class series window"):
         _class_series(1e10, 2)
@@ -425,3 +425,10 @@ def test_class_series_evaluates_only_the_terms_near_the_peak(monkeypatch):
     monkeypatch.setattr(catcode.math, "lgamma", counting)
     _class_series(1e6, 2)
     assert 0 < calls < 50_000
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
+def test_class_series_refuses_non_positive_x(x):
+    # its callers answer x = 0 (an underflowed α²η) before they reach it
+    with pytest.raises(ValueError, match="class series needs x > 0"):
+        _class_series(x, 2)

@@ -128,3 +128,13 @@ def test_sweep_rows_are_consistent():
         r = full_reflection(delta)
         assert abs(p_full - cmath.phase(r)) < 1e-15
         assert abs(m_full - abs(r)) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: ideal_reflection(0.3, 0.0), lambda: reflection_phase(0.3, -1.0)],
+    ids=["ideal_reflection", "reflection_phase"],
+)
+def test_non_positive_kappa_is_refused(call):
+    with pytest.raises(ValueError, match="kappa must be positive"):
+        call()

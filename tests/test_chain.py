@@ -1,6 +1,7 @@
 """Swap algebra against a dense Bell-measurement oracle; chain totals."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -634,3 +635,30 @@ def test_evaluate_chain_makes_no_lgamma_calls_once_the_table_is_warm(monkeypatch
     monkeypatch.setattr(math, "lgamma", counting)
     evaluate_chain(seg, params)
     assert calls == 0
+
+
+_WEIGHTS = loss_weights(CatCodeSpec(1, 1.0, 0.9))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ChainParams(0.0, 1), "need l_tot > 0"),
+        (lambda: ChainParams(10.0, 2.0), "need integer n_e >= 1"),
+        (lambda: PauliFrameState("chi", 0.5), "kind must be one of ('phi', 'psi')"),
+        (lambda: PauliFrameState("phi", 1.5), "plus_weight must lie in [0, 1]"),
+        (lambda: chain_success(1.5, 2), "need p0 in [0, 1]"),
+        (lambda: chain_success(0.5, 0), "need integer n_e >= 1"),
+        (lambda: chain_distribution(_WEIGHTS, 0), "need integer n_e >= 1"),
+        (lambda: secret_key_rate(1.5, 0.5), "need f_tot in [0, 1]"),
+        (lambda: secret_key_rate(0.9, -0.1), "need p_tot in [0, 1]"),
+        (lambda: secret_key_rate(0.9, 0.5, 0.0), "need t0 > 0"),
+    ],
+    ids=[
+        "l_tot", "chain_n_e", "kind", "plus_weight", "p0", "success_n_e",
+        "distribution_n_e", "f_tot", "p_tot", "t0",
+    ],
+)
+def test_public_refusals_are_named(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

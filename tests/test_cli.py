@@ -492,6 +492,16 @@ def test_validate_small_grid(tmp_path, capsys):
     assert "f0" in err
 
 
+def test_validate_unresolved_discrimination_is_a_numerical_guard(tmp_path, capsys):
+    # at m = 3 the dim damped pair of alpha = 0.5 overlaps to within
+    # float resolution: a numerical limit, not a usage error
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("validate:\n  m: [3]\n  alpha: [0.5]\n  eta: [0.5]\n")
+    code, out, err = run_cli(capsys, "validate", "--config", str(cfg))
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical guard: ") and "indistinguishable" in err
+
+
 def test_validate_is_byte_deterministic(capsys):
     # the default grid, run twice in one process
     first = run_cli(capsys, "validate")
@@ -557,6 +567,12 @@ def test_config_overlay_and_unknown_key(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--config", str(bad))
     assert code == 1
     assert "chian" in err
+
+
+def test_empty_config_file_gives_the_defaults(tmp_path):
+    cfg = tmp_path / "empty.yaml"
+    cfg.write_text("")
+    assert load_config(str(cfg)) == load_config(None) == DEFAULT_CONFIG
 
 
 def test_usage_errors_exit_one(capsys):

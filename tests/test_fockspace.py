@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -293,3 +294,34 @@ def test_trace_distance_stacks():
     stacked = trace_distance(a, b)
     assert stacked.shape == (5,)
     assert [float(d) for d in stacked] == [float(trace_distance(p, q)) for p, q in zip(a, b)]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: FockVector(np.zeros(3), 3),
+            "amplitude array of length (3,) does not match n_max=3",
+        ),
+        (lambda: FockVector(np.zeros(3), 2).normalized(), "cannot normalize a zero vector"),
+        (lambda: FockVector(np.ones(3), 2).padded(1), "padding cannot shrink the cutoff"),
+        (
+            lambda: HybridDensity(1, 1, np.eye(3) / 3),
+            "matrix shape (3, 3) does not match spins=1, n_max=1",
+        ),
+        (
+            lambda: HybridDensity(0, 1, np.diag([1.5, -0.5])),
+            "HybridDensity: negative eigenvalue -5.000e-01",
+        ),
+        (lambda: annihilate(coherent_state(1.0), -1), "q must be non-negative"),
+        (lambda: fockspace._loss_rows(0.0, 4, [0]), "transmission eta must lie in (0, 1]"),
+        (
+            lambda: hybrid_from_vector(1, 1, np.ones(3)),
+            "vector length 3 does not match composite dim 4",
+        ),
+    ],
+    ids=["length", "zero_norm", "shrink", "shape", "negative", "q", "eta", "vector_length"],
+)
+def test_public_refusals_are_named(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

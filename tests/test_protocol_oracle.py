@@ -3,6 +3,7 @@ import importlib
 import itertools
 import math
 import pkgutil
+import re
 import tracemalloc
 
 import numpy as np
@@ -27,8 +28,6 @@ from catrep.protocol_oracle import (
     _code_pair,
     _damped_pair,
     _record_setup,
-    _step_angle,
-    _step_basis_phase,
     _usd_bras,
     bell_order_equivalence,
     bell_vectors,
@@ -248,16 +247,25 @@ def test_syndrome_exactness_pure_errors(variant):
 def operational_cascade(s, m, variant):
     """The cascade as an experiment runs it, one `cascade_step` per step.
 
-    Returns {class: unnormalized post density}, without the branches whose
-    trace is at most 1e-14 of their parent's.
+    Step j rotates by φ = π/2^{j−1} and measures in the basis
+    (|↑⟩ ± z|↓⟩)/√2 with z = e^{2πic/2^j}, c the branch's class; variant
+    "pi_minus_phi" rotates by π − φ past step 1, which flips the class
+    parity phase, so its basis takes z = (−1)^c·e^{−2πic/2^j}.  Returns
+    {class: unnormalized post density}, without the branches whose trace
+    is at most 1e-14 of their parent's.
     """
     branches = [(0, s)]
     for step in range(1, m + 1):
+        phi = math.pi / 2 ** (step - 1)
         nxt = []
         for c, st in branches:
-            z = _step_basis_phase(step, c, variant)
+            beta = 2.0 * math.pi * c / 2**step
+            if variant == "direct" or step == 1:
+                angle, z = phi, complex(np.exp(1j * beta))
+            else:
+                angle, z = math.pi - phi, complex((-1.0) ** c * np.exp(-1j * beta))
             basis = (np.array([1.0, z]) / SQRT2, np.array([1.0, -z]) / SQRT2)
-            posts = cascade_step(st, _step_angle(step, variant), basis)
+            posts = cascade_step(st, angle, basis)
             for c2, post in zip((c, c + 2 ** (step - 1)), posts):
                 if post.trace() > 1e-14 * st.trace():
                     nxt.append((c2, post))
@@ -286,6 +294,36 @@ def test_cascade_kernel_matches_operational_route(m, variant):
     for c, x in got:
         flat = x.reshape(-1)
         assert np.max(np.abs(np.outer(flat, flat.conj()) - want[c])) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("variant", ["direct", "pi_minus_phi"])
+def test_cascade_projectors_are_exact(m, variant):
+    # each branch's projector diagonal is exactly 0 off its residue class
+    # and exactly of modulus 1 on it, far up the photon-number axis too
+    n = np.arange(2000)
+    branches = _cascade(np.ones(n.size, dtype=complex), m, variant, 0, floor=0.0)
+    assert sorted(c for c, _p in branches) == list(range(2**m))
+    for c, proj in branches:
+        on = n % 2**m == c
+        assert np.all(proj[~on] == 0.0)
+        assert np.all(np.abs(proj[on]) == 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: prepare_code_state(0, coherent_state(1.0)), "m must be >= 1"),
+        (
+            lambda: syndrome_cascade(prepare_code_state(1, coherent_state(1.0)), 1, "phi"),
+            "unknown cascade variant 'phi'",
+        ),
+    ],
+    ids=["prepare_m", "variant"],
+)
+def test_public_refusals_are_named(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -354,7 +392,7 @@ _FOCK_DEGENERATE = {(0.5, _SWEEP_ETAS[0]), (0.5, _SWEEP_ETAS[1]), (2.5, _SWEEP_E
 def test_oracle_agrees_over_the_sweep_range(m, alpha, eta):
     spec = CatCodeSpec(m, alpha, eta)
     if m == 3 and (alpha, eta) in _FOCK_DEGENERATE:
-        with pytest.raises(ValueError, match="degenerate primitive|indistinguishable"):
+        with pytest.raises(ArithmeticError, match="indistinguishable"):
             simulate_unit(spec)
         return
     report = simulate_unit(spec)

@@ -1,9 +1,27 @@
-"""Source-tree rule: line counts are comparable only at one line width."""
+"""Source-tree rules: one line width, and no dead imports or private names."""
 
+import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "catrep"
 MAX_LINE = 100
+
+
+def _modules() -> dict:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _referenced(tree) -> set:
+    """Names a module reads: bare names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
 
 
 def test_no_source_line_is_longer_than_the_limit():
@@ -14,3 +32,39 @@ def test_no_source_line_is_longer_than_the_limit():
         if len(line) > MAX_LINE
     ]
     assert not long_lines, long_lines
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for name, tree in _modules().items():
+        loads = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound != "*" and bound not in loads:
+                        unused.append(f"{name}: {bound}")
+    assert not unused, unused
+
+
+def test_every_private_top_level_name_is_referenced():
+    modules = _modules()
+    referenced = set().union(*map(_referenced, modules.values()))
+    dead = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [
+                f"{name}: {d}"
+                for d in defined
+                if d.startswith("_") and not d.startswith("__") and d not in referenced
+            ]
+    assert not dead, dead

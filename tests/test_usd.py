@@ -3,6 +3,7 @@
 import itertools
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -497,3 +498,24 @@ def test_circuit_golden():
 
 if __name__ == "__main__":
     CIRCUIT_GOLDEN.write_text(circuit_golden_text())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CoherentSuperposition([(1.0, (0.5,))], 0), "need at least one mode"),
+        (lambda: CoherentSuperposition([], 1), "empty superposition"),
+        (
+            lambda: CoherentSuperposition([(1.0, (0.5,)), (-1.0, (0.5,))], 1).normalized(),
+            "cannot normalize a (numerically) zero state",
+        ),
+        (lambda: tensor(), "nothing to tensor"),
+        (lambda: cat_superposition(0, 1.0, 0), "need m >= 1"),
+        (lambda: cat_superposition(1, 1.0, 2), "logical must be 0 or 1"),
+        (lambda: cat_superposition(1, 1.0, 0, -1), "losses must be nonnegative"),
+    ],
+    ids=["modes", "empty", "zero_norm", "tensor", "m", "logical", "losses"],
+)
+def test_public_refusals_are_named(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -16,6 +16,8 @@ of which the first M are correctable.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import threading
 from dataclasses import dataclass
@@ -43,6 +45,8 @@ _MAX_SERIES_STOP = 4_000_000
 _LOG_FACT_CAP = 16_384
 _LOG_FACT: list[float] = []
 _LOG_FACT_GROWING = threading.Lock()
+# (x, modulus) -> _class_series table, while a group of points shares them
+_GROUP_TABLES = contextvars.ContextVar("_GROUP_TABLES", default=None)
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,8 @@ class LossWeights:
         object.__setattr__(self, "p", p)
 
     def correctable_mass(self) -> float:
-        return math.fsum(self.p[: 2 ** self.m].tolist())
+        # the normalized weights can fsum an ulp past 1
+        return min(math.fsum(self.p[: 2 ** self.m].tolist()), 1.0)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -224,6 +229,27 @@ def _class_series(x: float, modulus: int) -> list[tuple[int, float, float]]:
     return table
 
 
+@contextlib.contextmanager
+def _group_tables():
+    """Within the block, ``_class_table`` computes each (x, modulus) table once."""
+    token = _GROUP_TABLES.set({})
+    try:
+        yield
+    finally:
+        _GROUP_TABLES.reset(token)
+
+
+def _class_table(x: float, modulus: int) -> list[tuple[int, float, float]]:
+    """``_class_series(x, modulus)``, shared within an open ``_group_tables`` block."""
+    tables = _GROUP_TABLES.get()
+    if tables is None:
+        return _class_series(x, modulus)
+    table = tables.get((x, modulus))
+    if table is None:
+        table = tables[x, modulus] = _class_series(x, modulus)
+    return table
+
+
 def _alpha_squared(spec: CatCodeSpec) -> float:
     """α², with an error naming α and η where the square overflows."""
     try:
@@ -239,7 +265,7 @@ def _log_class_sums(x: float, modulus: int) -> list[float]:
     if x == 0.0:  # α² times a transmission underflowed: only t = 0 is left
         return [0.0] + [-math.inf] * (modulus - 1)
     log_x = math.log(x)
-    return [t * log_x - g + rest for t, g, rest in _class_series(x, modulus)]
+    return [t * log_x - g + rest for t, g, rest in _class_table(x, modulus)]
 
 
 def loss_weights(spec: CatCodeSpec) -> LossWeights:

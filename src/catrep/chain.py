@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catcode import CatCodeSpec, LossWeights, _freeze, _log_factorials, loss_weights
+from .catcode import CatCodeSpec, LossWeights, _freeze, _group_tables, _log_factorials
+from .catcode import loss_weights
 from .usd import _usd_probability
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "plob_bound",
     "ChainReport",
     "evaluate_chain",
+    "evaluate_grid",
 ]
 
 ATTENUATION_LENGTH_KM = 22.0
@@ -446,3 +448,36 @@ def evaluate_chain(
         plob=bound,
         beats_plob=rate_use > bound,
     )
+
+
+def evaluate_grid(
+    points,
+    usd_mode: str = "weighted_average",
+    usd_q: int = 0,
+    key_mode: str = "lower_bound",
+) -> list[ChainReport]:
+    """``evaluate_chain`` at each (segment, chain) point, in the points' order.
+
+    Points whose segments differ only in the code order m form a group and
+    are evaluated together: the survivor sums of order m + 1 and the
+    discrimination sums of order m read one class-series table, which the
+    group computes once and drops when it is done.  Each report has the bits
+    ``evaluate_chain`` gives its point alone, and where points fail, the
+    first failing point's error is raised, as a loop in order would raise it.
+    """
+    groups: dict = {}
+    for i, (segment, _) in enumerate(points):
+        key = (segment.alpha, segment.l0, segment.eta_local, segment.l_att)
+        groups.setdefault(key, []).append(i)
+    reports = [None] * len(points)
+    for group in groups.values():
+        try:
+            with _group_tables():
+                for i in group:
+                    reports[i] = evaluate_chain(*points[i], usd_mode, usd_q, key_mode)
+        except Exception:
+            for j in range(i):  # an earlier point not yet evaluated raises first
+                if reports[j] is None:
+                    evaluate_chain(*points[j], usd_mode, usd_q, key_mode)
+            raise
+    return reports

@@ -43,7 +43,7 @@ from .chain import (
     ChainReport,
     SegmentParams,
     check_chain_geometry,
-    evaluate_chain,
+    evaluate_grid,
 )
 from .protocol_oracle import bell_order_equivalence, simulate_unit, syndrome_deviation, unit_setup
 from .usd import usd_sweep
@@ -271,21 +271,19 @@ def _grid_points(cfg: dict, one_value: bool = False) -> list:
     return [_point_params(p, cfg["chain"]) for p in sorted(itertools.product(*grids))]
 
 
-def _sweep_row(segment: SegmentParams, chain: ChainParams, cfg: dict) -> dict:
-    report = evaluate_chain(
-        segment,
-        chain,
+def cmd_sweep(cfg: dict, args, one_value: bool = False) -> tuple:
+    points = _grid_points(cfg, one_value)
+    reports = evaluate_grid(
+        points,
         usd_mode=cfg["usd"]["mode"],
         usd_q=cfg["usd"]["q"],
         key_mode=cfg["key"]["mode"],
     )
-    point = {key: getattr(segment, key) for key in _POINT_KEYS}
-    return {**point, **vars(report)}
-
-
-def cmd_sweep(cfg: dict, args, one_value: bool = False) -> tuple:
-    points = _grid_points(cfg, one_value)
-    return [_sweep_row(seg, chain, cfg) for seg, chain in points], _SWEEP_COLUMNS
+    rows = [
+        {**{key: getattr(segment, key) for key in _POINT_KEYS}, **vars(report)}
+        for (segment, _), report in zip(points, reports)
+    ]
+    return rows, _SWEEP_COLUMNS
 
 
 def cmd_keyrate(cfg: dict, args) -> tuple:

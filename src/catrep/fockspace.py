@@ -162,8 +162,8 @@ def coherent_state(alpha: complex) -> FockVector:
     """Coherent state |α⟩ with amps[n] = exp(−|α|²/2) αⁿ/√(n!).
 
     Magnitudes are accumulated in log domain.  Raises TruncationError if the
-    tail mass beyond the cutoff `_cutoff(alpha)` exceeds 1e-12, which does
-    not happen below the hard limit.
+    Poisson tail mass beyond the cutoff `_cutoff(alpha)` exceeds 1e-12,
+    which does not happen below the hard limit.
     """
     n_max = _cutoff(alpha)
     a = abs(alpha)
@@ -175,13 +175,31 @@ def coherent_state(alpha: complex) -> FockVector:
     log_mag = -0.5 * a * a + n * math.log(a) - 0.5 * _log_factorials(n_max + 1)
     amps = np.exp(log_mag + 1j * n * np.angle(alpha))
     v = FockVector(amps, n_max)
-    tail = abs(1.0 - v.norm() ** 2)
+    tail = _tail_mass(a, n_max)
     if tail > _TAIL_TOL:
         raise TruncationError(
             f"coherent state |alpha|={a:.4g}: tail mass {tail:.3e} exceeds "
             f"tolerance {_TAIL_TOL:.1e} at n_max={n_max}"
         )
     return v
+
+
+def _tail_mass(a: float, n_max: int) -> float:
+    """Σ_{n > n_max} e^{−a²} a^{2n}/n!, the trace mass of |α⟩ past its cutoff.
+
+    Past n_max > a² the terms fall, so the sum stops at the first one under
+    1e-17 of it.
+    """
+    log_a2 = 2.0 * math.log(a)
+    n = n_max + 1
+    log_term = n * log_a2 - a * a - math.lgamma(n + 1.0)
+    total = term = math.exp(log_term)
+    while term > 1e-17 * total:
+        n += 1
+        log_term += log_a2 - math.log(n)
+        term = math.exp(log_term)
+        total += term
+    return total
 
 
 def _ladder(x: np.ndarray, count: int) -> np.ndarray:

@@ -219,15 +219,24 @@ def syndrome_deviation(m: int, alpha: float, eta: float) -> float:
     requires it to tag remainder q mod 2^m with certainty.  The cascade
     acts on each injection alone, so q's branch holds the bits of a
     cascade run on q only; a branch that run would drop (squared norm at
-    most 1e-14) counts as 0.
+    most 1e-14) counts as 0.  Raises ``ArithmeticError`` where an injected
+    pair has a zero or non-finite norm: more losses than the cutoff holds
+    photons, or rung norms past float range.
     """
     # The pair at the damped primitive's own cutoff.  Zero-padded to the
     # undamped cutoff, as unit_setup pads it, the result moves at 7 of 84
     # points (m 1 to 3, alpha 0.5 to 5, eta 0.5 to 0.999), among them the
     # default validate point (1, 2, 0.9): 3.33e-16 to 2.22e-16.
     injected = _ladder(_damped_pair(CatCodeSpec(m, alpha, eta)), 2 ** (m + 1))
-    for psi in injected:
-        psi /= np.linalg.norm(psi)
+    for q, psi in enumerate(injected):
+        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+            norm = np.linalg.norm(psi)
+        if not 0.0 < norm < math.inf:
+            raise ArithmeticError(
+                f"syndrome check at m={m}, alpha={alpha}, eta={eta}: {q} injected losses "
+                f"leave the pair (n_max={psi.shape[-1] - 1}) with norm {norm}"
+            )
+        psi /= norm
     tags = {(-c) % 2**m: y for c, y in _cascade(injected, m, "direct", 2, floor=0.0)}
     worst = 0.0
     for q in range(2 ** (m + 1)):

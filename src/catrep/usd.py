@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catcode import CatCodeSpec, LossWeights, loss_weights
-from .catcode import _alpha_squared, _class_series, _freeze
+from .catcode import _alpha_squared, _class_table, _freeze
 
 __all__ = [
     "CoherentSuperposition",
@@ -284,7 +284,7 @@ def _class_successes(spec: CatCodeSpec) -> list[float]:
     y = spec.eta * _alpha_squared(spec)
     if y == 0.0:
         return [0.0] * big_m
-    table = _class_series(y, 2 * big_m)
+    table = _class_table(y, 2 * big_m)
     log_y = math.log(y)
     out = []
     for q in range(big_m):

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catrep import cli
+from catrep import catcode, cli
+from catrep.chain import ChainParams, SegmentParams, evaluate_chain
 from catrep.cli import DEFAULT_CONFIG, load_config, main
 from catrep.usd import linear_optics_closed_form
 
@@ -152,6 +153,54 @@ def test_sweep_rows_in_grid_order(capsys):
         (int(r["m"]), float(r["alpha"]), float(r["l0"])) for r in rows
     ]
     assert keys == sorted(keys)
+
+
+def _count_tables(monkeypatch):
+    seen = {"computed": 0}
+    kernel = catcode._class_series
+
+    def counting(x, modulus):
+        seen["computed"] += 1
+        return kernel(x, modulus)
+
+    monkeypatch.setattr(catcode, "_class_series", counting)
+    return seen
+
+
+def test_default_sweep_computes_each_group_table_once(monkeypatch, capsys):
+    # 60 groups of (alpha, l0) with m = 1, 2, 3: x mod 4, 8, 16 and y mod
+    # 2, 4, 8, 16, 7 tables a group; one per read (3 a point) would be 540
+    seen = _count_tables(monkeypatch)
+    code, first, _ = run_cli(capsys, "sweep")
+    assert (code, seen["computed"]) == (0, 420)
+    code, second, _ = run_cli(capsys, "sweep")  # nothing is kept between sweeps
+    assert (code, seen["computed"], second) == (0, 840, first)
+
+
+def test_sweep_prints_the_bytes_of_evaluate_chain_per_row(monkeypatch, capsys):
+    argv = ["--m", "1,2,3,4,5", "--alpha", "3,1.5", "--l0", "100,1,10", "--eta-local", "1,0.99"]
+    seen = _count_tables(monkeypatch)
+    code, out, _ = run_cli(capsys, "sweep", *argv)
+    assert (code, seen["computed"]) == (0, 12 * 11)
+    keys = sorted(
+        (m, a, l0, e) for m in range(1, 6) for a in (3.0, 1.5)
+        for l0 in (100.0, 1.0, 10.0) for e in (1.0, 0.99)
+    )
+    rows = []
+    for m, a, l0, e in keys:
+        segment = SegmentParams(l0=l0, m=m, alpha=a, eta_local=e)
+        report = evaluate_chain(segment, ChainParams(l_tot=1000.0, n_e=round(1000.0 / l0)))
+        rows.append({"m": m, "alpha": a, "l0": l0, "eta_local": e, **vars(report)})
+    assert out == cli._render(rows, cli._SWEEP_COLUMNS, "csv")
+
+
+def test_keyrate_correctable_mass_stays_at_most_one(capsys):
+    # at m = 4 the normalized weights' correctable half fsums to
+    # 1.0000000000000002, which chain_fidelity refused as bad input
+    code, out, err = run_cli(capsys, "keyrate", "--m", "4", "--alpha", "10.25", "--l0", "0.1")
+    assert (code, err) == (0, "")
+    (row,) = read_rows(out)
+    assert float(row["f0"]) <= 1.0
 
 
 @pytest.mark.parametrize(

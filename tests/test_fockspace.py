@@ -82,6 +82,15 @@ def test_policy_hard_limit():
         coherent_state(1e200)
 
 
+def test_coherent_state_guard_reads_the_poisson_tail():
+    # |1 - ||v||^2| reads 1.036e-12 of rounding here; the tail past
+    # n_max = 1,573 is 6.48e-17 (mpmath, 40 digits)
+    alpha = 35.60705926481621
+    assert coherent_state(alpha).n_max == 1573
+    assert fockspace._tail_mass(alpha, 1573) == pytest.approx(6.483046789314458e-17, rel=1e-10)
+    assert fockspace._tail_mass(2.0, 40) == pytest.approx(2.925551165194596e-27, rel=1e-10)
+
+
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
 def test_non_finite_amplitude_is_named(alpha):
     with pytest.raises(ValueError, match="alpha=") as err:

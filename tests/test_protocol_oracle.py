@@ -331,6 +331,23 @@ def test_syndrome_deviation_exact(m):
     assert syndrome_deviation(m, 1.5, 0.9) < 1e-12
 
 
+def test_syndrome_deviation_keeps_its_bits_at_m4():
+    assert syndrome_deviation(4, 8.0, 0.999) == 4.440892098500626e-16
+
+
+@pytest.mark.parametrize(
+    "point,norm",
+    [((5, 2.0, 0.999), "norm 0.0"), ((6, 24.0, 0.9999), "norm inf")],
+    ids=["past_the_cutoff", "overflowing_rungs"],
+)
+def test_syndrome_deviation_refuses_an_unnormalizable_injection(point, norm):
+    # (5, 2, 0.999): 33 losses from a pair cut at n_max = 40 leave nothing;
+    # (6, 24, 0.9999): the rung norms grow like alpha^(2q) and overflow
+    with pytest.raises(ArithmeticError, match="injected losses") as err:
+        syndrome_deviation(*point)
+    assert norm in str(err.value)
+
+
 def test_syndrome_probabilities_partition_mixture():
     prim = coherent_state(1.0)
     trans = transmit(prepare_code_state(2, prim), 0.9)

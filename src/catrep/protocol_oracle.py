@@ -12,18 +12,19 @@ There is one engine.  An arm's loss count, syndrome branch,
 endpoint-spin attachment and discrimination compose to one linear map
 per classical record (remainder, USD outcome), built by `_arm_maps` for
 the loss counts that can carry mass, from the loss coefficients
-`fockspace._loss_rows` and the cascade kernel `_cascade`, and stacked in
+`fockspace._loss_rows` and each syndrome branch's class, and stacked in
 one array; `_arm` applies every record's map to an arm's mode in one
 stacked matrix product, keeping every lost-photon count on an
 environment axis.  `unit_setup` builds the maps once per point:
 `simulate_unit` reads one arm's records, and `bell_order_equivalence`
 joins two arms' records in both orderings of the middle station's Bell
 measurement, each from a setup it is given or builds itself.
-Every cascade (preparation, syndrome, the pure syndrome check over all
-injected loss counts at once, the projector of each syndrome branch) is
-`_cascade`, and every codeword pair, the damped one behind the
-discrimination bras included, is `_code_pair`.  `syndrome_cascade` runs
-the same cascade on a density.
+A cascade's measurement branch is the mode's residue class mod 2^m:
+`_residue` masks the preparation's kept branch, each injected loss count
+of the pure syndrome check and, one mask per branch and step, the
+density `syndrome_cascade` is given, and `_arm_maps` reads each syndrome
+branch's projector as the indicator of its class.  Every codeword pair,
+the damped one behind the discrimination bras included, is `_code_pair`.
 """
 
 from __future__ import annotations
@@ -83,64 +84,31 @@ def bell_vectors(theta: float = 0.0) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# cascade kernel
+# residue classes
 
 
 _VARIANTS = ("direct", "pi_minus_phi")
 
 
-def _cascade(
-    x: np.ndarray, m: int, variant: str, axis: int, col_axis=None, floor=_PRUNE, plus_only=False
-) -> list:
-    """Branch x over an m-step hcrot-and-measure cascade on one mode axis.
+def _residue(x: np.ndarray, modulus: int, c: int, *axes: int) -> np.ndarray:
+    """x with every photon number n ≢ c (mod modulus) set to 0 on the given mode axes.
 
-    Step j adjoins an ancilla in |+⟩, applies hcrot at φ = π/2^{j−1} (π − φ
-    for "pi_minus_phi" past step 1) and measures the ancilla in
-    (|↑⟩ ± z|↓⟩)/√2, z adapted to the branch's class c; on the mode that
-    is the projector (1 ± z̄·e^{iφn̂})/2, and a "−" outcome adds 2^{j−1} to
-    c.  z̄·e^{iφn} is the 2^j-th root of unity ω^k with k = n − c, or
-    k = 2^{j−1}(n + c) − n + c for "pi_minus_phi", read from one table
-    whose second half is the negated first.  On n ≡ c (mod 2^{j−1}) it is
-    exactly ±1, so the projector there is exactly 0 or 1.  A density
-    passes its column axis as col_axis, which takes the conjugate
-    projector.  Returns unnormalized [(c, branch)] in tree order ("+"
-    first), or with plus_only the all-"+" branch alone.  A pure branch is
-    dropped when its squared norm is at most floor, a density branch when
-    its trace is at most floor times its parent's.
+    A hcrot-and-measure cascade of depth log2(modulus) projects the mode
+    onto one such class, in either variant (Grimsmo, Combes & Baragiola,
+    PRX 10, 011058, 2020).  The result is complex; kept entries keep their bits.
     """
-
-    def along(vec, ax):
+    for ax in axes:
         shape = [1] * x.ndim
         shape[ax] = -1
-        return vec.reshape(shape)
+        x = np.where((np.arange(x.shape[ax]) % modulus == c % modulus).reshape(shape), x, 0j)
+    return x
 
-    def weight(v):
-        if col_axis is None:
-            return float(np.vdot(v, v).real)
-        side = math.isqrt(v.size)
-        return float(np.trace(v.reshape(side, side)).real)
 
-    n = np.arange(x.shape[axis])
-    branches = [(0, x)]
-    for step in range(1, m + 1):
-        half = 2 ** (step - 1)
-        roots = np.exp(1j * math.pi / half * np.arange(half))
-        roots = np.concatenate([roots, -roots])
-        nxt = []
-        for c, v in branches:
-            limit = floor if col_axis is None else floor * weight(v)
-            k = n - c if variant == "direct" or step == 1 else half * (n + c) - n + c
-            phase = roots[k % (2 * half)]
-            outcomes = ((1.0, c), (-1.0, c + half))
-            for sign, c2 in outcomes[:1] if plus_only else outcomes:
-                proj = (1.0 + sign * phase) / 2.0
-                w = along(proj, axis) * v
-                if col_axis is not None:
-                    w = w * along(proj.conj(), col_axis)
-                if weight(w) > limit:
-                    nxt.append((c2, w))
-        branches = nxt
-    return branches
+def _depth(m) -> int:
+    """The cascade depth m, refused unless an integer >= 1."""
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"cascade depth m must be >= 1 and an integer, got {m!r}")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -148,30 +116,30 @@ def _cascade(
 
 
 def _code_pair(m: int, primitive: FockVector):
-    """Codeword pair (v, e^{iπn̂/M}v) from the all-"+" preparation branch.
+    """Codeword pair (v, e^{iπn̂/M}v), v the primitive's class 0 mod M, normalized.
 
-    The preparation cascade uses the direct angles π, π/2, …, π/2^{m−1};
-    the branch's mode v is normalized and paired with its rotation.
+    That class is the all-"+" branch of the preparation cascade, whose
+    angles are π, π/2, …, π/2^{m−1}; a primitive with no mass above 1e-14
+    there is refused as degenerate.
     """
-    branches = _cascade(primitive.amps, m, "direct", 0, floor=_ZERO_BRANCH, plus_only=True)
-    if not branches:
+    v = _residue(primitive.amps, 2**m, 0, 0)
+    weight = float(np.vdot(v, v).real)
+    if not weight > _ZERO_BRANCH:
         raise ValueError("degenerate primitive: cascade branch has zero norm")
-    v = branches[0][1]
-    v = v / math.sqrt(float(np.vdot(v, v).real))
+    v = v / math.sqrt(weight)
     return v, np.exp(1j * math.pi / 2 ** m * np.arange(primitive.dim)) * v
 
 
 def prepare_code_state(m: int, primitive: FockVector) -> HybridDensity:
     """Spin-codeword state from the measured preparation cascade.
 
-    Runs the hcrot ladder with angles π, π/2, …, π/2^{m−1}, keeping the
-    all-"+" measurement branch (every other branch is a relabeled copy on
-    a shifted photon-number class), then attaches the data spin through
-    the final unmeasured hcrot at π/2^m.  Output: (|↑⟩|0_code⟩ + |↓⟩|1_code⟩)/√2.
+    Keeps the all-"+" branch of the hcrot ladder with angles π, π/2, …,
+    π/2^{m−1}, the primitive's class 0 mod 2^m (every other branch is a
+    relabeled copy on a shifted class), then attaches the data spin
+    through the final unmeasured hcrot at π/2^m.  Output:
+    (|↑⟩|0_code⟩ + |↓⟩|1_code⟩)/√2.  m must be an integer >= 1.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    cw0, cw1 = _code_pair(m, primitive)
+    cw0, cw1 = _code_pair(_depth(m), primitive)
     return hybrid_from_vector(1, primitive.n_max, np.concatenate([cw0, cw1]) / _SQRT2)
 
 
@@ -193,17 +161,32 @@ def syndrome_cascade(s: HybridDensity, m: int, variant: str = "direct") -> list:
     """Extract the loss-count remainder mod 2^m from the mode.
 
     Runs m hcrot-and-measure steps (angles π, π/2, …, π/2^{m−1}, or their
-    π-complements for variant "pi_minus_phi") with measurement bases
-    adapted to each branch's accumulated class.  Returns a list of
-    (remainder, probability, post_state) sorted by remainder; branches of
-    negligible probability are dropped.
+    π-complements for variant "pi_minus_phi"), each measured in a basis
+    adapted to its branch's class: step j splits class c mod 2^{j−1} into c
+    and c + 2^{j−1} mod 2^j on both sides of the density, in either variant,
+    dropping a branch whose trace is at most 1e-14 of its parent's.
+    Returns (remainder −c mod 2^m, probability, post_state) per class c,
+    sorted by remainder.
     """
     if variant not in _VARIANTS:
         raise ValueError(f"unknown cascade variant {variant!r}; expected one of {_VARIANTS}")
     ns, d = 2 ** s.spins, s.mode_dim
-    t = s.matrix.reshape(ns, d, ns, d)
+
+    def weight(x):
+        return float(np.trace(x.reshape(s.dim, s.dim)).real)
+
+    branches = [(0, s.matrix.reshape(ns, d, ns, d))]
+    for step in range(1, _depth(m) + 1):
+        nxt = []
+        for c, x in branches:
+            floor = _ZERO_BRANCH * weight(x)
+            for c2 in (c, c + 2 ** (step - 1)):
+                y = _residue(x, 2**step, c2, 1, 3)
+                if weight(y) > floor:
+                    nxt.append((c2, y))
+        branches = nxt
     out = []
-    for c, x in _cascade(t, m, variant, 1, col_axis=3, floor=_ZERO_BRANCH):
+    for c, x in branches:
         prob = float(np.einsum("apap->", x).real)
         post = HybridDensity(s.spins, s.n_max, (x / prob).reshape(s.dim, s.dim), validate=False)
         out.append(((-c) % (2 ** m), prob, post))
@@ -214,21 +197,19 @@ def syndrome_deviation(m: int, alpha: float, eta: float) -> float:
     """Worst-case tagging error over every injectable loss count.
 
     Injects exactly q photon losses (âᵠ on both codewords of the damped
-    pure pair, rung q of one ladder) for each q < 2^{m+1}, runs one cascade
-    on the normalized pure (spin, mode) arrays stacked on a batch axis and
-    requires it to tag remainder q mod 2^m with certainty.  The cascade
-    acts on each injection alone, so q's branch holds the bits of a
-    cascade run on q only; a branch that run would drop (squared norm at
-    most 1e-14) counts as 0.  Raises ``ArithmeticError`` where an injected
-    pair has a zero or non-finite norm: more losses than the cutoff holds
-    photons, or rung norms past float range.
+    pure pair, rung q of one ladder) for each q < 2^{m+1} and requires the
+    normalized (spin, mode) array to lie on class −q mod 2^m, the syndrome
+    cascade's tag for remainder q: a mass there of at most 1e-14, which the
+    cascade drops, counts as 0.  Raises ``ArithmeticError`` where an
+    injected pair has a zero or non-finite norm: more losses than the
+    cutoff holds photons, or rung norms past float range.
     """
     # The pair at the damped primitive's own cutoff.  Zero-padded to the
     # undamped cutoff, as unit_setup pads it, the result moves at 7 of 84
     # points (m 1 to 3, alpha 0.5 to 5, eta 0.5 to 0.999), among them the
     # default validate point (1, 2, 0.9): 3.33e-16 to 2.22e-16.
-    injected = _ladder(_damped_pair(CatCodeSpec(m, alpha, eta)), 2 ** (m + 1))
-    for q, psi in enumerate(injected):
+    worst = 0.0
+    for q, psi in enumerate(_ladder(_damped_pair(CatCodeSpec(m, alpha, eta)), 2 ** (m + 1))):
         with np.errstate(over="ignore"):  # an overflowing norm is refused below
             norm = np.linalg.norm(psi)
         if not 0.0 < norm < math.inf:
@@ -236,12 +217,8 @@ def syndrome_deviation(m: int, alpha: float, eta: float) -> float:
                 f"syndrome check at m={m}, alpha={alpha}, eta={eta}: {q} injected losses "
                 f"leave the pair (n_max={psi.shape[-1] - 1}) with norm {norm}"
             )
-        psi /= norm
-    tags = {(-c) % 2**m: y for c, y in _cascade(injected, m, "direct", 2, floor=0.0)}
-    worst = 0.0
-    for q in range(2 ** (m + 1)):
-        y = tags.get(q % 2**m)
-        weight = 0.0 if y is None else float(np.vdot(y[q], y[q]).real)
+        y = _residue(psi / norm, 2**m, -q, 1)
+        weight = float(np.vdot(y, y).real)
         worst = max(worst, abs(1.0 - (weight if weight > _ZERO_BRANCH else 0.0)))
     return worst
 
@@ -320,8 +297,8 @@ def _arm_maps(spec: CatCodeSpec, v0, flip, bras):
     Record (r, u) of an arm is its mode contracted with
     W[m, k, s] = Σ_n [n + k = m]·c[k, n]·P[n]·S[n, s]: loss count k with
     c its `_loss_rows` coefficients, the syndrome branch of remainder r
-    with P its cascade projector diagonal (`_cascade` of a ones vector),
-    and the endpoint spin attached in the mode's place through
+    with P its projector, the indicator of n ≡ −r (mod M), and the
+    endpoint spin attached in the mode's place through
     S = (b̄, e^{iπn̂/M}b̄)/√2, b the discrimination bra of USD outcome u.
     Since x·b̄ and (e^{iπn̂/M}x)·b̄ are x contracted with b̄ and e^{iπn̂/M}b̄,
     S is the spin attachment and the contraction at once.
@@ -337,7 +314,7 @@ def _arm_maps(spec: CatCodeSpec, v0, flip, bras):
 
     Returns (count, branch, ops), indexed [m, j] by the source photon
     number m = n + k and the j-th window count k: count = c², branch[r]
-    the |c·P|² of the syndrome branch of remainder r, and ops the maps of
+    the (c·P)² of the syndrome branch of remainder r, and ops the maps of
     every record in one array, ops[r, u, m, j, s], filled one record at a
     time with one map's product (a single broadcast over every remainder
     can round differently).
@@ -354,9 +331,8 @@ def _arm_maps(spec: CatCodeSpec, v0, flip, bras):
     coef = rows[np.arange(ks.size), n]
     branch = np.zeros((spec.order, d, ks.size))
     ops = np.zeros((spec.order, 2, d, ks.size, 2), dtype=complex)
-    for cls, proj in _cascade(np.ones(d, dtype=complex), spec.m, "direct", 0, floor=0.0):
-        r = (-cls) % spec.order
-        amp = coef * proj[n]
+    for r in range(spec.order):
+        amp = coef * (n % spec.order == -r % spec.order)
         for u, b in enumerate(bras[r]):
             spin = np.stack([b.conj(), flip * b.conj()], axis=1) / _SQRT2
             np.multiply(amp[:, :, None], spin[n], out=ops[r, u])

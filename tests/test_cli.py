@@ -541,6 +541,15 @@ def test_validate_small_grid(tmp_path, capsys):
     assert "f0" in err
 
 
+def test_validate_reports_only_the_checks_that_ran(tmp_path, capsys):
+    # bell_order runs at m = 1 only: a grid without m = 1 has no bell_order row
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("validate:\n  m: [2]\n  alpha: [1.0]\n  eta: [0.9]\n")
+    code, out, _ = run_cli(capsys, "validate", "--config", str(cfg))
+    assert code == 0
+    assert [r["check"] for r in read_rows(out)] == ["f0", "loss_weights", "syndrome"]
+
+
 def test_validate_unresolved_discrimination_is_a_numerical_guard(tmp_path, capsys):
     # at m = 3 the dim damped pair of alpha = 0.5 overlaps to within
     # float resolution: a numerical limit, not a usage error

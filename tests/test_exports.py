@@ -41,3 +41,19 @@ def test_analytic_base_imports_no_fock_substrate():
             assert not {"fockspace", "protocol_oracle"} & set(name.split(".")), (module, name)
     for name in ("codeword", "damped_codeword", "error_space_state", "rotation_apply", "kraus_op"):
         assert not hasattr(catrep, name), name
+    # The converse: the Fock substrate and the oracle take from the analytic
+    # engine only the code's parameters and `_freeze`, so the oracle's
+    # residue masks are its own and not the analytic engine's class series.
+    for module in ("fockspace", "protocol_oracle"):
+        source = pathlib.Path(catcode.__file__).with_name(f"{module}.py").read_text()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                reached = set((node.module or "").split(".")) | names
+                assert not {"usd", "chain", "cavity"} & reached, (module, node.module, names)
+                if "catcode" in reached:
+                    assert (node.module or "").endswith("catcode"), (module, names)
+                    assert names <= {"CatCodeSpec", "_freeze"}, (module, names)
+            elif isinstance(node, ast.Import):
+                reached = {part for alias in node.names for part in alias.name.split(".")}
+                assert not {"usd", "chain", "cavity", "catcode"} & reached, (module, reached)

@@ -18,7 +18,7 @@ from catrep.fockspace import (
     hybrid_from_vector,
     trace_distance,
 )
-from catrep.protocol_oracle import _cascade
+from catrep.protocol_oracle import _residue
 from fock_reference import kraus_op, kraus_ops, rotation_apply
 
 
@@ -262,16 +262,15 @@ def test_hybrid_construction_and_partial_traces():
 
 def test_hcrot_makes_cat_branches():
     # |+⟩|α⟩ → controlled π rotation → x-measurement leaves ± cat states:
-    # the first step of the cascade kernel, "+" branch first
+    # the first cascade step, whose "+" branch is the even photon numbers
     alpha = 1.1
     mode = coherent_state(alpha)
-    branches = _cascade(mode.amps, 1, "direct", 0, floor=1e-14)
-    assert len(branches) == 2
-    probs = [float(np.vdot(v, v).real) for _c, v in branches]
+    branches = [_residue(mode.amps, 2, c, 0) for c in (0, 1)]
+    probs = [float(np.vdot(v, v).real) for v in branches]
     assert abs(sum(probs) - 1.0) < 1e-12
     plus = coherent_state(alpha).amps + coherent_state(-alpha).padded(mode.n_max).amps
     plus = plus / np.linalg.norm(plus)
-    p_plus, post = probs[0], branches[0][1]
+    p_plus, post = probs[0], branches[0]
     assert abs(abs(np.vdot(plus, post)) ** 2 / p_plus - 1.0) < 1e-10
     # branch weights follow the cat normalizations
     n_plus = 0.5 * (1.0 + math.exp(-2.0 * alpha * alpha))

@@ -24,10 +24,10 @@ from catrep.protocol_oracle import (
     _PRUNE,
     _arm,
     _arm_maps,
-    _cascade,
     _code_pair,
     _damped_pair,
     _record_setup,
+    _residue,
     _usd_bras,
     bell_order_equivalence,
     bell_vectors,
@@ -144,26 +144,22 @@ def test_prepare_first_step_minus_branch_structure():
 
 
 def test_prepare_branches_partition():
-    # the preparation cascade's branches, as prepare_code_state runs it
+    # the preparation cascade's branches are the primitive's classes mod 4:
+    # they sum to it exactly, and their probabilities to 1
     prim = coherent_state(1.2)
-    branches = _cascade(prim.amps.astype(complex), 2, "direct", 0, floor=1e-14)
-    assert len(branches) == 4
-    probs = [float(np.vdot(v, v).real) for _c, v in branches]
+    branches = [_residue(prim.amps, 4, c, 0) for c in range(4)]
+    assert np.array_equal(sum(branches), prim.amps)
+    probs = [float(np.vdot(v, v).real) for v in branches]
     assert abs(sum(probs) - 1.0) < 1e-10
-    classes = sorted(c for c, _v in branches)
-    assert classes == [0, 1, 2, 3]
-    # tree order puts the all-"+" branch first, and it is class 0
-    assert branches[0][0] == 0
     n = np.arange(prim.dim)
-    for (c, v), p in zip(branches, probs):
+    for c, v in enumerate(branches):
         # support of each branch is a clean photon-number class
-        onclass = (np.abs(v) ** 2)[n % 4 == c].sum() / p
-        assert abs(onclass - 1.0) < 1e-10
+        assert np.all(v[n % 4 != c] == 0.0)
+        assert np.array_equal(v[n % 4 == c], prim.amps[n % 4 == c])
 
 
 class CountingFloor(float):
-    """A floor that counts the checks made against it: the cascade checks
-    each projector product once, as `weight > floor`."""
+    """A floor that counts the checks made against it, as `weight > floor`."""
 
     checks = 0
 
@@ -175,19 +171,22 @@ class CountingFloor(float):
 @pytest.mark.parametrize("alpha", [0.5, 2.0])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_preparation_follows_its_kept_branch(m, alpha, monkeypatch):
-    # The codeword pair holds the bits of the all-"+" branch of the full
-    # cascade, and takes one projector product per step to get them.
+    # The codeword pair holds the bits of the primitive's class 0 mod 2^m,
+    # normalized, which is the all-"+" branch of the operational cascade,
+    # and takes one floor check to get them.
     prim = coherent_state(alpha)
-    c, v = _cascade(prim.amps.astype(complex), m, "direct", 0, floor=1e-14)[0]
-    assert c == 0
-    v = v / math.sqrt(float(np.vdot(v, v).real))
+    v = _residue(prim.amps, 2**m, 0, 0)
+    weight = float(np.vdot(v, v).real)
+    v = v / math.sqrt(weight)
     cw0, cw1 = _code_pair(m, prim)
     assert cw0.tobytes() == v.tobytes()
     assert cw1.tobytes() == (np.exp(1j * math.pi / 2**m * np.arange(prim.dim)) * v).tobytes()
+    plus = operational_cascade(hybrid_from_vector(0, prim.n_max, prim.amps), m, "direct")[0]
+    assert np.max(np.abs(weight * np.outer(cw0, cw0.conj()) - plus)) < 1e-12
     monkeypatch.setattr(protocol_oracle, "_ZERO_BRANCH", CountingFloor(1e-14))
     CountingFloor.checks = 0
     assert _code_pair(m, prim)[0].tobytes() == cw0.tobytes()
-    assert CountingFloor.checks == m
+    assert CountingFloor.checks == 1
     # Fock |1⟩ has a zero "+" branch at the first step: (1 + e^{iπn})/2 is 0 at odd n
     with pytest.raises(ValueError, match="degenerate primitive"):
         prepare_code_state(m, FockVector(np.array([0.0, 1.0, 0.0, 0.0]), 3))
@@ -279,47 +278,57 @@ def test_cascade_kernel_matches_operational_route(m, variant):
     # density form: a transmitted spin-codeword state, every class present
     trans = transmit(prepare_code_state(m, coherent_state(2.0)), 0.7)
     want = operational_cascade(trans, m, variant)
-    ns, d = 2, trans.mode_dim
-    got = _cascade(trans.matrix.reshape(ns, d, ns, d), m, variant, 1, col_axis=3, floor=1e-14)
-    assert sorted(c for c, _x in got) == sorted(want)
-    for c, x in got:
-        assert np.max(np.abs(x.reshape(ns * d, ns * d) - want[c])) < 1e-12
+    got = syndrome_cascade(trans, m, variant)
+    assert sorted((-r) % 2**m for r, _p, _s in got) == sorted(want)
+    for r, prob, post in got:
+        assert np.max(np.abs(prob * post.matrix - want[(-r) % 2**m])) < 1e-12
     # pure form: a spin-mode entangled amplitude array, mode on axis 1
     alpha = 1.5
     prim = coherent_state(alpha)
     psi = np.stack([prim.amps, rotation_apply(0.3, prim).amps]) / SQRT2
     want = operational_cascade(hybrid_from_vector(1, prim.n_max, psi.reshape(-1)), m, variant)
-    got = _cascade(psi, m, variant, 1)
-    assert sorted(c for c, _x in got) == sorted(want)
-    for c, x in got:
-        flat = x.reshape(-1)
+    assert sorted(want) == list(range(2**m))
+    for c in range(2**m):
+        flat = _residue(psi, 2**m, c, 1).reshape(-1)
         assert np.max(np.abs(np.outer(flat, flat.conj()) - want[c])) < 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("variant", ["direct", "pi_minus_phi"])
 def test_cascade_projectors_are_exact(m, variant):
-    # each branch's projector diagonal is exactly 0 off its residue class
-    # and exactly of modulus 1 on it, far up the photon-number axis too
+    # each class's mask is exactly 0 off its residue class and exactly 1 on
+    # it, far up the photon-number axis too
     n = np.arange(2000)
-    branches = _cascade(np.ones(n.size, dtype=complex), m, variant, 0, floor=0.0)
-    assert sorted(c for c, _p in branches) == list(range(2**m))
-    for c, proj in branches:
-        on = n % 2**m == c
-        assert np.all(proj[~on] == 0.0)
-        assert np.all(np.abs(proj[on]) == 1.0)
+    for c in range(2**m):
+        proj = _residue(np.ones(n.size), 2**m, c, 0)
+        assert np.array_equal(proj, (n % 2**m == c).astype(complex))
+    # and so is the density cascade's projector in either variant: on the
+    # uniform superposition over 64 levels, class c keeps exactly the
+    # (n, n') block with n, n' ≡ c (mod 2^m), and the probabilities are 2^-m
+    d = 64
+    rho = HybridDensity(0, d - 1, np.full((d, d), 1.0 / d, dtype=complex))
+    branches = syndrome_cascade(rho, m, variant)
+    assert [r for r, _p, _s in branches] == list(range(2**m))
+    for r, prob, post in branches:
+        on = np.arange(d) % 2**m == (-r) % 2**m
+        assert prob == 2.0**-m
+        assert np.array_equal(post.matrix, np.outer(on, on) * (2**m / d))
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
         (lambda: prepare_code_state(0, coherent_state(1.0)), "m must be >= 1"),
+        (lambda: prepare_code_state(1.5, coherent_state(1.0)), "m must be >= 1"),
+        (lambda: prepare_code_state(2.0, coherent_state(1.0)), "m must be >= 1"),
+        (lambda: syndrome_cascade(prepare_code_state(1, coherent_state(1.0)), 0), "m must be >= 1"),
+        (lambda: syndrome_cascade(prepare_code_state(1, coherent_state(1.0)), -1), "m must be >= 1"),
         (
             lambda: syndrome_cascade(prepare_code_state(1, coherent_state(1.0)), 1, "phi"),
             "unknown cascade variant 'phi'",
         ),
     ],
-    ids=["prepare_m", "variant"],
+    ids=["prepare_m", "prepare_fraction", "prepare_float", "cascade_m0", "cascade_negative", "variant"],
 )
 def test_public_refusals_are_named(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -541,8 +550,11 @@ def state_first_arm(x, axis, spec, flip, bras):
         return {}
     axis += 1
     records = {}
-    for c, y in _cascade(np.stack(kept), spec.m, "direct", axis, floor=_PRUNE):
-        r = (-c) % spec.order
+    stacked = np.stack(kept)
+    for r in range(spec.order):
+        y = _residue(stacked, spec.order, -r, axis)
+        if float(np.vdot(y, y).real) <= _PRUNE:
+            continue
         for u, bra in enumerate(bras[r]):
             spin = np.stack([bra.conj(), flip * bra.conj()], axis=1) / SQRT2
             rec = np.moveaxis(np.tensordot(y, spin, axes=(axis, 0)), -1, axis)
@@ -726,9 +738,9 @@ def test_a_given_setup_serves_its_own_spec_only():
 def test_validate_builds_one_setup_per_point(monkeypatch, capsys):
     # The default validate grid has 8 points.  Each builds one record setup
     # and one set of arm maps, which simulate_unit and (at m = 1)
-    # bell_order_equivalence share, and each syndrome check runs two
-    # cascades: the damped pair's preparation and one syndrome cascade over
-    # every injected loss count at once.
+    # bell_order_equivalence share, and each syndrome check takes one
+    # residue mask for the damped pair's preparation and one per injected
+    # loss count: 1 + 2^(m+1), at the four m = 1 points, then the four m = 2.
     calls = collections.Counter()
 
     def counting(name):
@@ -740,22 +752,22 @@ def test_validate_builds_one_setup_per_point(monkeypatch, capsys):
 
         return wrapper
 
-    for name in ("_record_setup", "_arm_maps", "_cascade"):
+    for name in ("_record_setup", "_arm_maps", "_residue"):
         monkeypatch.setattr(protocol_oracle, name, counting(name))
-    cascades = []
+    masks = []
     deviation = cli.syndrome_deviation
 
     def counting_deviation(*args):
-        before = calls["_cascade"]
+        before = calls["_residue"]
         result = deviation(*args)
-        cascades.append(calls["_cascade"] - before)
+        masks.append(calls["_residue"] - before)
         return result
 
     monkeypatch.setattr(cli, "syndrome_deviation", counting_deviation)
     assert cli.main(["validate"]) == 0
     capsys.readouterr()
     assert calls["_record_setup"] == calls["_arm_maps"] == 8
-    assert cascades == [2] * 8
+    assert masks == [5] * 4 + [9] * 4
 
 
 # The grid of the acceptance suite's engine-agreement test.
@@ -808,9 +820,8 @@ def dense_arm_maps(spec, flip, bras):
         coef[k:, k] = row[: d - k]
     branch = np.zeros((spec.order, d, d))
     ops = np.zeros((spec.order, 2, d, d, 2), dtype=complex)
-    for cls, proj in _cascade(np.ones(d, dtype=complex), spec.m, "direct", 0, floor=0.0):
-        r = (-cls) % spec.order
-        amp = coef * proj[n]
+    for r in range(spec.order):
+        amp = coef * _residue(np.ones(d), spec.order, -r, 0)[n]
         for u, b in enumerate(bras[r]):
             ops[r, u] = amp[:, :, None] * (np.stack([b.conj(), flip * b.conj()], axis=1) / SQRT2)[n]
         branch[r] = np.abs(amp) ** 2
@@ -862,3 +873,10 @@ def test_arm_maps_memory_is_bounded_by_the_window():
 def test_bell_order_memory_stays_per_record():
     # No tensor joining both arms' loss counts across records or labels.
     assert traced_peak(lambda: bell_order_equivalence(1, 2.0, 0.9)) <= 0.6e6
+
+
+def test_syndrome_deviation_takes_one_class_per_injection():
+    # Each injection's own mass on its class, with no stacked cascade over
+    # every injection: the stacked cascade peaked at 25.1 MiB here.
+    assert syndrome_deviation(5, 12.0, 0.999) == 4.440892098500626e-16
+    assert traced_peak(lambda: syndrome_deviation(5, 12.0, 0.999)) < 2 * 2**20

@@ -12,13 +12,15 @@ There is one engine.  An arm's loss count, syndrome branch,
 endpoint-spin attachment and discrimination compose to one linear map
 per classical record (remainder, USD outcome), built by `_arm_maps` for
 the loss counts that can carry mass, from the loss coefficients
-`fockspace._loss_rows` and each syndrome branch's class, and stacked in
-one array; `_arm` applies every record's map to an arm's mode in one
-stacked matrix product, keeping every lost-photon count on an
-environment axis.  `unit_setup` builds the maps once per point:
-`simulate_unit` reads one arm's records, and `bell_order_equivalence`
-joins two arms' records in both orderings of the middle station's Bell
-measurement, each from a setup it is given or builds itself.
+`fockspace._loss_rows` and each syndrome branch's class.  Record r's map
+only joins a source photon number m to a loss count k ≡ m + r (mod M),
+so the maps are stored per source residue; `_arm` applies them to a
+batch of an arm's modes, one matrix product per residue the modes
+occupy, keeping every lost-photon count on an environment axis.
+`unit_setup` builds the maps once per point: `simulate_unit` reads one
+arm's records, and `bell_order_equivalence` joins two arms' records in
+both orderings of the middle station's Bell measurement, each from a
+setup it is given or builds itself.
 A cascade's measurement branch is the mode's residue class mod 2^m:
 `_residue` masks the preparation's kept branch, each injected loss count
 of the pure syndrome check and, one mask per branch and step, the
@@ -312,14 +314,18 @@ def _arm_maps(spec: CatCodeSpec, v0, flip, bras):
     most p: each count `_arm` keeps (mass over `_PRUNE`) is in the window,
     the halved threshold covering rounding.
 
-    Returns (count, branch, ops), indexed [m, j] by the source photon
-    number m = n + k and the j-th window count k: count = c², branch[r]
-    the (c·P)² of the syndrome branch of remainder r, and ops the maps of
-    every record in one array, ops[r, u, m, j, s], filled one record at a
-    time with one map's product (a single broadcast over every remainder
-    can round differently).
+    W is zero unless k ≡ m + r (mod M): from source residue ρ (m ≡ ρ)
+    record r reaches only the counts k ≡ ρ + r, so each count belongs to
+    one record.  Returns (branch, blocks, pos).  branch[m, r, j] is
+    (c·P)² of remainder r's branch at the source photon number m = n + k
+    and the j-th window count k, K (the window's size) indexing a count
+    with no mass.  blocks[ρ, i, t, r, u, s] is W[ρ + iM, k, s] of record
+    (r, u) at k = (t0 + t)M + (ρ + r mod M), t0 the window's first count
+    over M, or 0 where m or k is outside the cutoff or window; pos[ρ, t,
+    r] is that count's index j, or K.  Each entry is the one product c·S
+    a per-record loop forms, so a single broadcast gives the same bits.
     """
-    d = flip.size
+    d, big_m = flip.size, spec.order
     p = np.concatenate([np.einsum("sm,sm->m", v0, v0.conj()).real, np.zeros(d)])
     window = []
     for ks in np.array_split(np.arange(d), -(-d * d // _ROW_BLOCK)):  # blocks of loss rows
@@ -328,74 +334,71 @@ def _arm_maps(spec: CatCodeSpec, v0, flip, bras):
         window.append((ks[keep], rows[keep]))
     ks, rows = (np.concatenate(part) for part in zip(*window))
     n = (np.arange(d)[:, None] - ks) % d  # n = m − k; wraps only onto a row's zeros
-    coef = rows[np.arange(ks.size), n]
-    branch = np.zeros((spec.order, d, ks.size))
-    ops = np.zeros((spec.order, 2, d, ks.size, 2), dtype=complex)
-    for r in range(spec.order):
-        amp = coef * (n % spec.order == -r % spec.order)
-        for u, b in enumerate(bras[r]):
-            spin = np.stack([b.conj(), flip * b.conj()], axis=1) / _SQRT2
-            np.multiply(amp[:, :, None], spin[n], out=ops[r, u])
-        branch[r] = np.abs(amp) ** 2
-    return coef**2, branch, ops
+    coef, r = rows[np.arange(ks.size), n], np.arange(big_m)
+    branch = np.zeros((d, big_m, ks.size + 1))
+    branch[..., :-1] = (coef[:, None] * (n[:, None] % big_m == -r[:, None] % big_m)) ** 2
+    # block cell [ρ, i, t, r]: source m = ρ + iM and count k = (t0 + t)M + (ρ + r mod M)
+    rho, t0 = r[:, None, None, None], ks[0] // big_m
+    k = big_m * np.arange(t0, ks[-1] // big_m + 1)[:, None] + (rho + r) % big_m
+    src = rho + big_m * np.arange(-(-d // big_m))[:, None, None]
+    j = np.full(k.max() + 1, ks.size)
+    j[ks] = np.arange(ks.size)
+    j, n = j[k], (src - k) % d
+    amp = np.where(src < d, np.append(rows, np.zeros((1, d)), axis=0)[j, n], 0.0)
+    spin = np.stack([np.conj(bras), flip * np.conj(bras)], axis=-1) / _SQRT2
+    return branch, amp[..., None, None] * spin[r, :, n, :], j[:, 0]
 
 
-def _arm(x: np.ndarray, maps) -> tuple:
-    """Process the arm whose mode is axis 0 of x, down to its records.
+def _arm(xs: np.ndarray, maps) -> tuple:
+    """Process a batch of arms, each input's mode on axis 1 of xs, down to its records.
 
-    Two prune rules read the photon-number marginal p of x: a loss count
-    k of the maps' window is kept when its mass Σ_n c[k, n]²·p[n+k]
-    exceeds `_PRUNE`, and a syndrome branch when its mass over the kept
+    Two prune rules read each input's photon-number marginal p: a count k
+    of the maps' window is kept when its mass Σ_n c[k, n]²·p[n+k] exceeds
+    `_PRUNE`, and a syndrome branch lives when its mass over the kept
     counts does.  The window holds every count this rule can keep
     (`_arm_maps`), so the records are those of maps over every count.  A
-    kept branch keeps the records of both USD outcomes, however small.
-    All records come from one stacked matrix product of x with every
-    record's map over the kept counts, read as a view of the maps when
-    those counts are a contiguous range of the window (a copy otherwise).
-    Each record stays its own matrix in that product, so it rounds as a
-    product with its map alone: BLAS rounds an entry by where it falls
-    in the kernel's blocks, which a product over every map would move.
+    live branch keeps the records of both USD outcomes, however small;
+    every other entry is set to 0.  Each source residue on which an
+    input has a nonzero row is one matrix product of every input with
+    that residue's maps over the rows t of counts some input keeps, so a
+    product's shape follows the kept counts, not the window.
 
-    Returns (records, mass).  records is {(remainder, usd_outcome): array}
-    whose axes are x's remaining axes, then the loss count, then the
-    endpoint spin; mass[r] is the branch mass of remainder r, its
-    syndrome probability.  Lost-photon counts are orthogonal environment
+    Returns (records, live, mass): mass[b, r] is input b's branch mass of
+    remainder r, its syndrome probability, and live the mass over
+    `_PRUNE`.  records[i, b, ..., t, r, u, s] is input b's record (r, u)
+    at the count of row t and the i-th residue multiplied, after xs's
+    remaining axes.  Lost-photon counts are orthogonal environment
     states, so a record's density is X X† summed over its environment
-    axes (`_density`).
+    axes, residue and row among them (`_density`).
     """
-    count, branch, ops = maps
-    d = x.shape[0]
-    flat = x.reshape(d, -1)
-    p = np.einsum("ma,ma->m", flat, flat.conj()).real
-    kept = np.flatnonzero(p @ count > _PRUNE)
-    # the whole window's branch masses are summed in place, a part of it
-    # as a fancy-indexed copy, which numpy sums in another order
-    whole = slice(None) if kept.size == count.shape[1] else kept
-    mass = (p @ branch)[:, whole].sum(axis=1)
-    live = np.flatnonzero(mass > _PRUNE).tolist()
-    if not live:
-        return {}, mass
-    shape = x.shape[1:] + (kept.size, 2)
-    if kept[-1] - kept[0] == kept.size - 1:  # a contiguous range: one product over views
-        w = ops[:, :, :, kept[0] : kept[-1] + 1].reshape(-1, d, kept.size * 2)
-        rec = (flat.T @ w).reshape((-1, 2) + shape)
-        return {(r, u): rec[r, u] for r in live for u in (0, 1)}, mass
-    # with gaps, each live record's maps are copied and applied on their own
-    # rather than copying every record's at once
-    records = {
-        (r, u): (flat.T @ ops[r, u][:, kept].reshape(d, -1)).reshape(shape)
-        for r in live
-        for u in (0, 1)
-    }
-    return records, mass
+    branch, blocks, pos = maps
+    big_m = branch.shape[1]
+    flat = xs.reshape(xs.shape[0], xs.shape[1], -1)
+    p = np.einsum("bma,bma->bm", flat, flat.conj()).real
+    masses = (p @ branch.reshape(len(branch), -1)).reshape(len(p), big_m, -1)  # [b, r, j]
+    kept = masses.sum(axis=1) > _PRUNE
+    mass = np.where(kept[:, None], masses, 0.0).sum(axis=-1)
+    live = mass > _PRUNE
+    keep = kept[:, pos] & live[:, None, None]  # [b, ρ, t, r]
+    rows = np.flatnonzero(keep.any(axis=(0, 1, 3)))
+    lo, hi = (rows[0], rows[-1] + 1) if rows.size else (0, 0)
+    residues = np.unique(np.flatnonzero(flat.any(axis=(0, 2))) % big_m)
+    out = np.empty((residues.size,) + flat.shape[::2] + (hi - lo,) + blocks.shape[3:], complex)
+    for i, rho in enumerate(residues):
+        x = flat[:, rho::big_m].swapaxes(1, 2)
+        w = blocks[rho, : x.shape[2], lo:hi]
+        np.matmul(x, w.reshape(len(w), -1), out=out[i].reshape(x.shape[:2] + (-1,)))
+    out *= keep[:, residues, lo:hi].swapaxes(0, 1)[:, :, None, :, :, None, None]
+    return out.reshape(out.shape[:2] + xs.shape[2:] + out.shape[3:]), live, mass
 
 
-def _density(chis, axes: tuple) -> np.ndarray:
-    """4×4 spin-pair densities of a sequence of records of one shape, each
-    traced over its environment: `axes` puts a record's axes in the order
-    environment axes, then the two spins."""
-    flat = np.stack([chi.transpose(axes) for chi in chis]).reshape(len(chis), -1, 4)
-    return flat.transpose(0, 2, 1) @ flat.conj()
+def _density(records, axes: tuple) -> np.ndarray:
+    """4×4 spin-pair densities of a batch of records, each traced over its
+    environment: `axes` puts the records' axes in the order input,
+    remainder, USD outcome, environment axes, then the two spins."""
+    flat = records.transpose(axes)
+    flat = flat.reshape(flat.shape[:3] + (-1, 4))
+    return flat.swapaxes(-1, -2) @ flat.conj()
 
 
 # ---------------------------------------------------------------------------
@@ -442,18 +445,16 @@ def simulate_unit(spec: CatCodeSpec, *, setup=None) -> UnitReport:
     setup is the point's `unit_setup`, built here when not given.
     """
     v0, maps = _given_setup(spec, setup)
-    records, syn = _arm(v0.T, maps)
-    blocks = dict(zip(records, _density(list(records.values()), (1, 2, 0))))
+    records, (live,), (syn,) = _arm(v0.T[None], maps)  # (residue, 1, sender, t, r, u, receiver)
+    blocks = _density(records, (1, 4, 5, 0, 3, 6, 2))[0]
     big_m = spec.order
     weights = np.zeros(2 * big_m)
     plus = np.zeros(big_m)
     succ = np.zeros(big_m)
     states: list = [None] * big_m
     thetas = np.array([r * math.pi / big_m for r in range(big_m)])
-    for r in range(big_m):
-        if (r, 0) not in records:
-            continue
-        block0, block1 = blocks[(r, 0)], blocks[(r, 1)]
+    for r in np.flatnonzero(live):
+        block0, block1 = blocks[r]
         p0, p1 = float(np.trace(block0).real), float(np.trace(block1).real)
         rho0 = block0 / p0
         bells = bell_vectors(thetas[r])
@@ -516,25 +517,24 @@ def bell_order_equivalence(
     # With G[(s, a), (s', a')] a record's Gram block over its loss count,
     # records (i, j) under label l have density
     # Σ B̄[l, s, t]·B[l, s', t']·G_i[(s, a), (s', a')]·G_j[(t, b), (t', b')].
-    arm, _mass = _arm(v0.T, maps)  # (ES spin, k, endpoint)
-    gram = _density(list(arm.values()), (1, 0, 2)).reshape(-1, 2, 2, 2, 2)
+    arm, (live,), _mass = _arm(v0.T[None], maps)  # (residue, 1, ES spin, t, r, u, endpoint)
+    gram = _density(arm, (1, 4, 5, 0, 3, 2, 6)).reshape(-1, 2, 2, 2, 2)
     after = np.einsum(
         "lst,lpq,isapc,jtbqd->lijabcd", bra, bra.conj(), gram, gram, optimize=_BELL_LAST_PATH
     )
-    keys = [(li, *key1, *key2, 1) for li in range(len(bra)) for key1 in arm for key2 in arm]
-    blocks = [after.reshape(-1, 4, 4)]
-    # Bell-first: project the ES pair, then process the left mode, then
-    # the right mode of each left record.
+    rho[..., 1, :, :] = after.reshape(rho.shape[:5] + (4, 4))
+    made[..., 1] = live[:, None, None, None] & live[:, None]
+    # Bell-first: project the ES pair, then process the left mode, then in
+    # one pass the right mode of every left record of that label.
     for li, b in enumerate(bra):
-        lefts, _mass = _arm(v0.T @ b @ v0, maps)  # (right mode, k1, spin1)
-        for key1, left in lefts.items():
-            rights, _mass = _arm(left, maps)  # (k1, spin1, k2, spin2)
-            if rights:
-                keys.extend((li, *key1, *key2, 0) for key2 in rights)
-                blocks.append(_density(list(rights.values()), (0, 2, 1, 3)))
-    at = tuple(np.array(keys).T)
-    rho[at] = np.concatenate(blocks)
-    made[at] = True
+        # lefts: (residue1, 1, right mode, t1, r1, u1, spin1)
+        lefts, (live1,), _mass = _arm((v0.T @ b @ v0)[None], maps)
+        inputs = lefts[:, 0].transpose(3, 4, 1, 0, 2, 5)[live1]
+        # rights: (residue2, (r1, u1), residue1, t1, spin1, t2, r2, u2, spin2)
+        rights, live2, _mass = _arm(inputs.reshape((-1,) + inputs.shape[2:]), maps)
+        dens = _density(rights, (1, 6, 7, 0, 2, 3, 5, 4, 8))
+        rho[li, live1, ..., 0, :, :] = dens.reshape((-1,) + rho.shape[2:5] + (4, 4))
+        made[li, live1, ..., 0] = live2.reshape((-1,) + shape[2:4] + (1,))
     prob = np.trace(rho, axis1=-2, axis2=-1).real
     seen, both = prob.max(axis=-1) >= 1e-12, prob.min(axis=-1) >= 1e-12
     # a record only one ordering produces is as far apart as two states get

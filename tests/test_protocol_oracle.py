@@ -26,6 +26,7 @@ from catrep.protocol_oracle import (
     _arm_maps,
     _code_pair,
     _damped_pair,
+    _density,
     _record_setup,
     _residue,
     _usd_bras,
@@ -692,8 +693,9 @@ def test_oracle_work_counts(monkeypatch):
     arm = protocol_oracle._arm
 
     def counting_arm(*args):
-        arms.append(1)
-        return arm(*args)
+        records, live, mass = arm(*args)
+        arms.append(len(records))  # the residue blocks it multiplied
+        return records, live, mass
 
     ladders = []
     ladder = protocol_oracle._ladder
@@ -710,14 +712,16 @@ def test_oracle_work_counts(monkeypatch):
     bell_order_equivalence(1, 1.0, 0.9)
     assert 0 < len(log_factorial_calls) < 200
     assert builds == ladders == [1]  # every class's bras from one ladder
-    # one Bell-last arm; per Bell label one left arm and one right arm for
-    # each of its four left records
-    assert len(arms) == 21
+    # one Bell-last arm, then per Bell label one left arm and one right arm
+    # over all its left records; every input lives on the codeword's
+    # residue, so each multiplies 1 of the M residue blocks
+    assert arms == [1] * 9
 
     builds.clear()
     ladders.clear()
     simulate_unit(CatCodeSpec(2, 1.5, 0.9))
     assert builds == ladders == [1]
+    assert arms == [1] * 10  # 1 of 4 residue blocks
     assert syndrome_deviation(2, 1.5, 0.9) < 1e-12
     assert ladders == [1, 1]  # every injected loss count from one ladder
     assert densities == []
@@ -808,49 +812,126 @@ def test_syndrome_probabilities_are_relatively_accurate(m, alpha, eta):
     assert np.all(np.abs(report.syndrome_probs - want) <= 1e-13 * want)
 
 
-def dense_arm_maps(spec, flip, bras):
-    """`_arm_maps` over every loss count: a (d, d, 2) map per record, stacked
-    as ops[r, u] like the windowed maps, as the oracle built them before it
-    kept only the counts that carry mass."""
+def codeword_window(spec, v0):
+    """The loss counts whose mass under the codeword's photon-number
+    marginal exceeds _PRUNE/2, the window `_arm_maps` builds maps for."""
+    d = v0.shape[1]
+    p = np.concatenate([np.einsum("sm,sm->m", v0, v0.conj()).real, np.zeros(d)])
+    rows = fockspace._loss_rows(spec.eta, d, range(d))
+    mass = (rows * rows * p[np.arange(d)[:, None] + np.arange(d)]).sum(axis=1)
+    return np.flatnonzero(mass > _PRUNE / 2)
+
+
+def loop_arm_maps(spec, flip, bras, ks):
+    """Every record's map over the loss counts ks, filled one record at a
+    time: ops[r, u, m, j, s] and the branch masses branch[r, m, j], indexed
+    by the source photon number m and the j-th count of ks."""
     d = flip.size
-    src = np.arange(d)
-    n = (src[:, None] - src[None, :]) % d  # n = m − k; wraps only where c is 0
-    coef = np.zeros((d, d))
-    for k, row in enumerate(fockspace._loss_rows(spec.eta, d, range(d))):
-        coef[k:, k] = row[: d - k]
-    branch = np.zeros((spec.order, d, d))
-    ops = np.zeros((spec.order, 2, d, d, 2), dtype=complex)
+    n = (np.arange(d)[:, None] - ks) % d  # n = m − k; wraps only where c is 0
+    coef = fockspace._loss_rows(spec.eta, d, ks)[np.arange(ks.size), n]
+    branch = np.zeros((spec.order, d, ks.size))
+    ops = np.zeros((spec.order, 2, d, ks.size, 2), dtype=complex)
     for r in range(spec.order):
-        amp = coef * _residue(np.ones(d), spec.order, -r, 0)[n]
+        amp = coef * (n % spec.order == -r % spec.order)
         for u, b in enumerate(bras[r]):
-            ops[r, u] = amp[:, :, None] * (np.stack([b.conj(), flip * b.conj()], axis=1) / SQRT2)[n]
+            spin = np.stack([b.conj(), flip * b.conj()], axis=1) / SQRT2
+            np.multiply(amp[:, :, None], spin[n], out=ops[r, u])
         branch[r] = np.abs(amp) ** 2
-    return coef**2, branch, ops
+    return ks, branch, ops
+
+
+def blocked_maps(spec, ks, branch, ops):
+    """`loop_arm_maps` as `_arm_maps` stores them: branch as [m, r, j] with
+    a zero column past ks, and each record's map gathered into the cell
+    (source residue ρ, row t, record r) of count k = (ks[0]//M + t)M + (ρ + r mod M)."""
+    big_m, d = spec.order, ops.shape[2]
+    t0, n_t = ks[0] // big_m, ks[-1] // big_m - ks[0] // big_m + 1
+    blocks = np.zeros((big_m, -(-d // big_m), n_t, big_m, 2, 2), dtype=complex)
+    pos = np.full((big_m, n_t, big_m), ks.size)
+    for rho, t, r in itertools.product(range(big_m), range(n_t), range(big_m)):
+        k = (t0 + t) * big_m + (rho + r) % big_m
+        if k in ks:
+            pos[rho, t, r] = j = ks.tolist().index(k)
+            src = np.arange(rho, d, big_m)
+            blocks[rho, : src.size, t, r] = ops[r][:, src, j].transpose(1, 0, 2)
+    return np.append(branch.transpose(1, 0, 2), np.zeros((d, big_m, 1)), axis=2), blocks, pos
+
+
+def dense_arm_maps(spec, flip, bras):
+    """The record maps over every loss count, in `_arm_maps`'s layout, as
+    the oracle built them before it kept only the counts that carry mass."""
+    return blocked_maps(spec, *loop_arm_maps(spec, flip, bras, np.arange(flip.size)))
+
+
+@pytest.mark.parametrize(
+    "m,alpha,eta",
+    [(1, 0.5, 0.5), (1, 2.0, 0.9), (2, 2.0, 1.0), (2, 6.0, 0.5), (3, 3.0, 0.9), (4, 6.0, 0.99)],
+)
+def test_arm_maps_have_the_per_record_loop_bits(m, alpha, eta):
+    # One broadcast builds every record's map: each entry is one real ×
+    # complex product, so it has the bits the per-record loop gives it.
+    spec = CatCodeSpec(m, alpha, eta)
+    flip, v0, bras = _record_setup(spec)
+    got = _arm_maps(spec, v0, flip, bras)
+    want = blocked_maps(spec, *loop_arm_maps(spec, flip, bras, codeword_window(spec, v0)))
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[2], want[2])
+    # a cell with no count or past the cutoff holds a zero of either sign
+    src = np.arange(spec.order)[:, None] + spec.order * np.arange(got[1].shape[1])
+    cells = (src[:, :, None, None] < flip.size) & (got[2][:, None] < len(got[0][0, 0]) - 1)
+    assert cells.any() and got[1][cells].tobytes() == want[1][cells].tobytes()
+    assert np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize(
     "m,alpha,eta", _ACCEPTANCE_GRID + list(itertools.product((1, 2, 3), (0.5, 1.0, 2.0), (1.0,)))
 )
 def test_windowed_arm_maps_match_dense_maps(m, alpha, eta):
-    # Every mode _arm sees (the codeword, a Bell-projected pair of modes,
-    # the right mode of a left record) gives the records of the maps over
-    # every loss count, bit for bit; the branch masses sum the same terms.
+    # Every batch _arm sees (the codeword, a Bell-projected pair of modes,
+    # the right modes of one label's left records) gives the records of the
+    # maps over every loss count, bit for bit; the branch masses sum the
+    # same terms.
     spec = CatCodeSpec(m, alpha, eta)
     flip, v0, bras = _record_setup(spec)
     windowed = _arm_maps(spec, v0, flip, bras)
     dense = dense_arm_maps(spec, flip, bras)
-    assert windowed[0].shape[1] < flip.size
-    inputs = [v0.T]
-    lefts = []
+    assert windowed[0].shape[2] - 1 < flip.size
+    inputs = [v0.T[None]]
     for vec in bell_vectors(0.0).values():
-        inputs.append(v0.T @ vec.reshape(2, 2).conj() @ v0)
-        lefts.extend(_arm(inputs[-1], windowed)[0].values())
-    for x in inputs + lefts:
-        (got, got_mass), (want, want_mass) = _arm(x, windowed), _arm(x, dense)
-        assert got.keys() == want.keys()
-        for key, rec in got.items():
-            assert np.array_equal(rec, want[key]), key
+        inputs.append((v0.T @ vec.reshape(2, 2).conj() @ v0)[None])
+        lefts = _arm(inputs[-1], windowed)[0][:, 0].transpose(3, 4, 1, 0, 2, 5)
+        inputs.append(lefts.reshape((-1,) + lefts.shape[2:]))
+    for xs in inputs:
+        got, got_live, got_mass = _arm(xs, windowed)
+        want, want_live, want_mass = _arm(xs, dense)
+        assert np.array_equal(got_live, want_live)
+        assert np.array_equal(got, want)
         np.testing.assert_allclose(got_mass, want_mass, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_leak_into_another_residue_is_multiplied(m):
+    # ROADMAP item 3: a leak into another residue is what the oracle must be
+    # able to show.  Mass at photon number 3, a residue the codeword never
+    # occupies, has its block multiplied and its records match the dense
+    # every-count reference; a block is skipped only where its rows are zero.
+    spec = CatCodeSpec(m, 2.0, 0.9)
+    flip, v0, bras = _record_setup(spec)
+    x = v0.copy()
+    x[:, 3] += 1e-6
+    x /= np.linalg.norm(x)
+    want = {
+        key: np.einsum("kas,kbt->asbt", chi, chi.conj()).reshape(4, 4)
+        for key, chi in state_first_arm(x, 1, spec, flip, bras).items()
+    }
+    for maps in (_arm_maps(spec, v0, flip, bras), dense_arm_maps(spec, flip, bras)):
+        records, _live, _mass = _arm(x.T[None], maps)
+        assert len(records) == 2  # residues 0 and 3 of M
+        got = _density(records, (1, 4, 5, 0, 3, 2, 6))[0]
+        for r, u in itertools.product(range(spec.order), (0, 1)):
+            assert np.max(np.abs(got[r, u] - want.get((r, u), 0.0))) < 1e-14, (r, u)
+    x[:, 3] = 1e-200  # its marginal underflows to 0, its rows are not zero
+    assert len(_arm(x.T[None], dense_arm_maps(spec, flip, bras))[0]) == 2
 
 
 def traced_peak(call):
@@ -871,7 +952,8 @@ def test_arm_maps_memory_is_bounded_by_the_window():
 
 
 def test_bell_order_memory_stays_per_record():
-    # No tensor joining both arms' loss counts across records or labels.
+    # No tensor joining both arms' loss counts across labels: one label's
+    # right arms at a time.
     assert traced_peak(lambda: bell_order_equivalence(1, 2.0, 0.9)) <= 0.6e6
 
 

@@ -17,10 +17,10 @@ only joins a source photon number m to a loss count k ≡ m + r (mod M),
 so the maps are stored per source residue; `_arm` applies them to a
 batch of an arm's modes, one matrix product per residue the modes
 occupy, keeping every lost-photon count on an environment axis.
-`unit_setup` builds the maps once per point: `simulate_unit` reads one
-arm's records, and `bell_order_equivalence` joins two arms' records in
-both orderings of the middle station's Bell measurement, each from a
-setup it is given or builds itself.
+`unit_setup` builds the maps and the codeword arm's records once per
+point; `simulate_unit` reads those records, `bell_order_equivalence`
+joins two of them for Bell-last and, for Bell-first, makes one left pass
+over all four Bell labels, then one right pass per label.
 A cascade's measurement branch is the mode's residue class mod 2^m:
 `_residue` masks the preparation's kept branch, each injected loss count
 of the pure syndrome check and, one mask per branch and step, the
@@ -61,10 +61,6 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _PRUNE = 1e-20
 _ZERO_BRANCH = 1e-14
-# Contraction order of bell_order_equivalence's Bell-last einsum: bra with
-# its conjugate, then each Gram in turn.  numpy's greedy search picks this
-# path at every Gram shape of m 1 to 3; given, it is not searched per call.
-_BELL_LAST_PATH = ["einsum_path", (0, 1), (0, 2), (0, 1)]
 # Largest block of loss rows, in elements, that `_arm_maps` reads at once.
 _ROW_BLOCK = 1 << 14
 
@@ -276,21 +272,23 @@ def _record_setup(spec: CatCodeSpec):
 def unit_setup(spec: CatCodeSpec) -> tuple:
     """What `simulate_unit` and `bell_order_equivalence` share at one point.
 
-    Returns (spec, v0, maps): the arm's spin-codeword amplitudes of
-    `_record_setup` and the record maps `_arm_maps` builds from them.
+    Returns (spec, v0, maps, codeword): the arm's spin-codeword amplitudes
+    of `_record_setup`, the record maps `_arm_maps` builds from them, and
+    the codeword arm's records, `_arm` of v0 (mode, spin) as a batch of one.
     Either function builds it when given none; a caller running both at
     one point builds it once and passes it to each as setup=.
     """
     flip, v0, bras = _record_setup(spec)
-    return spec, v0, _arm_maps(spec, v0, flip, bras)
+    maps = _arm_maps(spec, v0, flip, bras)
+    return spec, v0, maps, _arm(v0.T[None], maps)
 
 
 def _given_setup(spec: CatCodeSpec, setup) -> tuple:
-    """(v0, maps) of setup, built from spec when setup is None."""
-    built_for, v0, maps = unit_setup(spec) if setup is None else setup
+    """(v0, maps, codeword) of setup, built from spec when setup is None."""
+    built_for, *shared = unit_setup(spec) if setup is None else setup
     if built_for != spec:
         raise ValueError(f"setup built for {built_for}, not {spec}")
-    return v0, maps
+    return shared
 
 
 def _arm_maps(spec: CatCodeSpec, v0, flip, bras):
@@ -382,7 +380,9 @@ def _arm(xs: np.ndarray, maps) -> tuple:
     keep = kept[:, pos] & live[:, None, None]  # [b, ρ, t, r]
     rows = np.flatnonzero(keep.any(axis=(0, 1, 3)))
     lo, hi = (rows[0], rows[-1] + 1) if rows.size else (0, 0)
-    residues = np.unique(np.flatnonzero(flat.any(axis=(0, 2))) % big_m)
+    occupied = np.zeros(blocks.shape[1] * big_m, dtype=bool)  # padded to whole residue rows
+    occupied[: flat.shape[1]] = flat.any(axis=(0, 2))
+    residues = np.flatnonzero(occupied.reshape(-1, big_m).any(axis=0))
     out = np.empty((residues.size,) + flat.shape[::2] + (hi - lo,) + blocks.shape[3:], complex)
     for i, rho in enumerate(residues):
         x = flat[:, rho::big_m].swapaxes(1, 2)
@@ -442,10 +442,9 @@ def simulate_unit(spec: CatCodeSpec, *, setup=None) -> UnitReport:
     order and traced over the count, is the unnormalized spin block of
     USD outcome u in branch r; the u = 0 block is read in the Bell frame
     at θ = rπ/M.  All states stay at the cutoff of the undamped primitive.
-    setup is the point's `unit_setup`, built here when not given.
+    setup is the point's `unit_setup`, holding these records, built here when not given.
     """
-    v0, maps = _given_setup(spec, setup)
-    records, (live,), (syn,) = _arm(v0.T[None], maps)  # (residue, 1, sender, t, r, u, receiver)
+    records, (live,), (syn,) = _given_setup(spec, setup)[2]  # (ρ, 1, sender, t, r, u, receiver)
     blocks = _density(records, (1, 4, 5, 0, 3, 6, 2))[0]
     big_m = spec.order
     weights = np.zeros(2 * big_m)
@@ -505,7 +504,7 @@ def bell_order_equivalence(
     given.
     """
     spec = CatCodeSpec(m, alpha, eta)
-    v0, maps = _given_setup(spec, setup)
+    v0, maps, (arm, (live,), _mass) = _given_setup(spec, setup)
     bells = bell_vectors(0.0)
     bra = np.stack(list(bells.values())).reshape(-1, 2, 2).conj()
     # rho[l, r1, u1, r2, u2, o] is record's density in ordering o (0: Bell
@@ -513,28 +512,29 @@ def bell_order_equivalence(
     shape = (len(bells), spec.order, 2, spec.order, 2, 2)
     rho = np.zeros(shape + (4, 4), dtype=complex)
     made = np.zeros(shape, dtype=bool)
-    # Bell-last: process one arm, then project the ES pair of two records.
-    # With G[(s, a), (s', a')] a record's Gram block over its loss count,
-    # records (i, j) under label l have density
-    # Σ B̄[l, s, t]·B[l, s', t']·G_i[(s, a), (s', a')]·G_j[(t, b), (t', b')].
-    arm, (live,), _mass = _arm(v0.T[None], maps)  # (residue, 1, ES spin, t, r, u, endpoint)
-    gram = _density(arm, (1, 4, 5, 0, 3, 2, 6)).reshape(-1, 2, 2, 2, 2)
-    after = np.einsum(
-        "lst,lpq,isapc,jtbqd->lijabcd", bra, bra.conj(), gram, gram, optimize=_BELL_LAST_PATH
-    )
-    rho[..., 1, :, :] = after.reshape(rho.shape[:5] + (4, 4))
+    # Bell-last: two matrix products join the codeword arm's records.  With
+    # G[(s, a), (p, c)] a record's Gram block over its loss count, records
+    # (i, j) under label l have density, summed over (p, s), then (q, t),
+    # Σ B[l, s, t]·B̄[l, p, q]·G_i[(s, a), (p, c)]·G_j[(t, b), (q, d)].
+    gram = _density(arm, (1, 4, 5, 0, 3, 2, 6)).reshape(-1, 2, 2, 2, 2)  # ES spin, endpoint
+    gram = gram.transpose(3, 1, 0, 2, 4).reshape(4, -1)  # [(p, s), (i, a, c)]
+    proj = bra.conj()[:, :, :, None, None] * bra[:, None, None]  # [l, p, q, s, t]
+    half = proj.transpose(2, 4, 0, 1, 3).reshape(-1, 4) @ gram  # [(q, t, l), (i, a, c)]
+    half = half.reshape(4, len(bra), -1, 2, 2).transpose(3, 4, 1, 2, 0).reshape(-1, 4)
+    after = (half @ gram).reshape((2, 2) + shape[:5] + (2, 2))  # [a, c, l, i, j, b, d]
+    rho[..., 1, :, :] = after.transpose(2, 3, 4, 5, 6, 0, 7, 1, 8).reshape(shape[:5] + (4, 4))
     made[..., 1] = live[:, None, None, None] & live[:, None]
-    # Bell-first: project the ES pair, then process the left mode, then in
-    # one pass the right mode of every left record of that label.
-    for li, b in enumerate(bra):
-        # lefts: (residue1, 1, right mode, t1, r1, u1, spin1)
-        lefts, (live1,), _mass = _arm((v0.T @ b @ v0)[None], maps)
-        inputs = lefts[:, 0].transpose(3, 4, 1, 0, 2, 5)[live1]
+    # Bell-first: project the ES pair, process the left modes of all four
+    # labels in one pass, then per label the right modes of its live left
+    # records, (r1, u1, right mode, residue1, t1, spin1), in one pass.
+    lefts, live1, _mass = _arm(v0.T @ bra @ v0, maps)  # (ρ1, label, mode2, t1, r1, u1, spin1)
+    lefts = [x[alive] for x, alive in zip(lefts.transpose(1, 4, 5, 2, 0, 3, 6), live1)]
+    for li, inputs in enumerate(lefts):
         # rights: (residue2, (r1, u1), residue1, t1, spin1, t2, r2, u2, spin2)
         rights, live2, _mass = _arm(inputs.reshape((-1,) + inputs.shape[2:]), maps)
         dens = _density(rights, (1, 6, 7, 0, 2, 3, 5, 4, 8))
-        rho[li, live1, ..., 0, :, :] = dens.reshape((-1,) + rho.shape[2:5] + (4, 4))
-        made[li, live1, ..., 0] = live2.reshape((-1,) + shape[2:4] + (1,))
+        rho[li, live1[li], ..., 0, :, :] = dens.reshape((-1,) + rho.shape[2:5] + (4, 4))
+        made[li, live1[li], ..., 0] = live2.reshape((-1,) + shape[2:4] + (1,))
     prob = np.trace(rho, axis1=-2, axis2=-1).real
     seen, both = prob.max(axis=-1) >= 1e-12, prob.min(axis=-1) >= 1e-12
     # a record only one ordering produces is as far apart as two states get

@@ -537,6 +537,28 @@ def test_bell_order_records_match_density_engine(m, alpha, eta):
     assert np.max(np.abs(pb - want)) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "m,alpha,eta", [(1, 2.0, 0.9), (2, 2.0, 0.9), (3, 3.0, math.exp(-1 / 22)), (4, 3.0, 0.99)]
+)
+def test_bell_last_products_have_the_einsum_bits(m, alpha, eta):
+    # Every record's Bell-last density has the bits of the einsum its two
+    # matrix products replace, on that einsum's path: bra with its
+    # conjugate, then each Gram in turn.
+    spec = CatCodeSpec(m, alpha, eta)
+    setup = unit_setup(spec)
+    gram = _density(setup[3][0], (1, 4, 5, 0, 3, 2, 6)).reshape(-1, 2, 2, 2, 2)
+    bells = bell_vectors(0.0)
+    bra = np.stack(list(bells.values())).reshape(-1, 2, 2).conj()
+    path = ["einsum_path", (0, 1), (0, 2), (0, 1)]
+    want = np.einsum("lst,lpq,isapc,jtbqd->lijabcd", bra, bra.conj(), gram, gram, optimize=path)
+    want = want.reshape(len(bra), spec.order, 2, spec.order, 2, 4, 4)
+    _worst, records = bell_order_equivalence(m, alpha, eta, return_records=True, setup=setup)
+    after = {key: rho for key, (*_, rho) in records.items() if rho is not None}
+    assert len(after) > len(bells)
+    for (label, *key), rho in after.items():
+        assert np.array_equal(rho, want[(list(bells).index(label), *key)]), (label, *key)
+
+
 def state_first_arm(x, axis, spec, flip, bras):
     """Reference arm: every loss term Â_k x from `kraus_op`, stacked on a
     leading environment axis, then the syndrome cascade on the stacked
@@ -712,18 +734,25 @@ def test_oracle_work_counts(monkeypatch):
     bell_order_equivalence(1, 1.0, 0.9)
     assert 0 < len(log_factorial_calls) < 200
     assert builds == ladders == [1]  # every class's bras from one ladder
-    # one Bell-last arm, then per Bell label one left arm and one right arm
-    # over all its left records; every input lives on the codeword's
-    # residue, so each multiplies 1 of the M residue blocks
-    assert arms == [1] * 9
+    # the codeword's arm in the setup, which the Bell-last join reads, one
+    # left arm for all four Bell labels, then per label one right arm over
+    # all its left records; every input lives on the codeword's residue, so
+    # each multiplies 1 of the M residue blocks
+    assert arms == [1] * 6
 
     builds.clear()
     ladders.clear()
-    simulate_unit(CatCodeSpec(2, 1.5, 0.9))
+    spec = CatCodeSpec(2, 1.5, 0.9)
+    simulate_unit(spec)
     assert builds == ladders == [1]
-    assert arms == [1] * 10  # 1 of 4 residue blocks
+    assert arms == [1] * 7  # the setup's codeword arm: 1 of 4 residue blocks
+    setup = unit_setup(spec)
+    arms.clear()
+    ladders.clear()
+    simulate_unit(spec, setup=setup)
+    assert arms == []  # a given setup's records are read, not made again
     assert syndrome_deviation(2, 1.5, 0.9) < 1e-12
-    assert ladders == [1, 1]  # every injected loss count from one ladder
+    assert ladders == [1]  # every injected loss count from one ladder
     assert densities == []
 
 
@@ -732,6 +761,9 @@ def test_a_given_setup_serves_its_own_spec_only():
     setup = unit_setup(spec)
     shared, own = simulate_unit(spec, setup=setup), simulate_unit(spec)
     assert shared.weights.tobytes() == own.weights.tobytes()
+    # the codeword's records the setup carries are a fresh arm pass's bytes
+    for got, want in zip(setup[3], _arm(setup[1].T[None], setup[2])):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert bell_order_equivalence(1, 1.5, 0.9, setup=setup) == bell_order_equivalence(1, 1.5, 0.9)
     with pytest.raises(ValueError, match="setup built for"):
         simulate_unit(CatCodeSpec(1, 1.5, 0.99), setup=setup)
@@ -887,20 +919,21 @@ def test_arm_maps_have_the_per_record_loop_bits(m, alpha, eta):
     "m,alpha,eta", _ACCEPTANCE_GRID + list(itertools.product((1, 2, 3), (0.5, 1.0, 2.0), (1.0,)))
 )
 def test_windowed_arm_maps_match_dense_maps(m, alpha, eta):
-    # Every batch _arm sees (the codeword, a Bell-projected pair of modes,
-    # the right modes of one label's left records) gives the records of the
-    # maps over every loss count, bit for bit; the branch masses sum the
-    # same terms.
+    # Every batch _arm sees (the codeword, the Bell-projected pairs of all
+    # four labels or of one, the right modes of one label's left records of
+    # the four-label pass) gives the records of the maps over every loss
+    # count, bit for bit; the branch masses sum the same terms.
     spec = CatCodeSpec(m, alpha, eta)
     flip, v0, bras = _record_setup(spec)
     windowed = _arm_maps(spec, v0, flip, bras)
     dense = dense_arm_maps(spec, flip, bras)
     assert windowed[0].shape[2] - 1 < flip.size
-    inputs = [v0.T[None]]
-    for vec in bell_vectors(0.0).values():
-        inputs.append((v0.T @ vec.reshape(2, 2).conj() @ v0)[None])
-        lefts = _arm(inputs[-1], windowed)[0][:, 0].transpose(3, 4, 1, 0, 2, 5)
-        inputs.append(lefts.reshape((-1,) + lefts.shape[2:]))
+    bra = np.stack(list(bell_vectors(0.0).values())).reshape(-1, 2, 2).conj()
+    inputs = [v0.T[None], v0.T @ bra @ v0]  # the codeword, all four labels' pairs
+    lefts = _arm(inputs[-1], windowed)[0].transpose(1, 4, 5, 2, 0, 3, 6)
+    for b, left in zip(bra, lefts):
+        inputs.append((v0.T @ b @ v0)[None])
+        inputs.append(left.reshape((-1,) + left.shape[2:]))
     for xs in inputs:
         got, got_live, got_mass = _arm(xs, windowed)
         want, want_live, want_mass = _arm(xs, dense)

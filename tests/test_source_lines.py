@@ -1,4 +1,4 @@
-"""Source-tree rules: one line width, and no dead imports or private names."""
+"""Source-tree rules: one line width, no dead imports or private names, no einsum path."""
 
 import ast
 import pathlib
@@ -68,3 +68,18 @@ def test_every_private_top_level_name_is_referenced():
                 if d.startswith("_") and not d.startswith("__") and d not in referenced
             ]
     assert not dead, dead
+
+
+def test_no_einsum_is_given_a_path():
+    # numpy searches the contraction path on every call even when given one,
+    # so a contraction worth a path is written as its matrix products.
+    given = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "einsum"
+        and any(kw.arg == "optimize" for kw in node.keywords)
+    ]
+    assert not given, given

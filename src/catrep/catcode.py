@@ -160,10 +160,15 @@ def _class_series(x: float, modulus: int) -> list[tuple[int, float, float]]:
     first term 16 decades under the peak: only those terms are evaluated,
     plus one per residue for the trailing guard, which requires the
     window's last term to sit 40 nats under the peak so silent truncation
-    cannot happen.  A window whose stop index passes `_MAX_SERIES_STOP`
-    raises before any term is evaluated.  log t! is read from one shared
-    table of libm ``lgamma`` values (``lgamma`` itself past the table's
-    cap), and the rest is ``math`` and ``math.fsum``, so the result
+    cannot happen.  Below x = 1 the terms fall from t = r on, so r is the
+    peak with no climb, and the guard cannot fire: the last member lies
+    10M + 44 or more past r (M the modulus), over log 54! ≈ 164 nats
+    under it.  There, if residue 0's second member x^M/M! is under the
+    drop, so is every residue's, and the table is written down directly.
+    A window whose stop index passes `_MAX_SERIES_STOP` raises before any
+    term is evaluated.  log t! is read from one shared table of libm
+    ``lgamma`` values (``lgamma`` itself past the table's cap), and the
+    rest is ``math`` and ``math.fsum``, never numpy, so the result
     depends on libm alone, and fsum's correct rounding makes it
     independent of summation order.
     """
@@ -179,37 +184,43 @@ def _class_series(x: float, modulus: int) -> list[tuple[int, float, float]]:
         )
     log_fact = _log_factorials(n_stop)
     exp, drop = math.exp, _LOG_DROP
+    small = x < 1.0
+    if small and modulus * log_x - log_fact[modulus] <= drop:  # one term per residue
+        return [(r, log_fact[r], 0.0) for r in range(modulus)]
     table = []
     for residue in range(modulus):
         last = n_stop - (n_stop - residue) % modulus
-        t_peak = residue + modulus * max(round((x - residue) / modulus), 0)
-        g_peak = log_fact[t_peak]
-        f_peak = t_peak * log_x - g_peak
-        # Climb to the first maximum: up while the next term is larger,
-        # else down while the previous one is no smaller.
-        start = t_peak
-        t = t_peak + modulus
-        while t <= last:
-            g = log_fact[t]
-            f = t * log_x - g
-            if not f > f_peak:
-                break
-            t_peak, g_peak, f_peak = t, g, f
-            t += modulus
-        if t_peak == start:
-            t = t_peak - modulus
-            while t >= residue:
+        if small:  # the terms fall from t = residue on, far over the window's tail
+            t_peak, g_peak = residue, log_fact[residue]
+        else:
+            t_peak = residue + modulus * max(round((x - residue) / modulus), 0)
+            g_peak = log_fact[t_peak]
+            f_peak = t_peak * log_x - g_peak
+            # Climb to the first maximum: up while the next term is larger,
+            # else down while the previous one is no smaller.
+            start = t_peak
+            t = t_peak + modulus
+            while t <= last:
                 g = log_fact[t]
                 f = t * log_x - g
-                if not f >= f_peak:
+                if not f > f_peak:
                     break
                 t_peak, g_peak, f_peak = t, g, f
-                t -= modulus
-        if last * log_x - log_fact[last] > f_peak - 40.0:
-            raise ArithmeticError(
-                f"class series (x={x:.4g}, mod {modulus}, residue {residue}) "
-                "not converged at the default stop; widen the window"
-            )
+                t += modulus
+            if t_peak == start:
+                t = t_peak - modulus
+                while t >= residue:
+                    g = log_fact[t]
+                    f = t * log_x - g
+                    if not f >= f_peak:
+                        break
+                    t_peak, g_peak, f_peak = t, g, f
+                    t -= modulus
+            if last * log_x - log_fact[last] > f_peak - 40.0:
+                raise ArithmeticError(
+                    f"class series (x={x:.4g}, mod {modulus}, residue {residue}) "
+                    "not converged at the default stop; widen the window"
+                )
         terms = [1.0]
         t = t_peak + modulus
         while t <= last:

@@ -88,6 +88,9 @@ class SegmentParams:
             raise ValueError("need l_att > 0")
         if not 0 < self.eta_local <= 1:
             raise ValueError("need 0 < eta_local <= 1")
+        if self.eta_segment == 0.0:
+            raise ValueError(f"eta_local*exp(-l0/l_att) = {self.eta_local!r}*exp(-{self.l0!r}/"
+                             f"{self.l_att!r}) underflows to 0; no photon survives the segment")
 
     @property
     def eta_segment(self) -> float:

@@ -356,6 +356,57 @@ def test_class_series_matches_whole_window(modulus):
         assert _class_series(x, modulus) == whole_window_class_series(x, modulus), x
 
 
+@pytest.mark.parametrize("modulus", range(1, 65))
+def test_class_series_matches_whole_window_below_one(modulus):
+    # Below x = 1 each residue's peak is its first member, no climb or
+    # trailing guard runs, and a table whose residue-0 second member is
+    # under the drop is written down directly.  x = 1.0 takes the general
+    # path.  x_b and its float neighbours sit on that one-term boundary
+    # (x_b is above 1 for the larger moduli, where the general path runs).
+    x_b = math.exp((_LOG_DROP + math.lgamma(modulus + 1.0)) / modulus)
+    xs = [5e-324, 1e-320, 1e-300, 1e-20, 1e-3, 0.5, math.nextafter(1.0, 0.0), 1.0]
+    xs += [math.nextafter(x_b, 0.0), x_b, math.nextafter(x_b, math.inf)]
+    for x in xs:
+        assert _class_series(x, modulus) == whole_window_class_series(x, modulus), x
+
+
+class _CountingLogFactorials:
+    """A log-factorial table that records the index of every read."""
+
+    def __init__(self, table):
+        self.table, self.reads = table, []
+
+    def __getitem__(self, t):
+        self.reads.append(t)
+        return self.table[t]
+
+
+def _log_factorial_reads(monkeypatch, x, modulus):
+    tables = []
+    shared = catcode._log_factorials
+
+    def counting(n):
+        tables.append(_CountingLogFactorials(shared(n)))
+        return tables[-1]
+
+    monkeypatch.setattr(catcode, "_log_factorials", counting)
+    _class_series(x, modulus)
+    (table,) = tables
+    return table.reads
+
+
+def test_class_series_below_one_reads_no_climb_and_no_tail(monkeypatch):
+    # A one-term table: the check at M, then each residue's first member
+    # (the climb and the guard read 64 entries here, the window's last
+    # member of every residue among them).
+    assert _log_factorial_reads(monkeypatch, 1e-3, 16) == [16, *range(16)]
+    # (0.5, 4): the check at M, then per residue its first member and the
+    # upward walk to its first term under the drop; no window-tail member
+    # (the climb and the guard read 28, the tail members 90 to 93 among them).
+    walks = [t for r in range(4) for t in range(r, r + 17, 4)]
+    assert _log_factorial_reads(monkeypatch, 0.5, 4) == [4, *walks]
+
+
 def test_log_factorial_table_is_lgamma_and_capped():
     _class_series(1e6, 2)
     table = catcode._LOG_FACT

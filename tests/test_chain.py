@@ -710,10 +710,14 @@ _WEIGHTS = loss_weights(CatCodeSpec(1, 1.0, 0.9))
         (lambda: secret_key_rate(1.5, 0.5), "need f_tot in [0, 1]"),
         (lambda: secret_key_rate(0.9, -0.1), "need p_tot in [0, 1]"),
         (lambda: secret_key_rate(0.9, 0.5, 0.0), "need t0 > 0"),
+        (
+            lambda: SegmentParams(l0=1000.0, m=1, alpha=2.0, eta_local=0.5, l_att=1.0),
+            "eta_local*exp(-l0/l_att) = 0.5*exp(-1000.0/1.0) underflows to 0",
+        ),
     ],
     ids=[
         "l_tot", "chain_n_e", "kind", "plus_weight", "p0", "success_n_e",
-        "distribution_n_e", "f_tot", "p_tot", "t0",
+        "distribution_n_e", "f_tot", "p_tot", "t0", "eta_segment",
     ],
 )
 def test_public_refusals_are_named(call, message):

@@ -361,6 +361,15 @@ def test_sweep_rejects_nondividing_l0(capsys):
     assert "3" in err and "1000" in err
 
 
+def test_sweep_names_an_underflowing_segment_transmission(capsys):
+    # exp(-1000/1) rounds to 0: the refusal names the flags behind it, not
+    # a transmission eta the caller never set
+    code, out, err = run_cli(capsys, "sweep", "--l-att", "1")
+    assert (code, out) == (1, "")
+    assert "eta_local*exp(-l0/l_att) = 1.0*exp(-1000.0/1.0) underflows to 0" in err
+    assert "eta=" not in err
+
+
 def test_sweep_empty_grid(capsys):
     code, _, err = run_cli(capsys, "sweep", "--alpha", "", "--m", "1")
     assert code == 1

@@ -1,4 +1,5 @@
-"""Source-tree rules: one line width, no dead imports or private names, no einsum path."""
+"""Source-tree rules: one line width, no dead imports or private names, no einsum path,
+no numpy in the class-series kernel."""
 
 import ast
 import pathlib
@@ -83,3 +84,36 @@ def test_no_einsum_is_given_a_path():
         and any(kw.arg == "optimize" for kw in node.keywords)
     ]
     assert not given, given
+
+
+def _numpy_in_class_series(tree) -> list:
+    """Lines of ``catcode._class_series`` that name numpy or import from it."""
+    (kernel,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_class_series"
+    ]
+    return [
+        node.lineno
+        for node in ast.walk(kernel)
+        if isinstance(node, ast.Name) and node.id in ("np", "numpy")
+        or isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+    ]
+
+
+def test_class_series_uses_no_numpy():
+    # The sweep golden's bits depend on libm alone: numpy's exp differs from
+    # math.exp in the last bit on 4.6% of uniform arguments in [-37, 0]
+    # (numpy 2.4.6, AVX-512 x86-64), so the kernel stays on math and math.fsum.
+    assert not _numpy_in_class_series(_modules()["catcode.py"])
+
+
+def test_the_numpy_rule_refuses_a_kernel_that_calls_np_exp():
+    source = (SRC / "catcode.py").read_text()
+    mutated = source.replace("exp, drop = math.exp, _LOG_DROP", "exp, drop = np.exp, _LOG_DROP")
+    assert mutated != source
+    assert _numpy_in_class_series(ast.parse(mutated))
+    inline = source.replace("terms.append(exp(v))", "terms.append(float(numpy.exp(v)))")
+    assert inline != source
+    assert _numpy_in_class_series(ast.parse(inline))

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import math
 import threading
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "CatCodeSpec",
@@ -88,20 +87,23 @@ class CatCodeSpec:
         return math.sqrt(self.eta) * self.alpha
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LossWeights:
-    """Probabilities of the 2M loss classes, indexed by q = 0..2M−1."""
+    """Probabilities of the 2M loss classes, indexed by q = 0..2M−1: as the
+    floats ``values`` and as ``p``, a read-only array built on first read."""
 
-    p: np.ndarray
+    values: tuple[float, ...]
     m: int
 
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if p.shape != (2 ** (self.m + 1),):
-            raise ValueError(f"expected {2 ** (self.m + 1)} class weights, got shape {p.shape}")
-        # the checks read a Python list: on 4 to 16 weights min and fsum cost
-        # less there than p.min(); the division stays one numpy call
-        vals = p.tolist()
+    def __init__(self, p, m: int):
+        if isinstance(p, (list, tuple)) and all(isinstance(v, (int, float)) for v in p):
+            vals, shape = [float(v) for v in p], (len(p),)
+        else:  # an array, or whatever else numpy reads as one
+            import numpy as np
+            a = np.asarray(p, dtype=float)
+            vals, shape = a.tolist(), a.shape
+        if shape != (2 ** (m + 1),):
+            raise ValueError(f"expected {2 ** (m + 1)} class weights, got shape {shape}")
         low = min(vals)
         if low < -1e-15 and not any(map(math.isnan, vals)):  # NaN fails the sum check
             raise ValueError("negative class weight")
@@ -109,19 +111,23 @@ class LossWeights:
         if not abs(total - 1.0) <= 1e-10:  # NaN fails this too
             raise ValueError(f"class weights sum to {total}, not 1")
         if low <= 0.0:  # clip at 0, which also turns -0.0 into 0.0
-            p = np.maximum(p, 0.0)
-            if low < 0.0:
-                total = math.fsum(p.tolist())
-        p = p / total
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
+            vals = [v if v > 0.0 else 0.0 for v in vals]
+            total = math.fsum(vals)
+        # each quotient correctly rounded, as numpy's division gives it
+        object.__setattr__(self, "values", tuple(v / total for v in vals))
+        object.__setattr__(self, "m", m)
+
+    @functools.cached_property
+    def p(self) -> np.ndarray:
+        return _freeze(self.values)
 
     def correctable_mass(self) -> float:
         # the normalized weights can fsum an ulp past 1
-        return min(math.fsum(self.p[: 2 ** self.m].tolist()), 1.0)
+        return min(math.fsum(self.values[: 2 ** self.m]), 1.0)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    import numpy as np
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
@@ -291,9 +297,7 @@ def loss_weights(spec: CatCodeSpec) -> LossWeights:
     big_m = spec.order
     n_cls = spec.n_classes
     if spec.eta == 1.0:
-        p = np.zeros(n_cls)
-        p[0] = 1.0
-        return LossWeights(p, spec.m)
+        return LossWeights([1.0] + [0.0] * (n_cls - 1), spec.m)
     alpha_sq = _alpha_squared(spec)
     x = alpha_sq * (1.0 - spec.eta)
     y = alpha_sq * spec.eta
@@ -303,7 +307,7 @@ def loss_weights(spec: CatCodeSpec) -> LossWeights:
     peak = max(log_w)
     w = [math.exp(v - peak) for v in log_w]
     total = math.fsum(w)
-    return LossWeights(np.array([v / total for v in w]), spec.m)
+    return LossWeights([v / total for v in w], spec.m)
 
 
 def segment_fidelity(spec: CatCodeSpec) -> float:

@@ -20,8 +20,6 @@ import cmath
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 __all__ = [
     "CavityParams",
     "DEFAULT_PARAMS",
@@ -104,12 +102,12 @@ def detuning_for_angle(phi: float, kappa: float) -> float:
 def sweep_reflection(deltas, params: CavityParams = DEFAULT_PARAMS):
     """Rows (Δ, phase_ideal, phase_full, modulus_full) over a detuning grid."""
     rows = []
-    for delta in np.asarray(deltas, dtype=float):
-        r_full = full_reflection(float(delta), params)
+    for delta in map(float, deltas):
+        r_full = full_reflection(delta, params)
         rows.append(
             (
-                float(delta),
-                reflection_phase(float(delta), params.kappa),
+                delta,
+                reflection_phase(delta, params.kappa),
                 cmath.phase(r_full),
                 abs(r_full),
             )

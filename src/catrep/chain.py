@@ -20,8 +20,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .catcode import CatCodeSpec, LossWeights, _freeze, _group_tables, _log_factorials
 from .catcode import loss_weights
 from .usd import _usd_probability
@@ -217,6 +215,7 @@ def _compositions(total: int, parts: int):
     # last column) and, in columns 1 to parts - 2, its parent's index in
     # column j - 1.  ways[k][r] counts the compositions of r into k + 1 parts,
     # so a head that leaves r for k + 1 later columns spans ways[k][r] rows.
+    import numpy as np
     ways = [np.ones(total + 1, dtype=np.int64)]
     for _ in range(parts - 2):
         ways.append(np.cumsum(ways[-1]))
@@ -251,6 +250,7 @@ def _geometry_table(n_e: int, parts: int):
     n_e = 1 (1,024 rows of 1,024) at 16.0 MiB, and the 16 largest together
     take 52.0 MiB.
     """
+    import numpy as np
     t, heads, parents = _compositions(n_e, parts)
     index = tuple(_freeze(head * parts + i) for i, head in enumerate(heads))
     tree = index, tuple(map(_freeze, parents))
@@ -263,6 +263,7 @@ _kept_table = functools.lru_cache(maxsize=_KEPT_TABLES)(_geometry_table)
 
 
 def _distribution(weights: LossWeights, n_e: int):
+    import numpy as np
     if not isinstance(n_e, int) or n_e < 1:
         raise ValueError("need integer n_e >= 1")
     big_m = 2**weights.m
@@ -337,6 +338,7 @@ def _key_fractions(fidelity: np.ndarray) -> np.ndarray:
     # ``_key_fraction`` over an array, with numpy's log2 in place of libm's:
     # -e log2 e - (1 - e) log2(1 - e), 1 minus that and the clamp, with the
     # same ufuncs in the same order as the one expression, in place.
+    import numpy as np
     e = 1.0 - fidelity
     tail = 1.0 - e
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -24,15 +24,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import datetime
 import functools
 import itertools
 import json
 import math
-import platform
 import sys
-
-import numpy as np
 
 from . import __version__
 from .catcode import CatCodeSpec, loss_weights
@@ -45,7 +41,6 @@ from .chain import (
     check_chain_geometry,
     evaluate_grid,
 )
-from .protocol_oracle import bell_order_equivalence, simulate_unit, syndrome_deviation, unit_setup
 from .usd import usd_sweep
 
 __all__ = ["main", "load_config", "DEFAULT_CONFIG"]
@@ -221,17 +216,18 @@ def _emit(text: str, out: str | None, argv) -> None:
     if out is None:
         sys.stdout.write(text)
         return
+    import datetime  # only --out needs these three, about 30 ms of imports
+    import platform
+    from importlib import metadata
     meta = {
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "argv": list(argv),
         "version": __version__,
         "python": platform.python_version(),
-        "numpy": np.__version__,
     }
-    from importlib import metadata  # only --out needs it, and its import takes ~15 ms
-
-    with contextlib.suppress(metadata.PackageNotFoundError):
-        meta["mpmath"] = metadata.version("mpmath")
+    for package in ("numpy", "mpmath"):  # read from their metadata, neither imported
+        with contextlib.suppress(metadata.PackageNotFoundError):
+            meta[package] = metadata.version(package)
     try:
         for path, body in ((out, text), (f"{out}.meta.json", json.dumps(meta, indent=2) + "\n")):
             with open(path, "w", newline="\n") as fh:
@@ -298,6 +294,7 @@ def cmd_cavity(cfg: dict, args) -> tuple:
             raise UsageError(f"cavity.{key} must be finite, got {cav[key]!r}")
     if cav["points"] < 1:
         raise UsageError("cavity.points must be positive")
+    import numpy as np
     deltas = np.linspace(cav["delta_min"], cav["delta_max"], cav["points"])
     columns = ("delta", "phase_ideal", "phase_full", "modulus_full")
     return [dict(zip(columns, row)) for row in sweep_reflection(deltas, params)], columns
@@ -342,20 +339,21 @@ def cmd_validate(cfg: dict, args) -> tuple:
     if any(m > 3 for m in axes[0]):
         raise UsageError("validation grid is bounded at m <= 3")
     tols = _parse_tol_overrides(args.tol)
+    from . import protocol_oracle as oracle  # loaded, numpy with it, on the first validate
 
     deviations = {}  # the checks that ran: bell_order runs at m = 1 only
     for m, alpha, eta in itertools.product(*axes):
         spec = CatCodeSpec(m=m, alpha=alpha, eta=eta)
-        setup = unit_setup(spec)  # one oracle setup for both unit checks
-        report = simulate_unit(spec, setup=setup)
+        setup = oracle.unit_setup(spec)  # one oracle setup for both unit checks
+        report = oracle.simulate_unit(spec, setup=setup)
         weights = loss_weights(spec)
         point = {
             "f0": abs(report.f0_oracle - weights.correctable_mass()),
-            "loss_weights": float(np.max(np.abs(report.weights - weights.p))),
-            "syndrome": syndrome_deviation(m, alpha, eta),
+            "loss_weights": float(abs(report.weights - weights.p).max()),
+            "syndrome": oracle.syndrome_deviation(m, alpha, eta),
         }
         if m == 1:
-            point["bell_order"] = bell_order_equivalence(m, alpha, eta, setup=setup)
+            point["bell_order"] = oracle.bell_order_equivalence(m, alpha, eta, setup=setup)
         for name, value in point.items():
             deviations[name] = max(deviations.get(name, 0.0), value)
 

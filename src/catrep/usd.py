@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .catcode import CatCodeSpec, LossWeights, loss_weights
 from .catcode import _alpha_squared, _class_table, _freeze
@@ -42,7 +41,7 @@ __all__ = [
 _MODES = ("per_q", "weighted_average", "worst_case")
 _PROBE_STYLES = ("cat", "coherent")
 _NORM_FLOOR = 1e-150
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 _MAX_ROUNDING = 1e-6  # largest relative rounding estimate of a returned click probability
 # Largest circuit amplitude √η·α.  Terms equal in exact arithmetic differ by
 # rounding, so a pair of them carries a spurious phase Im(x̄y) of about
@@ -100,6 +99,7 @@ class CoherentSuperposition:
 def _term_arrays(terms) -> tuple:
     # (coeffs, amps) of (coeff, amps) pairs of one length, checked once; a
     # non-finite coefficient or amplitude names the first term that has one.
+    import numpy as np
     coeffs = np.array([complex(c) for c, _ in terms])
     amps = np.array([[complex(a) for a in row] for _, row in terms])
     finite = np.isfinite(coeffs) & np.isfinite(amps).all(axis=-1)
@@ -125,6 +125,7 @@ def _pair_terms(a: CoherentSuperposition, b: CoherentSuperposition, must_click=(
     # which does not cancel for bright amplitudes.  Capping Re(-z) at 700/k
     # on k clicking modes keeps their product finite; it moves only pairs
     # where a clicking factor is below 2e^(-700/k).
+    import numpy as np
     xa, xb = a.amps[..., :, None, :], b.amps[..., None, :, :]
     z = xa.conj() * xb
     exponent = (1j * z.imag - 0.5 * abs(xa - xb) ** 2).sum(axis=-1)
@@ -142,6 +143,7 @@ def _pair_sums(terms: np.ndarray) -> np.ndarray:
 
 
 def _norms(s: CoherentSuperposition) -> np.ndarray:
+    import numpy as np
     return np.sqrt(np.maximum(_pair_sums(_pair_terms(s, s)).real, 0.0))
 
 
@@ -177,6 +179,7 @@ def _tensor(factors):
     # broadcast across the factors.  The coefficients are multiplied in
     # one np.prod over a stacked axis: a running product of binary
     # multiplies rounds some one-term products differently.
+    import numpy as np
     n = len(factors)
     sizes = tuple(c.shape[-1] for c, _ in factors)
     shape = np.broadcast_shapes(*(c.shape[:-1] for c, _ in factors)) + sizes
@@ -234,7 +237,7 @@ def click_probability(s: CoherentSuperposition, must_click) -> float:
         if not 0 <= p < s.n_modes:
             raise ValueError(f"port {p} out of range for {s.n_modes} modes")
     terms = _pair_terms(s, s, ports)
-    total, estimate = float(terms.sum().real), _EPS * float(np.abs(terms).sum())
+    total, estimate = float(terms.sum().real), _EPS * float(abs(terms).sum())
     if not estimate <= _MAX_ROUNDING * total:
         raise ArithmeticError(
             f"click probability {total:.6g} not resolved: rounding estimate "
@@ -330,7 +333,7 @@ def _usd_probability(
         return per_class[q]
     if mode == "worst_case":
         return min(per_class)
-    w = (weights if weights is not None else loss_weights(spec)).p.tolist()
+    w = (weights if weights is not None else loss_weights(spec)).values
     total = math.fsum(
         (w[r] + w[r + big_m]) * per_class[r] for r in range(big_m)
     )
@@ -338,9 +341,6 @@ def _usd_probability(
     if not -1e-12 <= total <= 1.0 + 1e-12:
         raise ArithmeticError(f"weighted success {total} outside [0, 1]")
     return min(max(total, 0.0), 1.0)
-
-
-_VACUUM = (_freeze(np.array([1 + 0j])), _freeze(np.array([[0j]])))  # one-mode vacuum
 
 
 def linear_optics_output_states(
@@ -384,7 +384,9 @@ def linear_optics_output_states(
     stack = _normalized(_state(coeffs.reshape(4, 2), amps.reshape(4, 2, 1)))
     probes = [(stack.coeffs[k, :n_probe], stack.amps[k, :n_probe]) for k in (0, 1)]
     signals = (stack.coeffs[2:], stack.amps[2:])
-    coeffs, amps = _tensor([signals, _VACUUM, *probes])
+    import numpy as np
+    vacuum = np.ones(1, complex), np.zeros((1, 1), complex)  # one mode
+    coeffs, amps = _tensor([signals, vacuum, *probes])
     amps = _split(amps, (0, 1), (0, 2), (1, 3))
     return tuple(_state(coeffs[k], amps[k]) for k in (0, 1))
 

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import pathlib
@@ -19,6 +20,7 @@ from catrep.catcode import (
     loss_weights,
     segment_fidelity,
 )
+from catrep.chain import SegmentParams
 from catrep.fockspace import FockVector, coherent_state
 from fock_reference import codeword, damped_codeword, error_space_state, kraus_op, rotation_apply
 
@@ -333,6 +335,51 @@ def test_loss_weights_clip_then_renormalize(p):
     clipped = np.clip(np.array(p), 0.0, None)
     want = clipped / math.fsum(clipped)
     assert LossWeights(np.array(p), 1).p.tobytes() == want.tobytes()
+
+
+def _numpy_normalized(raw) -> np.ndarray:
+    # The weights' bits as numpy gives them: clip at 0 (which turns -0.0
+    # into 0.0), then divide by the fsum of the clipped weights.
+    clipped = np.maximum(np.asarray(raw, dtype=float), 0.0)
+    return clipped / math.fsum(clipped.tolist())
+
+
+def test_loss_weights_array_is_read_only_cached_and_numpy_exact(monkeypatch):
+    # The weights are normalized on Python floats and the array is built on
+    # first read: it must hold the bits numpy's normalization gives, at every
+    # spec of the golden sweep, at eta = 1 and where a -0.0 weight is clipped.
+    raw = []
+
+    class Recording(LossWeights):
+        def __init__(self, p, m):
+            raw.append(p)
+            super().__init__(p, m)
+
+    monkeypatch.setattr(catcode, "LossWeights", Recording)
+    golden = pathlib.Path(__file__).parent / "data" / "sweep_golden.csv"
+    with open(golden) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 180
+    specs = [
+        SegmentParams(
+            l0=float(row["l0"]), m=int(row["m"]), alpha=float(row["alpha"]),
+            eta_local=float(row["eta_local"]),
+        ).code_spec
+        for row in rows
+    ]
+    weights = [catcode.loss_weights(spec) for spec in specs + [CatCodeSpec(2, 1.5)]]
+    weights.append(Recording([1.0, -0.0, 0.0, -0.0], 1))
+    assert len(raw) == len(weights)
+    for w, p in zip(weights, raw):
+        a = w.p
+        assert a is w.p
+        assert a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable
+        assert a.tobytes() == _numpy_normalized(p).tobytes()
+        assert a.tolist() == list(w.values)
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+    assert raw[-2][1:] == [0.0] * 7 and weights[-2].p.tolist() == [1.0] + [0.0] * 7
+    assert math.copysign(1.0, weights[-1].p[1]) == 1.0
 
 
 def test_class_series_window_bound():

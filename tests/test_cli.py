@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catrep import catcode, cli
+from catrep import catcode, cli, protocol_oracle
 from catrep.chain import ChainParams, SegmentParams, evaluate_chain
 from catrep.cli import DEFAULT_CONFIG, load_config, main
 from catrep.usd import linear_optics_closed_form
@@ -504,7 +504,7 @@ def test_unknown_output_format_is_refused_before_any_work(tmp_path, monkeypatch,
     def unit_setup(spec):
         raise AssertionError("validate ran")
 
-    monkeypatch.setattr(cli, "unit_setup", unit_setup)
+    monkeypatch.setattr(protocol_oracle, "unit_setup", unit_setup)
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("output: {format: xml}\n")
     code, out, err = run_cli(capsys, "validate", "--config", str(cfg))
@@ -713,10 +713,11 @@ def test_module_entry_point_help():
 
 
 def test_import_path_leaves_out_scipy_and_yaml():
-    # A run without --config never loads YAML, and no module loads scipy.
+    # A run without --config never loads YAML, no module loads scipy, and
+    # numpy waits for the first function that builds an array.
     code = (
         "import sys, catrep.cli as c; c.load_config(None); c.build_parser(); "
-        "print(sorted(m for m in ('scipy', 'yaml') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy', 'yaml', 'numpy') if m in sys.modules))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
     proc = subprocess.run(
@@ -724,6 +725,42 @@ def test_import_path_leaves_out_scipy_and_yaml():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_LOADED = (
+    "print(sorted(m for m in ('numpy', 'catrep.fockspace', 'catrep.protocol_oracle') "
+    "if m in sys.modules))\n"
+)
+
+
+def test_analytic_commands_run_without_numpy_or_the_oracle(tmp_path):
+    # sweep, keyrate in lower_bound mode (one point, and a refused default
+    # grid) and sweep --out run on Python floats; validate then loads the
+    # oracle, and numpy with it, on first use.
+    code = (
+        "import contextlib, io, sys\n"
+        "from catrep.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [main(['sweep']), main(['keyrate', '--m', '2', '--alpha', '2', "
+        "'--l0', '0.1']), main(['keyrate']), main(['sweep', '--out', sys.argv[1]])]\n"
+        "print(codes)\n" + _LOADED
+        + "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    print(main(['validate']), file=sys.stderr)\n" + _LOADED
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    out = tmp_path / "sweep.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(out)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "0\n"
+    assert proc.stdout.splitlines() == [
+        "[0, 0, 1, 0]",
+        "[]",
+        "['catrep.fockspace', 'catrep.protocol_oracle', 'numpy']",
+    ]
+    assert out.read_bytes() == (DATA_DIR / "sweep_golden.csv").read_bytes()
 
 
 def test_pyproject_takes_version_from_package():

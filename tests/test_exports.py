@@ -2,7 +2,12 @@
 
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import catrep
 from catrep import catcode
@@ -57,3 +62,46 @@ def test_analytic_base_imports_no_fock_substrate():
             elif isinstance(node, ast.Import):
                 reached = {part for alias in node.names for part in alias.name.split(".")}
                 assert not {"usd", "chain", "cavity", "catcode"} & reached, (module, reached)
+
+
+def test_fock_engine_loads_on_first_use_and_the_surface_stays_whole():
+    # In a fresh interpreter `import catrep` loads neither the Fock engine
+    # nor numpy, yet `dir`, the star import and attribute access see every
+    # name; an unknown name is refused without loading anything.
+    code = textwrap.dedent("""
+        import json, sys
+        import catrep
+        lazy = ("numpy", "catrep.fockspace", "catrep.protocol_oracle")
+        before = [m for m in lazy if m in sys.modules]
+        listed = dir(catrep)
+        try:
+            catrep.no_such_name
+        except AttributeError as exc:
+            unknown = str(exc)
+        after_unknown = [m for m in lazy if m in sys.modules]
+        first = catrep.simulate_unit
+        loaded = [m for m in lazy if m in sys.modules]
+        star = {}
+        exec("from catrep import *", star)
+        print(json.dumps({
+            "before": before, "after_unknown": after_unknown, "unknown": unknown,
+            "missing_from_dir": [n for n in catrep.__all__ if n not in listed],
+            "star": sorted(n for n in star if n != "__builtins__"),
+            "all": sorted(catrep.__all__),
+            "same": first is catrep.protocol_oracle.simulate_unit,
+            "loaded": loaded,
+        }))
+    """)
+    src = pathlib.Path(catcode.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    exports = {n for name in MODULES for n in importlib.import_module(f"catrep.{name}").__all__}
+    want = sorted(exports | set(MODULES))
+    assert got["before"] == got["after_unknown"] == []
+    assert "no_such_name" in got["unknown"]
+    assert got["missing_from_dir"] == []
+    assert got["star"] == got["all"] == want
+    assert got["same"] is True
+    assert got["loaded"] == ["numpy", "catrep.fockspace", "catrep.protocol_oracle"]

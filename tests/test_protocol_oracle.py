@@ -791,7 +791,7 @@ def test_validate_builds_one_setup_per_point(monkeypatch, capsys):
     for name in ("_record_setup", "_arm_maps", "_residue"):
         monkeypatch.setattr(protocol_oracle, name, counting(name))
     masks = []
-    deviation = cli.syndrome_deviation
+    deviation = protocol_oracle.syndrome_deviation
 
     def counting_deviation(*args):
         before = calls["_residue"]
@@ -799,7 +799,7 @@ def test_validate_builds_one_setup_per_point(monkeypatch, capsys):
         masks.append(calls["_residue"] - before)
         return result
 
-    monkeypatch.setattr(cli, "syndrome_deviation", counting_deviation)
+    monkeypatch.setattr(protocol_oracle, "syndrome_deviation", counting_deviation)
     assert cli.main(["validate"]) == 0
     capsys.readouterr()
     assert calls["_record_setup"] == calls["_arm_maps"] == 8

@@ -1,5 +1,5 @@
 """Source-tree rules: one line width, no dead imports or private names, no einsum path,
-no numpy in the class-series kernel."""
+no numpy in the class-series kernel, and none imported with the analytic modules."""
 
 import ast
 import pathlib
@@ -117,3 +117,47 @@ def test_the_numpy_rule_refuses_a_kernel_that_calls_np_exp():
     inline = source.replace("terms.append(exp(v))", "terms.append(float(numpy.exp(v)))")
     assert inline != source
     assert _numpy_in_class_series(ast.parse(inline))
+
+
+# Modules on the import path of the analytic commands: numpy loads where a
+# function first needs it, so `catrep sweep` and `keyrate` never pay for it.
+_NUMPY_AT_FIRST_USE = ("__init__.py", "catcode.py", "cavity.py", "chain.py", "cli.py", "usd.py")
+
+
+def _numpy_at_import(tree) -> list:
+    """Lines that import numpy when the module is imported: any import of it
+    outside a function body, at the top level or under a class, if or try."""
+    lines, pending = [], list(ast.iter_child_nodes(tree))
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if (
+            isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+        ):
+            lines.append(node.lineno)
+        pending.extend(ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
+def test_analytic_import_path_imports_no_numpy():
+    modules = _modules()
+    eager = {name: _numpy_at_import(modules[name]) for name in _NUMPY_AT_FIRST_USE}
+    assert not any(eager.values()), eager
+
+
+def test_the_import_rule_refuses_numpy_put_back_at_module_level():
+    for name, anchor, line in (
+        ("cli.py", "import sys\n", "import numpy as np\n"),
+        ("catcode.py", "import math\n", "from numpy import ndarray\n"),
+        ("usd.py", "import sys\n", "if True:\n    import numpy.linalg\n"),
+    ):
+        source = (SRC / name).read_text()
+        mutated = source.replace(anchor, anchor + line, 1)
+        assert mutated != source
+        assert _numpy_at_import(ast.parse(mutated)), name
+    # the same import inside a function is what the rule asks for
+    nested = "def f():\n    import numpy as np\n    return np\n"
+    assert not _numpy_at_import(ast.parse(nested))

@@ -16,8 +16,6 @@ of which the first M are correctable.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import math
 import threading
@@ -44,8 +42,6 @@ _MAX_SERIES_STOP = 4_000_000
 _LOG_FACT_CAP = 16_384
 _LOG_FACT: list[float] = []
 _LOG_FACT_GROWING = threading.Lock()
-# (x, modulus) -> _class_series table, while a group of points shares them
-_GROUP_TABLES = contextvars.ContextVar("_GROUP_TABLES", default=None)
 
 
 @dataclass(frozen=True)
@@ -246,27 +242,6 @@ def _class_series(x: float, modulus: int) -> list[tuple[int, float, float]]:
     return table
 
 
-@contextlib.contextmanager
-def _group_tables():
-    """Within the block, ``_class_table`` computes each (x, modulus) table once."""
-    token = _GROUP_TABLES.set({})
-    try:
-        yield
-    finally:
-        _GROUP_TABLES.reset(token)
-
-
-def _class_table(x: float, modulus: int) -> list[tuple[int, float, float]]:
-    """``_class_series(x, modulus)``, shared within an open ``_group_tables`` block."""
-    tables = _GROUP_TABLES.get()
-    if tables is None:
-        return _class_series(x, modulus)
-    table = tables.get((x, modulus))
-    if table is None:
-        table = tables[x, modulus] = _class_series(x, modulus)
-    return table
-
-
 def _alpha_squared(spec: CatCodeSpec) -> float:
     """α², with an error naming α and η where the square overflows."""
     try:
@@ -277,40 +252,69 @@ def _alpha_squared(spec: CatCodeSpec) -> float:
         ) from None
 
 
-def _log_class_sums(x: float, modulus: int) -> list[float]:
-    """log Σ_{t ≡ r (mod modulus)} x^t/t! for every residue r, x ≥ 0."""
-    if x == 0.0:  # α² times a transmission underflowed: only t = 0 is left
-        return [0.0] + [-math.inf] * (modulus - 1)
-    log_x = math.log(x)
-    return [t * log_x - g + rest for t, g, rest in _class_table(x, modulus)]
+def _point_classes(
+    spec: CatCodeSpec, weights: bool = True
+) -> tuple[LossWeights | None, list[float]]:
+    """The loss weights of a point (None without ``weights``) and the
+    optimal discrimination success of each class q < M.
+
+    Two class-series tables serve both: the lost count x = α²(1−η) and the
+    survivor count y = ηα², each mod 2M.  Both lossy codewords of class q
+    live on the survivor counts t ≡ −q (mod M) and differ only by the sign
+    (−1)^((t+q)/M).  With A and B the sums of y^t/t! over t ≡ −q and
+    t ≡ M − q (mod 2M), the survivor sum mod M is A + B, and the optimum
+    1 − |overlap| = 1 − |A − B|/(A + B) = 2 min(A, B)/(A + B) has no
+    cancellation at any y.  d = log A − log B is assembled from the peak
+    terms' offsets, so the success stays accurate where A and B are tiny.
+    Where y underflows to 0 every success is 0: the true value, at most
+    2y^M/M!, is below the smallest float.  The weight of class q mod 2M is
+    the lost-count sum over t ≡ q (mod 2M) times the survivor sum of its
+    q mod M, renormalized to sum to 1.
+    """
+    big_m, n_cls = spec.order, spec.n_classes
+    alpha_sq = _alpha_squared(spec)
+    y = spec.eta * alpha_sq
+    if y == 0.0:  # only t = 0 survives
+        kept, success = [0.0] + [-math.inf] * (big_m - 1), [0.0] * big_m
+    else:
+        log_y = math.log(y)
+        table = _class_series(y, n_cls)
+        kept, success = [], []  # kept[q]: log of the survivor sum over t ≡ −q (mod M)
+        for q in range(big_m):
+            (t_a, g_a, rest_a), (t_b, g_b, rest_b) = table[-q % n_cls], table[big_m - q]
+            d = (t_a - t_b) * log_y - (g_a - g_b) + (rest_a - rest_b)
+            r = math.exp(-abs(d))
+            success.append(2.0 * r / (1.0 + r))
+            log_a, log_b = t_a * log_y - g_a + rest_a, t_b * log_y - g_b + rest_b
+            kept.append(max(log_a, log_b) + math.log1p(math.exp(-abs(log_a - log_b))))
+    if not weights:
+        return None, success
+    x = alpha_sq * (1.0 - spec.eta)
+    if x == 0.0:  # nothing lost, or α²(1−η) underflowed: only t = 0
+        lost = [0.0] + [-math.inf] * (n_cls - 1)
+    else:
+        log_x = math.log(x)
+        lost = [t * log_x - g + rest for t, g, rest in _class_series(x, n_cls)]
+    log_w = [lost[q] + kept[q % big_m] for q in range(n_cls)]
+    peak = max(log_w)
+    w = [math.exp(v - peak) for v in log_w]
+    total = math.fsum(w)
+    return LossWeights([v / total for v in w], spec.m), success
 
 
 def loss_weights(spec: CatCodeSpec) -> LossWeights:
     """Probability of each loss class q mod 2M for a transmitted codeword.
 
-    Unnormalized class weights factor into a lost-count series S_q over
-    t ≡ q (mod 2M) in x = α²(1−η) and a survivor-class series T over
-    n ≡ −q (mod M) in y = ηα²; the product is renormalized to sum to 1.
-    Both codewords produce the same distribution, so no logical label is
-    taken.  The Fock engine arbitrates this construction in the tests.
+    The lost-photon count mod 2M and the survivor count mod M fix the
+    class; both codewords produce the same distribution, so no logical
+    label is taken.  The Fock engine arbitrates this construction in the
+    tests.
     """
-    big_m = spec.order
-    n_cls = spec.n_classes
-    if spec.eta == 1.0:
-        return LossWeights([1.0] + [0.0] * (n_cls - 1), spec.m)
-    alpha_sq = _alpha_squared(spec)
-    x = alpha_sq * (1.0 - spec.eta)
-    y = alpha_sq * spec.eta
-    lost = _log_class_sums(x, n_cls)
-    kept = _log_class_sums(y, big_m)
-    log_w = [lost[q] + kept[(-q) % big_m] for q in range(n_cls)]
-    peak = max(log_w)
-    w = [math.exp(v - peak) for v in log_w]
-    total = math.fsum(w)
-    return LossWeights([v / total for v in w], spec.m)
+    if spec.eta == 1.0:  # nothing is lost, and no table is needed
+        return LossWeights([1.0] + [0.0] * (spec.n_classes - 1), spec.m)
+    return _point_classes(spec)[0]
 
 
 def segment_fidelity(spec: CatCodeSpec) -> float:
     """Probability that a transmitted codeword lands in a correctable class."""
     return loss_weights(spec).correctable_mass()
-

@@ -20,8 +20,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .catcode import CatCodeSpec, LossWeights, _freeze, _group_tables, _log_factorials
-from .catcode import loss_weights
+from .catcode import CatCodeSpec, LossWeights, _freeze, _log_factorials, _point_classes
 from .usd import _usd_probability
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "plob_bound",
     "ChainReport",
     "evaluate_chain",
-    "evaluate_grid",
 ]
 
 ATTENUATION_LENGTH_KM = 22.0
@@ -433,10 +431,9 @@ def evaluate_chain(
 ) -> ChainReport:
     """Full pipeline for one configuration: segment -> chain -> key rate."""
     check_chain_geometry(segment, chain)
-    spec = segment.code_spec
-    weights = loss_weights(spec)
+    weights, per_class = _point_classes(segment.code_spec)
     f0 = weights.correctable_mass()
-    p0 = _usd_probability(spec, usd_q, usd_mode, weights)
+    p0 = _usd_probability(weights, per_class, usd_q, usd_mode)
     f_tot = chain_fidelity(f0, chain.n_e)
     p_tot = chain_success(p0, chain.n_e)
     rate_s, rate_use = secret_key_rate(
@@ -453,36 +450,3 @@ def evaluate_chain(
         plob=bound,
         beats_plob=rate_use > bound,
     )
-
-
-def evaluate_grid(
-    points,
-    usd_mode: str = "weighted_average",
-    usd_q: int = 0,
-    key_mode: str = "lower_bound",
-) -> list[ChainReport]:
-    """``evaluate_chain`` at each (segment, chain) point, in the points' order.
-
-    Points whose segments differ only in the code order m form a group and
-    are evaluated together: the survivor sums of order m + 1 and the
-    discrimination sums of order m read one class-series table, which the
-    group computes once and drops when it is done.  Each report has the bits
-    ``evaluate_chain`` gives its point alone, and where points fail, the
-    first failing point's error is raised, as a loop in order would raise it.
-    """
-    groups: dict = {}
-    for i, (segment, _) in enumerate(points):
-        key = (segment.alpha, segment.l0, segment.eta_local, segment.l_att)
-        groups.setdefault(key, []).append(i)
-    reports = [None] * len(points)
-    for group in groups.values():
-        try:
-            with _group_tables():
-                for i in group:
-                    reports[i] = evaluate_chain(*points[i], usd_mode, usd_q, key_mode)
-        except Exception:
-            for j in range(i):  # an earlier point not yet evaluated raises first
-                if reports[j] is None:
-                    evaluate_chain(*points[j], usd_mode, usd_q, key_mode)
-            raise
-    return reports

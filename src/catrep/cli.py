@@ -39,7 +39,7 @@ from .chain import (
     ChainReport,
     SegmentParams,
     check_chain_geometry,
-    evaluate_grid,
+    evaluate_chain,
 )
 from .usd import usd_sweep
 
@@ -269,16 +269,12 @@ def _grid_points(cfg: dict, one_value: bool = False) -> list:
 
 def cmd_sweep(cfg: dict, args, one_value: bool = False) -> tuple:
     points = _grid_points(cfg, one_value)
-    reports = evaluate_grid(
-        points,
-        usd_mode=cfg["usd"]["mode"],
-        usd_q=cfg["usd"]["q"],
-        key_mode=cfg["key"]["mode"],
-    )
-    rows = [
-        {**{key: getattr(segment, key) for key in _POINT_KEYS}, **vars(report)}
-        for (segment, _), report in zip(points, reports)
-    ]
+    rows = []
+    for segment, chain in points:
+        report = evaluate_chain(
+            segment, chain, cfg["usd"]["mode"], cfg["usd"]["q"], cfg["key"]["mode"]
+        )
+        rows.append({**{key: getattr(segment, key) for key in _POINT_KEYS}, **vars(report)})
     return rows, _SWEEP_COLUMNS
 
 
@@ -294,8 +290,14 @@ def cmd_cavity(cfg: dict, args) -> tuple:
             raise UsageError(f"cavity.{key} must be finite, got {cav[key]!r}")
     if cav["points"] < 1:
         raise UsageError("cavity.points must be positive")
-    import numpy as np
-    deltas = np.linspace(cav["delta_min"], cav["delta_max"], cav["points"])
+    # np.linspace's grid, in floats: (i/div)·span where the step underflows to 0
+    n, start, stop = cav["points"], cav["delta_min"], cav["delta_max"]
+    span = stop - start
+    div = max(n - 1, 1)
+    step = span / div
+    deltas = [(i / div * span if step == 0.0 else i * step) + start for i in range(n)]
+    if n > 1:
+        deltas[-1] = stop
     columns = ("delta", "phase_ideal", "phase_full", "modulus_full")
     return [dict(zip(columns, row)) for row in sweep_reflection(deltas, params)], columns
 

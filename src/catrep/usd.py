@@ -21,8 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .catcode import CatCodeSpec, LossWeights, loss_weights
-from .catcode import _alpha_squared, _class_table, _freeze
+from .catcode import CatCodeSpec, LossWeights, _freeze, _point_classes
 
 __all__ = [
     "CoherentSuperposition",
@@ -273,32 +272,6 @@ def _cat_terms(m: int, amplitude: complex, logical: int, losses: int) -> list:
     return [(a**losses, (a,)) for a in amps]
 
 
-def _class_successes(spec: CatCodeSpec) -> list[float]:
-    # Both lossy codewords of class q live on the photon numbers t = n - q
-    # with n ≡ 0 (mod M) and differ only by the sign (-1)^(n/M).  With
-    # y = eta*alpha^2, A and B sum y^t/t! over t ≡ -q and t ≡ M - q
-    # (mod 2M), so |overlap| = |A - B|/(A + B) and the optimum
-    # 1 - |overlap| = 2 min(A, B)/(A + B): no cancellation at any y.
-    # d = log A - log B is assembled from the peak terms' offsets so it
-    # stays accurate when both sums are tiny.  One table mod 2M serves
-    # every class q < M.  Where y underflows to 0 every success is 0: the
-    # true value, at most 2y^M/M!, is below the smallest float.
-    big_m = spec.order
-    y = spec.eta * _alpha_squared(spec)
-    if y == 0.0:
-        return [0.0] * big_m
-    table = _class_table(y, 2 * big_m)
-    log_y = math.log(y)
-    out = []
-    for q in range(big_m):
-        t_a, g_a, rest_a = table[(-q) % (2 * big_m)]
-        t_b, g_b, rest_b = table[(big_m - q) % (2 * big_m)]
-        d = (t_a - t_b) * log_y - (g_a - g_b) + (rest_a - rest_b)
-        r = math.exp(-abs(d))
-        out.append(2.0 * r / (1.0 + r))
-    return out
-
-
 def optimal_usd_probability(
     spec: CatCodeSpec, q: int = 0, mode: str = "weighted_average"
 ) -> float:
@@ -315,25 +288,24 @@ def optimal_usd_probability(
     Class q and class q + 2^m share one discrimination problem (the states
     differ by signs only), so everything runs over q < 2^m.
     """
-    return _usd_probability(spec, q, mode, None)
+    weights, per_class = _point_classes(spec, weights=mode == "weighted_average")
+    return _usd_probability(weights, per_class, q, mode)
 
 
 def _usd_probability(
-    spec: CatCodeSpec, q: int, mode: str, weights: LossWeights | None
+    weights: LossWeights | None, per_class: list[float], q: int, mode: str
 ) -> float:
-    # optimal_usd_probability; a caller that already holds the loss weights
-    # of spec passes them in, so the weighted average does not rebuild them.
+    # optimal_usd_probability from a point's _point_classes
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    big_m = 2**spec.m
+    big_m = len(per_class)
     if mode == "per_q" and not 0 <= q < big_m:
         raise ValueError(f"q must satisfy 0 <= q < {big_m}")
-    per_class = _class_successes(spec)
     if mode == "per_q":
         return per_class[q]
     if mode == "worst_case":
         return min(per_class)
-    w = (weights if weights is not None else loss_weights(spec)).values
+    w = weights.values
     total = math.fsum(
         (w[r] + w[r + big_m]) * per_class[r] for r in range(big_m)
     )

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from catrep import catcode, chain as chain_mod, usd
+from catrep import catcode, chain as chain_mod
 from catrep.catcode import CatCodeSpec, loss_weights, segment_fidelity
 from catrep.chain import (
     ATTENUATION_LENGTH_KM,
@@ -20,7 +20,6 @@ from catrep.chain import (
     chain_success,
     check_chain_geometry,
     evaluate_chain,
-    evaluate_grid,
     plob_bound,
     secret_key_rate,
     swap_components,
@@ -596,83 +595,20 @@ def test_total_fidelity_improves_with_shorter_links():
 
 
 def test_evaluate_chain_builds_each_table_once(monkeypatch):
-    # One point in weighted-average mode needs one set of loss weights and
-    # three class-series tables: x mod 2M and y mod M for the weights, and
-    # y mod 2M for the discrimination success.
-    counts = {"loss_weights": 0, "_class_series": 0}
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapped
-
-    weights_fn = counting("loss_weights", catcode.loss_weights)
-    for mod in (catcode, chain_mod, usd):
-        monkeypatch.setattr(mod, "loss_weights", weights_fn)
-    # every table is read through catcode._class_table, which calls the kernel
-    monkeypatch.setattr(catcode, "_class_series", counting("_class_series", catcode._class_series))
-    seg = SegmentParams(l0=1.0, m=3, alpha=3.0)
-    evaluate_chain(seg, ChainParams(l_tot=10.0, n_e=10), usd_mode="weighted_average")
-    assert counts == {"loss_weights": 1, "_class_series": 3}
-
-
-def _count_tables(monkeypatch):
-    # counts computed class-series tables, and the most a group held at once
-    seen = {"computed": 0, "held": 0}
+    # One point in weighted-average mode needs two class-series tables, x
+    # mod 2M and y mod 2M, which serve the loss weights and the
+    # discrimination success alike.
+    calls = []
     kernel = catcode._class_series
 
     def counting(x, modulus):
-        seen["computed"] += 1
-        seen["held"] = max(seen["held"], len(catcode._GROUP_TABLES.get() or ()) + 1)
+        calls.append(modulus)
         return kernel(x, modulus)
 
     monkeypatch.setattr(catcode, "_class_series", counting)
-    return seen
-
-
-def _grid(ms, alphas, l0s, eta_locals, l_tot=1000.0):
-    # (segment, chain) points in the sweep's order: lexicographic in m, alpha, l0, eta_local
-    keys = sorted((m, a, l0, e) for m in ms for a in alphas for l0 in l0s for e in eta_locals)
-    return [
-        (
-            SegmentParams(l0=l0, m=m, alpha=a, eta_local=e),
-            ChainParams(l_tot=l_tot, n_e=round(l_tot / l0)),
-        )
-        for m, a, l0, e in keys
-    ]
-
-
-def test_evaluate_grid_shares_tables_within_a_group(monkeypatch):
-    # m = 1..5 at fixed (alpha, l0, eta_local) needs x mod 4..64 and y mod
-    # 2..64: 2*5 + 1 = 11 tables per group, not 3 per point (15)
-    points = _grid([1, 2, 3, 4, 5], [1.5, 4.0], [1.0, 10.0, 100.0], [0.99, 1.0])
-    seen = _count_tables(monkeypatch)
-    reports = evaluate_grid(points)
-    assert seen == {"computed": 12 * 11, "held": 11}
-    assert catcode._GROUP_TABLES.get() is None  # nothing is kept after the grid
-    assert reports == [evaluate_chain(*point) for point in points]
-
-
-def test_evaluate_grid_of_one_order_computes_three_tables_per_point(monkeypatch):
-    points = _grid([2], [1.0, 2.0, 3.0], [10.0, 100.0], [1.0])
-    seen = _count_tables(monkeypatch)
-    evaluate_grid(points, usd_mode="worst_case")
-    assert seen["computed"] == 3 * len(points)
-
-
-def test_evaluate_grid_raises_the_first_failing_point_in_order():
-    # Groups run alpha by alpha: the alpha = 1 group fails first, at m = 2
-    # (176,851 syndrome combinations), but in the points' order m = 1 at
-    # alpha = 3000 comes first, and its class series is past the window bound.
-    points = _grid([1, 2], [1.0, 3000.0], [10.0], [1.0])
-    with pytest.raises(ArithmeticError, match="class series window"):
-        evaluate_chain(*points[1], key_mode="exact_average")
-    with pytest.raises(ArithmeticError, match="class series window"):
-        evaluate_grid(points, key_mode="exact_average")
-    with pytest.raises(ValueError, match="176851 syndrome combinations"):
-        evaluate_grid(points[:1] + points[2:], key_mode="exact_average")
+    seg = SegmentParams(l0=1.0, m=3, alpha=3.0)
+    evaluate_chain(seg, ChainParams(l_tot=10.0, n_e=10), usd_mode="weighted_average")
+    assert calls == [16, 16]
 
 
 def test_evaluate_chain_makes_no_lgamma_calls_once_the_table_is_warm(monkeypatch):

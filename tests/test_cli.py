@@ -167,21 +167,20 @@ def _count_tables(monkeypatch):
     return seen
 
 
-def test_default_sweep_computes_each_group_table_once(monkeypatch, capsys):
-    # 60 groups of (alpha, l0) with m = 1, 2, 3: x mod 4, 8, 16 and y mod
-    # 2, 4, 8, 16, 7 tables a group; one per read (3 a point) would be 540
+def test_default_sweep_computes_two_tables_a_point(monkeypatch, capsys):
+    # 180 points, each with x mod 2M and y mod 2M
     seen = _count_tables(monkeypatch)
     code, first, _ = run_cli(capsys, "sweep")
-    assert (code, seen["computed"]) == (0, 420)
+    assert (code, seen["computed"]) == (0, 360)
     code, second, _ = run_cli(capsys, "sweep")  # nothing is kept between sweeps
-    assert (code, seen["computed"], second) == (0, 840, first)
+    assert (code, seen["computed"], second) == (0, 720, first)
 
 
 def test_sweep_prints_the_bytes_of_evaluate_chain_per_row(monkeypatch, capsys):
     argv = ["--m", "1,2,3,4,5", "--alpha", "3,1.5", "--l0", "100,1,10", "--eta-local", "1,0.99"]
     seen = _count_tables(monkeypatch)
     code, out, _ = run_cli(capsys, "sweep", *argv)
-    assert (code, seen["computed"]) == (0, 12 * 11)
+    assert (code, seen["computed"]) == (0, 60 * 2)
     keys = sorted(
         (m, a, l0, e) for m in range(1, 6) for a in (3.0, 1.5)
         for l0 in (100.0, 1.0, 10.0) for e in (1.0, 0.99)
@@ -192,6 +191,24 @@ def test_sweep_prints_the_bytes_of_evaluate_chain_per_row(monkeypatch, capsys):
         report = evaluate_chain(segment, ChainParams(l_tot=1000.0, n_e=round(1000.0 / l0)))
         rows.append({"m": m, "alpha": a, "l0": l0, "eta_local": e, **vars(report)})
     assert out == cli._render(rows, cli._SWEEP_COLUMNS, "csv")
+
+
+def test_sweep_stops_at_the_first_failing_row(tmp_path, capsys):
+    # In row order m = 1 at alpha = 3000 comes first, and its class series is
+    # past the window bound; m = 2 at alpha = 1 (176,851 syndrome
+    # combinations) fails only after it.
+    cfg = tmp_path / "exact.yaml"
+    cfg.write_text("key:\n  mode: exact_average\n")
+    argv = ("sweep", "--config", str(cfg), "--m", "1,2", "--l0", "10", "--eta-local", "1")
+    code, out, err = run_cli(capsys, *argv, "--alpha", "1,3000")
+    assert (code, out) == (3, "")
+    assert err == (
+        "numerical guard: class series window (x=5.713e+06, modulus 4, stop index 5741387) "
+        "exceeds the bound 4000000; amplitude too large\n"
+    )
+    code, out, err = run_cli(capsys, *argv, "--alpha", "1")
+    want = "error: 176851 syndrome combinations exceed the limit 20000\n"
+    assert (code, out, err) == (1, "", want)
 
 
 def test_keyrate_correctable_mass_stays_at_most_one(capsys):
@@ -735,15 +752,16 @@ _LOADED = (
 
 def test_analytic_commands_run_without_numpy_or_the_oracle(tmp_path):
     # sweep, keyrate in lower_bound mode (one point, and a refused default
-    # grid) and sweep --out run on Python floats; validate then loads the
-    # oracle, and numpy with it, on first use.
+    # grid), sweep --out and cavity run on Python floats; validate then loads
+    # the oracle, and numpy with it, on first use.
     code = (
         "import contextlib, io, sys\n"
         "from catrep.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
         "    codes = [main(['sweep']), main(['keyrate', '--m', '2', '--alpha', '2', "
-        "'--l0', '0.1']), main(['keyrate']), main(['sweep', '--out', sys.argv[1]])]\n"
+        "'--l0', '0.1']), main(['keyrate']), main(['sweep', '--out', sys.argv[1]]), "
+        "main(['cavity'])]\n"
         "print(codes)\n" + _LOADED
         + "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    print(main(['validate']), file=sys.stderr)\n" + _LOADED
@@ -756,7 +774,7 @@ def test_analytic_commands_run_without_numpy_or_the_oracle(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "0\n"
     assert proc.stdout.splitlines() == [
-        "[0, 0, 1, 0]",
+        "[0, 0, 1, 0, 0]",
         "[]",
         "['catrep.fockspace', 'catrep.protocol_oracle', 'numpy']",
     ]

@@ -252,6 +252,14 @@ def _alpha_squared(spec: CatCodeSpec) -> float:
         ) from None
 
 
+def _point_series(spec: CatCodeSpec, count: float, name: str) -> list[tuple[int, float, float]]:
+    """_class_series(count, 2M), its refusal naming α, η and the count."""
+    try:
+        return _class_series(count, spec.n_classes)
+    except ArithmeticError as exc:  # the text is built on refusal only
+        raise ArithmeticError(f"alpha={spec.alpha!r} (eta={spec.eta!r}): {name}: {exc}") from None
+
+
 def _point_classes(
     spec: CatCodeSpec, weights: bool = True
 ) -> tuple[LossWeights | None, list[float]]:
@@ -278,7 +286,7 @@ def _point_classes(
         kept, success = [0.0] + [-math.inf] * (big_m - 1), [0.0] * big_m
     else:
         log_y = math.log(y)
-        table = _class_series(y, n_cls)
+        table = _point_series(spec, y, "survivor count eta*alpha^2")
         kept, success = [], []  # kept[q]: log of the survivor sum over t ≡ −q (mod M)
         for q in range(big_m):
             (t_a, g_a, rest_a), (t_b, g_b, rest_b) = table[-q % n_cls], table[big_m - q]
@@ -294,7 +302,8 @@ def _point_classes(
         lost = [0.0] + [-math.inf] * (n_cls - 1)
     else:
         log_x = math.log(x)
-        lost = [t * log_x - g + rest for t, g, rest in _class_series(x, n_cls)]
+        table = _point_series(spec, x, "lost count alpha^2*(1-eta)")
+        lost = [t * log_x - g + rest for t, g, rest in table]
     log_w = [lost[q] + kept[q % big_m] for q in range(n_cls)]
     peak = max(log_w)
     w = [math.exp(v - peak) for v in log_w]

@@ -55,6 +55,8 @@ class CavityParams:
             raise ValueError("outcoupling rate cannot exceed the total cavity decay rate")
         if self.g < 0.0:
             raise ValueError("coupling must be non-negative")
+        if math.isinf(self.g * self.g):
+            raise ValueError(f"g={self.g!r}: its square overflows a float")
 
 
 DEFAULT_PARAMS = CavityParams()
@@ -76,12 +78,16 @@ def full_reflection(delta: float, params: CavityParams = DEFAULT_PARAMS) -> comp
     """Reflection amplitude with atomic line and outcoupling ratio.
 
     1 − 2κ_r(2iπΔ + γ) / ((2iπΔ + κ)(2iπΔ + γ) + g²), written verbatim in
-    its mixed frequency convention; see the module docstring.
+    its mixed frequency convention; see the module docstring.  Raises
+    ArithmeticError, naming Δ, where the amplitude is not a finite float.
     """
     d = 2j * math.pi * delta
     num = 2.0 * params.kappa_r * (d + params.gamma)
     den = (d + params.kappa) * (d + params.gamma) + params.g ** 2
-    return 1.0 - num / den
+    r = 1.0 - num / den
+    if not cmath.isfinite(r):  # 2πΔ, or a product of it with the rates, overflowed
+        raise ArithmeticError(f"delta={delta!r}: full reflection overflows a float at {params}")
+    return r
 
 
 def detuning_for_angle(phi: float, kappa: float) -> float:

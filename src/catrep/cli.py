@@ -32,7 +32,7 @@ import sys
 
 from . import __version__
 from .catcode import CatCodeSpec, loss_weights
-from .cavity import CavityParams, sweep_reflection
+from .cavity import DEFAULT_PARAMS, CavityParams, sweep_reflection
 from .chain import (
     ATTENUATION_LENGTH_KM,
     ChainParams,
@@ -54,7 +54,7 @@ DEFAULT_CONFIG = {
     "chain": {
         "l_tot": 1000.0,
         "l_att": ATTENUATION_LENGTH_KM,
-        "t0": 1e-6,
+        "t0": ChainParams.t0,
         "l0": [0.01, 0.1, 1.0, 10.0, 100.0, 1000.0],
     },
     "code": {
@@ -72,10 +72,7 @@ DEFAULT_CONFIG = {
         "mode": "lower_bound",
     },
     "cavity": {
-        "g": 3.0,
-        "kappa": 1.0,
-        "gamma": 1.2,
-        "kappa_r": 0.9,
+        **vars(DEFAULT_PARAMS),
         "delta_min": -10.0,
         "delta_max": 10.0,
         "points": 201,
@@ -90,8 +87,6 @@ DEFAULT_CONFIG = {
     },
 }
 
-_FORMATS = ("csv", "jsonl")
-
 _TOLERANCES = {
     "f0": 1e-6,
     "loss_weights": 1e-8,
@@ -99,10 +94,10 @@ _TOLERANCES = {
     "bell_order": 1e-8,
 }
 
-# argparse dest -> (flag, config section, key, cast, help); a flag over a
-# config list casts each comma-separated value with _cast, argparse the rest
+# argparse dest -> (flag, config section, key, cast, help); _cast takes the
+# flag's text, or each comma-separated value of a flag over a config list
 _FLAGS = {
-    "format": ("--format", "output", "format", str, "output format (default csv)"),
+    "format": ("--format", "output", "format", str, "output format, csv or jsonl (default csv)"),
     "alpha": ("--alpha", "code", "alpha", float, "comma-separated amplitudes"),
     "m": ("--m", "code", "m", int, "comma-separated code orders"),
     "l0": ("--l0", "chain", "l0", float, "comma-separated elementary distances, km"),
@@ -179,6 +174,8 @@ def _grid(cfg: dict, section: str, key: str, cast) -> list:
     values, where = cfg[section][key], f"{section}.{key}"
     if not isinstance(values, list):
         raise UsageError(f"{where} must be a list, got {values!r}")
+    if not values:
+        raise UsageError(f"empty grid: {where}")
     return [_cast(value, cast, where) for value in values]
 
 
@@ -190,8 +187,10 @@ def _apply_overrides(cfg: dict, args) -> dict:
             continue
         if isinstance(DEFAULT_CONFIG[section][key], list):
             value = [_cast(part, cast, flag) for part in value.split(",") if part.strip()]
+        else:
+            value = _cast(value, cast, flag)
         cfg[section][key] = value
-    if cfg["output"]["format"] not in _FORMATS:
+    if cfg["output"]["format"] not in ("csv", "jsonl"):
         raise UsageError(f"unknown output format: {cfg['output']['format']!r}")
     return cfg
 
@@ -261,8 +260,6 @@ def _grid_points(cfg: dict, one_value: bool = False) -> list:
                 f"keyrate needs exactly one value for {flag} "
                 f"(got {len(grid)}; narrow the grid with the flag)"
             )
-        if not grid:
-            raise UsageError(f"empty grid: {section}.{key}")
         grids.append(grid)
     return [_point_params(p, cfg["chain"]) for p in sorted(itertools.product(*grids))]
 
@@ -285,9 +282,6 @@ def cmd_keyrate(cfg: dict, args) -> tuple:
 def cmd_cavity(cfg: dict, args) -> tuple:
     cav = cfg["cavity"]
     params = CavityParams(**{f.name: cav[f.name] for f in dataclasses.fields(CavityParams)})
-    for key in ("delta_min", "delta_max"):
-        if not math.isfinite(cav[key]):
-            raise UsageError(f"cavity.{key} must be finite, got {cav[key]!r}")
     if cav["points"] < 1:
         raise UsageError("cavity.points must be positive")
     # np.linspace's grid, in floats: (i/div)·span where the step underflows to 0
@@ -298,6 +292,8 @@ def cmd_cavity(cfg: dict, args) -> tuple:
     deltas = [(i / div * span if step == 0.0 else i * step) + start for i in range(n)]
     if n > 1:
         deltas[-1] = stop
+    if not all(map(math.isfinite, deltas)):  # a non-finite end, or a span that overflows
+        raise UsageError(f"cavity.delta_min={start!r}, cavity.delta_max={stop!r}: no finite grid")
     columns = ("delta", "phase_ideal", "phase_full", "modulus_full")
     return [dict(zip(columns, row)) for row in sweep_reflection(deltas, params)], columns
 
@@ -305,8 +301,6 @@ def cmd_cavity(cfg: dict, args) -> tuple:
 def cmd_usd(cfg: dict, args) -> tuple:
     usd_cfg = cfg["usd"]
     alphas = _grid(cfg, "usd", "alphas", float)
-    if not alphas:
-        raise UsageError("empty grid: usd.alphas")
     rows = usd_sweep(alphas, q=usd_cfg["q"], probe_style=usd_cfg["probe_style"])
     columns = ("alpha", "p_optimal", "p_linear_optics")
     return [dict(zip(columns, row)) for row in rows], columns
@@ -319,13 +313,8 @@ def _parse_tol_overrides(items) -> dict:
             raise UsageError(f"--tol expects CHECK=VALUE, got {item!r}")
         name, _, raw = item.partition("=")
         if name not in tols:
-            raise UsageError(
-                f"unknown check {name!r}; choices: {sorted(tols)}"
-            )
-        try:
-            tols[name] = float(raw)
-        except ValueError as exc:
-            raise UsageError(f"bad tolerance value {raw!r}") from exc
+            raise UsageError(f"unknown check {name!r}; choices: {sorted(tols)}")
+        tols[name] = _cast(raw, float, f"--tol {name}")
         if not tols[name] >= 0.0:  # also NaN, which no deviation would pass
             raise UsageError(f"tolerance for {name} must be >= 0, got {raw!r}")
     return tols
@@ -336,8 +325,6 @@ def cmd_validate(cfg: dict, args) -> tuple:
         _grid(cfg, "validate", key, cast)
         for key, cast in (("m", int), ("alpha", float), ("eta", float))
     ]
-    if not all(axes):
-        raise UsageError("empty validation grid")
     if any(m > 3 for m in axes[0]):
         raise UsageError("validation grid is bounded at m <= 3")
     tols = _parse_tol_overrides(args.tol)
@@ -370,14 +357,10 @@ def cmd_validate(cfg: dict, args) -> tuple:
 def _add_flags(parser: argparse.ArgumentParser, dests) -> None:
     parser.add_argument("--config", help="YAML config overlaying the defaults")
     parser.add_argument("--out", help="output path (default: stdout)")
-    for dest in ("format", *dests):
-        flag, section, key, cast, help_ = _FLAGS[dest]
-        if isinstance(DEFAULT_CONFIG[section][key], list):  # cast in _apply_overrides
-            metavar = flag[2:].replace("-", "_").upper()
-            parser.add_argument(flag, dest=dest, metavar=metavar, help=help_)
-        else:
-            choices = _FORMATS if dest == "format" else None
-            parser.add_argument(flag, dest=dest, type=cast, choices=choices, help=help_)
+    for dest in ("format", *dests):  # each value is cast in _apply_overrides
+        flag, *_, help_ = _FLAGS[dest]
+        metavar = flag[2:].replace("-", "_").upper()
+        parser.add_argument(flag, dest=dest, metavar=metavar, help=help_)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -42,6 +42,16 @@ def test_params_validation():
         CavityParams(g=-0.1)
     with pytest.raises(ValueError, match="gamma=nan"):
         CavityParams(gamma=math.nan)
+    with pytest.raises(ValueError, match="g=1e"):  # g² overflows, and with it the amplitude
+        CavityParams(g=1e200)
+
+
+def test_full_reflection_refuses_an_overflowing_detuning():
+    # the amplitude tends to 1 far off resonance; past Δ ≈ 2.9e307 it would be NaN
+    assert full_reflection(1e307) == 1.0
+    for delta in (3e307, 1e308, -1e308, math.inf):
+        with pytest.raises(ArithmeticError, match="delta="):
+            full_reflection(delta)
 
 
 def test_full_reflection_strong_coupling_is_near_unity():

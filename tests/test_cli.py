@@ -101,6 +101,14 @@ def test_usd_golden_snapshot(tmp_path, capsys):
     assert got == (DATA_DIR / "usd_golden.csv").read_bytes()
 
 
+def test_cavity_golden_snapshot(tmp_path, capsys):
+    # the default cavity output: pins the rates DEFAULT_CONFIG reads from
+    # cavity.DEFAULT_PARAMS and the detuning grid
+    out = tmp_path / "cavity.csv"
+    assert run_cli(capsys, "cavity", "--out", str(out))[0] == 0
+    assert out.read_bytes() == (DATA_DIR / "cavity_golden.csv").read_bytes()
+
+
 def test_golden_columns_in_range():
     with open(DATA_DIR / "sweep_golden.csv") as fh:
         rows = list(csv.DictReader(fh))
@@ -203,7 +211,8 @@ def test_sweep_stops_at_the_first_failing_row(tmp_path, capsys):
     code, out, err = run_cli(capsys, *argv, "--alpha", "1,3000")
     assert (code, out) == (3, "")
     assert err == (
-        "numerical guard: class series window (x=5.713e+06, modulus 4, stop index 5741387) "
+        "numerical guard: alpha=3000.0 (eta=0.6347364189402819): survivor count eta*alpha^2: "
+        "class series window (x=5.713e+06, modulus 4, stop index 5741387) "
         "exceeds the bound 4000000; amplitude too large\n"
     )
     code, out, err = run_cli(capsys, *argv, "--alpha", "1")
@@ -253,12 +262,15 @@ def test_keyrate_series_window_guard(capsys):
         capsys, "keyrate", "--m", "1", "--alpha", "1e5", "--l0", "1000"
     )
     assert code == 3
-    assert "class series window" in err and "amplitude too large" in err
+    assert err.startswith("numerical guard: alpha=100000.0 (eta=")
+    assert "lost count alpha^2*(1-eta): class series window (x=1e+10," in err
+    assert "amplitude too large" in err
     assert out == ""
     # m = 18 at x = 4: the window's 12·modulus term alone passes the bound
     code, out, err = run_cli(capsys, "keyrate", "--m", "18", "--alpha", "2", "--l0", "1000")
     assert (code, out) == (3, "")
-    assert "class series window" in err and "modulus 524288" in err
+    assert err.startswith("numerical guard: alpha=2.0 (eta=")
+    assert "survivor count eta*alpha^2: class series window" in err and "modulus 524288" in err
     assert "code order too large" in err and "amplitude" not in err
 
 
@@ -474,6 +486,12 @@ def test_scalar_config_values_go_through_one_cast(tmp_path, capsys, config, comm
         ("{g: .nan}", "g="),
         ("{delta_min: .nan}", "cavity.delta_min"),
         ("{points: 2.5}", "cavity.points"),
+        # the span overflows: the grid would hold NaN and infinite detunings
+        (
+            "{delta_min: -1.0e308, delta_max: 1.0e308, points: 3}",
+            "cavity.delta_min=-1e+308, cavity.delta_max=1e+308: no finite grid",
+        ),
+        ("{g: 1.0e200}", "g=1e+200: its square overflows a float"),
     ],
 )
 def test_cavity_rejects_bad_inputs(tmp_path, capsys, config, key):
@@ -484,11 +502,46 @@ def test_cavity_rejects_bad_inputs(tmp_path, capsys, config, key):
     assert err.startswith("error: ") and key in err
 
 
+def test_cavity_overflowing_detuning_is_a_numerical_guard(tmp_path, capsys):
+    # a finite detuning whose 2πΔ overflows: no NaN row at exit 0
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("cavity: {delta_min: 1.0e308, delta_max: 1.0e308, points: 1}\n")
+    code, out, err = run_cli(capsys, "cavity", "--config", str(cfg))
+    assert (code, out) == (3, "")
+    assert err == (
+        "numerical guard: delta=1e+308: full reflection overflows a float at "
+        "CavityParams(g=3.0, kappa=1.0, gamma=1.2, kappa_r=0.9)\n"
+    )
+
+
 @pytest.mark.parametrize("tol", ["f0=nan", "f0=-1"])
 def test_validate_bad_tolerance_is_a_usage_error(capsys, tol):
     code, out, err = run_cli(capsys, "validate", "--tol", tol)
     assert (code, out) == (1, "")
-    assert err.startswith("error: tolerance for f0")
+    assert err.startswith("error: tolerance for f0 must be >= 0")
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [
+        *((command, key) for command in ("sweep", "keyrate")
+          for key in ("code.m", "code.alpha", "chain.l0", "code.eta_local")),
+        ("usd", "usd.alphas"),
+        ("validate", "validate.m"),
+        ("validate", "validate.alpha"),
+        ("validate", "validate.eta"),
+    ],
+)
+def test_empty_grid_is_refused_by_key(tmp_path, capsys, command, key):
+    section, name = key.split(".")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"{section}: {{{name}: []}}\n")
+    # keyrate's other axes hold one value each (eta_local's default is one),
+    # so the empty axis is the only fault
+    one_value = {"code.m": ("--m", "2"), "code.alpha": ("--alpha", "2"), "chain.l0": ("--l0", "1")}
+    narrow = [x for k, flag in one_value.items() if command == "keyrate" and k != key for x in flag]
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), *narrow)
+    assert (code, out, err) == (1, "", f"error: empty grid: {key}\n")
 
 
 @pytest.mark.parametrize(
@@ -499,10 +552,12 @@ def test_validate_bad_tolerance_is_a_usage_error(capsys, tol):
         ("- 1", ("sweep",), "config root must be a mapping"),
         ("chain: 5", ("sweep",), "config section chain must be a mapping"),
         ("{}", ("validate", "--tol", "f0"), "--tol expects CHECK=VALUE, got 'f0'"),
-        ("{}", ("validate", "--tol", "f0=abc"), "bad tolerance value 'abc'"),
+        ("{}", ("validate", "--tol", "f0=abc"), "bad value for --tol f0: 'abc'"),
         ("cavity: {points: 0}", ("cavity",), "cavity.points must be positive"),
         ("usd: {alphas: []}", ("usd",), "empty grid: usd.alphas"),
         ("validate: {m: [4]}", ("validate",), "validation grid is bounded at m <= 3"),
+        ("{}", ("validate", "--tol", "f0="), "bad value for --tol f0: ''"),
+        ("{}", ("sweep", "--t0", "abc"), "bad value for --t0: 'abc'"),
     ],
 )
 def test_config_and_flag_refusals_are_named(tmp_path, capsys, config, argv, message):
@@ -525,6 +580,9 @@ def test_unknown_output_format_is_refused_before_any_work(tmp_path, monkeypatch,
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("output: {format: xml}\n")
     code, out, err = run_cli(capsys, "validate", "--config", str(cfg))
+    assert (code, out, err) == (1, "", "error: unknown output format: 'xml'\n")
+    # the same refusal for the flag: one check serves both
+    code, out, err = run_cli(capsys, "validate", "--format", "xml")
     assert (code, out, err) == (1, "", "error: unknown output format: 'xml'\n")
 
 
@@ -599,7 +657,7 @@ def test_validate_empty_grid(tmp_path, capsys):
     cfg.write_text("validate:\n  m: []\n  alpha: [1.0]\n  eta: [0.9]\n")
     code, _, err = run_cli(capsys, "validate", "--config", str(cfg))
     assert code == 1
-    assert "empty validation grid" in err
+    assert err == "error: empty grid: validate.m\n"
 
 
 def test_validate_unknown_check(capsys):

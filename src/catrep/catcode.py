@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
 
 __all__ = [
     "CatCodeSpec",
@@ -44,8 +43,45 @@ _LOG_FACT: list[float] = []
 _LOG_FACT_GROWING = threading.Lock()
 
 
-@dataclass(frozen=True)
-class CatCodeSpec:
+class _Record:
+    """Immutable record: ``__init__`` sets the attributes ``_fields`` names,
+    once and in that order, by keyword through `_set`.  Equality, hash and
+    repr go by their values; assigning or deleting any attribute raises."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **values) -> None:
+        self.__dict__.update(values)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def _require_finite(self, *names: str) -> None:
+        for name in names:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name}={value!r} must be finite")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CatCodeSpec(_Record):
     """Code order, primitive amplitude, and end-to-end transmission.
 
     m is the cascade depth: code order M = 2^m, correctable loss order
@@ -54,17 +90,16 @@ class CatCodeSpec:
     restriction and is used to cross-check robustness elsewhere.
     """
 
-    m: int
-    alpha: float
-    eta: float = 1.0
+    _fields = ("m", "alpha", "eta")
 
-    def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"cascade depth m={self.m!r} must be an integer >= 1")
-        if isinstance(self.alpha, complex) or not 0.0 < self.alpha < math.inf:
-            raise ValueError(f"amplitude alpha={self.alpha!r} must be real, positive and finite")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"transmission eta={self.eta!r} outside (0, 1]")
+    def __init__(self, m: int, alpha: float, eta: float = 1.0):
+        if not isinstance(m, int) or m < 1:
+            raise ValueError(f"cascade depth m={m!r} must be an integer >= 1")
+        if isinstance(alpha, complex) or not 0.0 < alpha < math.inf:
+            raise ValueError(f"amplitude alpha={alpha!r} must be real, positive and finite")
+        if not 0.0 < eta <= 1.0:
+            raise ValueError(f"transmission eta={eta!r} outside (0, 1]")
+        self._set(m=m, alpha=alpha, eta=eta)
 
     @property
     def order(self) -> int:
@@ -83,13 +118,11 @@ class CatCodeSpec:
         return math.sqrt(self.eta) * self.alpha
 
 
-@dataclass(frozen=True, init=False)
-class LossWeights:
+class LossWeights(_Record):
     """Probabilities of the 2M loss classes, indexed by q = 0..2M−1: as the
     floats ``values`` and as ``p``, a read-only array built on first read."""
 
-    values: tuple[float, ...]
-    m: int
+    _fields = ("values", "m")
 
     def __init__(self, p, m: int):
         if isinstance(p, (list, tuple)) and all(isinstance(v, (int, float)) for v in p):
@@ -110,8 +143,7 @@ class LossWeights:
             vals = [v if v > 0.0 else 0.0 for v in vals]
             total = math.fsum(vals)
         # each quotient correctly rounded, as numpy's division gives it
-        object.__setattr__(self, "values", tuple(v / total for v in vals))
-        object.__setattr__(self, "m", m)
+        self._set(values=tuple(v / total for v in vals), m=m)
 
     @functools.cached_property
     def p(self) -> np.ndarray:

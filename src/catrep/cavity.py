@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
+
+from .catcode import _Record
 
 __all__ = [
     "CavityParams",
@@ -31,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CavityParams:
+class CavityParams(_Record):
     """Cavity and atom rates, in units of the cavity decay rate.
 
     The defaults are illustrative, not a claim about any experiment: they
@@ -40,15 +40,13 @@ class CavityParams:
     κ_r/κ below one.  Every sweep accepts overrides.
     """
 
-    g: float = 3.0
-    kappa: float = 1.0
-    gamma: float = 1.2
-    kappa_r: float = 0.9
+    _fields = ("g", "kappa", "gamma", "kappa_r")
 
-    def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name}={getattr(self, f.name)!r} must be finite")
+    def __init__(
+        self, g: float = 3.0, kappa: float = 1.0, gamma: float = 1.2, kappa_r: float = 0.9
+    ):
+        self._set(g=g, kappa=kappa, gamma=gamma, kappa_r=kappa_r)
+        self._require_finite(*self._fields)
         if self.kappa <= 0.0 or self.gamma <= 0.0 or self.kappa_r <= 0.0:
             raise ValueError("decay rates must be positive")
         if self.kappa_r > self.kappa:

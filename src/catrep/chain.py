@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
-from .catcode import CatCodeSpec, LossWeights, _freeze, _log_factorials, _point_classes
+from .catcode import CatCodeSpec, LossWeights, _freeze, _log_factorials, _point_classes, _Record
 from .usd import _usd_probability
 
 __all__ = [
@@ -54,15 +53,7 @@ _MAX_TABLE_CELLS = 2**21
 _KEPT_TABLES = 16
 
 
-def _require_finite(params, *names: str) -> None:
-    for name in names:
-        value = getattr(params, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name}={value!r} must be finite")
-
-
-@dataclass(frozen=True)
-class SegmentParams:
+class SegmentParams(_Record):
     """One elementary link: distance, code choice, local transmission.
 
     The segment channel seen by the code combines fiber loss over ``l0``
@@ -70,14 +61,14 @@ class SegmentParams:
     ``eta_segment = eta_local * exp(-l0/l_att)``.
     """
 
-    l0: float
-    m: int
-    alpha: float
-    eta_local: float = 1.0
-    l_att: float = ATTENUATION_LENGTH_KM
+    _fields = ("l0", "m", "alpha", "eta_local", "l_att")
 
-    def __post_init__(self):
-        _require_finite(self, "l0", "alpha", "eta_local", "l_att")
+    def __init__(
+        self, l0: float, m: int, alpha: float, eta_local: float = 1.0,
+        l_att: float = ATTENUATION_LENGTH_KM,
+    ):
+        self._set(l0=l0, m=m, alpha=alpha, eta_local=eta_local, l_att=l_att)
+        self._require_finite("l0", "alpha", "eta_local", "l_att")
         if self.l0 <= 0:
             raise ValueError("need l0 > 0")
         if self.l_att <= 0:
@@ -97,16 +88,15 @@ class SegmentParams:
         return CatCodeSpec(m=self.m, alpha=self.alpha, eta=self.eta_segment)
 
 
-@dataclass(frozen=True)
-class ChainParams:
+class ChainParams(_Record):
     """Whole-line geometry and clock: total distance, link count, cycle time."""
 
-    l_tot: float
-    n_e: int
-    t0: float = 1e-6
+    _fields = ("l_tot", "n_e", "t0")
+    t0 = 1e-6  # the default cycle time, which cli.DEFAULT_CONFIG reads here
 
-    def __post_init__(self):
-        _require_finite(self, "l_tot", "t0")
+    def __init__(self, l_tot: float, n_e: int, t0: float = t0):
+        self._set(l_tot=l_tot, n_e=n_e, t0=t0)
+        self._require_finite("l_tot", "t0")
         if self.l_tot <= 0:
             raise ValueError("need l_tot > 0")
         if not isinstance(self.n_e, int) or self.n_e < 1:
@@ -125,8 +115,7 @@ def check_chain_geometry(segment: SegmentParams, chain: ChainParams) -> None:
         )
 
 
-@dataclass(frozen=True)
-class PauliFrameState:
+class PauliFrameState(_Record):
     """Bell-diagonal pair tracked up to local Pauli corrections.
 
     ``kind`` says which Bell doublet carries the weight (parallel or
@@ -134,19 +123,15 @@ class PauliFrameState:
     member, ``phase`` the accumulated rotation tag of the doublet.
     """
 
-    kind: str
-    plus_weight: float
-    phase: float = 0.0
+    _fields = ("kind", "plus_weight", "phase")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
+    def __init__(self, kind: str, plus_weight: float, phase: float = 0.0):
+        if kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
-        if not -1e-12 <= self.plus_weight <= 1 + 1e-12:
+        if not -1e-12 <= plus_weight <= 1 + 1e-12:
             raise ValueError("plus_weight must lie in [0, 1]")
-        object.__setattr__(
-            self, "plus_weight", min(max(self.plus_weight, 0.0), 1.0)
-        )
-        object.__setattr__(self, "phase", self.phase % (2 * math.pi))
+        plus_weight = min(max(plus_weight, 0.0), 1.0)
+        self._set(kind=kind, plus_weight=plus_weight, phase=phase % (2 * math.pi))
 
 
 def swap_components(a_plus: float, b_plus: float) -> dict:
@@ -408,18 +393,21 @@ def plob_bound(l_tot: float, l_att: float = ATTENUATION_LENGTH_KM) -> float:
     return -math.log1p(-eta_tot) / math.log(2.0)
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(_Record):
     """Per-configuration summary row of the repeater-line analytics."""
 
-    f0: float
-    p0: float
-    f_tot: float
-    p_tot: float
-    rate_per_second: float
-    rate_per_use: float
-    plob: float
-    beats_plob: bool
+    _fields = (
+        "f0", "p0", "f_tot", "p_tot", "rate_per_second", "rate_per_use", "plob", "beats_plob"
+    )
+
+    def __init__(
+        self, f0: float, p0: float, f_tot: float, p_tot: float, rate_per_second: float,
+        rate_per_use: float, plob: float, beats_plob: bool,
+    ):
+        self._set(
+            f0=f0, p0=p0, f_tot=f_tot, p_tot=p_tot, rate_per_second=rate_per_second,
+            rate_per_use=rate_per_use, plob=plob, beats_plob=beats_plob,
+        )
 
 
 def evaluate_chain(

@@ -23,10 +23,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import itertools
-import json
 import math
 import sys
 
@@ -112,7 +110,7 @@ _GRID_FLAGS = ("alpha", "m", "l0", "eta_local", "l_tot", "l_att", "t0")
 # a sweep row is its grid point's SegmentParams fields, then its ChainReport;
 # each point field is also the dest of the flag that sets its grid
 _POINT_KEYS = ("m", "alpha", "l0", "eta_local")
-_SWEEP_COLUMNS = _POINT_KEYS + tuple(f.name for f in dataclasses.fields(ChainReport))
+_SWEEP_COLUMNS = _POINT_KEYS + ChainReport._fields
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -180,7 +178,7 @@ def _grid(cfg: dict, section: str, key: str, cast) -> list:
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
-    cfg = json.loads(json.dumps(cfg))  # deep copy, keeps plain types
+    cfg = {section: dict(values) for section, values in cfg.items()}  # no list changes in place
     for dest, (flag, section, key, cast, _) in _FLAGS.items():
         value = getattr(args, dest, None)
         if value is None:
@@ -208,25 +206,44 @@ def _render(rows, columns, fmt: str) -> str:
         lines = [",".join(columns)]
         lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
         return "\n".join(lines) + "\n"
+    import json
     return "".join(json.dumps({c: row[c] for c in columns}) + "\n" for row in rows)
+
+
+def _dist_version(name: str) -> str | None:
+    """The ``Version:`` line of ``<name>-*.dist-info/METADATA`` beside the
+    package ``name``, which is found but not imported."""
+    import importlib.util
+    import os
+    spec = importlib.util.find_spec(name)
+    if spec is None or spec.origin is None:
+        return None
+    site = os.path.dirname(os.path.dirname(spec.origin))
+    for entry in sorted(os.listdir(site)):
+        if entry.startswith(f"{name}-") and entry.endswith(".dist-info"):
+            with contextlib.suppress(OSError), open(os.path.join(site, entry, "METADATA")) as fh:
+                for line in fh:
+                    if line.startswith("Version:"):
+                        return line.removeprefix("Version:").strip()
+    return None
 
 
 def _emit(text: str, out: str | None, argv) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    import datetime  # only --out needs these three, about 30 ms of imports
+    import datetime  # only --out needs these
+    import json
     import platform
-    from importlib import metadata
     meta = {
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "argv": list(argv),
         "version": __version__,
         "python": platform.python_version(),
     }
-    for package in ("numpy", "mpmath"):  # read from their metadata, neither imported
-        with contextlib.suppress(metadata.PackageNotFoundError):
-            meta[package] = metadata.version(package)
+    for package in ("numpy", "mpmath"):  # left out where none is found
+        if version := _dist_version(package):
+            meta[package] = version
     try:
         for path, body in ((out, text), (f"{out}.meta.json", json.dumps(meta, indent=2) + "\n")):
             with open(path, "w", newline="\n") as fh:
@@ -281,7 +298,7 @@ def cmd_keyrate(cfg: dict, args) -> tuple:
 
 def cmd_cavity(cfg: dict, args) -> tuple:
     cav = cfg["cavity"]
-    params = CavityParams(**{f.name: cav[f.name] for f in dataclasses.fields(CavityParams)})
+    params = CavityParams(**{name: cav[name] for name in CavityParams._fields})
     if cav["points"] < 1:
         raise UsageError("cavity.points must be positive")
     # np.linspace's grid, in floats: (i/div)·span where the step underflows to 0

@@ -19,11 +19,10 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .catcode import _freeze
+from .catcode import _freeze, _Record
 
 __all__ = [
     "TruncationError",
@@ -74,20 +73,18 @@ def _log_factorials(dim: int) -> np.ndarray:
     return np.fromiter(map(math.lgamma, range(1, dim + 1)), float, dim)
 
 
-@dataclass(frozen=True)
-class FockVector:
+class FockVector(_Record):
     """Pure single-mode state: amplitudes over photon numbers 0..n_max."""
 
-    amps: np.ndarray
-    n_max: int
+    _fields = ("amps", "n_max")
 
-    def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
-        if amps.ndim != 1 or amps.shape[0] != self.n_max + 1:
+    def __init__(self, amps: np.ndarray, n_max: int):
+        amps = np.asarray(amps, dtype=complex)
+        if amps.ndim != 1 or amps.shape[0] != n_max + 1:
             raise ValueError(
-                f"amplitude array of length {amps.shape} does not match n_max={self.n_max}"
+                f"amplitude array of length {amps.shape} does not match n_max={n_max}"
             )
-        object.__setattr__(self, "amps", _freeze(amps))
+        self._set(amps=_freeze(amps), n_max=n_max)
 
     @property
     def dim(self) -> int:
@@ -110,27 +107,23 @@ class FockVector:
         return FockVector(amps, n_max)
 
 
-@dataclass(frozen=True)
-class HybridDensity:
+class HybridDensity(_Record):
     """Joint state of `spins` two-level systems and one mode.
 
     The matrix is dense over the composite dimension 2**spins * (n_max+1),
     spin axes first, mode axis last.
     """
 
-    spins: int
-    n_max: int
-    matrix: np.ndarray
-    validate: bool = True
+    _fields = ("spins", "n_max", "matrix", "validate")
 
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=complex)
-        dim = self.dim
+    def __init__(self, spins: int, n_max: int, matrix: np.ndarray, validate: bool = True):
+        matrix = np.asarray(matrix, dtype=complex)
+        dim = (2**spins) * (n_max + 1)
         if matrix.shape != (dim, dim):
             raise ValueError(
-                f"matrix shape {matrix.shape} does not match spins={self.spins}, n_max={self.n_max}"
+                f"matrix shape {matrix.shape} does not match spins={spins}, n_max={n_max}"
             )
-        if self.validate:
+        if validate:
             herm = np.max(np.abs(matrix - matrix.conj().T))
             if herm > _HERMITICITY_TOL:
                 raise ValueError(f"HybridDensity: matrix deviates from Hermitian by {herm:.3e}")
@@ -140,7 +133,7 @@ class HybridDensity:
             w = np.linalg.eigvalsh(matrix)
             if w[0] < _EIG_FLOOR:
                 raise ValueError(f"HybridDensity: negative eigenvalue {w[0]:.3e}")
-        object.__setattr__(self, "matrix", _freeze(matrix))
+        self._set(spins=spins, n_max=n_max, matrix=_freeze(matrix), validate=validate)
 
     @property
     def mode_dim(self) -> int:

@@ -32,11 +32,10 @@ the damped one behind the discrimination bras included, is `_code_pair`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .catcode import CatCodeSpec
+from .catcode import CatCodeSpec, _Record
 from .fockspace import (
     FockVector,
     HybridDensity,
@@ -405,8 +404,7 @@ def _density(records, axes: tuple) -> np.ndarray:
 # one elementary unit
 
 
-@dataclass(frozen=True)
-class UnitReport:
+class UnitReport(_Record):
     """Everything the oracle measures about one elementary unit.
 
     weights reconstructs the 2M loss-class distribution operationally:
@@ -419,17 +417,21 @@ class UnitReport:
     success are 0.
     """
 
-    m: int
-    alpha: float
-    eta: float
-    f0_oracle: float
-    weights: np.ndarray
-    syndrome_probs: np.ndarray
-    plus_weight: np.ndarray
-    usd_success: np.ndarray
-    p_success_weighted: float
-    spin_states: tuple
-    thetas: np.ndarray
+    _fields = (
+        "m", "alpha", "eta", "f0_oracle", "weights", "syndrome_probs", "plus_weight",
+        "usd_success", "p_success_weighted", "spin_states", "thetas",
+    )
+
+    def __init__(
+        self, m: int, alpha: float, eta: float, f0_oracle: float, weights: np.ndarray,
+        syndrome_probs: np.ndarray, plus_weight: np.ndarray, usd_success: np.ndarray,
+        p_success_weighted: float, spin_states: tuple, thetas: np.ndarray,
+    ):
+        self._set(
+            m=m, alpha=alpha, eta=eta, f0_oracle=f0_oracle, weights=weights,
+            syndrome_probs=syndrome_probs, plus_weight=plus_weight, usd_success=usd_success,
+            p_success_weighted=p_success_weighted, spin_states=spin_states, thetas=thetas,
+        )
 
 
 def simulate_unit(spec: CatCodeSpec, *, setup=None) -> UnitReport:

@@ -19,9 +19,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 
-from .catcode import CatCodeSpec, LossWeights, _freeze, _point_classes
+from .catcode import CatCodeSpec, LossWeights, _freeze, _point_classes, _Record
 
 __all__ = [
     "CoherentSuperposition",
@@ -49,18 +48,18 @@ _MAX_ROUNDING = 1e-6  # largest relative rounding estimate of a returned click p
 _MAX_CIRCUIT_AMPLITUDE = math.sqrt(_MAX_ROUNDING / _EPS)
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class CoherentSuperposition:
+class CoherentSuperposition(_Record):
     """Finite sum  sum_t  c_t |amp_t[0]> x ... x |amp_t[n-1]>.
 
     Held as read-only complex arrays, ``coeffs`` (T,) and ``amps``
     (T, n_modes).  The constructor takes and checks ``(coeff, amps)``
     pairs; the operations below build on the arrays of checked states
     without a second check.  Terms are never merged; states stay exact.
+    Two states are equal only if they are the same object.
     """
 
-    coeffs: np.ndarray
-    amps: np.ndarray
+    _fields = ("coeffs", "amps")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, terms, n_modes: int):
         if n_modes < 1:
@@ -71,8 +70,7 @@ class CoherentSuperposition:
             if len(row) != n_modes:
                 raise ValueError(f"term has {len(row)} amplitudes, expected {n_modes}")
         coeffs, amps = _term_arrays(terms)
-        object.__setattr__(self, "coeffs", _freeze(coeffs))
-        object.__setattr__(self, "amps", _freeze(amps))
+        self._set(coeffs=_freeze(coeffs), amps=_freeze(amps))
 
     @property
     def n_modes(self) -> int:

@@ -1,8 +1,10 @@
 """Command-line behavior: formats, determinism, exit codes, golden data."""
 
+import ast
 import contextlib
 import csv
 import importlib.metadata
+import importlib.util
 import io
 import json
 import math
@@ -134,16 +136,18 @@ def test_sweep_deterministic_and_sidecar(tmp_path, monkeypatch, capsys):
         mpmath = {}
     assert set(meta) == {"generated_at", "argv", "version", "python", "numpy", *mpmath}
     assert meta["python"] == platform.python_version()
-    assert meta["numpy"] == np.__version__
+    # read from the dist-info beside each package: the versions the
+    # installed distributions report
+    assert meta["numpy"] == np.__version__ == importlib.metadata.version("numpy")
     assert meta.get("mpmath") == mpmath.get("mpmath")
     # No timestamp leaks into the data file.
     assert meta["generated_at"] not in a.read_text()
 
     # Without an installed mpmath the key is left out; the data file is unchanged.
-    def not_installed(name):
-        raise importlib.metadata.PackageNotFoundError(name)
-
-    monkeypatch.setattr(importlib.metadata, "version", not_installed)
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(
+        importlib.util, "find_spec", lambda name: None if name == "mpmath" else find_spec(name)
+    )
     c = tmp_path / "c.csv"
     assert run_cli(capsys, *args, "--out", str(c))[0] == 0
     assert "mpmath" not in json.loads((tmp_path / "c.csv.meta.json").read_text())
@@ -558,6 +562,12 @@ def test_empty_grid_is_refused_by_key(tmp_path, capsys, command, key):
         ("validate: {m: [4]}", ("validate",), "validation grid is bounded at m <= 3"),
         ("{}", ("validate", "--tol", "f0="), "bad value for --tol f0: ''"),
         ("{}", ("sweep", "--t0", "abc"), "bad value for --t0: 'abc'"),
+        # a YAML date reaches the cast, which names it, not a traceback
+        (
+            "code: {alpha: [2020-01-01]}",
+            ("sweep",),
+            "bad value for code.alpha: datetime.date(2020, 1, 1)",
+        ),
     ],
 )
 def test_config_and_flag_refusals_are_named(tmp_path, capsys, config, argv, message):
@@ -788,11 +798,13 @@ def test_module_entry_point_help():
 
 
 def test_import_path_leaves_out_scipy_and_yaml():
-    # A run without --config never loads YAML, no module loads scipy, and
-    # numpy waits for the first function that builds an array.
+    # A run without --config never loads YAML, no module loads scipy, numpy
+    # waits for the first function that builds an array, and neither the
+    # dataclasses machinery (with inspect) nor json is on the import path.
     code = (
         "import sys, catrep.cli as c; c.load_config(None); c.build_parser(); "
-        "print(sorted(m for m in ('scipy', 'yaml', 'numpy') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy', 'yaml', 'numpy', 'dataclasses', 'inspect', 'json') "
+        "if m in sys.modules))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
     proc = subprocess.run(
@@ -803,24 +815,26 @@ def test_import_path_leaves_out_scipy_and_yaml():
 
 
 _LOADED = (
-    "print(sorted(m for m in ('numpy', 'catrep.fockspace', 'catrep.protocol_oracle') "
-    "if m in sys.modules))\n"
+    "print(sorted(m for m in ('numpy', 'catrep.fockspace', 'catrep.protocol_oracle', "
+    "'dataclasses', 'inspect', 'json', 'importlib.metadata') if m in sys.modules))\n"
 )
 
 
 def test_analytic_commands_run_without_numpy_or_the_oracle(tmp_path):
     # sweep, keyrate in lower_bound mode (one point, and a refused default
-    # grid), sweep --out and cavity run on Python floats; validate then loads
-    # the oracle, and numpy with it, on first use.
+    # grid) and cavity run on Python floats and load neither the dataclasses
+    # machinery nor json; sweep --out loads json alone, for its sidecar, and
+    # reads the library versions without importlib.metadata; validate then
+    # loads the oracle, and numpy with it (which may bring inspect), on first use.
     code = (
         "import contextlib, io, sys\n"
         "from catrep.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
         "    codes = [main(['sweep']), main(['keyrate', '--m', '2', '--alpha', '2', "
-        "'--l0', '0.1']), main(['keyrate']), main(['sweep', '--out', sys.argv[1]]), "
-        "main(['cavity'])]\n"
+        "'--l0', '0.1']), main(['keyrate']), main(['cavity'])]\n"
         "print(codes)\n" + _LOADED
+        + "print(main(['sweep', '--out', sys.argv[1]]))\n" + _LOADED
         + "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    print(main(['validate']), file=sys.stderr)\n" + _LOADED
     )
@@ -831,11 +845,11 @@ def test_analytic_commands_run_without_numpy_or_the_oracle(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "0\n"
-    assert proc.stdout.splitlines() == [
-        "[0, 0, 1, 0, 0]",
-        "[]",
-        "['catrep.fockspace', 'catrep.protocol_oracle', 'numpy']",
-    ]
+    *lines, after_validate = proc.stdout.splitlines()
+    assert lines == ["[0, 0, 1, 0]", "[]", "0", "['json']"]
+    assert set(ast.literal_eval(after_validate)) - {"inspect"} == {
+        "catrep.fockspace", "catrep.protocol_oracle", "json", "numpy"
+    }
     assert out.read_bytes() == (DATA_DIR / "sweep_golden.csv").read_bytes()
 
 

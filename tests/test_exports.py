@@ -47,8 +47,9 @@ def test_analytic_base_imports_no_fock_substrate():
     for name in ("codeword", "damped_codeword", "error_space_state", "rotation_apply", "kraus_op"):
         assert not hasattr(catrep, name), name
     # The converse: the Fock substrate and the oracle take from the analytic
-    # engine only the code's parameters and `_freeze`, so the oracle's
-    # residue masks are its own and not the analytic engine's class series.
+    # engine only the code's parameters, `_freeze` and the record base
+    # `_Record`, so the oracle's residue masks are its own and not the
+    # analytic engine's class series.
     for module in ("fockspace", "protocol_oracle"):
         source = pathlib.Path(catcode.__file__).with_name(f"{module}.py").read_text()
         for node in ast.walk(ast.parse(source)):
@@ -58,7 +59,7 @@ def test_analytic_base_imports_no_fock_substrate():
                 assert not {"usd", "chain", "cavity"} & reached, (module, node.module, names)
                 if "catcode" in reached:
                     assert (node.module or "").endswith("catcode"), (module, names)
-                    assert names <= {"CatCodeSpec", "_freeze"}, (module, names)
+                    assert names <= {"CatCodeSpec", "_Record", "_freeze"}, (module, names)
             elif isinstance(node, ast.Import):
                 reached = {part for alias in node.names for part in alias.name.split(".")}
                 assert not {"usd", "chain", "cavity", "catcode"} & reached, (module, reached)

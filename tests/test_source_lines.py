@@ -1,5 +1,6 @@
 """Source-tree rules: one line width, no dead imports or private names, no einsum path,
-no numpy in the class-series kernel, and none imported with the analytic modules."""
+no dataclasses, no numpy in the class-series kernel, and none imported with the
+analytic modules."""
 
 import ast
 import pathlib
@@ -84,6 +85,31 @@ def test_no_einsum_is_given_a_path():
         and any(kw.arg == "optimize" for kw in node.keywords)
     ]
     assert not given, given
+
+
+def _dataclasses_imports(tree) -> list:
+    """Lines that import the stdlib ``dataclasses`` module, anywhere in a module."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(alias.name == "dataclasses" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+
+
+def test_no_module_imports_dataclasses():
+    # Importing dataclasses also loads inspect, ast, dis and tokenize, about
+    # 10 ms of every command's start-up; the records build on catcode._Record.
+    found = {name: _dataclasses_imports(tree) for name, tree in _modules().items()}
+    assert not any(found.values()), found
+
+
+def test_the_dataclasses_rule_refuses_either_import_form():
+    for line in ("from dataclasses import dataclass\n", "import sys, dataclasses\n"):
+        source = (SRC / "chain.py").read_text().replace("import math\n", "import math\n" + line, 1)
+        assert _dataclasses_imports(ast.parse(source)), line
+    nested = "def f():\n    from dataclasses import fields\n    return fields\n"
+    assert _dataclasses_imports(ast.parse(nested))
 
 
 def _numpy_in_class_series(tree) -> list:

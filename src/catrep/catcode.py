@@ -41,6 +41,7 @@ _MAX_SERIES_STOP = 4_000_000
 _LOG_FACT_CAP = 16_384
 _LOG_FACT: list[float] = []
 _LOG_FACT_GROWING = threading.Lock()
+_MODES = ("per_q", "weighted_average", "worst_case")
 
 
 class _Record:
@@ -341,6 +342,30 @@ def _point_classes(
     w = [math.exp(v - peak) for v in log_w]
     total = math.fsum(w)
     return LossWeights([v / total for v in w], spec.m), success
+
+
+def _check_usd(mode: str, q: int, order: int) -> None:
+    """Refuse a discrimination mode, or a per_q class q, before any table is built."""
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    if mode == "per_q" and not 0 <= q < order:
+        raise ValueError(f"q must satisfy 0 <= q < {order}")
+
+
+def _usd_probability(
+    weights: LossWeights | None, per_class: list[float], q: int, mode: str
+) -> float:
+    """optimal_usd_probability from a point's `_point_classes`, mode and q checked."""
+    if mode == "per_q":
+        return per_class[q]
+    if mode == "worst_case":
+        return min(per_class)
+    w, big_m = weights.values, len(per_class)
+    total = math.fsum((w[r] + w[r + big_m]) * per_class[r] for r in range(big_m))
+    # Convex combination of values in [0, 1]; shave rounding excursions.
+    if not -1e-12 <= total <= 1.0 + 1e-12:
+        raise ArithmeticError(f"weighted success {total} outside [0, 1]")
+    return min(max(total, 0.0), 1.0)
 
 
 def loss_weights(spec: CatCodeSpec) -> LossWeights:

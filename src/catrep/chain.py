@@ -20,7 +20,7 @@ import functools
 import math
 
 from .catcode import CatCodeSpec, LossWeights, _freeze, _log_factorials, _point_classes, _Record
-from .usd import _usd_probability
+from .catcode import _check_usd, _usd_probability
 
 __all__ = [
     "ATTENUATION_LENGTH_KM",
@@ -419,7 +419,9 @@ def evaluate_chain(
 ) -> ChainReport:
     """Full pipeline for one configuration: segment -> chain -> key rate."""
     check_chain_geometry(segment, chain)
-    weights, per_class = _point_classes(segment.code_spec)
+    spec = segment.code_spec
+    _check_usd(usd_mode, usd_q, spec.order)
+    weights, per_class = _point_classes(spec)
     f0 = weights.correctable_mass()
     p0 = _usd_probability(weights, per_class, usd_q, usd_mode)
     f_tot = chain_fidelity(f0, chain.n_e)

@@ -39,7 +39,6 @@ from .chain import (
     check_chain_geometry,
     evaluate_chain,
 )
-from .usd import usd_sweep
 
 __all__ = ["main", "load_config", "DEFAULT_CONFIG"]
 
@@ -316,6 +315,7 @@ def cmd_cavity(cfg: dict, args) -> tuple:
 
 
 def cmd_usd(cfg: dict, args) -> tuple:
+    from .usd import usd_sweep  # loaded on the first usd command, not with the CLI
     usd_cfg = cfg["usd"]
     alphas = _grid(cfg, "usd", "alphas", float)
     rows = usd_sweep(alphas, q=usd_cfg["q"], probe_style=usd_cfg["probe_style"])

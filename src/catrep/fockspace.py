@@ -79,7 +79,7 @@ class FockVector(_Record):
     _fields = ("amps", "n_max")
 
     def __init__(self, amps: np.ndarray, n_max: int):
-        amps = np.asarray(amps, dtype=complex)
+        amps = np.array(amps, dtype=complex)  # a copy: the caller's array stays its own
         if amps.ndim != 1 or amps.shape[0] != n_max + 1:
             raise ValueError(
                 f"amplitude array of length {amps.shape} does not match n_max={n_max}"
@@ -117,7 +117,7 @@ class HybridDensity(_Record):
     _fields = ("spins", "n_max", "matrix", "validate")
 
     def __init__(self, spins: int, n_max: int, matrix: np.ndarray, validate: bool = True):
-        matrix = np.asarray(matrix, dtype=complex)
+        matrix = np.array(matrix, dtype=complex)  # a copy, as in FockVector
         dim = (2**spins) * (n_max + 1)
         if matrix.shape != (dim, dim):
             raise ValueError(

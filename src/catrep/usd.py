@@ -20,7 +20,7 @@ import cmath
 import math
 import sys
 
-from .catcode import CatCodeSpec, LossWeights, _freeze, _point_classes, _Record
+from .catcode import CatCodeSpec, _check_usd, _freeze, _point_classes, _Record, _usd_probability
 
 __all__ = [
     "CoherentSuperposition",
@@ -36,7 +36,6 @@ __all__ = [
     "usd_sweep",
 ]
 
-_MODES = ("per_q", "weighted_average", "worst_case")
 _PROBE_STYLES = ("cat", "coherent")
 _NORM_FLOOR = 1e-150
 _EPS = sys.float_info.epsilon
@@ -286,31 +285,9 @@ def optimal_usd_probability(
     Class q and class q + 2^m share one discrimination problem (the states
     differ by signs only), so everything runs over q < 2^m.
     """
+    _check_usd(mode, q, spec.order)
     weights, per_class = _point_classes(spec, weights=mode == "weighted_average")
     return _usd_probability(weights, per_class, q, mode)
-
-
-def _usd_probability(
-    weights: LossWeights | None, per_class: list[float], q: int, mode: str
-) -> float:
-    # optimal_usd_probability from a point's _point_classes
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    big_m = len(per_class)
-    if mode == "per_q" and not 0 <= q < big_m:
-        raise ValueError(f"q must satisfy 0 <= q < {big_m}")
-    if mode == "per_q":
-        return per_class[q]
-    if mode == "worst_case":
-        return min(per_class)
-    w = weights.values
-    total = math.fsum(
-        (w[r] + w[r + big_m]) * per_class[r] for r in range(big_m)
-    )
-    # Convex combination of values in [0, 1]; shave rounding excursions.
-    if not -1e-12 <= total <= 1.0 + 1e-12:
-        raise ArithmeticError(f"weighted success {total} outside [0, 1]")
-    return min(max(total, 0.0), 1.0)
 
 
 def linear_optics_output_states(

@@ -495,6 +495,11 @@ def test_scalar_config_values_go_through_one_cast(tmp_path, capsys, config, comm
             "{delta_min: -1.0e308, delta_max: 1.0e308, points: 3}",
             "cavity.delta_min=-1e+308, cavity.delta_max=1e+308: no finite grid",
         ),
+        # np.linspace(-1e308, 1e308, 1) is [nan] too (numpy 2.4.6): no grid either
+        (
+            "{delta_min: -1.0e308, delta_max: 1.0e308, points: 1}",
+            "cavity.delta_min=-1e+308, cavity.delta_max=1e+308: no finite grid",
+        ),
         ("{g: 1.0e200}", "g=1e+200: its square overflows a float"),
     ],
 )
@@ -567,6 +572,18 @@ def test_empty_grid_is_refused_by_key(tmp_path, capsys, command, key):
             "code: {alpha: [2020-01-01]}",
             ("sweep",),
             "bad value for code.alpha: datetime.date(2020, 1, 1)",
+        ),
+        # the usd mode and q are refused before any table, here before alpha
+        # squared overflows (exit 3)
+        (
+            "usd: {mode: bogus}",
+            ("keyrate", "--m", "2", "--alpha", "1e200", "--l0", "0.1"),
+            "mode must be one of ('per_q', 'weighted_average', 'worst_case'), got 'bogus'",
+        ),
+        (
+            "usd: {mode: per_q, q: 4}",
+            ("keyrate", "--m", "2", "--alpha", "1e200", "--l0", "0.1"),
+            "q must satisfy 0 <= q < 4",
         ),
     ],
 )
@@ -816,16 +833,18 @@ def test_import_path_leaves_out_scipy_and_yaml():
 
 _LOADED = (
     "print(sorted(m for m in ('numpy', 'catrep.fockspace', 'catrep.protocol_oracle', "
-    "'dataclasses', 'inspect', 'json', 'importlib.metadata') if m in sys.modules))\n"
+    "'catrep.usd', 'dataclasses', 'inspect', 'json', 'importlib.metadata') "
+    "if m in sys.modules))\n"
 )
 
 
 def test_analytic_commands_run_without_numpy_or_the_oracle(tmp_path):
     # sweep, keyrate in lower_bound mode (one point, and a refused default
-    # grid) and cavity run on Python floats and load neither the dataclasses
-    # machinery nor json; sweep --out loads json alone, for its sidecar, and
-    # reads the library versions without importlib.metadata; validate then
-    # loads the oracle, and numpy with it (which may bring inspect), on first use.
+    # grid) and cavity run on Python floats and load neither usd, the
+    # dataclasses machinery nor json; sweep --out loads json alone, for its
+    # sidecar, and reads the library versions without importlib.metadata;
+    # validate then loads the oracle, and numpy with it (which may bring
+    # inspect), on first use, and usd loads with the first usd command alone.
     code = (
         "import contextlib, io, sys\n"
         "from catrep.cli import main\n"
@@ -837,6 +856,8 @@ def test_analytic_commands_run_without_numpy_or_the_oracle(tmp_path):
         + "print(main(['sweep', '--out', sys.argv[1]]))\n" + _LOADED
         + "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    print(main(['validate']), file=sys.stderr)\n" + _LOADED
+        + "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    print(main(['usd']), file=sys.stderr)\n" + _LOADED
     )
     env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
     out = tmp_path / "sweep.csv"
@@ -844,12 +865,12 @@ def test_analytic_commands_run_without_numpy_or_the_oracle(tmp_path):
         [sys.executable, "-c", code, str(out)], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "0\n"
-    *lines, after_validate = proc.stdout.splitlines()
+    assert proc.stderr == "0\n0\n"
+    *lines, after_validate, after_usd = proc.stdout.splitlines()
     assert lines == ["[0, 0, 1, 0]", "[]", "0", "['json']"]
-    assert set(ast.literal_eval(after_validate)) - {"inspect"} == {
-        "catrep.fockspace", "catrep.protocol_oracle", "json", "numpy"
-    }
+    oracle = {"catrep.fockspace", "catrep.protocol_oracle", "json", "numpy"}
+    assert set(ast.literal_eval(after_validate)) - {"inspect"} == oracle
+    assert set(ast.literal_eval(after_usd)) - {"inspect"} == oracle | {"catrep.usd"}
     assert out.read_bytes() == (DATA_DIR / "sweep_golden.csv").read_bytes()
 
 

@@ -66,13 +66,14 @@ def test_analytic_base_imports_no_fock_substrate():
 
 
 def test_fock_engine_loads_on_first_use_and_the_surface_stays_whole():
-    # In a fresh interpreter `import catrep` loads neither the Fock engine
-    # nor numpy, yet `dir`, the star import and attribute access see every
-    # name; an unknown name is refused without loading anything.
+    # In a fresh interpreter `import catrep` loads neither usd, the Fock
+    # engine nor numpy, yet `dir`, the star import and attribute access see
+    # every name; an unknown name is refused without loading anything, and
+    # each lazy name loads its own module alone (a Fock engine one, numpy too).
     code = textwrap.dedent("""
         import json, sys
         import catrep
-        lazy = ("numpy", "catrep.fockspace", "catrep.protocol_oracle")
+        lazy = ("numpy", "catrep.fockspace", "catrep.protocol_oracle", "catrep.usd")
         before = [m for m in lazy if m in sys.modules]
         listed = dir(catrep)
         try:
@@ -80,6 +81,10 @@ def test_fock_engine_loads_on_first_use_and_the_surface_stays_whole():
         except AttributeError as exc:
             unknown = str(exc)
         after_unknown = [m for m in lazy if m in sys.modules]
+        usd_first = catrep.optimal_usd_probability
+        after_usd = [m for m in lazy if m in sys.modules]
+        catrep.FockVector
+        after_fock = [m for m in lazy if m in sys.modules]
         first = catrep.simulate_unit
         loaded = [m for m in lazy if m in sys.modules]
         star = {}
@@ -90,6 +95,9 @@ def test_fock_engine_loads_on_first_use_and_the_surface_stays_whole():
             "star": sorted(n for n in star if n != "__builtins__"),
             "all": sorted(catrep.__all__),
             "same": first is catrep.protocol_oracle.simulate_unit,
+            "usd_same": usd_first is catrep.usd.optimal_usd_probability,
+            "after_usd": after_usd,
+            "after_fock": after_fock,
             "loaded": loaded,
         }))
     """)
@@ -104,5 +112,7 @@ def test_fock_engine_loads_on_first_use_and_the_surface_stays_whole():
     assert "no_such_name" in got["unknown"]
     assert got["missing_from_dir"] == []
     assert got["star"] == got["all"] == want
-    assert got["same"] is True
-    assert got["loaded"] == ["numpy", "catrep.fockspace", "catrep.protocol_oracle"]
+    assert got["same"] is got["usd_same"] is True
+    assert got["after_usd"] == ["catrep.usd"]
+    assert got["after_fock"] == ["numpy", "catrep.fockspace", "catrep.usd"]
+    assert got["loaded"] == ["numpy", "catrep.fockspace", "catrep.protocol_oracle", "catrep.usd"]

@@ -247,6 +247,20 @@ def test_density_validation_rejects_bad_matrices():
         HybridDensity(0, 1, np.array([[2.0, 0.0], [0.0, 0.0]]))
 
 
+def test_records_copy_the_callers_array():
+    # the record freezes its own copy; the caller's array stays writable and apart
+    a = np.array([1.0 + 0j, 0.0])
+    v = FockVector(a, 1)
+    rho = np.array([[0.5 + 0j, 0.0], [0.0, 0.5]])
+    s = HybridDensity(0, 1, rho)
+    for given, kept in ((a, v.amps), (rho, s.matrix)):
+        assert given.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(given, kept)
+        before = kept.copy()
+        given.flat[0] = 0.25
+        np.testing.assert_array_equal(kept, before)
+
+
 def test_hybrid_construction_and_partial_traces():
     mode = coherent_state(0.7)
     psi = np.kron(np.array([1.0, 1.0]) / math.sqrt(2), mode.amps)

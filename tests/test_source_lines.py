@@ -1,6 +1,6 @@
 """Source-tree rules: one line width, no dead imports or private names, no einsum path,
-no dataclasses, no numpy in the class-series kernel, and none imported with the
-analytic modules."""
+no dataclasses, no numpy in the class-series kernel, none imported with the
+analytic modules, and no module that imports usd when it is imported."""
 
 import ast
 import pathlib
@@ -150,27 +150,29 @@ def test_the_numpy_rule_refuses_a_kernel_that_calls_np_exp():
 _NUMPY_AT_FIRST_USE = ("__init__.py", "catcode.py", "cavity.py", "chain.py", "cli.py", "usd.py")
 
 
-def _numpy_at_import(tree) -> list:
-    """Lines that import numpy when the module is imported: any import of it
-    outside a function body, at the top level or under a class, if or try."""
+def _imported_at_import(tree, module: str) -> list:
+    """Lines that import ``module`` when the module is imported: any import of it
+    outside a function body, at the top level or under a class, if or try.  An
+    import names it where it is a part of a dotted name the import reads, so
+    ``import numpy.linalg``, ``from .usd import f`` and ``from . import usd`` count."""
     lines, pending = [], list(ast.iter_child_nodes(tree))
     while pending:
         node = pending.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
-        if (
-            isinstance(node, ast.Import)
-            and any(alias.name.split(".")[0] == "numpy" for alias in node.names)
-            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
-        ):
-            lines.append(node.lineno)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            if any(module in name.split(".") for name in names):
+                lines.append(node.lineno)
         pending.extend(ast.iter_child_nodes(node))
     return sorted(lines)
 
 
 def test_analytic_import_path_imports_no_numpy():
     modules = _modules()
-    eager = {name: _numpy_at_import(modules[name]) for name in _NUMPY_AT_FIRST_USE}
+    eager = {name: _imported_at_import(modules[name], "numpy") for name in _NUMPY_AT_FIRST_USE}
     assert not any(eager.values()), eager
 
 
@@ -183,7 +185,29 @@ def test_the_import_rule_refuses_numpy_put_back_at_module_level():
         source = (SRC / name).read_text()
         mutated = source.replace(anchor, anchor + line, 1)
         assert mutated != source
-        assert _numpy_at_import(ast.parse(mutated)), name
+        assert _imported_at_import(ast.parse(mutated), "numpy"), name
     # the same import inside a function is what the rule asks for
     nested = "def f():\n    import numpy as np\n    return np\n"
-    assert not _numpy_at_import(ast.parse(nested))
+    assert not _imported_at_import(ast.parse(nested), "numpy")
+
+
+def test_no_module_imports_usd_at_module_level():
+    # Only `catrep usd` and the circuit need usd (about 4 ms to compile where no
+    # bytecode is cached), so it loads in cli.cmd_usd and on catrep's lazy names.
+    found = {name: _imported_at_import(tree, "usd") for name, tree in _modules().items()}
+    assert not any(found.values()), found
+
+
+def test_the_usd_rule_refuses_each_import_form():
+    for name, anchor, line in (
+        ("chain.py", "import math\n", "from .usd import usd_sweep\n"),
+        ("cli.py", "import sys\n", "from . import usd\n"),
+        ("cavity.py", "import math\n", "import catrep.usd as usd\n"),
+        ("__init__.py", "from .chain import *", "from .usd import *\n"),
+    ):
+        source = (SRC / name).read_text()
+        mutated = source.replace(anchor, line + anchor, 1)
+        assert mutated != source
+        assert _imported_at_import(ast.parse(mutated), "usd"), name
+    # a private name that merely contains the word is not the module
+    assert not _imported_at_import(ast.parse("from .catcode import _usd_probability\n"), "usd")

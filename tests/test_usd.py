@@ -157,6 +157,12 @@ def test_optimal_validation():
         optimal_usd_probability(spec, mode="typo")
     with pytest.raises(ValueError):
         optimal_usd_probability(spec, q=2, mode="per_q")
+    # mode and q are refused before any table: here alpha squared would overflow
+    bright = CatCodeSpec(m=2, alpha=1e200, eta=0.9)
+    with pytest.raises(ValueError, match="mode must be one of .* got 'bogus'"):
+        optimal_usd_probability(bright, mode="bogus")
+    with pytest.raises(ValueError, match=r"q must satisfy 0 <= q < 4"):
+        optimal_usd_probability(bright, q=4, mode="per_q")
 
 
 @pytest.mark.parametrize("alpha", [5e-324, 1e-170])

@@ -14,10 +14,13 @@ Conventions
   indices are row-major over that axis order.
 * All factorials run through libm's log-gamma (`math.lgamma`), so
   amplitudes stay finite for cutoffs up to the hard limit.
+* `coherent_state` keeps its last `_STATE_CACHE` results: the records are
+  immutable, and an oracle grid asks for the same amplitudes repeatedly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -42,6 +45,11 @@ _EIG_FLOOR = -1e-9
 _TAIL_TOL = 1e-12
 # Largest cutoff a state may ask for.
 _HARD_LIMIT = 2048
+# Coherent states `coherent_state` keeps, at most 2,049 amplitudes (33 kB) each.
+_STATE_CACHE = 64
+# log n! for n < _LOG_FACT.size, read-only; `_log_factorials` grows it on
+# demand up to the hard limit's dimension (16 kB).
+_LOG_FACT = _freeze(np.zeros(0))
 
 
 class TruncationError(ArithmeticError):
@@ -69,8 +77,16 @@ def _cutoff(alpha: complex) -> int:
 
 
 def _log_factorials(dim: int) -> np.ndarray:
-    """log n! for n = 0..dim − 1, from libm's lgamma."""
-    return np.fromiter(map(math.lgamma, range(1, dim + 1)), float, dim)
+    """log n! for n = 0..dim − 1, from libm's lgamma, read-only: a view of the
+    shared vector, grown to cover dim, or past the hard limit a vector of its own."""
+    global _LOG_FACT
+    table = _LOG_FACT
+    if table.size < dim:
+        grown = np.fromiter(map(math.lgamma, range(table.size + 1, dim + 1)), float)
+        table = _freeze(np.append(table, grown))
+        if dim <= _HARD_LIMIT + 1:
+            _LOG_FACT = table
+    return table[:dim]
 
 
 class FockVector(_Record):
@@ -156,17 +172,25 @@ def coherent_state(alpha: complex) -> FockVector:
 
     Magnitudes are accumulated in log domain.  Raises TruncationError if the
     Poisson tail mass beyond the cutoff `_cutoff(alpha)` exceeds 1e-12,
-    which does not happen below the hard limit.
+    which does not happen below the hard limit.  The last `_STATE_CACHE`
+    states are kept by |α| and arg α, the two numbers a state is built
+    from; an amplitude `_cutoff` refuses is refused before the cache is read.
     """
-    n_max = _cutoff(alpha)
-    a = abs(alpha)
+    _cutoff(alpha)
+    return _coherent_state(float(abs(alpha)), float(np.angle(alpha)))
+
+
+@functools.lru_cache(maxsize=_STATE_CACHE)
+def _coherent_state(a: float, phase: float) -> FockVector:
+    """The coherent state of amplitude a·e^{i·phase}, a ≥ 0, built anew."""
+    n_max = _cutoff(a)
     if a == 0.0:
         amps = np.zeros(n_max + 1, dtype=complex)
         amps[0] = 1.0
         return FockVector(amps, n_max)
     n = np.arange(n_max + 1)
     log_mag = -0.5 * a * a + n * math.log(a) - 0.5 * _log_factorials(n_max + 1)
-    amps = np.exp(log_mag + 1j * n * np.angle(alpha))
+    amps = np.exp(log_mag + 1j * n * phase)
     v = FockVector(amps, n_max)
     tail = _tail_mass(a, n_max)
     if tail > _TAIL_TOL:

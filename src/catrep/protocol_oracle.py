@@ -22,8 +22,8 @@ point; `simulate_unit` reads those records, `bell_order_equivalence`
 joins two of them for Bell-last and, for Bell-first, makes one left pass
 over all four Bell labels, then one right pass per label.
 A cascade's measurement branch is the mode's residue class mod 2^m:
-`_residue` masks the preparation's kept branch, each injected loss count
-of the pure syndrome check and, one mask per branch and step, the
+`_residue` slices out the preparation's kept branch, each injected loss count
+of the pure syndrome check and, one slice per branch and step, the
 density `syndrome_cascade` is given, and `_arm_maps` reads each syndrome
 branch's projector as the indicator of its class.  Every codeword pair,
 the damped one behind the discrimination bras included, is `_code_pair`.
@@ -92,13 +92,18 @@ def _residue(x: np.ndarray, modulus: int, c: int, *axes: int) -> np.ndarray:
 
     A hcrot-and-measure cascade of depth log2(modulus) projects the mode
     onto one such class, in either variant (Grimsmo, Combes & Baragiola,
-    PRX 10, 011058, 2020).  The result is complex; kept entries keep their bits.
+    PRX 10, 011058, 2020).  Given axes, the result is a new complex array
+    holding the class's strided slice of x, bits kept, in zeros; given
+    none, it is x itself.
     """
+    if not axes:
+        return x
+    cls = [slice(None)] * x.ndim
     for ax in axes:
-        shape = [1] * x.ndim
-        shape[ax] = -1
-        x = np.where((np.arange(x.shape[ax]) % modulus == c % modulus).reshape(shape), x, 0j)
-    return x
+        cls[ax] = slice(c % modulus, None, modulus)
+    out = np.zeros(x.shape, complex)
+    out[tuple(cls)] = x[tuple(cls)]
+    return out
 
 
 def _depth(m) -> int:
@@ -324,8 +329,8 @@ def _arm_maps(spec: CatCodeSpec, v0, flip, bras):
     """
     d, big_m = flip.size, spec.order
     p = np.concatenate([np.einsum("sm,sm->m", v0, v0.conj()).real, np.zeros(d)])
-    window = []
-    for ks in np.array_split(np.arange(d), -(-d * d // _ROW_BLOCK)):  # blocks of loss rows
+    counts, step, window = np.arange(d), max(1, _ROW_BLOCK // d), []
+    for ks in (counts[k0 : k0 + step] for k0 in range(0, d, step)):  # blocks of loss rows
         rows = _loss_rows(spec.eta, d, ks)
         keep = (rows * rows * p[ks[:, None] + np.arange(d)]).sum(axis=1) > _PRUNE / 2
         window.append((ks[keep], rows[keep]))
@@ -387,7 +392,8 @@ def _arm(xs: np.ndarray, maps) -> tuple:
         x = flat[:, rho::big_m].swapaxes(1, 2)
         w = blocks[rho, : x.shape[2], lo:hi]
         np.matmul(x, w.reshape(len(w), -1), out=out[i].reshape(x.shape[:2] + (-1,)))
-    out *= keep[:, residues, lo:hi].swapaxes(0, 1)[:, :, None, :, :, None, None]
+    b, i, t, r = np.nonzero(~keep[:, residues, lo:hi])  # the cells pruning drops
+    out[i, b, :, t, r] = 0.0
     return out.reshape(out.shape[:2] + xs.shape[2:] + out.shape[3:]), live, mass
 
 

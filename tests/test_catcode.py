@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catrep import catcode
+from catrep import catcode, fockspace
 from catrep.catcode import (
     _LOG_DROP,
     CatCodeSpec,
@@ -460,6 +460,14 @@ def test_log_factorial_table_is_lgamma_and_capped():
     assert 0 < len(table) <= catcode._LOG_FACT_CAP
     for t, g in enumerate(table):
         assert g == math.lgamma(t + 1.0), t
+    # fockspace's vector is the same list, grown read-only up to the
+    # dimension of the hard limit and never past it
+    lgammas = np.array(table[:3000])
+    for dim in (0, 1, 41, 40, 2049, 2050, 3000, 7):
+        got = fockspace._log_factorials(dim)
+        assert not got.flags.writeable
+        assert got.tobytes() == lgammas[:dim].tobytes(), dim
+    assert fockspace._LOG_FACT.size == fockspace._HARD_LIMIT + 1
 
 
 def test_log_factorial_table_grows_consistently_under_threads():

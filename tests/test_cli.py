@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catrep import catcode, cli, protocol_oracle
+from catrep import catcode, cli, fockspace, protocol_oracle
 from catrep.chain import ChainParams, SegmentParams, evaluate_chain
 from catrep.cli import DEFAULT_CONFIG, load_config, main
 from catrep.usd import linear_optics_closed_form
@@ -672,11 +672,16 @@ def test_validate_unresolved_discrimination_is_a_numerical_guard(tmp_path, capsy
 
 
 def test_validate_is_byte_deterministic(capsys):
-    # the default grid, run twice in one process
+    # the default grid, run twice in one process: first with no coherent
+    # state kept, then with every one the first run kept
+    fockspace._coherent_state.cache_clear()
     first = run_cli(capsys, "validate")
+    assert fockspace._coherent_state.cache_info().currsize == 6
     second = run_cli(capsys, "validate")
     assert first[0] == second[0] == 0
     assert first[1].encode() == second[1].encode()
+    assert first[2].encode() == second[2].encode() == b""
+    assert first[1].encode() == (DATA_DIR / "validate_golden.csv").read_bytes()
 
 
 def test_validate_empty_grid(tmp_path, capsys):

@@ -98,6 +98,57 @@ def test_non_finite_amplitude_is_named(alpha):
     assert "not finite" in str(err.value)
 
 
+def uncached_coherent_amps(alpha):
+    """Amplitudes of |α⟩ from the raw amplitude, with no state kept: how
+    `coherent_state` built them before it kept its results."""
+    a = abs(alpha)
+    n_max = fockspace._cutoff(alpha)
+    if a == 0.0:
+        return np.eye(1, n_max + 1, dtype=complex)[0]
+    n = np.arange(n_max + 1)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+    log_mag = -0.5 * a * a + n * math.log(a) - 0.5 * log_fact
+    return np.exp(log_mag + 1j * n * np.angle(alpha))
+
+
+# Amplitudes that compare equal share a kept state only where the build
+# reads the same |α| and arg α: -1.25 and -1.25 - 0j have arg π and −π.
+_AMPLITUDES = [
+    2.0, 2, 2 + 0j, complex(2.0, -0.0), np.float64(2.0), np.array(2.0),
+    -1.25, complex(-1.25, -0.0), 0.7 - 0.4j, np.array(-0.3 + 1.1j), 0.0, 35.60705926481621,
+]
+
+
+def test_kept_coherent_states_have_the_uncached_bits():
+    for order in (_AMPLITUDES, _AMPLITUDES[::-1]):
+        fockspace._coherent_state.cache_clear()
+        for alpha in order:
+            for _build_then_kept in range(2):
+                v = coherent_state(alpha)
+                assert not v.amps.flags.writeable
+                assert v.amps.tobytes() == uncached_coherent_amps(alpha).tobytes(), repr(alpha)
+        # six amplitudes equal to 2, then one state per other (|α|, arg α)
+        info = fockspace._coherent_state.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (7, 17, 7)
+
+
+@pytest.mark.parametrize(
+    "alpha,error",
+    [
+        (math.nan, ValueError), (math.inf, ValueError), (complex(1.0, math.nan), ValueError),
+        (np.array(-math.inf), ValueError), (45.0, TruncationError), (1e200, TruncationError),
+    ],
+)
+def test_refused_amplitudes_are_refused_on_every_call(alpha, error):
+    fockspace._coherent_state.cache_clear()
+    for _call in range(3):
+        with pytest.raises(error):
+            coherent_state(alpha)
+    info = fockspace._coherent_state.cache_info()
+    assert (info.misses, info.currsize) == (0, 0)
+    assert coherent_state(2.0).n_max == 40  # and the cache still serves
+
+
 def test_rotation_preserves_norm_and_composes():
     v = coherent_state(1.7)
     r = rotation_apply(0.7, rotation_apply(0.4, v))

@@ -159,6 +159,43 @@ def test_prepare_branches_partition():
         assert np.array_equal(v[n % 4 == c], prim.amps[n % 4 == c])
 
 
+def masked_residue(x, modulus, c, *axes):
+    """The class of c mod modulus as an index mask per axis and `np.where`:
+    how `_residue` was defined before it copied strided slices."""
+    for ax in axes:
+        shape = [1] * x.ndim
+        shape[ax] = -1
+        x = np.where((np.arange(x.shape[ax]) % modulus == c % modulus).reshape(shape), x, 0j)
+    return x
+
+
+def test_residue_has_the_mask_definitions_bits():
+    # Real and complex input with -0.0 entries, on one axis and on two, keep
+    # every bit of the mask-and-where definition, zeros' signs and dtype too.
+    rng = np.random.default_rng(36)
+    real = rng.standard_normal((3, 23))
+    real[:, ::5] = -0.0
+    cplx = real + 1j * rng.standard_normal(real.shape)
+    cplx[1, ::3] = complex(-0.0, -0.0)
+    four = (cplx[:2, None, :, None] * cplx[None, :, None, :2].conj()).reshape(2, 3, 23, -1)
+    cases = [
+        (real[0], (0,)), (cplx[1], (0,)), (real, (1,)), (cplx, (1,)),
+        (real, (0, 1)), (cplx, (1, 0)), (four, (1, 3)), (four, (2,)),
+    ]
+    checked = 0
+    for x, axes in cases:
+        for modulus in range(2, 17):
+            shifts = (-2 * modulus - 1, -modulus, -3, -1, 0, 1, modulus - 1, modulus, 3 * modulus + 2)
+            for c in shifts:
+                got, want = _residue(x, modulus, c, *axes), masked_residue(x, modulus, c, *axes)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape) == (complex, x.shape)
+                assert got.tobytes() == want.tobytes(), (x.shape, axes, modulus, c)
+                checked += 1
+    assert checked == 8 * 15 * 9
+    # with no axes there is nothing to project: x itself comes back
+    assert _residue(real, 4, 1) is real and _residue(cplx, 4, 1) is cplx
+
+
 class CountingFloor(float):
     """A floor that counts the checks made against it, as `weight > floor`."""
 
@@ -804,6 +841,38 @@ def test_validate_builds_one_setup_per_point(monkeypatch, capsys):
     capsys.readouterr()
     assert calls["_record_setup"] == calls["_arm_maps"] == 8
     assert masks == [5] * 4 + [9] * 4
+
+
+
+def test_validate_builds_each_coherent_state_once(capsys):
+    # Each of the 8 default points asks for its primitive |α⟩ and its damped
+    # |√η α⟩ in the setup, and the damped one again in the syndrome check:
+    # 24 states from 6 amplitudes (α in {1, 2} and √η α for η in {0.9, 0.99}).
+    fockspace._coherent_state.cache_clear()
+    assert cli.main(["validate"]) == 0
+    capsys.readouterr()
+    info = fockspace._coherent_state.cache_info()
+    assert (info.misses, info.hits) == (6, 18)
+
+
+def record_bytes(worst, records) -> bytes:
+    """One Bell-order result as bytes: the maximum, then each record's key,
+    probabilities and densities (b"-" for a missing one) in key order."""
+    parts = [np.float64(worst).tobytes()]
+    for key in sorted(records):
+        p_before, p_after, *rhos = records[key]
+        parts += [repr(key).encode(), np.array([p_before, p_after]).tobytes()]
+        parts += [b"-" if rho is None else rho.tobytes() for rho in rhos]
+    return b"".join(parts)
+
+
+def test_bell_order_records_keep_their_bits_across_a_cleared_cache():
+    runs = []
+    for clear in (True, False, True):  # cold, warm, cold again
+        if clear:
+            fockspace._coherent_state.cache_clear()
+        runs.append(record_bytes(*bell_order_equivalence(1, 2.0, 0.9, return_records=True)))
+    assert runs[0] == runs[1] == runs[2]
 
 
 # The grid of the acceptance suite's engine-agreement test.

@@ -1,6 +1,7 @@
 """Source-tree rules: one line width, no dead imports or private names, no einsum path,
 no dataclasses, no numpy in the class-series kernel, none imported with the
-analytic modules, and no module that imports usd when it is imported."""
+analytic modules, no module that imports usd when it is imported, and no
+cache without a finite bound."""
 
 import ast
 import pathlib
@@ -211,3 +212,82 @@ def test_the_usd_rule_refuses_each_import_form():
         assert _imported_at_import(ast.parse(mutated), "usd"), name
     # a private name that merely contains the word is not the module
     assert not _imported_at_import(ast.parse("from .catcode import _usd_probability\n"), "usd")
+
+
+def _unbounded_caches(tree) -> list:
+    """Lines that cache without a finite bound: any use of ``functools.cache``,
+    and each ``functools.lru_cache`` not called with a maxsize that is a
+    positive int literal or a module-level name assigned one.  The
+    functools names count under any spelling: ``functools.x``, or ``x`` or
+    its alias from ``from functools import x``."""
+    constants = {
+        target.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+    }
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            kind = node.attr if node.value.id == "functools" else None
+        elif isinstance(node, ast.Name):
+            kind = imported.get(node.id)
+        else:
+            continue
+        if kind == "lru_cache" and id(node) in calls:
+            call = calls[id(node)]
+            sizes = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"]
+            size = sizes[0] if sizes else None
+            if isinstance(size, ast.Name):
+                size = constants.get(size.id)
+            elif isinstance(size, ast.Constant):
+                size = size.value
+            if type(size) is int and size > 0:
+                continue
+        if kind in ("cache", "lru_cache"):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_every_cache_has_a_finite_bound():
+    # A cache keyed by user input grows with it; each one states the most it
+    # keeps as a module constant or literal (fockspace._STATE_CACHE: 64
+    # coherent states of at most 2,049 amplitudes, about 2.1 MB).
+    found = {name: _unbounded_caches(tree) for name, tree in _modules().items()}
+    assert not any(found.values()), found
+
+
+def test_the_cache_rule_refuses_each_unbounded_form():
+    anchor = "@functools.lru_cache(maxsize=_STATE_CACHE)\n"
+    source = (SRC / "fockspace.py").read_text()
+    assert anchor in source
+    for line in (
+        "@functools.cache\n",
+        "@functools.lru_cache\n",
+        "@functools.lru_cache()\n",
+        "@functools.lru_cache(None)\n",
+        "@functools.lru_cache(maxsize=None)\n",
+        "@functools.lru_cache(maxsize=0)\n",
+        "@functools.lru_cache(maxsize=_NO_SUCH_CONSTANT)\n",
+        "@functools.lru_cache(typed=True)\n",
+    ):
+        assert _unbounded_caches(ast.parse(source.replace(anchor, line))), line
+    unbounded = source.replace("_STATE_CACHE = 64\n", "_STATE_CACHE = None\n")
+    assert unbounded != source
+    assert _unbounded_caches(ast.parse(unbounded))
+    for imported in ("from functools import cache\n", "from functools import lru_cache as memo\n"):
+        name = "cache" if "import cache" in imported else "memo"
+        mutated = imported + source.replace(anchor, f"@{name}\n")
+        assert _unbounded_caches(ast.parse(mutated)), imported
+    # a call through the function object, as chain.py makes one
+    assert _unbounded_caches(ast.parse("import functools\nf = functools.lru_cache(None)(len)\n"))
+    bounded = "import functools\n_N = 4\nf = functools.lru_cache(maxsize=_N)(len)\n"
+    assert not _unbounded_caches(ast.parse(bounded))

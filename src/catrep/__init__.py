@@ -25,7 +25,7 @@ _LAZY = {  # name -> the module it loads: each lazy module's own name and its __
         ("fockspace", "TruncationError FockVector HybridDensity coherent_state annihilate "
          "hybrid_from_vector apply_mode_operator trace_distance"),
         ("protocol_oracle", "UnitReport bell_vectors prepare_code_state syndrome_cascade "
-         "simulate_unit bell_order_equivalence syndrome_deviation unit_setup"),
+         "simulate_unit bell_order_equivalence syndrome_deviation"),
     )
     for name in (module, *names.split())
 }

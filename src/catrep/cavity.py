@@ -62,7 +62,7 @@ DEFAULT_PARAMS = CavityParams()
 
 def ideal_reflection(delta: float, kappa: float) -> complex:
     """Bare-cavity reflection (iΔ − κ/2)/(iΔ + κ/2); unit modulus."""
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ValueError("kappa must be positive")
     return (1j * delta - kappa / 2.0) / (1j * delta + kappa / 2.0)
 
@@ -94,7 +94,7 @@ def detuning_for_angle(phi: float, kappa: float) -> float:
     Δ = (κ/2)·cot(φ/2) for φ in (0, π].  The round trip through
     reflection_phase recovers φ to better than 1e-12.
     """
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ValueError("kappa must be positive")
     if not 0.0 < phi <= math.pi:
         raise ValueError(f"target angle {phi} outside (0, pi]")

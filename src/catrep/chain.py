@@ -358,7 +358,7 @@ def secret_key_rate(
         raise ValueError("need f_tot in [0, 1]")
     if not 0 <= p_tot <= 1:
         raise ValueError("need p_tot in [0, 1]")
-    if t0 <= 0:
+    if not t0 > 0:
         raise ValueError("need t0 > 0")
     if mode == "lower_bound":
         frac = _key_fraction(f_tot)
@@ -378,7 +378,7 @@ def secret_key_rate(
 
 def plob_bound(l_tot: float, l_att: float = ATTENUATION_LENGTH_KM) -> float:
     """Repeaterless secret-key capacity of the lossy line, bits per use."""
-    if l_tot <= 0 or l_att <= 0:
+    if not (l_tot > 0 and l_att > 0):
         raise ValueError("distances must be positive")
     loss = l_tot / l_att
     if loss == 0.0:

@@ -350,8 +350,7 @@ def cmd_validate(cfg: dict, args) -> tuple:
     deviations = {}  # the checks that ran: bell_order runs at m = 1 only
     for m, alpha, eta in itertools.product(*axes):
         spec = CatCodeSpec(m=m, alpha=alpha, eta=eta)
-        setup = oracle.unit_setup(spec)  # one oracle setup for both unit checks
-        report = oracle.simulate_unit(spec, setup=setup)
+        report = oracle.simulate_unit(spec)
         weights = loss_weights(spec)
         point = {
             "f0": abs(report.f0_oracle - weights.correctable_mass()),
@@ -359,7 +358,7 @@ def cmd_validate(cfg: dict, args) -> tuple:
             "syndrome": oracle.syndrome_deviation(m, alpha, eta),
         }
         if m == 1:
-            point["bell_order"] = oracle.bell_order_equivalence(m, alpha, eta, setup=setup)
+            point["bell_order"] = oracle.bell_order_equivalence(m, alpha, eta)
         for name, value in point.items():
             deviations[name] = max(deviations.get(name, 0.0), value)
 

@@ -17,10 +17,10 @@ only joins a source photon number m to a loss count k ≡ m + r (mod M),
 so the maps are stored per source residue; `_arm` applies them to a
 batch of an arm's modes, one matrix product per residue the modes
 occupy, keeping every lost-photon count on an environment axis.
-`unit_setup` builds the maps and the codeword arm's records once per
-point; `simulate_unit` reads those records, `bell_order_equivalence`
-joins two of them for Bell-last and, for Bell-first, makes one left pass
-over all four Bell labels, then one right pass per label.
+`_unit` builds the maps and the codeword arm's records of the last point;
+`simulate_unit` reads those records, `bell_order_equivalence` joins two
+of them for Bell-last and, for Bell-first, makes one left pass over all
+four Bell labels, then one right pass per label.
 A cascade's measurement branch is the mode's residue class mod 2^m:
 `_residue` slices out the preparation's kept branch, each injected loss count
 of the pure syndrome check and, one slice per branch and step, the
@@ -31,11 +31,12 @@ the damped one behind the discrimination bras included, is `_code_pair`.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .catcode import CatCodeSpec, _Record
+from .catcode import CatCodeSpec, _freeze, _Record
 from .fockspace import (
     FockVector,
     HybridDensity,
@@ -54,7 +55,6 @@ __all__ = [
     "simulate_unit",
     "bell_order_equivalence",
     "syndrome_deviation",
-    "unit_setup",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -207,8 +207,8 @@ def syndrome_deviation(m: int, alpha: float, eta: float) -> float:
     cutoff holds photons, or rung norms past float range.
     """
     # The pair at the damped primitive's own cutoff.  Zero-padded to the
-    # undamped cutoff, as unit_setup pads it, the result moves at 7 of 84
-    # points (m 1 to 3, alpha 0.5 to 5, eta 0.5 to 0.999), among them the
+    # undamped cutoff, as `_record_setup` pads it, the result moves at 7 of
+    # 84 points (m 1 to 3, alpha 0.5 to 5, eta 0.5 to 0.999), among them the
     # default validate point (1, 2, 0.9): 3.33e-16 to 2.22e-16.
     worst = 0.0
     for q, psi in enumerate(_ladder(_damped_pair(CatCodeSpec(m, alpha, eta)), 2 ** (m + 1))):
@@ -247,7 +247,7 @@ def _usd_bras(dropped: np.ndarray, r: int):
     s_abs = abs(s_ov)
     if s_abs >= 1.0 - 1e-14:
         raise ArithmeticError(
-            f"codeword pair indistinguishable (|overlap| = {s_abs:.16f}); "
+            f"class-{r} codeword pair indistinguishable (|overlap| = {s_abs:.16f}); "
             "discrimination POVM degenerate"
         )
     scale = 1.0 / math.sqrt((1.0 - s_abs * s_abs) * (1.0 + s_abs))
@@ -268,31 +268,30 @@ def _record_setup(spec: CatCodeSpec):
     prim = coherent_state(spec.alpha)
     cw0, cw1 = _code_pair(spec.m, prim)
     ladder = _ladder(_damped_pair(spec, prim.n_max), spec.order)
-    bras = [_usd_bras(dropped, r) for r, dropped in enumerate(ladder)]
+    try:
+        bras = [_usd_bras(dropped, r) for r, dropped in enumerate(ladder)]
+    except ArithmeticError as exc:  # a refused bra names the point
+        raise ArithmeticError(f"m={spec.m}, alpha={spec.alpha}, eta={spec.eta}: {exc}") from None
     flip = np.exp(1j * math.pi / spec.order * np.arange(prim.dim))
     return flip, np.stack([cw0, cw1]) / _SQRT2, bras
 
 
-def unit_setup(spec: CatCodeSpec) -> tuple:
+@functools.lru_cache(maxsize=1)
+def _unit(m: int, alpha: float, eta: float) -> tuple:
     """What `simulate_unit` and `bell_order_equivalence` share at one point.
 
-    Returns (spec, v0, maps, codeword): the arm's spin-codeword amplitudes
-    of `_record_setup`, the record maps `_arm_maps` builds from them, and
-    the codeword arm's records, `_arm` of v0 (mode, spin) as a batch of one.
-    Either function builds it when given none; a caller running both at
-    one point builds it once and passes it to each as setup=.
+    Returns (v0, maps, codeword), read-only: the arm's spin-codeword
+    amplitudes of `_record_setup`, the record maps `_arm_maps` builds from
+    them, and the codeword arm's records, `_arm` of v0 (mode, spin) as a
+    batch of one.  Callers key it on the doubles of α and η: a float32 η
+    builds other bits than the double its spec compares equal to.  Only
+    the last point is kept; `validate` runs both functions at each point.
     """
+    spec = CatCodeSpec(m, alpha, eta)
     flip, v0, bras = _record_setup(spec)
-    maps = _arm_maps(spec, v0, flip, bras)
-    return spec, v0, maps, _arm(v0.T[None], maps)
-
-
-def _given_setup(spec: CatCodeSpec, setup) -> tuple:
-    """(v0, maps, codeword) of setup, built from spec when setup is None."""
-    built_for, *shared = unit_setup(spec) if setup is None else setup
-    if built_for != spec:
-        raise ValueError(f"setup built for {built_for}, not {spec}")
-    return shared
+    v0 = _freeze(v0)
+    maps = tuple(map(_freeze, _arm_maps(spec, v0, flip, bras)))
+    return v0, maps, tuple(map(_freeze, _arm(v0.T[None], maps)))
 
 
 def _arm_maps(spec: CatCodeSpec, v0, flip, bras):
@@ -440,7 +439,7 @@ class UnitReport(_Record):
         )
 
 
-def simulate_unit(spec: CatCodeSpec, *, setup=None) -> UnitReport:
+def simulate_unit(spec: CatCodeSpec) -> UnitReport:
     """One arm of the unit, read off its records.
 
     The sender's spin-codeword arm goes through `_arm`: loss, the syndrome
@@ -450,9 +449,9 @@ def simulate_unit(spec: CatCodeSpec, *, setup=None) -> UnitReport:
     order and traced over the count, is the unnormalized spin block of
     USD outcome u in branch r; the u = 0 block is read in the Bell frame
     at θ = rπ/M.  All states stay at the cutoff of the undamped primitive.
-    setup is the point's `unit_setup`, holding these records, built here when not given.
+    The records, axes (ρ, 1, sender, t, r, u, receiver), are the point's `_unit`.
     """
-    records, (live,), (syn,) = _given_setup(spec, setup)[2]  # (ρ, 1, sender, t, r, u, receiver)
+    records, (live,), (syn,) = _unit(spec.m, float(spec.alpha), float(spec.eta))[2]
     blocks = _density(records, (1, 4, 5, 0, 3, 6, 2))[0]
     big_m = spec.order
     weights = np.zeros(2 * big_m)
@@ -491,9 +490,7 @@ def simulate_unit(spec: CatCodeSpec, *, setup=None) -> UnitReport:
 # measurement-ordering equivalence
 
 
-def bell_order_equivalence(
-    m: int, alpha: float, eta: float, return_records: bool = False, *, setup=None
-):
+def bell_order_equivalence(m: int, alpha: float, eta: float, return_records: bool = False):
     """Max observable discrepancy between Bell-before and Bell-after orderings.
 
     Both engines enumerate every branch of a two-arm unit (middle station
@@ -508,11 +505,11 @@ def bell_order_equivalence(
     return_records also {(label, r1, u1, r2, u2): (p_before, p_after,
     rho_before, rho_after)} over the records either ordering gives
     probability 1e-12 or more, a density None where its ordering made no
-    such record.  setup is the point's `unit_setup`, built here when not
-    given.
+    such record.  The codeword's records are the point's `_unit`, as in
+    `simulate_unit`.
     """
     spec = CatCodeSpec(m, alpha, eta)
-    v0, maps, (arm, (live,), _mass) = _given_setup(spec, setup)
+    v0, maps, (arm, (live,), _mass) = _unit(spec.m, float(spec.alpha), float(spec.eta))
     bells = bell_vectors(0.0)
     bra = np.stack(list(bells.values())).reshape(-1, 2, 2).conj()
     # rho[l, r1, u1, r2, u2, o] is record's density in ordering o (0: Bell

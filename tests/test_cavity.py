@@ -142,8 +142,17 @@ def test_sweep_rows_are_consistent():
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: ideal_reflection(0.3, 0.0), lambda: reflection_phase(0.3, -1.0)],
-    ids=["ideal_reflection", "reflection_phase"],
+    [
+        lambda: ideal_reflection(0.3, 0.0),
+        lambda: reflection_phase(0.3, -1.0),
+        lambda: ideal_reflection(1.0, math.nan),
+        lambda: reflection_phase(0.5, math.nan),
+        lambda: detuning_for_angle(1.0, math.nan),
+    ],
+    ids=[
+        "ideal_reflection", "reflection_phase", "ideal_reflection_nan", "reflection_phase_nan",
+        "detuning_for_angle_nan",
+    ],
 )
 def test_non_positive_kappa_is_refused(call):
     with pytest.raises(ValueError, match="kappa must be positive"):

@@ -530,8 +530,9 @@ def test_plob_bound_anchors():
     bound = plob_bound(1000.0)
     assert abs(bound / 2.62e-20 - 1) < 0.02
     assert bound == pytest.approx(eta_tot / math.log(2.0), rel=1e-10)
-    with pytest.raises(ValueError):
-        plob_bound(-1.0)
+    for args in ((-1.0,), (math.nan,), (1000.0, math.nan)):
+        with pytest.raises(ValueError, match="distances must be positive"):
+            plob_bound(*args)
 
 
 @pytest.mark.parametrize("loss", [1e-300, 1e-16, 1e-8, 45.0])
@@ -646,6 +647,7 @@ _WEIGHTS = loss_weights(CatCodeSpec(1, 1.0, 0.9))
         (lambda: secret_key_rate(1.5, 0.5), "need f_tot in [0, 1]"),
         (lambda: secret_key_rate(0.9, -0.1), "need p_tot in [0, 1]"),
         (lambda: secret_key_rate(0.9, 0.5, 0.0), "need t0 > 0"),
+        (lambda: secret_key_rate(0.9, 0.5, math.nan), "need t0 > 0"),
         (
             lambda: SegmentParams(l0=1000.0, m=1, alpha=2.0, eta_local=0.5, l_att=1.0),
             "eta_local*exp(-l0/l_att) = 0.5*exp(-1000.0/1.0) underflows to 0",
@@ -653,7 +655,7 @@ _WEIGHTS = loss_weights(CatCodeSpec(1, 1.0, 0.9))
     ],
     ids=[
         "l_tot", "chain_n_e", "kind", "plus_weight", "p0", "success_n_e",
-        "distribution_n_e", "f_tot", "p_tot", "t0", "eta_segment",
+        "distribution_n_e", "f_tot", "p_tot", "t0", "t0_nan", "eta_segment",
     ],
 )
 def test_public_refusals_are_named(call, message):

@@ -600,10 +600,11 @@ def test_config_and_flag_refusals_are_named(tmp_path, capsys, config, argv, mess
 
 
 def test_unknown_output_format_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
-    def unit_setup(spec):
+    def record_setup(spec):
         raise AssertionError("validate ran")
 
-    monkeypatch.setattr(protocol_oracle, "unit_setup", unit_setup)
+    protocol_oracle._unit.cache_clear()
+    monkeypatch.setattr(protocol_oracle, "_record_setup", record_setup)
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("output: {format: xml}\n")
     code, out, err = run_cli(capsys, "validate", "--config", str(cfg))
@@ -663,17 +664,28 @@ def test_validate_reports_only_the_checks_that_ran(tmp_path, capsys):
 
 def test_validate_unresolved_discrimination_is_a_numerical_guard(tmp_path, capsys):
     # at m = 3 the dim damped pair of alpha = 0.5 overlaps to within
-    # float resolution: a numerical limit, not a usage error
+    # float resolution: a numerical limit, not a usage error, named with
+    # its point and class
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("validate:\n  m: [3]\n  alpha: [0.5]\n  eta: [0.5]\n")
     code, out, err = run_cli(capsys, "validate", "--config", str(cfg))
     assert (code, out) == (3, "")
-    assert err.startswith("numerical guard: ") and "indistinguishable" in err
+    assert err.startswith("numerical guard: m=3, alpha=0.5, eta=0.5: class-1 codeword pair")
+    assert "indistinguishable" in err
+    # every class of a vanishing amplitude: the first is named
+    cfg.write_text("validate: {m: [2], alpha: [1e-50], eta: [0.9]}\n")
+    code, out, err = run_cli(capsys, "validate", "--config", str(cfg))
+    assert (code, out) == (3, "")
+    assert err == (
+        "numerical guard: m=2, alpha=1e-50, eta=0.9: class-0 codeword pair indistinguishable "
+        "(|overlap| = 1.0000000000000000); discrimination POVM degenerate\n"
+    )
 
 
 def test_validate_is_byte_deterministic(capsys):
     # the default grid, run twice in one process: first with no coherent
-    # state kept, then with every one the first run kept
+    # state or oracle setup kept, then with what the first run kept
+    protocol_oracle._unit.cache_clear()
     fockspace._coherent_state.cache_clear()
     first = run_cli(capsys, "validate")
     assert fockspace._coherent_state.cache_info().currsize == 6

@@ -29,6 +29,7 @@ from catrep.protocol_oracle import (
     _density,
     _record_setup,
     _residue,
+    _unit,
     _usd_bras,
     bell_order_equivalence,
     bell_vectors,
@@ -36,7 +37,6 @@ from catrep.protocol_oracle import (
     simulate_unit,
     syndrome_cascade,
     syndrome_deviation,
-    unit_setup,
 )
 from catrep.usd import optimal_usd_probability
 from fock_reference import (
@@ -582,14 +582,13 @@ def test_bell_last_products_have_the_einsum_bits(m, alpha, eta):
     # matrix products replace, on that einsum's path: bra with its
     # conjugate, then each Gram in turn.
     spec = CatCodeSpec(m, alpha, eta)
-    setup = unit_setup(spec)
-    gram = _density(setup[3][0], (1, 4, 5, 0, 3, 2, 6)).reshape(-1, 2, 2, 2, 2)
+    gram = _density(_unit(m, alpha, eta)[2][0], (1, 4, 5, 0, 3, 2, 6)).reshape(-1, 2, 2, 2, 2)
     bells = bell_vectors(0.0)
     bra = np.stack(list(bells.values())).reshape(-1, 2, 2).conj()
     path = ["einsum_path", (0, 1), (0, 2), (0, 1)]
     want = np.einsum("lst,lpq,isapc,jtbqd->lijabcd", bra, bra.conj(), gram, gram, optimize=path)
     want = want.reshape(len(bra), spec.order, 2, spec.order, 2, 4, 4)
-    _worst, records = bell_order_equivalence(m, alpha, eta, return_records=True, setup=setup)
+    _worst, records = bell_order_equivalence(m, alpha, eta, return_records=True)
     after = {key: rho for key, (*_, rho) in records.items() if rho is not None}
     assert len(after) > len(bells)
     for (label, *key), rho in after.items():
@@ -768,10 +767,11 @@ def test_oracle_work_counts(monkeypatch):
     monkeypatch.setattr(protocol_oracle, "_arm_maps", counting_arm_maps)
     monkeypatch.setattr(protocol_oracle, "_arm", counting_arm)
     monkeypatch.setattr(fockspace.HybridDensity, "__init__", counting_init)
+    _unit.cache_clear()  # an earlier test may have left this point's setup
     bell_order_equivalence(1, 1.0, 0.9)
     assert 0 < len(log_factorial_calls) < 200
     assert builds == ladders == [1]  # every class's bras from one ladder
-    # the codeword's arm in the setup, which the Bell-last join reads, one
+    # the codeword's arm in `_unit`, which the Bell-last join reads, one
     # left arm for all four Bell labels, then per label one right arm over
     # all its left records; every input lives on the codeword's residue, so
     # each multiplies 1 of the M residue blocks
@@ -783,35 +783,61 @@ def test_oracle_work_counts(monkeypatch):
     simulate_unit(spec)
     assert builds == ladders == [1]
     assert arms == [1] * 7  # the setup's codeword arm: 1 of 4 residue blocks
-    setup = unit_setup(spec)
     arms.clear()
     ladders.clear()
-    simulate_unit(spec, setup=setup)
-    assert arms == []  # a given setup's records are read, not made again
+    simulate_unit(spec)
+    assert arms == ladders == []  # the kept setup's records are read, not made again
     assert syndrome_deviation(2, 1.5, 0.9) < 1e-12
     assert ladders == [1]  # every injected loss count from one ladder
     assert densities == []
 
 
-def test_a_given_setup_serves_its_own_spec_only():
-    spec = CatCodeSpec(1, 1.5, 0.9)
-    setup = unit_setup(spec)
-    shared, own = simulate_unit(spec, setup=setup), simulate_unit(spec)
-    assert shared.weights.tobytes() == own.weights.tobytes()
-    # the codeword's records the setup carries are a fresh arm pass's bytes
-    for got, want in zip(setup[3], _arm(setup[1].T[None], setup[2])):
+def test_the_kept_setup_is_read_only_and_a_fresh_arm_pass():
+    _unit.cache_clear()
+    v0, maps, codeword = _unit(1, 1.5, 0.9)
+    assert _unit(1, 1.5, 0.9)[2] is codeword
+    for a in (v0, *maps, *codeword):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
+    for got, want in zip(codeword, _arm(v0.T[None], maps)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert bell_order_equivalence(1, 1.5, 0.9, setup=setup) == bell_order_equivalence(1, 1.5, 0.9)
-    with pytest.raises(ValueError, match="setup built for"):
-        simulate_unit(CatCodeSpec(1, 1.5, 0.99), setup=setup)
-    with pytest.raises(ValueError, match="setup built for"):
-        bell_order_equivalence(1, 2.0, 0.9, setup=setup)
+
+
+def test_the_kept_setup_serves_its_own_doubles_only():
+    # A float32 eta equals its double neighbour as a spec, yet builds other
+    # bits: right after the 0.9 point it gets its own setup.
+    _unit.cache_clear()
+    s64, s32 = CatCodeSpec(1, 1.5, 0.9), CatCodeSpec(1, 1.5, np.float32(0.9))
+    assert s32 == s64
+    assert simulate_unit(s64).f0_oracle == 0.9781880454807315
+    assert simulate_unit(s32).f0_oracle == 0.9781880358641293
+    assert _unit.cache_info()[:2] == (0, 2)
+    # a 0-d array alpha, whose spec does not hash, reads the setup of its double
+    report = simulate_unit(CatCodeSpec(1, np.array(1.5), 0.9))
+    assert report.f0_oracle == 0.9781880454807315
+    assert _unit.cache_info()[:2] == (0, 3)
+    assert bell_order_equivalence(1, 1.5, 0.9) == bell_order_equivalence(1, np.array(1.5), 0.9)
+    assert _unit.cache_info()[:2] == (2, 3)
+
+
+def test_a_refused_point_is_never_kept():
+    # validate's refused point raises on every call and leaves the kept setup
+    _unit.cache_clear()
+    simulate_unit(CatCodeSpec(1, 1.5, 0.9))
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="m=3, alpha=0.5, eta=0.5: class-1 codeword"):
+            simulate_unit(CatCodeSpec(3, 0.5, 0.5))
+    assert _unit.cache_info()[:] == (0, 3, 1, 1)
+    _unit(1, 1.5, 0.9)  # the point before the refusals is still the one kept
+    assert _unit.cache_info()[:2] == (1, 3)
 
 
 def test_validate_builds_one_setup_per_point(monkeypatch, capsys):
     # The default validate grid has 8 points.  Each builds one record setup
     # and one set of arm maps, which simulate_unit and (at m = 1)
-    # bell_order_equivalence share, and each syndrome check takes one
+    # bell_order_equivalence share through `_unit`'s one kept point (8
+    # misses, then 4 hits), and each syndrome check takes one
     # residue mask for the damped pair's preparation and one per injected
     # loss count: 1 + 2^(m+1), at the four m = 1 points, then the four m = 2.
     calls = collections.Counter()
@@ -837,9 +863,12 @@ def test_validate_builds_one_setup_per_point(monkeypatch, capsys):
         return result
 
     monkeypatch.setattr(protocol_oracle, "syndrome_deviation", counting_deviation)
+    _unit.cache_clear()  # an earlier validate leaves its last point's setup
     assert cli.main(["validate"]) == 0
     capsys.readouterr()
     assert calls["_record_setup"] == calls["_arm_maps"] == 8
+    info = _unit.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (8, 4, 1)
     assert masks == [5] * 4 + [9] * 4
 
 
@@ -848,6 +877,7 @@ def test_validate_builds_each_coherent_state_once(capsys):
     # Each of the 8 default points asks for its primitive |α⟩ and its damped
     # |√η α⟩ in the setup, and the damped one again in the syndrome check:
     # 24 states from 6 amplitudes (α in {1, 2} and √η α for η in {0.9, 0.99}).
+    _unit.cache_clear()
     fockspace._coherent_state.cache_clear()
     assert cli.main(["validate"]) == 0
     capsys.readouterr()
@@ -870,6 +900,7 @@ def test_bell_order_records_keep_their_bits_across_a_cleared_cache():
     runs = []
     for clear in (True, False, True):  # cold, warm, cold again
         if clear:
+            _unit.cache_clear()
             fockspace._coherent_state.cache_clear()
         runs.append(record_bytes(*bell_order_equivalence(1, 2.0, 0.9, return_records=True)))
     assert runs[0] == runs[1] == runs[2]

@@ -94,11 +94,11 @@ class CatCodeSpec(_Record):
     _fields = ("m", "alpha", "eta")
 
     def __init__(self, m: int, alpha: float, eta: float = 1.0):
-        if not isinstance(m, int) or m < 1:
+        if not _is_count(m):
             raise ValueError(f"cascade depth m={m!r} must be an integer >= 1")
-        if isinstance(alpha, complex) or not 0.0 < alpha < math.inf:
+        if isinstance(alpha, (bool, complex)) or not 0.0 < alpha < math.inf:
             raise ValueError(f"amplitude alpha={alpha!r} must be real, positive and finite")
-        if not 0.0 < eta <= 1.0:
+        if isinstance(eta, bool) or not 0.0 < eta <= 1.0:
             raise ValueError(f"transmission eta={eta!r} outside (0, 1]")
         self._set(m=m, alpha=alpha, eta=eta)
 
@@ -134,17 +134,12 @@ class LossWeights(_Record):
             vals, shape = a.tolist(), a.shape
         if shape != (2 ** (m + 1),):
             raise ValueError(f"expected {2 ** (m + 1)} class weights, got shape {shape}")
-        low = min(vals)
-        if low < -1e-15 and not any(map(math.isnan, vals)):  # NaN fails the sum check
+        if min(vals) < -1e-15 and not any(map(math.isnan, vals)):  # NaN fails the sum check
             raise ValueError("negative class weight")
         total = math.fsum(vals)
         if not abs(total - 1.0) <= 1e-10:  # NaN fails this too
             raise ValueError(f"class weights sum to {total}, not 1")
-        if low <= 0.0:  # clip at 0, which also turns -0.0 into 0.0
-            vals = [v if v > 0.0 else 0.0 for v in vals]
-            total = math.fsum(vals)
-        # each quotient correctly rounded, as numpy's division gives it
-        self._set(values=tuple(v / total for v in vals), m=m)
+        self._set(values=_normalized(vals), m=m)
 
     @functools.cached_property
     def p(self) -> np.ndarray:
@@ -153,6 +148,29 @@ class LossWeights(_Record):
     def correctable_mass(self) -> float:
         # the normalized weights can fsum an ulp past 1
         return min(math.fsum(self.values[: 2 ** self.m]), 1.0)
+
+
+def _normalized(vals: list[float]) -> tuple[float, ...]:
+    """The constructor's normalization of checked class weights: clipped at
+    0, which also turns -0.0 into 0.0, then each divided by their fsum, each
+    quotient correctly rounded, as numpy's division gives it."""
+    if min(vals) <= 0.0:
+        vals = [v if v > 0.0 else 0.0 for v in vals]
+    total = math.fsum(vals)
+    return tuple([v / total for v in vals])
+
+
+def _loss_weights(vals: list[float], m: int) -> LossWeights:
+    # LossWeights of 2^(m+1) finite floats, none negative, that sum to 1
+    # within 1e-10 (as their producer guarantees): no new check.
+    w = object.__new__(LossWeights)
+    w._set(values=_normalized(vals), m=m)
+    return w
+
+
+def _is_count(n) -> bool:
+    """n is an integer >= 1; a boolean is no count."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -337,11 +355,11 @@ def _point_classes(
         log_x = math.log(x)
         table = _point_series(spec, x, "lost count alpha^2*(1-eta)")
         lost = [t * log_x - g + rest for t, g, rest in table]
-    log_w = [lost[q] + kept[q % big_m] for q in range(n_cls)]
+    log_w = [a + b for a, b in zip(lost, kept + kept)]  # class q takes kept[q mod M]
     peak = max(log_w)
     w = [math.exp(v - peak) for v in log_w]
     total = math.fsum(w)
-    return LossWeights([v / total for v in w], spec.m), success
+    return _loss_weights([v / total for v in w], spec.m), success
 
 
 def _check_usd(mode: str, q: int, order: int) -> None:
@@ -361,7 +379,7 @@ def _usd_probability(
     if mode == "worst_case":
         return min(per_class)
     w, big_m = weights.values, len(per_class)
-    total = math.fsum((w[r] + w[r + big_m]) * per_class[r] for r in range(big_m))
+    total = math.fsum([(w[r] + w[r + big_m]) * per_class[r] for r in range(big_m)])
     # Convex combination of values in [0, 1]; shave rounding excursions.
     if not -1e-12 <= total <= 1.0 + 1e-12:
         raise ArithmeticError(f"weighted success {total} outside [0, 1]")
@@ -377,7 +395,7 @@ def loss_weights(spec: CatCodeSpec) -> LossWeights:
     tests.
     """
     if spec.eta == 1.0:  # nothing is lost, and no table is needed
-        return LossWeights([1.0] + [0.0] * (spec.n_classes - 1), spec.m)
+        return _loss_weights([1.0] + [0.0] * (spec.n_classes - 1), spec.m)
     return _point_classes(spec)[0]
 
 

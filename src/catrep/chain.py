@@ -20,7 +20,7 @@ import functools
 import math
 
 from .catcode import CatCodeSpec, LossWeights, _freeze, _log_factorials, _point_classes, _Record
-from .catcode import _check_usd, _usd_probability
+from .catcode import _check_usd, _is_count, _usd_probability
 
 __all__ = [
     "ATTENUATION_LENGTH_KM",
@@ -85,7 +85,7 @@ class SegmentParams(_Record):
 
     @property
     def code_spec(self) -> CatCodeSpec:
-        return CatCodeSpec(m=self.m, alpha=self.alpha, eta=self.eta_segment)
+        return CatCodeSpec(self.m, self.alpha, self.eta_segment)
 
 
 class ChainParams(_Record):
@@ -99,7 +99,7 @@ class ChainParams(_Record):
         self._require_finite("l_tot", "t0")
         if self.l_tot <= 0:
             raise ValueError("need l_tot > 0")
-        if not isinstance(self.n_e, int) or self.n_e < 1:
+        if not _is_count(self.n_e):
             raise ValueError("need integer n_e >= 1")
         if self.t0 <= 0:
             raise ValueError("need t0 > 0")
@@ -174,7 +174,7 @@ def chain_fidelity(f0: float, n_e: int) -> float:
     """Average end-to-end fidelity of n_e swapped identical segments."""
     if not 0 <= f0 <= 1:
         raise ValueError("need f0 in [0, 1]")
-    if not isinstance(n_e, int) or n_e < 1:
+    if not _is_count(n_e):
         raise ValueError("need integer n_e >= 1")
     return 0.5 + 0.5 * (2 * f0 - 1) ** n_e
 
@@ -183,7 +183,7 @@ def chain_success(p0: float, n_e: int) -> float:
     """Probability that every segment's discrimination succeeds."""
     if not 0 <= p0 <= 1:
         raise ValueError("need p0 in [0, 1]")
-    if not isinstance(n_e, int) or n_e < 1:
+    if not _is_count(n_e):
         raise ValueError("need integer n_e >= 1")
     if p0 == 0.0:
         return 0.0
@@ -247,7 +247,7 @@ _kept_table = functools.lru_cache(maxsize=_KEPT_TABLES)(_geometry_table)
 
 def _distribution(weights: LossWeights, n_e: int):
     import numpy as np
-    if not isinstance(n_e, int) or n_e < 1:
+    if not _is_count(n_e):
         raise ValueError("need integer n_e >= 1")
     big_m = 2**weights.m
     n_combos = math.comb(n_e + big_m - 1, big_m - 1)
@@ -430,13 +430,4 @@ def evaluate_chain(
         f_tot, p_tot, chain.t0, mode=key_mode, weights=weights, n_e=chain.n_e
     )
     bound = plob_bound(chain.l_tot, segment.l_att)
-    return ChainReport(
-        f0=f0,
-        p0=p0,
-        f_tot=f_tot,
-        p_tot=p_tot,
-        rate_per_second=rate_s,
-        rate_per_use=rate_use,
-        plob=bound,
-        beats_plob=rate_use > bound,
-    )
+    return ChainReport(f0, p0, f_tot, p_tot, rate_s, rate_use, bound, rate_use > bound)

@@ -26,6 +26,7 @@ import contextlib
 import functools
 import itertools
 import math
+import operator
 import sys
 
 from . import __version__
@@ -110,6 +111,7 @@ _GRID_FLAGS = ("alpha", "m", "l0", "eta_local", "l_tot", "l_att", "t0")
 # each point field is also the dest of the flag that sets its grid
 _POINT_KEYS = ("m", "alpha", "l0", "eta_local")
 _SWEEP_COLUMNS = _POINT_KEYS + ChainReport._fields
+_point_of = operator.attrgetter(*_POINT_KEYS)
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -203,7 +205,9 @@ def _fmt(value) -> str:
 def _render(rows, columns, fmt: str) -> str:
     if fmt == "csv":
         lines = [",".join(columns)]
-        lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
+        for row in rows:  # a float's text inline, as _fmt gives it
+            cells = map(row.__getitem__, columns)
+            lines.append(",".join([f"{v:.17g}" if type(v) is float else _fmt(v) for v in cells]))
         return "\n".join(lines) + "\n"
     import json
     return "".join(json.dumps({c: row[c] for c in columns}) + "\n" for row in rows)
@@ -253,11 +257,12 @@ def _emit(text: str, out: str | None, argv) -> None:
 
 def _point_params(point, chain_cfg: dict):
     """Segment and chain parameters of one grid point, validated."""
-    segment = SegmentParams(**dict(zip(_POINT_KEYS, point)), l_att=chain_cfg["l_att"])
-    ratio = chain_cfg["l_tot"] / segment.l0
+    m, alpha, l0, eta_local = point  # in _POINT_KEYS order
+    segment = SegmentParams(l0, m, alpha, eta_local, chain_cfg["l_att"])
+    ratio = chain_cfg["l_tot"] / l0
     # a non-finite l_tot is named by ChainParams, not by round()
     n_e = max(1, round(ratio)) if math.isfinite(ratio) else 1
-    chain = ChainParams(l_tot=chain_cfg["l_tot"], n_e=n_e, t0=chain_cfg["t0"])
+    chain = ChainParams(chain_cfg["l_tot"], n_e, chain_cfg["t0"])
     check_chain_geometry(segment, chain)
     return segment, chain
 
@@ -287,7 +292,9 @@ def cmd_sweep(cfg: dict, args, one_value: bool = False) -> tuple:
         report = evaluate_chain(
             segment, chain, cfg["usd"]["mode"], cfg["usd"]["q"], cfg["key"]["mode"]
         )
-        rows.append({**{key: getattr(segment, key) for key in _POINT_KEYS}, **vars(report)})
+        row = dict(zip(_POINT_KEYS, _point_of(segment)))
+        row.update(vars(report))
+        rows.append(row)
     return rows, _SWEEP_COLUMNS
 
 

@@ -107,8 +107,8 @@ def _residue(x: np.ndarray, modulus: int, c: int, *axes: int) -> np.ndarray:
 
 
 def _depth(m) -> int:
-    """The cascade depth m, refused unless an integer >= 1."""
-    if not isinstance(m, int) or m < 1:
+    """The cascade depth m, refused unless an integer >= 1 and no boolean."""
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError(f"cascade depth m must be >= 1 and an integer, got {m!r}")
     return m
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catrep import catcode, fockspace
+from catrep import catcode, cli, fockspace
 from catrep.catcode import (
     _LOG_DROP,
     CatCodeSpec,
@@ -344,18 +344,17 @@ def _numpy_normalized(raw) -> np.ndarray:
     return clipped / math.fsum(clipped.tolist())
 
 
-def test_loss_weights_array_is_read_only_cached_and_numpy_exact(monkeypatch):
-    # The weights are normalized on Python floats and the array is built on
-    # first read: it must hold the bits numpy's normalization gives, at every
-    # spec of the golden sweep, at eta = 1 and where a -0.0 weight is clipped.
+def _recorded_builds(monkeypatch):
+    # The weights built at every spec of the golden sweep, at eta = 1 and
+    # where a -0.0 weight is clipped, with the raw list each was built from.
     raw = []
+    build = catcode._loss_weights
 
-    class Recording(LossWeights):
-        def __init__(self, p, m):
-            raw.append(p)
-            super().__init__(p, m)
+    def recording(p, m):
+        raw.append(p)
+        return build(p, m)
 
-    monkeypatch.setattr(catcode, "LossWeights", Recording)
+    monkeypatch.setattr(catcode, "_loss_weights", recording)
     golden = pathlib.Path(__file__).parent / "data" / "sweep_golden.csv"
     with open(golden) as fh:
         rows = list(csv.DictReader(fh))
@@ -368,8 +367,16 @@ def test_loss_weights_array_is_read_only_cached_and_numpy_exact(monkeypatch):
         for row in rows
     ]
     weights = [catcode.loss_weights(spec) for spec in specs + [CatCodeSpec(2, 1.5)]]
-    weights.append(Recording([1.0, -0.0, 0.0, -0.0], 1))
+    weights.append(catcode._loss_weights([1.0, -0.0, 0.0, -0.0], 1))
     assert len(raw) == len(weights)
+    return weights, raw
+
+
+def test_loss_weights_array_is_read_only_cached_and_numpy_exact(monkeypatch):
+    # The weights are normalized on Python floats and the array is built on
+    # first read: it must hold the bits numpy's normalization gives, at every
+    # spec of the golden sweep, at eta = 1 and where a -0.0 weight is clipped.
+    weights, raw = _recorded_builds(monkeypatch)
     for w, p in zip(weights, raw):
         a = w.p
         assert a is w.p
@@ -380,6 +387,39 @@ def test_loss_weights_array_is_read_only_cached_and_numpy_exact(monkeypatch):
             a[0] = 0.5
     assert raw[-2][1:] == [0.0] * 7 and weights[-2].p.tolist() == [1.0] + [0.0] * 7
     assert math.copysign(1.0, weights[-1].p[1]) == 1.0
+
+
+def test_built_loss_weights_equal_the_public_constructors(monkeypatch):
+    # The builder skips the constructor's checks, not its arithmetic: from
+    # the same list, both give the same record, bit for bit.
+    weights, raw = _recorded_builds(monkeypatch)
+    for w, p in zip(weights, raw):
+        public = LossWeights(p, w.m)
+        assert type(w) is LossWeights
+        assert np.array(w.values).tobytes() == np.array(public.values).tobytes()
+        assert w.p.tobytes() == public.p.tobytes()
+        assert w == public and hash(w) == hash(public) and repr(w) == repr(public)
+    assert math.copysign(1.0, weights[-1].values[1]) == 1.0
+
+
+def test_a_default_sweep_builds_its_weights_without_the_public_checks(monkeypatch, capsys):
+    calls = {"builder": 0, "constructor": 0}
+    build, init = catcode._loss_weights, LossWeights.__init__
+
+    def counting_build(p, m):
+        calls["builder"] += 1
+        return build(p, m)
+
+    def counting_init(self, p, m):
+        calls["constructor"] += 1
+        init(self, p, m)
+
+    monkeypatch.setattr(catcode, "_loss_weights", counting_build)
+    monkeypatch.setattr(LossWeights, "__init__", counting_init)
+    assert cli.main(["sweep"]) == 0
+    golden = pathlib.Path(__file__).parent / "data" / "sweep_golden.csv"
+    assert capsys.readouterr().out == golden.read_text()
+    assert calls == {"builder": 180, "constructor": 0}
 
 
 def test_class_series_window_bound():

@@ -652,10 +652,27 @@ _WEIGHTS = loss_weights(CatCodeSpec(1, 1.0, 0.9))
             lambda: SegmentParams(l0=1000.0, m=1, alpha=2.0, eta_local=0.5, l_att=1.0),
             "eta_local*exp(-l0/l_att) = 0.5*exp(-1000.0/1.0) underflows to 0",
         ),
+        # a boolean is no number, as the CLI's cast already says
+        (lambda: CatCodeSpec(True, 1.0, 0.9), "cascade depth m=True must be an integer >= 1"),
+        (
+            lambda: CatCodeSpec(1, True, 0.9),
+            "amplitude alpha=True must be real, positive and finite",
+        ),
+        (lambda: CatCodeSpec(1, 1.0, True), "transmission eta=True outside (0, 1]"),
+        (lambda: ChainParams(10.0, True), "need integer n_e >= 1"),
+        (lambda: chain_fidelity(0.9, True), "need integer n_e >= 1"),
+        (lambda: chain_success(0.5, True), "need integer n_e >= 1"),
+        (lambda: chain_distribution(_WEIGHTS, True), "need integer n_e >= 1"),
+        (
+            lambda: secret_key_rate(0.9, 0.5, mode="exact_average", weights=_WEIGHTS, n_e=True),
+            "need integer n_e >= 1",
+        ),
     ],
     ids=[
         "l_tot", "chain_n_e", "kind", "plus_weight", "p0", "success_n_e",
         "distribution_n_e", "f_tot", "p_tot", "t0", "t0_nan", "eta_segment",
+        "spec_m_bool", "spec_alpha_bool", "spec_eta_bool", "chain_n_e_bool",
+        "fidelity_n_e_bool", "success_n_e_bool", "distribution_n_e_bool", "key_rate_n_e_bool",
     ],
 )
 def test_public_refusals_are_named(call, message):

@@ -78,6 +78,20 @@ def test_keyrate_exact_average_is_byte_deterministic(tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: 16777216 table counts exceed the bound 2097152\n")
 
 
+def test_csv_rows_read_as_the_per_cell_fmt_join():
+    # The one-pass row text (a float's inline) is what _fmt gives per cell,
+    # for every value type a row can hold.
+    columns = ("flag", "count", "np64", "neg_zero", "subnormal", "big", "inf", "nan", "plain")
+    rows = [
+        dict(zip(columns, (True, 3, np.float64(0.1), -0.0, 5e-324, 1e308, math.inf, math.nan, 1.5))),
+        dict(zip(columns, (False, -7, np.float64(-2.5e-300), 0.0, -5e-324, -1e308, -math.inf,
+                           -math.nan, 1 / 3))),
+    ]
+    want = [",".join(columns)] + [",".join(cli._fmt(row[c]) for c in columns) for row in rows]
+    assert cli._render(rows, columns, "csv") == "\n".join(want) + "\n"
+    assert want[1] == "true,3,0.10000000000000001,-0,4.9406564584124654e-324,1e+308,inf,nan,1.5"
+
+
 def test_sweep_golden_snapshot(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, _, _ = run_cli(capsys, "sweep", "--out", str(out))

@@ -359,14 +359,22 @@ def test_cascade_projectors_are_exact(m, variant):
         (lambda: prepare_code_state(0, coherent_state(1.0)), "m must be >= 1"),
         (lambda: prepare_code_state(1.5, coherent_state(1.0)), "m must be >= 1"),
         (lambda: prepare_code_state(2.0, coherent_state(1.0)), "m must be >= 1"),
+        (lambda: prepare_code_state(True, coherent_state(1.0)), "m must be >= 1"),
         (lambda: syndrome_cascade(prepare_code_state(1, coherent_state(1.0)), 0), "m must be >= 1"),
         (lambda: syndrome_cascade(prepare_code_state(1, coherent_state(1.0)), -1), "m must be >= 1"),
+        (
+            lambda: syndrome_cascade(prepare_code_state(1, coherent_state(1.0)), True),
+            "m must be >= 1",
+        ),
         (
             lambda: syndrome_cascade(prepare_code_state(1, coherent_state(1.0)), 1, "phi"),
             "unknown cascade variant 'phi'",
         ),
     ],
-    ids=["prepare_m", "prepare_fraction", "prepare_float", "cascade_m0", "cascade_negative", "variant"],
+    ids=[
+        "prepare_m", "prepare_fraction", "prepare_float", "prepare_bool", "cascade_m0",
+        "cascade_negative", "cascade_bool", "variant",
+    ],
 )
 def test_public_refusals_are_named(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -88,7 +88,8 @@ class CatCodeSpec(_Record):
     m is the cascade depth: code order M = 2^m, correctable loss order
     M − 1.  The amplitude is restricted to real α > 0 because every
     closed form below assumes it; the Fock engine has no such
-    restriction and is used to cross-check robustness elsewhere.
+    restriction and is used to cross-check robustness elsewhere.  α and η
+    are kept as doubles, so every engine reads a point's numbers alike.
     """
 
     _fields = ("m", "alpha", "eta")
@@ -96,11 +97,11 @@ class CatCodeSpec(_Record):
     def __init__(self, m: int, alpha: float, eta: float = 1.0):
         if not _is_count(m):
             raise ValueError(f"cascade depth m={m!r} must be an integer >= 1")
-        if isinstance(alpha, (bool, complex)) or not 0.0 < alpha < math.inf:
+        if not 0.0 < (alpha_ := _double(alpha, (bool, complex))) < math.inf:
             raise ValueError(f"amplitude alpha={alpha!r} must be real, positive and finite")
-        if isinstance(eta, bool) or not 0.0 < eta <= 1.0:
+        if not 0.0 < (eta_ := _double(eta)) <= 1.0:
             raise ValueError(f"transmission eta={eta!r} outside (0, 1]")
-        self._set(m=m, alpha=alpha, eta=eta)
+        self._set(m=m, alpha=alpha_, eta=eta_)
 
     @property
     def order(self) -> int:
@@ -126,14 +127,13 @@ class LossWeights(_Record):
     _fields = ("values", "m")
 
     def __init__(self, p, m: int):
-        if isinstance(p, (list, tuple)) and all(isinstance(v, (int, float)) for v in p):
-            vals, shape = [float(v) for v in p], (len(p),)
-        else:  # an array, or whatever else numpy reads as one
-            import numpy as np
-            a = np.asarray(p, dtype=float)
-            vals, shape = a.tolist(), a.shape
-        if shape != (2 ** (m + 1),):
-            raise ValueError(f"expected {2 ** (m + 1)} class weights, got shape {shape}")
+        if not _is_count(m):
+            raise ValueError(f"cascade depth m={m!r} must be an integer >= 1")
+        import numpy as np
+        a = np.asarray(p, dtype=float)
+        if a.shape != (2 ** (m + 1),):
+            raise ValueError(f"expected {2 ** (m + 1)} class weights, got shape {a.shape}")
+        vals = a.tolist()
         if min(vals) < -1e-15 and not any(map(math.isnan, vals)):  # NaN fails the sum check
             raise ValueError("negative class weight")
         total = math.fsum(vals)
@@ -166,6 +166,18 @@ def _loss_weights(vals: list[float], m: int) -> LossWeights:
     w = object.__new__(LossWeights)
     w._set(values=_normalized(vals), m=m)
     return w
+
+
+def _double(x, refused=bool) -> float:
+    """x as a double, or NaN where x is of a ``refused`` type, is not
+    positive as compared in its own type (a string is never parsed), or is
+    past the float range (an int over 1.8e308)."""
+    if isinstance(x, refused) or not 0.0 < x:
+        return math.nan
+    try:
+        return float(x)
+    except OverflowError:
+        return math.nan
 
 
 def _is_count(n) -> bool:
@@ -293,16 +305,6 @@ def _class_series(x: float, modulus: int) -> list[tuple[int, float, float]]:
     return table
 
 
-def _alpha_squared(spec: CatCodeSpec) -> float:
-    """α², with an error naming α and η where the square overflows."""
-    try:
-        return spec.alpha ** 2
-    except OverflowError:
-        raise ArithmeticError(
-            f"alpha={spec.alpha!r} (eta={spec.eta!r}): alpha squared overflows a float"
-        ) from None
-
-
 def _point_series(spec: CatCodeSpec, count: float, name: str) -> list[tuple[int, float, float]]:
     """_class_series(count, 2M), its refusal naming α, η and the count."""
     try:
@@ -331,7 +333,12 @@ def _point_classes(
     q mod M, renormalized to sum to 1.
     """
     big_m, n_cls = spec.order, spec.n_classes
-    alpha_sq = _alpha_squared(spec)
+    try:
+        alpha_sq = spec.alpha ** 2
+    except OverflowError:
+        raise ArithmeticError(
+            f"alpha={spec.alpha!r} (eta={spec.eta!r}): alpha squared overflows a float"
+        ) from None
     y = spec.eta * alpha_sq
     if y == 0.0:  # only t = 0 survives
         kept, success = [0.0] + [-math.inf] * (big_m - 1), [0.0] * big_m
@@ -394,8 +401,6 @@ def loss_weights(spec: CatCodeSpec) -> LossWeights:
     label is taken.  The Fock engine arbitrates this construction in the
     tests.
     """
-    if spec.eta == 1.0:  # nothing is lost, and no table is needed
-        return _loss_weights([1.0] + [0.0] * (spec.n_classes - 1), spec.m)
     return _point_classes(spec)[0]
 
 

@@ -210,13 +210,13 @@ def syndrome_deviation(m: int, alpha: float, eta: float) -> float:
     # undamped cutoff, as `_record_setup` pads it, the result moves at 7 of
     # 84 points (m 1 to 3, alpha 0.5 to 5, eta 0.5 to 0.999), among them the
     # default validate point (1, 2, 0.9): 3.33e-16 to 2.22e-16.
-    worst = 0.0
-    for q, psi in enumerate(_ladder(_damped_pair(CatCodeSpec(m, alpha, eta)), 2 ** (m + 1))):
+    spec, worst = CatCodeSpec(m, alpha, eta), 0.0
+    for q, psi in enumerate(_ladder(_damped_pair(spec), spec.n_classes)):
         with np.errstate(over="ignore"):  # an overflowing norm is refused below
             norm = np.linalg.norm(psi)
         if not 0.0 < norm < math.inf:
             raise ArithmeticError(
-                f"syndrome check at m={m}, alpha={alpha}, eta={eta}: {q} injected losses "
+                f"syndrome check at m={m}, alpha={spec.alpha}, eta={spec.eta}: {q} injected losses "
                 f"leave the pair (n_max={psi.shape[-1] - 1}) with norm {norm}"
             )
         y = _residue(psi / norm, 2**m, -q, 1)
@@ -277,17 +277,15 @@ def _record_setup(spec: CatCodeSpec):
 
 
 @functools.lru_cache(maxsize=1)
-def _unit(m: int, alpha: float, eta: float) -> tuple:
+def _unit(spec: CatCodeSpec) -> tuple:
     """What `simulate_unit` and `bell_order_equivalence` share at one point.
 
     Returns (v0, maps, codeword), read-only: the arm's spin-codeword
     amplitudes of `_record_setup`, the record maps `_arm_maps` builds from
     them, and the codeword arm's records, `_arm` of v0 (mode, spin) as a
-    batch of one.  Callers key it on the doubles of α and η: a float32 η
-    builds other bits than the double its spec compares equal to.  Only
-    the last point is kept; `validate` runs both functions at each point.
+    batch of one.  Only the last point is kept; `validate` runs both
+    functions at each point.
     """
-    spec = CatCodeSpec(m, alpha, eta)
     flip, v0, bras = _record_setup(spec)
     v0 = _freeze(v0)
     maps = tuple(map(_freeze, _arm_maps(spec, v0, flip, bras)))
@@ -451,7 +449,7 @@ def simulate_unit(spec: CatCodeSpec) -> UnitReport:
     at θ = rπ/M.  All states stay at the cutoff of the undamped primitive.
     The records, axes (ρ, 1, sender, t, r, u, receiver), are the point's `_unit`.
     """
-    records, (live,), (syn,) = _unit(spec.m, float(spec.alpha), float(spec.eta))[2]
+    records, (live,), (syn,) = _unit(spec)[2]
     blocks = _density(records, (1, 4, 5, 0, 3, 6, 2))[0]
     big_m = spec.order
     weights = np.zeros(2 * big_m)
@@ -472,17 +470,8 @@ def simulate_unit(spec: CatCodeSpec) -> UnitReport:
         weights[r + big_m] = syn[r] * f_minus
         states[r] = rho0
     return UnitReport(
-        m=spec.m,
-        alpha=spec.alpha,
-        eta=spec.eta,
-        f0_oracle=float(weights[:big_m].sum()),
-        weights=weights,
-        syndrome_probs=syn,
-        plus_weight=plus,
-        usd_success=succ,
-        p_success_weighted=float(np.dot(syn, succ)),
-        spin_states=tuple(states),
-        thetas=thetas,
+        spec.m, spec.alpha, spec.eta, float(weights[:big_m].sum()), weights, syn, plus, succ,
+        float(np.dot(syn, succ)), tuple(states), thetas,
     )
 
 
@@ -509,7 +498,7 @@ def bell_order_equivalence(m: int, alpha: float, eta: float, return_records: boo
     `simulate_unit`.
     """
     spec = CatCodeSpec(m, alpha, eta)
-    v0, maps, (arm, (live,), _mass) = _unit(spec.m, float(spec.alpha), float(spec.eta))
+    v0, maps, (arm, (live,), _mass) = _unit(spec)
     bells = bell_vectors(0.0)
     bra = np.stack(list(bells.values())).reshape(-1, 2, 2).conj()
     # rho[l, r1, u1, r2, u2, o] is record's density in ordering o (0: Bell

@@ -578,3 +578,34 @@ def test_class_series_refuses_non_positive_x(x):
     # its callers answer x = 0 (an underflowed α²η) before they reach it
     with pytest.raises(ValueError, match="class series needs x > 0"):
         _class_series(x, 2)
+
+
+# A numpy scalar, a 0-d array or an int, each with the double it stands for
+_NOT_DOUBLES = [(np.float32(1.7), 0.99), (np.array(1.5), 0.99), (2, 0.99), (1.5, np.float32(0.99))]
+
+
+@pytest.mark.parametrize(
+    "alpha,eta", _NOT_DOUBLES, ids=["f32_alpha", "0d_alpha", "int_alpha", "f32_eta"]
+)
+def test_a_spec_holds_the_doubles_of_its_numbers(alpha, eta):
+    spec, double = CatCodeSpec(1, alpha, eta), CatCodeSpec(1, float(alpha), float(eta))
+    assert type(spec.alpha) is float and type(spec.eta) is float
+    assert spec == double and hash(spec) == hash(double) and repr(spec) == repr(double)
+    got, want = loss_weights(spec), loss_weights(double)
+    assert np.array(got.values).tobytes() == np.array(want.values).tobytes()
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_lossless_weights_come_from_the_class_series(m):
+    # At eta = 1 no photon is lost, and the one path gives class 0 all the weight.
+    want = catcode._loss_weights([1.0] + [0.0] * (2 ** (m + 1) - 1), m)
+    for alpha in cli.DEFAULT_CONFIG["code"]["alpha"]:
+        got = loss_weights(CatCodeSpec(m, alpha, 1.0))
+        assert np.array(got.values).tobytes() == np.array(want.values).tobytes()
+        assert got == want
+
+
+@pytest.mark.parametrize("eta", [0.999, 1.0])
+def test_a_code_order_past_the_series_bound_is_refused_at_every_eta(eta):
+    with pytest.raises(ArithmeticError, match=f"eta={eta}.*code order too large"):
+        loss_weights(CatCodeSpec(19, 1.0, eta))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from catrep import catcode, chain as chain_mod
-from catrep.catcode import CatCodeSpec, loss_weights, segment_fidelity
+from catrep.catcode import CatCodeSpec, LossWeights, loss_weights, segment_fidelity
 from catrep.chain import (
     ATTENUATION_LENGTH_KM,
     ChainParams,
@@ -659,6 +659,11 @@ _WEIGHTS = loss_weights(CatCodeSpec(1, 1.0, 0.9))
             "amplitude alpha=True must be real, positive and finite",
         ),
         (lambda: CatCodeSpec(1, 1.0, True), "transmission eta=True outside (0, 1]"),
+        # an int past the float range, by the same message
+        (
+            lambda: CatCodeSpec(1, 10**400, 0.9),
+            f"amplitude alpha={10**400} must be real, positive and finite",
+        ),
         (lambda: ChainParams(10.0, True), "need integer n_e >= 1"),
         (lambda: chain_fidelity(0.9, True), "need integer n_e >= 1"),
         (lambda: chain_success(0.5, True), "need integer n_e >= 1"),
@@ -667,12 +672,18 @@ _WEIGHTS = loss_weights(CatCodeSpec(1, 1.0, 0.9))
             lambda: secret_key_rate(0.9, 0.5, mode="exact_average", weights=_WEIGHTS, n_e=True),
             "need integer n_e >= 1",
         ),
+        # the class weights' m is a count, as the spec's is
+        (lambda: LossWeights([0.5, 0.25, 0.25, 0.0], 1.0), "cascade depth m=1.0 must be an"),
+        (lambda: LossWeights([0.5, 0.25, 0.25, 0.0], True), "cascade depth m=True must be an"),
+        (lambda: LossWeights([1.0, 0.0], 0), "cascade depth m=0 must be an integer >= 1"),
     ],
     ids=[
         "l_tot", "chain_n_e", "kind", "plus_weight", "p0", "success_n_e",
         "distribution_n_e", "f_tot", "p_tot", "t0", "t0_nan", "eta_segment",
-        "spec_m_bool", "spec_alpha_bool", "spec_eta_bool", "chain_n_e_bool",
+        "spec_m_bool", "spec_alpha_bool", "spec_eta_bool", "spec_alpha_past_float",
+        "chain_n_e_bool",
         "fidelity_n_e_bool", "success_n_e_bool", "distribution_n_e_bool", "key_rate_n_e_bool",
+        "weights_m_float", "weights_m_bool", "weights_m_zero",
     ],
 )
 def test_public_refusals_are_named(call, message):

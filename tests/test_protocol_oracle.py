@@ -590,7 +590,7 @@ def test_bell_last_products_have_the_einsum_bits(m, alpha, eta):
     # matrix products replace, on that einsum's path: bra with its
     # conjugate, then each Gram in turn.
     spec = CatCodeSpec(m, alpha, eta)
-    gram = _density(_unit(m, alpha, eta)[2][0], (1, 4, 5, 0, 3, 2, 6)).reshape(-1, 2, 2, 2, 2)
+    gram = _density(_unit(spec)[2][0], (1, 4, 5, 0, 3, 2, 6)).reshape(-1, 2, 2, 2, 2)
     bells = bell_vectors(0.0)
     bra = np.stack(list(bells.values())).reshape(-1, 2, 2).conj()
     path = ["einsum_path", (0, 1), (0, 2), (0, 1)]
@@ -802,8 +802,8 @@ def test_oracle_work_counts(monkeypatch):
 
 def test_the_kept_setup_is_read_only_and_a_fresh_arm_pass():
     _unit.cache_clear()
-    v0, maps, codeword = _unit(1, 1.5, 0.9)
-    assert _unit(1, 1.5, 0.9)[2] is codeword
+    v0, maps, codeword = _unit(CatCodeSpec(1, 1.5, 0.9))
+    assert _unit(CatCodeSpec(1, 1.5, 0.9))[2] is codeword
     for a in (v0, *maps, *codeword):
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -813,20 +813,50 @@ def test_the_kept_setup_is_read_only_and_a_fresh_arm_pass():
 
 
 def test_the_kept_setup_serves_its_own_doubles_only():
-    # A float32 eta equals its double neighbour as a spec, yet builds other
-    # bits: right after the 0.9 point it gets its own setup.
+    # A float32 eta is its own double, not its double neighbour's: right
+    # after the 0.9 point it gets its own setup.
     _unit.cache_clear()
     s64, s32 = CatCodeSpec(1, 1.5, 0.9), CatCodeSpec(1, 1.5, np.float32(0.9))
-    assert s32 == s64
+    assert s32 != s64 and s32 == CatCodeSpec(1, 1.5, float(np.float32(0.9)))
     assert simulate_unit(s64).f0_oracle == 0.9781880454807315
     assert simulate_unit(s32).f0_oracle == 0.9781880358641293
     assert _unit.cache_info()[:2] == (0, 2)
-    # a 0-d array alpha, whose spec does not hash, reads the setup of its double
+    # a 0-d array alpha reads the setup of its double
     report = simulate_unit(CatCodeSpec(1, np.array(1.5), 0.9))
     assert report.f0_oracle == 0.9781880454807315
     assert _unit.cache_info()[:2] == (0, 3)
     assert bell_order_equivalence(1, 1.5, 0.9) == bell_order_equivalence(1, np.array(1.5), 0.9)
     assert _unit.cache_info()[:2] == (2, 3)
+
+
+@pytest.mark.parametrize(
+    "alpha,eta",
+    [(np.float32(1.7), 0.9), (np.array(1.5), 0.9), (2, 0.9), (1.5, np.float32(0.99))],
+    ids=["f32_alpha", "0d_alpha", "int_alpha", "f32_eta"],
+)
+def test_the_oracle_reads_a_point_as_its_doubles(alpha, eta):
+    # Both engines read the spec's doubles, so a numpy scalar, a 0-d array
+    # or an int gives the bits of its double and the engines agree to 1e-15.
+    spec = CatCodeSpec(1, alpha, eta)
+    double = CatCodeSpec(1, float(alpha), float(eta))
+    got, want = simulate_unit(spec), simulate_unit(double)
+    for name in ("weights", "syndrome_probs", "usd_success"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.f0_oracle == want.f0_oracle and got.alpha == double.alpha
+    for m in (1, 2, 3):
+        assert syndrome_deviation(m, alpha, eta) == syndrome_deviation(m, double.alpha, double.eta)
+    assert float(abs(got.weights - loss_weights(spec).p).max()) <= 1e-15
+
+
+def test_equal_specs_share_one_kept_setup():
+    # the setup is keyed on the spec, and equal specs hold the same doubles
+    _unit.cache_clear()
+    kept = _unit(CatCodeSpec(1, 2.0, 0.9))
+    for spec in (CatCodeSpec(1, 2, 0.9), CatCodeSpec(1, np.array(2.0), np.float64(0.9))):
+        assert _unit(spec) is kept
+        simulate_unit(spec)
+        bell_order_equivalence(spec.m, spec.alpha, spec.eta)
+    assert _unit.cache_info()[:] == (6, 1, 1, 1)
 
 
 def test_a_refused_point_is_never_kept():
@@ -837,7 +867,7 @@ def test_a_refused_point_is_never_kept():
         with pytest.raises(ArithmeticError, match="m=3, alpha=0.5, eta=0.5: class-1 codeword"):
             simulate_unit(CatCodeSpec(3, 0.5, 0.5))
     assert _unit.cache_info()[:] == (0, 3, 1, 1)
-    _unit(1, 1.5, 0.9)  # the point before the refusals is still the one kept
+    _unit(CatCodeSpec(1, 1.5, 0.9))  # the point before the refusals is still the one kept
     assert _unit.cache_info()[:2] == (1, 3)
 
 

@@ -58,10 +58,15 @@ class _Record:
         return tuple(map(self.__dict__.__getitem__, self._fields))
 
     def _require_finite(self, *names: str) -> None:
+        """Refuse a named field that is not finite; keep each as its double,
+        but a bool as given, for the checks that refuse it to see it."""
+        fields = self.__dict__
         for name in names:
-            value = getattr(self, name)
+            value = fields[name]
             if not math.isfinite(value):
                 raise ValueError(f"{name}={value!r} must be finite")
+            if type(value) is not float and type(value) is not bool:
+                fields[name] = float(value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -97,7 +102,7 @@ class CatCodeSpec(_Record):
     def __init__(self, m: int, alpha: float, eta: float = 1.0):
         if not _is_count(m):
             raise ValueError(f"cascade depth m={m!r} must be an integer >= 1")
-        if not 0.0 < (alpha_ := _double(alpha, (bool, complex))) < math.inf:
+        if not 0.0 < (alpha_ := _double(alpha)) < math.inf:
             raise ValueError(f"amplitude alpha={alpha!r} must be real, positive and finite")
         if not 0.0 < (eta_ := _double(eta)) <= 1.0:
             raise ValueError(f"transmission eta={eta!r} outside (0, 1]")
@@ -168,11 +173,16 @@ def _loss_weights(vals: list[float], m: int) -> LossWeights:
     return w
 
 
-def _double(x, refused=bool) -> float:
-    """x as a double, or NaN where x is of a ``refused`` type, is not
-    positive as compared in its own type (a string is never parsed), or is
-    past the float range (an int over 1.8e308)."""
-    if isinstance(x, refused) or not 0.0 < x:
+def _double(x) -> float:
+    """x as a double, or NaN where x is a bool or complex (numpy's too, which
+    numpy orders and float() strips of its imaginary part), is not positive
+    as compared in its own type (a string is never parsed), or is past the
+    float range (an int over 1.8e308)."""
+    if type(x) is float:
+        return x if 0.0 < x else math.nan
+    if isinstance(x, (bool, complex)) or not 0.0 < x:
+        return math.nan
+    if type(x) is not int and getattr(getattr(x, "dtype", None), "kind", "") == "c":
         return math.nan
     try:
         return float(x)
@@ -373,8 +383,16 @@ def _check_usd(mode: str, q: int, order: int) -> None:
     """Refuse a discrimination mode, or a per_q class q, before any table is built."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if mode == "per_q" and not 0 <= q < order:
-        raise ValueError(f"q must satisfy 0 <= q < {order}")
+    if mode == "per_q":
+        _check_class_index(q)
+        if not 0 <= q < order:
+            raise ValueError(f"q must satisfy 0 <= q < {order}")
+
+
+def _check_class_index(q) -> None:
+    """Refuse a class index q that is not an int; a bool is none."""
+    if not isinstance(q, int) or isinstance(q, bool):
+        raise ValueError(f"class index q={q!r} must be an int")
 
 
 def _usd_probability(

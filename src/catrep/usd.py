@@ -20,7 +20,8 @@ import cmath
 import math
 import sys
 
-from .catcode import CatCodeSpec, _check_usd, _freeze, _point_classes, _Record, _usd_probability
+from .catcode import CatCodeSpec, _check_class_index, _check_usd, _double, _freeze, _point_classes
+from .catcode import _Record, _usd_probability
 
 __all__ = [
     "CoherentSuperposition",
@@ -40,6 +41,7 @@ _PROBE_STYLES = ("cat", "coherent")
 _NORM_FLOOR = 1e-150
 _EPS = sys.float_info.epsilon
 _MAX_ROUNDING = 1e-6  # largest relative rounding estimate of a returned click probability
+_SPLIT = 1.0 / math.sqrt(2.0)  # a balanced beam splitter's amplitude ratio
 # Largest circuit amplitude √η·α.  Terms equal in exact arithmetic differ by
 # rounding, so a pair of them carries a spurious phase Im(x̄y) of about
 # eps·|x|², which the click guard's estimate does not count; past this
@@ -113,34 +115,28 @@ def _state(coeffs: np.ndarray, amps: np.ndarray) -> CoherentSuperposition:
     return s
 
 
-def _pair_terms(a: CoherentSuperposition, b: CoherentSuperposition, must_click=()):
-    # Pair terms conj(c_t) c'_t' prod_modes f(x, y), with z = conj(x) y and
-    # f = <x|y> = exp(z - (|x|^2 + |y|^2)/2) on a free mode, or
-    # f = <x|(1 - |0><0|)|y> = <x|y> (-expm1(-z)) on a clicking mode, so no
-    # exponent is positive.  The exponent is taken as i Im z - |x - y|^2/2,
-    # which does not cancel for bright amplitudes.  Capping Re(-z) at 700/k
-    # on k clicking modes keeps their product finite; it moves only pairs
-    # where a clicking factor is below 2e^(-700/k).
+def _pair_pass(a: CoherentSuperposition, b: CoherentSuperposition) -> tuple:
+    # Per term pair: z = conj(x) y on each mode, the coefficient pair, and
+    # <x|y> = prod_modes exp(z - (|x|^2 + |y|^2)/2), its exponent taken as
+    # i Im z - |x - y|^2/2: never positive, and no cancellation when bright.
     import numpy as np
     xa, xb = a.amps[..., :, None, :], b.amps[..., None, :, :]
     z = xa.conj() * xb
     exponent = (1j * z.imag - 0.5 * abs(xa - xb) ** 2).sum(axis=-1)
-    terms = a.coeffs[..., :, None].conj() * b.coeffs[..., None, :]
-    if must_click:
-        w = -z[..., must_click]
-        np.minimum(w.real, 700.0 / len(must_click), out=w.real)
-        terms = terms * (-np.expm1(w)).prod(axis=-1)
-    return terms * np.exp(exponent)
+    pairs = a.coeffs[..., :, None].conj() * b.coeffs[..., None, :]
+    return z, pairs, np.exp(exponent)
 
 
-def _pair_sums(terms: np.ndarray) -> np.ndarray:
-    # Each (T, T') block summed as one flat run, as ``.sum()`` sums one block.
-    return terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
+def _pair_sums(a: CoherentSuperposition, b: CoherentSuperposition) -> np.ndarray:
+    # <a|b> per state of the stacks: each (T, T') block of pair terms summed
+    # as one flat run, as ``.sum()`` sums one block.
+    _, pairs, gauss = _pair_pass(a, b)
+    return (pairs * gauss).reshape(pairs.shape[:-2] + (-1,)).sum(axis=-1)
 
 
 def _norms(s: CoherentSuperposition) -> np.ndarray:
     import numpy as np
-    return np.sqrt(np.maximum(_pair_sums(_pair_terms(s, s)).real, 0.0))
+    return np.sqrt(np.maximum(_pair_sums(s, s).real, 0.0))
 
 
 def _normalized(s: CoherentSuperposition) -> CoherentSuperposition:
@@ -155,7 +151,7 @@ def overlap(a: CoherentSuperposition, b: CoherentSuperposition) -> complex:
     """Exact inner product <a|b>."""
     if a.n_modes != b.n_modes:
         raise ValueError(f"mode count mismatch: {a.n_modes} vs {b.n_modes}")
-    return complex(_pair_sums(_pair_terms(a, b)))
+    return complex(_pair_sums(a, b))
 
 
 def tensor(*states: CoherentSuperposition) -> CoherentSuperposition:
@@ -166,30 +162,28 @@ def tensor(*states: CoherentSuperposition) -> CoherentSuperposition:
     """
     if not states:
         raise ValueError("nothing to tensor")
-    return _state(*_tensor([(s.coeffs, s.amps) for s in states]))
+    n = len(states)  # the terms of state k along axis k of n
+    axes = [(1,) * k + s.coeffs.shape + (1,) * (n - k - 1) for k, s in enumerate(states)]
+    coeffs = [s.coeffs.reshape(ax) for s, ax in zip(states, axes)]
+    columns = [x.reshape(ax) for s, ax in zip(states, axes) for x in s.amps.T]
+    return _product(tuple(s.coeffs.size for s in states), n, coeffs, columns)
 
 
-def _tensor(factors):
-    # (coeffs, amps) of the product of (coeffs, amps) factors, each
-    # factor's terms laid along an axis of its own; leading stack axes
-    # broadcast across the factors.  The coefficients are multiplied in
-    # one np.prod over a stacked axis: a running product of binary
-    # multiplies rounds some one-term products differently.
+def _product(shape: tuple, n: int, coeffs: list, columns: list) -> CoherentSuperposition:
+    # The product state of factor coefficients and mode amplitudes broadcast
+    # to ``shape``, terms along its last n axes (the last fastest), stack axes
+    # before them.  One np.prod over a stacked axis multiplies the factors: a
+    # running product of binary multiplies rounds some products differently.
     import numpy as np
-    n = len(factors)
-    sizes = tuple(c.shape[-1] for c, _ in factors)
-    shape = np.broadcast_shapes(*(c.shape[:-1] for c, _ in factors)) + sizes
-    coeffs = np.empty((n,) + shape, complex)
-    amps = np.empty(shape + (sum(a.shape[-1] for _, a in factors),), complex)
-    col = 0
-    for k, (c, a) in enumerate(factors):
-        axes = (1,) * k + sizes[k : k + 1] + (1,) * (n - k - 1)
-        coeffs[k] = c.reshape(c.shape[:-1] + axes)
-        modes = a.shape[-1]
-        amps[..., col : col + modes] = a.reshape(a.shape[:-2] + axes + (modes,))
-        col += modes
-    lead = shape[:-n]
-    return coeffs.prod(axis=0).reshape(lead + (-1,)), amps.reshape(lead + (-1, col))
+    stacked = np.empty((len(coeffs),) + shape, complex)
+    for k, c in enumerate(coeffs):
+        stacked[k] = c
+    amps = np.empty(shape + (len(columns),), complex)
+    for j, x in enumerate(columns):
+        amps[..., j] = x
+    lead = shape[: len(shape) - n]
+    amps = amps.reshape(lead + (-1, len(columns)))
+    return _state(stacked.prod(axis=0).reshape(lead + (-1,)), amps)
 
 
 def beam_splitter(s: CoherentSuperposition, ports) -> CoherentSuperposition:
@@ -205,17 +199,14 @@ def beam_splitter(s: CoherentSuperposition, ports) -> CoherentSuperposition:
     for p in (i, j):
         if not 0 <= p < s.n_modes:
             raise ValueError(f"port {p} out of range for {s.n_modes} modes")
-    return _state(s.coeffs, _split(s.amps, (i, j)))
+    amps = s.amps.copy()
+    amps[:, i], amps[:, j] = _split(s.amps[:, i], s.amps[:, j])
+    return _state(s.coeffs, amps)
 
 
-def _split(amps: np.ndarray, *port_pairs) -> np.ndarray:
-    # The splitters on the given port pairs, in order, on one copy.
-    r = 1.0 / math.sqrt(2.0)
-    out = amps.copy()
-    for i, j in port_pairs:
-        x, y = out[..., i], out[..., j]
-        out[..., i], out[..., j] = (x + y) * r, (x - y) * r
-    return out
+def _split(x, y) -> tuple:
+    # The balanced splitter's output amplitudes ((x + y)/sqrt(2), (x - y)/sqrt(2)).
+    return (x + y) * _SPLIT, (x - y) * _SPLIT
 
 
 def click_probability(s: CoherentSuperposition, must_click) -> float:
@@ -232,7 +223,20 @@ def click_probability(s: CoherentSuperposition, must_click) -> float:
     for p in ports:
         if not 0 <= p < s.n_modes:
             raise ValueError(f"port {p} out of range for {s.n_modes} modes")
-    terms = _pair_terms(s, s, ports)
+    return _click_total(*_pair_pass(s, s), ports)
+
+
+def _click_total(z: np.ndarray, pairs: np.ndarray, gauss: np.ndarray, must_click) -> float:
+    # The click probability from a normalized state's pair pass, <x|y> taken
+    # as <x|(1 - |0><0|)|y> = <x|y> (-expm1(-z)) on each clicking mode; Re(-z)
+    # capped at 700/k on k of them keeps their product finite and moves only
+    # pairs where a clicking factor is below 2e^(-700/k).
+    import numpy as np
+    if must_click:
+        w = -z[..., must_click]
+        np.minimum(w.real, 700.0 / len(must_click), out=w.real)
+        pairs = pairs * (-np.expm1(w)).prod(axis=-1)
+    terms = pairs * gauss
     total, estimate = float(terms.sum().real), _EPS * float(abs(terms).sum())
     if not estimate <= _MAX_ROUNDING * total:
         raise ArithmeticError(
@@ -303,14 +307,18 @@ def linear_optics_output_states(
     ``ArithmeticError`` naming the amplitude where √η·α is too bright for
     float terms to resolve the states' phases.
     """
+    stack = _circuit(alpha, eta, q, probe_style)
+    return tuple(_state(stack.coeffs[k], stack.amps[k]) for k in (0, 1))
+
+
+def _circuit(alpha, eta, q, probe_style) -> CoherentSuperposition:
+    # Both inputs' output states as one stack: coeffs (2, T), amps (2, T, 4).
     if probe_style not in _PROBE_STYLES:
         raise ValueError(f"probe_style must be one of {_PROBE_STYLES}")
+    _check_class_index(q)
     if q not in (0, 1):
         raise ValueError("circuit handles the order-2 code: q in {0, 1}")
-    if alpha <= 0:
-        raise ValueError("need alpha > 0")
-    if not 0 < eta <= 1:
-        raise ValueError("need 0 < eta <= 1")
+    alpha, eta = _circuit_point(alpha, eta)
     beta = math.sqrt(eta) * alpha
     half = beta / math.sqrt(2.0)
     # The probes (real, imaginary) and both signals are normalized in one
@@ -329,13 +337,26 @@ def linear_optics_output_states(
             f"phase eps*beta^2 of its terms exceeds {_MAX_ROUNDING:g}"
         )
     stack = _normalized(_state(coeffs.reshape(4, 2), amps.reshape(4, 2, 1)))
-    probes = [(stack.coeffs[k, :n_probe], stack.amps[k, :n_probe]) for k in (0, 1)]
-    signals = (stack.coeffs[2:], stack.amps[2:])
-    import numpy as np
-    vacuum = np.ones(1, complex), np.zeros((1, 1), complex)  # one mode
-    coeffs, amps = _tensor([signals, vacuum, *probes])
-    amps = _split(amps, (0, 1), (0, 2), (1, 3))
-    return tuple(_state(coeffs[k], amps[k]) for k in (0, 1))
+    c, a = stack.coeffs, stack.amps[..., 0]
+    # Term axes (signal, real probe, imaginary probe) after the input axis.
+    # The signal meets the vacuum port (amplitude exactly 0, coefficient 1)
+    # at the first splitter, then each half its probe at the next two.
+    s0, s1 = _split(a[2:, :, None, None], 0.0)
+    m0, m2 = _split(s0, a[0, :n_probe, None])
+    m1, m3 = _split(s1, a[1, :n_probe])
+    coeffs = [c[2:, :, None, None], 1.0, c[0, :n_probe, None], c[1, :n_probe]]
+    return _product((2, 2, n_probe, n_probe), 3, coeffs, [m0, m1, m2, m3])
+
+
+def _circuit_point(alpha, eta) -> tuple:
+    # α and η as doubles, read as CatCodeSpec reads them and refused as the
+    # circuit refuses them; a NaN α passes, for the terms' check to name.
+    alpha_, eta_ = _double(alpha), _double(eta)
+    if not 0.0 < alpha_ and alpha == alpha:
+        raise ValueError("need alpha > 0")
+    if not 0.0 < eta_ <= 1.0:
+        raise ValueError("need 0 < eta <= 1")
+    return alpha_, eta_
 
 
 def linear_optics_usd_probability(
@@ -348,13 +369,16 @@ def linear_optics_usd_probability(
     Each term of the logical-0 output leaves A or B in exact vacuum (and
     vice versa), so a conclusive pattern never points at the wrong input.
     """
-    out0, out1 = linear_optics_output_states(alpha, eta, q, probe_style)
+    stack = _circuit(alpha, eta, q, probe_style)
+    # one pair pass for both outputs, each then summed as click_probability sums it
+    z, pairs, gauss = _pair_pass(stack, stack)
     try:
-        p_cd_given_0 = click_probability(out0, (1, 3))
-        p_ab_given_1 = click_probability(out1, (0, 2))
+        p0, p1 = (_click_total(z[k], pairs[k], gauss[k], ports)
+                  for k, ports in enumerate(((1, 3), (0, 2))))
     except ArithmeticError as exc:
-        raise ArithmeticError(f"circuit at alpha={alpha}, eta={eta}, q={q}: {exc}") from exc
-    return 0.5 * (p_cd_given_0 + p_ab_given_1)
+        where = f"alpha={_double(alpha)}, eta={_double(eta)}, q={q}"
+        raise ArithmeticError(f"circuit at {where}: {exc}") from exc
+    return 0.5 * (p0 + p1)
 
 
 def linear_optics_closed_form(alpha: float, eta: float = 1.0) -> float:
@@ -366,6 +390,7 @@ def linear_optics_closed_form(alpha: float, eta: float = 1.0) -> float:
     ``2 sinh(x/4)^2/cosh(x/2) + 2 sin(x/4)^2/cosh(x)`` in powers of e^-x,
     so it neither cancels for small x nor overflows for large x.
     """
+    alpha, eta = _circuit_point(alpha, eta)
     x = eta * alpha**2
     e = math.exp(-x)
     return math.expm1(-0.5 * x) ** 2 / (1.0 + e) + 4.0 * math.sin(0.25 * x) ** 2 * e / (1.0 + e * e)

@@ -46,6 +46,16 @@ def test_params_validation():
         CavityParams(g=1e200)
 
 
+def test_params_hold_the_doubles_of_their_numbers():
+    # a numpy scalar, a 0-d array or an int is kept as the double it stands
+    # for, so the record, and every reflection from it, is its double's
+    p = CavityParams(g=np.float32(3.1), kappa=np.array(1.0), gamma=2, kappa_r=np.float64(0.9))
+    double = CavityParams(float(np.float32(3.1)), 1.0, 2.0, 0.9)
+    assert all(type(v) is float for v in p._values())
+    assert p == double and repr(p) == repr(double)
+    assert full_reflection(0.3, p) == full_reflection(0.3, double)
+
+
 def test_full_reflection_refuses_an_overflowing_detuning():
     # the amplitude tends to 1 far off resonance; past Δ ≈ 2.9e307 it would be NaN
     assert full_reflection(1e307) == 1.0

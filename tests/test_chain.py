@@ -631,6 +631,22 @@ def test_evaluate_chain_makes_no_lgamma_calls_once_the_table_is_warm(monkeypatch
     assert calls == 0
 
 
+def test_segment_and_chain_records_hold_the_doubles_of_their_numbers():
+    # a numpy scalar, a 0-d array or an int is kept as the double it stands
+    # for, so eta_segment is computed in doubles, not float32
+    seg = SegmentParams(np.float32(1.0), 2, np.array(2.0), np.float32(0.999), 22)
+    double = SegmentParams(1.0, 2, 2.0, float(np.float32(0.999)), 22.0)
+    assert all(type(getattr(seg, f)) is float for f in ("l0", "alpha", "eta_local", "l_att"))
+    assert seg == double and repr(seg) == repr(double)
+    assert type(seg.eta_segment) is float and seg.eta_segment == double.eta_segment
+    line = ChainParams(np.float32(1000.0), 1000, np.float32(1e-6))
+    assert type(line.l_tot) is float and type(line.t0) is float
+    assert line == ChainParams(1000.0, 1000, float(np.float32(1e-6)))
+    assert evaluate_chain(seg, ChainParams(1000.0, 1000)) == evaluate_chain(
+        double, ChainParams(1000.0, 1000)
+    )
+
+
 _WEIGHTS = loss_weights(CatCodeSpec(1, 1.0, 0.9))
 
 
@@ -676,6 +692,28 @@ _WEIGHTS = loss_weights(CatCodeSpec(1, 1.0, 0.9))
         (lambda: LossWeights([0.5, 0.25, 0.25, 0.0], 1.0), "cascade depth m=1.0 must be an"),
         (lambda: LossWeights([0.5, 0.25, 0.25, 0.0], True), "cascade depth m=True must be an"),
         (lambda: LossWeights([1.0, 0.0], 0), "cascade depth m=0 must be an integer >= 1"),
+        # a record keeps a bool as given, so the spec still refuses it
+        (
+            lambda: evaluate_chain(SegmentParams(10.0, 1, True), ChainParams(1000.0, 100)),
+            "amplitude alpha=True must be real, positive and finite",
+        ),
+        # a class index is an int, so a float q is named, not used as a list index
+        (
+            lambda: evaluate_chain(SegmentParams(10.0, 1, 1.0), ChainParams(1000.0, 100),
+                                   "per_q", 0.5),
+            "class index q=0.5 must be an int",
+        ),
+        # a complex amplitude is refused whatever its type: numpy orders
+        # complex values, and float() would drop the imaginary part
+        (
+            lambda: CatCodeSpec(1, np.complex64(1.5 + 2j), 0.9),
+            "amplitude alpha=np.complex64(1.5+2j) must be real, positive and finite",
+        ),
+        (
+            lambda: CatCodeSpec(1, np.array(1.5 + 0j), 0.9),
+            "amplitude alpha=array(1.5+0.j) must be real, positive and finite",
+        ),
+        (lambda: CatCodeSpec(1, 1.5, 0.9 + 0j), "transmission eta=(0.9+0j) outside (0, 1]"),
     ],
     ids=[
         "l_tot", "chain_n_e", "kind", "plus_weight", "p0", "success_n_e",
@@ -683,7 +721,8 @@ _WEIGHTS = loss_weights(CatCodeSpec(1, 1.0, 0.9))
         "spec_m_bool", "spec_alpha_bool", "spec_eta_bool", "spec_alpha_past_float",
         "chain_n_e_bool",
         "fidelity_n_e_bool", "success_n_e_bool", "distribution_n_e_bool", "key_rate_n_e_bool",
-        "weights_m_float", "weights_m_bool", "weights_m_zero",
+        "weights_m_float", "weights_m_bool", "weights_m_zero", "segment_alpha_bool", "chain_q_float",
+        "spec_alpha_complex64", "spec_alpha_0d_complex", "spec_eta_complex",
     ],
 )
 def test_public_refusals_are_named(call, message):

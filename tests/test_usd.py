@@ -361,20 +361,63 @@ def test_bright_circuit_is_resolved_or_refused(q, eta):
 
 
 def test_circuit_work_counts(monkeypatch):
-    # One pair-kernel pass per click probability, none per subset of ports.
-    clicks = []
-    pair_terms = usd._pair_terms
+    # Two pair-kernel passes per call: one normalizes the probes and the
+    # signals as a (4, 2, 1) stack, one forms the pairs of both outputs as a
+    # (2, T, 4) stack.  Then one click sum per output on its (T, T) pairs,
+    # none per subset of ports.
+    passes, clicks = [], []
+    pair_pass, click_total = usd._pair_pass, usd._click_total
 
-    def counting_pair_terms(a, b, must_click=()):
-        if must_click:
-            clicks.append(tuple(must_click))
-        return pair_terms(a, b, must_click)
+    def counting_pair_pass(a, b):
+        passes.append(a.amps.shape)
+        return pair_pass(a, b)
 
-    monkeypatch.setattr(usd, "_pair_terms", counting_pair_terms)
+    def counting_click_total(z, pairs, gauss, must_click):
+        clicks.append((pairs.shape, tuple(must_click)))
+        return click_total(z, pairs, gauss, must_click)
+
+    monkeypatch.setattr(usd, "_pair_pass", counting_pair_pass)
+    monkeypatch.setattr(usd, "_click_total", counting_click_total)
     for q in (0, 1):
-        clicks.clear()
-        linear_optics_usd_probability(1.2, 0.95, q)
-        assert clicks == [(1, 3), (0, 2)]
+        for style, t in (("cat", 8), ("coherent", 2)):
+            passes.clear()
+            clicks.clear()
+            linear_optics_usd_probability(1.2, 0.95, q, style)
+            assert passes == [(4, 2, 1), (2, t, 4)]
+            assert clicks == [((t, t), (1, 3)), ((t, t), (0, 2))]
+
+
+def test_circuit_is_half_the_sum_of_its_outputs_click_probabilities():
+    # The circuit's shared pair pass gives, bit for bit and refusal for
+    # refusal, what the public one-state route gives on the states
+    # linear_optics_output_states returns: over seeded draws of alpha, eta,
+    # q and probe style, and q = 1 at alpha <= 0.05, where the click guard
+    # refuses the dimmest.
+    rng = np.random.default_rng(2207)
+    draws = [
+        (float(rng.uniform(0.05, 6.0)), float(rng.uniform(0.5, 1.0)), int(rng.integers(2)),
+         str(rng.choice(["cat", "coherent"])))
+        for _ in range(3000)
+    ]
+    draws += [
+        (float(a), float(rng.uniform(0.5, 1.0)), 1, str(rng.choice(["cat", "coherent"])))
+        for a in rng.uniform(0.001, 0.05, 200)
+    ]
+    refused = 0
+    for alpha, eta, q, style in draws:
+        out0, out1 = linear_optics_output_states(alpha, eta, q, style)
+        try:
+            want = 0.5 * (click_probability(out0, (1, 3)) + click_probability(out1, (0, 2)))
+        except ArithmeticError as exc:
+            refused += 1
+            text = f"circuit at alpha={alpha}, eta={eta}, q={q}: {exc}"
+            with pytest.raises(ArithmeticError) as got:
+                linear_optics_usd_probability(alpha, eta, q, style)
+            assert str(got.value) == text
+            continue
+        got = linear_optics_usd_probability(alpha, eta, q, style)
+        assert repr(got) == repr(want), (alpha, eta, q, style)
+    assert 0 < refused < 200
 
 
 def test_circuit_checks_its_inputs_once_and_returns_read_only_states(monkeypatch):
@@ -383,7 +426,7 @@ def test_circuit_checks_its_inputs_once_and_returns_read_only_states(monkeypatch
     # the constructor, and a non-finite alpha is named before any kernel
     # pass.
     inits, checks, passes = [], [], []
-    init, term_arrays, pair_terms = CoherentSuperposition.__init__, usd._term_arrays, usd._pair_terms
+    init, term_arrays, pair_pass = CoherentSuperposition.__init__, usd._term_arrays, usd._pair_pass
 
     def counting_init(self, terms, n_modes):
         inits.append(len(terms))
@@ -393,13 +436,13 @@ def test_circuit_checks_its_inputs_once_and_returns_read_only_states(monkeypatch
         checks.append(len(terms))
         return term_arrays(terms)
 
-    def counting_pair_terms(a, b, must_click=()):
-        passes.append(must_click)
-        return pair_terms(a, b, must_click)
+    def counting_pair_pass(a, b):
+        passes.append(a.amps.shape)
+        return pair_pass(a, b)
 
     monkeypatch.setattr(CoherentSuperposition, "__init__", counting_init)
     monkeypatch.setattr(usd, "_term_arrays", counting_check)
-    monkeypatch.setattr(usd, "_pair_terms", counting_pair_terms)
+    monkeypatch.setattr(usd, "_pair_pass", counting_pair_pass)
     for style, probe_terms in (("cat", 2), ("coherent", 1)):
         checks.clear()
         out0, out1 = linear_optics_output_states(1.2, 0.95, 1, style)
@@ -473,7 +516,8 @@ def circuit_golden_text():
     One row per (alpha, eta, q, probe style) with the ``repr`` of
     ``linear_optics_usd_probability`` or, for a refusal, its error text;
     then, at a few points, the hex bytes of both output states' arrays.
-    ``python tests/test_usd.py`` rewrites ``tests/data/circuit_golden.csv``.
+    ``python tests/test_usd.py`` counts the rows that differ from
+    ``tests/data/circuit_golden.csv``; ``--rewrite`` rewrites the file.
     """
     lines = ["alpha,eta,q,probe_style,quantity,value"]
     points = itertools.product(
@@ -502,10 +546,6 @@ def test_circuit_golden():
     assert circuit_golden_text() == CIRCUIT_GOLDEN.read_text()
 
 
-if __name__ == "__main__":
-    CIRCUIT_GOLDEN.write_text(circuit_golden_text())
-
-
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -519,9 +559,63 @@ if __name__ == "__main__":
         (lambda: cat_superposition(0, 1.0, 0), "need m >= 1"),
         (lambda: cat_superposition(1, 1.0, 2), "logical must be 0 or 1"),
         (lambda: cat_superposition(1, 1.0, 0, -1), "losses must be nonnegative"),
+        # a class index is an int: neither a float nor a bool stands for one
+        (
+            lambda: optimal_usd_probability(CatCodeSpec(1, 1.0, 0.9), q=1.0, mode="per_q"),
+            "class index q=1.0 must be an int",
+        ),
+        (
+            lambda: optimal_usd_probability(CatCodeSpec(1, 1.0, 0.9), q=True, mode="per_q"),
+            "class index q=True must be an int",
+        ),
+        (lambda: linear_optics_usd_probability(1.0, 0.9, 1.0), "class index q=1.0 must be an int"),
+        (lambda: linear_optics_output_states(1.0, 0.9, True), "class index q=True must be an int"),
+        # a boolean is no amplitude or transmission
+        (lambda: linear_optics_usd_probability(True), "need alpha > 0"),
+        (lambda: linear_optics_usd_probability(1.0, True), "need 0 < eta <= 1"),
+        (lambda: linear_optics_closed_form(True), "need alpha > 0"),
+        (lambda: linear_optics_closed_form(1.0, True), "need 0 < eta <= 1"),
+        # a complex amplitude, numpy's too
+        (lambda: linear_optics_usd_probability(np.complex64(1.5 + 2j)), "need alpha > 0"),
     ],
-    ids=["modes", "empty", "zero_norm", "tensor", "m", "logical", "losses"],
+    ids=[
+        "modes", "empty", "zero_norm", "tensor", "m", "logical", "losses", "optimal_q_float",
+        "optimal_q_bool", "circuit_q_float", "states_q_bool", "circuit_alpha_bool",
+        "circuit_eta_bool", "closed_form_alpha_bool", "closed_form_eta_bool",
+        "circuit_alpha_complex64",
+    ],
 )
 def test_public_refusals_are_named(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("q", [0, 1])
+@pytest.mark.parametrize(
+    "alpha,eta",
+    [(np.float32(1.7), 0.9), (np.array(1.25), np.float32(0.99)), (2, 1), (np.int64(3), 0.5)],
+    ids=["f32_alpha", "0d_alpha_f32_eta", "int_alpha_eta", "int64_alpha"],
+)
+def test_circuit_reads_alpha_and_eta_as_doubles(alpha, eta, q):
+    # A numpy scalar, a 0-d array or an int gives the bits of its double,
+    # not of float32 arithmetic on it.
+    double = float(alpha), float(eta)
+    got, want = linear_optics_output_states(alpha, eta, q), linear_optics_output_states(*double, q)
+    for a, b in zip(got, want):
+        assert a.coeffs.tobytes() == b.coeffs.tobytes() and a.amps.tobytes() == b.amps.tobytes()
+    got = linear_optics_usd_probability(alpha, eta, q)
+    assert repr(got) == repr(linear_optics_usd_probability(*double, q))
+    assert repr(linear_optics_closed_form(alpha, eta)) == repr(linear_optics_closed_form(*double))
+
+
+if __name__ == "__main__":
+    import sys
+
+    text = circuit_golden_text()
+    if sys.argv[1:] == ["--rewrite"]:
+        CIRCUIT_GOLDEN.write_text(text)
+        sys.exit(0)
+    new, old = text.splitlines(), CIRCUIT_GOLDEN.read_text().splitlines()
+    differ = sum(a != b for a, b in zip(new, old)) + abs(len(new) - len(old))
+    print(f"{differ} of {len(new)} rows differ from {CIRCUIT_GOLDEN.name}; --rewrite rewrites it")
+    sys.exit(1 if differ else 0)

@@ -58,14 +58,15 @@ class _Record:
         return tuple(map(self.__dict__.__getitem__, self._fields))
 
     def _require_finite(self, *names: str) -> None:
-        """Refuse a named field that is not finite; keep each as its double,
-        but a bool as given, for the checks that refuse it to see it."""
+        """Refuse a named field that is a bool or not finite; keep each as its double."""
         fields = self.__dict__
         for name in names:
             value = fields[name]
             if not math.isfinite(value):
                 raise ValueError(f"{name}={value!r} must be finite")
-            if type(value) is not float and type(value) is not bool:
+            if type(value) is not float:
+                if isinstance(value, bool):
+                    raise ValueError(f"{name}={value!r} must be a number, not a bool")
                 fields[name] = float(value)
 
     def __eq__(self, other):

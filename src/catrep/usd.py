@@ -9,9 +9,9 @@ each other.
 Two discrimination figures of merit sit here.  The information-theoretic
 optimum ``1 - |<a|b>|`` per loss class comes from the class series of
 ``catcode`` in closed form, free of cancellation at any signal strength.
-A concrete three-beam-splitter circuit, built on the Gaussian algebra,
-discriminates the order-2 code unambiguously at a lower but
-experimentally plain success rate.
+A concrete three-beam-splitter circuit discriminates the order-2 code
+unambiguously at a lower but experimentally plain success rate, in closed
+form; its output states, built on the Gaussian algebra, are the reference.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ _NORM_FLOOR = 1e-150
 _EPS = sys.float_info.epsilon
 _MAX_ROUNDING = 1e-6  # largest relative rounding estimate of a returned click probability
 _SPLIT = 1.0 / math.sqrt(2.0)  # a balanced beam splitter's amplitude ratio
-# Largest circuit amplitude √η·α.  Terms equal in exact arithmetic differ by
-# rounding, so a pair of them carries a spurious phase Im(x̄y) of about
-# eps·|x|², which the click guard's estimate does not count; past this
-# amplitude that phase alone passes _MAX_ROUNDING (α ≈ 6.7e4 at η = 1).
+# Largest amplitude √η·α of the output states.  Terms equal in exact
+# arithmetic differ by rounding, so a pair of them carries a spurious phase
+# Im(x̄y) of about eps·|x|², which the click guard's estimate does not count;
+# past this amplitude that phase alone passes _MAX_ROUNDING (α ≈ 6.7e4 at η = 1).
 _MAX_CIRCUIT_AMPLITUDE = math.sqrt(_MAX_ROUNDING / _EPS)
 
 
@@ -307,18 +307,7 @@ def linear_optics_output_states(
     ``ArithmeticError`` naming the amplitude where √η·α is too bright for
     float terms to resolve the states' phases.
     """
-    stack = _circuit(alpha, eta, q, probe_style)
-    return tuple(_state(stack.coeffs[k], stack.amps[k]) for k in (0, 1))
-
-
-def _circuit(alpha, eta, q, probe_style) -> CoherentSuperposition:
-    # Both inputs' output states as one stack: coeffs (2, T), amps (2, T, 4).
-    if probe_style not in _PROBE_STYLES:
-        raise ValueError(f"probe_style must be one of {_PROBE_STYLES}")
-    _check_class_index(q)
-    if q not in (0, 1):
-        raise ValueError("circuit handles the order-2 code: q in {0, 1}")
-    alpha, eta = _circuit_point(alpha, eta)
+    alpha, eta = _circuit_point(alpha, eta, q, probe_style)
     beta = math.sqrt(eta) * alpha
     half = beta / math.sqrt(2.0)
     # The probes (real, imaginary) and both signals are normalized in one
@@ -345,12 +334,18 @@ def _circuit(alpha, eta, q, probe_style) -> CoherentSuperposition:
     m0, m2 = _split(s0, a[0, :n_probe, None])
     m1, m3 = _split(s1, a[1, :n_probe])
     coeffs = [c[2:, :, None, None], 1.0, c[0, :n_probe, None], c[1, :n_probe]]
-    return _product((2, 2, n_probe, n_probe), 3, coeffs, [m0, m1, m2, m3])
+    stack = _product((2, 2, n_probe, n_probe), 3, coeffs, [m0, m1, m2, m3])  # (2, T), (2, T, 4)
+    return tuple(_state(stack.coeffs[k], stack.amps[k]) for k in (0, 1))
 
 
-def _circuit_point(alpha, eta) -> tuple:
-    # α and η as doubles, read as CatCodeSpec reads them and refused as the
-    # circuit refuses them; a NaN α passes, for the terms' check to name.
+def _circuit_point(alpha, eta, q, probe_style) -> tuple:
+    # The checked point, α and η as doubles read as CatCodeSpec reads them;
+    # a NaN α passes, for the circuit's check of its terms to name.
+    if probe_style not in _PROBE_STYLES:
+        raise ValueError(f"probe_style must be one of {_PROBE_STYLES}")
+    _check_class_index(q)
+    if q not in (0, 1):
+        raise ValueError("circuit handles the order-2 code: q in {0, 1}")
     alpha_, eta_ = _double(alpha), _double(eta)
     if not 0.0 < alpha_ and alpha == alpha:
         raise ValueError("need alpha > 0")
@@ -362,38 +357,42 @@ def _circuit_point(alpha, eta) -> tuple:
 def linear_optics_usd_probability(
     alpha: float, eta: float = 1.0, q: int = 0, probe_style: str = "cat"
 ) -> float:
-    """Success probability of the beam-splitter discriminator.
+    """Success probability of the beam-splitter discriminator, in closed form.
 
-    Success means the conclusive click pattern fires: C and D both click
-    when the input encodes logical 0, A and B both click for logical 1.
-    Each term of the logical-0 output leaves A or B in exact vacuum (and
-    vice versa), so a conclusive pattern never points at the wrong input.
+    Success: C and D click for logical 0, A and B for logical 1, never the
+    wrong pair.  With x = ηα², u = e^(-x/2), d = 1 - u, s = 4 sin²(x/4),
+    w = (s/d) u (1 - u³) and G = 1 - (sin t/sinh t)², t = x/4, the vacuum
+    projections of ``linear_optics_output_states`` give d²/(1 + u²) +
+    s u²/(1 + u⁴) (q = 0, cat probes), (d² + s u⁴)/(1 + u⁴) (q = 0,
+    coherent), (G (1 + u⁴) + w)/((1 + u)² (1 + u²)) (q = 1, cat) and
+    (G d + w)/((1 + u)(1 + u²)) (q = 1, coherent): sums of non-negative
+    terms in powers of e^(-x/2), so they neither cancel nor overflow.
     """
-    stack = _circuit(alpha, eta, q, probe_style)
-    # one pair pass for both outputs, each then summed as click_probability sums it
-    z, pairs, gauss = _pair_pass(stack, stack)
-    try:
-        p0, p1 = (_click_total(z[k], pairs[k], gauss[k], ports)
-                  for k, ports in enumerate(((1, 3), (0, 2))))
-    except ArithmeticError as exc:
-        where = f"alpha={_double(alpha)}, eta={_double(eta)}, q={q}"
-        raise ArithmeticError(f"circuit at {where}: {exc}") from exc
-    return 0.5 * (p0 + p1)
+    alpha, eta = _circuit_point(alpha, eta, q, probe_style)
+    if alpha != alpha or alpha == math.inf:  # as the output states' term check names it
+        raise ValueError(f"non-finite term: coefficient (1+0j), amplitudes [{complex(alpha)}]")
+    x = eta * (alpha * alpha)  # as catcode forms it; alpha**2 would raise past 1.3e154
+    if x * x == 0.0 or x == math.inf:  # the value (below x²/4) underflows too, or it is 1
+        return float(x == math.inf)
+    u, d, s = math.exp(-0.5 * x), -math.expm1(-0.5 * x), 4.0 * math.sin(0.25 * x) ** 2
+    u2, cat = u * u, probe_style == "cat"
+    if q == 0:
+        return d * d / (1.0 + u2) + s * u2 / (1.0 + u2 * u2) if cat else (
+            (d * d + s * u2 * u2) / (1.0 + u2 * u2))
+    if (t := 0.25 * x) < 1.0:  # a = (sinh t - sin t)/sinh t, as 2 (t³/3! + t⁷/7! + ...)/sinh t
+        t4 = t**4
+        a = t**3 / 3 * (1 + t4 / 840 * (1 + t4 / 7920 * (1 + t4 / 32760))) / math.sinh(t)
+        g = a * (2.0 - a)
+    else:  # (sin t/sinh t)² = s u/d²
+        g = 1.0 - s * u / (d * d)
+    w = s / d * u * -math.expm1(-1.5 * x)
+    num, den = (g * (1.0 + u2 * u2) + w, 1.0 + u) if cat else (g * d + w, 1.0)
+    return num / (den * (1.0 + u) * (1.0 + u2))
 
 
 def linear_optics_closed_form(alpha: float, eta: float = 1.0) -> float:
-    """Closed form for the q = 0 circuit success probability.
-
-    With x the mean photon number surviving the channel, the no-click
-    probabilities of the conclusive ports combine to
-    ``1 - 1/cosh(x/2) + (1 - cos(x/2))/cosh(x)``, evaluated as
-    ``2 sinh(x/4)^2/cosh(x/2) + 2 sin(x/4)^2/cosh(x)`` in powers of e^-x,
-    so it neither cancels for small x nor overflows for large x.
-    """
-    alpha, eta = _circuit_point(alpha, eta)
-    x = eta * alpha**2
-    e = math.exp(-x)
-    return math.expm1(-0.5 * x) ** 2 / (1.0 + e) + 4.0 * math.sin(0.25 * x) ** 2 * e / (1.0 + e * e)
+    """The q = 0 cat-probe success, 1 - 1/cosh(x/2) + (1 - cos(x/2))/cosh(x), x = ηα²."""
+    return linear_optics_usd_probability(alpha, eta)
 
 
 def usd_sweep(alphas, q: int = 0, probe_style: str = "cat"):

@@ -692,10 +692,10 @@ _WEIGHTS = loss_weights(CatCodeSpec(1, 1.0, 0.9))
         (lambda: LossWeights([0.5, 0.25, 0.25, 0.0], 1.0), "cascade depth m=1.0 must be an"),
         (lambda: LossWeights([0.5, 0.25, 0.25, 0.0], True), "cascade depth m=True must be an"),
         (lambda: LossWeights([1.0, 0.0], 0), "cascade depth m=0 must be an integer >= 1"),
-        # a record keeps a bool as given, so the spec still refuses it
+        # a record refuses a bool in a real field, by the field's name
         (
             lambda: evaluate_chain(SegmentParams(10.0, 1, True), ChainParams(1000.0, 100)),
-            "amplitude alpha=True must be real, positive and finite",
+            "alpha=True must be a number, not a bool",
         ),
         # a class index is an int, so a float q is named, not used as a list index
         (

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from catrep import catcode, cli, fockspace, protocol_oracle
 from catrep.chain import ChainParams, SegmentParams, evaluate_chain
 from catrep.cli import DEFAULT_CONFIG, load_config, main
-from catrep.usd import linear_optics_closed_form
+from catrep.usd import linear_optics_closed_form, linear_optics_usd_probability
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -310,15 +310,17 @@ def test_keyrate_overflowing_alpha_is_named(capsys):
     assert out == ""
 
 
-def test_usd_unresolved_circuit_is_refused(tmp_path, capsys):
-    # at alpha = 0.01 the q = 1 click sum cannot be told from its rounding
+def test_usd_dim_q1_circuit_is_resolved(tmp_path, capsys):
+    # at alpha = 0.01 the circuit's q = 1 click sums cannot be told from
+    # their rounding, and the closed form gives the value (1.04e-9)
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("usd:\n  q: 1\n")
     code, out, err = run_cli(capsys, "usd", "--config", str(cfg), "--alpha", "0.01")
-    assert code == 3
-    assert err.startswith("numerical guard: ")
-    assert "alpha=0.01" in err and "q=1" in err and "rounding estimate" in err
-    assert out == ""
+    assert (code, err) == (0, "")
+    (row,) = read_rows(out)
+    want = linear_optics_usd_probability(0.01, q=1)
+    assert row["p_linear_optics"] == f"{want:.17g}"
+    assert 1.0416e-9 < want < 1.0417e-9 and want < float(row["p_optimal"])
 
 
 @pytest.mark.parametrize("alpha", ["5e-324", "1e-170"])
@@ -874,8 +876,9 @@ def test_analytic_commands_run_without_numpy_or_the_oracle(tmp_path):
     # grid) and cavity run on Python floats and load neither usd, the
     # dataclasses machinery nor json; sweep --out loads json alone, for its
     # sidecar, and reads the library versions without importlib.metadata;
-    # validate then loads the oracle, and numpy with it (which may bring
-    # inspect), on first use, and usd loads with the first usd command alone.
+    # usd loads with the first usd command alone, its circuit column a
+    # closed form in floats; validate then loads the oracle, and numpy with
+    # it (which may bring inspect), on first use.
     code = (
         "import contextlib, io, sys\n"
         "from catrep.cli import main\n"
@@ -886,9 +889,9 @@ def test_analytic_commands_run_without_numpy_or_the_oracle(tmp_path):
         "print(codes)\n" + _LOADED
         + "print(main(['sweep', '--out', sys.argv[1]]))\n" + _LOADED
         + "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    print(main(['validate']), file=sys.stderr)\n" + _LOADED
-        + "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    print(main(['usd']), file=sys.stderr)\n" + _LOADED
+        + "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    print(main(['validate']), file=sys.stderr)\n" + _LOADED
     )
     env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
     out = tmp_path / "sweep.csv"
@@ -897,11 +900,11 @@ def test_analytic_commands_run_without_numpy_or_the_oracle(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "0\n0\n"
-    *lines, after_validate, after_usd = proc.stdout.splitlines()
+    *lines, after_usd, after_validate = proc.stdout.splitlines()
     assert lines == ["[0, 0, 1, 0]", "[]", "0", "['json']"]
+    assert ast.literal_eval(after_usd) == ["catrep.usd", "json"]
     oracle = {"catrep.fockspace", "catrep.protocol_oracle", "json", "numpy"}
-    assert set(ast.literal_eval(after_validate)) - {"inspect"} == oracle
-    assert set(ast.literal_eval(after_usd)) - {"inspect"} == oracle | {"catrep.usd"}
+    assert set(ast.literal_eval(after_validate)) - {"inspect"} == oracle | {"catrep.usd"}
     assert out.read_bytes() == (DATA_DIR / "sweep_golden.csv").read_bytes()
 
 

@@ -114,3 +114,26 @@ def test_record_behaves_as_its_frozen_dataclass_did(cls, args, kwargs, text, oth
     if refused is not None:
         with pytest.raises(ValueError):
             cls(*refused)
+
+
+# every real field of the chain and cavity records, with an accepted value
+# for each of the others; a bool is no number, so each refuses it by name
+_REAL_FIELDS = [
+    (SegmentParams, {"l0": 0.1, "m": 1, "alpha": 1.0}, ("l0", "alpha", "eta_local", "l_att")),
+    (ChainParams, {"l_tot": 1000.0, "n_e": 10}, ("l_tot", "t0")),
+    (CavityParams, {}, ("g", "kappa", "gamma", "kappa_r")),
+]
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize(
+    "cls,kwargs,name",
+    [(cls, kwargs, name) for cls, kwargs, names in _REAL_FIELDS for name in names],
+    ids=[f"{cls.__name__}.{name}" for cls, _, names in _REAL_FIELDS for name in names],
+)
+def test_real_fields_refuse_a_bool_by_name(cls, kwargs, name, value):
+    with pytest.raises(ValueError, match=f"^{name}={value} must be a number, not a bool$"):
+        cls(**{**kwargs, name: value})
+    # the same field as a number of the bool's value is read, not refused
+    if value:
+        assert getattr(cls(**{**kwargs, name: 1}), name) == 1.0

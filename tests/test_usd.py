@@ -185,11 +185,19 @@ def test_overflowing_amplitude_is_named():
             call(spec)
 
 
+def gaussian_route(alpha, eta=1.0, q=0, style="cat"):
+    """The circuit's success from its output states' click probabilities."""
+    out0, out1 = linear_optics_output_states(alpha, eta, q, style)
+    return 0.5 * (click_probability(out0, (1, 3)) + click_probability(out1, (0, 2)))
+
+
 @pytest.mark.parametrize("eta", [1.0, 0.9])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
 def test_circuit_matches_closed_form(alpha, eta):
-    got = linear_optics_usd_probability(alpha, eta)
+    # the Gaussian route is the closed form's reference
+    got = gaussian_route(alpha, eta)
     assert abs(got - linear_optics_closed_form(alpha, eta)) < 1e-9
+    assert linear_optics_closed_form(alpha, eta) == linear_optics_usd_probability(alpha, eta)
 
 
 @pytest.mark.parametrize("style", ["cat", "coherent"])
@@ -299,8 +307,8 @@ def mp_circuit(alpha, eta=1.0, q=0, style="cat"):
 @pytest.mark.parametrize("alpha", [1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 3.0])
 def test_circuit_q0_matches_mpmath_reference(alpha):
     want = mp_circuit(alpha)
-    assert float(abs(linear_optics_usd_probability(alpha) / want - 1)) < 1e-12
-    assert float(abs(linear_optics_closed_form(alpha) / want - 1)) < 1e-12
+    assert float(abs(linear_optics_usd_probability(alpha) / want - 1)) < 1e-14
+    assert float(abs(linear_optics_closed_form(alpha) / want - 1)) < 1e-14
 
 
 @pytest.mark.parametrize(
@@ -311,32 +319,58 @@ def test_circuit_q0_matches_mpmath_reference(alpha):
 def test_circuit_q1_matches_mpmath_reference(alpha, eta, style):
     want = mp_circuit(alpha, eta, q=1, style=style)
     got = linear_optics_usd_probability(alpha, eta, q=1, probe_style=style)
-    assert float(abs(got / want - 1)) < 1e-9
+    assert float(abs(got / want - 1)) < 1e-14
+    # the Gaussian route, whose pair sums cancel at dim q = 1 signals
+    assert float(abs(gaussian_route(alpha, eta, 1, style) / want - 1)) < 1e-9
+
+
+def test_circuit_matches_mpmath_over_a_seeded_draw():
+    # alpha log-uniform in [0.005, 60], eta uniform in [0.5, 1], each
+    # (q, probe style) case eight times: every value within 1e-14 of the
+    # 60-digit build, across the series' crossover at x = 4 and past the
+    # saturation of e^(-x/2)
+    rng = np.random.default_rng(4141)
+    cases = [(q, style) for q in (0, 1) for style in ("cat", "coherent")] * 8
+    alphas = np.exp(rng.uniform(math.log(0.005), math.log(60.0), len(cases)))
+    etas = rng.uniform(0.5, 1.0, len(cases))
+    for (q, style), alpha, eta in zip(cases, alphas.tolist(), etas.tolist()):
+        want = mp_circuit(alpha, eta, q, style)
+        got = linear_optics_usd_probability(alpha, eta, q, style)
+        assert float(abs(got / want - 1)) < 1e-14, (alpha, eta, q, style)
+        if (q, style) == (0, "cat"):
+            assert linear_optics_closed_form(alpha, eta) == got
 
 
 @pytest.mark.parametrize("alpha,eta", [(0.04, 1.0), (0.05, 1.0), (0.04, 0.9), (0.05, 0.9)])
 def test_circuit_q1_just_above_refusal_is_resolved(alpha, eta):
-    # The guard's estimate is 1.4e-7 to 7.1e-7 of the value here, just under
-    # its 1e-6 limit; what it lets through must hold to that limit.
+    # The Gaussian route's click guard estimates 1.4e-7 to 7.1e-7 of the
+    # value here, just under its 1e-6 limit; what it lets through must hold
+    # to that limit.  The closed form holds to 1e-14.
     want = mp_circuit(alpha, eta, q=1)
-    assert float(abs(linear_optics_usd_probability(alpha, eta, q=1) / want - 1)) < 1e-6
+    assert float(abs(gaussian_route(alpha, eta, q=1) / want - 1)) < 1e-6
+    assert float(abs(linear_optics_usd_probability(alpha, eta, q=1) / want - 1)) < 1e-14
 
 
 @pytest.mark.parametrize("alpha", [1e-3, 0.01, 0.03])
 def test_circuit_refuses_unresolved_q1(alpha):
-    # The click sum's rounding estimate is above 1e-6 of the q = 1 success
-    # here (8.44e-8 at alpha = 0.03 by mp_circuit), so the value is refused.
-    with pytest.raises(ArithmeticError, match=rf"alpha={alpha}, eta=1.0, q=1: .*rounding estimate"):
-        linear_optics_usd_probability(alpha, q=1)
+    # The Gaussian route's click sums cannot tell the q = 1 success from
+    # their rounding here (8.44e-8 at alpha = 0.03 by mp_circuit), so they
+    # refuse it; the closed form resolves it.
+    for out, ports in zip(linear_optics_output_states(alpha, 1.0, 1), ((1, 3), (0, 2))):
+        with pytest.raises(ArithmeticError, match="rounding estimate"):
+            click_probability(out, ports)
+    want = mp_circuit(alpha, q=1)
+    assert float(abs(linear_optics_usd_probability(alpha, q=1) / want - 1)) < 1e-14
 
 
-@pytest.mark.parametrize("alpha", [30.0, 100.0, 1e3])
+@pytest.mark.parametrize("alpha", [30.0, 100.0, 1e3, 1e200, 1.7e308])
 def test_circuit_and_closed_form_saturate_for_bright_signals(alpha):
-    # cosh(x) overflows above x ~ 710, and the clicking factors -expm1(-z)
-    # of the circuit's pairs would overflow without the cap on Re(-z).
+    # cosh(x) overflows above x ~ 710, and eta*alpha^2 past alpha ~ 1e154;
+    # the closed forms take powers of e^(-x/2) and return exactly 1.
     assert linear_optics_closed_form(alpha) == 1.0
     for q in (0, 1):
-        assert abs(linear_optics_usd_probability(alpha, q=q) - 1.0) < 1e-12
+        for style in ("cat", "coherent"):
+            assert linear_optics_usd_probability(alpha, 0.9, q, style) == 1.0
 
 
 @pytest.mark.parametrize("eta", [1.0, 0.9])
@@ -344,27 +378,28 @@ def test_circuit_and_closed_form_saturate_for_bright_signals(alpha):
 def test_bright_circuit_is_resolved_or_refused(q, eta):
     # Terms equal in exact arithmetic carry a rounding phase of about
     # eps*|beta|^2, which grows past the click guard's estimate: over alpha
-    # log-uniform in [1, 1e300], every quarter decade, each call returns
-    # the value (the closed form at q = 0) or raises an ArithmeticError
-    # naming alpha, never a ValueError or a RuntimeWarning (an error under
-    # this suite's filter).
+    # log-uniform in [1, 1e300], every quarter decade, the closed form
+    # returns a value in [0, 1], and the Gaussian route returns the same
+    # value or raises an ArithmeticError naming alpha, never a ValueError
+    # or a RuntimeWarning (an error under this suite's filter).
     for alpha in 10.0 ** np.linspace(0.0, 300.0, 1201):
         for style in ("cat", "coherent"):
+            got = linear_optics_usd_probability(alpha, eta, q, style)
+            assert 0.0 <= got <= 1.0
             try:
-                got = linear_optics_usd_probability(alpha, eta, q, style)
+                want = gaussian_route(alpha, eta, q, style)
             except ArithmeticError as exc:
                 assert f"alpha={alpha}, eta={eta}, q={q}:" in str(exc)
                 continue
-            assert 0.0 <= got <= 1.0
-            if q == 0 and style == "cat":
-                assert abs(got - linear_optics_closed_form(alpha, eta)) < 1e-9, alpha
+            assert abs(got - want) < 1e-9, alpha
 
 
 def test_circuit_work_counts(monkeypatch):
-    # Two pair-kernel passes per call: one normalizes the probes and the
-    # signals as a (4, 2, 1) stack, one forms the pairs of both outputs as a
-    # (2, T, 4) stack.  Then one click sum per output on its (T, T) pairs,
-    # none per subset of ports.
+    # The success probability is a closed form: no pair-kernel pass and no
+    # click sum.  The output states take one pass, which normalizes the
+    # probes and the signals as a (4, 2, 1) stack; each output's click
+    # probability then one pass and one click sum on its (T, T) pairs, none
+    # per subset of ports.
     passes, clicks = [], []
     pair_pass, click_total = usd._pair_pass, usd._click_total
 
@@ -383,16 +418,20 @@ def test_circuit_work_counts(monkeypatch):
             passes.clear()
             clicks.clear()
             linear_optics_usd_probability(1.2, 0.95, q, style)
-            assert passes == [(4, 2, 1), (2, t, 4)]
+            assert passes == clicks == []
+            gaussian_route(1.2, 0.95, q, style)
+            assert passes == [(4, 2, 1), (t, 4), (t, 4)]
             assert clicks == [((t, t), (1, 3)), ((t, t), (0, 2))]
 
 
 def test_circuit_is_half_the_sum_of_its_outputs_click_probabilities():
-    # The circuit's shared pair pass gives, bit for bit and refusal for
-    # refusal, what the public one-state route gives on the states
-    # linear_optics_output_states returns: over seeded draws of alpha, eta,
+    # The closed form agrees with the public one-state route on the states
+    # linear_optics_output_states returns, over seeded draws of alpha, eta,
     # q and probe style, and q = 1 at alpha <= 0.05, where the click guard
-    # refuses the dimmest.
+    # refuses the dimmest.  The worst relative gaps measured on these draws
+    # are 2.0e-15 at q = 0 and 1.1e-7 at q = 1 (cat probes at alpha ~ 0.045,
+    # where the pair sums cancel; the guard admits 1e-6 there).  Where the
+    # guard refuses, the closed form still gives a value below the optimum.
     rng = np.random.default_rng(2207)
     draws = [
         (float(rng.uniform(0.05, 6.0)), float(rng.uniform(0.5, 1.0)), int(rng.integers(2)),
@@ -405,18 +444,15 @@ def test_circuit_is_half_the_sum_of_its_outputs_click_probabilities():
     ]
     refused = 0
     for alpha, eta, q, style in draws:
-        out0, out1 = linear_optics_output_states(alpha, eta, q, style)
-        try:
-            want = 0.5 * (click_probability(out0, (1, 3)) + click_probability(out1, (0, 2)))
-        except ArithmeticError as exc:
-            refused += 1
-            text = f"circuit at alpha={alpha}, eta={eta}, q={q}: {exc}"
-            with pytest.raises(ArithmeticError) as got:
-                linear_optics_usd_probability(alpha, eta, q, style)
-            assert str(got.value) == text
-            continue
         got = linear_optics_usd_probability(alpha, eta, q, style)
-        assert repr(got) == repr(want), (alpha, eta, q, style)
+        try:
+            want = gaussian_route(alpha, eta, q, style)
+        except ArithmeticError:
+            refused += 1
+            p_opt = optimal_usd_probability(CatCodeSpec(1, alpha, eta), q, "per_q")
+            assert 0.0 < got <= p_opt, (alpha, eta, q, style)
+            continue
+        assert abs(got / want - 1) < (1e-14 if q == 0 else 2e-7), (alpha, eta, q, style)
     assert 0 < refused < 200
 
 
@@ -424,7 +460,7 @@ def test_circuit_checks_its_inputs_once_and_returns_read_only_states(monkeypatch
     # The circuit builds both inputs' states as one stack from the terms it
     # writes itself: one vectorized finiteness check, no per-term check in
     # the constructor, and a non-finite alpha is named before any kernel
-    # pass.
+    # pass; the success probability builds no terms.
     inits, checks, passes = [], [], []
     init, term_arrays, pair_pass = CoherentSuperposition.__init__, usd._term_arrays, usd._pair_pass
 
@@ -456,12 +492,19 @@ def test_circuit_checks_its_inputs_once_and_returns_read_only_states(monkeypatch
                     a[0] = 0.0
         checks.clear()
         linear_optics_usd_probability(1.2, 0.95, 1, style)
-        assert (inits, checks) == ([], [8])
+        assert (inits, checks) == ([], [])
     for alpha in (math.nan, math.inf):
         passes.clear()
         with pytest.raises(ValueError, match="non-finite term"):
             linear_optics_usd_probability(alpha, q=1)
         assert passes == []
+        # the closed form names it with the text of the states' term check
+        for q, style in itertools.product((0, 1), ("cat", "coherent")):
+            with pytest.raises(ValueError) as states:
+                linear_optics_output_states(alpha, 0.9, q, style)
+            with pytest.raises(ValueError) as success:
+                linear_optics_usd_probability(alpha, 0.9, q, style)
+            assert str(success.value) == str(states.value)
 
 
 @pytest.mark.parametrize("style", ["cat", "coherent"])
@@ -575,6 +618,11 @@ def test_circuit_golden():
         (lambda: linear_optics_usd_probability(1.0, True), "need 0 < eta <= 1"),
         (lambda: linear_optics_closed_form(True), "need alpha > 0"),
         (lambda: linear_optics_closed_form(1.0, True), "need 0 < eta <= 1"),
+        # a non-finite amplitude, named as the circuit's first term names it
+        (lambda: linear_optics_closed_form(math.nan), "non-finite term: coefficient (1+0j), "
+         "amplitudes [(nan+0j)]"),
+        (lambda: linear_optics_closed_form(math.inf), "non-finite term: coefficient (1+0j), "
+         "amplitudes [(inf+0j)]"),
         # a complex amplitude, numpy's too
         (lambda: linear_optics_usd_probability(np.complex64(1.5 + 2j)), "need alpha > 0"),
     ],
@@ -582,6 +630,7 @@ def test_circuit_golden():
         "modes", "empty", "zero_norm", "tensor", "m", "logical", "losses", "optimal_q_float",
         "optimal_q_bool", "circuit_q_float", "states_q_bool", "circuit_alpha_bool",
         "circuit_eta_bool", "closed_form_alpha_bool", "closed_form_eta_bool",
+        "closed_form_alpha_nan", "closed_form_alpha_inf",
         "circuit_alpha_complex64",
     ],
 )

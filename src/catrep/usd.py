@@ -11,7 +11,8 @@ optimum ``1 - |<a|b>|`` per loss class comes from the class series of
 ``catcode`` in closed form, free of cancellation at any signal strength.
 A concrete three-beam-splitter circuit discriminates the order-2 code
 unambiguously at a lower but experimentally plain success rate, in closed
-form; its output states, built on the Gaussian algebra, are the reference.
+form; its output states, composed from the public state operations here,
+are the reference.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ class CoherentSuperposition(_Record):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, terms, n_modes: int):
+        import numpy as np
         if n_modes < 1:
             raise ValueError("need at least one mode")
         if not terms:
@@ -70,7 +72,15 @@ class CoherentSuperposition(_Record):
         for _, row in terms:
             if len(row) != n_modes:
                 raise ValueError(f"term has {len(row)} amplitudes, expected {n_modes}")
-        coeffs, amps = _term_arrays(terms)
+        coeffs = np.array([complex(c) for c, _ in terms])
+        amps = np.array([[complex(a) for a in row] for _, row in terms])
+        # a non-finite coefficient or amplitude names the first term that has one
+        finite = np.isfinite(coeffs) & np.isfinite(amps).all(axis=-1)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(
+                f"non-finite term: coefficient {coeffs[k]}, amplitudes {amps[k].tolist()}"
+            )
         self._set(coeffs=_freeze(coeffs), amps=_freeze(amps))
 
     @property
@@ -83,28 +93,14 @@ class CoherentSuperposition(_Record):
         return tuple(zip(self.coeffs.tolist(), map(tuple, self.amps.tolist())))
 
     def norm(self) -> float:
-        return float(_norms(self))
+        return math.sqrt(max(overlap(self, self).real, 0.0))
 
     def normalized(self) -> "CoherentSuperposition":
-        return _normalized(self)
-
-
-# The private helpers below also take a stack of states: arrays with
-# leading axes, coeffs (..., T) and amps (..., T, n_modes), each state of
-# the stack computed with the arithmetic of a single one.
-
-
-def _term_arrays(terms) -> tuple:
-    # (coeffs, amps) of (coeff, amps) pairs of one length, checked once; a
-    # non-finite coefficient or amplitude names the first term that has one.
-    import numpy as np
-    coeffs = np.array([complex(c) for c, _ in terms])
-    amps = np.array([[complex(a) for a in row] for _, row in terms])
-    finite = np.isfinite(coeffs) & np.isfinite(amps).all(axis=-1)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise ValueError(f"non-finite term: coefficient {coeffs[k]}, amplitudes {amps[k].tolist()}")
-    return coeffs, amps
+        n = self.norm()
+        if n < _NORM_FLOOR:
+            raise ValueError("cannot normalize a (numerically) zero state")
+        # real and imaginary parts each divided by n, as c / n does
+        return _state((self.coeffs.view(float) / n).view(complex), self.amps)
 
 
 def _state(coeffs: np.ndarray, amps: np.ndarray) -> CoherentSuperposition:
@@ -120,38 +116,19 @@ def _pair_pass(a: CoherentSuperposition, b: CoherentSuperposition) -> tuple:
     # <x|y> = prod_modes exp(z - (|x|^2 + |y|^2)/2), its exponent taken as
     # i Im z - |x - y|^2/2: never positive, and no cancellation when bright.
     import numpy as np
-    xa, xb = a.amps[..., :, None, :], b.amps[..., None, :, :]
+    xa, xb = a.amps[:, None, :], b.amps[None, :, :]
     z = xa.conj() * xb
     exponent = (1j * z.imag - 0.5 * abs(xa - xb) ** 2).sum(axis=-1)
-    pairs = a.coeffs[..., :, None].conj() * b.coeffs[..., None, :]
+    pairs = a.coeffs[:, None].conj() * b.coeffs[None, :]
     return z, pairs, np.exp(exponent)
-
-
-def _pair_sums(a: CoherentSuperposition, b: CoherentSuperposition) -> np.ndarray:
-    # <a|b> per state of the stacks: each (T, T') block of pair terms summed
-    # as one flat run, as ``.sum()`` sums one block.
-    _, pairs, gauss = _pair_pass(a, b)
-    return (pairs * gauss).reshape(pairs.shape[:-2] + (-1,)).sum(axis=-1)
-
-
-def _norms(s: CoherentSuperposition) -> np.ndarray:
-    import numpy as np
-    return np.sqrt(np.maximum(_pair_sums(s, s).real, 0.0))
-
-
-def _normalized(s: CoherentSuperposition) -> CoherentSuperposition:
-    n = _norms(s)
-    if (n < _NORM_FLOOR).any():
-        raise ValueError("cannot normalize a (numerically) zero state")
-    # real and imaginary parts each divided by n, as c / n does
-    return _state((s.coeffs.view(float) / n[..., None]).view(complex), s.amps)
 
 
 def overlap(a: CoherentSuperposition, b: CoherentSuperposition) -> complex:
     """Exact inner product <a|b>."""
     if a.n_modes != b.n_modes:
         raise ValueError(f"mode count mismatch: {a.n_modes} vs {b.n_modes}")
-    return complex(_pair_sums(a, b))
+    _, pairs, gauss = _pair_pass(a, b)
+    return complex((pairs * gauss).sum())
 
 
 def tensor(*states: CoherentSuperposition) -> CoherentSuperposition:
@@ -162,28 +139,17 @@ def tensor(*states: CoherentSuperposition) -> CoherentSuperposition:
     """
     if not states:
         raise ValueError("nothing to tensor")
-    n = len(states)  # the terms of state k along axis k of n
-    axes = [(1,) * k + s.coeffs.shape + (1,) * (n - k - 1) for k, s in enumerate(states)]
-    coeffs = [s.coeffs.reshape(ax) for s, ax in zip(states, axes)]
-    columns = [x.reshape(ax) for s, ax in zip(states, axes) for x in s.amps.T]
-    return _product(tuple(s.coeffs.size for s in states), n, coeffs, columns)
-
-
-def _product(shape: tuple, n: int, coeffs: list, columns: list) -> CoherentSuperposition:
-    # The product state of factor coefficients and mode amplitudes broadcast
-    # to ``shape``, terms along its last n axes (the last fastest), stack axes
-    # before them.  One np.prod over a stacked axis multiplies the factors: a
-    # running product of binary multiplies rounds some products differently.
     import numpy as np
-    stacked = np.empty((len(coeffs),) + shape, complex)
-    for k, c in enumerate(coeffs):
-        stacked[k] = c
-    amps = np.empty(shape + (len(columns),), complex)
-    for j, x in enumerate(columns):
-        amps[..., j] = x
-    lead = shape[: len(shape) - n]
-    amps = amps.reshape(lead + (-1, len(columns)))
-    return _state(stacked.prod(axis=0).reshape(lead + (-1,)), amps)
+    n, coeffs, columns = len(states), [], []
+    for k, s in enumerate(states):  # the terms of state k along axis k of n
+        axes = (1,) * k + s.coeffs.shape + (1,) * (n - k - 1)
+        coeffs.append(s.coeffs.reshape(axes))
+        columns += [x.reshape(axes) for x in s.amps.T]
+    # One np.prod over a stacked axis multiplies the factors: a running
+    # product of binary multiplies rounds some products differently.
+    factors = np.stack(np.broadcast_arrays(*coeffs)).prod(axis=0)
+    amps = np.stack(np.broadcast_arrays(*columns), axis=-1)
+    return _state(factors.reshape(-1), amps.reshape(-1, len(columns)))
 
 
 def beam_splitter(s: CoherentSuperposition, ports) -> CoherentSuperposition:
@@ -193,20 +159,29 @@ def beam_splitter(s: CoherentSuperposition, ports) -> CoherentSuperposition:
     is its own inverse.  Coherent amplitudes transform classically, so each
     term maps term-by-term and norms are preserved exactly.
     """
-    i, j = ports
-    if i == j:
-        raise ValueError("beam splitter needs two distinct ports")
-    for p in (i, j):
-        if not 0 <= p < s.n_modes:
-            raise ValueError(f"port {p} out of range for {s.n_modes} modes")
+    i, j = _ports(s, ports, "beam splitter needs two distinct ports")
     amps = s.amps.copy()
-    amps[:, i], amps[:, j] = _split(s.amps[:, i], s.amps[:, j])
+    x, y = s.amps[:, i], s.amps[:, j]
+    amps[:, i], amps[:, j] = (x + y) * _SPLIT, (x - y) * _SPLIT
     return _state(s.coeffs, amps)
 
 
-def _split(x, y) -> tuple:
-    # The balanced splitter's output amplitudes ((x + y)/sqrt(2), (x - y)/sqrt(2)).
-    return (x + y) * _SPLIT, (x - y) * _SPLIT
+def _ports(s: CoherentSuperposition, ports, repeated: str) -> tuple:
+    # The ports as a tuple: distinct ints (a bool is none) within s's modes.
+    ports = tuple(ports)
+    for p in ports:
+        _check_int("port", p)
+    if len(set(ports)) != len(ports):
+        raise ValueError(repeated)
+    for p in ports:
+        if not 0 <= p < s.n_modes:
+            raise ValueError(f"port {p} out of range for {s.n_modes} modes")
+    return ports
+
+
+def _check_int(name: str, n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"{name}={n!r} must be an int")
 
 
 def click_probability(s: CoherentSuperposition, must_click) -> float:
@@ -217,24 +192,15 @@ def click_probability(s: CoherentSuperposition, must_click) -> float:
     ``s`` must be normalized.  Raises ``ArithmeticError`` when the sum's
     rounding estimate (not a bound) eps * sum |pair term| exceeds 1e-6 of it.
     """
-    ports = tuple(must_click)
-    if len(set(ports)) != len(ports):
-        raise ValueError("duplicate ports in must_click")
-    for p in ports:
-        if not 0 <= p < s.n_modes:
-            raise ValueError(f"port {p} out of range for {s.n_modes} modes")
-    return _click_total(*_pair_pass(s, s), ports)
-
-
-def _click_total(z: np.ndarray, pairs: np.ndarray, gauss: np.ndarray, must_click) -> float:
-    # The click probability from a normalized state's pair pass, <x|y> taken
-    # as <x|(1 - |0><0|)|y> = <x|y> (-expm1(-z)) on each clicking mode; Re(-z)
-    # capped at 700/k on k of them keeps their product finite and moves only
-    # pairs where a clicking factor is below 2e^(-700/k).
     import numpy as np
-    if must_click:
-        w = -z[..., must_click]
-        np.minimum(w.real, 700.0 / len(must_click), out=w.real)
+    ports = _ports(s, must_click, "duplicate ports in must_click")
+    z, pairs, gauss = _pair_pass(s, s)
+    # <x|y> taken as <x|(1 - |0><0|)|y> = <x|y> (-expm1(-z)) on each clicking
+    # mode; Re(-z) capped at 700/k on k of them keeps their product finite
+    # and moves only pairs where a clicking factor is below 2e^(-700/k).
+    if ports:
+        w = -z[:, :, ports]
+        np.minimum(w.real, 700.0 / len(ports), out=w.real)
         pairs = pairs * (-np.expm1(w)).prod(axis=-1)
     terms = pairs * gauss
     total, estimate = float(terms.sum().real), _EPS * float(abs(terms).sum())
@@ -257,20 +223,18 @@ def cat_superposition(
     amplitude once per loss (the mode operator acts diagonally on coherent
     states).  The result is normalized.
     """
+    for name, n in (("m", m), ("logical", logical), ("losses", losses)):
+        _check_int(name, n)
     if m < 1:
         raise ValueError("need m >= 1")
     if logical not in (0, 1):
         raise ValueError("logical must be 0 or 1")
     if losses < 0:
         raise ValueError("losses must be nonnegative")
-    return CoherentSuperposition(_cat_terms(m, amplitude, logical, losses), 1).normalized()
-
-
-def _cat_terms(m: int, amplitude: complex, logical: int, losses: int) -> list:
     big_m = 2**m
     nu = cmath.exp(1j * math.pi / big_m) if logical else 1.0
     amps = [amplitude * cmath.exp(2j * math.pi * k / big_m) * nu for k in range(big_m)]
-    return [(a**losses, (a,)) for a in amps]
+    return CoherentSuperposition([(a**losses, (a,)) for a in amps], 1).normalized()
 
 
 def optimal_usd_probability(
@@ -302,40 +266,34 @@ def linear_optics_output_states(
     Four modes.  The signal (mode 0) is split against vacuum (mode 1); one
     half meets a real-axis probe (mode 2), the other an imaginary-axis
     probe (mode 3).  Ports after the circuit: A = 0, B = 2, C = 1, D = 3.
-    Returns ``(out_for_logical0, out_for_logical1)``, read-only views of
-    one stack in which both inputs' states are built at once.  Raises
-    ``ArithmeticError`` naming the amplitude where √η·α is too bright for
-    float terms to resolve the states' phases.
+    Returns ``(out_for_logical0, out_for_logical1)``: each input's
+    codeword tensored with vacuum and both normalized probes, then split on
+    modes (0, 1), (0, 2) and (1, 3).  Raises ``ArithmeticError`` naming the
+    amplitude where √η·α is too bright for float terms to resolve the
+    states' phases.
     """
     alpha, eta = _circuit_point(alpha, eta, q, probe_style)
     beta = math.sqrt(eta) * alpha
     half = beta / math.sqrt(2.0)
-    # The probes (real, imaginary) and both signals are normalized in one
-    # stacked pass.  A coherent probe is a cat probe whose second term has
-    # coefficient 0: that term adds exactly 0 to its norm and is dropped.
-    sign, n_probe = ((-1) ** q, 2) if probe_style == "cat" else (0.0, 1)
-    terms = [((1.0, (h,)), (sign, (-h,))) for h in (half, 1j * half)]
-    terms += [_cat_terms(1, beta, logical, q) for logical in (0, 1)]
-    coeffs, amps = _term_arrays([term for t in terms for term in t])
-    # after the finiteness check, which names a non-finite α, and before
-    # any term is squared
+    # The probes' terms are checked first, so a non-finite α is named by
+    # the first of them, and the amplitude before any term is squared.
+    n_terms = 2 if probe_style == "cat" else 1
+    probes = [
+        CoherentSuperposition(((1.0, (h,)), ((-1) ** q, (-h,)))[:n_terms], 1)
+        for h in (half, 1j * half)
+    ]
     if beta > _MAX_CIRCUIT_AMPLITUDE:
         raise ArithmeticError(
             f"circuit at alpha={alpha}, eta={eta}, q={q}: amplitude sqrt(eta)*alpha = "
             f"{beta:.4g} exceeds {_MAX_CIRCUIT_AMPLITUDE:.4g}, past which the rounding "
             f"phase eps*beta^2 of its terms exceeds {_MAX_ROUNDING:g}"
         )
-    stack = _normalized(_state(coeffs.reshape(4, 2), amps.reshape(4, 2, 1)))
-    c, a = stack.coeffs, stack.amps[..., 0]
-    # Term axes (signal, real probe, imaginary probe) after the input axis.
-    # The signal meets the vacuum port (amplitude exactly 0, coefficient 1)
-    # at the first splitter, then each half its probe at the next two.
-    s0, s1 = _split(a[2:, :, None, None], 0.0)
-    m0, m2 = _split(s0, a[0, :n_probe, None])
-    m1, m3 = _split(s1, a[1, :n_probe])
-    coeffs = [c[2:, :, None, None], 1.0, c[0, :n_probe, None], c[1, :n_probe]]
-    stack = _product((2, 2, n_probe, n_probe), 3, coeffs, [m0, m1, m2, m3])  # (2, T), (2, T, 4)
-    return tuple(_state(stack.coeffs[k], stack.amps[k]) for k in (0, 1))
+    vacuum = CoherentSuperposition(((1.0, (0.0,)),), 1)
+    probes = [p.normalized() for p in probes]
+    outs = [tensor(cat_superposition(1, beta, logical, q), vacuum, *probes) for logical in (0, 1)]
+    for ports in ((0, 1), (0, 2), (1, 3)):
+        outs = [beam_splitter(s, ports) for s in outs]
+    return tuple(outs)
 
 
 def _circuit_point(alpha, eta, q, probe_style) -> tuple:

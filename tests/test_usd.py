@@ -396,32 +396,37 @@ def test_bright_circuit_is_resolved_or_refused(q, eta):
 
 def test_circuit_work_counts(monkeypatch):
     # The success probability is a closed form: no pair-kernel pass and no
-    # click sum.  The output states take one pass, which normalizes the
-    # probes and the signals as a (4, 2, 1) stack; each output's click
-    # probability then one pass and one click sum on its (T, T) pairs, none
-    # per subset of ports.
+    # click sum.  The output states take one pass per normalized factor
+    # (both probes, then each input's signal); each output's click
+    # probability then one pass on its (T, 4) terms, none per subset of
+    # ports.
     passes, clicks = [], []
-    pair_pass, click_total = usd._pair_pass, usd._click_total
+    pair_pass, click = usd._pair_pass, usd.click_probability
 
     def counting_pair_pass(a, b):
         passes.append(a.amps.shape)
         return pair_pass(a, b)
 
-    def counting_click_total(z, pairs, gauss, must_click):
-        clicks.append((pairs.shape, tuple(must_click)))
-        return click_total(z, pairs, gauss, must_click)
+    def counting_click(s, must_click):
+        clicks.append((s.amps.shape, tuple(must_click)))
+        return click(s, must_click)
 
     monkeypatch.setattr(usd, "_pair_pass", counting_pair_pass)
-    monkeypatch.setattr(usd, "_click_total", counting_click_total)
+    monkeypatch.setattr(usd, "click_probability", counting_click)
     for q in (0, 1):
-        for style, t in (("cat", 8), ("coherent", 2)):
+        for style, p in (("cat", 2), ("coherent", 1)):
             passes.clear()
             clicks.clear()
             linear_optics_usd_probability(1.2, 0.95, q, style)
             assert passes == clicks == []
-            gaussian_route(1.2, 0.95, q, style)
-            assert passes == [(4, 2, 1), (t, 4), (t, 4)]
-            assert clicks == [((t, t), (1, 3)), ((t, t), (0, 2))]
+            out0, out1 = linear_optics_output_states(1.2, 0.95, q, style)
+            assert passes == [(p, 1), (p, 1), (2, 1), (2, 1)]
+            passes.clear()
+            t = 2 * p * p
+            for out, ports in ((out0, (1, 3)), (out1, (0, 2))):
+                usd.click_probability(out, ports)
+            assert passes == [(t, 4), (t, 4)]
+            assert clicks == [((t, 4), (1, 3)), ((t, 4), (0, 2))]
 
 
 def test_circuit_is_half_the_sum_of_its_outputs_click_probabilities():
@@ -457,32 +462,25 @@ def test_circuit_is_half_the_sum_of_its_outputs_click_probabilities():
 
 
 def test_circuit_checks_its_inputs_once_and_returns_read_only_states(monkeypatch):
-    # The circuit builds both inputs' states as one stack from the terms it
-    # writes itself: one vectorized finiteness check, no per-term check in
-    # the constructor, and a non-finite alpha is named before any kernel
-    # pass; the success probability builds no terms.
-    inits, checks, passes = [], [], []
-    init, term_arrays, pair_pass = CoherentSuperposition.__init__, usd._term_arrays, usd._pair_pass
+    # The outputs are read-only with their shapes.  A non-finite alpha is
+    # named, with the success probability's exact text, and a bright one
+    # refused, before any kernel pass; the success probability builds no
+    # state.
+    inits, passes = [], []
+    init, pair_pass = CoherentSuperposition.__init__, usd._pair_pass
 
     def counting_init(self, terms, n_modes):
         inits.append(len(terms))
         init(self, terms, n_modes)
-
-    def counting_check(terms):
-        checks.append(len(terms))
-        return term_arrays(terms)
 
     def counting_pair_pass(a, b):
         passes.append(a.amps.shape)
         return pair_pass(a, b)
 
     monkeypatch.setattr(CoherentSuperposition, "__init__", counting_init)
-    monkeypatch.setattr(usd, "_term_arrays", counting_check)
     monkeypatch.setattr(usd, "_pair_pass", counting_pair_pass)
     for style, probe_terms in (("cat", 2), ("coherent", 1)):
-        checks.clear()
         out0, out1 = linear_optics_output_states(1.2, 0.95, 1, style)
-        assert (inits, checks) == ([], [8])
         for out in (out0, out1):
             assert out.coeffs.shape == (2 * probe_terms**2,)
             assert out.amps.shape == (2 * probe_terms**2, 4)
@@ -490,9 +488,9 @@ def test_circuit_checks_its_inputs_once_and_returns_read_only_states(monkeypatch
                 assert not a.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0.0
-        checks.clear()
+        inits.clear()
         linear_optics_usd_probability(1.2, 0.95, 1, style)
-        assert (inits, checks) == ([], [])
+        assert inits == []
     for alpha in (math.nan, math.inf):
         passes.clear()
         with pytest.raises(ValueError, match="non-finite term"):
@@ -505,14 +503,20 @@ def test_circuit_checks_its_inputs_once_and_returns_read_only_states(monkeypatch
             with pytest.raises(ValueError) as success:
                 linear_optics_usd_probability(alpha, 0.9, q, style)
             assert str(success.value) == str(states.value)
+            assert passes == []
+    for q, style in itertools.product((0, 1), ("cat", "coherent")):
+        named = re.escape(f"circuit at alpha=1000000.0, eta=1.0, q={q}:")
+        with pytest.raises(ArithmeticError, match=named):
+            linear_optics_output_states(1e6, 1.0, q, style)
+        assert passes == []
 
 
 @pytest.mark.parametrize("style", ["cat", "coherent"])
 @pytest.mark.parametrize("q", [0, 1])
 def test_circuit_stack_matches_per_state_composition(q, style):
-    # The stacked build gives, byte for byte, what the public per-state
-    # operations give: the signal tensored with vacuum and both probes,
-    # then the three splitters one at a time.
+    # The output states are, byte for byte, the public per-state operations
+    # written out: the signal tensored with vacuum and both probes, then
+    # the three splitters one at a time.
     vacuum = CoherentSuperposition(((1.0, (0.0,)),), 1)
     for alpha, eta in ((0.05, 1.0), (0.7, 0.999), (1.9, 0.9), (4.5, 0.5)):
         beta = math.sqrt(eta) * alpha
@@ -602,6 +606,22 @@ def test_circuit_golden():
         (lambda: cat_superposition(0, 1.0, 0), "need m >= 1"),
         (lambda: cat_superposition(1, 1.0, 2), "logical must be 0 or 1"),
         (lambda: cat_superposition(1, 1.0, 0, -1), "losses must be nonnegative"),
+        # a count is an int: neither a float nor a bool stands for one
+        (lambda: cat_superposition(1.0, 1.0, 0), "m=1.0 must be an int"),
+        (lambda: cat_superposition(True, 1.0, 0), "m=True must be an int"),
+        (lambda: cat_superposition(1, 1.0, 1.0), "logical=1.0 must be an int"),
+        (lambda: cat_superposition(1, 1.0, False), "logical=False must be an int"),
+        (lambda: cat_superposition(1, 1.0, 0, 0.5), "losses=0.5 must be an int"),
+        (lambda: cat_superposition(1, 1.0, 0, True), "losses=True must be an int"),
+        # so is a port; the range and repeat checks keep their texts
+        (lambda: click_probability(coherent(1.0, 2), (True,)), "port=True must be an int"),
+        (lambda: click_probability(coherent(1.0, 2), (1.0,)), "port=1.0 must be an int"),
+        (lambda: click_probability(coherent(1.0, 2), (0, 0)), "duplicate ports in must_click"),
+        (lambda: click_probability(coherent(1.0, 2), (3,)), "port 3 out of range for 2 modes"),
+        (lambda: beam_splitter(coherent(1.0, 2), (0.0, 1)), "port=0.0 must be an int"),
+        (lambda: beam_splitter(coherent(1.0, 2), (False, True)), "port=False must be an int"),
+        (lambda: beam_splitter(coherent(1.0, 2), (0, 0)), "beam splitter needs two distinct ports"),
+        (lambda: beam_splitter(coherent(1.0, 2), (0, 5)), "port 5 out of range for 2 modes"),
         # a class index is an int: neither a float nor a bool stands for one
         (
             lambda: optimal_usd_probability(CatCodeSpec(1, 1.0, 0.9), q=1.0, mode="per_q"),
@@ -627,7 +647,10 @@ def test_circuit_golden():
         (lambda: linear_optics_usd_probability(np.complex64(1.5 + 2j)), "need alpha > 0"),
     ],
     ids=[
-        "modes", "empty", "zero_norm", "tensor", "m", "logical", "losses", "optimal_q_float",
+        "modes", "empty", "zero_norm", "tensor", "m", "logical", "losses", "m_float", "m_bool",
+        "logical_float", "logical_bool", "losses_float", "losses_bool", "click_port_bool",
+        "click_port_float", "click_port_repeated", "click_port_range", "splitter_port_float",
+        "splitter_port_bool", "splitter_port_repeated", "splitter_port_range", "optimal_q_float",
         "optimal_q_bool", "circuit_q_float", "states_q_bool", "circuit_alpha_bool",
         "circuit_eta_bool", "closed_form_alpha_bool", "closed_form_eta_bool",
         "closed_form_alpha_nan", "closed_form_alpha_inf",

@@ -45,11 +45,18 @@ _MODES = ("per_q", "weighted_average", "worst_case")
 
 
 class _Record:
-    """Immutable record: ``__init__`` sets the attributes ``_fields`` names,
-    once and in that order, by keyword through `_set`.  Equality, hash and
-    repr go by their values; assigning or deleting any attribute raises."""
+    """Immutable record: ``__init__`` checks and sets the attributes ``_fields`` names, once
+    and in that order, by keyword through `_set`; `_from_checked` sets values already checked.
+    Equality, hash and repr go by their values; assigning or deleting any attribute raises."""
 
     _fields: tuple[str, ...] = ()
+
+    @classmethod
+    def _from_checked(cls, **values):
+        """The record of values its caller has checked, by keyword: no ``__init__`` runs."""
+        record = object.__new__(cls)
+        record.__dict__.update(values)  # not through _set: no second keyword dict
+        return record
 
     def _set(self, **values) -> None:
         self.__dict__.update(values)
@@ -72,7 +79,7 @@ class _Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return _same(self._values(), other._values())
 
     def __hash__(self):
         return hash(self._values())
@@ -86,6 +93,17 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _same(a, b) -> bool:
+    """a == b: two tuples that hold more than numbers and strings element by element, other
+    values by identity or as `np.array_equal` (by shape and elements)."""
+    if type(a) is not tuple or type(b) is not tuple:
+        import numpy as np
+        return a is b or np.array_equal(a, b)
+    if {bool, int, float, str}.issuperset(map(type, a + b)):
+        return a == b
+    return len(a) == len(b) and all(map(_same, a, b))
 
 
 class CatCodeSpec(_Record):
@@ -164,14 +182,6 @@ def _normalized(vals: list[float]) -> tuple[float, ...]:
         vals = [v if v > 0.0 else 0.0 for v in vals]
     total = math.fsum(vals)
     return tuple([v / total for v in vals])
-
-
-def _loss_weights(vals: list[float], m: int) -> LossWeights:
-    # LossWeights of 2^(m+1) finite floats, none negative, that sum to 1
-    # within 1e-10 (as their producer guarantees): no new check.
-    w = object.__new__(LossWeights)
-    w._set(values=_normalized(vals), m=m)
-    return w
 
 
 def _double(x) -> float:
@@ -377,7 +387,8 @@ def _point_classes(
     peak = max(log_w)
     w = [math.exp(v - peak) for v in log_w]
     total = math.fsum(w)
-    return _loss_weights([v / total for v in w], spec.m), success
+    # 2^(m+1) finite weights, none negative, that sum to 1 within 1e-10: no new check
+    return LossWeights._from_checked(values=_normalized([v / total for v in w]), m=spec.m), success
 
 
 def _check_usd(mode: str, q: int, order: int) -> None:
@@ -385,15 +396,15 @@ def _check_usd(mode: str, q: int, order: int) -> None:
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if mode == "per_q":
-        _check_class_index(q)
+        _check_int("class index q", q)
         if not 0 <= q < order:
             raise ValueError(f"q must satisfy 0 <= q < {order}")
 
 
-def _check_class_index(q) -> None:
-    """Refuse a class index q that is not an int; a bool is none."""
-    if not isinstance(q, int) or isinstance(q, bool):
-        raise ValueError(f"class index q={q!r} must be an int")
+def _check_int(name: str, n) -> None:
+    """Refuse a value n that is not an int, naming it; a bool is none."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"{name}={n!r} must be an int")
 
 
 def _usd_probability(

@@ -130,26 +130,25 @@ class HybridDensity(_Record):
     spin axes first, mode axis last.
     """
 
-    _fields = ("spins", "n_max", "matrix", "validate")
+    _fields = ("spins", "n_max", "matrix")
 
-    def __init__(self, spins: int, n_max: int, matrix: np.ndarray, validate: bool = True):
+    def __init__(self, spins: int, n_max: int, matrix: np.ndarray):
         matrix = np.array(matrix, dtype=complex)  # a copy, as in FockVector
         dim = (2**spins) * (n_max + 1)
         if matrix.shape != (dim, dim):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match spins={spins}, n_max={n_max}"
             )
-        if validate:
-            herm = np.max(np.abs(matrix - matrix.conj().T))
-            if herm > _HERMITICITY_TOL:
-                raise ValueError(f"HybridDensity: matrix deviates from Hermitian by {herm:.3e}")
-            tr = np.trace(matrix)
-            if abs(tr.imag) > _TRACE_TOL or not -_TRACE_TOL <= tr.real <= 1.0 + _TRACE_TOL:
-                raise ValueError(f"HybridDensity: trace {tr} outside [0, 1]")
-            w = np.linalg.eigvalsh(matrix)
-            if w[0] < _EIG_FLOOR:
-                raise ValueError(f"HybridDensity: negative eigenvalue {w[0]:.3e}")
-        self._set(spins=spins, n_max=n_max, matrix=_freeze(matrix), validate=validate)
+        herm = np.max(np.abs(matrix - matrix.conj().T))
+        if herm > _HERMITICITY_TOL:
+            raise ValueError(f"HybridDensity: matrix deviates from Hermitian by {herm:.3e}")
+        tr = np.trace(matrix)
+        if abs(tr.imag) > _TRACE_TOL or not -_TRACE_TOL <= tr.real <= 1.0 + _TRACE_TOL:
+            raise ValueError(f"HybridDensity: trace {tr} outside [0, 1]")
+        w = np.linalg.eigvalsh(matrix)
+        if w[0] < _EIG_FLOOR:
+            raise ValueError(f"HybridDensity: negative eigenvalue {w[0]:.3e}")
+        self._set(spins=spins, n_max=n_max, matrix=_freeze(matrix))
 
     @property
     def mode_dim(self) -> int:
@@ -283,8 +282,8 @@ def apply_mode_operator(s: HybridDensity, op: np.ndarray) -> HybridDensity:
     ns = 2 ** s.spins
     d = s.mode_dim
     t = s.matrix.reshape(ns, d, ns, d)
-    res = np.einsum("pm,ambn,qn->apbq", op, t, op.conj())
-    return HybridDensity(s.spins, s.n_max, res.reshape(s.dim, s.dim), validate=False)
+    res = np.einsum("pm,ambn,qn->apbq", op, t, op.conj()).reshape(s.dim, s.dim)
+    return HybridDensity._from_checked(spins=s.spins, n_max=s.n_max, matrix=_freeze(res))
 
 
 # ---------------------------------------------------------------------------

@@ -107,9 +107,9 @@ def _residue(x: np.ndarray, modulus: int, c: int, *axes: int) -> np.ndarray:
 
 
 def _depth(m) -> int:
-    """The cascade depth m, refused unless an integer >= 1 and no boolean."""
+    """The cascade depth m, refused as `CatCodeSpec` refuses it."""
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"cascade depth m must be >= 1 and an integer, got {m!r}")
+        raise ValueError(f"cascade depth m={m!r} must be an integer >= 1")
     return m
 
 
@@ -190,7 +190,8 @@ def syndrome_cascade(s: HybridDensity, m: int, variant: str = "direct") -> list:
     out = []
     for c, x in branches:
         prob = float(np.einsum("apap->", x).real)
-        post = HybridDensity(s.spins, s.n_max, (x / prob).reshape(s.dim, s.dim), validate=False)
+        matrix = _freeze((x / prob).reshape(s.dim, s.dim))
+        post = HybridDensity._from_checked(spins=s.spins, n_max=s.n_max, matrix=matrix)
         out.append(((-c) % (2 ** m), prob, post))
     return sorted(out, key=lambda row: row[0])
 

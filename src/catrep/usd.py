@@ -21,7 +21,7 @@ import cmath
 import math
 import sys
 
-from .catcode import CatCodeSpec, _check_class_index, _check_usd, _double, _freeze, _point_classes
+from .catcode import CatCodeSpec, _check_int, _check_usd, _double, _freeze, _point_classes
 from .catcode import _Record, _usd_probability
 
 __all__ = [
@@ -100,15 +100,8 @@ class CoherentSuperposition(_Record):
         if n < _NORM_FLOOR:
             raise ValueError("cannot normalize a (numerically) zero state")
         # real and imaginary parts each divided by n, as c / n does
-        return _state((self.coeffs.view(float) / n).view(complex), self.amps)
-
-
-def _state(coeffs: np.ndarray, amps: np.ndarray) -> CoherentSuperposition:
-    # A superposition made from the arrays of checked states: no new check.
-    s = object.__new__(CoherentSuperposition)
-    object.__setattr__(s, "coeffs", _freeze(coeffs))
-    object.__setattr__(s, "amps", _freeze(amps))
-    return s
+        coeffs = _freeze((self.coeffs.view(float) / n).view(complex))
+        return CoherentSuperposition._from_checked(coeffs=coeffs, amps=self.amps)
 
 
 def _pair_pass(a: CoherentSuperposition, b: CoherentSuperposition) -> tuple:
@@ -147,9 +140,9 @@ def tensor(*states: CoherentSuperposition) -> CoherentSuperposition:
         columns += [x.reshape(axes) for x in s.amps.T]
     # One np.prod over a stacked axis multiplies the factors: a running
     # product of binary multiplies rounds some products differently.
-    factors = np.stack(np.broadcast_arrays(*coeffs)).prod(axis=0)
-    amps = np.stack(np.broadcast_arrays(*columns), axis=-1)
-    return _state(factors.reshape(-1), amps.reshape(-1, len(columns)))
+    factors = np.stack(np.broadcast_arrays(*coeffs)).prod(axis=0).reshape(-1)
+    amps = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(columns))
+    return CoherentSuperposition._from_checked(coeffs=_freeze(factors), amps=_freeze(amps))
 
 
 def beam_splitter(s: CoherentSuperposition, ports) -> CoherentSuperposition:
@@ -163,7 +156,7 @@ def beam_splitter(s: CoherentSuperposition, ports) -> CoherentSuperposition:
     amps = s.amps.copy()
     x, y = s.amps[:, i], s.amps[:, j]
     amps[:, i], amps[:, j] = (x + y) * _SPLIT, (x - y) * _SPLIT
-    return _state(s.coeffs, amps)
+    return CoherentSuperposition._from_checked(coeffs=s.coeffs, amps=_freeze(amps))
 
 
 def _ports(s: CoherentSuperposition, ports, repeated: str) -> tuple:
@@ -177,11 +170,6 @@ def _ports(s: CoherentSuperposition, ports, repeated: str) -> tuple:
         if not 0 <= p < s.n_modes:
             raise ValueError(f"port {p} out of range for {s.n_modes} modes")
     return ports
-
-
-def _check_int(name: str, n) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"{name}={n!r} must be an int")
 
 
 def click_probability(s: CoherentSuperposition, must_click) -> float:
@@ -301,7 +289,7 @@ def _circuit_point(alpha, eta, q, probe_style) -> tuple:
     # a NaN α passes, for the circuit's check of its terms to name.
     if probe_style not in _PROBE_STYLES:
         raise ValueError(f"probe_style must be one of {_PROBE_STYLES}")
-    _check_class_index(q)
+    _check_int("class index q", q)
     if q not in (0, 1):
         raise ValueError("circuit handles the order-2 code: q in {0, 1}")
     alpha_, eta_ = _double(alpha), _double(eta)

@@ -348,13 +348,12 @@ def _recorded_builds(monkeypatch):
     # The weights built at every spec of the golden sweep, at eta = 1 and
     # where a -0.0 weight is clipped, with the raw list each was built from.
     raw = []
-    build = catcode._loss_weights
+    normalize = catcode._normalized
 
-    def recording(p, m):
+    def recording(p):
         raw.append(p)
-        return build(p, m)
+        return normalize(p)
 
-    monkeypatch.setattr(catcode, "_loss_weights", recording)
     golden = pathlib.Path(__file__).parent / "data" / "sweep_golden.csv"
     with open(golden) as fh:
         rows = list(csv.DictReader(fh))
@@ -366,8 +365,11 @@ def _recorded_builds(monkeypatch):
         ).code_spec
         for row in rows
     ]
-    weights = [catcode.loss_weights(spec) for spec in specs + [CatCodeSpec(2, 1.5)]]
-    weights.append(catcode._loss_weights([1.0, -0.0, 0.0, -0.0], 1))
+    with monkeypatch.context() as patched:
+        patched.setattr(catcode, "_normalized", recording)
+        weights = [catcode.loss_weights(spec) for spec in specs + [CatCodeSpec(2, 1.5)]]
+        clipped = catcode._normalized([1.0, -0.0, 0.0, -0.0])
+        weights.append(LossWeights._from_checked(values=clipped, m=1))
     assert len(raw) == len(weights)
     return weights, raw
 
@@ -404,17 +406,17 @@ def test_built_loss_weights_equal_the_public_constructors(monkeypatch):
 
 def test_a_default_sweep_builds_its_weights_without_the_public_checks(monkeypatch, capsys):
     calls = {"builder": 0, "constructor": 0}
-    build, init = catcode._loss_weights, LossWeights.__init__
+    build, init = LossWeights._from_checked, LossWeights.__init__
 
-    def counting_build(p, m):
+    def counting_build(cls, **values):
         calls["builder"] += 1
-        return build(p, m)
+        return build(**values)
 
     def counting_init(self, p, m):
         calls["constructor"] += 1
         init(self, p, m)
 
-    monkeypatch.setattr(catcode, "_loss_weights", counting_build)
+    monkeypatch.setattr(LossWeights, "_from_checked", classmethod(counting_build))
     monkeypatch.setattr(LossWeights, "__init__", counting_init)
     assert cli.main(["sweep"]) == 0
     golden = pathlib.Path(__file__).parent / "data" / "sweep_golden.csv"
@@ -598,7 +600,7 @@ def test_a_spec_holds_the_doubles_of_its_numbers(alpha, eta):
 @pytest.mark.parametrize("m", range(1, 7))
 def test_lossless_weights_come_from_the_class_series(m):
     # At eta = 1 no photon is lost, and the one path gives class 0 all the weight.
-    want = catcode._loss_weights([1.0] + [0.0] * (2 ** (m + 1) - 1), m)
+    want = LossWeights([1.0] + [0.0] * (2 ** (m + 1) - 1), m)
     for alpha in cli.DEFAULT_CONFIG["code"]["alpha"]:
         got = loss_weights(CatCodeSpec(m, alpha, 1.0))
         assert np.array(got.values).tobytes() == np.array(want.values).tobytes()

@@ -79,7 +79,7 @@ def transmit(s, eta):
     every k of `kraus_op`, with no early stop."""
     eye = np.eye(2**s.spins)
     rho = sum(a @ s.matrix @ a.conj().T for a in (np.kron(eye, op) for op in kraus_ops(eta, s.n_max)))
-    return HybridDensity(s.spins, s.n_max, rho, validate=False)
+    return HybridDensity(s.spins, s.n_max, rho)
 
 
 def cascade_step(s, phi, basis):
@@ -93,7 +93,7 @@ def cascade_step(s, phi, basis):
     rot = np.stack([np.ones(d), np.exp(1j * phi * np.arange(d))])  # (ancilla, mode) diagonal
     t = rot[None, :, :, None, None, None] * t * rot.conj()[None, None, None, None, :, :]
     posts = (np.einsum("a,b,iamjbn->imjn", b.conj(), b, t).reshape(s.dim, s.dim) for b in basis)
-    return [HybridDensity(s.spins, s.n_max, x, validate=False) for x in posts]
+    return [HybridDensity(s.spins, s.n_max, x) for x in posts]
 
 
 def class_pair(pair, r):
@@ -356,15 +356,33 @@ def test_cascade_projectors_are_exact(m, variant):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: prepare_code_state(0, coherent_state(1.0)), "m must be >= 1"),
-        (lambda: prepare_code_state(1.5, coherent_state(1.0)), "m must be >= 1"),
-        (lambda: prepare_code_state(2.0, coherent_state(1.0)), "m must be >= 1"),
-        (lambda: prepare_code_state(True, coherent_state(1.0)), "m must be >= 1"),
-        (lambda: syndrome_cascade(prepare_code_state(1, coherent_state(1.0)), 0), "m must be >= 1"),
-        (lambda: syndrome_cascade(prepare_code_state(1, coherent_state(1.0)), -1), "m must be >= 1"),
+        (
+            lambda: prepare_code_state(0, coherent_state(1.0)),
+            "cascade depth m=0 must be an integer >= 1",
+        ),
+        (
+            lambda: prepare_code_state(1.5, coherent_state(1.0)),
+            "cascade depth m=1.5 must be an integer >= 1",
+        ),
+        (
+            lambda: prepare_code_state(2.0, coherent_state(1.0)),
+            "cascade depth m=2.0 must be an integer >= 1",
+        ),
+        (
+            lambda: prepare_code_state(True, coherent_state(1.0)),
+            "cascade depth m=True must be an integer >= 1",
+        ),
+        (
+            lambda: syndrome_cascade(prepare_code_state(1, coherent_state(1.0)), 0),
+            "cascade depth m=0 must be an integer >= 1",
+        ),
+        (
+            lambda: syndrome_cascade(prepare_code_state(1, coherent_state(1.0)), -1),
+            "cascade depth m=-1 must be an integer >= 1",
+        ),
         (
             lambda: syndrome_cascade(prepare_code_state(1, coherent_state(1.0)), True),
-            "m must be >= 1",
+            "cascade depth m=True must be an integer >= 1",
         ),
         (
             lambda: syndrome_cascade(prepare_code_state(1, coherent_state(1.0)), 1, "phi"),

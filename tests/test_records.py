@@ -9,7 +9,7 @@ from catrep.catcode import CatCodeSpec, LossWeights
 from catrep.cavity import CavityParams
 from catrep.chain import ChainParams, ChainReport, PauliFrameState, SegmentParams
 from catrep.fockspace import FockVector, HybridDensity
-from catrep.protocol_oracle import UnitReport
+from catrep.protocol_oracle import UnitReport, simulate_unit
 from catrep.usd import CoherentSuperposition
 
 # (class, positional arguments, the same by keyword, repr, other arguments,
@@ -65,7 +65,7 @@ CASES = [
     ),
     (
         HybridDensity, (0, 0, [[1.0]]), {"spins": 0, "n_max": 0, "matrix": [[1.0]]},
-        "HybridDensity(spins=0, n_max=0, matrix=array([[1.+0.j]]), validate=True)",
+        "HybridDensity(spins=0, n_max=0, matrix=array([[1.+0.j]]))",
         (0, 0, [[0.5]]), (0, 0, [[2.0]]),
     ),
     (
@@ -137,3 +137,27 @@ def test_real_fields_refuse_a_bool_by_name(cls, kwargs, name, value):
     # the same field as a number of the bool's value is read, not refused
     if value:
         assert getattr(cls(**{**kwargs, name: 1}), name) == 1.0
+
+
+def test_records_holding_arrays_compare_by_shape_and_elements():
+    # numpy's == gives an array, so a plain tuple comparison of two such
+    # records raises; an array field equals an array of its shape and
+    # elements, and a tuple field is compared element by element
+    assert FockVector([1, 0], 1) == FockVector([1, 0], 1) != FockVector([0, 1], 1)
+    rho = np.diag([0.5, 0.5])
+    assert HybridDensity(0, 1, rho) == HybridDensity(0, 1, rho.copy())
+    assert HybridDensity(0, 1, rho) != HybridDensity(0, 1, np.diag([1.0, 0.0]))
+    spec = CatCodeSpec(1, 1.0, 0.9)
+    report = simulate_unit(spec)
+    assert report == simulate_unit(spec)
+    fields, states = report._values(), report.spin_states
+    copies = tuple(state.copy() for state in states)
+    assert report == UnitReport(*fields[:9], copies, *fields[10:])
+    assert report != UnitReport(*fields[:9], (states[0], None), *fields[10:])
+    assert report != UnitReport(*fields[:9], states[:1], *fields[10:])
+    # an array equal to another only after numpy broadcasts it is not equal
+    flat = UnitReport(*fields[:4], np.array([0.5]), *fields[5:])
+    assert flat != UnitReport(*fields[:4], np.array([[0.5]]), *fields[5:])
+    assert flat != UnitReport(*fields[:4], 0.5, *fields[5:])
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(report)

@@ -1,7 +1,7 @@
 """Source-tree rules: one line width, no dead imports or private names, no einsum path,
-no dataclasses, no numpy in the class-series kernel, none imported with the
-analytic modules, no module that imports usd when it is imported, and no
-cache without a finite bound."""
+no dataclasses, no record made past the record base, no numpy in the
+class-series kernel, none imported with the analytic modules, no module that
+imports usd when it is imported, and no cache without a finite bound."""
 
 import ast
 import pathlib
@@ -111,6 +111,49 @@ def test_the_dataclasses_rule_refuses_either_import_form():
         assert _dataclasses_imports(ast.parse(source)), line
     nested = "def f():\n    from dataclasses import fields\n    return fields\n"
     assert _dataclasses_imports(ast.parse(nested))
+
+
+def _object_new_outside_record(name: str, tree) -> list:
+    """Lines of a module that name ``object.__new__`` outside ``catcode._Record``."""
+    inside = set()
+    if name == "catcode.py":
+        (record,) = [
+            node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Record"
+        ]
+        inside = set(map(id, ast.walk(record)))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+        and id(node) not in inside
+    ]
+
+
+def test_records_skip_their_checks_only_through_the_record_base():
+    # A record of values already checked is made by _Record._from_checked
+    # alone, so no module keeps a builder of its own that skips __init__.
+    found = {name: _object_new_outside_record(name, tree) for name, tree in _modules().items()}
+    assert not any(found.values()), found
+
+
+def test_the_record_rule_refuses_a_builder_of_its_own():
+    source = (SRC / "usd.py").read_text()
+    anchor = "\ndef overlap("
+    assert anchor in source
+    for bypass in (
+        "_EMPTY = object.__new__(CoherentSuperposition)\n",
+        "def _state(coeffs, amps):\n    return object.__new__(CoherentSuperposition)\n",
+    ):
+        mutated = source.replace(anchor, "\n" + bypass + anchor, 1)
+        assert _object_new_outside_record("usd.py", ast.parse(mutated)), bypass
+    # the same call inside another class of catcode is refused too
+    catcode = (SRC / "catcode.py").read_text()
+    anchor = "    @property\n    def order(self) -> int:\n"
+    assert anchor in catcode
+    nested = "    def _copy(self):\n        return object.__new__(CatCodeSpec)\n\n"
+    mutated = catcode.replace(anchor, nested + anchor, 1)
+    assert _object_new_outside_record("catcode.py", ast.parse(mutated))
 
 
 def _numpy_in_class_series(tree) -> list:

@@ -30,7 +30,6 @@ import operator
 import sys
 
 from . import __version__
-from .catcode import CatCodeSpec, loss_weights
 from .cavity import DEFAULT_PARAMS, CavityParams, sweep_reflection
 from .chain import (
     ATTENUATION_LENGTH_KM,
@@ -83,13 +82,6 @@ DEFAULT_CONFIG = {
     "output": {
         "format": "csv",
     },
-}
-
-_TOLERANCES = {
-    "f0": 1e-6,
-    "loss_weights": 1e-8,
-    "syndrome": 1e-12,
-    "bell_order": 1e-8,
 }
 
 # argparse dest -> (flag, config section, key, cast, help); _cast takes the
@@ -330,8 +322,8 @@ def cmd_usd(cfg: dict, args) -> tuple:
     return [dict(zip(columns, row)) for row in rows], columns
 
 
-def _parse_tol_overrides(items) -> dict:
-    tols = dict(_TOLERANCES)
+def _parse_tol_overrides(items, tolerances: dict) -> dict:
+    tols = dict(tolerances)
     for item in items or ():
         if "=" not in item:
             raise UsageError(f"--tol expects CHECK=VALUE, got {item!r}")
@@ -345,34 +337,22 @@ def _parse_tol_overrides(items) -> dict:
 
 
 def cmd_validate(cfg: dict, args) -> tuple:
-    axes = [
-        _grid(cfg, "validate", key, cast)
-        for key, cast in (("m", int), ("alpha", float), ("eta", float))
-    ]
-    if any(m > 3 for m in axes[0]):
-        raise UsageError("validation grid is bounded at m <= 3")
-    tols = _parse_tol_overrides(args.tol)
-    from . import protocol_oracle as oracle  # loaded, numpy with it, on the first validate
+    from . import crosscheck  # the checks and their tolerances, loaded on the first validate
 
-    deviations = {}  # the checks that ran: bell_order runs at m = 1 only
-    for m, alpha, eta in itertools.product(*axes):
-        spec = CatCodeSpec(m=m, alpha=alpha, eta=eta)
-        report = oracle.simulate_unit(spec)
-        weights = loss_weights(spec)
-        point = {
-            "f0": abs(report.f0_oracle - weights.correctable_mass()),
-            "loss_weights": float(abs(report.weights - weights.p).max()),
-            "syndrome": oracle.syndrome_deviation(m, alpha, eta),
-        }
-        if m == 1:
-            point["bell_order"] = oracle.bell_order_equivalence(m, alpha, eta)
-        for name, value in point.items():
-            deviations[name] = max(deviations.get(name, 0.0), value)
-
+    grids = (("m", int), ("alpha", float), ("eta", float))
+    axes = [_grid(cfg, "validate", key, cast) for key, cast in grids]
+    if any(m > crosscheck.MAX_ORDER for m in axes[0]):
+        raise UsageError(f"validation grid is bounded at m <= {crosscheck.MAX_ORDER}")
+    tols = _parse_tol_overrides(args.tol, crosscheck.TOLERANCES)
+    worst = {}  # each check that ran, with its largest deviation; a NaN, once met, stays
+    for point in itertools.product(*axes):
+        for name, dev in crosscheck.deviations(*point).items():
+            kept = worst.get(name, 0.0)
+            worst[name] = dev if math.isnan(dev) or dev > kept else kept
     columns = ("check", "max_deviation", "tolerance", "status")
     rows = [
         (name, dev, tols[name], "pass" if dev <= tols[name] else "FAIL")
-        for name, dev in sorted(deviations.items())
+        for name, dev in sorted(worst.items())
     ]
     return [dict(zip(columns, row)) for row in rows], columns
 

@@ -142,9 +142,7 @@ class HybridDensity(_Record):
         herm = np.max(np.abs(matrix - matrix.conj().T))
         if herm > _HERMITICITY_TOL:
             raise ValueError(f"HybridDensity: matrix deviates from Hermitian by {herm:.3e}")
-        tr = np.trace(matrix)
-        if abs(tr.imag) > _TRACE_TOL or not -_TRACE_TOL <= tr.real <= 1.0 + _TRACE_TOL:
-            raise ValueError(f"HybridDensity: trace {tr} outside [0, 1]")
+        _check_trace(matrix)
         w = np.linalg.eigvalsh(matrix)
         if w[0] < _EIG_FLOOR:
             raise ValueError(f"HybridDensity: negative eigenvalue {w[0]:.3e}")
@@ -160,6 +158,12 @@ class HybridDensity(_Record):
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
+
+
+def _check_trace(matrix: np.ndarray) -> None:
+    tr = np.trace(matrix)
+    if abs(tr.imag) > _TRACE_TOL or not -_TRACE_TOL <= tr.real <= 1.0 + _TRACE_TOL:
+        raise ValueError(f"HybridDensity: trace {tr} outside [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +273,18 @@ def _loss_rows(eta: float, dim: int, counts) -> np.ndarray:
 
 
 def hybrid_from_vector(spins: int, n_max: int, psi: np.ndarray) -> HybridDensity:
-    """Density |ψ⟩⟨ψ| from a flattened pure joint vector."""
+    """Density |ψ⟩⟨ψ| from a flattened pure joint vector.
+
+    Its length and trace are checked; an outer product is Hermitian and positive to rounding,
+    far inside `HybridDensity`'s tolerances, so those two tests are skipped.
+    """
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     dim = (2 ** spins) * (n_max + 1)
     if psi.shape[0] != dim:
         raise ValueError(f"vector length {psi.shape[0]} does not match composite dim {dim}")
-    return HybridDensity(spins, n_max, np.outer(psi, psi.conj()))
+    matrix = np.outer(psi, psi.conj())
+    _check_trace(matrix)  # also refuses a NaN or infinite vector
+    return HybridDensity._from_checked(spins=spins, n_max=n_max, matrix=_freeze(matrix))
 
 
 def apply_mode_operator(s: HybridDensity, op: np.ndarray) -> HybridDensity:

@@ -678,6 +678,31 @@ def test_validate_reports_only_the_checks_that_ran(tmp_path, capsys):
     assert [r["check"] for r in read_rows(out)] == ["f0", "loss_weights", "syndrome"]
 
 
+@pytest.mark.parametrize(
+    "oracle_check, check, at",
+    [
+        ("bell_order_equivalence", "bell_order", None),
+        ("syndrome_deviation", "syndrome", (1, 1.0, 0.9)),
+        ("syndrome_deviation", "syndrome", (2, 2.0, 0.99)),
+    ],
+    ids=["bell_order_everywhere", "syndrome_first_point", "syndrome_last_point"],
+)
+def test_validate_fails_a_nan_deviation(monkeypatch, capsys, oracle_check, check, at):
+    # a NaN deviation, at every point or at the default grid's first or last,
+    # is its check's maximum: the row reads nan and FAIL, and validate exits 2
+    real = getattr(protocol_oracle, oracle_check)
+
+    def nan_at(*point):
+        return math.nan if at in (None, point) else real(*point)
+
+    monkeypatch.setattr(protocol_oracle, oracle_check, nan_at)
+    code, out, err = run_cli(capsys, "validate")
+    assert (code, err) == (2, f"validation failed: {check}\n")
+    rows = {row["check"]: row for row in read_rows(out)}
+    assert (rows[check]["max_deviation"], rows[check]["status"]) == ("nan", "FAIL")
+    assert [row["status"] for row in rows.values()].count("FAIL") == 1
+
+
 def test_validate_unresolved_discrimination_is_a_numerical_guard(tmp_path, capsys):
     # at m = 3 the dim damped pair of alpha = 0.5 overlaps to within
     # float resolution: a numerical limit, not a usage error, named with
@@ -866,7 +891,8 @@ def test_import_path_leaves_out_scipy_and_yaml():
 
 _LOADED = (
     "print(sorted(m for m in ('numpy', 'catrep.fockspace', 'catrep.protocol_oracle', "
-    "'catrep.usd', 'dataclasses', 'inspect', 'json', 'importlib.metadata') "
+    "'catrep.crosscheck', 'catrep.usd', 'dataclasses', 'inspect', 'json', "
+    "'importlib.metadata') "
     "if m in sys.modules))\n"
 )
 
@@ -877,8 +903,9 @@ def test_analytic_commands_run_without_numpy_or_the_oracle(tmp_path):
     # dataclasses machinery nor json; sweep --out loads json alone, for its
     # sidecar, and reads the library versions without importlib.metadata;
     # usd loads with the first usd command alone, its circuit column a
-    # closed form in floats; validate then loads the oracle, and numpy with
-    # it (which may bring inspect), on first use.
+    # closed form in floats; a validate refused for its --tol loads the
+    # cross checks' table alone; validate then loads the oracle, and numpy
+    # with it (which may bring inspect), on first use.
     code = (
         "import contextlib, io, sys\n"
         "from catrep.cli import main\n"
@@ -890,6 +917,8 @@ def test_analytic_commands_run_without_numpy_or_the_oracle(tmp_path):
         + "print(main(['sweep', '--out', sys.argv[1]]))\n" + _LOADED
         + "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    print(main(['usd']), file=sys.stderr)\n" + _LOADED
+        + "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    print(main(['validate', '--tol', 'nosuch=1']))\n" + _LOADED
         + "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    print(main(['validate']), file=sys.stderr)\n" + _LOADED
     )
@@ -900,10 +929,12 @@ def test_analytic_commands_run_without_numpy_or_the_oracle(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "0\n0\n"
-    *lines, after_usd, after_validate = proc.stdout.splitlines()
+    *lines, after_usd, refused, after_refused, after_validate = proc.stdout.splitlines()
     assert lines == ["[0, 0, 1, 0]", "[]", "0", "['json']"]
     assert ast.literal_eval(after_usd) == ["catrep.usd", "json"]
-    oracle = {"catrep.fockspace", "catrep.protocol_oracle", "json", "numpy"}
+    assert refused == "1"
+    assert ast.literal_eval(after_refused) == ["catrep.crosscheck", "catrep.usd", "json"]
+    oracle = {"catrep.crosscheck", "catrep.fockspace", "catrep.protocol_oracle", "json", "numpy"}
     assert set(ast.literal_eval(after_validate)) - {"inspect"} == oracle | {"catrep.usd"}
     assert out.read_bytes() == (DATA_DIR / "sweep_golden.csv").read_bytes()
 

@@ -392,8 +392,16 @@ def test_trace_distance_stacks():
             lambda: hybrid_from_vector(1, 1, np.ones(3)),
             "vector length 3 does not match composite dim 4",
         ),
+        (lambda: hybrid_from_vector(0, 1, [1, 1]), "HybridDensity: trace (2+0j) outside [0, 1]"),
+        (
+            lambda: hybrid_from_vector(0, 1, [math.nan, 0.0]),
+            "HybridDensity: trace (nan+nanj) outside [0, 1]",
+        ),
     ],
-    ids=["length", "zero_norm", "shrink", "shape", "negative", "q", "eta", "vector_length"],
+    ids=[
+        "length", "zero_norm", "shrink", "shape", "negative", "q", "eta", "vector_length",
+        "vector_trace", "vector_nan",
+    ],
 )
 def test_public_refusals_are_named(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -132,6 +132,21 @@ def test_prepare_matches_direct_construction():
         assert np.vdot(target, prep.matrix @ target).real > 1.0 - 1e-10
 
 
+def test_prepare_makes_no_eigen_solve(monkeypatch):
+    # |ψ⟩⟨ψ| is positive by construction, so the prepared density skips the
+    # constructor's eigenvalue test, and every test of that constructor passes on it
+    prim = coherent_state(2.0)
+
+    def eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        prep = prepare_code_state(1, prim)
+    assert HybridDensity(1, prim.n_max, prep.matrix) == prep
+    assert not prep.matrix.flags.writeable
+
+
 def test_prepare_first_step_minus_branch_structure():
     # the rejected branch of the first cascade step carries the
     # complementary superposition of the primitive and its pi rotation

@@ -1,7 +1,8 @@
 """Source-tree rules: one line width, no dead imports or private names, no einsum path,
 no dataclasses, no record made past the record base, no numpy in the
 class-series kernel, none imported with the analytic modules, no module that
-imports usd when it is imported, and no cache without a finite bound."""
+imports usd when it is imported, none but crosscheck that imports the oracle, and
+no cache without a finite bound."""
 
 import ast
 import pathlib
@@ -194,15 +195,16 @@ def test_the_numpy_rule_refuses_a_kernel_that_calls_np_exp():
 _NUMPY_AT_FIRST_USE = ("__init__.py", "catcode.py", "cavity.py", "chain.py", "cli.py", "usd.py")
 
 
-def _imported_at_import(tree, module: str) -> list:
+def _imported_at_import(tree, module: str, anywhere: bool = False) -> list:
     """Lines that import ``module`` when the module is imported: any import of it
-    outside a function body, at the top level or under a class, if or try.  An
-    import names it where it is a part of a dotted name the import reads, so
-    ``import numpy.linalg``, ``from .usd import f`` and ``from . import usd`` count."""
+    outside a function body, at the top level or under a class, if or try; with
+    ``anywhere``, inside function bodies too.  An import names it where it is a
+    part of a dotted name the import reads, so ``import numpy.linalg``,
+    ``from .usd import f`` and ``from . import usd`` count."""
     lines, pending = [], list(ast.iter_child_nodes(tree))
     while pending:
         node = pending.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        if not anywhere and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [alias.name for alias in node.names]
@@ -255,6 +257,33 @@ def test_the_usd_rule_refuses_each_import_form():
         assert _imported_at_import(ast.parse(mutated), "usd"), name
     # a private name that merely contains the word is not the module
     assert not _imported_at_import(ast.parse("from .catcode import _usd_probability\n"), "usd")
+
+
+def test_only_crosscheck_imports_the_oracle():
+    # What validate compares lives in crosscheck alone: the CLI and every other
+    # module leave the oracle to it, at import and at first use alike.
+    found = {
+        name: _imported_at_import(tree, "protocol_oracle", anywhere=True)
+        for name, tree in _modules().items()
+        if name != "crosscheck.py"
+    }
+    assert not any(found.values()), found
+
+
+def test_the_oracle_rule_refuses_an_import_in_the_cli():
+    source = (SRC / "cli.py").read_text()
+    line = "from . import protocol_oracle\n"
+    for anchor, mutated in (
+        ("import sys\n", line + "import sys\n"),
+        ("    from . import crosscheck", "    " + line + "    from . import crosscheck"),
+    ):
+        assert anchor in source
+        tree = ast.parse(source.replace(anchor, mutated, 1))
+        assert _imported_at_import(tree, "protocol_oracle", anywhere=True), mutated
+    # the one import the rule allows is found where it is, in a function body
+    crosscheck = _modules()["crosscheck.py"]
+    assert _imported_at_import(crosscheck, "protocol_oracle", anywhere=True)
+    assert not _imported_at_import(crosscheck, "protocol_oracle")
 
 
 def _unbounded_caches(tree) -> list:

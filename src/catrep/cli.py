@@ -202,7 +202,12 @@ def _render(rows, columns, fmt: str) -> str:
             lines.append(",".join([f"{v:.17g}" if type(v) is float else _fmt(v) for v in cells]))
         return "\n".join(lines) + "\n"
     import json
-    return "".join(json.dumps({c: row[c] for c in columns}) + "\n" for row in rows)
+    return "".join(json.dumps({c: _json_cell(row[c]) for c in columns}) + "\n" for row in rows)
+
+
+def _json_cell(value):
+    """A cell as JSON holds it: JSON has no NaN or infinity, so a non-finite float is null."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _dist_version(name: str) -> str | None:

@@ -62,6 +62,7 @@ _PRUNE = 1e-20
 _ZERO_BRANCH = 1e-14
 # Largest block of loss rows, in elements, that `_arm_maps` reads at once.
 _ROW_BLOCK = 1 << 14
+_BELL_LABELS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
 
 
 def bell_vectors(theta: float = 0.0) -> dict:
@@ -70,14 +71,18 @@ def bell_vectors(theta: float = 0.0) -> dict:
     Basis order [↑↑, ↑↓, ↓↑, ↓↓]; the phase e^{−iθ} multiplies the
     ↓-first components, so θ=0 gives the standard four Bell states.
     """
+    return dict(zip(_BELL_LABELS, _bell_frames(theta)))
+
+
+def _bell_frames(theta) -> np.ndarray:
+    """`bell_vectors` at θ as the rows [label, basis] of one array, labels in
+    `_BELL_LABELS` order; at an array of θ, one such frame per θ."""
     ph = np.exp(-1j * theta)
-    rt = 1.0 / _SQRT2
-    return {
-        "phi_plus": np.array([1.0, 0.0, 0.0, ph]) * rt,
-        "phi_minus": np.array([1.0, 0.0, 0.0, -ph]) * rt,
-        "psi_plus": np.array([0.0, 1.0, ph, 0.0]) * rt,
-        "psi_minus": np.array([0.0, 1.0, -ph, 0.0]) * rt,
-    }
+    frames = np.zeros(np.shape(ph) + (4, 4), complex)
+    frames[..., :2, 0] = frames[..., 2:, 1] = 1.0
+    frames[..., 0, 3] = frames[..., 2, 2] = ph
+    frames[..., 1, 3] = frames[..., 3, 2] = -ph
+    return frames * (1.0 / _SQRT2)
 
 
 # ---------------------------------------------------------------------------
@@ -117,19 +122,24 @@ def _depth(m) -> int:
 # preparation
 
 
-def _code_pair(m: int, primitive: FockVector):
+def _flip(m: int, dim: int) -> np.ndarray:
+    """The flip phases e^{iπn̂/M}, M = 2^m, on photon numbers 0, …, dim − 1."""
+    return np.exp(1j * math.pi / 2**m * np.arange(dim))
+
+
+def _code_pair(m: int, primitive: FockVector, flip: np.ndarray):
     """Codeword pair (v, e^{iπn̂/M}v), v the primitive's class 0 mod M, normalized.
 
     That class is the all-"+" branch of the preparation cascade, whose
     angles are π, π/2, …, π/2^{m−1}; a primitive with no mass above 1e-14
-    there is refused as degenerate.
+    there is refused as degenerate.  flip is `_flip` at the primitive's cutoff.
     """
     v = _residue(primitive.amps, 2**m, 0, 0)
     weight = float(np.vdot(v, v).real)
     if not weight > _ZERO_BRANCH:
         raise ValueError("degenerate primitive: cascade branch has zero norm")
     v = v / math.sqrt(weight)
-    return v, np.exp(1j * math.pi / 2 ** m * np.arange(primitive.dim)) * v
+    return v, flip * v
 
 
 def prepare_code_state(m: int, primitive: FockVector) -> HybridDensity:
@@ -141,18 +151,21 @@ def prepare_code_state(m: int, primitive: FockVector) -> HybridDensity:
     through the final unmeasured hcrot at π/2^m.  Output:
     (|↑⟩|0_code⟩ + |↓⟩|1_code⟩)/√2.  m must be an integer >= 1.
     """
-    cw0, cw1 = _code_pair(_depth(m), primitive)
+    cw0, cw1 = _code_pair(_depth(m), primitive, _flip(m, primitive.dim))
     return hybrid_from_vector(1, primitive.n_max, np.concatenate([cw0, cw1]) / _SQRT2)
 
 
-def _damped_pair(spec: CatCodeSpec, n_max: int = 0) -> np.ndarray:
-    """Codeword pair of the damped primitive |√η α⟩, zero-padded up to n_max, as one array.
+def _damped_pair(spec: CatCodeSpec, flip=None) -> np.ndarray:
+    """Codeword pair of the damped primitive |√η α⟩ as one array, at its own cutoff or,
+    given `_flip` at a cutoff no smaller, zero-padded up to that one.
 
     Padding is sound: beyond the primitive's own cutoff its tail mass is
     already below 1e-12 (`coherent_state`).
     """
     prim = coherent_state(spec.damped_alpha)
-    return np.stack(_code_pair(spec.m, prim.padded(max(n_max, prim.n_max))))
+    if flip is None:
+        flip = _flip(spec.m, prim.dim)
+    return np.stack(_code_pair(spec.m, prim.padded(flip.size - 1), flip))
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +225,18 @@ def syndrome_deviation(m: int, alpha: float, eta: float) -> float:
     # 84 points (m 1 to 3, alpha 0.5 to 5, eta 0.5 to 0.999), among them the
     # default validate point (1, 2, 0.9): 3.33e-16 to 2.22e-16.
     spec, worst = CatCodeSpec(m, alpha, eta), 0.0
-    for q, psi in enumerate(_ladder(_damped_pair(spec), spec.n_classes)):
-        with np.errstate(over="ignore"):  # an overflowing norm is refused below
+    rungs = _ladder(_damped_pair(spec), spec.n_classes)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        for q, psi in enumerate(rungs):
             norm = np.linalg.norm(psi)
-        if not 0.0 < norm < math.inf:
-            raise ArithmeticError(
-                f"syndrome check at m={m}, alpha={spec.alpha}, eta={spec.eta}: {q} injected losses "
-                f"leave the pair (n_max={psi.shape[-1] - 1}) with norm {norm}"
-            )
-        y = _residue(psi / norm, 2**m, -q, 1)
-        weight = float(np.vdot(y, y).real)
-        worst = max(worst, abs(1.0 - (weight if weight > _ZERO_BRANCH else 0.0)))
+            if not 0.0 < norm < math.inf:
+                raise ArithmeticError(
+                    f"syndrome check at m={m}, alpha={spec.alpha}, eta={spec.eta}: {q} injected "
+                    f"losses leave the pair (n_max={psi.shape[-1] - 1}) with norm {norm}"
+                )
+            y = _residue(psi / norm, 2**m, -q, 1)
+            weight = float(np.vdot(y, y).real)
+            worst = max(worst, abs(1.0 - (weight if weight > _ZERO_BRANCH else 0.0)))
     return worst
 
 
@@ -267,13 +281,13 @@ def _record_setup(spec: CatCodeSpec):
     discrimination bras of every remainder, from one ladder of the damped pair.
     """
     prim = coherent_state(spec.alpha)
-    cw0, cw1 = _code_pair(spec.m, prim)
-    ladder = _ladder(_damped_pair(spec, prim.n_max), spec.order)
+    flip = _flip(spec.m, prim.dim)
+    cw0, cw1 = _code_pair(spec.m, prim, flip)
+    ladder = _ladder(_damped_pair(spec, flip), spec.order)
     try:
         bras = [_usd_bras(dropped, r) for r, dropped in enumerate(ladder)]
     except ArithmeticError as exc:  # a refused bra names the point
         raise ArithmeticError(f"m={spec.m}, alpha={spec.alpha}, eta={spec.eta}: {exc}") from None
-    flip = np.exp(1j * math.pi / spec.order * np.arange(prim.dim))
     return flip, np.stack([cw0, cw1]) / _SQRT2, bras
 
 
@@ -332,11 +346,12 @@ def _arm_maps(spec: CatCodeSpec, v0, flip, bras):
         rows = _loss_rows(spec.eta, d, ks)
         keep = (rows * rows * p[ks[:, None] + np.arange(d)]).sum(axis=1) > _PRUNE / 2
         window.append((ks[keep], rows[keep]))
-    ks, rows = (np.concatenate(part) for part in zip(*window))
+    ks = np.concatenate([part[0] for part in window])
+    rows = np.concatenate([part[1] for part in window] + [np.zeros((1, d))])  # row K: no mass
     n = (np.arange(d)[:, None] - ks) % d  # n = m − k; wraps only onto a row's zeros
     coef, r = rows[np.arange(ks.size), n], np.arange(big_m)
     branch = np.zeros((d, big_m, ks.size + 1))
-    branch[..., :-1] = (coef[:, None] * (n[:, None] % big_m == -r[:, None] % big_m)) ** 2
+    np.square(coef[:, None] * (n[:, None] % big_m == -r[:, None] % big_m), out=branch[..., :-1])
     # block cell [ρ, i, t, r]: source m = ρ + iM and count k = (t0 + t)M + (ρ + r mod M)
     rho, t0 = r[:, None, None, None], ks[0] // big_m
     k = big_m * np.arange(t0, ks[-1] // big_m + 1)[:, None] + (rho + r) % big_m
@@ -344,9 +359,10 @@ def _arm_maps(spec: CatCodeSpec, v0, flip, bras):
     j = np.full(k.max() + 1, ks.size)
     j[ks] = np.arange(ks.size)
     j, n = j[k], (src - k) % d
-    amp = np.where(src < d, np.append(rows, np.zeros((1, d)), axis=0)[j, n], 0.0)
-    spin = np.stack([np.conj(bras), flip * np.conj(bras)], axis=-1) / _SQRT2
-    return branch, amp[..., None, None] * spin[r, :, n, :], j[:, 0]
+    amp = np.where(src < d, rows[j, n], 0.0)
+    bra = np.conj(bras).transpose(0, 2, 1)  # [r, n, u]
+    spin = np.stack([bra, flip[:, None] * bra], axis=-1) / _SQRT2
+    return branch, amp[..., None, None] * spin[r, n], j[:, 0]
 
 
 def _arm(xs: np.ndarray, maps) -> tuple:
@@ -382,16 +398,13 @@ def _arm(xs: np.ndarray, maps) -> tuple:
     keep = kept[:, pos] & live[:, None, None]  # [b, ρ, t, r]
     rows = np.flatnonzero(keep.any(axis=(0, 1, 3)))
     lo, hi = (rows[0], rows[-1] + 1) if rows.size else (0, 0)
-    occupied = np.zeros(blocks.shape[1] * big_m, dtype=bool)  # padded to whole residue rows
-    occupied[: flat.shape[1]] = flat.any(axis=(0, 2))
-    residues = np.flatnonzero(occupied.reshape(-1, big_m).any(axis=0))
-    out = np.empty((residues.size,) + flat.shape[::2] + (hi - lo,) + blocks.shape[3:], complex)
+    residues = [rho for rho in range(big_m) if flat[:, rho::big_m].any()]
+    out = np.empty((len(residues),) + flat.shape[::2] + (hi - lo,) + blocks.shape[3:], complex)
     for i, rho in enumerate(residues):
         x = flat[:, rho::big_m].swapaxes(1, 2)
         w = blocks[rho, : x.shape[2], lo:hi]
         np.matmul(x, w.reshape(len(w), -1), out=out[i].reshape(x.shape[:2] + (-1,)))
-    b, i, t, r = np.nonzero(~keep[:, residues, lo:hi])  # the cells pruning drops
-    out[i, b, :, t, r] = 0.0
+    out.transpose(1, 0, 3, 4, 2, 5, 6)[~keep[:, residues, lo:hi]] = 0.0  # the cells pruning drops
     return out.reshape(out.shape[:2] + xs.shape[2:] + out.shape[3:]), live, mass
 
 
@@ -458,13 +471,14 @@ def simulate_unit(spec: CatCodeSpec) -> UnitReport:
     succ = np.zeros(big_m)
     states: list = [None] * big_m
     thetas = np.array([r * math.pi / big_m for r in range(big_m)])
-    for r in np.flatnonzero(live):
-        block0, block1 = blocks[r]
-        p0, p1 = float(np.trace(block0).real), float(np.trace(block1).real)
-        rho0 = block0 / p0
-        bells = bell_vectors(thetas[r])
-        f_plus = float(np.real(np.vdot(bells["phi_plus"], rho0 @ bells["phi_plus"])))
-        f_minus = float(np.real(np.vdot(bells["phi_minus"], rho0 @ bells["phi_minus"])))
+    # each block's trace, taken over the stack: the bits of the 4×4 trace one at a time
+    frames, probs = _bell_frames(thetas), np.trace(blocks, axis1=-2, axis2=-1).real
+    for r in np.flatnonzero(live).tolist():
+        p0, p1 = probs[r].tolist()
+        rho0 = blocks[r, 0] / p0
+        phi_plus, phi_minus = frames[r, :2]
+        f_plus = float(np.vdot(phi_plus, rho0 @ phi_plus).real)
+        f_minus = float(np.vdot(phi_minus, rho0 @ phi_minus).real)
         plus[r] = f_plus
         succ[r] = (p0 + p1) / syn[r]
         weights[r] = syn[r] * f_plus
@@ -500,11 +514,10 @@ def bell_order_equivalence(m: int, alpha: float, eta: float, return_records: boo
     """
     spec = CatCodeSpec(m, alpha, eta)
     v0, maps, (arm, (live,), _mass) = _unit(spec)
-    bells = bell_vectors(0.0)
-    bra = np.stack(list(bells.values())).reshape(-1, 2, 2).conj()
+    bra = _bell_frames(0.0).reshape(-1, 2, 2).conj()
     # rho[l, r1, u1, r2, u2, o] is record's density in ordering o (0: Bell
     # first, 1: Bell last), zero where made says that ordering has none.
-    shape = (len(bells), spec.order, 2, spec.order, 2, 2)
+    shape = (len(bra), spec.order, 2, spec.order, 2, 2)
     rho = np.zeros(shape + (4, 4), dtype=complex)
     made = np.zeros(shape, dtype=bool)
     # Bell-last: two matrix products join the codeword arm's records.  With
@@ -544,9 +557,8 @@ def bell_order_equivalence(m: int, alpha: float, eta: float, return_records: boo
         worst = max(worst, float(trace_distance(pair[near, 0], pair[near, 1]).max()))
     if not return_records:
         return worst
-    labels = list(bells)
     records = {
-        (labels[key[0]], *key[1:]): (
+        (_BELL_LABELS[key[0]], *key[1:]): (
             *prob[key].tolist(),
             *(rho[key][o] if made[key][o] else None for o in (0, 1)),
         )

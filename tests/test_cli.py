@@ -40,6 +40,15 @@ def read_rows(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def read_jsonl(text):
+    """Each line as strict JSON: a bare NaN or Infinity token is refused."""
+    return [json.loads(line, parse_constant=refuse_constant) for line in text.splitlines()]
+
+
 def test_keyrate_repeaterless_row(capsys):
     code, out, _ = run_cli(
         capsys, "keyrate", "--alpha", "2", "--m", "1", "--l0", "1000"
@@ -427,6 +436,7 @@ def test_sweep_empty_grid(capsys):
 
 _FORMAT_ARGS = {
     "sweep": ("--m", "1", "--alpha", "1", "--l0", "1000"),
+    "keyrate": ("--m", "1", "--alpha", "1", "--l0", "1000"),
     "validate": (),
     "cavity": (),
     "usd": ("--alpha", "0.5,1.0"),
@@ -442,7 +452,7 @@ def test_jsonl_format(tmp_path, capsys, command):
     assert code == 0
     code, out, _ = run_cli(capsys, *argv, "--format", "jsonl")
     assert code == 0
-    rows = [json.loads(line) for line in out.splitlines()]
+    rows = read_jsonl(out)
     want = read_rows(text)
     assert len(rows) == len(want) > 0
     # same columns in the same order, same values as the CSV cells
@@ -455,9 +465,19 @@ def test_jsonl_format(tmp_path, capsys, command):
                 assert cells[name] == value
             else:
                 assert float(cells[name]) == value
-    if command == "sweep":
+    if command in ("sweep", "keyrate"):
         assert rows[0]["m"] == 1 and rows[0]["alpha"] == 1.0
         assert isinstance(rows[0]["beats_plob"], bool)
+
+
+@pytest.mark.parametrize("command", list(_FORMAT_ARGS))
+def test_default_jsonl_output_is_strict_json(capsys, command):
+    # each command on its default configuration (keyrate narrowed to one
+    # point, as it must be), every line parsed with NaN and Infinity refused
+    args = _FORMAT_ARGS[command] if command == "keyrate" else ()
+    code, out, err = run_cli(capsys, command, *args, "--format", "jsonl")
+    assert (code, err) == (0, "")
+    assert len(read_jsonl(out)) == len(out.splitlines()) > 0
 
 
 @pytest.mark.parametrize(
@@ -700,6 +720,12 @@ def test_validate_fails_a_nan_deviation(monkeypatch, capsys, oracle_check, check
     assert (code, err) == (2, f"validation failed: {check}\n")
     rows = {row["check"]: row for row in read_rows(out)}
     assert (rows[check]["max_deviation"], rows[check]["status"]) == ("nan", "FAIL")
+    assert [row["status"] for row in rows.values()].count("FAIL") == 1
+    # JSON has no NaN: in JSON lines the deviation is null, and every line is strict JSON
+    code, out, err = run_cli(capsys, "validate", "--format", "jsonl")
+    assert (code, err) == (2, f"validation failed: {check}\n")
+    rows = {row["check"]: row for row in read_jsonl(out)}
+    assert (rows[check]["max_deviation"], rows[check]["status"]) == (None, "FAIL")
     assert [row["status"] for row in rows.values()].count("FAIL") == 1
 
 

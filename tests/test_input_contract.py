@@ -105,6 +105,8 @@ def _cells(text: str, fmt: str) -> list:
 
 
 def _finite(cell) -> bool:
+    if cell is None:  # JSON lines write a non-finite value as null
+        return False
     try:
         return math.isfinite(float(cell))
     except ValueError:  # a word: a check's name or status, true or false

@@ -27,6 +27,7 @@ from catrep.protocol_oracle import (
     _code_pair,
     _damped_pair,
     _density,
+    _flip,
     _record_setup,
     _residue,
     _unit,
@@ -114,7 +115,7 @@ def density_unit(spec):
     prim = coherent_state(spec.alpha)
     d = prim.dim
     attach = np.stack([np.ones(d), np.exp(1j * math.pi / spec.order * np.arange(d))]) / SQRT2
-    pair = _damped_pair(spec, prim.n_max)
+    pair = _damped_pair(spec, _flip(spec.m, d))
     trans = transmit(prepare_code_state(spec.m, prim), spec.eta)
     out = {}
     for r, prob, post in syndrome_cascade(trans, spec.m):
@@ -231,14 +232,14 @@ def test_preparation_follows_its_kept_branch(m, alpha, monkeypatch):
     v = _residue(prim.amps, 2**m, 0, 0)
     weight = float(np.vdot(v, v).real)
     v = v / math.sqrt(weight)
-    cw0, cw1 = _code_pair(m, prim)
+    cw0, cw1 = _code_pair(m, prim, _flip(m, prim.dim))
     assert cw0.tobytes() == v.tobytes()
     assert cw1.tobytes() == (np.exp(1j * math.pi / 2**m * np.arange(prim.dim)) * v).tobytes()
     plus = operational_cascade(hybrid_from_vector(0, prim.n_max, prim.amps), m, "direct")[0]
     assert np.max(np.abs(weight * np.outer(cw0, cw0.conj()) - plus)) < 1e-12
     monkeypatch.setattr(protocol_oracle, "_ZERO_BRANCH", CountingFloor(1e-14))
     CountingFloor.checks = 0
-    assert _code_pair(m, prim)[0].tobytes() == cw0.tobytes()
+    assert _code_pair(m, prim, _flip(m, prim.dim))[0].tobytes() == cw0.tobytes()
     assert CountingFloor.checks == 1
     # Fock |1⟩ has a zero "+" branch at the first step: (1 + e^{iπn})/2 is 0 at odd n
     with pytest.raises(ValueError, match="degenerate primitive"):
@@ -525,6 +526,49 @@ def test_usd_outcome_one_lands_in_psi_sector():
         assert psi_mass < 1e-10
 
 
+@pytest.mark.parametrize(
+    "m,alpha,eta",
+    [(1, 1.0, 0.9), (1, 2.0, 0.99), (2, 1.5, 0.9), (2, 2.0, 0.5), (3, 2.0, 0.9), (3, 3.0, 0.999)],
+)
+def test_readout_is_the_projection_on_the_public_bell_frames(m, alpha, eta):
+    # plus_weight and weights are each spin state read in the frame
+    # bell_vectors gives at its theta, by ==: the readout holds no frame of its own
+    report = simulate_unit(CatCodeSpec(m, alpha, eta))
+    big_m = 2**m
+    assert report.thetas.tolist() == [r * math.pi / big_m for r in range(big_m)]
+    read = 0
+    for r, rho in enumerate(report.spin_states):
+        if rho is None:
+            assert report.plus_weight[r] == report.weights[r] == report.weights[r + big_m] == 0.0
+            continue
+        bells = bell_vectors(report.thetas[r])
+        f_plus = float(np.real(np.vdot(bells["phi_plus"], rho @ bells["phi_plus"])))
+        f_minus = float(np.real(np.vdot(bells["phi_minus"], rho @ bells["phi_minus"])))
+        assert report.plus_weight[r] == f_plus
+        assert report.weights[r] == report.syndrome_probs[r] * f_plus
+        assert report.weights[r + big_m] == report.syndrome_probs[r] * f_minus
+        read += 1
+    assert read == big_m
+
+
+@pytest.mark.parametrize(
+    "m,alpha,eta", [(1, 1.0, 0.9), (1, 2.0, 0.99), (2, 2.0, 0.9), (3, 3.0, 0.999)]
+)
+def test_readout_takes_each_record_trace_as_one_matrix_trace(m, alpha, eta):
+    # the records' traces, taken over the whole stack at once, have the bits
+    # of each 4x4 block's own trace: the spin states, successes and weights too
+    spec = CatCodeSpec(m, alpha, eta)
+    report = simulate_unit(spec)
+    records, (live,), (syn,) = _unit(spec)[2]
+    blocks = _density(records, (1, 4, 5, 0, 3, 6, 2))[0]
+    assert live.all()
+    for r, (block0, block1) in enumerate(blocks):
+        p0, p1 = float(np.trace(block0).real), float(np.trace(block1).real)
+        assert report.spin_states[r].tobytes() == (block0 / p0).tobytes()
+        assert report.usd_success[r] == (p0 + p1) / syn[r]
+    assert report.syndrome_probs.tobytes() == syn.tobytes()
+
+
 def test_bell_order_equivalence_lossless():
     dist = bell_order_equivalence(1, 1.0, 1.0)
     assert dist < 1e-12
@@ -738,7 +782,7 @@ def per_class_bras(spec, r):
     a time: each damped codeword through the public `annihilate`, then
     normalized as a `FockVector`."""
     prim = coherent_state(spec.alpha)
-    pair = _damped_pair(spec, prim.n_max)
+    pair = _damped_pair(spec, _flip(spec.m, prim.dim))
     dropped = [annihilate(FockVector(cw, prim.n_max), r) for cw in pair]
     psi0, psi1 = (v.normalized().amps for v in dropped)
     s_ov = complex(np.vdot(psi0, psi1))
@@ -1166,3 +1210,139 @@ def test_syndrome_deviation_takes_one_class_per_injection():
     # every injection: the stacked cascade peaked at 25.1 MiB here.
     assert syndrome_deviation(5, 12.0, 0.999) == 4.440892098500626e-16
     assert traced_peak(lambda: syndrome_deviation(5, 12.0, 0.999)) < 2 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the per-point bookkeeping against the expressions it replaced, by ==
+
+
+def bell_vectors_one_at_a_time(theta):
+    """`bell_vectors` as it built each of its four vectors on its own."""
+    ph = np.exp(-1j * theta)
+    rt = 1.0 / SQRT2
+    return {
+        "phi_plus": np.array([1.0, 0.0, 0.0, ph]) * rt,
+        "phi_minus": np.array([1.0, 0.0, 0.0, -ph]) * rt,
+        "psi_plus": np.array([0.0, 1.0, ph, 0.0]) * rt,
+        "psi_minus": np.array([0.0, 1.0, -ph, 0.0]) * rt,
+    }
+
+
+def test_bell_vectors_match_one_vector_at_a_time():
+    # the rows of one array against the four vectors built one by one, zeros'
+    # signs too, at the readout's frames r*pi/M, edges and seeded draws
+    frames = [r * math.pi / 2**m for m in range(1, 6) for r in range(2**m)]
+    edges = [0.0, -0.0, math.pi, -math.pi, 1e-300, 2.0**60, np.nextafter(0.0, 1.0)]
+    draws = np.random.default_rng(45).uniform(-20.0, 20.0, 300)
+    for theta in [*frames, *edges, *draws.tolist(), *draws[:20], np.float32(0.7)]:
+        got, want = bell_vectors(theta), bell_vectors_one_at_a_time(theta)
+        assert list(got) == list(want)
+        for label, vec in want.items():
+            assert np.array_equal(got[label], vec), (theta, label)
+            assert got[label].tobytes() == vec.tobytes(), (theta, label)
+
+
+def arm_maps_appended(spec, v0, flip, bras):
+    """`_arm_maps` with the copies it made: the zero row np.append-ed to the
+    loss rows, the branch masses squared into a copy, the bras conjugated twice."""
+    d, big_m = flip.size, spec.order
+    p = np.concatenate([np.einsum("sm,sm->m", v0, v0.conj()).real, np.zeros(d)])
+    counts, step, window = np.arange(d), max(1, protocol_oracle._ROW_BLOCK // d), []
+    for ks in (counts[k0 : k0 + step] for k0 in range(0, d, step)):
+        rows = fockspace._loss_rows(spec.eta, d, ks)
+        keep = (rows * rows * p[ks[:, None] + np.arange(d)]).sum(axis=1) > _PRUNE / 2
+        window.append((ks[keep], rows[keep]))
+    ks, rows = (np.concatenate(part) for part in zip(*window))
+    n = (np.arange(d)[:, None] - ks) % d
+    coef, r = rows[np.arange(ks.size), n], np.arange(big_m)
+    branch = np.zeros((d, big_m, ks.size + 1))
+    branch[..., :-1] = (coef[:, None] * (n[:, None] % big_m == -r[:, None] % big_m)) ** 2
+    rho, t0 = r[:, None, None, None], ks[0] // big_m
+    k = big_m * np.arange(t0, ks[-1] // big_m + 1)[:, None] + (rho + r) % big_m
+    src = rho + big_m * np.arange(-(-d // big_m))[:, None, None]
+    j = np.full(k.max() + 1, ks.size)
+    j[ks] = np.arange(ks.size)
+    j, n = j[k], (src - k) % d
+    amp = np.where(src < d, np.append(rows, np.zeros((1, d)), axis=0)[j, n], 0.0)
+    spin = np.stack([np.conj(bras), flip * np.conj(bras)], axis=-1) / SQRT2
+    return branch, amp[..., None, None] * spin[r, :, n, :], j[:, 0]
+
+
+_DEFAULT_VALIDATE_GRID = list(itertools.product((1, 2), (1.0, 2.0), (0.9, 0.99)))
+
+
+@pytest.mark.parametrize("m,alpha,eta", _DEFAULT_VALIDATE_GRID + [(3, 8.0, 0.999)])
+def test_arm_maps_match_the_appended_copies(m, alpha, eta):
+    spec = CatCodeSpec(m, alpha, eta)
+    flip, v0, bras = _record_setup(spec)
+    got, want = _arm_maps(spec, v0, flip, bras), arm_maps_appended(spec, v0, flip, bras)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert a.tobytes() == b.tobytes()
+
+
+def arm_scattered(xs, maps):
+    """`_arm` as it found the occupied residues through a boolean buffer padded
+    to whole residue rows and zeroed the pruned cells by an np.nonzero scatter."""
+    branch, blocks, pos = maps
+    big_m = branch.shape[1]
+    flat = xs.reshape(xs.shape[0], xs.shape[1], -1)
+    p = np.einsum("bma,bma->bm", flat, flat.conj()).real
+    masses = (p @ branch.reshape(len(branch), -1)).reshape(len(p), big_m, -1)
+    kept = masses.sum(axis=1) > _PRUNE
+    mass = np.where(kept[:, None], masses, 0.0).sum(axis=-1)
+    live = mass > _PRUNE
+    keep = kept[:, pos] & live[:, None, None]
+    rows = np.flatnonzero(keep.any(axis=(0, 1, 3)))
+    lo, hi = (rows[0], rows[-1] + 1) if rows.size else (0, 0)
+    occupied = np.zeros(blocks.shape[1] * big_m, dtype=bool)
+    occupied[: flat.shape[1]] = flat.any(axis=(0, 2))
+    residues = np.flatnonzero(occupied.reshape(-1, big_m).any(axis=0))
+    out = np.empty((residues.size,) + flat.shape[::2] + (hi - lo,) + blocks.shape[3:], complex)
+    for i, rho in enumerate(residues):
+        x = flat[:, rho::big_m].swapaxes(1, 2)
+        w = blocks[rho, : x.shape[2], lo:hi]
+        np.matmul(x, w.reshape(len(w), -1), out=out[i].reshape(x.shape[:2] + (-1,)))
+    b, i, t, r = np.nonzero(~keep[:, residues, lo:hi])
+    out[i, b, :, t, r] = 0.0
+    return out.reshape(out.shape[:2] + xs.shape[2:] + out.shape[3:]), live, mass
+
+
+def assert_arm_matches_the_scatter(xs, maps):
+    for got, want in zip(_arm(xs, maps), arm_scattered(xs, maps)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_arm_matches_the_scatter_on_every_input_of_a_validate(monkeypatch, capsys):
+    # every batch one default validate hands `_arm`: the codeword of each
+    # point, and at m = 1 the four labels' left pass and each label's right pass
+    inputs = []
+    arm = protocol_oracle._arm
+
+    def recording_arm(xs, maps):
+        inputs.append((xs.copy(), maps))
+        return arm(xs, maps)
+
+    monkeypatch.setattr(protocol_oracle, "_arm", recording_arm)
+    _unit.cache_clear()
+    assert cli.main(["validate"]) == 0
+    capsys.readouterr()
+    assert len(inputs) == 8 + 4 * 5
+    for xs, maps in inputs:
+        assert_arm_matches_the_scatter(xs, maps)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_arm_matches_the_scatter_on_a_leak(m):
+    # the leaking input of test_a_leak_into_another_residue_is_multiplied,
+    # on the windowed maps and on the dense ones, underflowing marginal too
+    spec = CatCodeSpec(m, 2.0, 0.9)
+    flip, v0, bras = _record_setup(spec)
+    x = v0.copy()
+    x[:, 3] += 1e-6
+    x /= np.linalg.norm(x)
+    for maps in (_arm_maps(spec, v0, flip, bras), dense_arm_maps(spec, flip, bras)):
+        assert_arm_matches_the_scatter(x.T[None], maps)
+    x[:, 3] = 1e-200
+    assert_arm_matches_the_scatter(x.T[None], dense_arm_maps(spec, flip, bras))

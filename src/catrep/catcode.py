@@ -4,8 +4,8 @@ A code of order M = 2^m superposes M rotated copies of a primitive state.
 With a coherent primitive (a cat code) everything about pure-loss
 transmission reduces to two interleaved exponential series: the class
 weights of the lost-photon count mod 2M and the class structure of the
-surviving photon number mod M.  Both are evaluated in log domain so the
-analytics stay finite far beyond where dense Fock vectors overflow.
+surviving photon number mod M.  One record a point, `_Point`, evaluates both
+in log domain, finite far beyond where dense Fock vectors overflow.
 
 Class bookkeeping used throughout the package: losing k photons from a
 codeword pair leaves a state that depends on k only through k mod 2M,
@@ -334,93 +334,90 @@ def _point_series(spec: CatCodeSpec, count: float, name: str) -> list[tuple[int,
         raise ArithmeticError(f"alpha={spec.alpha!r} (eta={spec.eta!r}): {name}: {exc}") from None
 
 
-def _point_classes(
-    spec: CatCodeSpec, weights: bool = True
-) -> tuple[LossWeights | None, list[float]]:
-    """The loss weights of a point (None without ``weights``) and the
-    optimal discrimination success of each class q < M.
-
-    Two class-series tables serve both: the lost count x = α²(1−η) and the
-    survivor count y = ηα², each mod 2M.  Both lossy codewords of class q
-    live on the survivor counts t ≡ −q (mod M) and differ only by the sign
-    (−1)^((t+q)/M).  With A and B the sums of y^t/t! over t ≡ −q and
-    t ≡ M − q (mod 2M), the survivor sum mod M is A + B, and the optimum
-    1 − |overlap| = 1 − |A − B|/(A + B) = 2 min(A, B)/(A + B) has no
-    cancellation at any y.  d = log A − log B is assembled from the peak
-    terms' offsets, so the success stays accurate where A and B are tiny.
-    Where y underflows to 0 every success is 0: the true value, at most
-    2y^M/M!, is below the smallest float.  The weight of class q mod 2M is
-    the lost-count sum over t ≡ q (mod 2M) times the survivor sum of its
-    q mod M, renormalized to sum to 1.
+class _Point:
+    """One point's class structure, for the discrimination mode and class q that `p0` reports,
+    both refused before any table is built.  ``success`` holds each class q < M's optimal
+    discrimination success, 2 min(A, B)/(A + B) with A and B the sums of y^t/t! over t ≡ −q
+    and t ≡ M − q (mod 2M), y = ηα² the survivor count, and 0 where y underflows (the true
+    value, at most 2y^M/M!, is below the smallest float).  ``weights``, the `LossWeights`, are
+    built on first read: class q mod 2M weighs the lost-count sum over t ≡ q (mod 2M), x =
+    α²(1−η), times the survivor sum A + B of q mod M, renormalized.  README's "Numerical
+    notes" derive both.  Plain slots, not a `_Record`: a sweep makes one a row.
     """
-    big_m, n_cls = spec.order, spec.n_classes
-    try:
-        alpha_sq = spec.alpha ** 2
-    except OverflowError:
-        raise ArithmeticError(
-            f"alpha={spec.alpha!r} (eta={spec.eta!r}): alpha squared overflows a float"
-        ) from None
-    y = spec.eta * alpha_sq
-    if y == 0.0:  # only t = 0 survives
-        kept, success = [0.0] + [-math.inf] * (big_m - 1), [0.0] * big_m
-    else:
-        log_y = math.log(y)
-        table = _point_series(spec, y, "survivor count eta*alpha^2")
-        kept, success = [], []  # kept[q]: log of the survivor sum over t ≡ −q (mod M)
-        for q in range(big_m):
-            (t_a, g_a, rest_a), (t_b, g_b, rest_b) = table[-q % n_cls], table[big_m - q]
-            d = (t_a - t_b) * log_y - (g_a - g_b) + (rest_a - rest_b)
-            r = math.exp(-abs(d))
-            success.append(2.0 * r / (1.0 + r))
-            log_a, log_b = t_a * log_y - g_a + rest_a, t_b * log_y - g_b + rest_b
-            kept.append(max(log_a, log_b) + math.log1p(math.exp(-abs(log_a - log_b))))
-    if not weights:
-        return None, success
-    x = alpha_sq * (1.0 - spec.eta)
-    if x == 0.0:  # nothing lost, or α²(1−η) underflowed: only t = 0
-        lost = [0.0] + [-math.inf] * (n_cls - 1)
-    else:
-        log_x = math.log(x)
-        table = _point_series(spec, x, "lost count alpha^2*(1-eta)")
-        lost = [t * log_x - g + rest for t, g, rest in table]
-    log_w = [a + b for a, b in zip(lost, kept + kept)]  # class q takes kept[q mod M]
-    peak = max(log_w)
-    w = [math.exp(v - peak) for v in log_w]
-    total = math.fsum(w)
-    # 2^(m+1) finite weights, none negative, that sum to 1 within 1e-10: no new check
-    return LossWeights._from_checked(values=_normalized([v / total for v in w]), m=spec.m), success
 
+    __slots__ = ("spec", "mode", "q", "success", "_kept", "_weights")
 
-def _check_usd(mode: str, q: int, order: int) -> None:
-    """Refuse a discrimination mode, or a per_q class q, before any table is built."""
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if mode == "per_q":
-        _check_int("class index q", q)
-        if not 0 <= q < order:
-            raise ValueError(f"q must satisfy 0 <= q < {order}")
+    def __init__(self, spec: CatCodeSpec, mode: str = "weighted_average", q: int = 0):
+        big_m, n_cls = spec.order, spec.n_classes
+        if mode not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        if mode == "per_q":
+            _check_int("class index q", q)
+            if not 0 <= q < big_m:
+                raise ValueError(f"q must satisfy 0 <= q < {big_m}")
+        try:
+            alpha_sq = spec.alpha ** 2
+        except OverflowError:
+            raise ArithmeticError(
+                f"alpha={spec.alpha!r} (eta={spec.eta!r}): alpha squared overflows a float"
+            ) from None
+        y = spec.eta * alpha_sq
+        if y == 0.0:  # only t = 0 survives
+            kept, success = [0.0] + [-math.inf] * (big_m - 1), [0.0] * big_m
+        else:
+            log_y = math.log(y)
+            table = _point_series(spec, y, "survivor count eta*alpha^2")
+            kept, success = [], []  # kept[r]: log of the survivor sum over t ≡ −r (mod M)
+            for r in range(big_m):
+                (t_a, g_a, rest_a), (t_b, g_b, rest_b) = table[-r % n_cls], table[big_m - r]
+                d = (t_a - t_b) * log_y - (g_a - g_b) + (rest_a - rest_b)
+                ratio = math.exp(-abs(d))
+                success.append(2.0 * ratio / (1.0 + ratio))
+                log_a, log_b = t_a * log_y - g_a + rest_a, t_b * log_y - g_b + rest_b
+                kept.append(max(log_a, log_b) + math.log1p(math.exp(-abs(log_a - log_b))))
+        self.spec, self.mode, self.q, self.success = spec, mode, q, success
+        self._kept, self._weights = kept, None
+
+    @property
+    def weights(self) -> LossWeights:
+        if self._weights is not None:
+            return self._weights
+        spec, kept = self.spec, self._kept
+        x = spec.alpha ** 2 * (1.0 - spec.eta)  # α² was checked finite
+        if x == 0.0:  # nothing lost, or α²(1−η) underflowed: only t = 0
+            lost = [0.0] + [-math.inf] * (spec.n_classes - 1)
+        else:
+            log_x = math.log(x)
+            table = _point_series(spec, x, "lost count alpha^2*(1-eta)")
+            lost = [t * log_x - g + rest for t, g, rest in table]
+        log_w = [a + b for a, b in zip(lost, kept + kept)]  # class q takes kept[q mod M]
+        peak = max(log_w)
+        w = [math.exp(v - peak) for v in log_w]
+        total = math.fsum(w)
+        # 2^(m+1) finite weights, none negative, that sum to 1 within 1e-10: no new check
+        values = _normalized([v / total for v in w])
+        self._weights = LossWeights._from_checked(values=values, m=spec.m)
+        return self._weights
+
+    def p0(self) -> float:
+        """`optimal_usd_probability` at the record's mode and q."""
+        if self.mode == "per_q":
+            return self.success[self.q]
+        if self.mode == "worst_case":
+            return min(self.success)
+        w, success = self.weights.values, self.success
+        big_m = len(success)
+        total = math.fsum([(w[r] + w[r + big_m]) * success[r] for r in range(big_m)])
+        # Convex combination of values in [0, 1]; shave rounding excursions.
+        if not -1e-12 <= total <= 1.0 + 1e-12:
+            raise ArithmeticError(f"weighted success {total} outside [0, 1]")
+        return min(max(total, 0.0), 1.0)
 
 
 def _check_int(name: str, n) -> None:
     """Refuse a value n that is not an int, naming it; a bool is none."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"{name}={n!r} must be an int")
-
-
-def _usd_probability(
-    weights: LossWeights | None, per_class: list[float], q: int, mode: str
-) -> float:
-    """optimal_usd_probability from a point's `_point_classes`, mode and q checked."""
-    if mode == "per_q":
-        return per_class[q]
-    if mode == "worst_case":
-        return min(per_class)
-    w, big_m = weights.values, len(per_class)
-    total = math.fsum([(w[r] + w[r + big_m]) * per_class[r] for r in range(big_m)])
-    # Convex combination of values in [0, 1]; shave rounding excursions.
-    if not -1e-12 <= total <= 1.0 + 1e-12:
-        raise ArithmeticError(f"weighted success {total} outside [0, 1]")
-    return min(max(total, 0.0), 1.0)
 
 
 def loss_weights(spec: CatCodeSpec) -> LossWeights:
@@ -431,7 +428,7 @@ def loss_weights(spec: CatCodeSpec) -> LossWeights:
     label is taken.  The Fock engine arbitrates this construction in the
     tests.
     """
-    return _point_classes(spec)[0]
+    return _Point(spec).weights
 
 
 def segment_fidelity(spec: CatCodeSpec) -> float:

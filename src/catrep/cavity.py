@@ -62,8 +62,10 @@ DEFAULT_PARAMS = CavityParams()
 
 def ideal_reflection(delta: float, kappa: float) -> complex:
     """Bare-cavity reflection (iΔ − κ/2)/(iΔ + κ/2); unit modulus."""
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta={delta!r} must be finite")
     return (1j * delta - kappa / 2.0) / (1j * delta + kappa / 2.0)
 
 
@@ -94,13 +96,15 @@ def detuning_for_angle(phi: float, kappa: float) -> float:
     Δ = (κ/2)·cot(φ/2) for φ in (0, π].  The round trip through
     reflection_phase recovers φ to better than 1e-12.
     """
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
     if not 0.0 < phi <= math.pi:
         raise ValueError(f"target angle {phi} outside (0, pi]")
     if phi == math.pi:
         return 0.0
-    return (kappa / 2.0) / math.tan(phi / 2.0)
+    if (delta := (kappa / 2.0) / math.tan(phi / 2.0)) < math.inf:
+        return delta
+    raise ArithmeticError(f"target angle {phi!r}: its detuning overflows a float")
 
 
 def sweep_reflection(deltas, params: CavityParams = DEFAULT_PARAMS):

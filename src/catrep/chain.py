@@ -19,8 +19,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .catcode import CatCodeSpec, LossWeights, _freeze, _log_factorials, _point_classes, _Record
-from .catcode import _check_usd, _is_count, _usd_probability
+from .catcode import CatCodeSpec, LossWeights, _freeze, _is_count, _log_factorials, _Point, _Record
 
 __all__ = [
     "ATTENUATION_LENGTH_KM",
@@ -142,6 +141,8 @@ def swap_components(a_plus: float, b_plus: float) -> dict:
     difference is (A - B)(C - D) and the computational-basis off-diagonal
     element of the output is half of that.
     """
+    if not (0 <= a_plus <= 1 and 0 <= b_plus <= 1):
+        raise ValueError(f"need a_plus and b_plus in [0, 1], got {a_plus!r} and {b_plus!r}")
     a_minus = 1.0 - a_plus
     b_minus = 1.0 - b_plus
     return {
@@ -380,7 +381,9 @@ def plob_bound(l_tot: float, l_att: float = ATTENUATION_LENGTH_KM) -> float:
     """Repeaterless secret-key capacity of the lossy line, bits per use."""
     if not (l_tot > 0 and l_att > 0):
         raise ValueError("distances must be positive")
-    loss = l_tot / l_att
+    loss = float(l_tot) / float(l_att)  # as doubles: a float32 quotient would overflow
+    if loss != loss:
+        raise ValueError(f"l_tot/l_att = {l_tot!r}/{l_att!r} is not a number")
     if loss == 0.0:
         raise ValueError(
             f"l_tot/l_att = {l_tot!r}/{l_att!r} underflows to 0; transmission rounds to 1"
@@ -419,11 +422,10 @@ def evaluate_chain(
 ) -> ChainReport:
     """Full pipeline for one configuration: segment -> chain -> key rate."""
     check_chain_geometry(segment, chain)
-    spec = segment.code_spec
-    _check_usd(usd_mode, usd_q, spec.order)
-    weights, per_class = _point_classes(spec)
+    point = _Point(segment.code_spec, usd_mode, usd_q)
+    weights = point.weights
     f0 = weights.correctable_mass()
-    p0 = _usd_probability(weights, per_class, usd_q, usd_mode)
+    p0 = point.p0()
     f_tot = chain_fidelity(f0, chain.n_e)
     p_tot = chain_success(p0, chain.n_e)
     rate_s, rate_use = secret_key_rate(

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .catcode import _freeze, _Record
+from .catcode import _freeze, _log_factorials as _lgamma_table, _Record
 
 __all__ = [
     "TruncationError",
@@ -47,8 +47,8 @@ _TAIL_TOL = 1e-12
 _HARD_LIMIT = 2048
 # Coherent states `coherent_state` keeps, at most 2,049 amplitudes (33 kB) each.
 _STATE_CACHE = 64
-# log n! for n < _LOG_FACT.size, read-only; `_log_factorials` grows it on
-# demand up to the hard limit's dimension (16 kB).
+# log n! for n < _LOG_FACT.size, read-only; `_log_factorials` grows it from
+# catcode's table on demand up to the hard limit's dimension (16 kB).
 _LOG_FACT = _freeze(np.zeros(0))
 
 
@@ -77,13 +77,12 @@ def _cutoff(alpha: complex) -> int:
 
 
 def _log_factorials(dim: int) -> np.ndarray:
-    """log n! for n = 0..dim − 1, from libm's lgamma, read-only: a view of the
+    """log n! for n = 0..dim − 1 from `catcode`'s lgamma table, read-only: a view of the
     shared vector, grown to cover dim, or past the hard limit a vector of its own."""
     global _LOG_FACT
     table = _LOG_FACT
     if table.size < dim:
-        grown = np.fromiter(map(math.lgamma, range(table.size + 1, dim + 1)), float)
-        table = _freeze(np.append(table, grown))
+        table = _freeze(np.fromiter(map(_lgamma_table(dim - 1).__getitem__, range(dim)), float))
         if dim <= _HARD_LIMIT + 1:
             _LOG_FACT = table
     return table[:dim]

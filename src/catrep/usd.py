@@ -21,8 +21,7 @@ import cmath
 import math
 import sys
 
-from .catcode import CatCodeSpec, _check_int, _check_usd, _double, _freeze, _point_classes
-from .catcode import _Record, _usd_probability
+from .catcode import CatCodeSpec, _check_int, _double, _freeze, _Point, _Record
 
 __all__ = [
     "CoherentSuperposition",
@@ -241,9 +240,7 @@ def optimal_usd_probability(
     Class q and class q + 2^m share one discrimination problem (the states
     differ by signs only), so everything runs over q < 2^m.
     """
-    _check_usd(mode, q, spec.order)
-    weights, per_class = _point_classes(spec, weights=mode == "weighted_average")
-    return _usd_probability(weights, per_class, q, mode)
+    return _Point(spec, mode, q).p0()
 
 
 def linear_optics_output_states(

@@ -512,6 +512,27 @@ def test_log_factorial_table_is_lgamma_and_capped():
     assert fockspace._LOG_FACT.size == fockspace._HARD_LIMIT + 1
 
 
+def test_fock_log_factorials_come_from_the_shared_table(monkeypatch):
+    # fockspace runs no lgamma loop of its own: with catcode's list warm, a
+    # vector past the hard limit is read from it without one lgamma call
+    dim = fockspace._HARD_LIMIT + 100
+    catcode._log_factorials(dim)
+    calls = []
+    lgamma = math.lgamma
+    monkeypatch.setattr(math, "lgamma", lambda v: calls.append(v) or lgamma(v))
+    got = fockspace._log_factorials(dim)
+    assert calls == []
+    assert got.tobytes() == np.array(catcode._LOG_FACT[:dim]).tobytes()
+    # past the list's cap the values come from lgamma itself, bit for bit
+    monkeypatch.undo()
+    cap = catcode._LOG_FACT_CAP
+    got = fockspace._log_factorials(cap + 3)
+    assert not got.flags.writeable
+    assert got.tobytes() == np.array([lgamma(t + 1.0) for t in range(cap + 3)]).tobytes()
+    assert len(catcode._LOG_FACT) <= cap
+    assert fockspace._LOG_FACT.size <= fockspace._HARD_LIMIT + 1
+
+
 def test_log_factorial_table_grows_consistently_under_threads():
     # Threads grow the shared table at once; a doubled extension would
     # shift every later entry off its lgamma value.

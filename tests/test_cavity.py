@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,12 +159,36 @@ def test_sweep_rows_are_consistent():
         lambda: ideal_reflection(1.0, math.nan),
         lambda: reflection_phase(0.5, math.nan),
         lambda: detuning_for_angle(1.0, math.nan),
+        lambda: ideal_reflection(1.0, math.inf),
+        lambda: reflection_phase(1.0, math.inf),
+        lambda: detuning_for_angle(1.0, math.inf),
     ],
     ids=[
         "ideal_reflection", "reflection_phase", "ideal_reflection_nan", "reflection_phase_nan",
-        "detuning_for_angle_nan",
+        "detuning_for_angle_nan", "ideal_reflection_inf", "reflection_phase_inf",
+        "detuning_for_angle_inf",
     ],
 )
 def test_non_positive_kappa_is_refused(call):
     with pytest.raises(ValueError, match="kappa must be positive"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        (lambda: ideal_reflection(math.inf, 1.0), ValueError, "delta=inf must be finite"),
+        (lambda: reflection_phase(math.nan, 1.0), ValueError, "delta=nan must be finite"),
+        (
+            lambda: detuning_for_angle(1e-320, 1.0), ArithmeticError,
+            "target angle 1e-320: its detuning overflows a float",
+        ),
+    ],
+    ids=["ideal_reflection_delta", "reflection_phase_delta", "detuning_for_angle_overflow"],
+)
+def test_a_non_finite_result_is_refused_by_name(call, error, text):
+    # each returned NaN or inf before; the finite limits nearby still return
+    with pytest.raises(error, match=re.escape(text)):
+        call()
+    assert abs(ideal_reflection(1.7e308, 1e-320)) == 1.0
+    assert math.isfinite(detuning_for_angle(1e-300, 1e-300))

@@ -97,6 +97,10 @@ def test_swap_offdiagonal_coefficient():
     assert comp["plus"] + comp["minus"] == pytest.approx(1.0)
     # Computational-basis off-diagonal of the swapped state.
     assert 0.5 * (comp["plus"] - comp["minus"]) == pytest.approx(0.5 * diff)
+    # a weight outside [0, 1], NaN or infinite, is refused by name
+    for args in ((0.0, math.inf), (0.5, math.nan), (1.5, 0.5), (-0.25, 0.5)):
+        with pytest.raises(ValueError, match=r"need a_plus and b_plus in \[0, 1\], got "):
+            swap_components(*args)
 
 
 def test_swap_kind_parity_and_phase():
@@ -533,6 +537,11 @@ def test_plob_bound_anchors():
     for args in ((-1.0,), (math.nan,), (1000.0, math.nan)):
         with pytest.raises(ValueError, match="distances must be positive"):
             plob_bound(*args)
+    with pytest.raises(ValueError, match="l_tot/l_att = inf/inf is not a number"):
+        plob_bound(math.inf, math.inf)
+    assert plob_bound(math.inf) == 0.0  # an endless line: e^(-inf) is 0, and so is the bound
+    # divided as doubles: a float32 quotient would overflow with a RuntimeWarning
+    assert plob_bound(np.float32(0.9), 1e-320) == 0.0
 
 
 @pytest.mark.parametrize("loss", [1e-300, 1e-16, 1e-8, 45.0])

@@ -1,8 +1,8 @@
 """Source-tree rules: one line width, no dead imports or private names, no einsum path,
 no dataclasses, no record made past the record base, no numpy in the
 class-series kernel, none imported with the analytic modules, no module that
-imports usd when it is imported, none but crosscheck that imports the oracle, and
-no cache without a finite bound."""
+imports usd when it is imported, none but crosscheck that imports the oracle, none
+but catcode that names the class-series kernel, and no cache without a finite bound."""
 
 import ast
 import pathlib
@@ -284,6 +284,30 @@ def test_the_oracle_rule_refuses_an_import_in_the_cli():
     crosscheck = _modules()["crosscheck.py"]
     assert _imported_at_import(crosscheck, "protocol_oracle", anywhere=True)
     assert not _imported_at_import(crosscheck, "protocol_oracle")
+
+
+_KERNELS = {"_class_series", "_point_series"}
+
+
+def test_only_catcode_names_the_class_series():
+    # A point's analytics are reached through catcode's point record alone: no
+    # other module calls the kernel or builds a table of its own.
+    found = {name: _referenced(tree) & _KERNELS for name, tree in _modules().items()}
+    assert found.pop("catcode.py") == _KERNELS
+    assert not any(found.values()), found
+
+
+def test_the_kernel_rule_refuses_an_import_in_chain():
+    source = (SRC / "chain.py").read_text()
+    for anchor, line in (
+        ("import math\n", "from .catcode import _class_series\n"),
+        ("import math\n", "from .catcode import _point_series as series\n"),
+        ("    check_chain_geometry(segment, chain)\n", "    from . import catcode\n"
+         "    catcode._class_series(1.0, 4)\n"),
+    ):
+        assert anchor in source
+        mutated = source.replace(anchor, anchor + line, 1)
+        assert _referenced(ast.parse(mutated)) & _KERNELS, line
 
 
 def _unbounded_caches(tree) -> list:

@@ -8,8 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from catrep import usd
-from catrep.catcode import CatCodeSpec, loss_weights
+from catrep import catcode, usd
+from catrep.catcode import CatCodeSpec, loss_weights, segment_fidelity
 from catrep.usd import (
     CoherentSuperposition,
     beam_splitter,
@@ -163,6 +163,30 @@ def test_optimal_validation():
         optimal_usd_probability(bright, mode="bogus")
     with pytest.raises(ValueError, match=r"q must satisfy 0 <= q < 4"):
         optimal_usd_probability(bright, q=4, mode="per_q")
+
+
+def test_optimal_usd_probability_builds_only_the_tables_its_mode_reads(monkeypatch):
+    # per_q and worst_case read the survivor table y mod 2M alone; the
+    # weighted average and the loss weights read the lost table x mod 2M too
+    calls = []
+    kernel = catcode._class_series
+
+    def counting(x, modulus):
+        calls.append(modulus)
+        return kernel(x, modulus)
+
+    monkeypatch.setattr(catcode, "_class_series", counting)
+    spec = CatCodeSpec(m=3, alpha=3.0, eta=0.9)
+    for call, tables in (
+        (lambda: optimal_usd_probability(spec, q=1, mode="per_q"), 1),
+        (lambda: optimal_usd_probability(spec, mode="worst_case"), 1),
+        (lambda: optimal_usd_probability(spec, mode="weighted_average"), 2),
+        (lambda: loss_weights(spec), 2),
+        (lambda: segment_fidelity(spec), 2),
+    ):
+        calls.clear()
+        call()
+        assert calls == [16] * tables
 
 
 @pytest.mark.parametrize("alpha", [5e-324, 1e-170])

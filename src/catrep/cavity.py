@@ -1,17 +1,13 @@
 """Cavity reflection physics behind the hybrid controlled rotation.
 
-Two reflection models are provided.  The ideal one is a pure phase
-(iΔ − κ/2)/(iΔ + κ/2) on the unit circle, and `detuning_for_angle` maps
-a rotation angle to the detuning that gives it; the fidelity pipeline
-calls neither, as it assumes ideal rotations.  The full model adds the
-atomic line and a finite outcoupling ratio and is kept for qualitative
-phase/modulus sweeps only.
-
-Convention note: the full amplitude is implemented exactly as written in
-its source, with the detuning entering as 2πΔ (ordinary frequency)
-against decay rates in angular frequency.  With the atom decoupled
-(g = 0) and perfect outcoupling it reduces to the ideal phase evaluated
-at πΔ, so the two models share a curve shape but not a detuning axis.
+One reflection model, `full_reflection`: a single-sided cavity with an
+atomic line and a finite outcoupling ratio, written as its source writes
+it, with the detuning Δ an ordinary frequency entering as 2πΔ against
+decay rates in angular frequency.  With the atom decoupled (g = 0) and
+perfect outcoupling (κ_r = κ) it is the ideal cavity, the pure phase
+(2πiΔ − κ)/(2πiΔ + κ) on the unit circle, on the same detuning axis;
+`detuning_for_angle` maps a rotation angle to the detuning that gives it
+there.  The fidelity pipeline calls neither, as it assumes ideal rotations.
 """
 
 from __future__ import annotations
@@ -24,8 +20,6 @@ from .catcode import _Record
 __all__ = [
     "CavityParams",
     "DEFAULT_PARAMS",
-    "ideal_reflection",
-    "reflection_phase",
     "full_reflection",
     "detuning_for_angle",
     "sweep_reflection",
@@ -60,27 +54,16 @@ class CavityParams(_Record):
 DEFAULT_PARAMS = CavityParams()
 
 
-def ideal_reflection(delta: float, kappa: float) -> complex:
-    """Bare-cavity reflection (iΔ − κ/2)/(iΔ + κ/2); unit modulus."""
-    if not 0.0 < kappa < math.inf:
-        raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
-    if not math.isfinite(delta):
-        raise ValueError(f"delta={delta!r} must be finite")
-    return (1j * delta - kappa / 2.0) / (1j * delta + kappa / 2.0)
-
-
-def reflection_phase(delta: float, kappa: float) -> float:
-    """Rotation angle arg(ideal_reflection); π at resonance, → 0 as Δ → +∞."""
-    return cmath.phase(ideal_reflection(delta, kappa))
-
-
 def full_reflection(delta: float, params: CavityParams = DEFAULT_PARAMS) -> complex:
     """Reflection amplitude with atomic line and outcoupling ratio.
 
     1 − 2κ_r(2iπΔ + γ) / ((2iπΔ + κ)(2iπΔ + γ) + g²), written verbatim in
-    its mixed frequency convention; see the module docstring.  Raises
-    ArithmeticError, naming Δ, where the amplitude is not a finite float.
+    its mixed frequency convention; at g = 0 and κ_r = κ, the ideal cavity
+    (see the module docstring).  Raises ArithmeticError, naming Δ, where the
+    amplitude is not a finite float.
     """
+    if type(delta) is bool:
+        _Record._refuse_bool(delta=delta)
     d = 2j * math.pi * delta
     num = 2.0 * params.kappa_r * (d + params.gamma)
     den = (d + params.kappa) * (d + params.gamma) + params.g ** 2
@@ -91,31 +74,34 @@ def full_reflection(delta: float, params: CavityParams = DEFAULT_PARAMS) -> comp
 
 
 def detuning_for_angle(phi: float, kappa: float) -> float:
-    """Detuning giving rotation angle φ under the ideal model.
+    """Detuning giving rotation angle φ on the ideal cavity, `full_reflection` at g = 0, κ_r = κ.
 
-    Δ = (κ/2)·cot(φ/2) for φ in (0, π].  The round trip through
-    reflection_phase recovers φ to better than 1e-12.
+    Δ = κ·cot(φ/2)/(2π) for φ in (0, π].  The round trip through the phase
+    of that amplitude recovers φ to better than 1e-12.
     """
+    _Record._refuse_bool(phi=phi, kappa=kappa)
     if not 0.0 < kappa < math.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa!r}")
     if not 0.0 < phi <= math.pi:
         raise ValueError(f"target angle {phi} outside (0, pi]")
     if phi == math.pi:
         return 0.0
-    if (delta := (kappa / 2.0) / math.tan(phi / 2.0)) < math.inf:
+    if (delta := kappa / (2.0 * math.pi * math.tan(phi / 2.0))) < math.inf:
         return delta
     raise ArithmeticError(f"target angle {phi!r}: its detuning overflows a float")
 
 
 def sweep_reflection(deltas, params: CavityParams = DEFAULT_PARAMS):
-    """Rows (Δ, phase_ideal, phase_full, modulus_full) over a detuning grid."""
+    """Rows (Δ, phase_ideal, phase_full, modulus_full) over a detuning grid, on one axis:
+    phase_ideal is the phase of the same cavity with its atom decoupled (g = 0, κ_r = κ)."""
+    ideal = CavityParams(0.0, params.kappa, params.gamma, params.kappa)
     rows = []
     for delta in map(float, deltas):
         r_full = full_reflection(delta, params)
         rows.append(
             (
                 delta,
-                reflection_phase(delta, params.kappa),
+                cmath.phase(full_reflection(delta, ideal)),
                 cmath.phase(r_full),
                 abs(r_full),
             )

@@ -127,10 +127,11 @@ class PauliFrameState(_Record):
     def __init__(self, kind: str, plus_weight: float, phase: float = 0.0):
         if kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
-        if not -1e-12 <= plus_weight <= 1 + 1e-12:
+        self._set(kind=kind, plus_weight=plus_weight, phase=phase)
+        self._require_finite("plus_weight", "phase")
+        if not -1e-12 <= self.plus_weight <= 1 + 1e-12:
             raise ValueError("plus_weight must lie in [0, 1]")
-        plus_weight = min(max(plus_weight, 0.0), 1.0)
-        self._set(kind=kind, plus_weight=plus_weight, phase=phase % (2 * math.pi))
+        self._set(plus_weight=min(max(self.plus_weight, 0.0), 1.0), phase=self.phase % math.tau)
 
 
 def swap_components(a_plus: float, b_plus: float) -> dict:
@@ -379,6 +380,8 @@ def secret_key_rate(
 
 def plob_bound(l_tot: float, l_att: float = ATTENUATION_LENGTH_KM) -> float:
     """Repeaterless secret-key capacity of the lossy line, bits per use."""
+    if bool in (type(l_tot), type(l_att)):
+        _Record._refuse_bool(l_tot=l_tot, l_att=l_att)
     if not (l_tot > 0 and l_att > 0):
         raise ValueError("distances must be positive")
     loss = float(l_tot) / float(l_att)  # as doubles: a float32 quotient would overflow

@@ -40,6 +40,7 @@ from .catcode import CatCodeSpec, _freeze, _Record
 from .fockspace import (
     FockVector,
     HybridDensity,
+    _cutoff,
     _ladder,
     _loss_rows,
     coherent_state,
@@ -97,12 +98,9 @@ def _residue(x: np.ndarray, modulus: int, c: int, *axes: int) -> np.ndarray:
 
     A hcrot-and-measure cascade of depth log2(modulus) projects the mode
     onto one such class, in either variant (Grimsmo, Combes & Baragiola,
-    PRX 10, 011058, 2020).  Given axes, the result is a new complex array
-    holding the class's strided slice of x, bits kept, in zeros; given
-    none, it is x itself.
+    PRX 10, 011058, 2020).  The result is a new complex array holding the
+    class's strided slice of x, bits kept, in zeros.
     """
-    if not axes:
-        return x
     cls = [slice(None)] * x.ndim
     for ax in axes:
         cls[ax] = slice(c % modulus, None, modulus)
@@ -155,16 +153,14 @@ def prepare_code_state(m: int, primitive: FockVector) -> HybridDensity:
     return hybrid_from_vector(1, primitive.n_max, np.concatenate([cw0, cw1]) / _SQRT2)
 
 
-def _damped_pair(spec: CatCodeSpec, flip=None) -> np.ndarray:
-    """Codeword pair of the damped primitive |√η α⟩ as one array, at its own cutoff or,
-    given `_flip` at a cutoff no smaller, zero-padded up to that one.
+def _damped_pair(spec: CatCodeSpec, flip: np.ndarray) -> np.ndarray:
+    """Codeword pair of the damped primitive |√η α⟩ as one array, zero-padded to the
+    cutoff of `flip`, `_flip` at the undamped primitive's cutoff.
 
     Padding is sound: beyond the primitive's own cutoff its tail mass is
     already below 1e-12 (`coherent_state`).
     """
     prim = coherent_state(spec.damped_alpha)
-    if flip is None:
-        flip = _flip(spec.m, prim.dim)
     return np.stack(_code_pair(spec.m, prim.padded(flip.size - 1), flip))
 
 
@@ -213,19 +209,16 @@ def syndrome_deviation(m: int, alpha: float, eta: float) -> float:
     """Worst-case tagging error over every injectable loss count.
 
     Injects exactly q photon losses (âᵠ on both codewords of the damped
-    pure pair, rung q of one ladder) for each q < 2^{m+1} and requires the
+    pure pair at the undamped cutoff, the pair a unit's discrimination
+    reads, rung q of one ladder) for each q < 2^{m+1} and requires the
     normalized (spin, mode) array to lie on class −q mod 2^m, the syndrome
     cascade's tag for remainder q: a mass there of at most 1e-14, which the
     cascade drops, counts as 0.  Raises ``ArithmeticError`` where an
     injected pair has a zero or non-finite norm: more losses than the
     cutoff holds photons, or rung norms past float range.
     """
-    # The pair at the damped primitive's own cutoff.  Zero-padded to the
-    # undamped cutoff, as `_record_setup` pads it, the result moves at 7 of
-    # 84 points (m 1 to 3, alpha 0.5 to 5, eta 0.5 to 0.999), among them the
-    # default validate point (1, 2, 0.9): 3.33e-16 to 2.22e-16.
     spec, worst = CatCodeSpec(m, alpha, eta), 0.0
-    rungs = _ladder(_damped_pair(spec), spec.n_classes)
+    rungs = _ladder(_damped_pair(spec, _flip(spec.m, _cutoff(spec.alpha) + 1)), spec.n_classes)
     with np.errstate(over="ignore"):  # an overflowing norm is refused below
         for q, psi in enumerate(rungs):
             norm = np.linalg.norm(psi)

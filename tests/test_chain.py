@@ -723,6 +723,13 @@ _WEIGHTS = loss_weights(CatCodeSpec(1, 1.0, 0.9))
             "amplitude alpha=array(1.5+0.j) must be real, positive and finite",
         ),
         (lambda: CatCodeSpec(1, 1.5, 0.9 + 0j), "transmission eta=(0.9+0j) outside (0, 1]"),
+        # the Pauli frame keeps its numbers as the other records do, and the
+        # bound takes its distances as numbers, never a bool
+        (lambda: PauliFrameState("phi", True), "plus_weight=True must be a number, not a bool"),
+        (lambda: PauliFrameState("phi", math.nan), "plus_weight=nan must be finite"),
+        (lambda: PauliFrameState("phi", 0.5, math.inf), "phase=inf must be finite"),
+        (lambda: plob_bound(True), "l_tot=True must be a number, not a bool"),
+        (lambda: plob_bound(100.0, True), "l_att=True must be a number, not a bool"),
     ],
     ids=[
         "l_tot", "chain_n_e", "kind", "plus_weight", "p0", "success_n_e",
@@ -732,6 +739,8 @@ _WEIGHTS = loss_weights(CatCodeSpec(1, 1.0, 0.9))
         "fidelity_n_e_bool", "success_n_e_bool", "distribution_n_e_bool", "key_rate_n_e_bool",
         "weights_m_float", "weights_m_bool", "weights_m_zero", "segment_alpha_bool", "chain_q_float",
         "spec_alpha_complex64", "spec_alpha_0d_complex", "spec_eta_complex",
+        "frame_plus_weight_bool", "frame_plus_weight_nan", "frame_phase_inf", "plob_l_tot_bool",
+        "plob_l_att_bool",
     ],
 )
 def test_public_refusals_are_named(call, message):

@@ -2,7 +2,8 @@
 no dataclasses, no record made past the record base, no numpy in the
 class-series kernel, none imported with the analytic modules, no module that
 imports usd when it is imported, none but crosscheck that imports the oracle, none
-but catcode that names the class-series kernel, and no cache without a finite bound."""
+but catcode that names the class-series kernel, one cavity reflection formula, and
+no cache without a finite bound."""
 
 import ast
 import pathlib
@@ -308,6 +309,46 @@ def test_the_kernel_rule_refuses_an_import_in_chain():
         assert anchor in source
         mutated = source.replace(anchor, anchor + line, 1)
         assert _referenced(ast.parse(mutated)) & _KERNELS, line
+
+
+def _imaginary_literals_outside(tree, owner: str) -> list:
+    """Lines of a module that hold an imaginary literal (``1j``) outside the function
+    ``owner``."""
+    inside = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == owner:
+            inside = set(map(id, ast.walk(node)))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, complex)
+        and id(node) not in inside
+    ]
+
+
+def test_only_full_reflection_writes_a_reflection_formula():
+    # The ideal cavity is full_reflection with its atom decoupled, so no second
+    # formula, and no second detuning axis, sits beside it in cavity.
+    tree = _modules()["cavity.py"]
+    assert not _imaginary_literals_outside(tree, "full_reflection")
+    assert _imaginary_literals_outside(tree, "sweep_reflection")  # full_reflection's own is seen
+
+
+def test_the_cavity_rule_refuses_a_second_formula():
+    source = (SRC / "cavity.py").read_text()
+    anchor = "\ndef full_reflection("
+    assert anchor in source
+    for formula in (
+        # the ideal reflection as it stood beside the full model, on its own axis
+        "def ideal_reflection(delta: float, kappa: float) -> complex:\n"
+        "    if not 0.0 < kappa < math.inf:\n"
+        "        raise ValueError(f'kappa must be positive and finite, got {kappa!r}')\n"
+        "    return (1j * delta - kappa / 2.0) / (1j * delta + kappa / 2.0)\n",
+        # the same as a method, its literal nested in a class
+        "class _Ideal:\n    def r(self, d, k):\n        return (d * 1j - k) / (d * 1j + k)\n",
+    ):
+        mutated = source.replace(anchor, "\n" + formula + "\n" + anchor, 1)
+        assert _imaginary_literals_outside(ast.parse(mutated), "full_reflection"), formula
 
 
 def _unbounded_caches(tree) -> list:

@@ -96,7 +96,10 @@ def sweep_reflection(deltas, params: CavityParams = DEFAULT_PARAMS):
     phase_ideal is the phase of the same cavity with its atom decoupled (g = 0, κ_r = κ)."""
     ideal = CavityParams(0.0, params.kappa, params.gamma, params.kappa)
     rows = []
-    for delta in map(float, deltas):
+    for delta in deltas:
+        if type(delta) is bool:
+            _Record._refuse_bool(delta=delta)
+        delta = float(delta)
         r_full = full_reflection(delta, params)
         rows.append(
             (

@@ -142,6 +142,8 @@ def swap_components(a_plus: float, b_plus: float) -> dict:
     difference is (A - B)(C - D) and the computational-basis off-diagonal
     element of the output is half of that.
     """
+    if bool in (type(a_plus), type(b_plus)):
+        _Record._refuse_bool(a_plus=a_plus, b_plus=b_plus)
     if not (0 <= a_plus <= 1 and 0 <= b_plus <= 1):
         raise ValueError(f"need a_plus and b_plus in [0, 1], got {a_plus!r} and {b_plus!r}")
     a_minus = 1.0 - a_plus
@@ -174,6 +176,8 @@ def swap_pair(
 
 def chain_fidelity(f0: float, n_e: int) -> float:
     """Average end-to-end fidelity of n_e swapped identical segments."""
+    if type(f0) is bool:
+        _Record._refuse_bool(f0=f0)
     if not 0 <= f0 <= 1:
         raise ValueError("need f0 in [0, 1]")
     if not _is_count(n_e):
@@ -183,6 +187,8 @@ def chain_fidelity(f0: float, n_e: int) -> float:
 
 def chain_success(p0: float, n_e: int) -> float:
     """Probability that every segment's discrimination succeeds."""
+    if type(p0) is bool:
+        _Record._refuse_bool(p0=p0)
     if not 0 <= p0 <= 1:
         raise ValueError("need p0 in [0, 1]")
     if not _is_count(n_e):
@@ -303,6 +309,8 @@ def chain_distribution(weights: LossWeights, n_e: int):
 
 def binary_entropy(p: float) -> float:
     """Shannon entropy of a bit, in bits; endpoints go to 0 by continuity."""
+    if type(p) is bool:
+        _Record._refuse_bool(p=p)
     if not 0 <= p <= 1:
         raise ValueError("need p in [0, 1]")
     if p in (0.0, 1.0):
@@ -356,6 +364,8 @@ def secret_key_rate(
     """
     if mode not in _KEY_MODES:
         raise ValueError(f"mode must be one of {_KEY_MODES}")
+    if bool in (type(f_tot), type(p_tot), type(t0)):
+        _Record._refuse_bool(f_tot=f_tot, p_tot=p_tot, t0=t0)
     if not 0 <= f_tot <= 1:
         raise ValueError("need f_tot in [0, 1]")
     if not 0 <= p_tot <= 1:

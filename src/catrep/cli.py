@@ -198,11 +198,10 @@ def _render(rows, columns, fmt: str) -> str:
     if fmt == "csv":
         lines = [",".join(columns)]
         for row in rows:  # a float's text inline, as _fmt gives it
-            cells = map(row.__getitem__, columns)
-            lines.append(",".join([f"{v:.17g}" if type(v) is float else _fmt(v) for v in cells]))
+            lines.append(",".join([f"{v:.17g}" if type(v) is float else _fmt(v) for v in row]))
         return "\n".join(lines) + "\n"
     import json
-    return "".join(json.dumps({c: _json_cell(row[c]) for c in columns}) + "\n" for row in rows)
+    return "".join(json.dumps(dict(zip(columns, map(_json_cell, row)))) + "\n" for row in rows)
 
 
 def _json_cell(value):
@@ -283,25 +282,18 @@ def _grid_points(cfg: dict, one_value: bool = False) -> list:
 
 
 def cmd_sweep(cfg: dict, args, one_value: bool = False) -> tuple:
-    points = _grid_points(cfg, one_value)
     rows = []
-    for segment, chain in points:
+    for segment, chain in _grid_points(cfg, one_value):
         report = evaluate_chain(
             segment, chain, cfg["usd"]["mode"], cfg["usd"]["q"], cfg["key"]["mode"]
         )
-        row = dict(zip(_POINT_KEYS, _point_of(segment)))
-        row.update(vars(report))
-        rows.append(row)
+        rows.append(_point_of(segment) + report._values())
     return rows, _SWEEP_COLUMNS
-
-
-def cmd_keyrate(cfg: dict, args) -> tuple:
-    return cmd_sweep(cfg, args, one_value=True)
 
 
 def cmd_cavity(cfg: dict, args) -> tuple:
     cav = cfg["cavity"]
-    params = CavityParams(**{name: cav[name] for name in CavityParams._fields})
+    params = CavityParams(*map(cav.__getitem__, CavityParams._fields))
     if cav["points"] < 1:
         raise UsageError("cavity.points must be positive")
     # np.linspace's grid, in floats: (i/div)·span where the step underflows to 0
@@ -314,8 +306,7 @@ def cmd_cavity(cfg: dict, args) -> tuple:
         deltas[-1] = stop
     if not all(map(math.isfinite, deltas)):  # a non-finite end, or a span that overflows
         raise UsageError(f"cavity.delta_min={start!r}, cavity.delta_max={stop!r}: no finite grid")
-    columns = ("delta", "phase_ideal", "phase_full", "modulus_full")
-    return [dict(zip(columns, row)) for row in sweep_reflection(deltas, params)], columns
+    return sweep_reflection(deltas, params), ("delta", "phase_ideal", "phase_full", "modulus_full")
 
 
 def cmd_usd(cfg: dict, args) -> tuple:
@@ -323,8 +314,7 @@ def cmd_usd(cfg: dict, args) -> tuple:
     usd_cfg = cfg["usd"]
     alphas = _grid(cfg, "usd", "alphas", float)
     rows = usd_sweep(alphas, q=usd_cfg["q"], probe_style=usd_cfg["probe_style"])
-    columns = ("alpha", "p_optimal", "p_linear_optics")
-    return [dict(zip(columns, row)) for row in rows], columns
+    return rows, ("alpha", "p_optimal", "p_linear_optics")
 
 
 def _parse_tol_overrides(items, tolerances: dict) -> dict:
@@ -349,17 +339,13 @@ def cmd_validate(cfg: dict, args) -> tuple:
     if any(m > crosscheck.MAX_ORDER for m in axes[0]):
         raise UsageError(f"validation grid is bounded at m <= {crosscheck.MAX_ORDER}")
     tols = _parse_tol_overrides(args.tol, crosscheck.TOLERANCES)
-    worst = {}  # each check that ran, with its largest deviation; a NaN, once met, stays
-    for point in itertools.product(*axes):
-        for name, dev in crosscheck.deviations(*point).items():
-            kept = worst.get(name, 0.0)
-            worst[name] = dev if math.isnan(dev) or dev > kept else kept
-    columns = ("check", "max_deviation", "tolerance", "status")
-    rows = [
-        (name, dev, tols[name], "pass" if dev <= tols[name] else "FAIL")
-        for name, dev in sorted(worst.items())
-    ]
-    return [dict(zip(columns, row)) for row in rows], columns
+    runs = [crosscheck.deviations(*point) for point in itertools.product(*axes)]
+    rows = []
+    for name in sorted(set().union(*runs)):  # each check that ran, at its largest deviation
+        devs = [run[name] for run in runs if name in run]
+        dev = math.nan if any(map(math.isnan, devs)) else max(0.0, *devs)  # a NaN is the max
+        rows.append((name, dev, tols[name], "pass" if dev <= tols[name] else "FAIL"))
+    return rows, ("check", "max_deviation", "tolerance", "status")
 
 
 def _add_flags(parser: argparse.ArgumentParser, dests) -> None:
@@ -381,7 +367,8 @@ class _Parser(argparse.ArgumentParser):
 # subcommand -> (help, handler, flags besides --config, --out and --format)
 _COMMANDS = {
     "sweep": ("grid sweep of repeater-line metrics", cmd_sweep, _GRID_FLAGS),
-    "keyrate": ("one fully resolved configuration point", cmd_keyrate, _GRID_FLAGS),
+    "keyrate": ("one fully resolved configuration point",
+                functools.partial(cmd_sweep, one_value=True), _GRID_FLAGS),
     "cavity": ("reflection phase/modulus over detuning", cmd_cavity, ()),
     "usd": ("optimal vs beam-splitter discrimination", cmd_usd, ("usd_alphas",)),
     "validate": ("oracle-vs-analytic cross checks", cmd_validate, ()),
@@ -430,10 +417,11 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    failures = [row["check"] for row in rows if row.get("status") == "FAIL"]
-    if failures:
-        print("validation failed: " + ", ".join(failures), file=sys.stderr)
-        return 2
+    if "status" in columns:  # validate's rows: each check, then its status
+        check, status = map(columns.index, ("check", "status"))
+        if failures := [row[check] for row in rows if row[status] == "FAIL"]:
+            print("validation failed: " + ", ".join(failures), file=sys.stderr)
+            return 2
     return 0
 
 

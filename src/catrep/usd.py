@@ -345,7 +345,10 @@ def usd_sweep(alphas, q: int = 0, probe_style: str = "cat"):
     column is the per-class value at the given ``q`` for the order-2 code.
     """
     rows = []
-    for a in map(float, alphas):
+    for a in alphas:
+        if type(a) is bool:
+            _Record._refuse_bool(alpha=a)
+        a = float(a)
         p_opt = optimal_usd_probability(CatCodeSpec(m=1, alpha=a), q=q, mode="per_q")
         rows.append((a, p_opt, linear_optics_usd_probability(a, q=q, probe_style=probe_style)))
     return rows

@@ -241,8 +241,10 @@ def test_a_non_finite_result_is_refused_by_name(call, error, text):
         (lambda: full_reflection(True), "delta=True must be a number, not a bool"),
         (lambda: detuning_for_angle(True, 1.0), "phi=True must be a number, not a bool"),
         (lambda: detuning_for_angle(1.0, False), "kappa=False must be a number, not a bool"),
+        # the sweep's grid too, before float() could read True as Δ = 1.0
+        (lambda: sweep_reflection([0.0, True]), "delta=True must be a number, not a bool"),
     ],
-    ids=["full_reflection", "detuning_for_angle_phi", "detuning_for_angle_kappa"],
+    ids=["full_reflection", "detuning_for_angle_phi", "detuning_for_angle_kappa", "sweep_delta"],
 )
 def test_a_bool_is_refused_by_name(call, text):
     # a bool is no number, as the records already say; each returned a value before

@@ -730,6 +730,15 @@ _WEIGHTS = loss_weights(CatCodeSpec(1, 1.0, 0.9))
         (lambda: PauliFrameState("phi", 0.5, math.inf), "phase=inf must be finite"),
         (lambda: plob_bound(True), "l_tot=True must be a number, not a bool"),
         (lambda: plob_bound(100.0, True), "l_att=True must be a number, not a bool"),
+        # and so do the chain scalars, each by its argument's name
+        (lambda: chain_fidelity(True, 3), "f0=True must be a number, not a bool"),
+        (lambda: chain_success(True, 3), "p0=True must be a number, not a bool"),
+        (lambda: binary_entropy(True), "p=True must be a number, not a bool"),
+        (lambda: swap_components(True, 0.5), "a_plus=True must be a number, not a bool"),
+        (lambda: swap_components(0.5, False), "b_plus=False must be a number, not a bool"),
+        (lambda: secret_key_rate(True, 0.5), "f_tot=True must be a number, not a bool"),
+        (lambda: secret_key_rate(0.9, True), "p_tot=True must be a number, not a bool"),
+        (lambda: secret_key_rate(0.9, 0.5, True), "t0=True must be a number, not a bool"),
     ],
     ids=[
         "l_tot", "chain_n_e", "kind", "plus_weight", "p0", "success_n_e",
@@ -740,7 +749,9 @@ _WEIGHTS = loss_weights(CatCodeSpec(1, 1.0, 0.9))
         "weights_m_float", "weights_m_bool", "weights_m_zero", "segment_alpha_bool", "chain_q_float",
         "spec_alpha_complex64", "spec_alpha_0d_complex", "spec_eta_complex",
         "frame_plus_weight_bool", "frame_plus_weight_nan", "frame_phase_inf", "plob_l_tot_bool",
-        "plob_l_att_bool",
+        "plob_l_att_bool", "fidelity_f0_bool", "success_p0_bool", "entropy_p_bool",
+        "swap_a_plus_bool", "swap_b_plus_bool", "key_rate_f_tot_bool", "key_rate_p_tot_bool",
+        "key_rate_t0_bool",
     ],
 )
 def test_public_refusals_are_named(call, message):

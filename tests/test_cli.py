@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catrep import catcode, cli, fockspace, protocol_oracle
-from catrep.chain import ChainParams, SegmentParams, evaluate_chain
+from catrep.chain import ChainParams, ChainReport, SegmentParams, evaluate_chain
 from catrep.cli import DEFAULT_CONFIG, load_config, main
 from catrep.usd import linear_optics_closed_form, linear_optics_usd_probability
 
@@ -92,11 +92,10 @@ def test_csv_rows_read_as_the_per_cell_fmt_join():
     # for every value type a row can hold.
     columns = ("flag", "count", "np64", "neg_zero", "subnormal", "big", "inf", "nan", "plain")
     rows = [
-        dict(zip(columns, (True, 3, np.float64(0.1), -0.0, 5e-324, 1e308, math.inf, math.nan, 1.5))),
-        dict(zip(columns, (False, -7, np.float64(-2.5e-300), 0.0, -5e-324, -1e308, -math.inf,
-                           -math.nan, 1 / 3))),
+        (True, 3, np.float64(0.1), -0.0, 5e-324, 1e308, math.inf, math.nan, 1.5),
+        (False, -7, np.float64(-2.5e-300), 0.0, -5e-324, -1e308, -math.inf, -math.nan, 1 / 3),
     ]
-    want = [",".join(columns)] + [",".join(cli._fmt(row[c]) for c in columns) for row in rows]
+    want = [",".join(columns)] + [",".join(map(cli._fmt, row)) for row in rows]
     assert cli._render(rows, columns, "csv") == "\n".join(want) + "\n"
     assert want[1] == "true,3,0.10000000000000001,-0,4.9406564584124654e-324,1e+308,inf,nan,1.5"
 
@@ -224,7 +223,7 @@ def test_sweep_prints_the_bytes_of_evaluate_chain_per_row(monkeypatch, capsys):
     for m, a, l0, e in keys:
         segment = SegmentParams(l0=l0, m=m, alpha=a, eta_local=e)
         report = evaluate_chain(segment, ChainParams(l_tot=1000.0, n_e=round(1000.0 / l0)))
-        rows.append({"m": m, "alpha": a, "l0": l0, "eta_local": e, **vars(report)})
+        rows.append((m, a, l0, e, *(getattr(report, name) for name in ChainReport._fields)))
     assert out == cli._render(rows, cli._SWEEP_COLUMNS, "csv")
 
 

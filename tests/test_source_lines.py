@@ -2,8 +2,8 @@
 no dataclasses, no record made past the record base, no numpy in the
 class-series kernel, none imported with the analytic modules, no module that
 imports usd when it is imported, none but crosscheck that imports the oracle, none
-but catcode that names the class-series kernel, one cavity reflection formula, and
-no cache without a finite bound."""
+but catcode that names the class-series kernel, one cavity reflection formula, no
+dict built in a CLI command, and no cache without a finite bound."""
 
 import ast
 import pathlib
@@ -349,6 +349,58 @@ def test_the_cavity_rule_refuses_a_second_formula():
     ):
         mutated = source.replace(anchor, "\n" + formula + "\n" + anchor, 1)
         assert _imaginary_literals_outside(ast.parse(mutated), "full_reflection"), formula
+
+
+def _dicts_in_commands(tree) -> list:
+    """Lines of a ``cmd_*`` function that build a dict: a display, a comprehension,
+    or a call to ``dict`` or to a ``fromkeys``."""
+    return [
+        node.lineno
+        for command in tree.body
+        if isinstance(command, ast.FunctionDef) and command.name.startswith("cmd_")
+        for node in ast.walk(command)
+        if isinstance(node, (ast.Dict, ast.DictComp))
+        or isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "dict"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "fromkeys"
+        )
+    ]
+
+
+def test_no_cli_command_builds_a_dict():
+    # A command returns its producer's tuples in column order, and _render
+    # alone pairs a cell with its column name.
+    assert not _dicts_in_commands(_modules()["cli.py"])
+
+
+def test_the_dict_rule_refuses_a_dict_row():
+    source = (SRC / "cli.py").read_text()
+    for anchor, mutated in (
+        # the sweep row as a dict of the point's fields, then the report's
+        (
+            "        rows.append(_point_of(segment) + report._values())\n",
+            "        row = dict(zip(_POINT_KEYS, _point_of(segment)))\n"
+            "        row.update(vars(report))\n        rows.append(row)\n",
+        ),
+        # the producer's tuples turned into dicts by a comprehension
+        (
+            '    return rows, ("alpha", "p_optimal", "p_linear_optics")\n',
+            '    return [{"alpha": a, "p_optimal": p} for a, p, _ in rows], ()\n',
+        ),
+        # validate's check maxima kept in a dict, and its row as one
+        (
+            "    rows = []\n    for name in sorted(",
+            "    worst = {}\n    rows = []\n    for name in sorted(",
+        ),
+        (
+            '        rows.append((name, dev, tols[name], "pass" if dev <= tols[name] else "FAIL"))',
+            '        rows.append(dict.fromkeys(("check", "status"), name))',
+        ),
+    ):
+        assert anchor in source, anchor
+        assert _dicts_in_commands(ast.parse(source.replace(anchor, mutated, 1))), mutated
+    # a dict outside a command, as the config merge builds, is not the rule's
+    assert not _dicts_in_commands(ast.parse("def _merge(base):\n    return dict(base)\n"))
 
 
 def _unbounded_caches(tree) -> list:

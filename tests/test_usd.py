@@ -662,6 +662,8 @@ def test_circuit_golden():
         (lambda: linear_optics_usd_probability(1.0, True), "need 0 < eta <= 1"),
         (lambda: linear_optics_closed_form(True), "need alpha > 0"),
         (lambda: linear_optics_closed_form(1.0, True), "need 0 < eta <= 1"),
+        # the sweep's grid too, before float() could read True as alpha = 1.0
+        (lambda: usd_sweep([0.5, True]), "alpha=True must be a number, not a bool"),
         # a non-finite amplitude, named as the circuit's first term names it
         (lambda: linear_optics_closed_form(math.nan), "non-finite term: coefficient (1+0j), "
          "amplitudes [(nan+0j)]"),
@@ -676,7 +678,7 @@ def test_circuit_golden():
         "click_port_float", "click_port_repeated", "click_port_range", "splitter_port_float",
         "splitter_port_bool", "splitter_port_repeated", "splitter_port_range", "optimal_q_float",
         "optimal_q_bool", "circuit_q_float", "states_q_bool", "circuit_alpha_bool",
-        "circuit_eta_bool", "closed_form_alpha_bool", "closed_form_eta_bool",
+        "circuit_eta_bool", "closed_form_alpha_bool", "closed_form_eta_bool", "sweep_alpha_bool",
         "closed_form_alpha_nan", "closed_form_alpha_inf",
         "circuit_alpha_complex64",
     ],
